@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compress.base import Compressor, ExchangeKind
+from repro.compress.base import Compressor, ExchangeKind, select_by_mask
 
 
 class A2SGDCompressor(Compressor):
@@ -88,9 +88,11 @@ class A2SGDCompressor(Compressor):
 
     @staticmethod
     def encode(gradient: np.ndarray, mu_plus: float, mu_minus: float) -> np.ndarray:
-        """The paper's ``enc(v) = pos(v)·µ_+ − neg(v)·µ_-`` operator."""
-        positive_mask = gradient >= 0
-        return np.where(positive_mask, mu_plus, -mu_minus).astype(gradient.dtype)
+        """The paper's ``enc(v) = pos(v)·µ_+ − neg(v)·µ_-`` operator (selected
+        in float32, the gradient pipeline's dtype)."""
+        encoded = select_by_mask(np.empty(gradient.shape, dtype=np.float32),
+                                 gradient >= 0, mu_plus, -mu_minus)
+        return encoded.astype(gradient.dtype, copy=False)
 
     # ------------------------------------------------------------------ #
     # Compressor protocol
@@ -101,8 +103,8 @@ class A2SGDCompressor(Compressor):
 
         if self.two_means:
             mu_plus, mu_minus = self.two_level_means(gradient, positive_mask)
-            encoded = np.where(positive_mask, gradient.dtype.type(mu_plus),
-                               gradient.dtype.type(-mu_minus))
+            encoded = select_by_mask(np.empty(gradient.shape, dtype=np.float32),
+                                     positive_mask, mu_plus, -mu_minus)
             payload = np.array([mu_plus, mu_minus], dtype=np.float64)
         else:
             # Single-mean ablation: one signed mean replaces every entry.
@@ -120,11 +122,12 @@ class A2SGDCompressor(Compressor):
         if global_payload.shape != (2,):
             raise ValueError("A2SGD expects a global payload of exactly two means")
         positive_mask = ctx["positive_mask"]
+        reconstructed = np.empty(positive_mask.shape, dtype=np.float32)
         if self.two_means:
-            reconstructed = np.where(positive_mask, global_payload[0], -global_payload[1])
+            select_by_mask(reconstructed, positive_mask,
+                           global_payload[0], -global_payload[1])
         else:
-            reconstructed = np.full(positive_mask.shape, global_payload[0])
-        reconstructed = reconstructed.astype(ctx["error"].dtype)
+            reconstructed.fill(global_payload[0])
         return ctx["error"] + reconstructed
 
     # ------------------------------------------------------------------ #
@@ -152,8 +155,9 @@ class A2SGDCompressor(Compressor):
             # L2 between passes on mid-sized models (lstm_ptb) and made the
             # batched exchange *slower* than the per-rank loop.  Every
             # arithmetic op and its order still match the looped path
-            # (same masked BLAS dots as two_level_means, same scalar selects),
-            # so payloads, contexts and stats stay bit-identical.
+            # (same masked BLAS dots as two_level_means, the same
+            # select_by_mask primitive), so payloads, contexts and stats stay
+            # bit-identical.
             positive_sums = np.empty(P)
             positive_counts = np.empty(P, dtype=np.int64)
             negative_sums = np.empty(P)
@@ -173,16 +177,13 @@ class A2SGDCompressor(Compressor):
             means = np.stack([mu_plus, mu_minus], axis=1)           # (P, 2) float64
             if reference.error_feedback:
                 # Fused select + subtract + stats: the encoding is selected
-                # straight into the error matrix (row-wise scalar ``np.where``
-                # — broadcast (P, 1) operands and masked ``where=`` ufuncs are
-                # both far slower), subtracted from G in place while the row
-                # is cache-hot, and the compression-error norm reads the
-                # materialized residual instead of re-deriving ``G - encoded``
-                # — no ``encoded`` temporary is ever allocated.
+                # straight into the error matrix, subtracted from G in place
+                # while the row is cache-hot, and the compression-error norm
+                # reads the materialized residual instead of re-deriving
+                # ``G - encoded`` — no ``encoded`` temporary is ever allocated.
                 errors = np.empty((P, n), dtype=np.float32)
                 for p, compressor in enumerate(compressors):
-                    errors[p] = np.where(masks[p], np.float32(mu_plus[p]),
-                                         np.float32(-mu_minus[p]))
+                    select_by_mask(errors[p], masks[p], mu_plus[p], -mu_minus[p])
                     np.subtract(G[p], errors[p], out=errors[p])
                     denom = float(np.linalg.norm(G[p])) or 1.0
                     compressor.stats.record(
@@ -192,8 +193,7 @@ class A2SGDCompressor(Compressor):
                 # the transmitted estimate the statistics need.
                 encoded = np.empty((P, n), dtype=np.float32)
                 for p in range(P):
-                    encoded[p] = np.where(masks[p], np.float32(mu_plus[p]),
-                                          np.float32(-mu_minus[p]))
+                    select_by_mask(encoded[p], masks[p], mu_plus[p], -mu_minus[p])
                 errors = np.zeros((P, n), dtype=np.float32)
                 cls._record_batch(compressors, cls.WIRE_BITS, G, encoded)
         else:
@@ -249,19 +249,16 @@ class A2SGDCompressor(Compressor):
         else:
             masks = cls._stack_rows([ctx["positive_mask"] for ctx in contexts])
             errors = cls._stack_rows([ctx["error"] for ctx in contexts])
-        # float32 selection is bit-identical to the looped float64 select +
-        # astype: the cast commutes with picking, and float32(-µ) == -float32(µ).
-        means32 = global_means.astype(np.float32)
         reconstructed = np.empty(masks.shape, dtype=np.float32)
         if reference.two_means:
-            # Row-wise scalar selects for the same reason as compress_batch;
-            # the error is added while the freshly-selected row is cache-hot
+            # The error is added while the freshly-selected row is cache-hot
             # (a whole-matrix ``+= errors`` would re-stream every row).
             for p in range(masks.shape[0]):
-                reconstructed[p] = np.where(masks[p], means32[p, 0], -means32[p, 1])
+                select_by_mask(reconstructed[p], masks[p],
+                               global_means[p, 0], -global_means[p, 1])
                 reconstructed[p] += errors[p]
         else:
-            reconstructed[...] = means32[:, 0:1]
+            reconstructed[...] = global_means[:, 0:1]
             reconstructed += errors
         return reconstructed
 

@@ -9,8 +9,9 @@ Like :class:`repro.optim.sgd.SGD`, LARS has a fused flat path: with the
 parameters adopted into one contiguous vector, the per-layer norms are
 segment reductions (``np.add.reduceat`` over the flat layout) and the
 trust-scaled update is a handful of whole-buffer operations — no
-per-parameter Python loop.  Momentum state is keyed by parameter index and
-checkpointable through ``state_dict`` in either mode.
+per-parameter Python loop — finishing in :func:`sgd_flat_update`'s blocked
+momentum / learning-rate / parameter-update tail.  Momentum state is keyed by
+parameter index and checkpointable through ``state_dict`` in either mode.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from repro.optim.sgd import Optimizer
+from repro.optim.sgd import Optimizer, sgd_flat_update
 
 
 def lars_flat_update(params: np.ndarray, grads: np.ndarray, offsets: np.ndarray,
@@ -50,14 +51,11 @@ def lars_flat_update(params: np.ndarray, grads: np.ndarray, offsets: np.ndarray,
                      np.float32(1.0))
     scratch *= np.repeat(trust, sizes, axis=-1)
 
-    if momentum:
-        if velocity is None:
-            raise ValueError("momentum > 0 requires a velocity buffer")
-        velocity *= np.float32(momentum)
-        velocity += scratch
-        scratch[...] = velocity
-    scratch *= np.float32(lr)
-    params -= scratch
+    # The trust ratios need whole-layer norms, so everything above runs on the
+    # full buffer; what is left — momentum, learning rate, parameter update of
+    # the trust-scaled gradient — is exactly plain SGD's elementwise tail and
+    # takes its cache-blocked walk.
+    sgd_flat_update(params, scratch, lr, momentum, velocity=velocity)
 
 
 class LARS(Optimizer):

@@ -27,6 +27,38 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 
+#: Elements per block of the cache-blocked flat update: 64 K float32 = 256 KiB
+#: per operand, so a block's parameter, gradient, velocity and scratch slices
+#: stay L2-resident across the kernel's 5-7 elementwise passes instead of
+#: each pass re-streaming the whole (P, n) matrix from memory.
+STEP_BLOCK_ELEMENTS = 1 << 16
+
+
+def _sgd_update_block(params: np.ndarray, grads: np.ndarray, lr: np.float32,
+                      momentum: np.float32, weight_decay: np.float32,
+                      nesterov: bool, velocity: Optional[np.ndarray],
+                      scratch: np.ndarray) -> None:
+    """The elementwise SGD update on one block (all operands one shape).
+
+    ``grads`` is only read: without weight decay it feeds the momentum and
+    learning-rate passes directly instead of being copied into ``scratch``.
+    """
+    if weight_decay:
+        np.multiply(params, weight_decay, out=scratch)
+        scratch += grads
+        grads = scratch
+    if momentum:
+        velocity *= momentum
+        velocity += grads
+        if nesterov:
+            np.add(grads, momentum * velocity, out=scratch)
+            grads = scratch
+        else:
+            grads = velocity
+    np.multiply(grads, lr, out=scratch)
+    params -= scratch
+
+
 def sgd_flat_update(params: np.ndarray, grads: np.ndarray, lr: float,
                     momentum: float = 0.0, weight_decay: float = 0.0,
                     nesterov: bool = False, velocity: Optional[np.ndarray] = None,
@@ -37,25 +69,48 @@ def sgd_flat_update(params: np.ndarray, grads: np.ndarray, lr: float,
     ``g ← grad + wd·w``, ``v ← µ·v + g``, ``w ← w − lr·(g + µ·v | v)``.
     ``velocity`` is required when ``momentum > 0`` and is updated in place.
     ``scratch`` (same shape) avoids reallocating the work buffer every call.
+
+    C-contiguous storage is walked in blocks of :data:`STEP_BLOCK_ELEMENTS`
+    (whole rows when they fit, column blocks of a row otherwise) with a
+    block-sized corner of ``scratch``, so every pass over a block hits cache;
+    the update is elementwise, so the blocked walk is bit-identical to the
+    single whole-buffer pass that non-contiguous storage still takes.
+    ``grads`` may be any view of the parameters' shape (e.g. the read-only
+    broadcast row an Allgather reconstruction returns).
     """
-    if scratch is None:
-        scratch = np.empty_like(params)
-    if weight_decay:
-        np.multiply(params, np.float32(weight_decay), out=scratch)
-        scratch += grads
-    else:
-        scratch[...] = grads
-    if momentum:
-        if velocity is None:
-            raise ValueError("momentum > 0 requires a velocity buffer")
-        velocity *= np.float32(momentum)
-        velocity += scratch
-        if nesterov:
-            scratch += np.float32(momentum) * velocity
-        else:
-            scratch[...] = velocity
-    scratch *= np.float32(lr)
-    params -= scratch
+    if not momentum:
+        velocity = None
+    elif velocity is None:
+        raise ValueError("momentum > 0 requires a velocity buffer")
+    lr, momentum, weight_decay = np.float32(lr), np.float32(momentum), np.float32(weight_decay)
+    # One pass over the whole buffer: it is a single block anyway, or its
+    # storage cannot be cut into contiguous blocks.
+    if params.size <= STEP_BLOCK_ELEMENTS or not (
+            params.flags.c_contiguous
+            and (velocity is None or velocity.flags.c_contiguous)):
+        if scratch is None:
+            scratch = np.empty_like(params)
+        _sgd_update_block(params, grads, lr, momentum, weight_decay, nesterov,
+                          velocity, scratch)
+        return
+
+    n = params.shape[-1]
+    rows, cols = max(1, STEP_BLOCK_ELEMENTS // n), min(n, STEP_BLOCK_ELEMENTS)
+    grads = np.broadcast_to(grads, params.shape).reshape(-1, n)
+    params = params.reshape(-1, n)
+    if velocity is not None:
+        velocity = velocity.reshape(-1, n)
+    if scratch is None or not scratch.flags.c_contiguous:
+        scratch = np.empty(rows * cols, dtype=params.dtype)
+    scratch = scratch.reshape(-1)[:rows * cols].reshape(rows, cols)
+    for i in range(0, params.shape[0], rows):
+        for j in range(0, n, cols):
+            block = (slice(i, i + rows), slice(j, j + cols))
+            block_params = params[block]
+            _sgd_update_block(
+                block_params, grads[block], lr, momentum, weight_decay, nesterov,
+                None if velocity is None else velocity[block],
+                scratch[:block_params.shape[0], :block_params.shape[1]])
 
 
 class Optimizer:

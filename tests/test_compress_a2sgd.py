@@ -4,6 +4,77 @@ import numpy as np
 import pytest
 
 from repro.compress import A2SGDCompressor, ExchangeKind
+from repro.compress.base import select_by_mask
+
+
+def _f32(bits: int) -> np.float32:
+    """The float32 with exactly this bit pattern."""
+    return np.uint32(bits).view(np.float32)
+
+
+#: Scalars a float-arithmetic select would mangle: a NaN with a non-default
+#: payload, a signalling NaN, the infinities, both zeros, the smallest and
+#: largest float32 subnormals (FTZ/DAZ is on in this process) and ordinary
+#: values.
+ADVERSARIAL_SCALARS = [
+    _f32(0x7FC12345), _f32(0xFFA00001), np.float32(np.inf), np.float32(-np.inf),
+    np.float32(0.0), np.float32(-0.0), _f32(0x00000001), _f32(0x807FFFFF),
+    np.float32(1.5), np.float32(-3.25e-3),
+]
+
+
+def _masks(n: int):
+    alternating = np.zeros(n, dtype=bool)
+    alternating[::2] = True
+    return {"all_true": np.ones(n, dtype=bool), "all_false": np.zeros(n, dtype=bool),
+            "alternating": alternating,
+            "random": np.random.default_rng(n).random(n) < 0.5}
+
+
+class TestSelectByMask:
+    """The branch-free select every A2SGD encode/decode site goes through."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 65_537])
+    def test_bitwise_equal_to_np_where(self, n):
+        for mask in _masks(n).values():
+            for a in ADVERSARIAL_SCALARS:
+                for b in ADVERSARIAL_SCALARS:        # includes a == b
+                    out = np.full(n, 7.0, dtype=np.float32)
+                    assert select_by_mask(out, mask, a, b) is out
+                    expected = np.where(mask, np.float32(a), np.float32(b))
+                    np.testing.assert_array_equal(out.view(np.uint32),
+                                                  expected.view(np.uint32))
+
+    def test_python_float_operands_round_like_float32(self):
+        mask = np.array([True, False, True])
+        out = select_by_mask(np.empty(3, dtype=np.float32), mask, 0.1, -1e-50)
+        expected = np.where(mask, np.float32(0.1), np.float32(-1e-50))
+        np.testing.assert_array_equal(out.view(np.uint32), expected.view(np.uint32))
+
+    def test_writes_one_row_of_a_matrix_and_nothing_else(self):
+        matrix = np.full((4, 1001), 9.0, dtype=np.float32)
+        mask = _masks(1001)["random"]
+        select_by_mask(matrix[2], mask, _f32(0x7FC12345), np.float32(-0.0))
+        expected = np.where(mask, _f32(0x7FC12345), np.float32(-0.0))
+        np.testing.assert_array_equal(matrix[2].view(np.uint32), expected.view(np.uint32))
+        assert np.all(matrix[[0, 1, 3]] == 9.0)
+
+    @pytest.mark.parametrize("out", [np.empty(4, dtype=np.float64),
+                                     np.empty(4, dtype=np.int32), [0.0] * 4])
+    def test_rejects_non_float32_out(self, out):
+        with pytest.raises(TypeError, match="float32"):
+            select_by_mask(out, np.ones(4, dtype=bool), 1.0, 2.0)
+
+    def test_rejects_non_bool_mask(self):
+        with pytest.raises(TypeError, match="bool mask"):
+            select_by_mask(np.empty(4, dtype=np.float32), np.ones(4, dtype=np.uint8), 1.0, 2.0)
+
+    @pytest.mark.parametrize("mask_shape", [(3,), (5,), (1, 4), ()])
+    def test_rejects_mismatched_mask_shape(self, mask_shape):
+        out = np.full(4, 7.0, dtype=np.float32)
+        with pytest.raises(ValueError, match="shape"):
+            select_by_mask(out, np.ones(mask_shape, dtype=bool), 1.0, 2.0)
+        assert np.all(out == 7.0)            # refused before any write
 
 
 class TestTwoLevelMeans:

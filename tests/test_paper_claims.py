@@ -86,12 +86,12 @@ class TestFigure2ComputationTime:
         # is what the Figure 2 benchmark reproduces.
         assert measured_times["a2sgd"] < 0.8 * measured_times["qsgd"]
 
-    def test_a2sgd_same_order_as_topk_on_cpu_kernels(self, measured_times):
-        # On the paper's GPU testbed Top-K pays an expensive k-selection; our
-        # CPU kernels use argpartition, so the honest measured claim here is
-        # only that A2SGD is not asymptotically worse (same order of
-        # magnitude), while the GPU-cost ordering is modelled in CostModel.
-        assert measured_times["a2sgd"] < 5.0 * measured_times["topk"]
+    def test_a2sgd_cheaper_than_topk_on_cpu_kernels(self, measured_times):
+        # Figure 2's ordering, measured: with the branch-free sign select
+        # A2SGD's one O(n) pass takes ≈ 0.4× the time of Top-K's
+        # argpartition-based k-selection at this size (the GPU-cost ordering
+        # of the paper's testbed is modelled separately in CostModel).
+        assert measured_times["a2sgd"] < measured_times["topk"]
 
     def test_gaussiank_and_a2sgd_same_order_of_magnitude(self, measured_times):
         ratio = measured_times["gaussiank"] / measured_times["a2sgd"]

@@ -20,6 +20,7 @@ from repro.compress import (
     SignSGDCompressor,
     TopKCompressor,
 )
+from repro.compress.base import select_by_mask
 from repro.tensor import Tensor
 
 
@@ -87,6 +88,41 @@ class TestA2SGDProperties:
         for g in gradients:
             payload, _ = A2SGDCompressor().compress(g[:n])
             assert payload.shape == (2,)
+
+
+float32_bit_patterns = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestSelectByMaskProperties:
+    """select_by_mask ≡ np.where bit for bit.  Operands are drawn as raw
+    uint32 patterns, so NaN payloads, infinities, signed zeros and the
+    subnormals FTZ/DAZ would flush in float arithmetic are all covered."""
+
+    @given(float32_bit_patterns, float32_bit_patterns,
+           hnp.arrays(np.bool_, st.integers(min_value=0, max_value=300)))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_np_where(self, true_bits, false_bits, mask):
+        if_true = np.uint32(true_bits).view(np.float32)
+        if_false = np.uint32(false_bits).view(np.float32)
+        out = select_by_mask(np.empty(mask.shape, dtype=np.float32), mask,
+                             if_true, if_false)
+        expected = np.where(mask, if_true, if_false)
+        np.testing.assert_array_equal(out.view(np.uint32), expected.view(np.uint32))
+
+    @given(float32_bit_patterns, float32_bit_patterns,
+           hnp.arrays(np.bool_, st.tuples(st.integers(1, 5), st.integers(0, 40))),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_row_view_of_a_matrix_leaves_other_rows_alone(self, true_bits, false_bits,
+                                                          masks, data):
+        row = data.draw(st.integers(0, masks.shape[0] - 1))
+        matrix = np.full(masks.shape, 7.0, dtype=np.float32)
+        if_true = np.uint32(true_bits).view(np.float32)
+        if_false = np.uint32(false_bits).view(np.float32)
+        select_by_mask(matrix[row], masks[row], if_true, if_false)
+        expected = np.full(masks.shape, 7.0, dtype=np.float32)
+        expected[row] = np.where(masks[row], if_true, if_false)
+        np.testing.assert_array_equal(matrix.view(np.uint32), expected.view(np.uint32))
 
 
 class TestCollectiveProperties:
