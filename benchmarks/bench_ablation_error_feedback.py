@@ -10,7 +10,7 @@ quadratic problem with a known optimum and (b) the tiny FNN-3 training task.
 import pytest
 
 from repro.analysis.reporting import format_table
-from repro.core import ExperimentConfig, run_experiment
+from repro.core import ExperimentSpec, run_experiment
 from repro.core.algorithm1 import QuadraticProblem, a2sgd_quadratic_descent
 
 
@@ -26,7 +26,7 @@ def run_quadratic_ablation():
 def run_fnn_ablation():
     results = {}
     for error_feedback in (True, False):
-        config = ExperimentConfig(model="fnn3", preset="tiny", algorithm="a2sgd",
+        config = ExperimentSpec(model="fnn3", preset="tiny", algorithm="a2sgd",
                                   world_size=4, epochs=3, batch_size=16,
                                   max_iterations_per_epoch=12, num_train=384, num_test=96,
                                   seed=0,

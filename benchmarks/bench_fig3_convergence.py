@@ -17,7 +17,7 @@ import os
 import pytest
 
 from repro.analysis.reporting import render_convergence_figure
-from repro.core import ExperimentConfig, run_experiment
+from repro.core import ExperimentSpec, run_experiment
 
 ALGORITHMS = ("dense", "topk", "qsgd", "gaussiank", "a2sgd")
 #: Worker counts exercised by default; set REPRO_FULL_SWEEP=1 to add 16.
@@ -29,7 +29,7 @@ def run_panel(model: str, world_size: int, epochs: int = 3):
     results = {}
     for algorithm in ALGORITHMS:
         kwargs = {"ratio": 0.05} if algorithm in ("topk", "gaussiank") else {}
-        config = ExperimentConfig(
+        config = ExperimentSpec(
             model=model, preset="tiny", algorithm=algorithm, world_size=world_size,
             epochs=epochs, batch_size=16, max_iterations_per_epoch=12,
             num_train=384, num_test=96, seed=0, compressor_kwargs=kwargs,
@@ -77,7 +77,7 @@ def test_figure3_lstm_convergence(benchmark, emit):
     def run():
         out = {}
         for algorithm in ("dense", "a2sgd"):
-            config = ExperimentConfig(model="lstm_ptb", preset="tiny", algorithm=algorithm,
+            config = ExperimentSpec(model="lstm_ptb", preset="tiny", algorithm=algorithm,
                                       world_size=2, epochs=3, seq_len=10, base_lr=5.0,
                                       max_iterations_per_epoch=20, num_train=8000,
                                       num_test=1600, seed=0)

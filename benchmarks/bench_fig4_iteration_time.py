@@ -17,7 +17,7 @@ Shape assertions (the paper's observations in §4.4):
 import pytest
 
 from repro.analysis.reporting import render_iteration_time_figure
-from repro.core import ExperimentConfig, run_experiment
+from repro.core import ExperimentSpec, run_experiment
 
 MODELS = ("fnn3", "vgg16", "resnet20", "lstm_ptb")
 ALGORITHMS = ("dense", "topk", "qsgd", "gaussiank", "a2sgd")
@@ -62,7 +62,7 @@ def test_figure4_trainer_cross_check(benchmark, emit):
     def run():
         times = {}
         for algorithm in ("dense", "topk", "a2sgd"):
-            config = ExperimentConfig(model="fnn3", preset="tiny", algorithm=algorithm,
+            config = ExperimentSpec(model="fnn3", preset="tiny", algorithm=algorithm,
                                       world_size=4, epochs=1, batch_size=16,
                                       max_iterations_per_epoch=8, num_train=256,
                                       num_test=64, seed=0)

@@ -28,8 +28,8 @@ The package is organised as a stack of subsystems:
     aggregators (mean and Byzantine-robust trimmed mean / medians) and the
     declarative ``SyncSpec`` that composes them with the comm topologies.
 ``repro.core``
-    The distributed trainer, gradient synchronizer, metrics, cost model and
-    experiment runner that tie everything together.
+    The distributed trainer, metrics, cost model and experiment runner that
+    tie everything together.
 ``repro.analysis``
     Gradient statistics, convergence diagnostics, scaling-efficiency
     calculations and text renderers for the paper's tables and figures.
@@ -63,10 +63,8 @@ from repro.core import (
     Callback,
     CostModel,
     DistributedTrainer,
-    ExperimentConfig,
     ExperimentResult,
     ExperimentSpec,
-    GradientSynchronizer,
     IterationTimeline,
     SpecError,
     TrainState,
@@ -103,11 +101,9 @@ __all__ = [
     "get_compressor",
     # core
     "DistributedTrainer",
-    "GradientSynchronizer",
     "CostModel",
     "IterationTimeline",
     "TrainingMetrics",
-    "ExperimentConfig",
     "ExperimentResult",
     "ExperimentSpec",
     "SpecError",

@@ -65,23 +65,23 @@ def _time_backend(trainer: DistributedTrainer, iterations: int) -> Dict[str, flo
     """Time ``iterations`` full fused iterations after warm-up (stages in ms)."""
     stage = {"gradients_s": 0.0, "exchange_s": 0.0, "apply_s": 0.0}
     per_epoch = trainer.iterations_per_epoch
-    iterators = [iter(loader) for loader in trainer.loaders]
+    iterators = trainer._epoch_iterators()
     timed = 0
     wall = 0.0
     for iteration in range(WARMUP_ITERATIONS + iterations):
         if iteration and iteration % per_epoch == 0:
-            iterators = [iter(loader) for loader in trainer.loaders]
+            iterators = trainer._epoch_iterators()
         batches = [next(it) for it in iterators]
         progress = iteration / max(1, iterations)
 
         t0 = time.perf_counter()
-        G, _loss = trainer._classification_gradients_fused(batches)
+        G, _loss, _states = trainer._gradients(batches, None)
         t1 = time.perf_counter()
-        new_matrix, report = trainer.sync_strategy.exchange_batched(G)
+        new, report = trainer._exchange(G)
         t2 = time.perf_counter()
-        trainer._apply_gradients_fused(new_matrix, progress)
+        trainer._apply(new, progress)
         t3 = time.perf_counter()
-        trainer._parameter_phase(report, fused=True)
+        trainer._parameter_phase(report)
         t4 = time.perf_counter()
         if iteration < WARMUP_ITERATIONS:
             continue                  # worker spawn / tape recording excluded

@@ -62,59 +62,36 @@ def _build_trainer(fused: bool, *, model: str, algorithm: str, world_size: int,
 
 
 def _time_iterations(trainer: DistributedTrainer, iterations: int) -> Dict[str, float]:
-    """Run ``iterations`` training iterations (any task), timing stages."""
-    fused = trainer.flat_world is not None
-    language_model = trainer.spec.task == "language_model"
+    """Run ``iterations`` training iterations (any task), timing stages.
+
+    Drives the same four stage methods the trainer's lockstep loop calls;
+    each decides representation (flat world vs per-rank) and task itself.
+    """
     stage = {"gradients_s": 0.0, "exchange_s": 0.0, "apply_s": 0.0}
     per_epoch = trainer.iterations_per_epoch
-
-    def fresh_iterators():
-        if language_model:
-            return [shard.batches() for shard in trainer.lm_shards]
-        return [iter(loader) for loader in trainer.loaders]
-
-    def fresh_states():
-        # The batched LM executor threads one stacked state; the per-replica
-        # paths thread one state per rank.
-        return None if trainer.executor is not None \
-            else [None] * trainer.config.world_size
-
-    iterators = fresh_iterators()
-    states = fresh_states()
+    iterators = trainer._epoch_iterators()
+    states = None
 
     wall_start = time.perf_counter()
     for iteration in range(iterations):
         if iteration and iteration % per_epoch == 0:
-            iterators = fresh_iterators()
-            states = fresh_states()
+            iterators = trainer._epoch_iterators()
+            states = None
         batches = [next(it) for it in iterators]
         progress = iteration / max(1, iterations)
 
         t0 = time.perf_counter()
-        if fused and language_model:
-            G, _loss, states = trainer._language_model_gradients_fused(batches, states)
-        elif fused:
-            G, _loss = trainer._classification_gradients_fused(batches)
-        elif language_model:
-            gradients, _loss, states = trainer._language_model_gradients(batches, states)
-        else:
-            gradients, _loss = trainer._classification_gradients(batches)
+        G, _loss, states = trainer._gradients(batches, states)
         t1 = time.perf_counter()
-        # The bound strategy, not the deprecated allreduce shim: non-default
-        # setups (local SGD, gossip, compressed parameter exchange) time
-        # their real exchange behaviour.
-        if fused:
-            new_matrix, report = trainer.sync_strategy.exchange_batched(G)
-            t2 = time.perf_counter()
-            trainer._apply_gradients_fused(new_matrix, progress)
-        else:
-            new_gradients, report = trainer.sync_strategy.exchange(gradients)
-            t2 = time.perf_counter()
-            trainer._apply_gradients(new_gradients, progress)
+        # The bound strategy: non-default setups (local SGD, gossip,
+        # compressed parameter exchange) time their real exchange behaviour.
+        new, report = trainer._exchange(G)
+        t2 = time.perf_counter()
+        trainer._apply(new, progress)
         t3 = time.perf_counter()
         # Post-optimizer parameter phase (local-SGD averaging, gossip):
         # counted as exchange — it IS the wire traffic of those strategies.
-        trainer._parameter_phase(report, fused)
+        trainer._parameter_phase(report)
         t4 = time.perf_counter()
         stage["gradients_s"] += t1 - t0
         stage["exchange_s"] += (t2 - t1) + (t4 - t3)

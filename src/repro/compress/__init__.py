@@ -30,7 +30,7 @@ from repro.compress.randk import RandKCompressor
 from repro.compress.terngrad import TernGradCompressor
 from repro.compress.signsgd import SignSGDCompressor
 from repro.compress.dgc import DGCCompressor
-from repro.compress.registry import COMPRESSOR_REGISTRY, get_compressor, list_compressors
+from repro.compress.registry import COMPRESSORS, get_compressor, list_compressors
 
 __all__ = [
     "Compressor",
@@ -46,7 +46,7 @@ __all__ = [
     "TernGradCompressor",
     "SignSGDCompressor",
     "DGCCompressor",
-    "COMPRESSOR_REGISTRY",
+    "COMPRESSORS",
     "get_compressor",
     "list_compressors",
 ]

@@ -7,7 +7,7 @@ synchronization in three steps (mirroring §3.1 / Algorithm 1 of the paper):
    payload* this worker contributes to the collective, plus a context dict
    holding whatever the worker must remember locally (sign masks, error
    vector, selected indices, ...).
-2. The synchronizer exchanges the payloads: compressors declare whether they
+2. The sync strategy exchanges the payloads: compressors declare whether they
    want an Allreduce (payloads averaged elementwise — Dense, A2SGD) or an
    Allgather (every worker receives every payload — Top-K, Gaussian-K, QSGD,
    whose payloads cannot be averaged on the wire).
@@ -92,14 +92,14 @@ class Compressor:
 
     #: Registry / display name.
     name: str = "base"
-    #: Which collective the synchronizer should run for this compressor.
+    #: Which collective the sync strategy should run for this compressor.
     exchange: ExchangeKind = ExchangeKind.ALLREDUCE
     #: Whether the compressor keeps a persistent residual across iterations.
     uses_error_feedback: bool = False
     #: True when the class provides vectorized ``compress_batch`` /
     #: ``decompress_batch`` kernels over the stacked (world_size, n) gradient
     #: matrix.  False means the batch entry points fall back to the per-rank
-    #: loop, so custom compressors work unchanged with the fused synchronizer.
+    #: loop, so custom compressors work unchanged with the batched exchange.
     supports_batch: bool = False
     #: For Allgather compressors: True when ``decompress_gathered`` depends
     #: only on the gathered payloads and a rank-invariant context (the usual

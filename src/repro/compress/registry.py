@@ -4,10 +4,9 @@ Maps the algorithm names used throughout the paper's figures ("Dense",
 "TopK", "GaussianK", "QSGD", "A2SGD") to constructors, so experiments and
 benchmarks can be parameterised by name.
 
-Since the unified-registry refactor this module is a thin shim over
-:class:`repro.registry.Registry`: ``COMPRESSORS`` is the registry instance
-and ``COMPRESSOR_REGISTRY`` / ``get_compressor`` / ``list_compressors`` are
-kept as the historical public surface.
+``COMPRESSORS`` is the :class:`repro.registry.Registry` instance;
+``get_compressor`` / ``list_compressors`` are the by-name conveniences most
+call sites use.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ COMPRESSORS.register("signsgd", SignSGDCompressor,
                      description="1-bit sign quantization with majority vote")
 COMPRESSORS.register("dgc", DGCCompressor,
                      description="deep gradient compression (momentum correction)")
-
-#: Legacy name: the registry doubles as the old module-level dict.
-COMPRESSOR_REGISTRY = COMPRESSORS
 
 #: The five algorithms compared in every figure of the paper's evaluation.
 PAPER_ALGORITHMS: List[str] = ["dense", "topk", "qsgd", "gaussiank", "a2sgd"]

@@ -14,8 +14,8 @@ indices are int32 bit patterns reinterpreted as float32
 (:meth:`TopKCompressor.pack_payload`).  The bit-view is lossless for any
 index (an int32 survives a float32 reinterpretation exactly), unlike the
 seed's float64 encoding, which doubled the payload memory and would lose
-index precision past 2⁵³ coordinates.  ``unpack_payload`` still accepts the
-legacy float64 layout for old hand-built payloads.
+index precision past 2⁵³ coordinates.  Payloads are only ever produced
+in-process by ``pack_payload``, so ``unpack_payload`` rejects any other dtype.
 """
 
 from __future__ import annotations
@@ -69,15 +69,13 @@ class TopKCompressor(Compressor):
 
     @staticmethod
     def unpack_payload(payload: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Inverse of :meth:`pack_payload`; also accepts the legacy float64
-        layout where indices were stored as plain numbers."""
+        """Inverse of :meth:`pack_payload` (float32 payloads only)."""
         payload = np.asarray(payload)
+        if payload.dtype != np.float32:
+            raise TypeError(f"top-k payloads are float32 arrays built by "
+                            f"pack_payload, got dtype {payload.dtype}")
         k = payload.size // 2
-        head = np.ascontiguousarray(payload[:k])
-        if payload.dtype == np.float32:
-            indices = head.view(np.int32).astype(np.int64)
-        else:
-            indices = head.astype(np.int64)
+        indices = np.ascontiguousarray(payload[:k]).view(np.int32).astype(np.int64)
         return indices, payload[k:]
 
     # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""Core orchestration: distributed trainer, synchronizer, cost model, experiments."""
+"""Core orchestration: distributed trainer, cost model, experiments."""
 
 from repro.core.batched_replicas import BatchedReplicaExecutor
 from repro.core.callbacks import (
@@ -17,14 +17,12 @@ from repro.core.flat_buffer import FlatLayout, ModelFlatBuffers, WorldFlatBuffer
 from repro.core.flatten import flatten_gradients, flatten_parameters, unflatten_into_gradients, unflatten_into_parameters
 from repro.core.metrics import TrainingMetrics, evaluate_classifier, evaluate_language_model, top1_accuracy
 from repro.core.timeline import IterationTimeline, SyncReport
-from repro.core.synchronizer import GradientSynchronizer
 from repro.core.trainer import DistributedTrainer, TrainerConfig
 from repro.core.cost_model import CompressionTimingEstimator, CostModel, IterationCostBreakdown
 from repro.core.algorithm1 import a2sgd_quadratic_descent, dense_quadratic_descent
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.spec import ExperimentSpec, SpecError
 from repro.core.experiment import (
-    ExperimentConfig,
     ExperimentResult,
     run_algorithm_sweep,
     run_experiment,
@@ -55,7 +53,6 @@ __all__ = [
     "evaluate_language_model",
     "IterationTimeline",
     "SyncReport",
-    "GradientSynchronizer",
     "DistributedTrainer",
     "TrainerConfig",
     "CostModel",
@@ -67,7 +64,6 @@ __all__ = [
     "load_checkpoint",
     "ExperimentSpec",
     "SpecError",
-    "ExperimentConfig",
     "ExperimentResult",
     "run_experiment",
     "run_algorithm_sweep",

@@ -43,7 +43,6 @@ from repro.utils.logging import get_logger
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.flat_buffer import WorldFlatBuffers
     from repro.core.metrics import TrainingMetrics
-    from repro.core.synchronizer import GradientSynchronizer
     from repro.core.timeline import IterationTimeline, SyncReport
     from repro.core.trainer import DistributedTrainer, TrainerConfig
 
@@ -52,10 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 class TrainState:
     """Mutable view of one training run, passed to every hook.
 
-    Exposes the trainer's replicas, flat buffers and synchronizer so
-    callbacks can observe *and* perturb the run (that is the point — worker
-    dropout or noise injection are writes), plus per-iteration scalars the
-    trainer refreshes before each hook.
+    Exposes the trainer's replicas and flat buffers so callbacks can observe
+    *and* perturb the run (that is the point — worker dropout or noise
+    injection are writes), plus per-iteration scalars the trainer refreshes
+    before each hook.
     """
 
     trainer: "DistributedTrainer"
@@ -95,10 +94,6 @@ class TrainState:
     def flat_buffers(self) -> Optional["WorldFlatBuffers"]:
         """The (P, n) flat world of the fused pipeline (None on the seed path)."""
         return self.trainer.flat_world
-
-    @property
-    def synchronizer(self) -> "GradientSynchronizer":
-        return self.trainer.synchronizer
 
     @property
     def metrics(self) -> "TrainingMetrics":

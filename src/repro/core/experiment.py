@@ -5,11 +5,6 @@ paper's evaluation grid (model × algorithm × world size × network);
 :func:`run_experiment` trains it and returns an :class:`ExperimentResult`
 with the convergence curve, timing breakdown and traffic accounting, ready
 to be rendered into the paper's figures and tables.
-
-:class:`ExperimentConfig` is the pre-spec name of the same object, kept as a
-constructor-kwarg-compatible deprecation shim: it *is* an ``ExperimentSpec``
-(every old keyword still works) and its ``trainer_config()`` method forwards
-to :meth:`ExperimentSpec.to_trainer_config`.
 """
 
 from __future__ import annotations
@@ -21,20 +16,8 @@ from typing import Dict, Iterable, List, Optional
 from repro.core.metrics import TrainingMetrics
 from repro.core.spec import ExperimentSpec
 from repro.core.timeline import IterationTimeline
-from repro.core.trainer import DistributedTrainer, TrainerConfig
+from repro.core.trainer import DistributedTrainer
 from repro.utils.serialization import to_jsonable
-
-
-class ExperimentConfig(ExperimentSpec):
-    """Deprecated alias of :class:`~repro.core.spec.ExperimentSpec`.
-
-    Kept so code written against the old constructor-kwarg API keeps
-    working unchanged; new code should import ``ExperimentSpec``.
-    """
-
-    def trainer_config(self) -> TrainerConfig:
-        """Translate into the trainer's configuration object (old name)."""
-        return self.to_trainer_config()
 
 
 @dataclass

@@ -19,7 +19,7 @@ iteration.  This module removes those copies structurally:
 * :class:`WorldFlatBuffers` stacks the per-replica vectors as rows of one
   ``(P, n)`` matrix, which is exactly the batched-gradient operand the
   ``compress_batch`` kernels and the fused optimizer step consume — the
-  synchronizer reads the training gradients with zero copies.
+  sync strategy reads the training gradients with zero copies.
 
 Adoption is transparent to the rest of the stack: ``p.data[...] = v`` writes
 (checkpoint load, ``unflatten_into_parameters``) mutate the shared storage in

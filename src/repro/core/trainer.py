@@ -62,7 +62,6 @@ from repro.core.flatten import (
     unflatten_into_parameters,
 )
 from repro.core.metrics import TrainingMetrics, evaluate_classifier, evaluate_language_model
-from repro.core.synchronizer import GradientSynchronizer
 from repro.core.timeline import IterationTimeline
 from repro.data.dataloader import DataLoader, shard_dataset
 from repro.data.partition import partition_clients
@@ -80,6 +79,7 @@ from repro.sim.compute import resolve_compute_model
 from repro.sim.engine import LockstepSimulator, SimulationEngine
 from repro.sync import SyncSpec, merge_reports
 from repro.tensor import Tensor, functional as F
+from repro.utils.logging import get_logger
 from repro.utils.rng import SeedSequenceFactory, replica_init_seed
 
 
@@ -221,6 +221,23 @@ class DistributedTrainer:
         self.backend = EXECUTION_BACKENDS.create(
             EXECUTION_BACKENDS.canonical(config.backend),
             **config.backend_kwargs)
+        try:
+            self._build(callbacks)
+        except BaseException:
+            # Once a backend exists, a failing constructor must not pin its
+            # resources (the multiprocessing arena) for the life of the
+            # process — and the caller sees the constructor's own exception,
+            # never a cleanup error.
+            try:
+                self.backend.close()
+            except Exception:
+                get_logger("repro.trainer").exception(
+                    "backend cleanup failed after a constructor error")
+            raise
+
+    def _build(self, callbacks: Optional[Iterable]) -> None:
+        """Everything the constructor sets up after the backend exists."""
+        config = self.config
         # Client-population layer: a logical population of N clients mapped
         # lazily onto the P replica slots, checked with the same pinned
         # messages ExperimentSpec.validate() emits.
@@ -236,9 +253,6 @@ class DistributedTrainer:
         self.population: Optional[ClientPopulation] = \
             ClientPopulation(self.clients_spec, config.world_size) \
             if self.clients_spec.enabled else None
-        # Deprecated alias kept for callbacks/benchmarks written against the
-        # pre-strategy API; delegates to an allreduce+mean strategy.
-        self.synchronizer = GradientSynchronizer(self.world, self.compressors)
 
         # Learning-rate policy and optimizers (LARS when Table 1 says so).
         self.base_lr = config.base_lr if config.base_lr is not None else self.spec.base_lr
@@ -412,124 +426,109 @@ class DistributedTrainer:
                 1, len(train) // (population.cohort_size * per_worker_batch))
 
     # ------------------------------------------------------------------ #
-    # single-iteration step
+    # the four stages of one iteration (Algorithm 1 lines 2-7)
     # ------------------------------------------------------------------ #
-    def _classification_gradients(self, batches: Sequence) -> tuple[List[np.ndarray], float]:
-        """Forward/backward on every replica; returns flat gradients and mean loss."""
-        gradients: List[np.ndarray] = []
-        losses: List[float] = []
-        for replica, (inputs, targets) in zip(self.replicas, batches):
-            replica.zero_grad()
+    # Each stage is written once: it decides the representation (the flat
+    # ``(P, n)`` world vs per-rank vectors when ``flat_world is None``, the
+    # fused_pipeline=False reference) and the task itself, so the lockstep
+    # loop and the perf harnesses make the same four calls.
+    def _replica_step(self, rank: int, inputs, targets, state=None) -> tuple:
+        """Forward → cross-entropy → backward → detach on one replica.
+
+        The one per-replica step: the per-rank reference path, the
+        executor-less fallback (ragged LM shards) and the async engine's
+        per-event gradient all call it.  The caller zeroes the gradients;
+        returns ``(loss, carried BPTT state or None)``.
+        """
+        replica = self.replicas[rank]
+        if self.spec.task == "language_model":
+            logits, state = replica(inputs, state)
+        else:
             logits = replica(Tensor(inputs))
-            loss = F.cross_entropy(logits, targets)
-            loss.backward()
-            gradients.append(flatten_gradients(replica))
-            losses.append(loss.item())
-        self._last_losses = np.asarray(losses, dtype=np.float64)
-        return gradients, float(np.mean(losses))
+        loss = F.cross_entropy(logits, targets)
+        loss.backward()
+        return loss.item(), None if state is None else replica.detach_state(state)
 
-    def _language_model_gradients(self, batches: Sequence, states: List
-                                  ) -> tuple[List[np.ndarray], float, List]:
-        gradients: List[np.ndarray] = []
-        losses: List[float] = []
-        new_states: List = []
-        for rank, (replica, (inputs, targets)) in enumerate(zip(self.replicas, batches)):
-            replica.zero_grad()
-            logits, state = replica(inputs, states[rank])
-            loss = F.cross_entropy(logits, targets.reshape(-1))
-            loss.backward()
-            gradients.append(flatten_gradients(replica))
-            losses.append(loss.item())
-            new_states.append(replica.detach_state(state))
-        self._last_losses = np.asarray(losses, dtype=np.float64)
-        return gradients, float(np.mean(losses)), new_states
+    def _gradients(self, batches: Sequence, states) -> tuple:
+        """Stage 1 — every replica's local gradient (line 2).
 
-    def _apply_gradients(self, gradients: Sequence[np.ndarray], epoch_progress: float) -> float:
-        lr = self.lr_policy.lr_at(epoch_progress, self.base_lr)
-        dead = self._dead_ranks()
-        for rank, (replica, optimizer, gradient) in enumerate(
-                zip(self.replicas, self.optimizers, gradients)):
-            if dead is not None and rank in dead:
-                continue  # a down rank takes no optimizer step
-            unflatten_into_gradients(replica, gradient)
-            optimizer.set_lr(max(lr, 1e-12))
-            optimizer.step()
-        return max(lr, 1e-12)
-
-    # ------------------------------------------------------------------ #
-    # fused (zero-copy) iteration path
-    # ------------------------------------------------------------------ #
-    def _classification_gradients_fused(self, batches: Sequence) -> tuple[np.ndarray, float]:
-        """Gradients for all replicas directly in the flat (P, n) matrix."""
+        Returns ``(G, mean loss, states)``: ``G`` is the flat ``(P, n)``
+        gradient matrix (or the per-rank list on the reference path) and
+        ``states`` the carried BPTT state — one stacked state under the
+        batched executor, one entry per rank otherwise; ``None`` at an epoch
+        start, and classifiers never carry any.
+        """
         world = self.flat_world
         if self.executor is not None:
-            # The batched executor writes every parameter's gradient, so no
-            # zeroing pass is needed.
+            # One graph for all replicas; the executor writes every
+            # parameter's gradient, so no zeroing pass is needed.
             inputs = np.stack([batch[0] for batch in batches])
             targets = np.stack([batch[1] for batch in batches])
-            losses = self.executor.forward_backward(inputs, targets)
-            self._last_losses = np.asarray(losses, dtype=np.float64)
-            return world.grad_matrix, float(np.mean(losses))
+            if self.spec.task == "language_model":
+                losses, states = self.executor.forward_backward(inputs, targets, states)
+            else:
+                losses = self.executor.forward_backward(inputs, targets)
+            G = world.grad_matrix
         else:
-            world.zero_grads()
+            # Per-replica loop; on the flat world backward accumulates
+            # straight into the zeroed gradient matrix.
+            if states is None:
+                states = [None] * len(batches)
+            if world is not None:
+                world.zero_grads()
+            else:
+                for replica in self.replicas:
+                    replica.zero_grad()
             losses = []
-            for replica, (inputs, targets) in zip(self.replicas, batches):
-                logits = replica(Tensor(inputs))
-                loss = F.cross_entropy(logits, targets)
-                loss.backward()                       # accumulates into the matrix
-                losses.append(loss.item())
+            for rank, (inputs, targets) in enumerate(batches):
+                loss, states[rank] = self._replica_step(rank, inputs, targets, states[rank])
+                losses.append(loss)
+            G = world.grad_matrix if world is not None \
+                else [flatten_gradients(replica) for replica in self.replicas]
         self._last_losses = np.asarray(losses, dtype=np.float64)
-        return world.grad_matrix, float(np.mean(losses))
+        return G, float(np.mean(losses)), states
 
-    def _language_model_gradients_fused(self, batches: Sequence, states
-                                        ) -> tuple[np.ndarray, float, object]:
-        world = self.flat_world
-        if self.executor is not None:
-            # Batched BPTT: one graph for all replicas, stacked carried state.
-            tokens = np.stack([batch[0] for batch in batches])
-            targets = np.stack([batch[1] for batch in batches])
-            losses, new_state = self.executor.forward_backward(tokens, targets, states)
-            self._last_losses = np.asarray(losses, dtype=np.float64)
-            return world.grad_matrix, float(np.mean(losses)), new_state
-        world.zero_grads()
-        losses: List[float] = []
-        new_states: List = []
-        for rank, (replica, (inputs, targets)) in enumerate(zip(self.replicas, batches)):
-            logits, state = replica(inputs, states[rank])
-            loss = F.cross_entropy(logits, targets.reshape(-1))
-            loss.backward()
-            losses.append(loss.item())
-            new_states.append(replica.detach_state(state))
-        self._last_losses = np.asarray(losses, dtype=np.float64)
-        return world.grad_matrix, float(np.mean(losses)), new_states
+    def _exchange(self, G) -> tuple:
+        """Stage 2 — the strategy synchronizes the gradients (lines 3-6)."""
+        if self.flat_world is None:
+            return self.sync_strategy.exchange(G)
+        return self.sync_strategy.exchange_batched(G)
 
-    def _apply_gradients_fused(self, new_matrix: np.ndarray, epoch_progress: float) -> float:
-        """One whole-world optimizer step on the stacked (P, n) matrices.
+    def _apply(self, new, epoch_progress: float) -> float:
+        """Stage 3 — the optimizer step (line 7); returns the learning rate.
 
-        All per-rank optimizers share identical hyperparameters and their
-        momentum rows alias ``self._velocity_matrix``, so a single fused
-        kernel call updates every replica; ``state_dict``/checkpointing still
-        observe per-rank state through the row views.
+        On the flat world all per-rank optimizers share identical
+        hyperparameters and their momentum rows alias
+        ``self._velocity_matrix``, so a single fused kernel call updates
+        every replica; ``state_dict``/checkpointing still observe per-rank
+        state through the row views.
         """
         lr = max(self.lr_policy.lr_at(epoch_progress, self.base_lr), 1e-12)
         for optimizer in self.optimizers:
             optimizer.set_lr(lr)
-        reference = self.optimizers[0]
+        dead = self._dead_ranks()
         world = self.flat_world
+        if world is None:
+            for rank, (replica, optimizer) in enumerate(zip(self.replicas, self.optimizers)):
+                if dead is not None and rank in dead:
+                    continue  # a down rank takes no optimizer step
+                unflatten_into_gradients(replica, new[rank])
+                optimizer.step()
+            return lr
+        reference = self.optimizers[0]
         # The fused kernel updates every row; a down rank must not advance,
         # so its parameter/velocity rows are snapshotted and put back.
-        dead = self._dead_ranks()
         if dead:
             saved_params = world.param_matrix[dead].copy()
             saved_velocity = self._velocity_matrix[dead].copy()
         if isinstance(reference, LARS):
-            lars_flat_update(world.param_matrix, new_matrix,
+            lars_flat_update(world.param_matrix, new,
                              world.layout.offsets[:-1], world.layout.sizes, lr,
                              reference.momentum, reference.weight_decay,
                              reference.trust_coefficient, reference.eps,
                              velocity=self._velocity_matrix, scratch=self._step_scratch)
         else:
-            sgd_flat_update(world.param_matrix, new_matrix, lr,
+            sgd_flat_update(world.param_matrix, new, lr,
                             reference.momentum, reference.weight_decay,
                             reference.nesterov,
                             velocity=self._velocity_matrix, scratch=self._step_scratch)
@@ -538,23 +537,21 @@ class DistributedTrainer:
             self._velocity_matrix[dead] = saved_velocity
         return lr
 
-    # ------------------------------------------------------------------ #
-    # post-step parameter phase (local-SGD averaging, gossip)
-    # ------------------------------------------------------------------ #
-    def _parameter_phase(self, report, fused: bool):
-        """Let the strategy exchange parameters after the optimizer step.
+    def _parameter_phase(self, report):
+        """Stage 4 — let the strategy exchange parameters after the step
+        (local-SGD averaging, gossip).
 
         ``post_step_pending`` gates the whole phase: gradient-only
         strategies — and local-SGD iterations between sync points — cost one
-        method call, so the seed path never flattens parameters it will not
-        exchange.  The fused path hands over live views of the ``(P, n)``
+        method call, so the reference path never flattens parameters it will
+        not exchange.  The flat world hands over live views of the ``(P, n)``
         parameter matrix (zero copies).  Any parameter-exchange report is
         folded into the iteration's gradient report so the timeline prices
         it.
         """
         if not self.sync_strategy.post_step_pending():
             return report
-        if fused:
+        if self.flat_world is not None:
             rows = [self.flat_world.param_matrix[p]
                     for p in range(self.config.world_size)]
             param_report = self.sync_strategy.post_step(rows)
@@ -567,7 +564,7 @@ class DistributedTrainer:
         return merge_reports(report, param_report)
 
     # ------------------------------------------------------------------ #
-    # fault layer (lockstep paths; the async engine has its own gate)
+    # fault layer (the async engine has its own gate but shares _rejoin_rank)
     # ------------------------------------------------------------------ #
     def _dead_ranks(self) -> Optional[List[int]]:
         """Ranks currently out of membership, or ``None`` for a healthy world
@@ -657,6 +654,8 @@ class DistributedTrainer:
 
     def _rejoin_rank(self, rank: int) -> float:
         """Serve one rejoining rank its catch-up; returns the simulated cost.
+        The one re-sync routine: the lockstep fault phase and the async
+        engine's event gate both call it.
 
         The rank adopts the strategy's consensus (or the survivors' mean),
         zeroes its momentum, resets its compressor/codec state, and the
@@ -695,14 +694,8 @@ class DistributedTrainer:
         membership.set_alive(rank, True)
         return resync_time
 
-    def _degraded_loss(self, loss: float, alive: Optional[List[int]]) -> float:
-        """Mean training loss over the surviving ranks only."""
-        if alive is None or self._last_losses is None:
-            return loss
-        return float(np.mean(self._last_losses[alive]))
-
     # ------------------------------------------------------------------ #
-    # training loops
+    # training loop
     # ------------------------------------------------------------------ #
     def train(self) -> TrainingMetrics:
         """Run the full training schedule and return the per-epoch metrics."""
@@ -711,10 +704,8 @@ class DistributedTrainer:
         self.callbacks.on_train_start(state)
         if self.sim_engine is not None:
             self.sim_engine.run(state)
-        elif self.spec.task == "classification":
-            self._train_classification(state)
         else:
-            self._train_language_model(state)
+            self._train_lockstep(state)
         if self.is_async and self.flat_world is not None:
             # finalize() collapses every worker row onto the consensus
             # (server/center) for the final model; keep the live rows so a
@@ -818,12 +809,20 @@ class DistributedTrainer:
             return population.draw_batches(self._global_iteration)
         return [next(it) for it in iterators]
 
-    def _train_classification(self, state: TrainState) -> None:
-        fused = self.flat_world is not None
+    def _epoch_iterators(self) -> List:
+        """Fresh per-rank batch streams for one pass over the data."""
+        if self.spec.task == "language_model":
+            return [shard.batches() for shard in self.lm_shards]
+        return [iter(loader) for loader in self.loaders]
+
+    def _train_lockstep(self, state: TrainState) -> None:
+        """The lockstep schedule: every iteration runs the fault phase and
+        the four stages, for classifiers and language models alike."""
         for epoch in range(self._resume_epoch(), self.config.epochs):
             state.epoch = epoch
             self.callbacks.on_epoch_start(state)
-            iterators = [iter(loader) for loader in self.loaders]
+            iterators = self._epoch_iterators()
+            states = None               # BPTT state restarts with the epoch
             epoch_losses: List[float] = []
             for iteration in range(self.iterations_per_epoch):
                 progress = self._begin_iteration(state, epoch, iteration)
@@ -837,57 +836,14 @@ class DistributedTrainer:
                     break
                 batches = self._next_batches(iterators)
                 start = time.perf_counter()
-                if fused:
-                    G, loss = self._classification_gradients_fused(batches)
-                    compute_time = time.perf_counter() - start
-                    new_matrix, report = self.sync_strategy.exchange_batched(G)
-                    lr = self._apply_gradients_fused(new_matrix, progress)
-                else:
-                    gradients, loss = self._classification_gradients(batches)
-                    compute_time = time.perf_counter() - start
-                    new_gradients, report = self.sync_strategy.exchange(gradients)
-                    lr = self._apply_gradients(new_gradients, progress)
-                report = self._parameter_phase(report, fused)
-                loss = self._degraded_loss(loss, alive)
-                epoch_losses.append(loss)
-                self._end_iteration(state, loss, lr, compute_time, report,
-                                    alive=alive, extra_s=extra_s)
-                if state.stop_requested:
-                    break
-            self._end_epoch(state, epoch, epoch_losses)
-            if state.stop_requested:
-                break
-
-    def _train_language_model(self, state: TrainState) -> None:
-        fused = self.flat_world is not None
-        for epoch in range(self._resume_epoch(), self.config.epochs):
-            state.epoch = epoch
-            self.callbacks.on_epoch_start(state)
-            iterators = [shard.batches() for shard in self.lm_shards]
-            # The batched executor threads one stacked state; the per-replica
-            # paths thread one state per rank.
-            states = None if self.executor is not None \
-                else [None] * self.config.world_size
-            epoch_losses: List[float] = []
-            for iteration in range(self.iterations_per_epoch):
-                progress = self._begin_iteration(state, epoch, iteration)
-                alive, extra_s = self._fault_phase(state)
-                if state.stop_requested:
-                    break
-                batches = [next(it) for it in iterators]
-                start = time.perf_counter()
-                if fused:
-                    G, loss, states = self._language_model_gradients_fused(batches, states)
-                    compute_time = time.perf_counter() - start
-                    new_matrix, report = self.sync_strategy.exchange_batched(G)
-                    lr = self._apply_gradients_fused(new_matrix, progress)
-                else:
-                    gradients, loss, states = self._language_model_gradients(batches, states)
-                    compute_time = time.perf_counter() - start
-                    new_gradients, report = self.sync_strategy.exchange(gradients)
-                    lr = self._apply_gradients(new_gradients, progress)
-                report = self._parameter_phase(report, fused)
-                loss = self._degraded_loss(loss, alive)
+                G, loss, states = self._gradients(batches, states)
+                compute_time = time.perf_counter() - start
+                new, report = self._exchange(G)
+                lr = self._apply(new, progress)
+                report = self._parameter_phase(report)
+                if alive is not None:
+                    # Mean training loss over the surviving ranks only.
+                    loss = float(np.mean(self._last_losses[alive]))
                 epoch_losses.append(loss)
                 self._end_iteration(state, loss, lr, compute_time, report,
                                     alive=alive, extra_s=extra_s)

@@ -270,7 +270,7 @@ class SGD(Optimizer):
         """Fused whole-buffer update (requires :meth:`bind_flat`).
 
         ``grad_vector`` defaults to the bound flat gradient storage; passing
-        the synchronizer's reconstructed gradient avoids writing it back into
+        the sync strategy's reconstructed gradient avoids writing it back into
         ``param.grad`` first.
         """
         if self._flat is None:

@@ -17,9 +17,7 @@ names the registry, lists what *is* available and suggests close matches —
 the error a user actually needs when they typo ``--algorithm topK1``.
 
 Registries behave like read-only mappings (``in``, ``len``, iteration,
-``registry[name]``), so legacy module-level dicts such as
-``COMPRESSOR_REGISTRY`` can be rebound to a :class:`Registry` without
-breaking callers that treated them as dicts.
+``registry[name]``).
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ from repro.sim.compute import ComputeTimeModel
 from repro.sim.report import SimReport
 from repro.optim.lars import LARS, lars_flat_update
 from repro.optim.sgd import sgd_flat_update
-from repro.tensor import Tensor, functional as F
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.trainer import DistributedTrainer
@@ -63,7 +62,8 @@ class SimulationEngine:
         self.total_steps = 0
         self.batches_consumed: List[int] = [0] * world_size
         self._iterators = None
-        self._lm_states: Optional[List] = None
+        #: Carried BPTT state per rank (stays ``None`` for classifiers).
+        self._lm_states: List = [None] * world_size
         self._primed = False
         #: Optional :class:`repro.faults.injector.FaultInjector`, installed
         #: by the trainer.  ``None`` keeps the event loop fault-free.
@@ -134,13 +134,8 @@ class SimulationEngine:
     def _init_data(self) -> None:
         if self._iterators is not None:
             return
-        trainer = self.trainer
-        world_size = trainer.config.world_size
-        if trainer.spec.task == "classification":
-            self._iterators = [iter(loader) for loader in trainer.loaders]
-        else:
-            self._iterators = [shard.batches() for shard in trainer.lm_shards]
-            self._lm_states = [None] * world_size
+        world_size = self.trainer.config.world_size
+        self._iterators = self.trainer._epoch_iterators()
         # Resume: fast-forward each rank's stream by replaying the batches it
         # already consumed (the loaders reshuffle deterministically per pass,
         # so skipping k batches lands the RNGs exactly where they were).
@@ -153,15 +148,14 @@ class SimulationEngine:
                 self._next_batch(rank)
 
     def _next_batch(self, rank: int):
-        trainer = self.trainer
         try:
             batch = next(self._iterators[rank])
         except StopIteration:
-            if trainer.spec.task == "classification":
-                self._iterators[rank] = iter(trainer.loaders[rank])
-            else:
-                self._iterators[rank] = trainer.lm_shards[rank].batches()
-                self._lm_states[rank] = None
+            # A new pass over the rank's data restarts its BPTT windows.  (The
+            # streams are lazy generators: the other ranks' fresh ones are
+            # dropped unstarted, consuming no data and no shuffle RNG.)
+            self._iterators[rank] = self.trainer._epoch_iterators()[rank]
+            self._lm_states[rank] = None
             batch = next(self._iterators[rank])
         self.batches_consumed[rank] += 1
         return batch
@@ -170,18 +164,10 @@ class SimulationEngine:
         """Forward/backward for one rank into its pinned flat gradient row."""
         trainer = self.trainer
         trainer.flat_world.replica_buffers[rank].zero_grads()
-        replica = trainer.replicas[rank]
         inputs, targets = self._next_batch(rank)
-        if trainer.spec.task == "classification":
-            logits = replica(Tensor(inputs))
-            loss = F.cross_entropy(logits, targets)
-            loss.backward()
-        else:
-            logits, lm_state = replica(inputs, self._lm_states[rank])
-            loss = F.cross_entropy(logits, targets.reshape(-1))
-            loss.backward()
-            self._lm_states[rank] = replica.detach_state(lm_state)
-        return loss.item()
+        loss, self._lm_states[rank] = trainer._replica_step(
+            rank, inputs, targets, self._lm_states[rank])
+        return loss
 
     # ------------------------------------------------------------------ #
     # the event loop
@@ -225,30 +211,10 @@ class SimulationEngine:
         return True
 
     def _rejoin(self, rank: int, when: float) -> None:
-        """Serve a rejoining rank its catch-up: a dense parameter re-sync
-        priced through the α–β model, fresh optimizer/compressor state, and
-        membership restored before its next scheduled compute."""
-        injector = self.injector
-        trainer = self.trainer
-        strategy = trainer.sync_strategy
-        n = self.num_parameters
-        row = strategy.catch_up(rank)
-        if row is None:
-            alive = injector.membership.alive_ranks()
-            source = self.param_matrix[alive] if alive \
-                else self.param_matrix[rank:rank + 1]
-            row = source.mean(axis=0).astype(np.float32)
-        self.param_matrix[rank, :] = np.asarray(row, dtype=np.float32).reshape(-1)
-        trainer._velocity_matrix[rank, :] = 0.0
-        if strategy.compressors:
-            strategy.compressors[rank].reset_state()
-        if strategy.parameter_codec is not None:
-            strategy.parameter_codec.resync_rank(rank, self.param_matrix[rank])
-        resync_time = self.world.point_to_point(4.0 * n)
-        injector.report.record_resync(4.0 * n)
-        injector.report.record_rejoin(rank)
-        injector.membership.set_alive(rank, True)
-        injector.needs_catchup[rank] = False
+        """Serve a rejoining rank the trainer's priced dense re-sync, then
+        resume its compute schedule once the catch-up has arrived."""
+        resync_time = self.trainer._rejoin_rank(rank)
+        self.injector.needs_catchup[rank] = False
         self.report.comm_s_per_rank[rank] += resync_time
         self._schedule_next(rank, when + resync_time)
 

@@ -15,9 +15,8 @@ Both trainer paths route through the same strategy instance: the fused
 ``(P, n)`` batched path calls ``exchange_batched`` and hands ``post_step``
 the rows of the flat parameter matrix, while the seed per-rank loop calls
 ``exchange`` with a list of gradient vectors.  The default
-``allreduce`` strategy with the ``mean`` aggregator reproduces the
-pre-redesign :class:`~repro.core.synchronizer.GradientSynchronizer`
-bit for bit on both paths.
+``allreduce`` strategy with the ``mean`` aggregator is the paper's
+Algorithm 1, bit-identical on both paths.
 
 Byzantine scenarios plug in through :class:`GradientCorruption`: the
 corruption poisons whatever the strategy puts on the wire — gradient-phase

@@ -4,8 +4,8 @@
 gradient is compressed, exchanged with the collective its compressor
 requests, aggregated, and reconstructed.  With the ``mean`` aggregator it
 is bit-identical to the pre-redesign trainer; with a robust aggregator the
-payloads are allgathered and combined off-wire instead (the exchange-kind
-negotiation that used to live in ``GradientSynchronizer`` now lives here).
+payloads are allgathered and combined off-wire instead (the aggregator
+negotiates the exchange kind).
 
 ``local_sgd`` trades synchronization frequency for traffic: ranks apply
 their raw local gradients and only every ``H``-th iteration exchange
@@ -83,6 +83,12 @@ class AllreduceStrategy(SyncStrategy):
         return type(self).exchanges_gradients(self.period)
 
     # ------------------------------------------------------------------ #
+    # One body per representation; ``alive is None`` means "everyone".  Under
+    # a degraded membership dead ranks contribute nothing — their compressors
+    # (and error-feedback residuals) stay frozen and their gradient rows pass
+    # through untouched (the trainer never applies them) — and the wire
+    # collective runs over the alive subset, so a MEAN reduction renormalizes
+    # over the survivors automatically.
     def exchange(self, gradients: Sequence[np.ndarray]
                  ) -> Tuple[List[np.ndarray], SyncReport]:
         """Synchronize one iteration's gradients (per-rank loop path)."""
@@ -91,88 +97,37 @@ class AllreduceStrategy(SyncStrategy):
         if self.corruption is not None:
             self.corruption.apply_list(gradients)
         membership = self._active_membership()
-        if membership is not None:
-            return self._exchange_degraded(gradients, n, membership)
-
+        world_size = self.world.world_size
+        alive = range(world_size) if membership is None else membership.alive_ranks()
         reference = self.compressors[0]
         exchange_kind = reference.exchange
-        wire_bits = reference.wire_bits(n, self.world.world_size)
+        wire_bits = reference.wire_bits(n, len(alive))
         logical_bytes = wire_bits / 8.0
 
         # ---- compression (lines 3-4 of Algorithm 1) ---------------------- #
-        payloads: List[np.ndarray] = []
-        contexts: List[Dict] = []
-        compression_times: List[float] = []
-        for compressor, gradient in zip(self.compressors, gradients):
+        payloads: List[Optional[np.ndarray]] = [None] * world_size
+        contexts: List[Optional[Dict]] = [None] * world_size
+        compression_times = [0.0] * world_size
+        for rank in alive:
             start = time.perf_counter()
-            payload, ctx = compressor.compress(np.asarray(gradient, dtype=np.float32))
-            compression_times.append(time.perf_counter() - start)
-            payloads.append(payload)
-            contexts.append(ctx)
+            payloads[rank], contexts[rank] = self.compressors[rank].compress(
+                np.asarray(gradients[rank], dtype=np.float32))
+            compression_times[rank] = time.perf_counter() - start
 
         # ---- global exchange + aggregation (line 5) ---------------------- #
         exchanged, comm_time, wire_exchange, aggregation_time = self._combine(
             payloads, exchange_kind, logical_bytes)
 
         # ---- reconstruction (line 6) ------------------------------------- #
-        new_gradients: List[np.ndarray] = []
-        for rank, (compressor, ctx) in enumerate(zip(self.compressors, contexts)):
-            start = time.perf_counter()
-            if exchange_kind is ExchangeKind.ALLREDUCE:
-                rebuilt = compressor.decompress(exchanged[rank], ctx)
-            else:
-                rebuilt = compressor.decompress_gathered(exchanged[rank], ctx)
-            compression_times[rank] += time.perf_counter() - start
-            new_gradients.append(np.asarray(rebuilt, dtype=np.float32))
-
-        report = SyncReport(
-            compression_time_s=float(max(compression_times)),
-            comm_time_s=float(comm_time),
-            wire_bits_per_worker=float(wire_bits),
-            exchange=wire_exchange,
-            aggregation_time_s=float(aggregation_time),
-        )
-        return new_gradients, report
-
-    def _exchange_degraded(self, gradients: Sequence[np.ndarray], n: int,
-                           membership) -> Tuple[List[np.ndarray], SyncReport]:
-        """Per-rank gradient exchange over the surviving ranks only.
-
-        Dead ranks contribute nothing — their compressors (and error-feedback
-        residuals) stay frozen, and their gradient rows pass through
-        untouched (the trainer never applies them).  The wire collective runs
-        over the alive subset, so a MEAN reduction renormalizes over the
-        survivors automatically.
-        """
-        alive = membership.alive_ranks()
-        reference = self.compressors[0]
-        exchange_kind = reference.exchange
-        wire_bits = reference.wire_bits(n, len(alive))
-        logical_bytes = wire_bits / 8.0
-
-        payloads: List[Optional[np.ndarray]] = [None] * self.world.world_size
-        contexts: Dict[int, Dict] = {}
-        compression_times: List[float] = []
-        for rank in alive:
-            start = time.perf_counter()
-            payload, ctx = self.compressors[rank].compress(
-                np.asarray(gradients[rank], dtype=np.float32))
-            compression_times.append(time.perf_counter() - start)
-            payloads[rank] = payload
-            contexts[rank] = ctx
-
-        exchanged, comm_time, wire_exchange, aggregation_time = self._combine(
-            payloads, exchange_kind, logical_bytes)
-
         new_gradients = [np.asarray(g, dtype=np.float32) for g in gradients]
-        for i, rank in enumerate(alive):
+        for rank in alive:
             compressor = self.compressors[rank]
             start = time.perf_counter()
             if exchange_kind is ExchangeKind.ALLREDUCE:
                 rebuilt = compressor.decompress(exchanged[rank], contexts[rank])
             else:
                 rebuilt = compressor.decompress_gathered(exchanged[rank], contexts[rank])
-            compression_times[i] += time.perf_counter() - start
+            compression_times[rank] += time.perf_counter() - start
             new_gradients[rank] = np.asarray(rebuilt, dtype=np.float32)
 
         report = SyncReport(
@@ -191,77 +146,53 @@ class AllreduceStrategy(SyncStrategy):
         run through the compressor's ``compress_batch``/``decompress_batch``
         kernels (bit-identical to the per-rank loop, which remains the
         fallback for compressors without batched kernels).  The measured
-        kernel time is divided by the world size: the simulation executes
-        all ranks' compression in one call on one host, while the modelled
-        deployment runs the per-worker kernels in parallel.
+        kernel time is divided by the participant count: the simulation
+        executes all ranks' compression in one call on one host, while the
+        modelled deployment runs the per-worker kernels in parallel.  A
+        healthy world hands ``G`` and the bound compressor list straight to
+        the kernels and returns ``decompress_batch``'s own output; only a
+        degraded one gathers the alive rows and scatters them back.
         """
         G = np.asarray(self._validated_gradient_matrix(G), dtype=np.float32)
         self._step += 1
         if self.corruption is not None:
             self.corruption.apply_rows(G)
         membership = self._active_membership()
-        if membership is not None:
-            return self._exchange_batched_degraded(G, membership)
+        alive = None if membership is None else membership.alive_ranks()
+        compressors = self.compressors if alive is None \
+            else [self.compressors[r] for r in alive]
         n = G.shape[1]
         reference = self.compressors[0]
         exchange_kind = reference.exchange
-        wire_bits = reference.wire_bits(n, self.world.world_size)
+        wire_bits = reference.wire_bits(n, len(compressors))
         logical_bytes = wire_bits / 8.0
         batch = type(reference)
 
         start = time.perf_counter()
-        payloads, contexts = batch.compress_batch(self.compressors, G)
+        payloads, contexts = batch.compress_batch(
+            compressors, G if alive is None else G[alive])
         kernel_time = time.perf_counter() - start
+        if alive is not None:
+            scattered: List[Optional[np.ndarray]] = [None] * self.world.world_size
+            for rank, payload in zip(alive, payloads):
+                scattered[rank] = payload
+            payloads = scattered
 
         exchanged, comm_time, wire_exchange, aggregation_time = self._combine(
             payloads, exchange_kind, logical_bytes)
 
         start = time.perf_counter()
-        new_matrix = batch.decompress_batch(self.compressors, exchanged, contexts)
+        if alive is not None:
+            exchanged = [exchanged[r] for r in alive]
+        new_matrix = batch.decompress_batch(compressors, exchanged, contexts)
         kernel_time += time.perf_counter() - start
+        if alive is not None:
+            full = G.copy()
+            full[alive] = np.asarray(new_matrix, dtype=np.float32)
+            new_matrix = full
 
         report = SyncReport(
-            compression_time_s=float(kernel_time) / self.world.world_size,
-            comm_time_s=float(comm_time),
-            wire_bits_per_worker=float(wire_bits),
-            exchange=wire_exchange,
-            aggregation_time_s=float(aggregation_time),
-        )
-        return new_matrix, report
-
-    def _exchange_batched_degraded(self, G: np.ndarray, membership
-                                   ) -> Tuple[np.ndarray, SyncReport]:
-        """Batched twin of :meth:`_exchange_degraded` (alive subset only)."""
-        alive = membership.alive_ranks()
-        n = G.shape[1]
-        reference = self.compressors[0]
-        exchange_kind = reference.exchange
-        wire_bits = reference.wire_bits(n, len(alive))
-        logical_bytes = wire_bits / 8.0
-        batch = type(reference)
-        sub_compressors = [self.compressors[r] for r in alive]
-
-        start = time.perf_counter()
-        sub_payloads, sub_contexts = batch.compress_batch(sub_compressors, G[alive])
-        kernel_time = time.perf_counter() - start
-
-        payloads: List[Optional[np.ndarray]] = [None] * self.world.world_size
-        for i, rank in enumerate(alive):
-            payloads[rank] = sub_payloads[i]
-
-        exchanged, comm_time, wire_exchange, aggregation_time = self._combine(
-            payloads, exchange_kind, logical_bytes)
-
-        start = time.perf_counter()
-        sub_exchanged = [exchanged[r] for r in alive]
-        new_sub = batch.decompress_batch(sub_compressors, sub_exchanged, sub_contexts)
-        kernel_time += time.perf_counter() - start
-
-        new_matrix = G.copy()
-        new_matrix[alive] = np.asarray(new_sub, dtype=np.float32)
-
-        report = SyncReport(
-            compression_time_s=float(kernel_time) / len(alive),
+            compression_time_s=float(kernel_time) / len(compressors),
             comm_time_s=float(comm_time),
             wire_bits_per_worker=float(wire_bits),
             exchange=wire_exchange,

@@ -210,7 +210,7 @@ class TestWorkerLifecycle:
                                backend_kwargs={"num_workers": 2})
         trainer = DistributedTrainer(config)
         batches = [next(iter(loader)) for loader in trainer.loaders]
-        trainer._classification_gradients_fused(batches)    # spawns workers
+        trainer._gradients(batches, None)    # spawns workers
         return trainer, batches
 
     def test_sigkilled_worker_raises_naming_the_rank(self):
@@ -220,7 +220,7 @@ class TestWorkerLifecycle:
             os.kill(process.pid, signal.SIGKILL)
             process.join(timeout=30.0)
             with pytest.raises(WorkerDiedError, match=r"worker 1 \(ranks 1\.\.1\)"):
-                trainer._classification_gradients_fused(batches)
+                trainer._gradients(batches, None)
         finally:
             trainer.close()
         assert leaked_segments() == []
@@ -245,13 +245,40 @@ class TestWorkerLifecycle:
         trainer.close()             # workers never spawned; arenas reclaimed
         assert leaked_segments() == []
 
+    def test_failed_constructor_releases_the_arena(self, monkeypatch):
+        # _setup_data() rejects the dataset *after* create_world() allocated
+        # the shared-memory arena; the segment must be gone right away (not
+        # at interpreter exit) and the constructor's error must survive a
+        # close() that itself fails.
+        config = TrainerConfig(model="fnn3", world_size=4, backend="multiprocessing",
+                               num_train=8, batch_size=64, epochs=1)
+        with pytest.raises(ValueError, match="dataset too small for the requested"):
+            DistributedTrainer(config)
+        assert leaked_segments() == []
+
+        close = MultiprocessingBackend.close
+        cleanup_errors = []
+
+        def failing_close(self):
+            held_arena = self.arena is not None   # validate()'s probe holds none
+            close(self)
+            if held_arena:
+                cleanup_errors.append(RuntimeError("cleanup failed"))
+                raise cleanup_errors[-1]
+
+        monkeypatch.setattr(MultiprocessingBackend, "close", failing_close)
+        with pytest.raises(ValueError, match="dataset too small for the requested"):
+            DistributedTrainer(config)
+        assert len(cleanup_errors) == 1
+        assert leaked_segments() == []
+
     def test_batch_shape_change_rejected(self):
         trainer, batches = self._spawned_trainer()
         try:
             bad = [(b[0][: max(1, len(b[0]) // 2)],
                     b[1][: max(1, len(b[1]) // 2)]) for b in batches]
             with pytest.raises(ValueError, match="batch shape changed"):
-                trainer._classification_gradients_fused(bad)
+                trainer._gradients(bad, None)
         finally:
             trainer.close()
 

@@ -121,7 +121,7 @@ class TestHookInvocation:
             def on_iteration_end(self, state):
                 assert len(state.replicas) == state.world_size == 2
                 assert state.flat_buffers is state.trainer.flat_world
-                assert state.synchronizer is state.trainer.synchronizer
+                assert state.trainer.sync_strategy.world is state.trainer.world
                 assert state.report is not None
                 checked.append(True)
 

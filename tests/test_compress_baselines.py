@@ -77,11 +77,10 @@ class TestTopK:
         np.testing.assert_array_equal(out_idx, indices)
         np.testing.assert_array_equal(out_vals, values)
 
-    def test_unpack_accepts_legacy_float64_payloads(self):
-        legacy = np.array([0.0, 3.0, 2.0, 4.0])   # indices as plain numbers
-        indices, values = TopKCompressor.unpack_payload(legacy)
-        np.testing.assert_array_equal(indices, [0, 3])
-        np.testing.assert_array_equal(values, [2.0, 4.0])
+    def test_unpack_rejects_non_float32_payloads(self):
+        legacy = np.array([0.0, 3.0, 2.0, 4.0])   # float64, indices as plain numbers
+        with pytest.raises(TypeError, match="float64"):
+            TopKCompressor.unpack_payload(legacy)
 
     def test_error_feedback_accumulates_untransmitted_mass(self):
         g = np.array([1.0, 0.1, 0.1, 0.1], dtype=np.float32)
@@ -111,7 +110,8 @@ class TestTopK:
         n = 10
         compressor = TopKCompressor(ratio=0.2)
         # Hand-built payloads: worker A sends index 0 value 2, worker B index 0 value 4.
-        payloads = [np.array([0.0, 1.0, 2.0, 2.0]), np.array([0.0, 3.0, 4.0, 4.0])]
+        payloads = [TopKCompressor.pack_payload(np.array([0, 1]), np.array([2.0, 2.0])),
+                    TopKCompressor.pack_payload(np.array([0, 3]), np.array([4.0, 4.0]))]
         dense = compressor.decompress_gathered(payloads, {"n": n, "k": 2})
         assert dense[0] == pytest.approx(3.0)   # (2 + 4) / 2
         assert dense[1] == pytest.approx(1.0)   # only worker A sent index 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compress import (
-    COMPRESSOR_REGISTRY,
+    COMPRESSORS,
     A2SGDCompressor,
     Compressor,
     get_compressor,
@@ -16,7 +16,7 @@ from repro.compress.registry import PAPER_ALGORITHMS
 class TestRegistry:
     def test_all_paper_algorithms_registered(self):
         for name in PAPER_ALGORITHMS:
-            assert name in COMPRESSOR_REGISTRY
+            assert name in COMPRESSORS
 
     def test_list_compressors_sorted(self):
         names = list_compressors()
@@ -97,7 +97,7 @@ class TestTable2Quantities:
 class TestCompressorContracts:
     """Every registered compressor obeys the shared interface contract."""
 
-    @pytest.mark.parametrize("name", sorted(COMPRESSOR_REGISTRY))
+    @pytest.mark.parametrize("name", sorted(COMPRESSORS))
     def test_compress_returns_payload_and_context(self, name, gradient_vector):
         compressor = get_compressor(name)
         payload, ctx = compressor.compress(gradient_vector)
@@ -105,7 +105,7 @@ class TestCompressorContracts:
         assert payload.ndim == 1
         assert isinstance(ctx, dict)
 
-    @pytest.mark.parametrize("name", sorted(COMPRESSOR_REGISTRY))
+    @pytest.mark.parametrize("name", sorted(COMPRESSORS))
     def test_roundtrip_produces_gradient_of_same_shape(self, name, gradient_vector):
         compressor = get_compressor(name)
         payload, ctx = compressor.compress(gradient_vector)
@@ -116,7 +116,7 @@ class TestCompressorContracts:
         assert rebuilt.shape == gradient_vector.shape
         assert np.isfinite(rebuilt).all()
 
-    @pytest.mark.parametrize("name", sorted(COMPRESSOR_REGISTRY))
+    @pytest.mark.parametrize("name", sorted(COMPRESSORS))
     def test_wire_bits_positive_and_monotone(self, name):
         compressor = get_compressor(name)
         small = compressor.wire_bits(1_000)
@@ -124,14 +124,14 @@ class TestCompressorContracts:
         assert small > 0
         assert large >= small
 
-    @pytest.mark.parametrize("name", sorted(COMPRESSOR_REGISTRY))
+    @pytest.mark.parametrize("name", sorted(COMPRESSORS))
     def test_reset_state_clears_statistics(self, name, gradient_vector):
         compressor = get_compressor(name)
         compressor.compress(gradient_vector)
         compressor.reset_state()
         assert compressor.stats.iterations == 0
 
-    @pytest.mark.parametrize("name", sorted(COMPRESSOR_REGISTRY))
+    @pytest.mark.parametrize("name", sorted(COMPRESSORS))
     def test_stats_track_relative_error(self, name, gradient_vector):
         compressor = get_compressor(name)
         compressor.compress(gradient_vector)

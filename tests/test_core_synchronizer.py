@@ -1,17 +1,22 @@
-"""Tests for the gradient synchronizer (Algorithm 1 lines 3–6, all algorithms)."""
+"""Tests for the allreduce gradient exchange (Algorithm 1 lines 3–6, all algorithms)."""
+
+import copy
 
 import numpy as np
 import pytest
 
 from repro.comm import InProcessWorld
 from repro.compress import get_compressor
-from repro.core import GradientSynchronizer
+from repro.compress.base import compressor_state_arrays
+from repro.faults.membership import Membership
+from repro.sync.aggregators import MeanAggregator
+from repro.sync.strategies import AllreduceStrategy
 
 
 def make_sync(algorithm: str, world_size: int = 4, **kwargs):
     world = InProcessWorld(world_size)
     compressors = [get_compressor(algorithm, **kwargs) for _ in range(world_size)]
-    return GradientSynchronizer(world, compressors), world
+    return AllreduceStrategy().bind(world, compressors, MeanAggregator()), world
 
 
 def make_gradients(rng, world_size=4, n=2000, scale=0.01):
@@ -22,18 +27,19 @@ class TestConstruction:
     def test_requires_one_compressor_per_rank(self):
         world = InProcessWorld(4)
         with pytest.raises(ValueError):
-            GradientSynchronizer(world, [get_compressor("dense")] * 3)
+            AllreduceStrategy().bind(world, [get_compressor("dense")] * 3, MeanAggregator())
 
     def test_rejects_shared_instances(self):
         world = InProcessWorld(2)
         shared = get_compressor("a2sgd")
         with pytest.raises(ValueError):
-            GradientSynchronizer(world, [shared, shared])
+            AllreduceStrategy().bind(world, [shared, shared], MeanAggregator())
 
     def test_rejects_mixed_algorithms(self):
         world = InProcessWorld(2)
         with pytest.raises(ValueError):
-            GradientSynchronizer(world, [get_compressor("dense"), get_compressor("a2sgd")])
+            AllreduceStrategy().bind(world, [get_compressor("dense"), get_compressor("a2sgd")],
+                                     MeanAggregator())
 
     def test_algorithm_property(self):
         sync, _ = make_sync("a2sgd", 2)
@@ -118,7 +124,7 @@ class TestAccounting:
     def test_dense_model_average(self, rng):
         sync, _ = make_sync("a2sgd", world_size=3)
         params = [np.full(10, float(r), dtype=np.float32) for r in range(3)]
-        averaged = sync.dense_model_average(params)
+        averaged = sync.finalize(params)
         for result in averaged:
             np.testing.assert_allclose(result, np.ones(10), rtol=1e-6)
 
@@ -146,6 +152,96 @@ class TestBatchedExchange:
             np.testing.assert_array_equal(np.stack(looped), np.asarray(batched))
             assert report_loop.exchange == report_batch.exchange
             assert report_loop.wire_bits_per_worker == report_batch.wire_bits_per_worker
+
+    @pytest.mark.parametrize("dead", [[3], [0], [1, 2]])
+    @pytest.mark.parametrize("algorithm,kwargs", [
+        ("a2sgd", {}), ("dense", {}), ("topk", {"ratio": 0.05}), ("qsgd", {}),
+    ])
+    def test_exchange_batched_matches_loop_under_degraded_membership(
+            self, rng, algorithm, kwargs, dead):
+        """Same equivalence with ranks out of membership: dead rows pass
+        through untouched and dead ranks' compressor state stays frozen."""
+        syncs = [make_sync(algorithm, world_size=4, **kwargs)[0] for _ in range(2)]
+        for sync in syncs:
+            for rank, compressor in enumerate(sync.compressors):
+                if hasattr(compressor, "rng"):
+                    compressor.rng = np.random.default_rng(50 + rank)
+        sync_loop, sync_batch = syncs
+
+        def dead_state(sync):
+            states = []
+            for compressor in (sync.compressors[r] for r in dead):
+                rng = getattr(compressor, "rng", None)
+                states.append((copy.deepcopy(compressor_state_arrays(compressor)),
+                               compressor.stats.iterations,
+                               rng and copy.deepcopy(rng.bit_generator.state)))
+            return states
+
+        def exchange_both():
+            gradients = make_gradients(rng, world_size=4, n=600)
+            G = np.stack(gradients)
+            looped, report_loop = sync_loop.exchange([g.copy() for g in gradients])
+            batched, report_batch = sync_batch.exchange_batched(G)
+            np.testing.assert_array_equal(np.stack(looped), np.asarray(batched))
+            assert report_loop.exchange == report_batch.exchange
+            assert report_loop.wire_bits_per_worker == report_batch.wire_bits_per_worker
+            return G, np.asarray(batched)
+
+        exchange_both()             # healthy warm-up: residuals now exist
+        for sync in syncs:
+            sync.world.membership = Membership(4)
+            for rank in dead:
+                sync.world.membership.set_alive(rank, False)
+        frozen = [dead_state(sync) for sync in syncs]
+        for _ in range(3):
+            G, batched = exchange_both()
+            np.testing.assert_array_equal(batched[dead], G[dead])
+        for sync, before in zip(syncs, frozen):
+            for (arrays, iterations, rng_state), (now, now_iterations, now_rng) \
+                    in zip(before, dead_state(sync)):
+                assert iterations == now_iterations and rng_state == now_rng
+                assert arrays.keys() == now.keys()
+                for key in arrays:
+                    np.testing.assert_array_equal(arrays[key], now[key])
+
+    @pytest.mark.parametrize("algorithm,kwargs", [
+        ("a2sgd", {}), ("dense", {}), ("topk", {"ratio": 0.05}), ("qsgd", {}),
+    ])
+    def test_all_alive_membership_is_the_healthy_path(self, rng, algorithm, kwargs,
+                                                      monkeypatch):
+        """An installed all-alive Membership ≡ no membership, bit for bit,
+        and the healthy batched exchange returns decompress_batch's own
+        array (identity — no gather, no copy)."""
+        plain, _ = make_sync(algorithm, world_size=4, **kwargs)
+        masked, world = make_sync(algorithm, world_size=4, **kwargs)
+        plain_loop, _ = make_sync(algorithm, world_size=4, **kwargs)
+        masked_loop, loop_world = make_sync(algorithm, world_size=4, **kwargs)
+        world.membership = Membership(4)
+        loop_world.membership = Membership(4)
+        for sync in (plain, masked, plain_loop, masked_loop):
+            for rank, compressor in enumerate(sync.compressors):
+                if hasattr(compressor, "rng"):
+                    compressor.rng = np.random.default_rng(50 + rank)
+        produced = []
+        batch = type(masked.compressors[0])
+        original = batch.decompress_batch.__func__
+
+        def recording(cls, *args):
+            produced.append(original(cls, *args))
+            return produced[-1]
+
+        monkeypatch.setattr(batch, "decompress_batch", classmethod(recording))
+        for _ in range(3):
+            G = np.stack(make_gradients(rng, world_size=4, n=600))
+            expected, report_plain = plain.exchange_batched(G.copy())
+            result, report_masked = masked.exchange_batched(G.copy())
+            assert result is produced[-1]
+            np.testing.assert_array_equal(np.asarray(result), np.asarray(expected))
+            assert report_plain.exchange == report_masked.exchange
+            assert report_plain.wire_bits_per_worker == report_masked.wire_bits_per_worker
+            np.testing.assert_array_equal(
+                np.stack(masked_loop.exchange(list(G.copy()))[0]),
+                np.stack(plain_loop.exchange(list(G.copy()))[0]))
 
     def test_exchange_batched_validates_shape(self, rng):
         sync, _ = make_sync("dense", world_size=3)

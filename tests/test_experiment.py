@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core import ExperimentConfig, ExperimentResult, run_experiment
+from repro.core import ExperimentResult, ExperimentSpec, run_experiment
 from repro.core.experiment import run_algorithm_sweep
 from repro.utils.serialization import save_json
 
 
-def quick_config(**overrides) -> ExperimentConfig:
+def quick_config(**overrides) -> ExperimentSpec:
     base = dict(model="fnn3", preset="tiny", algorithm="a2sgd", world_size=2, epochs=2,
                 max_iterations_per_epoch=5, batch_size=16, num_train=128, num_test=32, seed=0)
     base.update(overrides)
-    return ExperimentConfig(**base)
+    return ExperimentSpec(**base)
 
 
 class TestRunExperiment:
@@ -42,7 +42,7 @@ class TestRunExperiment:
 
     def test_trainer_config_translation(self):
         config = quick_config(algorithm="topk", compressor_kwargs={"ratio": 0.01})
-        trainer_config = config.trainer_config()
+        trainer_config = config.to_trainer_config()
         assert trainer_config.algorithm == "topk"
         assert trainer_config.compressor_kwargs == {"ratio": 0.01}
         assert trainer_config.batch_size == 16

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.comm.network_model import NetworkModel, ethernet_10gbps
-from repro.core import ExperimentConfig, run_algorithm_sweep, run_experiment
+from repro.core import run_algorithm_sweep, run_experiment
 from repro.core.callbacks import Callback
 from repro.core.spec import ExperimentSpec, SpecError
 from repro.core.trainer import TrainerConfig
@@ -167,8 +167,11 @@ class TestReplace:
             quick_spec().replace(algorithmm="topk")
 
     def test_replace_preserves_subclass(self):
-        config = ExperimentConfig(model="fnn3", world_size=2)
-        assert isinstance(config.replace(world_size=4), ExperimentConfig)
+        class LabSpec(ExperimentSpec):
+            pass
+
+        config = LabSpec(model="fnn3", world_size=2)
+        assert isinstance(config.replace(world_size=4), LabSpec)
 
 
 class TestSweepRegression:
@@ -218,15 +221,6 @@ class TestRunExperimentWithSpec:
                           callbacks=[{"name": "checkpoint", "path": str(path)}])
         run_experiment(spec)
         assert path.exists()
-
-    def test_experiment_config_shim_still_works(self):
-        config = ExperimentConfig(model="fnn3", preset="tiny", algorithm="a2sgd",
-                                  world_size=2, epochs=1, max_iterations_per_epoch=2,
-                                  batch_size=16, num_train=128, num_test=32, seed=0)
-        assert isinstance(config, ExperimentSpec)
-        assert config.trainer_config() == config.to_trainer_config()
-        result = run_experiment(config)
-        assert len(result.metrics.epochs) == 1
 
     def test_spec_equals_flag_equivalent_trainer_config(self):
         """The CLI acceptance path: a spec file and the equivalent kwargs
