@@ -1,9 +1,9 @@
-"""Setuptools entry point.
+"""Setuptools entry point and the package's only metadata file.
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so the
-package can be installed in environments without network access to build
-backends (``pip install -e . --no-build-isolation`` or
-``python setup.py develop``).
+There is no ``pyproject.toml``, so the package installs without network
+access to build backends (``pip install -e . --no-build-isolation`` or
+``python setup.py develop``).  The test suite additionally needs ``pytest``
+and ``hypothesis`` (see ``.github/workflows/ci.yml``).
 """
 
 from setuptools import find_packages, setup

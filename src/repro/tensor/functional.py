@@ -28,50 +28,46 @@ from repro.tensor.tensor import Tensor, _unbroadcast, active_tape, invalidate_ac
 # ---------------------------------------------------------------------- #
 # im2col helpers
 # ---------------------------------------------------------------------- #
-def _im2col_indices(x_shape: Tuple[int, int, int, int], kernel: int, stride: int,
-                    padding: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Compute the gather indices turning NCHW patches into columns."""
-    n, c, h, w = x_shape
+def _gather_patches(x: np.ndarray, kernel: int, stride: int, padding: int,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Gather ``(P, N, C, H, W)`` image patches into ``(P, C, K, K, OH, OW, N)``.
+
+    The batch axis is innermost, so flattening the result to
+    ``(P, C*K*K, OH*OW*N)`` yields replica ``p``'s im2col matrix without a
+    re-layout.  The image is copied once into a zero-padded batch-innermost
+    scratch; each kernel offset is then one strided-slice copy.
+    """
+    P, n, c, h, w = x.shape
     out_h = (h + 2 * padding - kernel) // stride + 1
     out_w = (w + 2 * padding - kernel) // stride + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError(f"kernel {kernel} with stride {stride} does not fit input {h}x{w}")
-
-    i0 = np.repeat(np.arange(kernel), kernel)
-    i0 = np.tile(i0, c)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kernel), kernel * c)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(c), kernel * kernel).reshape(-1, 1)
-    return k, i, j, out_h, out_w
-
-
-def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> Tuple[np.ndarray, Tuple]:
-    """Rearrange NCHW image patches into a (C*K*K, N*OH*OW) matrix."""
-    n, c, h, w = x.shape
-    if padding > 0:
-        x_padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        x_padded = x
-    k, i, j, out_h, out_w = _im2col_indices(x.shape, kernel, stride, padding)
-    cols = x_padded[:, k, i, j]                       # (N, C*K*K, OH*OW)
-    cols = cols.transpose(1, 2, 0).reshape(c * kernel * kernel, -1)
-    return cols, (k, i, j, out_h, out_w, x_padded.shape)
+    xp = np.zeros((P, c, h + 2 * padding, w + 2 * padding, n), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 4, 1)
+    if out is None:
+        out = np.empty((P, c, kernel, kernel, out_h, out_w, n), dtype=x.dtype)
+    span_h, span_w = stride * out_h, stride * out_w
+    for ki in range(kernel):
+        for kj in range(kernel):
+            out[:, :, ki, kj] = xp[:, :, ki:ki + span_h:stride, kj:kj + span_w:stride]
+    return out
 
 
-def _col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kernel: int,
-            stride: int, padding: int, cache: Tuple) -> np.ndarray:
-    """Scatter columns back into an NCHW image (adjoint of :func:`_im2col`)."""
-    n, c, h, w = x_shape
-    k, i, j, out_h, out_w, padded_shape = cache
-    x_padded = np.zeros(padded_shape, dtype=cols.dtype)
-    cols_reshaped = cols.reshape(c * kernel * kernel, -1, n).transpose(2, 0, 1)
-    np.add.at(x_padded, (slice(None), k, i, j), cols_reshaped)
-    if padding == 0:
-        return x_padded
-    return x_padded[:, :, padding:-padding, padding:-padding]
+def _scatter_patches(d: np.ndarray, x_shape: Tuple[int, int, int, int, int], kernel: int,
+                     stride: int, padding: int) -> np.ndarray:
+    """Sum ``(P, C, K, K, OH, OW, N)`` patch gradients back into a ``(P, N, C, H, W)`` image.
+
+    Adjoint of :func:`_gather_patches`.  Every image element receives its
+    contributions in ascending ``(ki, kj)`` order starting from ``+0.0``.
+    """
+    P, n, c, h, w = x_shape
+    out_h, out_w = d.shape[4:6]
+    dxp = np.zeros((P, c, h + 2 * padding, w + 2 * padding, n), dtype=d.dtype)
+    span_h, span_w = stride * out_h, stride * out_w
+    for ki in range(kernel):
+        for kj in range(kernel):
+            dxp[:, :, ki:ki + span_h:stride, kj:kj + span_w:stride] += d[:, :, ki, kj]
+    return dxp[:, :, padding:padding + h, padding:padding + w].transpose(0, 4, 1, 2, 3)
 
 
 # ---------------------------------------------------------------------- #
@@ -98,10 +94,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, *,
         raise ValueError("only square kernels are supported")
     kernel = kh
 
-    cols, cache = _im2col(x.data, kernel, stride, padding)
+    patches = _gather_patches(x.data[None], kernel, stride, padding)
+    out_h, out_w = patches.shape[4:6]
+    cols = patches.reshape(c_in * kernel * kernel, -1)     # (C*K*K, OH*OW*N)
     w_mat = weight.data.reshape(c_out, -1)
-    out = w_mat @ cols                                     # (C_out, N*OH*OW)
-    _, _, _, out_h, out_w, _ = cache
+    out = w_mat @ cols                                     # (C_out, OH*OW*N)
     out = out.reshape(c_out, out_h * out_w, n).transpose(2, 0, 1).reshape(n, c_out, out_h, out_w)
     if bias is not None:
         out = out + bias.data.reshape(1, c_out, 1, 1)
@@ -116,7 +113,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, *,
             weight._accumulate((grad_mat @ cols.T).reshape(weight.shape))
         if x.requires_grad:
             dcols = w_mat.T @ grad_mat
-            x._accumulate(_col2im(dcols, x.shape, kernel, stride, padding, cache))
+            x._accumulate(_scatter_patches(dcols.reshape(patches.shape), (1, *x.shape),
+                                           kernel, stride, padding)[0])
 
     return Tensor._make(out, parents, "conv2d", backward)
 
@@ -127,12 +125,11 @@ def conv2d_batched(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, *,
 
     The replica axis leads every operand: ``x`` is ``(P, N, C_in, H, W)``,
     ``weight`` is ``(P, C_out, C_in, K, K)`` and ``bias`` is ``(P, C_out)``.
-    The image patches of all replicas are gathered with **one** im2col call
-    (the replica axis folds into the im2col batch), then one stacked GEMM per
-    direction replaces the ``P`` independent GEMMs of :func:`conv2d`.  Every
-    replica's slice performs exactly the arithmetic of the unbatched op, so
-    forward activations and parameter gradients are bit-identical to running
-    :func:`conv2d` replica by replica.
+    The image patches of all replicas are gathered with **one** im2col call,
+    then one stacked GEMM per direction replaces the ``P`` independent GEMMs
+    of :func:`conv2d`.  Every replica's slice performs exactly the arithmetic
+    of the unbatched op, so forward activations and parameter gradients are
+    bit-identical to running :func:`conv2d` replica by replica.
     """
     P, n, c_in, h, w = x.shape
     P_w, c_out, c_in_w, kh, kw = weight.shape
@@ -144,14 +141,12 @@ def conv2d_batched(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, *,
         raise ValueError("only square kernels are supported")
     kernel = kh
 
-    cols, cache = _im2col(x.data.reshape(P * n, c_in, h, w), kernel, stride, padding)
-    _, _, _, out_h, out_w, _ = cache
+    patches = _gather_patches(x.data, kernel, stride, padding)
+    out_h, out_w = patches.shape[4:6]
     ckk = c_in * kernel * kernel
-    # (CKK, OH*OW, P, N) -> (P, CKK, OH*OW*N): replica p's block equals the
-    # exact column matrix the unbatched conv2d builds for that replica.
-    cols_p = np.ascontiguousarray(
-        cols.reshape(ckk, out_h * out_w, P, n).transpose(2, 0, 1, 3)
-    ).reshape(P, ckk, out_h * out_w * n)
+    # Replica p's block equals the exact column matrix the unbatched conv2d
+    # builds for that replica.
+    cols_p = patches.reshape(P, ckk, out_h * out_w * n)
     w_mat = weight.data.reshape(P, c_out, ckk)
     mm = np.matmul(w_mat, cols_p)                          # (P, C_out, OH*OW*N)
     out = (mm.reshape(P, c_out, out_h * out_w, n).transpose(0, 3, 1, 2)
@@ -171,24 +166,19 @@ def conv2d_batched(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, *,
                                .reshape(weight.shape))
         if x.requires_grad:
             dcols = np.matmul(w_mat.transpose(0, 2, 1), grad_mat)   # (P, CKK, OHOW*N)
-            dcols = np.ascontiguousarray(
-                dcols.reshape(P, ckk, out_h * out_w, n).transpose(1, 2, 0, 3)
-            ).reshape(ckk, -1)
-            dx = _col2im(dcols, (P * n, c_in, h, w), kernel, stride, padding, cache)
-            x._accumulate(dx.reshape(P, n, c_in, h, w))
+            x._accumulate(_scatter_patches(dcols.reshape(patches.shape), x.shape,
+                                           kernel, stride, padding))
 
     if active_tape() is None:
         return Tensor._make(out, parents, "conv2d_batched", backward)
     # Replay workspaces: cols_p and mm are refreshed in place (backward reads
     # cols_p and w_mat), and the final rearranged/bias-added result lands in
     # the same ``out`` array downstream nodes and closures reference.
-    cols_p4 = cols_p.reshape(P, ckk, out_h * out_w, n)
     out4 = out.reshape(P, n, c_out, out_h * out_w)
     w_is_view = np.shares_memory(w_mat, weight.data)
 
     def replay() -> None:
-        new_cols, _ = _im2col(x.data.reshape(P * n, c_in, h, w), kernel, stride, padding)
-        np.copyto(cols_p4, new_cols.reshape(ckk, out_h * out_w, P, n).transpose(2, 0, 1, 3))
+        _gather_patches(x.data, kernel, stride, padding, out=patches)
         if not w_is_view:
             w_mat[...] = weight.data.reshape(P, c_out, ckk)
         np.matmul(w_mat, cols_p, out=mm)
@@ -230,20 +220,21 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
 
         return Tensor._make(out, (x,), "max_pool2d", backward)
 
-    cols, cache = _im2col(x.data.reshape(n * c, 1, h, w), kernel, stride, 0)
-    cols = cols.reshape(kernel * kernel, -1)
+    patches = _gather_patches(x.data.reshape(1, n * c, 1, h, w), kernel, stride, 0)
+    oh, ow = patches.shape[4:6]
+    cols = patches.reshape(kernel * kernel, -1)
     arg = cols.argmax(axis=0)
     out = cols[arg, np.arange(cols.shape[1])]
-    _, _, _, oh, ow, _ = cache
     out = out.reshape(oh * ow, n * c).T.reshape(n, c, oh, ow)
 
-    def backward(grad: np.ndarray) -> None:  # pragma: no cover - exercised via odd sizes
+    def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
         dcols = np.zeros_like(cols)
         gflat = grad.reshape(n * c, oh * ow).T.reshape(-1)
         dcols[arg, np.arange(cols.shape[1])] = gflat
-        dx = _col2im(dcols, (n * c, 1, h, w), kernel, stride, 0, cache)
+        dx = _scatter_patches(dcols.reshape(patches.shape), (1, n * c, 1, h, w),
+                              kernel, stride, 0)
         x._accumulate(dx.reshape(n, c, h, w))
 
     return Tensor._make(out, (x,), "max_pool2d", backward)
@@ -298,11 +289,11 @@ def max_pool2d_batched(x: Tensor, kernel: int = 2, stride: Optional[int] = None)
 
     # Strided / non-dividing windows: fold the replica axis into the im2col
     # batch exactly as the unbatched slow path folds (N, C).
-    cols, cache = _im2col(x.data.reshape(P * n * c, 1, h, w), kernel, stride, 0)
-    cols = cols.reshape(kernel * kernel, -1)
+    patches = _gather_patches(x.data.reshape(1, P * n * c, 1, h, w), kernel, stride, 0)
+    oh, ow = patches.shape[4:6]
+    cols = patches.reshape(kernel * kernel, -1)
     arg = cols.argmax(axis=0)
     out = cols[arg, np.arange(cols.shape[1])]
-    _, _, _, oh, ow, _ = cache
     out = out.reshape(oh * ow, P * n * c).T.reshape(P, n, c, oh, ow)
 
     def backward(grad: np.ndarray) -> None:
@@ -311,7 +302,8 @@ def max_pool2d_batched(x: Tensor, kernel: int = 2, stride: Optional[int] = None)
         dcols = np.zeros_like(cols)
         gflat = grad.reshape(P * n * c, oh * ow).T.reshape(-1)
         dcols[arg, np.arange(cols.shape[1])] = gflat
-        dx = _col2im(dcols, (P * n * c, 1, h, w), kernel, stride, 0, cache)
+        dx = _scatter_patches(dcols.reshape(patches.shape), (1, P * n * c, 1, h, w),
+                              kernel, stride, 0)
         x._accumulate(dx.reshape(P, n, c, h, w))
 
     if active_tape() is None:
@@ -319,8 +311,7 @@ def max_pool2d_batched(x: Tensor, kernel: int = 2, stride: Optional[int] = None)
     col_index = np.arange(cols.shape[1])
 
     def replay() -> None:
-        new_cols, _ = _im2col(x.data.reshape(P * n * c, 1, h, w), kernel, stride, 0)
-        cols[...] = new_cols.reshape(kernel * kernel, -1)
+        _gather_patches(x.data.reshape(1, P * n * c, 1, h, w), kernel, stride, 0, out=patches)
         arg[...] = cols.argmax(axis=0)
         np.copyto(out.reshape(P * n * c, oh * ow),
                   cols[arg, col_index].reshape(oh * ow, P * n * c).T)
