@@ -8,11 +8,6 @@ from repro.analysis.convergence import (
     time_to_accuracy,
     variance_ratio,
 )
-from repro.analysis.perf_pipeline import (
-    format_benchmark,
-    run_pipeline_benchmark,
-    write_benchmark_json,
-)
 from repro.analysis.scaling import scaling_efficiency_table, speedup_curve
 from repro.analysis.sweeps import (
     convergence_sweep,
@@ -42,9 +37,6 @@ __all__ = [
     "cost_sweep",
     "synchronization_sweep",
     "time_to_accuracy_sweep",
-    "format_benchmark",
-    "run_pipeline_benchmark",
-    "write_benchmark_json",
     "format_table",
     "format_figure_series",
     "render_table2",

@@ -1,6 +1,6 @@
 """Execution backends: who actually runs the replicas' forward/backward.
 
-The trainer's fused pipeline is written against two objects — a
+The trainer is written against two objects — a
 :class:`~repro.core.flat_buffer.WorldFlatBuffers` holding the ``(P, n)``
 parameter/gradient matrices and an executor with
 ``forward_backward(inputs, targets) -> losses`` — but nothing in the
@@ -53,8 +53,7 @@ class ExecutionBackend:
                                task: Optional[str] = None,
                                sync_strategy: Optional[str] = None,
                                is_async: bool = False,
-                               faults_active: bool = False,
-                               fused_pipeline: bool = True) -> List[str]:
+                               faults_active: bool = False) -> List[str]:
         """Pinned error messages for feature combinations this backend
         cannot run; empty when the configuration is supported."""
         return []
@@ -94,8 +93,7 @@ def backend_spec_problems(backend: object, backend_kwargs: object, *,
                           task: Optional[str] = None,
                           sync_strategy: Optional[str] = None,
                           is_async: bool = False,
-                          faults_active: bool = False,
-                          fused_pipeline: bool = True) -> List[str]:
+                          faults_active: bool = False) -> List[str]:
     """Validation messages for a spec's ``backend`` / ``backend_kwargs``.
 
     Shared by ``ExperimentSpec.validate()`` and the trainer's constructor so
@@ -122,7 +120,6 @@ def backend_spec_problems(backend: object, backend_kwargs: object, *,
                 f"{backend_kwargs!r}: {error}"]
     problems.extend(instance.compatibility_problems(
         world_size=world_size, task=task, sync_strategy=sync_strategy,
-        is_async=is_async, faults_active=faults_active,
-        fused_pipeline=fused_pipeline))
+        is_async=is_async, faults_active=faults_active))
     instance.close()
     return problems

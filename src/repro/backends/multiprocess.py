@@ -215,7 +215,7 @@ class MultiprocessingBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     def compatibility_problems(self, *, world_size=None, task=None,
                                sync_strategy=None, is_async=False,
-                               faults_active=False, fused_pipeline=True) -> List[str]:
+                               faults_active=False) -> List[str]:
         problems: List[str] = []
         if is_async:
             problems.append(
@@ -226,10 +226,6 @@ class MultiprocessingBackend(ExecutionBackend):
             problems.append(
                 "backend 'multiprocessing' does not support fault injection; "
                 "remove the \"faults\" section or use backend 'inprocess'")
-        if not fused_pipeline:
-            problems.append(
-                "backend 'multiprocessing' requires the fused pipeline; "
-                "remove \"fused_pipeline\": false or use backend 'inprocess'")
         if task == "language_model":
             problems.append(
                 "backend 'multiprocessing' does not support language models; "

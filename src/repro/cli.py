@@ -26,8 +26,6 @@ Commands
 ``compare``
     Compare every registered compressor on one synthetic gradient (traffic,
     measured kernel time, compression error).
-``bench-pipeline``
-    Time the fused gradient pipeline against the seed path.
 ``bench-backend``
     Time the multiprocessing execution backend against the in-process one
     at several worker-process counts.
@@ -88,7 +86,6 @@ RUN_FLAG_FIELDS: Dict[str, str] = {
     "batch_size": "batch_size",
     "seed": "seed",
     "eval_every": "eval_every",
-    "fused_pipeline": "fused_pipeline",
     "taped": "taped",
     "compute_model": "compute_model",
     "seed_clock": "clock_seed",
@@ -181,11 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train_parent.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     train_parent.add_argument("--eval-every", type=int, default=argparse.SUPPRESS,
                               help="evaluate every k epochs (always on the last)")
-    train_parent.add_argument("--fused", dest="fused_pipeline",
-                              action=argparse.BooleanOptionalAction,
-                              default=argparse.SUPPRESS,
-                              help="use the zero-copy fused pipeline (--no-fused for "
-                                   "the seed per-rank loops)")
     train_parent.add_argument("--taped", dest="taped",
                               action=argparse.BooleanOptionalAction,
                               default=argparse.SUPPRESS,
@@ -327,37 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--size", type=int, default=1_000_000)
     compare.add_argument("--seed", type=int, default=0)
     compare.set_defaults(handler=cmd_compare)
-
-    bench = sub.add_parser("bench-pipeline",
-                           help="time the fused gradient pipeline against the seed path")
-    bench.add_argument("--model", default="fnn3", choices=list_models())
-    bench.add_argument("--algorithm", default="a2sgd", choices=list_compressors())
-    bench.add_argument("--workers", type=int, default=8)
-    bench.add_argument("--iterations", type=int, default=60)
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--taped", dest="taped", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="also time the taped record/replay executor "
-                            "(--no-taped to benchmark only seed vs fused)")
-    # Synchronization setup for the benchmarked workload (None fields are
-    # dropped, so the default stays the paper's allreduce + mean).
-    bench.add_argument("--sync", default=None,
-                       type=_registry_name(SYNC_STRATEGIES),
-                       metavar=f"{{{','.join(SYNC_STRATEGIES.list())}}}",
-                       help="synchronization strategy to benchmark")
-    bench.add_argument("--sync-period", type=int, default=None, metavar="H",
-                       help="local_sgd: aggregate parameters every H iterations")
-    bench.add_argument("--topology", default=None,
-                       type=_registry_name(TOPOLOGIES),
-                       metavar=f"{{{','.join(TOPOLOGIES.list())}}}",
-                       help="gossip communication graph")
-    bench.add_argument("--param-compression", dest="param_compression",
-                       default=None, type=_param_compression_name,
-                       metavar=f"{{none,{','.join(COMPRESSORS.list())}}}",
-                       help="parameter-phase delta compressor for local_sgd/gossip")
-    bench.add_argument("--output", default="BENCH_pipeline.json",
-                       help="JSON file the run is appended to")
-    bench.set_defaults(handler=cmd_bench_pipeline)
 
     bench_backend = sub.add_parser(
         "bench-backend",
@@ -559,8 +520,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     derived = spec.to_trainer_config()
     print(f"derived TrainerConfig: model={derived.model!r} preset={derived.preset!r} "
           f"algorithm={derived.algorithm!r} world_size={derived.world_size} "
-          f"epochs={derived.epochs} fused_pipeline={derived.fused_pipeline} "
-          f"taped={derived.taped}")
+          f"epochs={derived.epochs} taped={derived.taped}")
     sync = spec.resolved_sync()
     print(f"sync: {sync.describe()}")
     for note in sync.notes():
@@ -630,38 +590,6 @@ def cmd_compare(args: argparse.Namespace) -> str:
         ["compressor", "exchange", "bits/worker", "compress (ms)", "single-shot error"],
         rows, title=f"Compressor comparison on an n={args.size:,} gradient")
     print(text)
-    return text
-
-
-def cmd_bench_pipeline(args: argparse.Namespace) -> str:
-    from repro.analysis.perf_pipeline import (
-        format_benchmark,
-        run_pipeline_benchmark,
-        write_benchmark_json,
-    )
-
-    sync_fields = {"strategy": args.sync, "period": args.sync_period,
-                   "topology": args.topology,
-                   "parameter_compression": args.param_compression}
-    sync = {key: value for key, value in sync_fields.items() if value is not None}
-    if sync:
-        # Same gate as run/validate: a benchmark row must describe a setup
-        # that was actually exercised, not silently-ignored flags.
-        try:
-            SyncSpec.from_dict(sync).validate(world_size=args.workers,
-                                              algorithm=args.algorithm)
-        except ValueError as error:
-            print(error, file=sys.stderr)
-            return 1
-    result = run_pipeline_benchmark(model=args.model, algorithm=args.algorithm,
-                                    world_size=args.workers,
-                                    iterations=args.iterations, repeats=args.repeats,
-                                    sync=sync or None, taped=args.taped)
-    text = format_benchmark(result)
-    print(text)
-    if args.output:
-        path = write_benchmark_json(result, args.output)
-        print(f"appended run to {path}")
     return text
 
 

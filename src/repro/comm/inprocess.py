@@ -166,8 +166,7 @@ class InProcessWorld:
         """Allgather; rank ``r``'s result is the full list of contributions.
 
         Every rank receives read-only views of one shared staging buffer per
-        contribution (one copy per contributor, not per rank) — the fused
-        exchange path and the seed loop both route through this.
+        contribution (one copy per contributor, not per rank).
 
         Under a degraded membership the gathered list holds only surviving
         contributions (in rank order) and dead ranks receive an empty list.

@@ -3,8 +3,7 @@
 The :class:`~repro.core.trainer.DistributedTrainer` no longer hard-codes
 metrics collection, timeline recording, evaluation cadence or progress
 logging — each is a :class:`Callback` observing a :class:`TrainState` view
-of the run.  Both the fused (zero-copy) and the seed per-rank training paths
-drive exactly the same hooks, so a callback written once works on either.
+of the run.
 
 Hook order per run::
 
@@ -91,8 +90,8 @@ class TrainState:
         return self.trainer.replicas
 
     @property
-    def flat_buffers(self) -> Optional["WorldFlatBuffers"]:
-        """The (P, n) flat world of the fused pipeline (None on the seed path)."""
+    def flat_buffers(self) -> "WorldFlatBuffers":
+        """The trainer's (P, n) flat parameter/gradient world."""
         return self.trainer.flat_world
 
     @property

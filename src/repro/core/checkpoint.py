@@ -59,10 +59,9 @@ def save_checkpoint(trainer: DistributedTrainer, path: str | Path) -> Path:
         # finalized consensus, but resuming needs each rank's live vector
         # (its last pull / local state).  Mid-run saves read the live
         # matrix; post-train saves read the pre-finalize snapshot.
-        if trainer.flat_world is not None:
-            rows = trainer._async_worker_rows
-            arrays["async_worker_rows"] = (
-                trainer.flat_world.param_matrix.copy() if rows is None else rows)
+        rows = trainer._async_worker_rows
+        arrays["async_worker_rows"] = (
+            trainer.flat_world.param_matrix.copy() if rows is None else rows)
 
     # Fault-injection state: membership mask, fault-report counters and the
     # per-rank draw counters, so a run interrupted mid-blackout resumes with
@@ -149,7 +148,7 @@ def load_checkpoint(trainer: DistributedTrainer, path: str | Path) -> Distribute
                        for name in data.files if name.startswith("sync_async_")}
         if async_state:
             trainer.sync_strategy.load_state_arrays(async_state)
-        if "async_worker_rows" in data and trainer.flat_world is not None:
+        if "async_worker_rows" in data:
             # Overwrite the finalized consensus written by the params_{rank}
             # restore above with each rank's live working vector.
             trainer.flat_world.param_matrix[:] = data["async_worker_rows"]

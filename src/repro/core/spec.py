@@ -88,8 +88,8 @@ class ExperimentSpec:
     #: None, a registered fabric name, a NetworkModel, or its dict form.
     network: Union[None, str, dict, NetworkModel] = None
     eval_every: int = 1
-    fused_pipeline: bool = True
-    #: Record-once/replay execution on the fused path (see repro.tensor.tape).
+    #: Record-once/replay execution of the batched executors (see
+    #: repro.tensor.tape).
     taped: bool = True
     #: Callback specs: registered names or {"name": ..., **kwargs} dicts
     #: (ready Callback instances are accepted but not JSON-serializable).
@@ -221,6 +221,13 @@ class ExperimentSpec:
         """Build a spec from a dict, rejecting unknown keys with suggestions."""
         if not isinstance(payload, dict):
             raise SpecError(f"expected a JSON object, got {type(payload).__name__}")
+        # Legacy-key reader: spec files written before the option was removed
+        # carry ``"fused_pipeline": true`` (then the default); read past it.
+        payload = dict(payload)
+        if payload.pop("fused_pipeline", True) is not True:
+            raise SpecError(
+                "`fused_pipeline: false` was removed: the per-rank loops are "
+                "a test oracle now (tests/reference_trainer.py); delete the key")
         problems = unknown_field_problems(payload,
                                           [f.name for f in dataclasses.fields(cls)])
         if problems:
@@ -267,18 +274,18 @@ class ExperimentSpec:
         for name, minimum in (("world_size", 1), ("epochs", 1), ("eval_every", 1),
                               ("seq_len", 2)):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < minimum:
+            if not _is_int(value) or value < minimum:
                 problems.append(f"{name} must be an integer >= {minimum}, got {value!r}")
         for name in ("batch_size", "max_iterations_per_epoch", "num_train", "num_test"):
             value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or value < 1):
+            if value is not None and (not _is_int(value) or value < 1):
                 problems.append(f"{name} must be None or an integer >= 1, got {value!r}")
+        if not _is_int(self.seed):
+            problems.append(f"seed must be an integer, got {self.seed!r}")
 
         if not isinstance(self.compressor_kwargs, dict):
             problems.append(f"compressor_kwargs must be a dict, "
                             f"got {type(self.compressor_kwargs).__name__}")
-        if not isinstance(self.fused_pipeline, bool):
-            problems.append(f"fused_pipeline must be true/false, got {self.fused_pipeline!r}")
         if not isinstance(self.taped, bool):
             problems.append(f"taped must be true/false, got {self.taped!r}")
 
@@ -312,7 +319,7 @@ class ExperimentSpec:
                             f"got {type(self.sync).__name__}")
 
         problems.extend(compute_model_problems(self.compute_model))
-        if not isinstance(self.clock_seed, int) or isinstance(self.clock_seed, bool):
+        if not _is_int(self.clock_seed):
             problems.append(f"clock_seed must be an integer, got {self.clock_seed!r}")
 
         if isinstance(self.faults, (str, dict, FaultSpec)) or self.faults is None:
@@ -326,7 +333,7 @@ class ExperimentSpec:
         else:
             problems.append(f"faults must be None, a model name, a dict or a "
                             f"FaultSpec, got {type(self.faults).__name__}")
-        if not isinstance(self.fault_seed, int) or isinstance(self.fault_seed, bool):
+        if not _is_int(self.fault_seed):
             problems.append(f"fault_seed must be an integer, got {self.fault_seed!r}")
 
         # Backend name, kwargs and feature compatibility — the exact pinned
@@ -350,9 +357,7 @@ class ExperimentSpec:
             self.backend, self.backend_kwargs,
             world_size=self.world_size if isinstance(self.world_size, int) else None,
             task=task, sync_strategy=sync_strategy, is_async=is_async,
-            faults_active=faults_active,
-            fused_pipeline=self.fused_pipeline
-            if isinstance(self.fused_pipeline, bool) else True))
+            faults_active=faults_active))
 
         # Client-population section — the same pinned messages the trainer
         # raises at construction, so `repro validate` and `repro run` fail
@@ -372,9 +377,7 @@ class ExperimentSpec:
                     world_size=self.world_size
                     if isinstance(self.world_size, int) else None,
                     task=task, sync_strategy=sync_strategy,
-                    sync_period=sync_period, faults_active=faults_active,
-                    fused_pipeline=self.fused_pipeline
-                    if isinstance(self.fused_pipeline, bool) else True))
+                    sync_period=sync_period, faults_active=faults_active))
         else:
             problems.append(f"clients must be None, an int, a dict or a "
                             f"ClientSpec, got {type(self.clients).__name__}")
@@ -405,6 +408,11 @@ class ExperimentSpec:
         lines = [f"{f.name:26s} = {getattr(self, f.name)!r}"
                  for f in dataclasses.fields(self)]
         return "\n".join(lines)
+
+
+def _is_int(value: object) -> bool:
+    """A real integer: ``bool`` is an ``int`` subclass and must not pass."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _unknown_field_message(name: str, spec: ExperimentSpec) -> str:

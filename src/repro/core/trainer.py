@@ -26,8 +26,7 @@ Cross-cutting concerns — metrics collection, timeline recording, evaluation
 cadence, checkpointing, progress logging — live in
 :mod:`repro.core.callbacks`, not here: the trainer drives the
 ``Callback`` lifecycle hooks and new per-iteration behaviours plug in as
-callbacks without touching this file.  The fused and seed paths fire the
-same hooks.
+callbacks without touching this file.
 """
 
 from __future__ import annotations
@@ -56,9 +55,7 @@ from repro.core.callbacks import (
 from repro.core.flat_buffer import WorldFlatBuffers
 from repro.core.flatten import (
     average_parameters,
-    flatten_gradients,
     flatten_parameters,
-    unflatten_into_gradients,
     unflatten_into_parameters,
 )
 from repro.core.metrics import TrainingMetrics, evaluate_classifier, evaluate_language_model
@@ -112,17 +109,10 @@ class TrainerConfig:
     network: Optional[NetworkModel] = None
     #: Evaluate every k epochs (always evaluates on the last epoch).
     eval_every: int = 1
-    #: Use the zero-copy fused pipeline: flat (P, n) gradient/parameter
-    #: buffers, batched compressor kernels and whole-buffer optimizer steps,
-    #: plus a batched replica executor (hand-derived for MLPs, stacked-graph
-    #: autograd for conv/recurrent models).  False runs the seed's per-rank
-    #: loops — kept for A/B benchmarking and as the reference semantics the
-    #: fused path is tested against.
-    fused_pipeline: bool = True
     #: Record the batched executor's graph once per input signature and replay
-    #: it on later iterations (bit-identical; see repro.tensor.tape).  Only
-    #: affects the fused pipeline; models that record unreplayable ops (e.g.
-    #: active dropout) fall back to eager batched execution automatically.
+    #: it on later iterations (bit-identical; see repro.tensor.tape).  Models
+    #: that record unreplayable ops (e.g. active dropout) fall back to eager
+    #: batched execution automatically.
     taped: bool = True
     #: Synchronization setup: None (the default allreduce + mean, i.e. the
     #: paper's Algorithm 1), a :class:`repro.sync.SyncSpec`, or its dict form
@@ -214,8 +204,7 @@ class DistributedTrainer:
             config.backend, config.backend_kwargs,
             world_size=config.world_size, task=self.spec.task,
             sync_strategy=self.sync_spec.strategy, is_async=self.is_async,
-            faults_active=self.fault_spec.active,
-            fused_pipeline=config.fused_pipeline)
+            faults_active=self.fault_spec.active)
         if backend_problems:
             raise ValueError("; ".join(backend_problems))
         self.backend = EXECUTION_BACKENDS.create(
@@ -246,8 +235,7 @@ class DistributedTrainer:
             world_size=config.world_size, task=self.spec.task,
             sync_strategy=self.sync_spec.strategy,
             sync_period=self.sync_spec.period,
-            faults_active=self.fault_spec.active,
-            fused_pipeline=config.fused_pipeline)
+            faults_active=self.fault_spec.active)
         if client_problems:
             raise ValueError("; ".join(client_problems))
         self.population: Optional[ClientPopulation] = \
@@ -265,25 +253,19 @@ class DistributedTrainer:
                                          weight_decay=config.weight_decay)
                            for replica in self.replicas]
 
-        # Fused pipeline: adopt every replica into one (P, n) flat world so
-        # gradients flow backward pass → compressor → optimizer with no
-        # flatten/unflatten copies and one batched kernel call per stage.
-        self.flat_world: Optional[WorldFlatBuffers] = None
-        self.executor = None
-        if config.fused_pipeline or self.is_async:
-            # Async strategies operate directly on the flat (P, n) rows (one
-            # rank's gradient/update per event), so they require the flat
-            # world even when the lockstep fused pipeline is off.
-            self.flat_world = self.backend.create_world(self.replicas)
-            self._velocity_matrix = np.zeros_like(self.flat_world.param_matrix)
-            self._step_scratch = np.empty_like(self.flat_world.param_matrix)
-            for rank, optimizer in enumerate(self.optimizers):
-                optimizer.bind_flat(self.flat_world.replica_buffers[rank],
-                                    velocity_store=self._velocity_matrix[rank])
-            if not self.is_async:
-                # The batched executor stacks all ranks into one graph — the
-                # event loop computes one rank at a time, eagerly.
-                self.executor = self.backend.create_executor(self)
+        # Adopt every replica into one (P, n) flat world so gradients flow
+        # backward pass → compressor → optimizer with no flatten/unflatten
+        # copies and one batched kernel call per stage.
+        self.flat_world: WorldFlatBuffers = self.backend.create_world(self.replicas)
+        self._velocity_matrix = np.zeros_like(self.flat_world.param_matrix)
+        self._step_scratch = np.empty_like(self.flat_world.param_matrix)
+        for rank, optimizer in enumerate(self.optimizers):
+            optimizer.bind_flat(self.flat_world.replica_buffers[rank],
+                                velocity_store=self._velocity_matrix[rank])
+        # The batched executor stacks all ranks into one graph — the async
+        # event loop computes one rank at a time, eagerly.
+        self.executor = None if self.is_async \
+            else self.backend.create_executor(self)
 
         self._setup_data()
         # The stacked LM executor needs every rank to contribute equally-shaped
@@ -428,17 +410,17 @@ class DistributedTrainer:
     # ------------------------------------------------------------------ #
     # the four stages of one iteration (Algorithm 1 lines 2-7)
     # ------------------------------------------------------------------ #
-    # Each stage is written once: it decides the representation (the flat
-    # ``(P, n)`` world vs per-rank vectors when ``flat_world is None``, the
-    # fused_pipeline=False reference) and the task itself, so the lockstep
-    # loop and the perf harnesses make the same four calls.
+    # Each stage is written once over the flat ``(P, n)`` world and decides
+    # the task itself, so the lockstep loop, ``analysis/perf_backend`` and the
+    # test-tree per-rank oracle (tests/reference_trainer.py, which overrides
+    # two of them) make the same four calls.
     def _replica_step(self, rank: int, inputs, targets, state=None) -> tuple:
         """Forward → cross-entropy → backward → detach on one replica.
 
-        The one per-replica step: the per-rank reference path, the
-        executor-less fallback (ragged LM shards) and the async engine's
-        per-event gradient all call it.  The caller zeroes the gradients;
-        returns ``(loss, carried BPTT state or None)``.
+        The one per-replica step: the executor-less fallback (ragged LM
+        shards) and the async engine's per-event gradient both call it.  The
+        caller zeroes the gradients; returns ``(loss, carried BPTT state or
+        None)``.
         """
         replica = self.replicas[rank]
         if self.spec.task == "language_model":
@@ -453,10 +435,9 @@ class DistributedTrainer:
         """Stage 1 — every replica's local gradient (line 2).
 
         Returns ``(G, mean loss, states)``: ``G`` is the flat ``(P, n)``
-        gradient matrix (or the per-rank list on the reference path) and
-        ``states`` the carried BPTT state — one stacked state under the
-        batched executor, one entry per rank otherwise; ``None`` at an epoch
-        start, and classifiers never carry any.
+        gradient matrix and ``states`` the carried BPTT state — one stacked
+        state under the batched executor, one entry per rank otherwise;
+        ``None`` at an epoch start, and classifiers never carry any.
         """
         world = self.flat_world
         if self.executor is not None:
@@ -468,53 +449,36 @@ class DistributedTrainer:
                 losses, states = self.executor.forward_backward(inputs, targets, states)
             else:
                 losses = self.executor.forward_backward(inputs, targets)
-            G = world.grad_matrix
         else:
-            # Per-replica loop; on the flat world backward accumulates
-            # straight into the zeroed gradient matrix.
+            # Per-replica loop; backward accumulates straight into the
+            # zeroed gradient matrix.
             if states is None:
                 states = [None] * len(batches)
-            if world is not None:
-                world.zero_grads()
-            else:
-                for replica in self.replicas:
-                    replica.zero_grad()
+            world.zero_grads()
             losses = []
             for rank, (inputs, targets) in enumerate(batches):
                 loss, states[rank] = self._replica_step(rank, inputs, targets, states[rank])
                 losses.append(loss)
-            G = world.grad_matrix if world is not None \
-                else [flatten_gradients(replica) for replica in self.replicas]
         self._last_losses = np.asarray(losses, dtype=np.float64)
-        return G, float(np.mean(losses)), states
+        return world.grad_matrix, float(np.mean(losses)), states
 
     def _exchange(self, G) -> tuple:
         """Stage 2 — the strategy synchronizes the gradients (lines 3-6)."""
-        if self.flat_world is None:
-            return self.sync_strategy.exchange(G)
         return self.sync_strategy.exchange_batched(G)
 
     def _apply(self, new, epoch_progress: float) -> float:
         """Stage 3 — the optimizer step (line 7); returns the learning rate.
 
-        On the flat world all per-rank optimizers share identical
-        hyperparameters and their momentum rows alias
-        ``self._velocity_matrix``, so a single fused kernel call updates
-        every replica; ``state_dict``/checkpointing still observe per-rank
-        state through the row views.
+        All per-rank optimizers share identical hyperparameters and their
+        momentum rows alias ``self._velocity_matrix``, so a single fused
+        kernel call updates every replica; ``state_dict``/checkpointing
+        still observe per-rank state through the row views.
         """
         lr = max(self.lr_policy.lr_at(epoch_progress, self.base_lr), 1e-12)
         for optimizer in self.optimizers:
             optimizer.set_lr(lr)
         dead = self._dead_ranks()
         world = self.flat_world
-        if world is None:
-            for rank, (replica, optimizer) in enumerate(zip(self.replicas, self.optimizers)):
-                if dead is not None and rank in dead:
-                    continue  # a down rank takes no optimizer step
-                unflatten_into_gradients(replica, new[rank])
-                optimizer.step()
-            return lr
         reference = self.optimizers[0]
         # The fused kernel updates every row; a down rank must not advance,
         # so its parameter/velocity rows are snapshotted and put back.
@@ -543,25 +507,15 @@ class DistributedTrainer:
 
         ``post_step_pending`` gates the whole phase: gradient-only
         strategies — and local-SGD iterations between sync points — cost one
-        method call, so the reference path never flattens parameters it will
-        not exchange.  The flat world hands over live views of the ``(P, n)``
+        method call.  The strategy gets live views of the ``(P, n)``
         parameter matrix (zero copies).  Any parameter-exchange report is
-        folded into the iteration's gradient report so the timeline prices
-        it.
+        folded into the iteration's gradient report so the timeline prices it.
         """
         if not self.sync_strategy.post_step_pending():
             return report
-        if self.flat_world is not None:
-            rows = [self.flat_world.param_matrix[p]
-                    for p in range(self.config.world_size)]
-            param_report = self.sync_strategy.post_step(rows)
-        else:
-            vectors = [flatten_parameters(m) for m in self.replicas]
-            param_report = self.sync_strategy.post_step(vectors)
-            if param_report is not None:
-                for replica, vector in zip(self.replicas, vectors):
-                    unflatten_into_parameters(replica, vector)
-        return merge_reports(report, param_report)
+        rows = [self.flat_world.param_matrix[p]
+                for p in range(self.config.world_size)]
+        return merge_reports(report, self.sync_strategy.post_step(rows))
 
     # ------------------------------------------------------------------ #
     # fault layer (the async engine has its own gate but shares _rejoin_rank)
@@ -668,22 +622,12 @@ class DistributedTrainer:
         row = strategy.catch_up(rank)
         if row is None:
             alive = membership.alive_ranks()
-            if self.flat_world is not None:
-                source = self.flat_world.param_matrix[alive] if alive \
-                    else self.flat_world.param_matrix[rank:rank + 1]
-                row = source.mean(axis=0)
-            else:
-                vectors = [flatten_parameters(self.replicas[r])
-                           for r in (alive or [rank])]
-                row = np.mean(np.stack(vectors), axis=0)
+            source = self.flat_world.param_matrix[alive] if alive \
+                else self.flat_world.param_matrix[rank:rank + 1]
+            row = source.mean(axis=0)
         row = np.asarray(row, dtype=np.float32).reshape(-1)
-        if self.flat_world is not None:
-            self.flat_world.param_matrix[rank, :] = row
-            self._velocity_matrix[rank, :] = 0.0
-        else:
-            unflatten_into_parameters(self.replicas[rank], row)
-            for buffer in getattr(self.optimizers[rank], "_velocity", {}).values():
-                buffer.fill(0.0)
+        self.flat_world.param_matrix[rank, :] = row
+        self._velocity_matrix[rank, :] = 0.0
         if strategy.compressors:
             strategy.compressors[rank].reset_state()
         if strategy.parameter_codec is not None:
@@ -706,7 +650,7 @@ class DistributedTrainer:
             self.sim_engine.run(state)
         else:
             self._train_lockstep(state)
-        if self.is_async and self.flat_world is not None:
+        if self.is_async:
             # finalize() collapses every worker row onto the consensus
             # (server/center) for the final model; keep the live rows so a
             # checkpoint written after train() can resume the per-rank

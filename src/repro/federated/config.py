@@ -119,8 +119,7 @@ class ClientSpec:
                  task: Optional[str] = None,
                  sync_strategy: Optional[str] = None,
                  sync_period: Optional[int] = None,
-                 faults_active: bool = False,
-                 fused_pipeline: bool = True) -> List[str]:
+                 faults_active: bool = False) -> List[str]:
         """Every problem with this clients section, as actionable messages.
 
         The trainer and ``ExperimentSpec.validate`` call this with the same
@@ -179,11 +178,6 @@ class ClientSpec:
                     f"(got K={cohort}, N={self.num_clients}); use "
                     f"'uniform_without_replacement' to sample cohorts")
             if not sampler_cls.full_participation:
-                if not fused_pipeline:
-                    problems.append(
-                        f"clients: sampler {sampler!r} swaps per-client slot "
-                        f"state through the flat buffers and requires "
-                        f"fused_pipeline=true")
                 if sync_period is not None and sync_period < 2:
                     problems.append(
                         f"clients: sampler {sampler!r} resamples the cohort "

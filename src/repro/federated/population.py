@@ -208,9 +208,6 @@ class ClientPopulation:
     def _swap(self, trainer, previous: SlotAssignment,
               cohort: Tuple[int, ...]) -> None:
         flat = trainer.flat_world
-        if flat is None:
-            raise RuntimeError("cohort swapping requires the fused "
-                               "flat-buffer pipeline")
         params = flat.param_matrix
         velocity = trainer._velocity_matrix
         codec = getattr(trainer.sync_strategy, "parameter_codec", None)

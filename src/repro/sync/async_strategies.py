@@ -67,13 +67,8 @@ class AsyncStrategy(SyncStrategy):
         super().__init__()
         self.engine = None
 
-    # The lockstep entry points must never be reached: the trainer routes
+    # The lockstep entry point must never be reached: the trainer routes
     # async strategies through the simulation engine.
-    def exchange(self, gradients: Sequence[np.ndarray]):
-        raise RuntimeError(f"async strategy {self.name!r} has no lockstep "
-                           f"exchange; it runs on the simulation engine "
-                           f"(repro.sim.engine)")
-
     def exchange_batched(self, G: np.ndarray):
         raise RuntimeError(f"async strategy {self.name!r} has no lockstep "
                            f"exchange; it runs on the simulation engine "

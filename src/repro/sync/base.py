@@ -3,20 +3,18 @@
 The paper's Algorithm 1 is one point in a large design space — synchronous
 gradient allreduce with mean aggregation.  A :class:`SyncStrategy` makes
 that point swappable: the trainer asks the strategy to synchronize each
-iteration's gradients (:meth:`~SyncStrategy.exchange` /
-:meth:`~SyncStrategy.exchange_batched`), offers it a post-optimizer-step
-hook for parameter exchanges (:meth:`~SyncStrategy.post_step`), and lets it
-perform the final replica consolidation (:meth:`~SyncStrategy.finalize`).
+iteration's gradients (:meth:`~SyncStrategy.exchange_batched`), offers it a
+post-optimizer-step hook for parameter exchanges
+(:meth:`~SyncStrategy.post_step`), and lets it perform the final replica
+consolidation (:meth:`~SyncStrategy.finalize`).
 Strategies compose with an :class:`~repro.sync.aggregators.Aggregator`
 (*how* payloads combine) and, for gossip, a
 :class:`~repro.comm.topology.CommTopology` (*who* talks to whom).
 
-Both trainer paths route through the same strategy instance: the fused
-``(P, n)`` batched path calls ``exchange_batched`` and hands ``post_step``
-the rows of the flat parameter matrix, while the seed per-rank loop calls
-``exchange`` with a list of gradient vectors.  The default
-``allreduce`` strategy with the ``mean`` aggregator is the paper's
-Algorithm 1, bit-identical on both paths.
+The trainer calls ``exchange_batched`` with the flat ``(P, n)`` gradient
+matrix and hands ``post_step`` the rows of the flat parameter matrix.  The
+default ``allreduce`` strategy with the ``mean`` aggregator is the paper's
+Algorithm 1.
 
 Byzantine scenarios plug in through :class:`GradientCorruption`: the
 corruption poisons whatever the strategy puts on the wire — gradient-phase
@@ -70,7 +68,7 @@ class GradientCorruption:
     compression/exchange, so it poisons whatever the strategy puts on the
     wire — exactly the threat model robust aggregators defend against.
     Gradient-phase strategies corrupt the local gradients in place
-    (:meth:`apply_list` / :meth:`apply_rows`, the seed semantics);
+    (:meth:`apply_rows`);
     parameter-phase strategies corrupt *staged copies* of the parameter
     payloads (:meth:`staged`) so a Byzantine rank's poison travels to its
     neighbours without rewriting the rank's own local state.
@@ -112,13 +110,6 @@ class GradientCorruption:
         if rank in self.ranks:
             np.multiply(vector, vector.dtype.type(self._factor()), out=vector)
         return vector
-
-    def apply_list(self, gradients: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
-        """Corrupt the selected per-rank vectors in place."""
-        for rank in self.ranks:
-            g = gradients[rank]
-            np.multiply(g, g.dtype.type(self._factor()), out=g)
-        return gradients
 
     def staged(self, vectors: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Corrupted *copies* of the selected ranks' vectors, rest untouched.
@@ -175,7 +166,8 @@ class SyncStrategy:
     #: Whether the strategy is event-driven: the trainer then routes training
     #: through the virtual-clock :class:`repro.sim.engine.SimulationEngine`
     #: (which calls ``worker_step`` per completion event) instead of the
-    #: lockstep ``exchange`` loops.  See :mod:`repro.sync.async_strategies`.
+    #: lockstep ``exchange_batched`` loop.  See
+    #: :mod:`repro.sync.async_strategies`.
     is_async: bool = False
 
     @classmethod
@@ -295,13 +287,8 @@ class SyncStrategy:
     # ------------------------------------------------------------------ #
     # gradient phase (Algorithm 1 lines 3-6, or a strategy's replacement)
     # ------------------------------------------------------------------ #
-    def exchange(self, gradients: Sequence[np.ndarray]
-                 ) -> Tuple[List[np.ndarray], SyncReport]:
-        """Synchronize one iteration's per-rank gradient vectors (seed path)."""
-        raise NotImplementedError
-
     def exchange_batched(self, G: np.ndarray) -> Tuple[np.ndarray, SyncReport]:
-        """Synchronize one iteration's stacked ``(P, n)`` matrix (fused path)."""
+        """Synchronize one iteration's stacked ``(P, n)`` gradient matrix."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
@@ -311,20 +298,19 @@ class SyncStrategy:
         """Whether the iteration just exchanged will also sync parameters.
 
         Queried by the trainer *after* the gradient exchange and *before*
-        materializing flat parameter vectors, so strategies whose current
+        handing over the parameter rows, so strategies whose current
         iteration is a pure local step (local SGD between sync points, or
-        any gradient-only strategy) cost the seed path nothing.
+        any gradient-only strategy) cost one method call.
         """
         return False
 
     def post_step(self, param_rows: Sequence[np.ndarray]) -> Optional[SyncReport]:
         """Optionally exchange parameters after the optimizer step.
 
-        ``param_rows[p]`` is rank ``p``'s flat parameter vector; the fused
-        path passes live views of the ``(P, n)`` parameter matrix and the
-        seed path passes copies it writes back afterwards.  Mutate the rows
-        in place and return a report, or return None when this iteration
-        has no parameter exchange.
+        ``param_rows[p]`` is rank ``p``'s flat parameter vector, a live view
+        of the ``(P, n)`` parameter matrix.  Mutate the rows in place and
+        return a report, or return None when this iteration has no
+        parameter exchange.
         """
         return None
 
@@ -401,23 +387,13 @@ class SyncStrategy:
         return SyncReport(compression_time_s=0.0, comm_time_s=0.0,
                           wire_bits_per_worker=0.0, exchange="local")
 
-    def _validated_gradient_count(self, gradients: Sequence[np.ndarray]) -> int:
-        """Validate the per-rank gradient list; returns the common length.
+    def _validated_gradient_matrix(self, G: np.ndarray) -> np.ndarray:
+        """Validate the stacked ``(P, n)`` matrix.
 
         Runs *before* the strategy advances its step counter: a rejected
         call must leave the step phase untouched, or every subsequent
         ``post_step_pending`` / period computation would be off by one.
         """
-        if len(gradients) != self.world.world_size:
-            raise ValueError("one gradient per rank is required")
-        n = int(np.asarray(gradients[0]).size)
-        for g in gradients:
-            if np.asarray(g).size != n:
-                raise ValueError("all ranks must contribute gradients of equal length")
-        return n
-
-    def _validated_gradient_matrix(self, G: np.ndarray) -> np.ndarray:
-        """Validate the stacked ``(P, n)`` matrix before the step advances."""
         M = np.asarray(G)
         if M.ndim != 2 or M.shape[0] != self.world.world_size:
             raise ValueError(f"expected a ({self.world.world_size}, n) gradient matrix, "

@@ -33,7 +33,7 @@ phase.  ``none`` keeps the dense float32 exchange, bit for bit.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,69 +83,19 @@ class AllreduceStrategy(SyncStrategy):
         return type(self).exchanges_gradients(self.period)
 
     # ------------------------------------------------------------------ #
-    # One body per representation; ``alive is None`` means "everyone".  Under
-    # a degraded membership dead ranks contribute nothing — their compressors
-    # (and error-feedback residuals) stay frozen and their gradient rows pass
-    # through untouched (the trainer never applies them) — and the wire
-    # collective runs over the alive subset, so a MEAN reduction renormalizes
-    # over the survivors automatically.
-    def exchange(self, gradients: Sequence[np.ndarray]
-                 ) -> Tuple[List[np.ndarray], SyncReport]:
-        """Synchronize one iteration's gradients (per-rank loop path)."""
-        n = self._validated_gradient_count(gradients)
-        self._step += 1
-        if self.corruption is not None:
-            self.corruption.apply_list(gradients)
-        membership = self._active_membership()
-        world_size = self.world.world_size
-        alive = range(world_size) if membership is None else membership.alive_ranks()
-        reference = self.compressors[0]
-        exchange_kind = reference.exchange
-        wire_bits = reference.wire_bits(n, len(alive))
-        logical_bytes = wire_bits / 8.0
-
-        # ---- compression (lines 3-4 of Algorithm 1) ---------------------- #
-        payloads: List[Optional[np.ndarray]] = [None] * world_size
-        contexts: List[Optional[Dict]] = [None] * world_size
-        compression_times = [0.0] * world_size
-        for rank in alive:
-            start = time.perf_counter()
-            payloads[rank], contexts[rank] = self.compressors[rank].compress(
-                np.asarray(gradients[rank], dtype=np.float32))
-            compression_times[rank] = time.perf_counter() - start
-
-        # ---- global exchange + aggregation (line 5) ---------------------- #
-        exchanged, comm_time, wire_exchange, aggregation_time = self._combine(
-            payloads, exchange_kind, logical_bytes)
-
-        # ---- reconstruction (line 6) ------------------------------------- #
-        new_gradients = [np.asarray(g, dtype=np.float32) for g in gradients]
-        for rank in alive:
-            compressor = self.compressors[rank]
-            start = time.perf_counter()
-            if exchange_kind is ExchangeKind.ALLREDUCE:
-                rebuilt = compressor.decompress(exchanged[rank], contexts[rank])
-            else:
-                rebuilt = compressor.decompress_gathered(exchanged[rank], contexts[rank])
-            compression_times[rank] += time.perf_counter() - start
-            new_gradients[rank] = np.asarray(rebuilt, dtype=np.float32)
-
-        report = SyncReport(
-            compression_time_s=float(max(compression_times)),
-            comm_time_s=float(comm_time),
-            wire_bits_per_worker=float(wire_bits),
-            exchange=wire_exchange,
-            aggregation_time_s=float(aggregation_time),
-        )
-        return new_gradients, report
-
+    # ``alive is None`` means "everyone".  Under a degraded membership dead
+    # ranks contribute nothing — their compressors (and error-feedback
+    # residuals) stay frozen and their gradient rows pass through untouched
+    # (the trainer never applies them) — and the wire collective runs over
+    # the alive subset, so a MEAN reduction renormalizes over the survivors
+    # automatically.
     def exchange_batched(self, G: np.ndarray) -> Tuple[np.ndarray, SyncReport]:
         """Synchronize one iteration from the stacked ``(P, n)`` matrix.
 
-        The batched twin of :meth:`exchange`: compression and reconstruction
-        run through the compressor's ``compress_batch``/``decompress_batch``
-        kernels (bit-identical to the per-rank loop, which remains the
-        fallback for compressors without batched kernels).  The measured
+        Compression and reconstruction run through the compressor's
+        ``compress_batch``/``decompress_batch`` kernels (bit-identical to the
+        per-rank ``compress``/``decompress`` loop, which remains the fallback
+        for compressors without batched kernels).  The measured
         kernel time is divided by the participant count: the simulation
         executes all ranks' compression in one call on one host, while the
         modelled deployment runs the per-worker kernels in parallel.  A
@@ -283,20 +233,12 @@ class LocalSGDStrategy(AllreduceStrategy):
             return super().wire_bits_per_iteration(n, world_size)
         return self._parameter_payload_bits(n) / self.period
 
-    def exchange(self, gradients: Sequence[np.ndarray]
-                 ) -> Tuple[List[np.ndarray], SyncReport]:
-        if self.period == 1:
-            return super().exchange(gradients)
-        # Local-only iteration: nothing gradient-shaped ever reaches the
-        # wire, so Byzantine corruption does NOT touch the local gradients —
-        # it poisons the parameter payload staged in post_step instead.
-        self._validated_gradient_count(gradients)
-        self._step += 1
-        return list(gradients), self._passthrough_report()
-
     def exchange_batched(self, G: np.ndarray) -> Tuple[np.ndarray, SyncReport]:
         if self.period == 1:
             return super().exchange_batched(G)
+        # Local-only iteration: nothing gradient-shaped ever reaches the
+        # wire, so Byzantine corruption does NOT touch the local gradients —
+        # it poisons the parameter payload staged in post_step instead.
         self._validated_gradient_matrix(G)
         self._step += 1
         return G, self._passthrough_report()
@@ -329,8 +271,8 @@ class FedAvgStrategy(LocalSGDStrategy):
     Numerically this *is* :class:`LocalSGDStrategy` — the materialized
     replica slots run ``H`` local steps and average parameters at every
     sync point — which pins ``fedavg`` with the ``full`` sampler and
-    ``N = K = P`` bit-identical to ``local_sgd`` on both trainer paths.
-    What changes is who occupies the slots (the trainer's
+    ``N = K = P`` bit-identical to ``local_sgd``.  What changes is who
+    occupies the slots (the trainer's
     :class:`~repro.federated.population.ClientPopulation` swaps sampled
     cohort clients in and out at round boundaries) and, optionally, what
     the averaging costs on the wire: bound to a two-level
@@ -464,15 +406,9 @@ class GossipStrategy(SyncStrategy):
             return 0.0
         return self.topology.max_degree(world_size) * self._parameter_payload_bits(n)
 
-    def exchange(self, gradients: Sequence[np.ndarray]
-                 ) -> Tuple[List[np.ndarray], SyncReport]:
+    def exchange_batched(self, G: np.ndarray) -> Tuple[np.ndarray, SyncReport]:
         # Gradients never reach the wire under gossip; Byzantine corruption
         # poisons the parameter payload staged in post_step instead.
-        self._validated_gradient_count(gradients)
-        self._step += 1
-        return list(gradients), self._passthrough_report()
-
-    def exchange_batched(self, G: np.ndarray) -> Tuple[np.ndarray, SyncReport]:
         self._validated_gradient_matrix(G)
         self._step += 1
         return G, self._passthrough_report()

@@ -94,11 +94,6 @@ class TestBackendValidation:
                 'remove the "faults" section or use backend \'inprocess\''
                 ) in excinfo.value.problems
 
-    def test_unfused_rejected(self):
-        spec = ExperimentSpec(backend="multiprocessing", fused_pipeline=False)
-        with pytest.raises(SpecError, match="requires the fused pipeline"):
-            spec.validate()
-
     def test_language_model_rejected(self):
         spec = ExperimentSpec(backend="multiprocessing", model="lstm_ptb")
         with pytest.raises(SpecError, match="does not support language models"):
@@ -143,7 +138,6 @@ class TestBackendValidation:
     def test_inprocess_accepts_everything(self):
         ExperimentSpec(backend="inprocess", sync={"strategy": "async_ps"}).validate()
         ExperimentSpec(backend="inprocess", faults="crash_stop").validate()
-        ExperimentSpec(backend="inprocess", fused_pipeline=False).validate()
 
 
 # --------------------------------------------------------------------------- #

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.core import DistributedTrainer, TrainerConfig
 from repro.core.batched_replicas import (
     BatchedAutogradExecutor,
     BatchedLanguageModelExecutor,
@@ -23,6 +24,8 @@ from repro.models.lstm_lm import LSTMLanguageModel
 from repro.models.resnet import ResNet
 from repro.models.vgg import VGG16
 from repro.tensor import Tensor, functional as F
+
+from tests.reference_trainer import ReferenceTrainer
 
 
 def build_replicas(P, seed_offset=0):
@@ -303,46 +306,59 @@ class TestConvExecutorParity:
             np.testing.assert_array_equal(flat, world.grad_matrix[p])
 
 
-class TestFusedTrainerEquivalence:
-    def test_fused_and_legacy_trainers_converge_identically(self):
-        """End-to-end: the fused pipeline must track the seed path to float32
-        round-off over a full multi-epoch run (same data, same seeds)."""
-        from repro.core import DistributedTrainer, TrainerConfig
-        from repro.core.flatten import flatten_parameters
+BLACKOUT = {"model": "transient_blackout",
+            "model_kwargs": {"mean_down_s": 0.02, "mean_up_s": 0.03}}
+LSTM = dict(model="lstm_ptb", num_train=800, num_test=160, seq_len=8)
+RESNET = dict(model="resnet20", num_train=128, num_test=32, batch_size=8)
+#: Feature cells on which the flat (P, n) pipeline must equal the per-rank
+#: reference (tests/reference_trainer.py) bit for bit.
+ORACLE_CELLS = {
+    "lstm_ptb-a2sgd": dict(LSTM, algorithm="a2sgd"),
+    "lstm_ptb-topk": dict(LSTM, algorithm="topk"),
+    "resnet20-a2sgd": dict(RESNET, algorithm="a2sgd"),
+    "resnet20-topk": dict(RESNET, algorithm="topk"),
+    "lstm_ptb-blackout": dict(LSTM, algorithm="a2sgd", epochs=3,
+                              faults=BLACKOUT, fault_seed=9),
+    "resnet20-blackout": dict(RESNET, algorithm="a2sgd", epochs=3,
+                              faults=BLACKOUT, fault_seed=9),
+    "resnet20-local_sgd": dict(RESNET, algorithm="a2sgd",
+                               sync={"strategy": "local_sgd", "period": 2}),
+    "resnet20-gossip": dict(RESNET, algorithm="dense",
+                            sync={"strategy": "gossip", "topology": "ring"}),
+    # The hand-derived MLP executor re-derives the backward pass: allclose.
+    "fnn3-a2sgd": dict(model="fnn3", algorithm="a2sgd", num_train=256,
+                       num_test=64, batch_size=16),
+}
 
-        def run(fused):
-            config = TrainerConfig(model="fnn3", preset="tiny", algorithm="a2sgd",
-                                   world_size=4, epochs=2, batch_size=16,
-                                   max_iterations_per_epoch=6, num_train=256,
-                                   num_test=64, seed=0, fused_pipeline=fused)
-            trainer = DistributedTrainer(config)
+
+class TestTrainerMatchesPerRankReference:
+    @pytest.mark.parametrize("cell", sorted(ORACLE_CELLS))
+    def test_full_run_equals_the_reference_trainer(self, cell):
+        """End-to-end over a multi-epoch run — gradients, compression,
+        exchange, optimizer step, fault phase and parameter phase included."""
+        overrides = ORACLE_CELLS[cell]
+        runs = []
+        for trainer_cls in (DistributedTrainer, ReferenceTrainer):
+            trainer = trainer_cls(TrainerConfig(**{
+                **dict(preset="tiny", world_size=4, epochs=2, seed=0,
+                       max_iterations_per_epoch=4), **overrides}))
             metrics = trainer.train()
-            return np.stack([flatten_parameters(m) for m in trainer.replicas]), metrics
-
-        fused_params, fused_metrics = run(True)
-        legacy_params, legacy_metrics = run(False)
-        np.testing.assert_allclose(fused_params, legacy_params, atol=1e-5)
-        np.testing.assert_allclose(fused_metrics.train_loss, legacy_metrics.train_loss,
-                                   rtol=1e-4)
-
-    @pytest.mark.parametrize("model,num_train", [("lstm_ptb", 8000), ("resnet20", 256)])
-    def test_fused_lstm_and_resnet_training_is_bit_identical(self, model, num_train):
-        """End-to-end: with the stacked-graph executors the fused pipeline is
-        *bit-identical* to the seed loop over a full multi-epoch run —
-        gradients, compression, exchange and (SGD) optimizer included."""
-        from repro.core import DistributedTrainer, TrainerConfig
-        from repro.core.flatten import flatten_parameters
-
-        def run(fused):
-            config = TrainerConfig(model=model, preset="tiny", algorithm="a2sgd",
-                                   world_size=4, epochs=2, max_iterations_per_epoch=3,
-                                   num_train=num_train, num_test=64, seed=0,
-                                   fused_pipeline=fused)
-            trainer = DistributedTrainer(config)
-            metrics = trainer.train()
-            return np.stack([flatten_parameters(m) for m in trainer.replicas]), metrics
-
-        fused_params, fused_metrics = run(True)
-        legacy_params, legacy_metrics = run(False)
-        np.testing.assert_array_equal(fused_params, legacy_params)
-        assert fused_metrics.train_loss == legacy_metrics.train_loss
+            runs.append((trainer, metrics))
+        (batched, metrics), (reference, reference_metrics) = runs
+        params = batched.flat_world.param_matrix
+        reference_params = reference.flat_world.param_matrix
+        if overrides["model"] == "fnn3":
+            np.testing.assert_allclose(params, reference_params, atol=1e-5)
+            np.testing.assert_allclose(metrics.train_loss,
+                                       reference_metrics.train_loss, rtol=1e-4)
+        else:
+            np.testing.assert_array_equal(params, reference_params)
+            assert metrics.train_loss == reference_metrics.train_loss
+        if "faults" in overrides:
+            report = batched.fault_injector.report
+            reference_report = reference.fault_injector.report
+            assert sum(report.down_transitions_per_rank) > 0
+            assert sum(report.rejoins_per_rank) > 0
+            assert report.down_transitions_per_rank \
+                == reference_report.down_transitions_per_rank
+            assert report.rejoins_per_rank == reference_report.rejoins_per_rank

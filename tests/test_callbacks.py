@@ -60,11 +60,9 @@ class TestHookInvocation:
     """The acceptance claim: a user callback observes every iteration of a
     2-epoch run without modifying core/trainer.py."""
 
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "seed"])
-    def test_every_iteration_observed(self, fused):
+    def test_every_iteration_observed(self):
         recorder = RecordingCallback()
-        trainer = DistributedTrainer(tiny_config(fused_pipeline=fused),
-                                     callbacks=[recorder])
+        trainer = DistributedTrainer(tiny_config(), callbacks=[recorder])
         trainer.train()
         assert recorder.counts["train_start"] == 1
         assert recorder.counts["train_end"] == 1
@@ -76,13 +74,11 @@ class TestHookInvocation:
         assert all(np.isfinite(loss) for loss in recorder.losses)
         assert all(lr > 0 for lr in recorder.lrs)
 
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "seed"])
-    def test_language_model_path_fires_same_hooks(self, fused):
+    def test_language_model_path_fires_same_hooks(self):
         recorder = RecordingCallback()
         config = TrainerConfig(model="lstm_ptb", preset="tiny", algorithm="a2sgd",
                                world_size=2, epochs=2, seed=0, max_iterations_per_epoch=3,
-                               seq_len=8, num_train=3000, num_test=600,
-                               fused_pipeline=fused)
+                               seq_len=8, num_train=3000, num_test=600)
         DistributedTrainer(config, callbacks=[recorder]).train()
         assert recorder.counts["iteration_end"] == 6
         assert recorder.counts["epoch_end"] == 2

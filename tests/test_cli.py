@@ -24,6 +24,12 @@ class TestCLIParsing:
         with pytest.raises(SystemExit):
             main(["run", "--algorithm", "zip"])
 
+    @pytest.mark.parametrize("argv", [["run", "--no-fused"], ["run", "--fused"],
+                                      ["bench-pipeline"]], ids=" ".join)
+    def test_removed_pipeline_toggle_is_an_argparse_error(self, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+
 
 class TestCLICommands:
     def test_info_lists_models_and_compressors(self, capsys):
@@ -102,9 +108,9 @@ class TestConfigDrivenCLI:
                      if line and line.split("|")[0].strip().isdigit()]
         assert len(data_rows) == 1
 
-    def test_run_preset_eval_every_and_no_fused_flags(self, capsys):
+    def test_run_preset_and_eval_every_flags(self, capsys):
         code = main(["run", "--preset", "tiny", "--workers", "2", "--epochs", "2",
-                     "--iterations", "2", "--eval-every", "2", "--no-fused"])
+                     "--iterations", "2", "--eval-every", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert "train loss" in out

@@ -12,6 +12,8 @@ from repro.faults.membership import Membership
 from repro.sync.aggregators import MeanAggregator
 from repro.sync.strategies import AllreduceStrategy
 
+from tests.reference_trainer import exchange_per_rank
+
 
 def make_sync(algorithm: str, world_size: int = 4, **kwargs):
     world = InProcessWorld(world_size)
@@ -50,7 +52,7 @@ class TestExchangeSemantics:
     def test_dense_exchange_returns_exact_average(self, rng):
         sync, _ = make_sync("dense")
         gradients = make_gradients(rng)
-        new_gradients, report = sync.exchange(gradients)
+        new_gradients, report = sync.exchange_batched(np.stack(gradients))
         expected = np.mean(np.stack(gradients), axis=0)
         for g in new_gradients:
             np.testing.assert_allclose(g, expected, rtol=1e-4, atol=1e-6)
@@ -59,7 +61,7 @@ class TestExchangeSemantics:
     def test_a2sgd_exchange_uses_global_means_and_local_errors(self, rng):
         sync, _ = make_sync("a2sgd")
         gradients = make_gradients(rng)
-        new_gradients, report = sync.exchange(gradients)
+        new_gradients, report = sync.exchange_batched(np.stack(gradients))
         assert report.exchange == "allreduce"
         assert report.wire_bits_per_worker == 64.0
         # Workers get different gradients (their own error vectors)…
@@ -73,7 +75,7 @@ class TestExchangeSemantics:
     def test_topk_exchange_uses_allgather(self, rng):
         sync, world = make_sync("topk", world_size=3, ratio=0.01)
         gradients = make_gradients(rng, world_size=3)
-        new_gradients, report = sync.exchange(gradients)
+        new_gradients, report = sync.exchange_batched(np.stack(gradients))
         assert report.exchange == "allgather"
         assert "allgather" in world.stats.collective_counts
         # All workers apply the same averaged sparse gradient.
@@ -82,19 +84,14 @@ class TestExchangeSemantics:
     def test_qsgd_exchange_shapes(self, rng):
         sync, _ = make_sync("qsgd", world_size=2)
         gradients = make_gradients(rng, world_size=2, n=500)
-        new_gradients, report = sync.exchange(gradients)
+        new_gradients, report = sync.exchange_batched(np.stack(gradients))
         assert new_gradients[0].shape == (500,)
         assert report.wire_bits_per_worker == pytest.approx(2.8 * 500 + 32)
 
     def test_gradient_count_must_match_world(self, rng):
         sync, _ = make_sync("dense", world_size=4)
         with pytest.raises(ValueError):
-            sync.exchange(make_gradients(rng, world_size=3))
-
-    def test_gradient_lengths_must_match(self, rng):
-        sync, _ = make_sync("dense", world_size=2)
-        with pytest.raises(ValueError):
-            sync.exchange([np.zeros(10, dtype=np.float32), np.zeros(11, dtype=np.float32)])
+            sync.exchange_batched(np.stack(make_gradients(rng, world_size=3)))
 
 
 class TestAccounting:
@@ -102,8 +99,8 @@ class TestAccounting:
         sync_dense, world_dense = make_sync("dense", world_size=8)
         sync_a2sgd, world_a2sgd = make_sync("a2sgd", world_size=8)
         gradients = make_gradients(rng, world_size=8, n=2_000_000)
-        sync_dense.exchange(gradients)
-        sync_a2sgd.exchange(gradients)
+        sync_dense.exchange_batched(np.stack(gradients))
+        sync_a2sgd.exchange_batched(np.stack(gradients))
         assert world_a2sgd.simulated_comm_time < world_dense.simulated_comm_time / 100
 
     def test_wire_bits_reported_per_algorithm(self, rng):
@@ -113,12 +110,12 @@ class TestAccounting:
                                ("topk", 32 * max(1, round(0.001 * n))),
                                ("qsgd", 2.8 * n + 32)]:
             sync, _ = make_sync(name, world_size=2)
-            _, report = sync.exchange(gradients)
+            _, report = sync.exchange_batched(np.stack(gradients))
             assert report.wire_bits_per_worker == pytest.approx(expected), name
 
     def test_compression_time_positive(self, rng):
         sync, _ = make_sync("topk", world_size=2, ratio=0.01)
-        _, report = sync.exchange(make_gradients(rng, world_size=2))
+        _, report = sync.exchange_batched(np.stack(make_gradients(rng, world_size=2)))
         assert report.compression_time_s > 0
 
     def test_dense_model_average(self, rng):
@@ -147,7 +144,7 @@ class TestBatchedExchange:
         for _ in range(3):
             gradients = make_gradients(rng, world_size=4, n=600)
             G = np.stack(gradients)
-            looped, report_loop = sync_loop.exchange([g.copy() for g in gradients])
+            looped, report_loop = exchange_per_rank(sync_loop, [g.copy() for g in gradients])
             batched, report_batch = sync_batch.exchange_batched(G)
             np.testing.assert_array_equal(np.stack(looped), np.asarray(batched))
             assert report_loop.exchange == report_batch.exchange
@@ -180,7 +177,7 @@ class TestBatchedExchange:
         def exchange_both():
             gradients = make_gradients(rng, world_size=4, n=600)
             G = np.stack(gradients)
-            looped, report_loop = sync_loop.exchange([g.copy() for g in gradients])
+            looped, report_loop = exchange_per_rank(sync_loop, [g.copy() for g in gradients])
             batched, report_batch = sync_batch.exchange_batched(G)
             np.testing.assert_array_equal(np.stack(looped), np.asarray(batched))
             assert report_loop.exchange == report_batch.exchange
@@ -240,8 +237,8 @@ class TestBatchedExchange:
             assert report_plain.exchange == report_masked.exchange
             assert report_plain.wire_bits_per_worker == report_masked.wire_bits_per_worker
             np.testing.assert_array_equal(
-                np.stack(masked_loop.exchange(list(G.copy()))[0]),
-                np.stack(plain_loop.exchange(list(G.copy()))[0]))
+                np.stack(exchange_per_rank(masked_loop, list(G.copy()))[0]),
+                np.stack(exchange_per_rank(plain_loop, list(G.copy()))[0]))
 
     def test_exchange_batched_validates_shape(self, rng):
         sync, _ = make_sync("dense", world_size=3)
@@ -265,7 +262,7 @@ class TestErrorFeedbackAcrossIterations:
         total_raw = np.zeros(400)
         for _ in range(60):
             gradients = make_gradients(rng, world_size=2, n=400)
-            new_gradients, _ = sync.exchange(gradients)
+            new_gradients, _ = sync.exchange_batched(np.stack(gradients))
             total_applied += new_gradients[0]
             total_raw += np.mean(np.stack(gradients), axis=0)
         gap = np.linalg.norm(total_applied - total_raw) / np.linalg.norm(total_raw)

@@ -14,6 +14,8 @@ from repro.core import (DistributedTrainer, TrainerConfig, load_checkpoint,
 from repro.core.callbacks import Callback
 from repro.core.flatten import flatten_parameters
 
+from tests.reference_trainer import ReferenceTrainer
+
 
 class StopAfterEpoch(Callback):
     """Interrupt training after ``epochs`` completed epochs (mid-run stop)."""
@@ -179,35 +181,10 @@ class TestFaultDeterminism:
                                       final_params(second))
         assert first.simulated_time_s == second.simulated_time_s
 
-    @pytest.mark.parametrize("model", ["lstm_ptb", "resnet20"])
-    def test_blackout_fused_matches_reference_path_exactly(self, model):
-        # One exchange body and one optimizer stage per representation: under
-        # a degraded membership the flat (P, n) pipeline must stay bit
-        # identical to the per-rank reference.  (fnn3 is excluded: its
-        # hand-derived MLP executor is only allclose to the per-replica loop
-        # even when healthy.)
-        overrides = LM if model == "lstm_ptb" else dict(model=model, algorithm="a2sgd")
-        runs = []
-        for fused in (True, False):
-            trainer = make_trainer(faults=FAULTS["blackout"], fault_seed=9, epochs=3,
-                                   fused_pipeline=fused, **overrides)
-            metrics = trainer.train()
-            runs.append((trainer, metrics))
-        (fused, fused_metrics), (reference, reference_metrics) = runs
-        assert fused_metrics.train_loss == reference_metrics.train_loss
-        np.testing.assert_array_equal(final_params(fused), final_params(reference))
-        fused_report = fused.fault_injector.report
-        reference_report = reference.fault_injector.report
-        assert sum(fused_report.down_transitions_per_rank) > 0
-        assert sum(fused_report.rejoins_per_rank) > 0
-        assert fused_report.down_transitions_per_rank \
-            == reference_report.down_transitions_per_rank
-        assert fused_report.rejoins_per_rank == reference_report.rejoins_per_rank
-
     def test_async_and_lockstep_share_the_replica_step_and_the_resync(self, monkeypatch):
         # The per-replica forward/backward and the rejoin re-sync are written
-        # once on the trainer; the async engine and the lockstep reference
-        # path must both go through them (a re-forked copy would stop
+        # once on the trainer; the async engine and the lockstep per-rank
+        # reference must both go through them (a re-forked copy would stop
         # counting here).
         calls = {"_replica_step": 0, "_rejoin_rank": 0}
 
@@ -221,10 +198,11 @@ class TestFaultDeterminism:
 
         for name in calls:
             monkeypatch.setattr(DistributedTrainer, name, counting(name))
-        for overrides in (STRATEGIES["async_ps"], {"fused_pipeline": False}):
+        for trainer_cls, overrides in ((DistributedTrainer, STRATEGIES["async_ps"]),
+                                       (ReferenceTrainer, {})):
             calls.update(_replica_step=0, _rejoin_rank=0)
-            trainer = make_trainer(faults=FAULTS["blackout"], fault_seed=9,
-                                   epochs=3, **overrides)
+            trainer = trainer_cls(make_config(faults=FAULTS["blackout"], fault_seed=9,
+                                              epochs=3, **overrides))
             trainer.train()
             rejoins = sum(trainer.fault_injector.report.rejoins_per_rank)
             assert rejoins > 0 and calls["_rejoin_rank"] == rejoins
@@ -244,12 +222,11 @@ class TestFaultDeterminism:
                 for rank in range(2)]
         assert histories[2] == histories[4][:2] == histories[8][:2]
 
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "seed"])
     @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
-    def test_fault_model_none_is_bit_identical(self, strategy, fused):
+    def test_fault_model_none_is_bit_identical(self, strategy):
         # The default fault configuration must not perturb a single bit of
-        # the healthy trajectory, on either gradient path, for any strategy.
-        base = dict(STRATEGIES[strategy], fused_pipeline=fused)
+        # the healthy trajectory, for any strategy.
+        base = STRATEGIES[strategy]
         healthy = make_trainer(**base)
         explicit = make_trainer(faults={"model": "none",
                                         "barrier_timeout_s": 0.5,

@@ -205,13 +205,10 @@ class TestHierarchicalTopology:
 # fedavg: pinned bit-identity with local_sgd under the full sampler
 # --------------------------------------------------------------------- #
 class TestFedAvgEquivalence:
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "seed"])
-    def test_full_sampler_equals_local_sgd_bit_for_bit(self, fused):
-        local = make_trainer(fused_pipeline=fused,
-                             sync={"strategy": "local_sgd", "period": 2})
+    def test_full_sampler_equals_local_sgd_bit_for_bit(self):
+        local = make_trainer(sync={"strategy": "local_sgd", "period": 2})
         local_metrics = local.train()
-        fedavg = make_trainer(fused_pipeline=fused,
-                              sync={"strategy": "fedavg", "period": 2},
+        fedavg = make_trainer(sync={"strategy": "fedavg", "period": 2},
                               clients={"num_clients": 4, "sampler": "full"})
         fedavg_metrics = fedavg.train()
         np.testing.assert_array_equal(final_params(local), final_params(fedavg))
@@ -417,12 +414,6 @@ class TestClientValidation:
         with pytest.raises(SpecError, match="requires sync strategy 'fedavg'"):
             ExperimentSpec(clients={"num_clients": 8},
                            world_size=4).validate()
-
-    def test_sampled_cohorts_require_fused_pipeline(self):
-        with pytest.raises(SpecError, match="requires\\s+fused_pipeline=true"):
-            ExperimentSpec(fused_pipeline=False, world_size=4,
-                           sync={"strategy": "fedavg", "period": 2},
-                           clients={"num_clients": 8}).validate()
 
     def test_sampled_cohorts_require_period_two(self):
         with pytest.raises(SpecError, match="sync period >= 2"):

@@ -159,15 +159,3 @@ class TestCheckpointThroughFlatBuffers:
             for key in sa["velocity"]:
                 np.testing.assert_array_equal(sa["velocity"][key], sb["velocity"][key])
 
-    def test_checkpoint_crosses_pipeline_modes(self, tmp_path):
-        """A checkpoint saved by the fused trainer restores into the legacy
-        trainer (and vice versa) — the on-disk format is pipeline-agnostic."""
-        fused = self.make_trainer(fused_pipeline=True)
-        fused.train()
-        path = save_checkpoint(fused, tmp_path / "cross.npz")
-
-        legacy = self.make_trainer(fused_pipeline=False)
-        load_checkpoint(legacy, path)
-        for original, restored in zip(fused.replicas, legacy.replicas):
-            np.testing.assert_array_equal(flatten_parameters(original),
-                                          flatten_parameters(restored))

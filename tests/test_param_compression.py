@@ -21,22 +21,25 @@ from repro.core.trainer import DistributedTrainer, TrainerConfig
 from repro.sync import SyncSpec, get_aggregator
 from repro.sync.strategies import AllreduceStrategy, GossipStrategy, LocalSGDStrategy
 
+from tests.reference_trainer import ReferenceTrainer
 
-def make_config(model: str, world_size: int, fused: bool, *, algorithm: str = "dense",
+
+def make_config(model: str, world_size: int, *, algorithm: str = "dense",
                 sync=None, epochs: int = 1, iterations: int = 3) -> TrainerConfig:
     return TrainerConfig(model=model, preset="tiny", algorithm=algorithm,
                          world_size=world_size, epochs=epochs,
                          max_iterations_per_epoch=iterations, batch_size=8,
                          num_train=256, num_test=32,
-                         fused_pipeline=fused, sync=sync)
+                         sync=sync)
 
 
 def final_params(trainer: DistributedTrainer) -> np.ndarray:
     return np.stack([flatten_parameters(m) for m in trainer.replicas])
 
 
-def train_params(config: TrainerConfig, legacy_cls=None) -> np.ndarray:
-    trainer = DistributedTrainer(config)
+def train_params(config: TrainerConfig, legacy_cls=None,
+                 trainer_cls=DistributedTrainer) -> np.ndarray:
+    trainer = trainer_cls(config)
     if legacy_cls is not None:
         spec = trainer.sync_spec
         topology = get_topology(spec.topology) if legacy_cls.needs_topology else None
@@ -60,13 +63,9 @@ class ReportRecorder(Callback):
 # ecc909d (sync/strategies.py) for the paths the configs below exercise
 # (H > 1 local SGD, gossip; no corruption).  They are the executable
 # specification that `parameter_compression: "none"` must reproduce bit
-# for bit on both trainer paths.
+# for bit.
 # --------------------------------------------------------------------- #
 class LegacyGossipReference(GossipStrategy):
-    def exchange(self, gradients):
-        self._step += 1
-        return list(gradients), self._passthrough_report()
-
     def exchange_batched(self, G):
         self._step += 1
         return G, self._passthrough_report()
@@ -86,11 +85,6 @@ class LegacyGossipReference(GossipStrategy):
 
 
 class LegacyLocalSGDReference(LocalSGDStrategy):
-    def exchange(self, gradients):
-        assert self.period > 1
-        self._step += 1
-        return list(gradients), self._passthrough_report()
-
     def exchange_batched(self, G):
         assert self.period > 1
         self._step += 1
@@ -114,29 +108,26 @@ LOCAL_SGD_NONE = {"strategy": "local_sgd", "period": 2,
 
 class TestNoneIsBitIdenticalToPreCompressionBehaviour:
     """Acceptance: parameter_compression="none" reproduces the
-    pre-compression strategies bit for bit, fused + seed, P in {2, 4, 8}."""
+    pre-compression strategies bit for bit, P in {2, 4, 8}."""
 
     @pytest.mark.parametrize("world_size", [2, 4, 8])
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "seed"])
-    def test_gossip(self, world_size, fused):
-        config = make_config("fnn3", world_size, fused, sync=GOSSIP_NONE)
+    def test_gossip(self, world_size):
+        config = make_config("fnn3", world_size, sync=GOSSIP_NONE)
         np.testing.assert_array_equal(
             train_params(config),
             train_params(config, legacy_cls=LegacyGossipReference))
 
     @pytest.mark.parametrize("world_size", [2, 4, 8])
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "seed"])
-    def test_local_sgd(self, world_size, fused):
-        config = make_config("fnn3", world_size, fused, sync=LOCAL_SGD_NONE,
+    def test_local_sgd(self, world_size):
+        config = make_config("fnn3", world_size, sync=LOCAL_SGD_NONE,
                              iterations=4)
         np.testing.assert_array_equal(
             train_params(config),
             train_params(config, legacy_cls=LegacyLocalSGDReference))
 
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "seed"])
-    def test_omitting_the_field_equals_explicit_none(self, fused):
-        explicit = make_config("fnn3", 4, fused, sync=GOSSIP_NONE)
-        omitted = make_config("fnn3", 4, fused,
+    def test_omitting_the_field_equals_explicit_none(self):
+        explicit = make_config("fnn3", 4, sync=GOSSIP_NONE)
+        omitted = make_config("fnn3", 4,
                               sync={"strategy": "gossip", "topology": "ring"})
         np.testing.assert_array_equal(train_params(explicit), train_params(omitted))
 
@@ -266,7 +257,7 @@ class TestCompressedParameterExchange:
     def test_gossip_topk_reports_reduced_wire_bits(self):
         """Acceptance: the compressor's actual bits — not 32n — show up in
         wire_bits_per_iteration AND the per-iteration SyncReport."""
-        trainer = DistributedTrainer(make_config("fnn3", 4, True, sync=GOSSIP_TOPK))
+        trainer = DistributedTrainer(make_config("fnn3", 4, sync=GOSSIP_TOPK))
         recorder = ReportRecorder()
         trainer.callbacks.append(recorder)
         trainer.train()
@@ -285,7 +276,7 @@ class TestCompressedParameterExchange:
 
     def test_local_sgd_qsgd_reports_reduced_wire_bits(self):
         with contraction_warning(LOCAL_SGD_QSGD):
-            trainer = DistributedTrainer(make_config("fnn3", 4, True,
+            trainer = DistributedTrainer(make_config("fnn3", 4,
                                                      sync=LOCAL_SGD_QSGD, iterations=4))
         recorder = ReportRecorder()
         trainer.callbacks.append(recorder)
@@ -306,20 +297,21 @@ class TestCompressedParameterExchange:
 
     @pytest.mark.parametrize("sync", [GOSSIP_TOPK, LOCAL_SGD_QSGD],
                              ids=["gossip+topk", "local_sgd+qsgd"])
-    def test_fused_and_seed_paths_agree(self, sync):
+    def test_matches_the_per_rank_reference(self, sync):
+        config = make_config("fnn3", 4, sync=sync, iterations=4)
         with contraction_warning(sync):
-            fused = train_params(make_config("fnn3", 4, True, sync=sync, iterations=4))
+            batched = train_params(config)
         with contraction_warning(sync):
-            seed = train_params(make_config("fnn3", 4, False, sync=sync, iterations=4))
-        np.testing.assert_allclose(fused, seed, rtol=2e-5, atol=2e-6)
+            reference = train_params(config, trainer_cls=ReferenceTrainer)
+        np.testing.assert_allclose(batched, reference, rtol=2e-5, atol=2e-6)
 
     def test_dense_parameter_compression_stays_close_to_uncompressed(self):
         """The dense "compressor" transmits the full delta, so delta coding
         itself adds only float32 rounding."""
         dense = {"strategy": "gossip", "topology": "ring",
                  "parameter_compression": "dense"}
-        a = train_params(make_config("fnn3", 4, True, sync=dense))
-        b = train_params(make_config("fnn3", 4, True, sync=GOSSIP_NONE))
+        a = train_params(make_config("fnn3", 4, sync=dense))
+        b = train_params(make_config("fnn3", 4, sync=GOSSIP_NONE))
         np.testing.assert_allclose(a, b, rtol=2e-4, atol=2e-5)
 
     def test_gossip_gaussiank_ragged_payloads_run(self):
@@ -328,14 +320,14 @@ class TestCompressedParameterExchange:
         sync = {"strategy": "gossip", "topology": "ring",
                 "parameter_compression": "gaussiank",
                 "parameter_compression_kwargs": {"ratio": 0.05}}
-        trainer = DistributedTrainer(make_config("fnn3", 4, True, sync=sync,
+        trainer = DistributedTrainer(make_config("fnn3", 4, sync=sync,
                                                  iterations=2))
         trainer.train()
         assert trainer.world.stats.collective_counts["neighbor_exchange"] == 2
 
     def test_robust_aggregator_composes_with_compressed_parameters(self):
         sync = {**GOSSIP_TOPK, "aggregator": "coordinate_median"}
-        trainer = DistributedTrainer(make_config("fnn3", 4, True, sync=sync,
+        trainer = DistributedTrainer(make_config("fnn3", 4, sync=sync,
                                                  iterations=2))
         trainer.train()
         P = final_params(trainer)
@@ -347,8 +339,8 @@ class TestCompressedParameterExchange:
         dense_sync = {"strategy": "gossip", "topology": "fully_connected"}
         topk_sync = {**dense_sync, "parameter_compression": "topk",
                      "parameter_compression_kwargs": {"ratio": 0.5}}
-        a = train_params(make_config("fnn3", 4, True, sync=dense_sync, epochs=2))
-        b = train_params(make_config("fnn3", 4, True, sync=topk_sync, epochs=2))
+        a = train_params(make_config("fnn3", 4, sync=dense_sync, epochs=2))
+        b = train_params(make_config("fnn3", 4, sync=topk_sync, epochs=2))
         assert float(np.abs(a - b).max()) < 0.05
 
 
@@ -369,10 +361,6 @@ class TestParameterPhaseCorruption:
         G = np.ones((4, 8), dtype=np.float32)
         out, _report = strategy.exchange_batched(G)
         np.testing.assert_array_equal(out, np.ones((4, 8), dtype=np.float32))
-        gradients = [np.ones(8, dtype=np.float32) for _ in range(4)]
-        out_list, _report = strategy.exchange(gradients)
-        for g in out_list:
-            np.testing.assert_array_equal(g, np.ones(8, dtype=np.float32))
 
     def test_gossip_sign_flip_reaches_neighbours_through_the_aggregator(self):
         """Regression: the Byzantine rank's flip arrives at its neighbours in
@@ -393,12 +381,12 @@ class TestParameterPhaseCorruption:
     def test_local_sgd_corruption_applies_only_at_sync_points(self):
         strategy = self.build({"strategy": "local_sgd", "period": 2,
                                "corrupt_ranks": [1]}, world_size=2)
-        gradients = [np.ones(4, dtype=np.float32) for _ in range(2)]
-        out, _ = strategy.exchange(gradients)
+        gradients = np.ones((2, 4), dtype=np.float32)
+        out, _ = strategy.exchange_batched(gradients)
         np.testing.assert_array_equal(out[1], np.ones(4, dtype=np.float32))
         assert strategy.post_step(
             [np.ones(4, np.float32), np.ones(4, np.float32)]) is None
-        strategy.exchange(gradients)                      # step 2: sync point
+        strategy.exchange_batched(gradients)              # step 2: sync point
         rows = [np.full(4, 1.0, dtype=np.float32), np.full(4, 2.0, dtype=np.float32)]
         report = strategy.post_step(rows)
         assert report is not None
@@ -417,12 +405,14 @@ class TestParameterPhaseCorruption:
         np.testing.assert_allclose(rows[0], np.full(4, 1.0))
         np.testing.assert_allclose(rows[1], np.full(4, 1.0))
 
-    def test_trainer_paths_agree_under_gossip_corruption(self):
+    def test_trainer_matches_the_per_rank_reference_under_gossip_corruption(self):
         sync = {"strategy": "gossip", "topology": "ring", "corrupt_ranks": [1],
                 "corruption": "scale", "corruption_scale": -3.0}
-        fused = train_params(make_config("fnn3", 4, True, sync=sync))
-        seed = train_params(make_config("fnn3", 4, False, sync=sync))
-        np.testing.assert_allclose(fused, seed, rtol=2e-5, atol=2e-6)
+        config = make_config("fnn3", 4, sync=sync)
+        np.testing.assert_allclose(
+            train_params(config),
+            train_params(config, trainer_cls=ReferenceTrainer),
+            rtol=2e-5, atol=2e-6)
 
 
 # --------------------------------------------------------------------- #
@@ -442,30 +432,25 @@ class TestStepPhaseValidationOrdering:
     ], ids=["allreduce", "local_sgd", "gossip"])
     def test_rejected_calls_leave_step_unchanged(self, spec_kwargs):
         strategy = self.build(spec_kwargs)
-        with pytest.raises(ValueError, match="one gradient per rank"):
-            strategy.exchange([np.ones(4, dtype=np.float32)])
-        assert strategy._step == 0
-        with pytest.raises(ValueError, match="equal length"):
-            strategy.exchange([np.ones(4, dtype=np.float32),
-                               np.ones(5, dtype=np.float32)])
-        assert strategy._step == 0
         with pytest.raises(ValueError, match="gradient matrix"):
             strategy.exchange_batched(np.ones((3, 4), dtype=np.float32))
         assert strategy._step == 0
-        strategy.exchange([np.ones(4, dtype=np.float32),
-                           np.ones(4, dtype=np.float32)])
+        with pytest.raises(ValueError, match="gradient matrix"):
+            strategy.exchange_batched(np.ones(4, dtype=np.float32))
+        assert strategy._step == 0
+        strategy.exchange_batched(np.ones((2, 4), dtype=np.float32))
         assert strategy._step == 1
 
     def test_local_sgd_period_arithmetic_survives_a_rejected_call(self):
         """A failed call between syncs must not shift the sync schedule."""
         strategy = self.build({"strategy": "local_sgd", "period": 2})
-        good = [np.ones(4, dtype=np.float32), np.ones(4, dtype=np.float32)]
-        strategy.exchange(good)
+        good = np.ones((2, 4), dtype=np.float32)
+        strategy.exchange_batched(good)
         assert not strategy.post_step_pending()
         with pytest.raises(ValueError):
-            strategy.exchange(good[:1])
+            strategy.exchange_batched(good[:1])
         assert not strategy.post_step_pending()
-        strategy.exchange(good)
+        strategy.exchange_batched(good)
         assert strategy.post_step_pending()               # step 2 = sync point
 
 
@@ -475,7 +460,7 @@ class TestStepPhaseValidationOrdering:
 class TestGossipWireAccountingUsesMaxDegree:
     def test_star_hub_degree_prices_the_iteration(self):
         trainer = DistributedTrainer(make_config(
-            "fnn3", 4, True, sync={"strategy": "gossip", "topology": "star"}))
+            "fnn3", 4, sync={"strategy": "gossip", "topology": "star"}))
         n = trainer.num_parameters
         # The α–β model charges the hub's P-1 sends, so the analytic traffic
         # must report the same critical path (mean degree would say 1.5).
@@ -483,7 +468,7 @@ class TestGossipWireAccountingUsesMaxDegree:
 
     def test_star_sync_report_matches_the_analytic_figure(self):
         trainer = DistributedTrainer(make_config(
-            "fnn3", 4, True, sync={"strategy": "gossip", "topology": "star"},
+            "fnn3", 4, sync={"strategy": "gossip", "topology": "star"},
             iterations=2))
         recorder = ReportRecorder()
         trainer.callbacks.append(recorder)
@@ -494,7 +479,7 @@ class TestGossipWireAccountingUsesMaxDegree:
 
     def test_ring_is_unchanged_because_mean_equals_max(self):
         trainer = DistributedTrainer(make_config(
-            "fnn3", 4, True, sync={"strategy": "gossip", "topology": "ring"}))
+            "fnn3", 4, sync={"strategy": "gossip", "topology": "ring"}))
         assert trainer.wire_bits_per_iteration == 2 * 32.0 * trainer.num_parameters
 
 
@@ -576,10 +561,9 @@ class TestMidPeriodCheckpointResume:
             "parameter_compression": "topk",
             "parameter_compression_kwargs": {"ratio": 0.05}}
 
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "seed"])
-    def test_resume_matches_uninterrupted_schedule_and_state(self, fused, tmp_path):
+    def test_resume_matches_uninterrupted_schedule_and_state(self, tmp_path):
         # 6 iterations with H=4: the checkpoint lands mid-period (6 % 4 == 2).
-        config = make_config("fnn3", 4, fused, sync=self.SYNC, iterations=6)
+        config = make_config("fnn3", 4, sync=self.SYNC, iterations=6)
         trainer = DistributedTrainer(config)
         trainer.train()
         assert trainer.sync_strategy._step == 6
@@ -617,7 +601,7 @@ class TestMidPeriodCheckpointResume:
         np.testing.assert_array_equal(rows["original"], rows["restored"])
 
     def test_uncompressed_checkpoints_still_load(self, tmp_path):
-        config = make_config("fnn3", 2, True,
+        config = make_config("fnn3", 2,
                              sync={"strategy": "local_sgd", "period": 3},
                              iterations=4)
         trainer = DistributedTrainer(config)

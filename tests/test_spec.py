@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,9 @@ from repro.core import run_algorithm_sweep, run_experiment
 from repro.core.callbacks import Callback
 from repro.core.spec import ExperimentSpec, SpecError
 from repro.core.trainer import TrainerConfig
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 def quick_spec(**overrides) -> ExperimentSpec:
@@ -28,12 +32,12 @@ class TestDerivation:
 
     def test_to_trainer_config_copies_values(self):
         spec = quick_spec(algorithm="topk", compressor_kwargs={"ratio": 0.01},
-                          eval_every=2, fused_pipeline=False)
+                          eval_every=2, taped=False)
         config = spec.to_trainer_config()
         assert config.algorithm == "topk"
         assert config.compressor_kwargs == {"ratio": 0.01}
         assert config.eval_every == 2
-        assert config.fused_pipeline is False
+        assert config.taped is False
 
     def test_trainer_config_does_not_alias_spec_mutables(self):
         spec = quick_spec(compressor_kwargs={"ratio": 0.01})
@@ -104,10 +108,57 @@ class TestFromDictErrors:
             ExperimentSpec.from_file(path)
 
 
+class TestLegacyFusedPipelineKey:
+    """The removed ``fused_pipeline`` option survives only as a reader for
+    spec files written before its removal (they all carry ``true``)."""
+
+    PINNED = ("`fused_pipeline: false` was removed: the per-rank loops are a "
+              "test oracle now (tests/reference_trainer.py); delete the key")
+
+    def test_true_is_read_past(self):
+        payload = quick_spec().to_dict()
+        assert ExperimentSpec.from_dict({**payload, "fused_pipeline": True}) \
+            == ExperimentSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("value", [False, 0, "true", None])
+    def test_any_other_value_is_rejected_with_the_pinned_message(self, value):
+        with pytest.raises(SpecError) as excinfo:
+            ExperimentSpec.from_dict({"fused_pipeline": value})
+        assert excinfo.value.problems == [self.PINNED]
+
+    def test_key_is_not_written_back(self):
+        spec = ExperimentSpec.from_dict({"fused_pipeline": True})
+        assert "fused_pipeline" not in spec.to_dict()
+
+    def test_it_is_not_a_field_any_more(self):
+        with pytest.raises(SpecError, match="unknown field 'fused_pipeline'"):
+            quick_spec().replace(fused_pipeline=True)
+        with pytest.raises(TypeError, match="fused_pipeline"):
+            TrainerConfig(fused_pipeline=True)
+
+    @pytest.mark.parametrize(
+        "path", sorted(EXAMPLES.glob("spec_*.json")), ids=lambda p: p.name)
+    def test_example_specs_validate_without_the_key(self, path):
+        assert "fused_pipeline" not in json.loads(path.read_text())
+        ExperimentSpec.from_file(path).validate()
+
+
 class TestValidate:
     def test_valid_spec_returns_self(self):
         spec = quick_spec()
         assert spec.validate() is spec
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(SpecError, match="seed must be an integer"):
+            quick_spec(seed=seed).validate()
+
+    @pytest.mark.parametrize("name", ["world_size", "epochs", "eval_every", "seq_len",
+                                      "batch_size", "max_iterations_per_epoch",
+                                      "num_train", "num_test"])
+    def test_integer_fields_reject_booleans(self, name):
+        with pytest.raises(SpecError, match=f"{name} must be .*integer"):
+            quick_spec(**{name: True}).validate()
 
     def test_collects_all_problems(self):
         spec = quick_spec(model="alexnet", algorithm="zip", world_size=0,

@@ -88,8 +88,6 @@ class TestRegistration:
     def test_lockstep_exchange_is_refused(self):
         strategy, _ = bound_strategy(strategy="async_ps")
         with pytest.raises(RuntimeError, match="simulation engine"):
-            strategy.exchange([np.zeros(4, dtype=np.float32)] * 2)
-        with pytest.raises(RuntimeError, match="simulation engine"):
             strategy.exchange_batched(np.zeros((2, 4), dtype=np.float32))
 
 

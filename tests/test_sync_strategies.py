@@ -22,6 +22,8 @@ from repro.sync import (
 )
 from repro.sync.strategies import AllreduceStrategy
 
+from tests.reference_trainer import ReferenceTrainer
+
 
 # --------------------------------------------------------------------- #
 # The pre-redesign GradientSynchronizer, copied verbatim from the seed
@@ -40,53 +42,6 @@ class LegacySynchronizerReference:
     def __init__(self, world, compressors):
         self.world = world
         self.compressors = list(compressors)
-
-    def exchange(self, gradients: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], SyncReport]:
-        if len(gradients) != self.world.world_size:
-            raise ValueError("one gradient per rank is required")
-        n = int(np.asarray(gradients[0]).size)
-        for g in gradients:
-            if np.asarray(g).size != n:
-                raise ValueError("all ranks must contribute gradients of equal length")
-
-        reference = self.compressors[0]
-        exchange_kind = reference.exchange
-        wire_bits = reference.wire_bits(n, self.world.world_size)
-        logical_bytes = wire_bits / 8.0
-
-        payloads, contexts, compression_times = [], [], []
-        for compressor, gradient in zip(self.compressors, gradients):
-            start = time.perf_counter()
-            payload, ctx = compressor.compress(np.asarray(gradient, dtype=np.float32))
-            compression_times.append(time.perf_counter() - start)
-            payloads.append(payload)
-            contexts.append(ctx)
-
-        comm_before = self.world.simulated_comm_time
-        if exchange_kind is ExchangeKind.ALLREDUCE:
-            exchanged = self.world.allreduce(payloads, CollectiveOp.MEAN,
-                                             logical_bytes=logical_bytes)
-        else:
-            exchanged = self.world.allgather(payloads, logical_bytes=logical_bytes)
-        comm_time = self.world.simulated_comm_time - comm_before
-
-        new_gradients: List[np.ndarray] = []
-        for rank, (compressor, ctx) in enumerate(zip(self.compressors, contexts)):
-            start = time.perf_counter()
-            if exchange_kind is ExchangeKind.ALLREDUCE:
-                rebuilt = compressor.decompress(exchanged[rank], ctx)
-            else:
-                rebuilt = compressor.decompress_gathered(exchanged[rank], ctx)
-            compression_times[rank] += time.perf_counter() - start
-            new_gradients.append(np.asarray(rebuilt, dtype=np.float32))
-
-        report = SyncReport(
-            compression_time_s=float(max(compression_times)),
-            comm_time_s=float(comm_time),
-            wire_bits_per_worker=float(wire_bits),
-            exchange=exchange_kind.value,
-        )
-        return new_gradients, report
 
     def exchange_batched(self, G: np.ndarray) -> Tuple[np.ndarray, SyncReport]:
         G = np.asarray(G, dtype=np.float32)
@@ -129,12 +84,12 @@ class LegacySynchronizerReference:
                                     logical_bytes=nbytes)
 
 
-def make_config(model: str, world_size: int, fused: bool, *, algorithm: str = "a2sgd",
+def make_config(model: str, world_size: int, *, algorithm: str = "a2sgd",
                 sync=None, epochs: int = 1, iterations: int = 3) -> TrainerConfig:
     kwargs = dict(model=model, preset="tiny", algorithm=algorithm,
                   world_size=world_size, epochs=epochs,
                   max_iterations_per_epoch=iterations, batch_size=8,
-                  fused_pipeline=fused, sync=sync)
+                  sync=sync)
     if model == "lstm_ptb":
         kwargs.update(num_train=800, num_test=160, seq_len=8)
     else:
@@ -146,8 +101,9 @@ def final_params(trainer: DistributedTrainer) -> np.ndarray:
     return np.stack([flatten_parameters(m) for m in trainer.replicas])
 
 
-def train_params(config: TrainerConfig, legacy: bool = False) -> np.ndarray:
-    trainer = DistributedTrainer(config)
+def train_params(config: TrainerConfig, legacy: bool = False,
+                 trainer_cls=DistributedTrainer) -> np.ndarray:
+    trainer = trainer_cls(config)
     if legacy:
         trainer.sync_strategy = LegacySynchronizerReference(trainer.world,
                                                             trainer.compressors)
@@ -158,19 +114,17 @@ def train_params(config: TrainerConfig, legacy: bool = False) -> np.ndarray:
 class TestExactEqualityWithPreRedesignSynchronizer:
     """Acceptance: default sync=allreduce + aggregator=mean training is
     bit-identical to the pre-redesign trainer for fnn3 and lstm_ptb at
-    world sizes {2, 4, 8}, on both the fused and the seed path."""
+    world sizes {2, 4, 8}."""
 
     @pytest.mark.parametrize("world_size", [2, 4, 8])
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "seed"])
-    def test_fnn3(self, world_size, fused):
-        config = make_config("fnn3", world_size, fused)
+    def test_fnn3(self, world_size):
+        config = make_config("fnn3", world_size)
         np.testing.assert_array_equal(
             train_params(config), train_params(config, legacy=True))
 
     @pytest.mark.parametrize("world_size", [2, 4, 8])
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "seed"])
-    def test_lstm_ptb(self, world_size, fused):
-        config = make_config("lstm_ptb", world_size, fused, iterations=2)
+    def test_lstm_ptb(self, world_size):
+        config = make_config("lstm_ptb", world_size, iterations=2)
         np.testing.assert_array_equal(
             train_params(config), train_params(config, legacy=True))
 
@@ -184,17 +138,16 @@ class ReportRecorder(Callback):
 
 
 class TestLocalSGD:
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "seed"])
-    def test_period_one_is_bit_identical_to_default(self, fused):
-        default = make_config("fnn3", 4, fused, epochs=2)
-        local = make_config("fnn3", 4, fused, epochs=2,
+    def test_period_one_is_bit_identical_to_default(self):
+        default = make_config("fnn3", 4, epochs=2)
+        local = make_config("fnn3", 4, epochs=2,
                             sync={"strategy": "local_sgd", "period": 1})
         np.testing.assert_array_equal(train_params(default), train_params(local))
 
     def test_periodic_sync_heals_replica_drift(self):
         """Between syncs replicas drift apart; every H-th iteration the
         parameter exchange makes them identical again (mean aggregation)."""
-        config = make_config("fnn3", 4, True, algorithm="dense", iterations=6,
+        config = make_config("fnn3", 4, algorithm="dense", iterations=6,
                              sync={"strategy": "local_sgd", "period": 3})
         config.num_train = 256        # 8 batches/shard so all 6 iterations run
         trainer = DistributedTrainer(config)
@@ -214,7 +167,7 @@ class TestLocalSGD:
         assert spreads[0] > 0.0 and spreads[1] > 0.0 and spreads[4] > 0.0
 
     def test_reports_label_local_and_sync_iterations(self):
-        config = make_config("fnn3", 4, True, algorithm="dense", iterations=4,
+        config = make_config("fnn3", 4, algorithm="dense", iterations=4,
                              sync={"strategy": "local_sgd", "period": 2})
         trainer = DistributedTrainer(config)
         recorder = ReportRecorder()
@@ -228,7 +181,7 @@ class TestLocalSGD:
 
     def test_gradient_wire_traffic_only_on_sync_with_period_one(self):
         """H=1 never exchanges parameters — it is the gradient allreduce."""
-        config = make_config("fnn3", 4, True, iterations=3,
+        config = make_config("fnn3", 4, iterations=3,
                              sync={"strategy": "local_sgd", "period": 1})
         trainer = DistributedTrainer(config)
         trainer.train()
@@ -243,16 +196,15 @@ class TestGossip:
     def test_fully_connected_matches_mean_allreduce_within_float32(self):
         """Acceptance: gossip on a complete graph equals dense mean-allreduce
         training up to float32 rounding."""
-        dense = make_config("fnn3", 4, True, algorithm="dense", epochs=2)
-        gossip = make_config("fnn3", 4, True, algorithm="dense", epochs=2,
+        dense = make_config("fnn3", 4, algorithm="dense", epochs=2)
+        gossip = make_config("fnn3", 4, algorithm="dense", epochs=2,
                              sync={"strategy": "gossip",
                                    "topology": "fully_connected"})
         a, b = train_params(dense), train_params(gossip)
         np.testing.assert_allclose(a, b, rtol=2e-5, atol=2e-6)
 
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "seed"])
-    def test_ring_gossip_runs_and_exchanges_neighborwise(self, fused):
-        config = make_config("fnn3", 4, fused, algorithm="dense", iterations=4,
+    def test_ring_gossip_runs_and_exchanges_neighborwise(self):
+        config = make_config("fnn3", 4, algorithm="dense", iterations=4,
                              sync={"strategy": "gossip", "topology": "ring"})
         trainer = DistributedTrainer(config)
         trainer.train()
@@ -263,14 +215,15 @@ class TestGossip:
         np.testing.assert_array_equal(P, np.tile(P[0], (4, 1)))
 
     def test_star_topology_runs(self):
-        config = make_config("fnn3", 5, True, algorithm="dense", iterations=2,
+        config = make_config("fnn3", 5, algorithm="dense", iterations=2,
                              sync={"strategy": "gossip", "topology": "star"})
         DistributedTrainer(config).train()
 
-    def test_fused_and_seed_paths_agree_to_float32(self):
-        sync = {"strategy": "gossip", "topology": "ring"}
-        a = train_params(make_config("fnn3", 4, True, algorithm="dense", sync=sync))
-        b = train_params(make_config("fnn3", 4, False, algorithm="dense", sync=sync))
+    def test_matches_the_per_rank_reference_to_float32(self):
+        config = make_config("fnn3", 4, algorithm="dense",
+                             sync={"strategy": "gossip", "topology": "ring"})
+        a = train_params(config)
+        b = train_params(config, trainer_cls=ReferenceTrainer)
         np.testing.assert_allclose(a, b, rtol=2e-5, atol=2e-6)
 
     def test_requires_topology(self):
@@ -286,29 +239,30 @@ class TestGossip:
 
 class TestCorruption:
     def test_sign_flip_changes_training(self):
-        clean = make_config("fnn3", 4, True, algorithm="dense")
-        flipped = make_config("fnn3", 4, True, algorithm="dense",
+        clean = make_config("fnn3", 4, algorithm="dense")
+        flipped = make_config("fnn3", 4, algorithm="dense",
                               sync={"corrupt_ranks": [0]})
         assert not np.array_equal(train_params(clean), train_params(flipped))
 
-    def test_corruption_applies_on_both_paths_identically(self):
+    def test_corruption_matches_the_per_rank_reference(self):
         sync = {"corrupt_ranks": [1], "corruption": "scale", "corruption_scale": 3.0}
-        fused = make_config("fnn3", 4, True, algorithm="dense", sync=sync)
-        seed = make_config("fnn3", 4, False, algorithm="dense", sync=sync)
-        np.testing.assert_allclose(train_params(fused), train_params(seed),
-                                   rtol=2e-5, atol=2e-6)
+        config = make_config("fnn3", 4, algorithm="dense", sync=sync)
+        np.testing.assert_allclose(
+            train_params(config),
+            train_params(config, trainer_cls=ReferenceTrainer),
+            rtol=2e-5, atol=2e-6)
 
     def test_geometric_median_shrugs_off_byzantine_ranks_where_mean_fails(self):
         """Acceptance scenario: corrupted ranks drag mean-aggregated training
         far from the clean trajectory; the geometric median stays close."""
-        clean = train_params(make_config("fnn3", 8, True, algorithm="dense",
+        clean = train_params(make_config("fnn3", 8, algorithm="dense",
                                          iterations=5))
         corrupt = {"corrupt_ranks": [1, 5], "corruption": "scale",
                    "corruption_scale": -25.0}
         mean_run = train_params(make_config(
-            "fnn3", 8, True, algorithm="dense", iterations=5, sync=corrupt))
+            "fnn3", 8, algorithm="dense", iterations=5, sync=corrupt))
         robust_run = train_params(make_config(
-            "fnn3", 8, True, algorithm="dense", iterations=5,
+            "fnn3", 8, algorithm="dense", iterations=5,
             sync={**corrupt, "aggregator": "geometric_median"}))
         mean_drift = float(np.abs(mean_run - clean).max())
         robust_drift = float(np.abs(robust_run - clean).max())
@@ -324,14 +278,14 @@ class TestCorruption:
             corruption.validate_world(2)
 
     def test_out_of_range_rank_rejected_at_trainer_construction(self):
-        config = make_config("fnn3", 2, True, sync={"corrupt_ranks": [5]})
+        config = make_config("fnn3", 2, sync={"corrupt_ranks": [5]})
         with pytest.raises(ValueError, match="out of range"):
             DistributedTrainer(config)
 
 
 class TestExchangeKindNegotiation:
     def test_robust_aggregator_rejected_for_allgather_compressor(self):
-        config = make_config("fnn3", 4, True, algorithm="topk",
+        config = make_config("fnn3", 4, algorithm="topk",
                              sync={"aggregator": "coordinate_median"})
         with pytest.raises(ValueError, match="allreduce-kind compressors only"):
             DistributedTrainer(config)
@@ -339,7 +293,7 @@ class TestExchangeKindNegotiation:
     def test_robust_aggregator_gathers_a2sgd_payloads(self):
         """With a robust aggregator the allreduce-kind payloads travel by
         allgather and are combined off-wire — no payload allreduce happens."""
-        config = make_config("fnn3", 4, True, algorithm="a2sgd", iterations=3,
+        config = make_config("fnn3", 4, algorithm="a2sgd", iterations=3,
                              sync={"aggregator": "trimmed_mean"})
         trainer = DistributedTrainer(config)
         recorder = ReportRecorder()
@@ -359,12 +313,12 @@ class TestExchangeKindNegotiation:
                       "aggregator": "coordinate_median"},
                      {"strategy": "gossip", "topology": "ring",
                       "aggregator": "trimmed_mean"}):
-            config = make_config("fnn3", 4, True, algorithm="topk",
+            config = make_config("fnn3", 4, algorithm="topk",
                                  iterations=2, sync=sync)
             DistributedTrainer(config).train()
 
     def test_mean_aggregator_keeps_the_native_collective(self):
-        config = make_config("fnn3", 4, True, algorithm="a2sgd", iterations=2)
+        config = make_config("fnn3", 4, algorithm="a2sgd", iterations=2)
         trainer = DistributedTrainer(config)
         trainer.train()
         counts = trainer.world.stats.collective_counts
@@ -403,7 +357,7 @@ class TestStrategyPlumbing:
     def test_checkpoint_restores_sync_phase(self, tmp_path):
         from repro.core.checkpoint import load_checkpoint, save_checkpoint
 
-        config = make_config("fnn3", 2, True, algorithm="dense", iterations=4,
+        config = make_config("fnn3", 2, algorithm="dense", iterations=4,
                              sync={"strategy": "local_sgd", "period": 3})
         trainer = DistributedTrainer(config)
         trainer.train()
@@ -440,11 +394,11 @@ class TestStrategyPlumbing:
 
 
 class TestPostStepPending:
-    """The trainer's seed path flattens parameters only when the strategy
-    will actually exchange them this iteration."""
+    """The trainer runs the parameter phase only when the strategy will
+    actually exchange parameters this iteration."""
 
     def test_local_sgd_pending_only_on_sync_iterations(self):
-        config = make_config("fnn3", 4, False, algorithm="dense", iterations=4,
+        config = make_config("fnn3", 4, algorithm="dense", iterations=4,
                              sync={"strategy": "local_sgd", "period": 2})
         trainer = DistributedTrainer(config)
         strategy = trainer.sync_strategy
@@ -460,7 +414,7 @@ class TestPostStepPending:
         assert pending == [False, True, False, True]
 
     def test_allreduce_never_pending(self):
-        config = make_config("fnn3", 2, False, iterations=2)
+        config = make_config("fnn3", 2, iterations=2)
         trainer = DistributedTrainer(config)
         trainer.train()
         assert not trainer.sync_strategy.post_step_pending()
@@ -471,23 +425,23 @@ class TestWireBitsAccounting:
     strategies report their own traffic, not the compressor's constant."""
 
     def test_allreduce_reports_compressor_bits(self):
-        trainer = DistributedTrainer(make_config("fnn3", 4, True))
+        trainer = DistributedTrainer(make_config("fnn3", 4))
         assert trainer.wire_bits_per_iteration == 64.0       # a2sgd
 
     def test_local_sgd_reports_amortized_parameter_bits(self):
         trainer = DistributedTrainer(make_config(
-            "fnn3", 4, True, sync={"strategy": "local_sgd", "period": 4}))
+            "fnn3", 4, sync={"strategy": "local_sgd", "period": 4}))
         n = trainer.num_parameters
         assert trainer.wire_bits_per_iteration == 32.0 * n / 4
 
     def test_local_sgd_h1_reports_compressor_bits(self):
         trainer = DistributedTrainer(make_config(
-            "fnn3", 4, True, sync={"strategy": "local_sgd", "period": 1}))
+            "fnn3", 4, sync={"strategy": "local_sgd", "period": 1}))
         assert trainer.wire_bits_per_iteration == 64.0
 
     def test_gossip_reports_neighbor_payload_bits(self):
         trainer = DistributedTrainer(make_config(
-            "fnn3", 4, True, algorithm="dense",
+            "fnn3", 4, algorithm="dense",
             sync={"strategy": "gossip", "topology": "ring"}))
         n = trainer.num_parameters
         assert trainer.wire_bits_per_iteration == 2.0 * 32.0 * n   # degree 2

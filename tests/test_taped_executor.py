@@ -192,7 +192,7 @@ class TestTapedTrainerEquivalence:
     def run(self, model, taped, **overrides):
         base = dict(model=model, preset="tiny", algorithm="a2sgd", world_size=4,
                     epochs=2, max_iterations_per_epoch=3, num_test=64, seed=0,
-                    fused_pipeline=True, taped=taped)
+                    taped=taped)
         base.update(overrides)
         trainer = DistributedTrainer(TrainerConfig(**base))
         metrics = trainer.train()
@@ -218,7 +218,7 @@ class TestTapedTrainerEquivalence:
             config = TrainerConfig(model="lstm_ptb", preset="tiny", algorithm="a2sgd",
                                    world_size=2, epochs=1, max_iterations_per_epoch=3,
                                    num_train=4000, num_test=64, seed=0,
-                                   fused_pipeline=True, taped=True)
+                                   taped=True)
             return DistributedTrainer(config)
 
         original = make()
