@@ -73,7 +73,7 @@ class FlatLayout:
                 and all(p.data.shape == s for p, s in zip(params, self.shapes)))
 
 
-def _segment_views(storage: np.ndarray, layout: FlatLayout) -> List[np.ndarray]:
+def segment_views(storage: np.ndarray, layout: FlatLayout) -> List[np.ndarray]:
     """Per-parameter shaped views into a flat (or row-of-matrix) vector."""
     views = []
     for offset, size, shape in layout.segments():
@@ -118,8 +118,8 @@ class ModelFlatBuffers:
                 raise ValueError("flat stores must be float32 vectors of the layout size")
 
         self.parameters: List[Parameter] = [p for _, p in model.named_parameters()]
-        self._param_views = _segment_views(self.params, self.layout)
-        self._grad_views = _segment_views(self.grads, self.layout)
+        self._param_views = segment_views(self.params, self.layout)
+        self._grad_views = segment_views(self.grads, self.layout)
         for param, pview, gview in zip(self.parameters, self._param_views, self._grad_views):
             if adopt_values:
                 pview[...] = param.data        # adopt current values

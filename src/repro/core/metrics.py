@@ -132,20 +132,8 @@ class TrainingMetrics:
         return max(self.metric) if self.metric_name == "top1" else min(self.metric)
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "metric_name": self.metric_name,
-            "epochs": list(self.epochs),
-            "train_loss": list(self.train_loss),
-            "metric": list(self.metric),
-            "simulated_comm_time_s": list(self.simulated_comm_time_s),
-            "wall_compute_time_s": list(self.wall_compute_time_s),
-            "simulated_time_s": list(self.simulated_time_s),
-            "rejected_pushes": list(self.rejected_pushes),
-            "mean_staleness": list(self.mean_staleness),
-            "active_clients": list(self.active_clients),
-            "cohort_fraction": list(self.cohort_fraction),
-            "unique_clients_seen": list(self.unique_clients_seen),
-        }
+        return {"metric_name": self.metric_name,
+                **{attr: list(getattr(self, attr)) for _, attr in self.CSV_COLUMNS}}
 
     #: Column header -> row-attribute name, in CSV column order.
     CSV_COLUMNS = (
@@ -161,6 +149,28 @@ class TrainingMetrics:
         ("cohort_fraction", "cohort_fraction"),
         ("unique_clients_seen", "unique_clients_seen"),
     )
+
+    #: Checkpoint key -> (row-attribute name, dtype), in file order.
+    STATE_COLUMNS = (
+        ("metric_history", "metric", np.float64),
+        ("loss_history", "train_loss", np.float64),
+        ("epoch_history", "epochs", np.int64),
+        ("metrics_sim_time", "simulated_time_s", np.float64),
+        ("metrics_rejected", "rejected_pushes", np.int64),
+        ("metrics_staleness", "mean_staleness", np.float64),
+        ("metrics_active_clients", "active_clients", np.int64),
+        ("metrics_cohort_fraction", "cohort_fraction", np.float64),
+        ("metrics_unique_clients", "unique_clients_seen", np.int64),
+    )
+
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        """The checkpointed history columns (see :mod:`repro.core.checkpoint`)."""
+        return {key: np.array(getattr(self, attr), dtype=dtype)
+                for key, attr, dtype in self.STATE_COLUMNS}
+
+    def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
+        for key, attr, _ in self.STATE_COLUMNS:
+            setattr(self, attr, arrays[key].tolist())
 
     def to_csv(self, path) -> Path:
         """Write one row per recorded epoch (``repro run --metrics-csv``)."""

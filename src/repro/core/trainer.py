@@ -1,8 +1,8 @@
 """Data-parallel distributed SGD trainer over simulated workers.
 
-The trainer maintains one model replica, data shard, optimizer and compressor
-per simulated worker and runs them in lockstep, exactly mirroring Algorithm 1
-of the paper:
+The trainer maintains one model replica, data shard, momentum row and
+compressor per simulated worker and runs them in lockstep, exactly mirroring
+Algorithm 1 of the paper:
 
 * each worker computes a local gradient on its fraction of the global
   mini-batch (line 2);
@@ -53,13 +53,9 @@ from repro.core.callbacks import (
     resolve_callbacks,
 )
 from repro.core.flat_buffer import WorldFlatBuffers
-from repro.core.flatten import (
-    average_parameters,
-    flatten_parameters,
-    unflatten_into_parameters,
-)
 from repro.core.metrics import TrainingMetrics, evaluate_classifier, evaluate_language_model
 from repro.core.timeline import IterationTimeline
+from repro.core.trainer_state import LiveWorkerRows, Progress, WorldRows
 from repro.data.dataloader import DataLoader, shard_dataset
 from repro.data.partition import partition_clients
 from repro.data.registry import get_dataset
@@ -71,7 +67,7 @@ from repro.nn.module import Module
 from repro.optim.lars import LARS, lars_flat_update
 from repro.optim.lr_schedule import build_lr_policy
 from repro.optim.registry import OPTIMIZERS
-from repro.optim.sgd import SGD, sgd_flat_update
+from repro.optim.sgd import sgd_flat_update
 from repro.sim.compute import resolve_compute_model
 from repro.sim.engine import LockstepSimulator, SimulationEngine
 from repro.sync import SyncSpec, merge_reports
@@ -242,16 +238,16 @@ class DistributedTrainer:
             ClientPopulation(self.clients_spec, config.world_size) \
             if self.clients_spec.enabled else None
 
-        # Learning-rate policy and optimizers (LARS when Table 1 says so).
+        # Learning-rate policy and the optimizer (LARS when Table 1 says so):
+        # one hyperparameter / learning-rate record for the whole world — the
+        # fused kernels in _apply step every row of the (P, n) matrices.
         self.base_lr = config.base_lr if config.base_lr is not None else self.spec.base_lr
         self.lr_policy, use_lars = build_lr_policy(self.spec.lr_policy,
                                                    world_size=config.world_size,
                                                    total_epochs=config.epochs)
-        optimizer_cls = OPTIMIZERS.get("lars" if use_lars else "sgd")
-        self.optimizers = [optimizer_cls(replica.parameters(), lr=self.base_lr,
-                                         momentum=config.momentum,
-                                         weight_decay=config.weight_decay)
-                           for replica in self.replicas]
+        self.optimizer = OPTIMIZERS.get("lars" if use_lars else "sgd")(
+            self.replicas[0].parameters(), lr=self.base_lr,
+            momentum=config.momentum, weight_decay=config.weight_decay)
 
         # Adopt every replica into one (P, n) flat world so gradients flow
         # backward pass → compressor → optimizer with no flatten/unflatten
@@ -259,9 +255,6 @@ class DistributedTrainer:
         self.flat_world: WorldFlatBuffers = self.backend.create_world(self.replicas)
         self._velocity_matrix = np.zeros_like(self.flat_world.param_matrix)
         self._step_scratch = np.empty_like(self.flat_world.param_matrix)
-        for rank, optimizer in enumerate(self.optimizers):
-            optimizer.bind_flat(self.flat_world.replica_buffers[rank],
-                                velocity_store=self._velocity_matrix[rank])
         # The batched executor stacks all ranks into one graph — the async
         # event loop computes one rank at a time, eagerly.
         self.executor = None if self.is_async \
@@ -324,6 +317,20 @@ class DistributedTrainer:
                 # kernel wall time must not leak into the clock or the
                 # fault timeline would not be reproducible.
                 self.lockstep_sim.deterministic = True
+
+        # Checkpointed state: each owner implements state_arrays() /
+        # load_state_arrays() under its own key prefix; core/checkpoint.py is
+        # one loop over this list each way.  New subsystems append themselves.
+        owners = [("", WorldRows(self)),
+                  ("sync_param_", self.sync_strategy.parameter_codec),
+                  ("sim_", self.sim_engine or self.lockstep_sim),
+                  ("sync_async_", self.sync_strategy if self.is_async else None),
+                  ("async_worker_", LiveWorkerRows(self) if self.is_async else None),
+                  ("fault_", self.fault_injector),
+                  ("clients_", self.population),
+                  ("", Progress(self))]
+        self.checkpoint_owners = [(prefix, owner) for prefix, owner in owners
+                                  if owner is not None]
 
         # Lifecycle plugins.  The built-ins reproduce the seed trainer's
         # behaviour (timeline first so metrics sees fresh compute totals,
@@ -469,32 +476,29 @@ class DistributedTrainer:
     def _apply(self, new, epoch_progress: float) -> float:
         """Stage 3 — the optimizer step (line 7); returns the learning rate.
 
-        All per-rank optimizers share identical hyperparameters and their
-        momentum rows alias ``self._velocity_matrix``, so a single fused
-        kernel call updates every replica; ``state_dict``/checkpointing
-        still observe per-rank state through the row views.
+        One fused kernel call updates every replica's row of the parameter
+        and ``self._velocity_matrix`` momentum matrices.
         """
         lr = max(self.lr_policy.lr_at(epoch_progress, self.base_lr), 1e-12)
-        for optimizer in self.optimizers:
-            optimizer.set_lr(lr)
+        optimizer = self.optimizer
+        optimizer.set_lr(lr)
         dead = self._dead_ranks()
         world = self.flat_world
-        reference = self.optimizers[0]
         # The fused kernel updates every row; a down rank must not advance,
         # so its parameter/velocity rows are snapshotted and put back.
         if dead:
             saved_params = world.param_matrix[dead].copy()
             saved_velocity = self._velocity_matrix[dead].copy()
-        if isinstance(reference, LARS):
+        if isinstance(optimizer, LARS):
             lars_flat_update(world.param_matrix, new,
                              world.layout.offsets[:-1], world.layout.sizes, lr,
-                             reference.momentum, reference.weight_decay,
-                             reference.trust_coefficient, reference.eps,
+                             optimizer.momentum, optimizer.weight_decay,
+                             optimizer.trust_coefficient, optimizer.eps,
                              velocity=self._velocity_matrix, scratch=self._step_scratch)
         else:
             sgd_flat_update(world.param_matrix, new, lr,
-                            reference.momentum, reference.weight_decay,
-                            reference.nesterov,
+                            optimizer.momentum, optimizer.weight_decay,
+                            optimizer.nesterov,
                             velocity=self._velocity_matrix, scratch=self._step_scratch)
         if dead:
             world.param_matrix[dead] = saved_params
@@ -513,9 +517,8 @@ class DistributedTrainer:
         """
         if not self.sync_strategy.post_step_pending():
             return report
-        rows = [self.flat_world.param_matrix[p]
-                for p in range(self.config.world_size)]
-        return merge_reports(report, self.sync_strategy.post_step(rows))
+        return merge_reports(
+            report, self.sync_strategy.post_step(list(self.flat_world.param_matrix)))
 
     # ------------------------------------------------------------------ #
     # fault layer (the async engine has its own gate but shares _rejoin_rank)
@@ -651,17 +654,14 @@ class DistributedTrainer:
         else:
             self._train_lockstep(state)
         if self.is_async:
-            # finalize() collapses every worker row onto the consensus
-            # (server/center) for the final model; keep the live rows so a
-            # checkpoint written after train() can resume the per-rank
-            # trajectories bit for bit.
+            # finalize() collapses every worker row onto the consensus; keep
+            # the live rows for checkpoints written after train().
             self._async_worker_rows = self.flat_world.param_matrix.copy()
         # Algorithm 1 lines 9-10: final dense consolidation of the replicas,
         # combined by the strategy's aggregator (mean reproduces the seed).
-        averaged = self.sync_strategy.finalize(
-            [flatten_parameters(m) for m in self.replicas])
-        for replica, flat in zip(self.replicas, averaged):
-            unflatten_into_parameters(replica, flat)
+        matrix = self.flat_world.param_matrix
+        for rank, row in enumerate(self.sync_strategy.finalize(list(matrix))):
+            matrix[rank] = row
         if self.population is not None and self.sim_report is not None:
             self.sim_report.participation = self.population.summary()
         self.callbacks.on_train_end(state)
@@ -807,26 +807,23 @@ class DistributedTrainer:
         parameters, EASGD's center); otherwise the consensus is the mean of
         the replicas, as in the seed trainer.
         """
-        consensus_fn = getattr(self.sync_strategy, "consensus_vector", None)
-        consensus = consensus_fn() if consensus_fn is not None else None
+        matrix = self.flat_world.param_matrix
+        consensus = self.sync_strategy.consensus_vector()
         if consensus is None:
-            snapshot = [flatten_parameters(m) for m in self.replicas]
-            dead = self._dead_ranks()
-            if dead:
-                # A down rank's stale replica must not pull the consensus.
-                survivors = [v for r, v in enumerate(snapshot) if r not in dead]
-                snapshot = survivors or snapshot
-            consensus = np.mean(np.stack(snapshot), axis=0)
-        probe = self.replicas[0]
-        original = flatten_parameters(probe)
-        unflatten_into_parameters(probe, consensus)
+            # A down rank's stale replica must not pull the consensus.
+            alive = self.fault_injector.membership.alive_ranks() \
+                if self._dead_ranks() else []
+            consensus = np.mean(matrix[alive] if alive else matrix, axis=0)
+        probe = self.replicas[0]        # its parameters are views of row 0
+        original = matrix[0].copy()
+        matrix[0] = consensus
         try:
             if self.spec.task == "classification":
                 value = evaluate_classifier(probe, self.test_dataset)
             else:
                 value = evaluate_language_model(probe, self.test_batcher, max_batches=20)
         finally:
-            unflatten_into_parameters(probe, original)
+            matrix[0] = original
         return value
 
     # ------------------------------------------------------------------ #

@@ -5,18 +5,18 @@ top of SGD: each layer's update is rescaled by the trust ratio
 ``||w|| / (||g|| + wd * ||w||)`` so that layers with small gradients relative
 to their weights still make progress under large batch sizes.
 
-Like :class:`repro.optim.sgd.SGD`, LARS has a fused flat path: with the
-parameters adopted into one contiguous vector, the per-layer norms are
-segment reductions (``np.add.reduceat`` over the flat layout) and the
-trust-scaled update is a handful of whole-buffer operations — no
-per-parameter Python loop — finishing in :func:`sgd_flat_update`'s blocked
-momentum / learning-rate / parameter-update tail.  Momentum state is keyed by
-parameter index and checkpointable through ``state_dict`` in either mode.
+Like :class:`repro.optim.sgd.SGD`, LARS has a fused flat kernel,
+:func:`lars_flat_update`: with the parameters in one contiguous vector, the
+per-layer norms are segment reductions (``np.add.reduceat`` over the flat
+layout) and the trust-scaled update is a handful of whole-buffer operations —
+no per-parameter Python loop — finishing in :func:`sgd_flat_update`'s blocked
+momentum / learning-rate / parameter-update tail.  The looped
+:meth:`LARS.step` is the single-model API and the kernel's test oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -108,15 +108,3 @@ class LARS(Optimizer):
                 buf += scaled
                 scaled = buf
             p.data -= self.lr * scaled
-
-    def step_flat(self, grad_vector: Optional[np.ndarray] = None) -> None:
-        """Fused whole-buffer LARS update (requires :meth:`bind_flat`)."""
-        if self._flat is None:
-            raise RuntimeError("step_flat requires bind_flat() first")
-        grads = self._flat.grads if grad_vector is None else grad_vector
-        layout = self._flat.layout
-        velocity = self._ensure_flat_velocity() if self.momentum else None
-        lars_flat_update(self._flat.params, grads, layout.offsets[:-1], layout.sizes,
-                         self.lr, self.momentum, self.weight_decay,
-                         self.trust_coefficient, self.eps, velocity=velocity,
-                         scratch=self._flat_scratch())

@@ -4,20 +4,18 @@ The distributed trainer updates the model with whatever gradient the
 compression/synchronization pipeline produced (Algorithm 1 line 7 in the
 paper); the optimizer itself is identical to single-node SGD.
 
-Two execution paths share one set of momentum state:
+Two forms of one update rule:
 
-* :meth:`SGD.step` — the classic per-parameter loop (works on any model).
-* :meth:`SGD.step_flat` — the fused path: after :meth:`Optimizer.bind_flat`
-  the parameters live in one contiguous float32 vector (see
-  :mod:`repro.core.flat_buffer`) and the whole update is a handful of
-  whole-buffer axpy operations via :func:`sgd_flat_update`.  The same kernel
-  applies to a stacked ``(P, n)`` world matrix, so the trainer can update all
-  replicas with one call.
+* :meth:`SGD.step` — the classic per-parameter loop: the single-model API and
+  the oracle the fused kernel is tested against.
+* :func:`sgd_flat_update` — the fused kernel the trainer calls on its stacked
+  ``(P, n)`` parameter and momentum matrices (see :mod:`repro.core.flat_buffer`):
+  a handful of whole-buffer axpy operations update every replica at once.  The
+  trainer's one optimizer object is the hyperparameter / learning-rate record.
 
-Momentum buffers are keyed by *parameter index* (position in the parameter
-list), not ``id(p)``: CPython reuses object ids after garbage collection, so
-an id-keyed dictionary can silently attach a dead parameter's momentum to a
-new tensor.  Index keys are stable and are also what ``state_dict`` stores.
+The looped step keys momentum buffers by *parameter index*, not ``id(p)``:
+CPython reuses object ids after garbage collection, so an id-keyed dictionary
+can silently attach a dead parameter's momentum to a new tensor.
 """
 
 from __future__ import annotations
@@ -114,8 +112,8 @@ def sgd_flat_update(params: np.ndarray, grads: np.ndarray, lr: float,
 
 
 class Optimizer:
-    """Base optimizer: holds parameters, a mutable learning rate and
-    (optionally) a binding to flat parameter storage for the fused path."""
+    """Base optimizer: holds parameters, a mutable learning rate and the
+    looped step's momentum buffers."""
 
     def __init__(self, params: Iterable, lr: float):
         self.params: List = list(params)
@@ -124,11 +122,8 @@ class Optimizer:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = float(lr)
-        self._flat = None                       # ModelFlatBuffers when bound
-        self._velocity_flat: Optional[np.ndarray] = None
-        self._scratch: Optional[np.ndarray] = None
-        #: Momentum buffers keyed by parameter index (unbound mode only; the
-        #: flat-bound mode keeps them as segments of one contiguous vector).
+        #: Momentum buffers of the looped :meth:`step`, keyed by parameter
+        #: index and allocated on first use.
         self._velocity: Dict[int, np.ndarray] = {}
 
     def zero_grad(self) -> None:
@@ -144,83 +139,12 @@ class Optimizer:
             raise ValueError("learning rate must be positive")
         self.lr = float(lr)
 
-    # ------------------------------------------------------------------ #
-    # fused flat path
-    # ------------------------------------------------------------------ #
-    def bind_flat(self, buffers, velocity_store: Optional[np.ndarray] = None) -> None:
-        """Bind this optimizer to a model's flat storage.
-
-        ``buffers`` is a :class:`repro.core.flat_buffer.ModelFlatBuffers`
-        whose parameter list must be exactly this optimizer's parameters.
-        ``velocity_store`` optionally supplies the flat momentum buffer (e.g.
-        a row of a world-level ``(P, n)`` velocity matrix); it is allocated on
-        first use otherwise.  After binding, the looped :meth:`step` and the
-        fused :meth:`step_flat` share the same momentum state.
-        """
-        if len(buffers.parameters) != len(self.params) or any(
-                a is not b for a, b in zip(buffers.parameters, self.params)):
-            raise ValueError("flat buffers do not hold this optimizer's parameters")
-        self._flat = buffers
-        if velocity_store is not None:
-            if velocity_store.shape != buffers.params.shape:
-                raise ValueError("velocity store must match the flat parameter shape")
-            velocity_store.fill(0.0)
-            self._velocity_flat = velocity_store
-        self._scratch = None
-
-    def _ensure_flat_velocity(self) -> np.ndarray:
-        if self._velocity_flat is None:
-            self._velocity_flat = np.zeros_like(self._flat.params)
-        return self._velocity_flat
-
-    def _flat_scratch(self) -> np.ndarray:
-        if self._scratch is None or self._scratch.shape != self._flat.params.shape:
-            self._scratch = np.empty_like(self._flat.params)
-        return self._scratch
-
-    def _velocity_segment(self, index: int) -> np.ndarray:
-        """Momentum buffer for parameter ``index`` as a flat-storage view."""
-        layout = self._flat.layout
-        offset, size = int(layout.offsets[index]), int(layout.sizes[index])
-        flat = self._ensure_flat_velocity()
-        return flat[offset:offset + size].reshape(layout.shapes[index])
-
     def _momentum_buffer(self, index: int, param) -> np.ndarray:
-        if self._flat is not None:
-            return self._velocity_segment(index)
         buf = self._velocity.get(index)
         if buf is None:
             buf = np.zeros_like(param.data)
             self._velocity[index] = buf
         return buf
-
-    def _velocity_entries(self) -> Dict[int, np.ndarray]:
-        if self._flat is not None and self._velocity_flat is not None:
-            return {i: self._velocity_segment(i).copy() for i in range(len(self.params))}
-        return {i: buf.copy() for i, buf in self._velocity.items()}
-
-    def _restore_velocity(self, entries: Dict[int, np.ndarray]) -> None:
-        for index, value in entries.items():
-            index = int(index)
-            if index >= len(self.params):
-                raise KeyError(f"velocity entry {index} out of range")
-            if self._flat is not None:
-                self._velocity_segment(index)[...] = np.asarray(value).reshape(
-                    self._flat.layout.shapes[index])
-            else:
-                self._velocity[index] = np.array(value, copy=True)
-
-    def state_dict(self) -> dict:
-        """Momentum buffers keyed by parameter position (for checkpointing)."""
-        return {"lr": self.lr, "momentum": getattr(self, "momentum", 0.0),
-                "velocity": self._velocity_entries()}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.lr = float(state["lr"])
-        self._restore_velocity(state.get("velocity", {}))
-
-    def step_flat(self, grad_vector: Optional[np.ndarray] = None) -> None:
-        raise NotImplementedError
 
 
 class SGD(Optimizer):
@@ -265,18 +189,3 @@ class SGD(Optimizer):
                 buf += grad
                 grad = grad + self.momentum * buf if self.nesterov else buf
             p.data -= self.lr * grad
-
-    def step_flat(self, grad_vector: Optional[np.ndarray] = None) -> None:
-        """Fused whole-buffer update (requires :meth:`bind_flat`).
-
-        ``grad_vector`` defaults to the bound flat gradient storage; passing
-        the sync strategy's reconstructed gradient avoids writing it back into
-        ``param.grad`` first.
-        """
-        if self._flat is None:
-            raise RuntimeError("step_flat requires bind_flat() first")
-        grads = self._flat.grads if grad_vector is None else grad_vector
-        velocity = self._ensure_flat_velocity() if self.momentum else None
-        sgd_flat_update(self._flat.params, grads, self.lr, self.momentum,
-                        self.weight_decay, self.nesterov, velocity=velocity,
-                        scratch=self._flat_scratch())

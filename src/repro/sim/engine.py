@@ -96,7 +96,7 @@ class SimulationEngine:
         ``(1, n)`` state, so server and workers share one update rule.
         """
         trainer = self.trainer
-        reference = trainer.optimizers[0]
+        reference = trainer.optimizer
         if isinstance(reference, LARS):
             layout = trainer.flat_world.layout
             lars_flat_update(params, grads, layout.offsets[:-1], layout.sizes,

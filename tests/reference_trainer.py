@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.compress.base import ExchangeKind
+from repro.core.flat_buffer import segment_views
 from repro.core.flatten import unflatten_into_gradients
 from repro.core.timeline import SyncReport
 from repro.core.trainer import DistributedTrainer
@@ -84,6 +85,18 @@ class ReferenceTrainer(DistributedTrainer):
     def _build(self, callbacks) -> None:
         super()._build(callbacks)
         self.executor = None        # stage 1: the per-replica _replica_step loop
+        # Stage 3 steps one looped optimizer per rank; their momentum buffers
+        # are views of the trainer's velocity rows, so rejoin resets, client
+        # swaps and checkpoints (which only know the matrix) reach them.
+        layout = self.flat_world.layout
+        self.rank_optimizers = []
+        for rank, replica in enumerate(self.replicas):
+            optimizer = type(self.optimizer)(
+                replica.parameters(), lr=self.base_lr, momentum=self.config.momentum,
+                weight_decay=self.config.weight_decay)
+            optimizer._velocity = dict(enumerate(
+                segment_views(self._velocity_matrix[rank], layout)))
+            self.rank_optimizers.append(optimizer)
 
     def _exchange(self, G) -> tuple:
         strategy = self.sync_strategy
@@ -93,10 +106,10 @@ class ReferenceTrainer(DistributedTrainer):
 
     def _apply(self, new, epoch_progress: float) -> float:
         lr = max(self.lr_policy.lr_at(epoch_progress, self.base_lr), 1e-12)
-        for optimizer in self.optimizers:
+        for optimizer in (self.optimizer, *self.rank_optimizers):
             optimizer.set_lr(lr)
         dead = self._dead_ranks() or ()
-        for rank, (replica, optimizer) in enumerate(zip(self.replicas, self.optimizers)):
+        for rank, (replica, optimizer) in enumerate(zip(self.replicas, self.rank_optimizers)):
             if rank in dead:
                 continue  # a down rank takes no optimizer step
             unflatten_into_gradients(replica, new[rank])

@@ -39,12 +39,12 @@ class TestConstruction:
                                                  max_iterations_per_epoch=1,
                                                  num_train=64, num_test=16))
         from repro.optim import LARS
-        assert isinstance(trainer.optimizers[0], LARS)
+        assert isinstance(trainer.optimizer, LARS)
 
     def test_sgd_selected_for_fnn_policy(self):
         trainer = DistributedTrainer(tiny_config())
         from repro.optim import SGD
-        assert isinstance(trainer.optimizers[0], SGD)
+        assert isinstance(trainer.optimizer, SGD)
 
     def test_wire_bits_property(self):
         trainer = DistributedTrainer(tiny_config(algorithm="a2sgd"))

@@ -83,17 +83,18 @@ class TestSGD:
         with pytest.raises(ValueError):
             SGD([make_param([1.0])], lr=0.1, momentum=-0.5)
 
-    def test_state_dict_roundtrip(self):
+    def test_momentum_buffers_carry_the_whole_state(self):
+        """``lr`` plus the index-keyed momentum buffers are everything a looped
+        optimizer holds: copied into a fresh one, it continues the run."""
         p = make_param([0.0])
         opt = SGD([p], lr=0.5, momentum=0.9)
         p.grad = np.array([1.0], dtype=np.float32)
         opt.step()
-        state = opt.state_dict()
 
         q = make_param(p.data.copy())
         opt2 = SGD([q], lr=0.1, momentum=0.9)
-        opt2.load_state_dict(state)
-        assert opt2.lr == 0.5
+        opt2.set_lr(opt.lr)
+        opt2._velocity = {index: buf.copy() for index, buf in opt._velocity.items()}
         q.grad = np.array([1.0], dtype=np.float32)
         opt2.step()
         # With the restored velocity the second optimizer reproduces step 2.
@@ -110,8 +111,8 @@ class TestSGD:
         assert abs(p.data[0]) < 1e-3
 
 
-class TestStepFlat:
-    """The fused whole-buffer step must match the per-parameter loop."""
+class TestFlatUpdateMatchesLoopedStep:
+    """The fused whole-buffer kernels must match the per-parameter loop."""
 
     @staticmethod
     def build_model():
@@ -125,15 +126,15 @@ class TestStepFlat:
         (SGD, {"momentum": 0.9, "weight_decay": 0.01, "nesterov": True}),
         (LARS, {"momentum": 0.9, "weight_decay": 0.01}),
     ])
-    def test_step_flat_matches_looped_step(self, cls, kwargs):
+    def test_flat_update_matches_looped_step(self, cls, kwargs):
         from repro.core.flat_buffer import ModelFlatBuffers
 
         looped_model = self.build_model()
         looped_opt = cls(looped_model.parameters(), lr=0.1, **kwargs)
-        fused_model = self.build_model()
-        buffers = ModelFlatBuffers(fused_model)
-        fused_opt = cls(fused_model.parameters(), lr=0.1, **kwargs)
-        fused_opt.bind_flat(buffers)
+        buffers = ModelFlatBuffers(self.build_model())
+        layout = buffers.layout
+        velocity = np.zeros_like(buffers.params)
+        scratch = np.empty_like(buffers.params)
 
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -143,43 +144,25 @@ class TestStepFlat:
                 p.grad = flat_grad[offset:offset + p.size].reshape(p.data.shape).copy()
                 offset += p.size
             looped_opt.step()
-            fused_opt.step_flat(flat_grad)
+            if cls is LARS:
+                lars_flat_update(buffers.params, flat_grad, layout.offsets[:-1],
+                                 layout.sizes, 0.1, velocity=velocity, scratch=scratch,
+                                 **kwargs)
+            else:
+                sgd_flat_update(buffers.params, flat_grad, 0.1, velocity=velocity,
+                                scratch=scratch, **kwargs)
             np.testing.assert_allclose(
                 buffers.params,
                 np.concatenate([p.data.reshape(-1) for p in looped_model.parameters()]),
                 rtol=1e-6, atol=1e-7)
-
-    def test_step_flat_requires_binding(self):
-        opt = SGD([make_param([1.0])], lr=0.1)
-        with pytest.raises(RuntimeError):
-            opt.step_flat(np.zeros(1, dtype=np.float32))
-
-    def test_bind_flat_rejects_foreign_buffers(self):
-        from repro.core.flat_buffer import ModelFlatBuffers
-
-        model_a, model_b = self.build_model(), self.build_model()
-        buffers_b = ModelFlatBuffers(model_b)
-        opt_a = SGD(model_a.parameters(), lr=0.1)
-        with pytest.raises(ValueError):
-            opt_a.bind_flat(buffers_b)
-
-    def test_bound_looped_step_shares_momentum_with_step_flat(self):
-        """After bind_flat, step() and step_flat() use the same velocity, so
-        mixing them cannot silently fork the optimizer state."""
-        from repro.core.flat_buffer import ModelFlatBuffers
-
-        model = self.build_model()
-        buffers = ModelFlatBuffers(model)
-        opt = SGD(model.parameters(), lr=0.1, momentum=0.9)
-        opt.bind_flat(buffers)
-
-        grad = np.ones(buffers.params.size, dtype=np.float32)
-        opt.step_flat(grad)
-        buffers.set_grad_vector(grad)
-        opt.step()                       # second update through the loop path
-        state = opt.state_dict()["velocity"]
-        # velocity = 1 then 1.9 — the loop step continued the flat buffer
-        np.testing.assert_allclose(state[0], np.full_like(state[0], 1.9), rtol=1e-6)
+        if kwargs:
+            # Both forms hold the same momentum: the kernel's flat vector is
+            # the looped optimizer's per-parameter buffers, concatenated.
+            np.testing.assert_allclose(
+                velocity,
+                np.concatenate([looped_opt._velocity[i].reshape(-1)
+                                for i in range(len(layout))]),
+                rtol=1e-5, atol=1e-7)
 
     def test_index_keyed_velocity_survives_parameter_gc(self):
         """Velocity is keyed by parameter index, so momentum cannot leak from

@@ -39,6 +39,10 @@ class LegacySynchronizerReference:
     def post_step_pending() -> bool:
         return False
 
+    @staticmethod
+    def consensus_vector() -> None:
+        return None                 # evaluate the mean of the replicas
+
     def __init__(self, world, compressors):
         self.world = world
         self.compressors = list(compressors)
