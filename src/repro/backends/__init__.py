@@ -19,7 +19,7 @@ from repro.backends.base import (
     EXECUTION_BACKENDS,
     ExecutionBackend,
     InProcessBackend,
-    backend_spec_problems,
+    resolve_backend,
 )
 from repro.backends.multiprocess import MultiprocessingBackend, WorkerDiedError
 from repro.backends.shm import (
@@ -37,7 +37,7 @@ __all__ = [
     "InProcessBackend",
     "MultiprocessingBackend",
     "WorkerDiedError",
-    "backend_spec_problems",
+    "resolve_backend",
     "BarrierTimeout",
     "SharedMemoryArena",
     "ShmBarrier",

@@ -18,18 +18,21 @@ supplies both:
 Backends are the 12th component registry (``repro components`` lists them;
 unknown names get did-you-mean errors), and each backend declares which
 feature combinations it cannot run via :meth:`compatibility_problems`, which
-``ExperimentSpec.validate()`` and the trainer's bind-time check both call —
-the exact same pinned error text in both places.
+``ExperimentSpec.validate()`` and the trainer's constructor both read through
+the run's :class:`~repro.core.features.RunFeatures` record.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.core.batched_replicas import build_replica_executor
 from repro.core.flat_buffer import WorldFlatBuffers
 from repro.nn.module import Module
 from repro.registry import Registry
+
+if TYPE_CHECKING:
+    from repro.core.features import RunFeatures
 
 #: The execution-backend registry (12th public registry; see
 #: ``repro components --registry backends``).
@@ -49,11 +52,25 @@ class ExecutionBackend:
     #: Canonical registry name (set by subclasses).
     name = "abstract"
 
-    def compatibility_problems(self, *, world_size: Optional[int] = None,
-                               task: Optional[str] = None,
-                               sync_strategy: Optional[str] = None,
-                               is_async: bool = False,
-                               faults_active: bool = False) -> List[str]:
+    @classmethod
+    def problems(cls, features: "RunFeatures") -> List[str]:
+        """Every problem with the run's ``backend`` / ``backend_kwargs``:
+        the backend is constructible with the kwargs, and accepts the
+        feature combination."""
+        kwargs = features.config.backend_kwargs
+        if not isinstance(kwargs, dict):
+            return [f"backend_kwargs must be a dict, got {type(kwargs).__name__}"]
+        try:
+            instance = cls(**kwargs)
+        except Exception as error:
+            return [f"backend {cls.name!r} cannot be constructed with "
+                    f"{kwargs!r}: {error}"]
+        try:
+            return instance.compatibility_problems(features)
+        finally:
+            instance.close()
+
+    def compatibility_problems(self, features: "RunFeatures") -> List[str]:
         """Pinned error messages for feature combinations this backend
         cannot run; empty when the configuration is supported."""
         return []
@@ -88,38 +105,9 @@ class InProcessBackend(ExecutionBackend):
                                       taped=trainer.config.taped)
 
 
-def backend_spec_problems(backend: object, backend_kwargs: object, *,
-                          world_size: Optional[int] = None,
-                          task: Optional[str] = None,
-                          sync_strategy: Optional[str] = None,
-                          is_async: bool = False,
-                          faults_active: bool = False) -> List[str]:
-    """Validation messages for a spec's ``backend`` / ``backend_kwargs``.
-
-    Shared by ``ExperimentSpec.validate()`` and the trainer's constructor so
-    a bad combination fails with identical text whichever entry point hits it
-    first.  Checks, in order: the name resolves in the registry (did-you-mean
-    on typos), the backend is constructible with the kwargs, and the backend
-    accepts the feature combination.
-    """
-    from repro.registry import RegistryKeyError
-
-    problems: List[str] = []
-    if not isinstance(backend, str):
-        return [f"backend must be a registered name, got {type(backend).__name__}"]
-    if not isinstance(backend_kwargs, dict):
-        return [f"backend_kwargs must be a dict, got {type(backend_kwargs).__name__}"]
-    try:
-        canonical = EXECUTION_BACKENDS.canonical(backend)
-    except RegistryKeyError as error:
-        return [str(error)]
-    try:
-        instance = EXECUTION_BACKENDS.create(canonical, **backend_kwargs)
-    except Exception as error:
-        return [f"backend {canonical!r} cannot be constructed with "
-                f"{backend_kwargs!r}: {error}"]
-    problems.extend(instance.compatibility_problems(
-        world_size=world_size, task=task, sync_strategy=sync_strategy,
-        is_async=is_async, faults_active=faults_active))
-    instance.close()
-    return problems
+def resolve_backend(name: object) -> type:
+    """The registered backend class for a spec's ``backend`` field."""
+    if not isinstance(name, str):
+        raise ValueError(f"backend must be a registered name, "
+                         f"got {type(name).__name__}")
+    return EXECUTION_BACKENDS.get(name)

@@ -211,18 +211,17 @@ class MultiprocessingBackend(ExecutionBackend):
         self._closed = False
 
     # ------------------------------------------------------------------ #
-    # compatibility (same pinned text in spec.validate and trainer bind)
+    # compatibility (same pinned text in spec.validate and the trainer)
     # ------------------------------------------------------------------ #
-    def compatibility_problems(self, *, world_size=None, task=None,
-                               sync_strategy=None, is_async=False,
-                               faults_active=False) -> List[str]:
+    def compatibility_problems(self, features) -> List[str]:
         problems: List[str] = []
-        if is_async:
+        task, world_size = features.task, features.world_size
+        if features.is_async:
             problems.append(
                 f"backend 'multiprocessing' cannot run sync strategy "
-                f"{sync_strategy!r}: the event-driven virtual clock executes "
-                f"one rank at a time; use backend 'inprocess'")
-        if faults_active:
+                f"{features.sync.strategy!r}: the event-driven virtual clock "
+                f"executes one rank at a time; use backend 'inprocess'")
+        if features.faults_active:
             problems.append(
                 "backend 'multiprocessing' does not support fault injection; "
                 "remove the \"faults\" section or use backend 'inprocess'")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,36 @@ NETWORKS.register("ethernet_10gbps", ethernet_10gbps, aliases=("ethernet",),
 def get_network(name: str) -> NetworkModel:
     """Construct a named network model, e.g. ``get_network("ethernet_10gbps")``."""
     return NETWORKS.create(name)
+
+
+def resolve_network(value) -> Optional[NetworkModel]:
+    """``None`` | :class:`NetworkModel` | registered name | its dict form.
+
+    Raises ``ValueError`` with the message validation reports.
+    """
+    if value is None or isinstance(value, NetworkModel):
+        return value
+    if isinstance(value, str):
+        if value not in NETWORKS:
+            raise ValueError(f"unknown network {value!r}; available: "
+                             f"{NETWORKS.list()} (or a latency/bandwidth dict)")
+        return NETWORKS.create(value)
+    if not isinstance(value, dict):
+        raise ValueError(f"network must be None, a name, a dict or a NetworkModel, "
+                         f"got {type(value).__name__}")
+    missing = {"latency_s", "bandwidth_Bps"} - set(value)
+    extra = set(value) - {"latency_s", "bandwidth_Bps", "name"}
+    if missing or extra:
+        detail = (f"missing {sorted(missing)}" if missing else "") + \
+                 (" and " if missing and extra else "") + \
+                 (f"has unexpected keys {sorted(extra)}" if extra else "")
+        raise ValueError(f"network dict {detail}; expected "
+                         f"{{'latency_s': <s>, 'bandwidth_Bps': <B/s>, 'name': ...}}")
+    try:
+        return NetworkModel(**value)
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"network {value.get('name', 'custom')!r} cannot be "
+                         f"constructed with {value!r}: {error}") from None
 
 
 @dataclass(frozen=True)

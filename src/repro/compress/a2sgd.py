@@ -133,8 +133,6 @@ class A2SGDCompressor(Compressor):
     # ------------------------------------------------------------------ #
     # batched kernels: every rank in one set of axis reductions
     # ------------------------------------------------------------------ #
-    supports_batch = True
-
     @classmethod
     def compress_batch(cls, compressors: Sequence["A2SGDCompressor"], G: np.ndarray
                        ) -> Tuple[List[np.ndarray], List[Dict]]:

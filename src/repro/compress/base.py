@@ -96,11 +96,6 @@ class Compressor:
     exchange: ExchangeKind = ExchangeKind.ALLREDUCE
     #: Whether the compressor keeps a persistent residual across iterations.
     uses_error_feedback: bool = False
-    #: True when the class provides vectorized ``compress_batch`` /
-    #: ``decompress_batch`` kernels over the stacked (world_size, n) gradient
-    #: matrix.  False means the batch entry points fall back to the per-rank
-    #: loop, so custom compressors work unchanged with the batched exchange.
-    supports_batch: bool = False
     #: For Allgather compressors: True when ``decompress_gathered`` depends
     #: only on the gathered payloads and a rank-invariant context (the usual
     #: case — every rank reconstructs the same averaged gradient), letting
@@ -141,8 +136,8 @@ class Compressor:
         is that rank's instance (per-rank error-feedback state lives on the
         instances exactly as in the looped path).  Returns the per-rank
         payloads and contexts, bit-identical to calling ``compress`` rank by
-        rank.  This default *is* that loop; subclasses with
-        ``supports_batch = True`` override it with vectorized kernels.
+        rank.  This default *is* that loop; subclasses override it with
+        vectorized kernels.
         """
         payloads: List[np.ndarray] = []
         contexts: List[Dict] = []

@@ -29,8 +29,6 @@ class DenseCompressor(Compressor):
         return np.asarray(global_payload)
 
     # ------------------------------------------------------------------ #
-    supports_batch = True
-
     @classmethod
     def compress_batch(cls, compressors: Sequence["DenseCompressor"], G: np.ndarray
                        ) -> Tuple[List[np.ndarray], List[Dict]]:

@@ -177,7 +177,6 @@ class QSGDCompressor(Compressor):
         return (total / len(payloads)).astype(np.float32)
 
     # ------------------------------------------------------------------ #
-    supports_batch = True
     gathered_rank_invariant = True
 
     @classmethod

@@ -44,7 +44,6 @@ class TopKCompressor(Compressor):
     name = "topk"
     exchange = ExchangeKind.ALLGATHER
     uses_error_feedback = True
-    supports_batch = True
     gathered_rank_invariant = True
 
     def __init__(self, ratio: float = 0.001, error_feedback: bool = True,

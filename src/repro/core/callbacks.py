@@ -335,3 +335,25 @@ def resolve_callbacks(specs: Sequence) -> List[Callback]:
             raise TypeError(f"cannot build a callback from {spec!r}; pass a Callback "
                             "instance, a registered name, or a {'name': ...} dict")
     return callbacks
+
+
+def callback_problems(specs: Sequence) -> List[str]:
+    """Why :func:`resolve_callbacks` could not build ``specs`` (empty = fine).
+
+    Constructs each named callback, so a name whose class needs kwargs (e.g.
+    ``"checkpoint"`` without a path) fails at validation, not mid-run.
+    """
+    problems: List[str] = []
+    for entry in specs or ():
+        if isinstance(entry, Callback):
+            continue
+        name = entry.get("name") if isinstance(entry, dict) else entry
+        if not isinstance(name, str) or name not in CALLBACKS:
+            problems.append(f"unknown callback {entry!r}; registered callbacks: "
+                            f"{CALLBACKS.list()}")
+            continue
+        try:
+            resolve_callbacks([entry])
+        except Exception as error:
+            problems.append(f"callback {entry!r} cannot be constructed: {error}")
+    return problems

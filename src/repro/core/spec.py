@@ -39,17 +39,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.backends import backend_spec_problems
-from repro.comm.network_model import NETWORKS, NetworkModel
-from repro.compress.registry import COMPRESSORS
-from repro.core.callbacks import CALLBACKS, Callback
+from repro.comm.network_model import NetworkModel, resolve_network
+from repro.core.callbacks import callback_problems
+from repro.core.features import RunFeatures
 from repro.core.trainer import TrainerConfig
 from repro.faults import FaultSpec
 from repro.federated import ClientSpec
-from repro.models.registry import MODELS, list_models, list_presets
-from repro.registry import RegistryKeyError, unknown_field_problems
-from repro.sim.compute import compute_model_problems
-from repro.sync import SYNC_STRATEGIES, SyncSpec
+from repro.registry import unknown_field_problems
+from repro.sync import SyncSpec
 from repro.utils.serialization import to_jsonable
 
 
@@ -133,23 +130,30 @@ class ExperimentSpec:
     # ------------------------------------------------------------------ #
     # derivation
     # ------------------------------------------------------------------ #
+    def _resolved(self, resolve, field_name: str):
+        """One field in its built form; a malformed one is a :class:`SpecError`."""
+        try:
+            return resolve(getattr(self, field_name))
+        except ValueError as error:
+            raise SpecError(str(error).splitlines()) from None
+
     def resolved_network(self) -> Optional[NetworkModel]:
         """The spec's network as a :class:`NetworkModel` (or None)."""
-        if self.network is None or isinstance(self.network, NetworkModel):
-            return self.network
-        if isinstance(self.network, str):
-            return NETWORKS.create(self.network)
-        if isinstance(self.network, dict):
-            return NetworkModel(**self.network)
-        raise SpecError(f"network must be None, a name, a dict or a NetworkModel; "
-                        f"got {self.network!r}")
+        return self._resolved(resolve_network, "network")
 
     def resolved_sync(self) -> SyncSpec:
         """The spec's sync section as a :class:`SyncSpec` (defaults when None)."""
-        try:
-            return SyncSpec.resolve(self.sync)
-        except ValueError as error:
-            raise SpecError(str(error).splitlines()) from None
+        return self._resolved(SyncSpec.resolve, "sync")
+
+    def resolved_faults(self) -> FaultSpec:
+        """The spec's faults section as a :class:`FaultSpec` (defaults when
+        None)."""
+        return self._resolved(FaultSpec.resolve, "faults")
+
+    def resolved_clients(self) -> ClientSpec:
+        """The spec's clients section as a :class:`ClientSpec` (defaults
+        when None)."""
+        return self._resolved(ClientSpec.resolve, "clients")
 
     def to_trainer_config(self) -> TrainerConfig:
         """Derive the trainer's config from this spec.
@@ -171,22 +175,6 @@ class ExperimentSpec:
         kwargs["faults"] = copy.deepcopy(self.resolved_faults())
         kwargs["clients"] = copy.deepcopy(self.resolved_clients())
         return TrainerConfig(**kwargs)
-
-    def resolved_faults(self) -> FaultSpec:
-        """The spec's faults section as a :class:`FaultSpec` (defaults when
-        None)."""
-        try:
-            return FaultSpec.resolve(self.faults)
-        except ValueError as error:
-            raise SpecError(str(error).splitlines()) from None
-
-    def resolved_clients(self) -> ClientSpec:
-        """The spec's clients section as a :class:`ClientSpec` (defaults
-        when None)."""
-        try:
-            return ClientSpec.resolve(self.clients)
-        except ValueError as error:
-            raise SpecError(str(error).splitlines()) from None
 
     def replace(self, **overrides) -> "ExperimentSpec":
         """A copy with ``overrides`` applied and mutable fields deep-copied.
@@ -257,148 +245,12 @@ class ExperimentSpec:
     # validation
     # ------------------------------------------------------------------ #
     def validate(self) -> "ExperimentSpec":
-        """Check every field, raising :class:`SpecError` listing all problems."""
-        problems: List[str] = []
+        """Check every field, raising :class:`SpecError` listing all problems.
 
-        # Same normalized lookup the runtime uses, so validate() never rejects
-        # a spec that get_model_spec() would accept (e.g. "lstm-ptb").
-        if f"{self.model}/{self.preset}" not in MODELS:
-            problems.append(f"unknown model/preset {self.model!r}/{self.preset!r}; "
-                            f"models: {list_models()}, presets for a model via "
-                            f"list_presets(); e.g. fnn3 has {list_presets('fnn3')}")
-        try:
-            COMPRESSORS.canonical(str(self.algorithm))
-        except RegistryKeyError as error:
-            problems.append(str(error))
-
-        for name, minimum in (("world_size", 1), ("epochs", 1), ("eval_every", 1),
-                              ("seq_len", 2)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < minimum:
-                problems.append(f"{name} must be an integer >= {minimum}, got {value!r}")
-        for name in ("batch_size", "max_iterations_per_epoch", "num_train", "num_test"):
-            value = getattr(self, name)
-            if value is not None and (not _is_int(value) or value < 1):
-                problems.append(f"{name} must be None or an integer >= 1, got {value!r}")
-        if not _is_int(self.seed):
-            problems.append(f"seed must be an integer, got {self.seed!r}")
-
-        if not isinstance(self.compressor_kwargs, dict):
-            problems.append(f"compressor_kwargs must be a dict, "
-                            f"got {type(self.compressor_kwargs).__name__}")
-        if not isinstance(self.taped, bool):
-            problems.append(f"taped must be true/false, got {self.taped!r}")
-
-        if isinstance(self.network, str) and self.network not in NETWORKS:
-            problems.append(f"unknown network {self.network!r}; "
-                            f"available: {NETWORKS.list()} (or a latency/bandwidth dict)")
-        elif isinstance(self.network, dict):
-            missing = {"latency_s", "bandwidth_Bps"} - set(self.network)
-            extra = set(self.network) - {"latency_s", "bandwidth_Bps", "name"}
-            if missing or extra:
-                detail = (f"missing {sorted(missing)}" if missing else "") + \
-                         (" and " if missing and extra else "") + \
-                         (f"has unexpected keys {sorted(extra)}" if extra else "")
-                problems.append(f"network dict {detail}; expected "
-                                f"{{'latency_s': <s>, 'bandwidth_Bps': <B/s>, 'name': ...}}")
-        elif self.network is not None and not isinstance(self.network, NetworkModel):
-            problems.append(f"network must be None, a name, a dict or a NetworkModel, "
-                            f"got {type(self.network).__name__}")
-
-        if isinstance(self.sync, (dict, SyncSpec)) or self.sync is None:
-            try:
-                sync = SyncSpec.resolve(self.sync)
-            except ValueError as error:
-                problems.extend(str(error).splitlines())
-            else:
-                world_size = self.world_size if isinstance(self.world_size, int) else None
-                problems.extend(sync.problems(world_size=world_size,
-                                              algorithm=str(self.algorithm)))
-        else:
-            problems.append(f"sync must be None, a dict or a SyncSpec, "
-                            f"got {type(self.sync).__name__}")
-
-        problems.extend(compute_model_problems(self.compute_model))
-        if not _is_int(self.clock_seed):
-            problems.append(f"clock_seed must be an integer, got {self.clock_seed!r}")
-
-        if isinstance(self.faults, (str, dict, FaultSpec)) or self.faults is None:
-            try:
-                faults = FaultSpec.resolve(self.faults)
-            except ValueError as error:
-                problems.extend(str(error).splitlines())
-            else:
-                world_size = self.world_size if isinstance(self.world_size, int) else None
-                problems.extend(faults.problems(world_size=world_size))
-        else:
-            problems.append(f"faults must be None, a model name, a dict or a "
-                            f"FaultSpec, got {type(self.faults).__name__}")
-        if not _is_int(self.fault_seed):
-            problems.append(f"fault_seed must be an integer, got {self.fault_seed!r}")
-
-        # Backend name, kwargs and feature compatibility — the exact pinned
-        # messages the trainer raises at bind time, so a bad combination
-        # fails identically from `repro validate` and `repro run`.
-        task = MODELS.get(f"{self.model}/{self.preset}").task \
-            if f"{self.model}/{self.preset}" in MODELS else None
-        sync_strategy, is_async = None, False
-        try:
-            sync_strategy = SyncSpec.resolve(self.sync).strategy
-            if sync_strategy in SYNC_STRATEGIES:
-                is_async = bool(getattr(SYNC_STRATEGIES.get(sync_strategy),
-                                        "is_async", False))
-        except (TypeError, ValueError):
-            pass                       # already reported by the sync block
-        try:
-            faults_active = FaultSpec.resolve(self.faults).active
-        except (TypeError, ValueError):
-            faults_active = False      # already reported by the faults block
-        problems.extend(backend_spec_problems(
-            self.backend, self.backend_kwargs,
-            world_size=self.world_size if isinstance(self.world_size, int) else None,
-            task=task, sync_strategy=sync_strategy, is_async=is_async,
-            faults_active=faults_active))
-
-        # Client-population section — the same pinned messages the trainer
-        # raises at construction, so `repro validate` and `repro run` fail
-        # identically on a bad combination.
-        if isinstance(self.clients, (int, dict, ClientSpec)) \
-                and not isinstance(self.clients, bool) or self.clients is None:
-            try:
-                clients = ClientSpec.resolve(self.clients)
-            except ValueError as error:
-                problems.extend(str(error).splitlines())
-            else:
-                try:
-                    sync_period = SyncSpec.resolve(self.sync).period
-                except (TypeError, ValueError):
-                    sync_period = None  # already reported by the sync block
-                problems.extend(clients.problems(
-                    world_size=self.world_size
-                    if isinstance(self.world_size, int) else None,
-                    task=task, sync_strategy=sync_strategy,
-                    sync_period=sync_period, faults_active=faults_active))
-        else:
-            problems.append(f"clients must be None, an int, a dict or a "
-                            f"ClientSpec, got {type(self.clients).__name__}")
-
-        for entry in self.callbacks:
-            if isinstance(entry, Callback):
-                continue
-            name = entry.get("name") if isinstance(entry, dict) else entry
-            if not isinstance(name, str) or name not in CALLBACKS:
-                problems.append(f"unknown callback {entry!r}; registered callbacks: "
-                                f"{CALLBACKS.list()}")
-                continue
-            # Constructibility: a name whose class needs kwargs (e.g.
-            # "checkpoint" without a path) must fail here, not mid-run.
-            kwargs = {k: v for k, v in entry.items() if k != "name"} \
-                if isinstance(entry, dict) else {}
-            try:
-                CALLBACKS.create(name, **kwargs)
-            except Exception as error:
-                problems.append(f"callback {entry!r} cannot be constructed: {error}")
-
+        The list is :meth:`RunFeatures.problems` — the one the trainer's
+        constructor raises — plus the spec-only ``callbacks`` field.
+        """
+        problems = RunFeatures.of(self).problems() + callback_problems(self.callbacks)
         if problems:
             raise SpecError(problems)
         return self
@@ -408,11 +260,6 @@ class ExperimentSpec:
         lines = [f"{f.name:26s} = {getattr(self, f.name)!r}"
                  for f in dataclasses.fields(self)]
         return "\n".join(lines)
-
-
-def _is_int(value: object) -> bool:
-    """A real integer: ``bool`` is an ``int`` subclass and must not pass."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _unknown_field_message(name: str, spec: ExperimentSpec) -> str:

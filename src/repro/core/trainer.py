@@ -38,7 +38,6 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backends import EXECUTION_BACKENDS, backend_spec_problems
 from repro.comm.inprocess import InProcessWorld
 from repro.comm.network_model import NetworkModel
 from repro.compress.registry import get_compressor
@@ -52,6 +51,7 @@ from repro.core.callbacks import (
     TrainState,
     resolve_callbacks,
 )
+from repro.core.features import RunFeatures
 from repro.core.flat_buffer import WorldFlatBuffers
 from repro.core.metrics import TrainingMetrics, evaluate_classifier, evaluate_language_model
 from repro.core.timeline import IterationTimeline
@@ -62,13 +62,11 @@ from repro.data.registry import get_dataset
 from repro.faults import FaultSpec
 from repro.federated import ClientPopulation, ClientSpec
 from repro.data.synthetic_text import LanguageModelBatcher
-from repro.models.registry import ModelSpec, get_model_spec
+from repro.models.registry import ModelSpec
 from repro.nn.module import Module
 from repro.optim.lars import LARS, lars_flat_update
-from repro.optim.lr_schedule import build_lr_policy
 from repro.optim.registry import OPTIMIZERS
 from repro.optim.sgd import sgd_flat_update
-from repro.sim.compute import resolve_compute_model
 from repro.sim.engine import LockstepSimulator, SimulationEngine
 from repro.sync import SyncSpec, merge_reports
 from repro.tensor import Tensor, functional as F
@@ -101,7 +99,8 @@ class TrainerConfig:
     num_test: Optional[int] = None
     #: Extra kwargs forwarded to the compressor constructor.
     compressor_kwargs: dict = field(default_factory=dict)
-    #: Network model; defaults to the paper's 100 Gbps InfiniBand.
+    #: Network model (or the spec's name / dict form); defaults to the
+    #: paper's 100 Gbps InfiniBand.
     network: Optional[NetworkModel] = None
     #: Evaluate every k epochs (always evaluates on the last epoch).
     eval_every: int = 1
@@ -162,14 +161,19 @@ class DistributedTrainer:
     """
 
     def __init__(self, config: TrainerConfig, callbacks: Optional[Iterable] = None):
-        if config.world_size < 1:
-            raise ValueError("world_size must be at least 1")
-        if config.epochs < 1:
-            raise ValueError("epochs must be at least 1")
         self.config = config
-        self.spec: ModelSpec = get_model_spec(config.model, config.preset)
+        # The one compatibility check — the list ExperimentSpec.validate()
+        # raises — after which construction only *reads* the record.
+        features = RunFeatures.of(config)
+        problems = features.problems()
+        if problems:
+            raise ValueError("; ".join(problems))
+        self.spec: ModelSpec = features.model_spec
+        self.sync_spec: SyncSpec = features.sync
+        self.fault_spec: FaultSpec = features.faults
+        self.clients_spec: ClientSpec = features.clients
         self.seeds = SeedSequenceFactory(config.seed)
-        self.world = InProcessWorld(config.world_size, network=config.network)
+        self.world = InProcessWorld(config.world_size, network=features.network)
 
         # Replicas: identical initialization on every worker (Algorithm 1
         # line 1).  The seed derivation is centralized in replica_init_seed so
@@ -186,28 +190,14 @@ class DistributedTrainer:
         # Synchronization strategy (when/what ranks exchange) composed with an
         # aggregator (how payloads combine); the default SyncSpec() is the
         # paper's Algorithm 1 and reproduces the seed trainer bit for bit.
-        self.sync_spec = SyncSpec.resolve(config.sync)
         self.sync_strategy = self.sync_spec.build(self.world, self.compressors)
         #: Whether the bound strategy trains on the virtual-clock event loop.
-        self.is_async = bool(getattr(self.sync_strategy, "is_async", False))
+        self.is_async = features.is_async
 
-        # Execution backend: where the forward/backward passes run.  Resolved
-        # early (faults too, which the compatibility check needs) and checked
-        # with the same pinned messages ExperimentSpec.validate() emits, so a
-        # bad combination fails identically from either entry point.
-        self.fault_spec = FaultSpec.resolve(config.faults)
-        backend_problems = backend_spec_problems(
-            config.backend, config.backend_kwargs,
-            world_size=config.world_size, task=self.spec.task,
-            sync_strategy=self.sync_spec.strategy, is_async=self.is_async,
-            faults_active=self.fault_spec.active)
-        if backend_problems:
-            raise ValueError("; ".join(backend_problems))
-        self.backend = EXECUTION_BACKENDS.create(
-            EXECUTION_BACKENDS.canonical(config.backend),
-            **config.backend_kwargs)
+        # Execution backend: where the forward/backward passes run.
+        self.backend = features.backend(**config.backend_kwargs)
         try:
-            self._build(callbacks)
+            self._build(features, callbacks)
         except BaseException:
             # Once a backend exists, a failing constructor must not pin its
             # resources (the multiprocessing arena) for the life of the
@@ -220,20 +210,11 @@ class DistributedTrainer:
                     "backend cleanup failed after a constructor error")
             raise
 
-    def _build(self, callbacks: Optional[Iterable]) -> None:
+    def _build(self, features: RunFeatures, callbacks: Optional[Iterable]) -> None:
         """Everything the constructor sets up after the backend exists."""
         config = self.config
         # Client-population layer: a logical population of N clients mapped
-        # lazily onto the P replica slots, checked with the same pinned
-        # messages ExperimentSpec.validate() emits.
-        self.clients_spec = ClientSpec.resolve(config.clients)
-        client_problems = self.clients_spec.problems(
-            world_size=config.world_size, task=self.spec.task,
-            sync_strategy=self.sync_spec.strategy,
-            sync_period=self.sync_spec.period,
-            faults_active=self.fault_spec.active)
-        if client_problems:
-            raise ValueError("; ".join(client_problems))
+        # lazily onto the P replica slots.
         self.population: Optional[ClientPopulation] = \
             ClientPopulation(self.clients_spec, config.world_size) \
             if self.clients_spec.enabled else None
@@ -241,11 +222,9 @@ class DistributedTrainer:
         # Learning-rate policy and the optimizer (LARS when Table 1 says so):
         # one hyperparameter / learning-rate record for the whole world — the
         # fused kernels in _apply step every row of the (P, n) matrices.
-        self.base_lr = config.base_lr if config.base_lr is not None else self.spec.base_lr
-        self.lr_policy, use_lars = build_lr_policy(self.spec.lr_policy,
-                                                   world_size=config.world_size,
-                                                   total_epochs=config.epochs)
-        self.optimizer = OPTIMIZERS.get("lars" if use_lars else "sgd")(
+        self.base_lr = features.base_lr
+        self.lr_policy = features.lr_policy
+        self.optimizer = OPTIMIZERS.get(features.optimizer)(
             self.replicas[0].parameters(), lr=self.base_lr,
             momentum=config.momentum, weight_decay=config.weight_decay)
 
@@ -274,37 +253,26 @@ class DistributedTrainer:
         self._async_worker_rows: Optional[np.ndarray] = None
 
         # Simulated time.  Async strategies always train on the virtual-clock
-        # event engine (constant compute model unless configured otherwise);
-        # synchronous strategies keep their lockstep numerics and optionally
-        # attach a LockstepSimulator that prices each iteration.
+        # event engine; synchronous strategies keep their lockstep numerics
+        # and, when the (defaulted) compute model is set, attach a
+        # LockstepSimulator that prices each iteration.
         self.sim_engine: Optional[SimulationEngine] = None
         self.lockstep_sim: Optional[LockstepSimulator] = None
-        compute_model = resolve_compute_model(config.compute_model)
         if self.is_async:
-            if compute_model is None:
-                compute_model = resolve_compute_model("constant")
-            self.sim_engine = SimulationEngine(self, compute_model,
+            self.sim_engine = SimulationEngine(self, features.compute_model,
                                                config.clock_seed)
-        else:
-            if compute_model is None and self.fault_spec.active:
-                # Fault schedules and recovery penalties live on the
-                # simulated clock; injecting faults implies pricing time.
-                compute_model = resolve_compute_model("constant")
-            if compute_model is not None:
-                self.lockstep_sim = LockstepSimulator(config.world_size,
-                                                      compute_model,
-                                                      config.clock_seed)
+        elif features.compute_model is not None:
+            self.lockstep_sim = LockstepSimulator(config.world_size,
+                                                  features.compute_model,
+                                                  config.clock_seed)
 
         # Fault layer: membership mask + injector.  ``intermittent_dropout``
         # compute stalls are bridged to membership absences on the lockstep
-        # paths (a dropped rank is *absent*, not slow; the timing-only
-        # behaviour lives on as the ``slow_node`` fault model).
-        bridge = (self.lockstep_sim is not None
-                  and compute_model is not None
-                  and compute_model.name == "intermittent_dropout")
+        # paths (the timing-only behaviour lives on as the ``slow_node``
+        # fault model).
         self.fault_injector = self.fault_spec.build(
             config.world_size, seed=config.fault_seed,
-            bridge_compute_stalls=bridge)
+            bridge_compute_stalls=features.bridge_compute_stalls)
         self._last_losses: Optional[np.ndarray] = None
         if self.fault_injector is not None:
             self.world.membership = self.fault_injector.membership

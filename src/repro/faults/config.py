@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FAULT_MODELS
 from repro.registry import RegistryKeyError, unknown_field_problems
+
+if TYPE_CHECKING:
+    from repro.core.features import RunFeatures
 
 
 @dataclass
@@ -108,8 +111,12 @@ class FaultSpec:
         """Whether a fault model is configured (not "none")."""
         return str(self.model).strip().lower() not in ("none", "")
 
-    def problems(self, world_size: Optional[int] = None) -> List[str]:
-        """Every problem with this faults section, as actionable messages."""
+    def problems(self, features: "RunFeatures") -> List[str]:
+        """Every problem with this faults section, as actionable messages.
+
+        ``features`` (the run's :class:`~repro.core.features.RunFeatures`)
+        supplies the world size the fault model is bound against.
+        """
         problems: List[str] = []
         model_known = False
         if self.active:
@@ -127,8 +134,8 @@ class FaultSpec:
         elif model_known:
             try:
                 model = FAULT_MODELS.create(self.model, **self.model_kwargs)
-                if world_size is not None:
-                    model.bind(world_size, 0)
+                if features.world_size is not None:
+                    model.bind(features.world_size, 0)
             except Exception as error:
                 problems.append(f"fault model {self.model!r} cannot be "
                                 f"constructed with {self.model_kwargs!r}: "
@@ -148,14 +155,6 @@ class FaultSpec:
             problems.append(f"backoff_base_s must be a number >= 0, "
                             f"got {self.backoff_base_s!r}")
         return problems
-
-    def validate(self, world_size: Optional[int] = None) -> "FaultSpec":
-        """Raise ``ValueError`` listing every problem; returns self when clean."""
-        problems = self.problems(world_size=world_size)
-        if problems:
-            raise ValueError("invalid faults spec:\n" +
-                             "\n".join(f"  - {p}" for p in problems))
-        return self
 
     # ------------------------------------------------------------------ #
     # injector construction

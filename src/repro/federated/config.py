@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.data.partition import PARTITION_POLICIES, partition_problems
 from repro.federated.sampler import CLIENT_SAMPLERS
 from repro.registry import RegistryKeyError, unknown_field_problems
-from repro.sync.base import SYNC_STRATEGIES
+
+if TYPE_CHECKING:
+    from repro.core.features import RunFeatures
 
 
 @dataclass
@@ -115,17 +117,14 @@ class ClientSpec:
         except RegistryKeyError:
             return None
 
-    def problems(self, world_size: Optional[int] = None,
-                 task: Optional[str] = None,
-                 sync_strategy: Optional[str] = None,
-                 sync_period: Optional[int] = None,
-                 faults_active: bool = False) -> List[str]:
+    def problems(self, features: "RunFeatures") -> List[str]:
         """Every problem with this clients section, as actionable messages.
 
-        The trainer and ``ExperimentSpec.validate`` call this with the same
-        arguments, so a bad section fails identically at validate time and
-        at construction time.
+        ``features`` (the run's :class:`~repro.core.features.RunFeatures`)
+        supplies the world size, task, sync strategy and period, and whether
+        faults are injected.
         """
+        world_size, task = features.world_size, features.task
         if not self.enabled:
             problems: List[str] = []
             if self.cohort_size is not None:
@@ -177,13 +176,13 @@ class ClientSpec:
                     f"each round and requires cohort_size == num_clients "
                     f"(got K={cohort}, N={self.num_clients}); use "
                     f"'uniform_without_replacement' to sample cohorts")
-            if not sampler_cls.full_participation:
-                if sync_period is not None and sync_period < 2:
-                    problems.append(
-                        f"clients: sampler {sampler!r} resamples the cohort "
-                        f"at each parameter-averaging point and requires "
-                        f"sync period >= 2 (got {sync_period}); use the "
-                        f"'full' sampler for per-iteration exchange")
+            if not sampler_cls.full_participation \
+                    and features.sync is not None and features.period < 2:
+                problems.append(
+                    f"clients: sampler {sampler!r} resamples the cohort "
+                    f"at each parameter-averaging point and requires "
+                    f"sync period >= 2 (got {features.period}); use the "
+                    f"'full' sampler for per-iteration exchange")
 
         if not isinstance(self.sampler_seed, int) \
                 or isinstance(self.sampler_seed, bool):
@@ -199,28 +198,16 @@ class ClientSpec:
         if task is not None and task != "classification":
             problems.append(f"clients: federated client populations support "
                             f"classification tasks only (got task {task!r})")
-        if sync_strategy is not None:
-            try:
-                strategy = SYNC_STRATEGIES.canonical(str(sync_strategy))
-            except RegistryKeyError:
-                strategy = str(sync_strategy)
-            if strategy != "fedavg":
-                problems.append(
-                    f"clients: a client population requires sync strategy "
-                    f"'fedavg' (got {sync_strategy!r})")
-        if faults_active:
+        if features.sync is not None and (features.strategy is None
+                                          or features.strategy.name != "fedavg"):
+            problems.append(
+                f"clients: a client population requires sync strategy "
+                f"'fedavg' (got {features.sync.strategy!r})")
+        if features.faults_active:
             problems.append("clients: fault injection is not supported with "
                             "a client population; cohort sampling already "
                             "models partial participation")
         return problems
-
-    def validate(self, **kwargs: object) -> "ClientSpec":
-        """Raise ``ValueError`` listing every problem; returns self when clean."""
-        problems = self.problems(**kwargs)
-        if problems:
-            raise ValueError("invalid clients spec:\n" +
-                             "\n".join(f"  - {p}" for p in problems))
-        return self
 
     def describe(self) -> str:
         """One-line human-readable summary (used by the CLI)."""

@@ -167,6 +167,21 @@ class Registry:
         """Instantiate the factory registered under ``name``."""
         return self.get(name)(*args, **kwargs)
 
+    def construction_problems(self, name: str, kwargs: Dict[str, Any], *args,
+                              kind: Optional[str] = None) -> List[str]:
+        """Validation's constructibility idiom: build what the run will build.
+
+        Empty when ``create(name, *args, **kwargs)`` succeeds, else the one
+        message ``"<kind> <name> cannot be constructed with <kwargs>: <error>"``
+        — a factory may raise anything on bad kwargs, hence the broad catch.
+        """
+        try:
+            self.create(name, *args, **kwargs)
+        except Exception as error:
+            return [f"{kind or self.kind} {name!r} cannot be constructed "
+                    f"with {kwargs!r}: {error}"]
+        return []
+
     def canonical(self, name: str) -> str:
         """The canonical registered name for ``name`` (resolving aliases)."""
         return self._resolve(name)

@@ -10,7 +10,6 @@ from repro.sim.clock import VirtualClock
 from repro.sim.compute import (
     COMPUTE_MODELS,
     ComputeTimeModel,
-    compute_model_problems,
     resolve_compute_model,
 )
 from repro.sim.engine import LockstepSimulator, SimulationEngine
@@ -23,6 +22,5 @@ __all__ = [
     "SimReport",
     "SimulationEngine",
     "VirtualClock",
-    "compute_model_problems",
     "resolve_compute_model",
 ]

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.registry import Registry, RegistryKeyError
+from repro.registry import Registry
 from repro.utils.rng import new_rng
 
 COMPUTE_MODELS = Registry("compute-time model", expose="compute-models")
@@ -231,14 +231,3 @@ def resolve_compute_model(value) -> Optional[ComputeTimeModel]:
         return COMPUTE_MODELS.create(name, **kwargs)
     raise ValueError(f"compute_model must be None, a name or a dict, "
                      f"got {type(value).__name__}")
-
-
-def compute_model_problems(value) -> List[str]:
-    """Validation-friendly version of :func:`resolve_compute_model`."""
-    if value is None:
-        return []
-    try:
-        resolve_compute_model(value)
-    except (RegistryKeyError, ValueError, TypeError) as error:
-        return [f"compute_model: {error}"]
-    return []

@@ -74,12 +74,18 @@ class AsyncStrategy(SyncStrategy):
                            f"exchange; it runs on the simulation engine "
                            f"(repro.sim.engine)")
 
-    def _after_bind(self) -> None:
-        if self.aggregator is not None and self.aggregator.collective_op is None:
-            raise ValueError(
-                f"async strategy {self.name!r} applies one update at a time and "
-                f"never forms the (P, n) stack a robust aggregator needs; use "
-                f"the 'mean' aggregator")
+    @classmethod
+    def compatibility_problems(cls, features) -> List[str]:
+        problems = super().compatibility_problems(features)
+        aggregator = features.aggregator
+        if aggregator is not None and aggregator.collective_op is None:
+            # Robust aggregators combine a lockstep (P, n) stack of per-rank
+            # rows; the event loop applies one rank's update at a time.
+            problems.append(
+                f"async strategy {cls.name!r} applies one rank's update "
+                f"at a time and cannot run a robust aggregator "
+                f"({aggregator.name!r}); use the 'mean' aggregator")
+        return problems
 
     # ------------------------------------------------------------------ #
     # engine protocol
@@ -155,13 +161,19 @@ class AsyncParameterServerStrategy(AsyncStrategy):
         self.staleness_histogram: Dict[int, int] = {}
         self.rejected_pushes: int = 0
 
-    def _after_bind(self) -> None:
-        super()._after_bind()
-        if self.compressors and self.compressors[0].exchange is not ExchangeKind.ALLREDUCE:
-            raise ValueError(
-                f"async_ps pushes single-rank payloads the server must be able "
-                f"to reconstruct; compressor {self.algorithm!r} uses the "
-                f"allgather exchange and cannot be decompressed rank-locally")
+    @classmethod
+    def compatibility_problems(cls, features) -> List[str]:
+        problems = super().compatibility_problems(features)
+        compressor = features.compressor
+        if compressor is not None \
+                and compressor.exchange is not ExchangeKind.ALLREDUCE:
+            problems.append(
+                f"async strategy {cls.name!r} pushes single-rank "
+                f"payloads, but compressor {compressor.name!r} uses an "
+                f"allgather exchange that cannot be decompressed "
+                f"rank-locally; use an allreduce-kind compressor "
+                f"(dense, a2sgd)")
+        return problems
 
     # ------------------------------------------------------------------ #
     def async_setup(self, engine) -> None:

@@ -28,17 +28,20 @@ update.  Robust aggregators bound the damage; the plain mean does not.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.inprocess import InProcessWorld
 from repro.comm.topology import CommTopology
-from repro.compress.base import Compressor
+from repro.compress.base import Compressor, ExchangeKind
 from repro.compress.param_delta import ParameterDeltaCodec
 from repro.core.timeline import SyncReport
 from repro.registry import Registry
 from repro.sync.aggregators import Aggregator
+
+if TYPE_CHECKING:
+    from repro.core.features import RunFeatures
 
 #: Registry of synchronization strategies constructible by name (spec / CLI).
 SYNC_STRATEGIES = Registry("sync strategy", expose="sync-strategies")
@@ -174,12 +177,11 @@ class SyncStrategy:
     def exchanges_gradients(cls, period: int = 1) -> bool:
         """Whether this strategy puts *gradients* on the wire.
 
-        Consulted by :meth:`SyncSpec.problems` for the aggregator ×
-        compressor compatibility check, so registered third-party
-        strategies carry their own capability instead of validation
-        hardcoding names.  The lenient default (False) means a custom
-        strategy is never rejected at validate time for a combination its
-        own :meth:`bind` would accept.
+        Consulted by :meth:`compatibility_problems` for the aggregator ×
+        compressor rule, so registered third-party strategies carry their
+        own capability instead of validation hardcoding names.  The lenient
+        default (False) never rejects a custom strategy for a combination
+        it can run.
         """
         return False
 
@@ -187,14 +189,59 @@ class SyncStrategy:
     def exchanges_parameters(cls, period: int = 1) -> bool:
         """Whether this strategy puts *parameter* payloads on the wire.
 
-        Consulted by :meth:`SyncSpec.problems` and :meth:`bind` to decide
-        whether ``parameter_compression`` applies: only parameter-phase
-        strategies (local SGD with H > 1, gossip) stage parameter payloads
-        a :class:`~repro.compress.param_delta.ParameterDeltaCodec` can
+        Consulted by :meth:`compatibility_problems` to decide whether
+        ``parameter_compression`` applies: only parameter-phase strategies
+        (local SGD with H > 1, gossip) stage parameter payloads a
+        :class:`~repro.compress.param_delta.ParameterDeltaCodec` can
         compress.  Custom strategies that implement :meth:`post_step`
         opt in by overriding this.
         """
         return False
+
+    @classmethod
+    def binds(cls, topology: type) -> bool:
+        """Whether :meth:`bind` is handed this topology class.
+
+        Always when one is required; when optional only a non-default one —
+        the ``SyncSpec.topology`` default ``"ring"`` means "flat" there.
+        """
+        return cls.needs_topology or (cls.optional_topology
+                                      and topology.name != "ring")
+
+    @classmethod
+    def compatibility_problems(cls, features: "RunFeatures") -> List[str]:
+        """The cross-feature rules this strategy owns, one message per breach.
+
+        The single statement of each rule: :meth:`SyncSpec.problems` lists
+        these (so ``ExperimentSpec.validate()`` and the trainer constructor
+        do), and :meth:`bind` raises the first.  ``features`` is the
+        :class:`~repro.core.features.RunFeatures` record; a rule whose
+        inputs are unknown there (``None``: unregistered names, reported by
+        their own checks) is skipped.  Subclasses extend the inherited list.
+        """
+        problems: List[str] = []
+        aggregator, compressor = features.aggregator, features.compressor
+        codec = features.parameter_compressor
+        if codec is not None and not cls.exchanges_parameters(features.period):
+            problems.append(
+                f"parameter_compression={codec.name!r} only applies to "
+                f"parameter-phase strategies (local_sgd with period > 1, "
+                f"gossip); strategy {cls.name!r} with period={features.period} "
+                f"never exchanges parameters")
+        # Robust aggregators need per-rank payloads, which allgather-kind
+        # compressors cannot provide on the gradient exchange (their
+        # reconstruction bakes in the mean).
+        if (cls.exchanges_gradients(features.period)
+                and aggregator is not None and aggregator.collective_op is None
+                and compressor is not None
+                and compressor.exchange is not ExchangeKind.ALLREDUCE):
+            problems.append(
+                f"aggregator {aggregator.name!r} needs per-rank payloads, but "
+                f"compressor {compressor.name!r} uses an allgather exchange; robust "
+                f"aggregators support allreduce-kind compressors only "
+                f"(dense, a2sgd) — or use strategy local_sgd with period > 1 / "
+                f"gossip, which aggregate parameters instead")
+        return problems
 
     def __init__(self) -> None:
         self.world: Optional[InProcessWorld] = None
@@ -236,13 +283,16 @@ class SyncStrategy:
         if corruption is not None:
             corruption.validate_world(world.world_size)
         if parameter_compressors is not None:
-            if not type(self).exchanges_parameters(period):
-                raise ValueError(
-                    f"sync strategy {self.name!r} never exchanges parameters "
-                    f"(with period={period}); parameter compression only applies "
-                    f"to parameter-phase strategies (local_sgd with period > 1, "
-                    f"gossip)")
             validate_compressors(world, parameter_compressors)
+        # Deferred: core.features imports this package.
+        from repro.core.features import RunFeatures
+        problems = self.compatibility_problems(RunFeatures(
+            aggregator=type(aggregator), compressor=type(compressors[0]),
+            topology=None if topology is None else type(topology), period=period,
+            parameter_compressor=None if parameter_compressors is None
+            else type(parameter_compressors[0])))
+        if problems:
+            raise ValueError(problems[0])
         self.world = world
         self.compressors = list(compressors)
         self.aggregator = aggregator
@@ -252,11 +302,7 @@ class SyncStrategy:
         self.parameter_codec = (ParameterDeltaCodec(parameter_compressors)
                                 if parameter_compressors is not None else None)
         self._step = 0
-        self._after_bind()
         return self
-
-    def _after_bind(self) -> None:
-        """Subclass hook for extra bind-time validation."""
 
     @property
     def algorithm(self) -> str:

@@ -19,15 +19,18 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.comm.inprocess import InProcessWorld
 from repro.comm.topology import TOPOLOGIES
-from repro.compress.base import Compressor, ExchangeKind
+from repro.compress.base import Compressor
 from repro.compress.registry import COMPRESSORS
 from repro.registry import RegistryKeyError, unknown_field_problems
 from repro.sync.aggregators import AGGREGATORS
 from repro.sync.base import CORRUPTION_KINDS, SYNC_STRATEGIES, GradientCorruption, SyncStrategy
+
+if TYPE_CHECKING:
+    from repro.core.features import RunFeatures
 
 
 @dataclass
@@ -134,13 +137,13 @@ class SyncSpec:
     # ------------------------------------------------------------------ #
     # validation
     # ------------------------------------------------------------------ #
-    def problems(self, world_size: Optional[int] = None,
-                 algorithm: Optional[str] = None) -> List[str]:
+    def problems(self, features: "RunFeatures") -> List[str]:
         """Every problem with this sync section, as actionable messages.
 
-        ``world_size`` and ``algorithm`` enable the cross-field checks
-        (corrupt-rank range, aggregator × compressor compatibility) when
-        the caller knows them — :meth:`ExperimentSpec.validate` does.
+        ``features`` is the run's :class:`~repro.core.features.RunFeatures`
+        record: it carries the registered classes this section names, the
+        world size (corrupt-rank range) and the gradient compressor the
+        strategy's own cross-feature rules read.
         """
         problems: List[str] = []
         for registry, name in ((SYNC_STRATEGIES, self.strategy),
@@ -160,7 +163,7 @@ class SyncSpec:
         # not a silent no-op.  The strategy classes carry the capability
         # flags (uses_period / needs_topology), so registered third-party
         # strategies participate without name lists here.
-        strategy_cls = self._strategy_class()
+        strategy_cls = features.strategy
         if strategy_cls is not None:
             if not strategy_cls.uses_period and self.period != 1:
                 problems.append(f"period={self.period!r} is only used by "
@@ -172,28 +175,17 @@ class SyncSpec:
                 problems.append(f"topology={self.topology!r} is only used by "
                                 f"graph-based strategies (gossip); strategy "
                                 f"{self.strategy!r} does not exchange over a graph")
-            if strategy_cls.optional_topology:
-                problems.extend(self._optional_topology_problems())
-        if not isinstance(self.strategy_kwargs, dict):
-            problems.append(f"strategy_kwargs must be a dict, "
-                            f"got {type(self.strategy_kwargs).__name__}")
-        elif self.strategy in SYNC_STRATEGIES:
-            try:
-                SYNC_STRATEGIES.create(self.strategy, **self.strategy_kwargs)
-            except Exception as error:
-                problems.append(f"sync strategy {self.strategy!r} cannot be "
-                                f"constructed with {self.strategy_kwargs!r}: {error}")
-        if not isinstance(self.aggregator_kwargs, dict):
-            problems.append(f"aggregator_kwargs must be a dict, "
-                            f"got {type(self.aggregator_kwargs).__name__}")
-        elif self.aggregator in AGGREGATORS:
-            try:
-                AGGREGATORS.create(self.aggregator, **self.aggregator_kwargs)
-            except Exception as error:
-                problems.append(f"aggregator {self.aggregator!r} cannot be constructed "
-                                f"with {self.aggregator_kwargs!r}: {error}")
+        for registry, name, field_name in (
+                (SYNC_STRATEGIES, self.strategy, "strategy_kwargs"),
+                (AGGREGATORS, self.aggregator, "aggregator_kwargs")):
+            kwargs = getattr(self, field_name)
+            if not isinstance(kwargs, dict):
+                problems.append(f"{field_name} must be a dict, "
+                                f"got {type(kwargs).__name__}")
+            elif name in registry:
+                problems.extend(registry.construction_problems(name, kwargs))
 
-        problems.extend(self._parameter_compression_problems(strategy_cls))
+        problems.extend(self._parameter_compression_problems())
 
         if self.corruption not in CORRUPTION_KINDS:
             problems.append(f"unknown corruption {self.corruption!r}; "
@@ -207,138 +199,41 @@ class SyncSpec:
                        for r in self.corrupt_ranks):
             problems.append(f"corrupt_ranks must be a list of non-negative rank "
                             f"indices, got {self.corrupt_ranks!r}")
-        elif world_size is not None:
-            out_of_range = sorted(r for r in self.corrupt_ranks if r >= world_size)
+        elif features.world_size is not None:
+            out_of_range = sorted(r for r in self.corrupt_ranks
+                                  if r >= features.world_size)
             if out_of_range:
                 problems.append(f"corrupt_ranks {out_of_range} out of range for "
-                                f"world_size {world_size}")
+                                f"world_size {features.world_size}")
 
-        # Aggregator x compressor compatibility: robust aggregators need
-        # per-rank payloads, which allgather-kind compressors cannot provide
-        # on the gradient exchange (their reconstruction bakes in the mean).
-        # Not gated on the other problems — validate() reports everything
-        # at once.
-        if (algorithm is not None
-                and self.aggregator in AGGREGATORS
-                and AGGREGATORS.get(self.aggregator).collective_op is None
-                and self._gradient_exchange_active()):
-            try:
-                compressor_cls = COMPRESSORS.get(algorithm)
-            except RegistryKeyError:
-                compressor_cls = None  # reported by the algorithm check
-            if compressor_cls is not None \
-                    and compressor_cls.exchange is not ExchangeKind.ALLREDUCE:
-                problems.append(
-                    f"aggregator {self.aggregator!r} needs per-rank payloads, but "
-                    f"compressor {algorithm!r} uses an allgather exchange; robust "
-                    f"aggregators support allreduce-kind compressors only "
-                    f"(dense, a2sgd) — or use strategy local_sgd with period > 1 / "
-                    f"gossip, which aggregate parameters instead")
-
-        # Async strategies apply one rank's update at a time on the simulated
-        # event loop, so robust aggregators (which combine a lockstep stack of
-        # per-rank rows) do not apply, and allgather-kind compressors (whose
-        # reconstruction assumes every rank's payload) cannot decode a single
-        # push.
-        if strategy_cls is not None and getattr(strategy_cls, "is_async", False):
-            if self.aggregator in AGGREGATORS \
-                    and AGGREGATORS.get(self.aggregator).collective_op is None:
-                problems.append(
-                    f"async strategy {self.strategy!r} applies one rank's update "
-                    f"at a time and cannot run a robust aggregator "
-                    f"({self.aggregator!r}); use the 'mean' aggregator")
-            if algorithm is not None \
-                    and strategy_cls.exchanges_gradients(
-                        self.period if isinstance(self.period, int) else 1):
-                try:
-                    compressor_cls = COMPRESSORS.get(algorithm)
-                except RegistryKeyError:
-                    compressor_cls = None  # reported by the algorithm check
-                if compressor_cls is not None \
-                        and compressor_cls.exchange is not ExchangeKind.ALLREDUCE:
-                    problems.append(
-                        f"async strategy {self.strategy!r} pushes single-rank "
-                        f"payloads, but compressor {algorithm!r} uses an "
-                        f"allgather exchange that cannot be decompressed "
-                        f"rank-locally; use an allreduce-kind compressor "
-                        f"(dense, a2sgd)")
+        # Cross-feature rules (aggregator x compressor, parameter compression
+        # on a gradient-phase strategy, ...) are stated once, on the strategy
+        # class that owns them; bind() raises the same strings.
+        if strategy_cls is not None:
+            problems.extend(strategy_cls.compatibility_problems(features))
         return problems
 
-    def _parameter_compression_problems(self, strategy_cls: Optional[type]
-                                        ) -> List[str]:
+    def _parameter_compression_problems(self) -> List[str]:
         """Validation of the ``parameter_compression`` (+ kwargs) fields."""
-        problems: List[str] = []
-        kwargs_ok = isinstance(self.parameter_compression_kwargs, dict)
-        if not kwargs_ok:
-            problems.append(
-                f"parameter_compression_kwargs must be a dict, "
-                f"got {type(self.parameter_compression_kwargs).__name__}")
+        kwargs = self.parameter_compression_kwargs
+        if not isinstance(kwargs, dict):
+            return [f"parameter_compression_kwargs must be a dict, "
+                    f"got {type(kwargs).__name__}"]
         if not self.compresses_parameters:
-            if kwargs_ok and self.parameter_compression_kwargs:
-                problems.append(
-                    f"parameter_compression_kwargs "
-                    f"{self.parameter_compression_kwargs!r} given but "
-                    f"parameter_compression is {self.parameter_compression!r}")
-            return problems
+            return [f"parameter_compression_kwargs {kwargs!r} given but "
+                    f"parameter_compression is {self.parameter_compression!r}"
+                    ] if kwargs else []
         try:
             COMPRESSORS.canonical(str(self.parameter_compression))
         except RegistryKeyError as error:
-            problems.append(f"parameter_compression: {error}")
-            return problems
-        if kwargs_ok:
-            try:
-                COMPRESSORS.create(self.parameter_compression,
-                                   **self.parameter_compression_kwargs)
-            except Exception as error:
-                problems.append(
-                    f"parameter compressor {self.parameter_compression!r} cannot "
-                    f"be constructed with {self.parameter_compression_kwargs!r}: "
-                    f"{error}")
-        if strategy_cls is not None:
-            period = self.period if isinstance(self.period, int) else 1
-            if not strategy_cls.exchanges_parameters(period):
-                problems.append(
-                    f"parameter_compression={self.parameter_compression!r} only "
-                    f"applies to parameter-phase strategies (local_sgd with "
-                    f"period > 1, gossip); strategy {self.strategy!r} with "
-                    f"period={period} never exchanges parameters")
-        return problems
-
-    def _optional_topology_problems(self) -> List[str]:
-        """Checks for strategies where a topology is optional (fedavg).
-
-        The default ``"ring"`` means "no tree — flat server aggregation"
-        (the field's default is never a user intent to gossip); the only
-        other accepted graph is the two-level ``hierarchical`` tree, and
-        its count-weighted partial sums need an elementwise aggregator.
-        Mirrors the strategy's own bind-time checks so a bad combination
-        fails at validate time with the same story.
-        """
-        problems: List[str] = []
-        try:
-            topology = TOPOLOGIES.canonical(str(self.topology))
-        except RegistryKeyError:
-            return problems  # reported by the registry check above
-        if topology == "ring":
-            return problems
-        if topology != "hierarchical":
-            problems.append(
-                f"sync strategy {self.strategy!r} accepts the two-level "
-                f"'hierarchical' topology only (got {self.topology!r}); "
-                f"omit the topology for flat server aggregation")
-        elif self.aggregator in AGGREGATORS \
-                and AGGREGATORS.get(self.aggregator).collective_op is None:
-            problems.append(
-                f"hierarchical fedavg count-weights partial sums through "
-                f"edge aggregators and supports elementwise aggregators "
-                f"only, not {self.aggregator!r}; use flat fedavg "
-                f"(no topology) for robust aggregation")
-        return problems
+            return [f"parameter_compression: {error}"]
+        return COMPRESSORS.construction_problems(
+            self.parameter_compression, kwargs, kind="parameter compressor")
 
     def notes(self) -> List[str]:
         """Advisory notes: configurations that run but deserve a warning.
 
-        Unlike :meth:`problems` these never fail :meth:`validate` — a
+        Unlike :meth:`problems` these never fail validation — a
         non-contractive parameter compressor still trains (the end-to-end
         tests exercise QSGD's defaults) but its error-feedback residual has
         no drain guarantee, so the mistake is surfaced rather than enforced.
@@ -372,27 +267,6 @@ class SyncSpec:
         except RegistryKeyError:
             return None
 
-    def _gradient_exchange_active(self) -> bool:
-        """Whether the configured strategy puts gradients on the wire.
-
-        Delegates to the strategy class's ``exchanges_gradients`` so custom
-        registered strategies carry their own capability.
-        """
-        strategy_cls = self._strategy_class()
-        if strategy_cls is None:
-            return False
-        period = self.period if isinstance(self.period, int) else 1
-        return bool(strategy_cls.exchanges_gradients(period))
-
-    def validate(self, world_size: Optional[int] = None,
-                 algorithm: Optional[str] = None) -> "SyncSpec":
-        """Raise ``ValueError`` listing every problem; returns self when clean."""
-        problems = self.problems(world_size=world_size, algorithm=algorithm)
-        if problems:
-            raise ValueError("invalid sync spec:\n" +
-                             "\n".join(f"  - {p}" for p in problems))
-        return self
-
     # ------------------------------------------------------------------ #
     # strategy construction
     # ------------------------------------------------------------------ #
@@ -402,14 +276,8 @@ class SyncSpec:
         aggregator = AGGREGATORS.create(self.aggregator, **dict(self.aggregator_kwargs))
         strategy: SyncStrategy = SYNC_STRATEGIES.create(
             self.strategy, **dict(self.strategy_kwargs))
-        topology = None
-        if strategy.needs_topology:
-            topology = TOPOLOGIES.create(self.topology)
-        elif strategy.optional_topology \
-                and TOPOLOGIES.canonical(str(self.topology)) != "ring":
-            # For optional-topology strategies (fedavg) the field default
-            # "ring" means "flat" — only an explicit non-default graph binds.
-            topology = TOPOLOGIES.create(self.topology)
+        topology = TOPOLOGIES.get(self.topology)
+        topology = topology() if strategy.binds(topology) else None
         corruption = None
         if self.corrupt_ranks:
             corruption = GradientCorruption(self.corrupt_ranks, kind=self.corruption,

@@ -55,8 +55,9 @@ class AllreduceStrategy(SyncStrategy):
     aggregators need every rank's payload, so the payloads are allgathered
     and combined once (the combine is rank-invariant), then reconstructed
     per rank.  ALLGATHER-kind compressors bake the mean into their
-    ``decompress_gathered``, so robust aggregation is rejected for them at
-    bind time — see the support matrix in the README.
+    ``decompress_gathered``, so robust aggregation is rejected for them
+    (:meth:`SyncStrategy.compatibility_problems`) — see the support matrix
+    in the README.
     """
 
     name = "allreduce"
@@ -67,20 +68,6 @@ class AllreduceStrategy(SyncStrategy):
 
     def wire_bits_per_iteration(self, n: int, world_size: int) -> float:
         return self.compressors[0].wire_bits(n, world_size)
-
-    def _after_bind(self) -> None:
-        aggregator = self.aggregator
-        if self._gradient_exchange_active() and aggregator.collective_op is None \
-                and self.compressors[0].exchange is not ExchangeKind.ALLREDUCE:
-            raise ValueError(
-                f"aggregator {aggregator.name!r} needs per-rank payloads, but "
-                f"compressor {self.algorithm!r} uses an allgather exchange whose "
-                f"reconstruction bakes in the mean; robust aggregators support "
-                f"allreduce-kind compressors only (dense, a2sgd)")
-
-    def _gradient_exchange_active(self) -> bool:
-        """Whether this strategy ever runs the compressed gradient exchange."""
-        return type(self).exchanges_gradients(self.period)
 
     # ------------------------------------------------------------------ #
     # ``alive is None`` means "everyone".  Under a degraded membership dead
@@ -293,20 +280,24 @@ class FedAvgStrategy(LocalSGDStrategy):
     uses_period = True
     optional_topology = True
 
-    def _after_bind(self) -> None:
-        super()._after_bind()
-        if self.topology is not None:
-            if not isinstance(self.topology, HierarchicalTopology):
-                raise ValueError(
-                    f"sync strategy 'fedavg' accepts the two-level "
-                    f"'hierarchical' topology only (got {self.topology.name!r}); "
-                    f"omit the topology for flat server aggregation")
-            if self.aggregator.collective_op is None:
-                raise ValueError(
-                    f"hierarchical fedavg count-weights partial sums through "
-                    f"edge aggregators and supports elementwise aggregators "
-                    f"only, not {self.aggregator.name!r}; use flat fedavg "
-                    f"(no topology) for robust aggregation")
+    @classmethod
+    def compatibility_problems(cls, features) -> List[str]:
+        problems = super().compatibility_problems(features)
+        topology, aggregator = features.topology, features.aggregator
+        if topology is None:
+            return problems
+        if not issubclass(topology, HierarchicalTopology):
+            problems.append(
+                f"sync strategy {cls.name!r} accepts the two-level "
+                f"'hierarchical' topology only (got {topology.name!r}); "
+                f"omit the topology for flat server aggregation")
+        elif aggregator is not None and aggregator.collective_op is None:
+            problems.append(
+                f"hierarchical fedavg count-weights partial sums through "
+                f"edge aggregators and supports elementwise aggregators "
+                f"only, not {aggregator.name!r}; use flat fedavg "
+                f"(no topology) for robust aggregation")
+        return problems
 
     def wire_bits_per_iteration(self, n: int, world_size: int) -> float:
         """Amortized per-worker traffic; tree-priced when hierarchical.

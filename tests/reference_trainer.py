@@ -82,8 +82,8 @@ def exchange_per_rank(self, gradients: Sequence[np.ndarray]
 class ReferenceTrainer(DistributedTrainer):
     """``DistributedTrainer`` with the three batched stages run per rank."""
 
-    def _build(self, callbacks) -> None:
-        super()._build(callbacks)
+    def _build(self, features, callbacks) -> None:
+        super()._build(features, callbacks)
         self.executor = None        # stage 1: the per-replica _replica_step loop
         # Stage 3 steps one looped optimizer per rank; their momentum buffers
         # are views of the trainer's velocity rows, so rejoin resets, client

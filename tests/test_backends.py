@@ -19,9 +19,9 @@ from repro.backends import (
     InProcessBackend,
     MultiprocessingBackend,
     WorkerDiedError,
-    backend_spec_problems,
     leaked_segments,
 )
+from repro.core.features import RunFeatures
 from repro.core.spec import ExperimentSpec, SpecError
 from repro.core.trainer import DistributedTrainer, TrainerConfig
 from repro.registry import public_registries
@@ -61,7 +61,7 @@ class TestBackendRegistry:
         assert "backends" in public_registries()
 
     def test_did_you_mean_on_typo(self):
-        problems = backend_spec_problems("multiprocesing", {})
+        problems = RunFeatures.of(TrainerConfig(backend="multiprocesing")).problems()
         assert len(problems) == 1
         assert "did you mean" in problems[0]
         assert "multiprocessing" in problems[0]

@@ -11,7 +11,9 @@ import pytest
 
 from repro.comm.inprocess import CollectiveOp, InProcessWorld
 from repro.comm.topology import get_topology
+from repro.core.features import RunFeatures
 from repro.core.spec import ExperimentSpec, SpecError
+from repro.core.trainer import TrainerConfig
 from repro.faults import (FAULT_MODELS, FaultInjector, FaultSpec, Membership,
                           fault_model_problems, resolve_fault_model)
 
@@ -19,6 +21,10 @@ from repro.faults import (FAULT_MODELS, FaultInjector, FaultSpec, Membership,
 # ---------------------------------------------------------------------- #
 # membership mask
 # ---------------------------------------------------------------------- #
+def fault_problems(spec: FaultSpec, **config) -> list:
+    return spec.problems(RunFeatures.of(TrainerConfig(faults=spec, **config)))
+
+
 class TestMembership:
     def test_starts_all_alive(self):
         m = Membership(4)
@@ -412,26 +418,27 @@ class TestFaultSpec:
     def test_problems_pins_construction_error_text(self):
         spec = FaultSpec(model="transient_blackout",
                          model_kwargs={"mean_down_s": -1})
-        assert spec.problems(world_size=2) == [
+        assert fault_problems(spec, world_size=2) == [
             "fault model 'transient_blackout' cannot be constructed with "
             "{'mean_down_s': -1}: mean_down_s must be > 0, got -1.0"]
 
     def test_problems_catches_bad_policy_fields(self):
         spec = FaultSpec(model="crash_stop", barrier_timeout_s=-1,
                          max_retries=-2, backoff_base_s="soon")
-        problems = "\n".join(spec.problems())
+        problems = "\n".join(fault_problems(spec))
         assert "barrier_timeout_s must be a number >= 0" in problems
         assert "max_retries must be an integer >= 0" in problems
         assert "backoff_base_s must be a number >= 0" in problems
 
     def test_problems_checks_ranks_against_world_size(self):
         spec = FaultSpec(model="crash_stop", model_kwargs={"ranks": [7]})
-        assert spec.problems(world_size=8) == []
-        assert any("out of range" in p for p in spec.problems(world_size=4))
+        assert fault_problems(spec, world_size=8) == []
+        assert any("out of range" in p
+                   for p in fault_problems(spec, world_size=4))
 
     def test_inactive_model_kwargs_rejected(self):
         spec = FaultSpec(model="none", model_kwargs={"p": 0.1})
-        assert any("fault model is 'none'" in p for p in spec.problems())
+        assert any("fault model is 'none'" in p for p in fault_problems(spec))
 
     def test_build_returns_none_when_inactive(self):
         assert FaultSpec().build(world_size=4) is None

@@ -15,6 +15,7 @@ from repro.compress.param_delta import ParameterDeltaCodec
 from repro.compress.registry import get_compressor
 from repro.core.callbacks import Callback
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.core.features import RunFeatures
 from repro.core.flatten import flatten_parameters
 from repro.core.timeline import SyncReport
 from repro.core.trainer import DistributedTrainer, TrainerConfig
@@ -22,6 +23,10 @@ from repro.sync import SyncSpec, get_aggregator
 from repro.sync.strategies import AllreduceStrategy, GossipStrategy, LocalSGDStrategy
 
 from tests.reference_trainer import ReferenceTrainer
+
+
+def sync_problems(spec: SyncSpec, **config) -> list:
+    return spec.problems(RunFeatures.of(TrainerConfig(sync=spec, **config)))
 
 
 def make_config(model: str, world_size: int, *, algorithm: str = "dense",
@@ -496,27 +501,28 @@ class TestSyncSpecParameterCompression:
         assert "param_compression=topk" in round_tripped.describe()
 
     def test_unknown_compressor_is_a_problem(self):
-        problems = SyncSpec(strategy="gossip",
-                            parameter_compression="warp").problems()
+        problems = sync_problems(SyncSpec(strategy="gossip",
+                                          parameter_compression="warp"))
         assert any("parameter_compression" in p and "warp" in p for p in problems)
 
     def test_gradient_phase_strategies_reject_parameter_compression(self):
-        problems = SyncSpec(parameter_compression="topk").problems()
+        problems = sync_problems(SyncSpec(parameter_compression="topk"))
         assert any("never exchanges parameters" in p for p in problems)
-        problems = SyncSpec(strategy="local_sgd", period=1,
-                            parameter_compression="topk").problems()
+        problems = sync_problems(SyncSpec(strategy="local_sgd", period=1,
+                                          parameter_compression="topk"))
         assert any("never exchanges parameters" in p for p in problems)
-        assert SyncSpec(strategy="local_sgd", period=4,
-                        parameter_compression="topk").problems() == []
+        assert sync_problems(SyncSpec(strategy="local_sgd", period=4,
+                                      parameter_compression="topk")) == []
 
     def test_bad_kwargs_are_a_problem(self):
-        problems = SyncSpec(strategy="gossip", parameter_compression="topk",
-                            parameter_compression_kwargs={"ratio": 7.0}).problems()
+        problems = sync_problems(SyncSpec(
+            strategy="gossip", parameter_compression="topk",
+            parameter_compression_kwargs={"ratio": 7.0}))
         assert any("cannot be constructed" in p for p in problems)
 
     def test_kwargs_without_a_compressor_are_a_problem(self):
-        problems = SyncSpec(strategy="gossip",
-                            parameter_compression_kwargs={"ratio": 0.1}).problems()
+        problems = sync_problems(SyncSpec(
+            strategy="gossip", parameter_compression_kwargs={"ratio": 0.1}))
         assert any("parameter_compression_kwargs" in p for p in problems)
 
     def test_bind_rejects_parameter_compressors_on_allreduce(self):
@@ -659,7 +665,7 @@ class TestNonContractiveCompressionWarning:
     def test_validate_still_passes_with_note(self):
         spec = SyncSpec(strategy="local_sgd", period=2,
                         parameter_compression="qsgd")
-        assert spec.validate(world_size=4, algorithm="dense") is spec
+        assert sync_problems(spec, algorithm="dense") == []
 
     def test_build_emits_runtime_warning(self):
         spec = SyncSpec(strategy="local_sgd", period=2,

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.sim import COMPUTE_MODELS, compute_model_problems, resolve_compute_model
+from repro.core.features import RunFeatures
+from repro.core.trainer import TrainerConfig
+from repro.sim import COMPUTE_MODELS, resolve_compute_model
 from repro.sim.compute import (
     ConstantComputeModel,
     IntermittentDropoutComputeModel,
@@ -34,6 +36,9 @@ class TestRegistry:
             resolve_compute_model(3.14)
 
     def test_problems_surface_errors(self):
+        def compute_model_problems(value):
+            return RunFeatures.of(TrainerConfig(compute_model=value)).problems()
+
         assert compute_model_problems(None) == []
         assert compute_model_problems("constant") == []
         problems = compute_model_problems("warp_speed")

@@ -11,6 +11,7 @@ from repro.analysis.sweeps import time_to_accuracy_sweep
 from repro.comm.inprocess import InProcessWorld
 from repro.compress.registry import COMPRESSORS
 from repro.core.experiment import run_experiment
+from repro.core.features import RunFeatures
 from repro.core.flatten import flatten_parameters
 from repro.core.spec import ExperimentSpec
 from repro.core.trainer import DistributedTrainer, TrainerConfig
@@ -56,6 +57,10 @@ def make_config(world_size: int = 2, **overrides) -> TrainerConfig:
                   batch_size=8, num_train=128, num_test=32)
     kwargs.update(overrides)
     return TrainerConfig(**kwargs)
+
+
+def sync_problems(spec: SyncSpec, **config) -> list:
+    return spec.problems(RunFeatures.of(TrainerConfig(sync=spec, **config)))
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -114,26 +119,26 @@ class TestConstructorValidation:
 # --------------------------------------------------------------------- #
 class TestSpecValidation:
     def test_bad_strategy_kwargs_surface_constructor_error(self):
-        problems = SyncSpec(strategy="async_ps",
-                            strategy_kwargs={"staleness_bound": -1}).problems()
+        problems = sync_problems(SyncSpec(
+            strategy="async_ps", strategy_kwargs={"staleness_bound": -1}))
         assert len(problems) == 1
         assert "cannot be constructed" in problems[0]
         assert "staleness_bound must be an integer >= 0" in problems[0]
 
     def test_async_rejects_robust_aggregator(self):
-        problems = SyncSpec(strategy="async_ps",
-                            aggregator="trimmed_mean").problems()
+        problems = sync_problems(SyncSpec(strategy="async_ps",
+                                          aggregator="trimmed_mean"))
         assert any("cannot run a robust aggregator" in p for p in problems)
-        strategy_problems = SyncSpec(strategy="easgd",
-                                     aggregator="geometric_median").problems()
+        strategy_problems = sync_problems(SyncSpec(
+            strategy="easgd", aggregator="geometric_median"))
         assert any("cannot run a robust aggregator" in p
                    for p in strategy_problems)
 
     def test_async_ps_rejects_allgather_compressor(self):
-        problems = SyncSpec(strategy="async_ps").problems(algorithm="topk")
+        problems = sync_problems(SyncSpec(strategy="async_ps"), algorithm="topk")
         assert any("allgather exchange" in p for p in problems)
-        assert SyncSpec(strategy="async_ps").problems(algorithm="dense") == []
-        assert SyncSpec(strategy="async_ps").problems(algorithm="a2sgd") == []
+        assert sync_problems(SyncSpec(strategy="async_ps"), algorithm="dense") == []
+        assert sync_problems(SyncSpec(strategy="async_ps"), algorithm="a2sgd") == []
 
     def test_bind_enforces_the_same_rules(self):
         world = InProcessWorld(2)
