@@ -4,7 +4,7 @@ Times full fused training iterations (forward/backward → compression →
 collective → optimizer step) on the same workload under every backend
 configuration:
 
-* **inprocess** — the single-process batched/taped executors (the baseline
+* **inprocess** — the single-process batched executors (the baseline
   every other backend must match bit for bit).
 * **multiprocessing @ k workers** — the forward/backward stage fanned out to
   ``k`` long-lived worker processes over shared-memory flat buffers
@@ -48,14 +48,13 @@ WARMUP_ITERATIONS = 2
 
 
 def _build_trainer(*, model: str, algorithm: str, world_size: int,
-                   iterations: int, seed: int, taped: bool,
-                   backend: str, num_workers: Optional[int]) -> DistributedTrainer:
+                   iterations: int, seed: int, backend: str,
+                   num_workers: Optional[int]) -> DistributedTrainer:
     backend_kwargs = {} if num_workers is None else {"num_workers": num_workers}
     config = TrainerConfig(model=model, preset="tiny", algorithm=algorithm,
                            world_size=world_size, epochs=1, seed=seed,
                            max_iterations_per_epoch=iterations,
-                           taped=taped, backend=backend,
-                           backend_kwargs=backend_kwargs,
+                           backend=backend, backend_kwargs=backend_kwargs,
                            num_train=max(1024, 16 * world_size * iterations),
                            num_test=64)
     return DistributedTrainer(config)
@@ -103,7 +102,7 @@ def run_backend_benchmark(model: str = "resnet20", algorithm: str = "a2sgd",
                           world_size: int = 4,
                           workers: Sequence[int] = (1, 2, 4),
                           iterations: int = 20, repeats: int = 3,
-                          seed: int = 0, taped: bool = True) -> Dict:
+                          seed: int = 0) -> Dict:
     """Time inprocess vs multiprocessing at each worker count.
 
     Every configuration runs the identical workload (same model, data, seeds
@@ -126,8 +125,8 @@ def run_backend_benchmark(model: str = "resnet20", algorithm: str = "a2sgd",
         for _ in range(repeats):
             trainer = _build_trainer(model=model, algorithm=algorithm,
                                      world_size=world_size, iterations=iterations,
-                                     seed=seed, taped=taped,
-                                     backend=backend, num_workers=num_workers)
+                                     seed=seed, backend=backend,
+                                     num_workers=num_workers)
             try:
                 timing = _time_backend(trainer, iterations)
             finally:
@@ -160,7 +159,7 @@ def run_backend_benchmark(model: str = "resnet20", algorithm: str = "a2sgd",
         "version": __version__,
         "workload": {"model": model, "preset": "tiny", "algorithm": algorithm,
                      "world_size": world_size, "iterations": iterations,
-                     "repeats": repeats, "seed": seed, "taped": taped,
+                     "repeats": repeats, "seed": seed,
                      "workers": [int(w) for w in workers]},
         "host": {"platform": platform.platform(),
                  "python": platform.python_version(),
@@ -212,8 +211,8 @@ def format_benchmark(result: Dict) -> str:
     regressions = set(result.get("stage_regressions", ()))
     lines = [
         f"Execution backend benchmark — {w['model']}/{w['preset']}, "
-        f"{w['algorithm']}, P={w['world_size']}, {w['iterations']} iterations, "
-        f"taped={w['taped']} (host: {result['host']['cpu_count']} CPU core(s))",
+        f"{w['algorithm']}, P={w['world_size']}, {w['iterations']} iterations "
+        f"(host: {result['host']['cpu_count']} CPU core(s))",
         f"{'backend':<22}{'iteration':>12}{'gradients':>12}{'exchange':>12}"
         f"{'apply':>12}{'speedup':>10}",
     ]

@@ -3,8 +3,8 @@
 Importing this package registers every built-in backend with
 :data:`EXECUTION_BACKENDS` (the 12th public component registry):
 
-* ``inprocess`` — the single-process batched/taped executors every PR before
-  the backend split ran on; the reference semantics.
+* ``inprocess`` — the single-process batched executors; the reference
+  semantics.
 * ``multiprocessing`` — long-lived worker processes over
   ``multiprocessing.shared_memory`` flat buffers, bit-identical to
   ``inprocess`` while using real cores.

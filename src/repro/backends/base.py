@@ -8,9 +8,8 @@ algorithm code cares *where* those live.  An :class:`ExecutionBackend`
 supplies both:
 
 * ``inprocess`` (the default, and the reference semantics) builds the plain
-  in-memory world and the batched/taped executors of
-  :mod:`repro.core.batched_replicas`, exactly as every PR before this one
-  ran.
+  in-memory world and the batched executors of
+  :mod:`repro.core.batched_replicas`.
 * ``multiprocessing`` (:mod:`repro.backends.multiprocess`) puts the matrices
   in shared memory and fans the forward/backward out to long-lived worker
   processes — bit-identical numerics, real cores.
@@ -89,7 +88,7 @@ class ExecutionBackend:
 
 @EXECUTION_BACKENDS.register(
     "inprocess",
-    description="single-process batched/taped executors (the default; "
+    description="single-process batched executors (the default; "
                 "reference semantics every other backend must match)")
 class InProcessBackend(ExecutionBackend):
     """The seed execution model: everything runs in the trainer's process."""
@@ -101,8 +100,7 @@ class InProcessBackend(ExecutionBackend):
 
     def create_executor(self, trainer):
         return build_replica_executor(trainer.replicas, trainer.flat_world,
-                                      trainer.spec.task,
-                                      taped=trainer.config.taped)
+                                      trainer.spec.task)
 
 
 def resolve_backend(name: object) -> type:

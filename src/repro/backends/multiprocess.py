@@ -10,8 +10,8 @@ checkpointing.  Each worker process owns a contiguous shard of ranks
 replicas for *structure only* (``adopt_values=False`` re-points them at the
 shared parameter rows the parent initialized) and loops:
 
-    barrier → read step number → forward/backward on its shard → write
-    losses → barrier
+    release barrier → read command → forward/backward on its shard → write
+    losses → join barrier
 
 The flat ``(P, n)`` parameter and gradient matrices live in one
 :class:`~repro.backends.shm.SharedMemoryArena` segment; the parent's
@@ -22,16 +22,17 @@ on the hot path.  BatchNorm running stats are adopted into per-rank shared
 slots the same way, so the parent's evaluation-time replicas see the
 statistics the workers accumulated.
 
-Coordination is the barrier/sequence-number protocol of
-:mod:`repro.backends.shm`: a generation-counting :class:`ShmBarrier` over a
-single-writer int64 slot plus a monotonically increasing step number the
-workers deduplicate on, so a spurious release never recomputes a step.  The
+Coordination is a generation-counting :class:`ShmBarrier` over a
+single-writer int64 slot (:mod:`repro.backends.shm`): odd generations
+release a step, even ones join it.  Workers read the command slot only right
+after a release, so a shutdown published by the parent is seen by every
+worker at the same generation and each one exits having arrived at it.  The
 parent polls worker liveness while blocked and raises a
 :class:`WorkerDiedError` naming the dead rank shard instead of hanging.
 
-Tapes are never pickled: each worker builds its own (taped) batched executor
-over its shard rows and records the graph locally on its first iteration —
-the "re-record in worker" half of the tape-shipping design.
+Tapes are never pickled: each worker builds its own batched executor over
+its shard rows and records the graph locally on its first iteration — the
+"re-record in worker" half of the tape-shipping design.
 
 Determinism
 -----------
@@ -63,7 +64,7 @@ from repro.core.flat_buffer import (
 )
 from repro.nn.module import Module
 
-#: ctrl slot layout: [command, step number, reserved, reserved].
+#: The ctrl slot's one cell: the command workers read after each release.
 CMD_RUN, CMD_SHUTDOWN = 0, 1
 
 #: Wall-clock bound on one worker forward/backward before the parent gives
@@ -116,24 +117,19 @@ def _worker_main(payload: dict) -> None:
         views = {name: state[_buffer_slot(rank, name)]
                  for name in payload["buffer_names"]}
         adopt_module_buffers(replica, views, adopt_values=False)
-    executor = build_replica_executor(replicas, shard_world, spec.task,
-                                      taped=payload["taped"])
+    executor = build_replica_executor(replicas, shard_world, spec.task)
 
     ctrl = state["ctrl"]
     losses = state["losses"]
     inputs = io["inputs"][lo:hi]
     targets = io["targets"][lo:hi]
     barrier = ShmBarrier(state["arrive"], index=payload["worker_index"])
-    last_step = 0
     while True:
-        barrier.wait(poll=check_parent)
+        barrier.wait(poll=check_parent)            # release
         if int(ctrl[0]) == CMD_SHUTDOWN:
             break
-        step = int(ctrl[1])
-        if step == last_step:
-            continue             # join-phase release of a step already served
-        last_step = step
         losses[lo:hi] = executor.forward_backward(inputs, targets)
+        barrier.wait(poll=check_parent)            # join
     state.close()
     io.close()
 
@@ -150,12 +146,11 @@ class _MultiprocessExecutor:
     """
 
     def __init__(self, backend: "MultiprocessingBackend", *, model: str,
-                 preset: str, seed: int, taped: bool):
+                 preset: str, seed: int):
         self.backend = backend
         self.model = model
         self.preset = preset
         self.seed = seed
-        self.taped = taped
 
     def forward_backward(self, inputs: np.ndarray, targets: np.ndarray) -> List[float]:
         backend = self.backend
@@ -165,13 +160,14 @@ class _MultiprocessExecutor:
         if inputs.shape != io["inputs"].shape:
             raise ValueError(f"batch shape changed mid-run: staged "
                              f"{io['inputs'].shape}, got {inputs.shape}")
+        barrier = backend._barrier
+        if barrier.generation % 2:       # an aborted call's join is pending
+            barrier.wait(poll=backend.check_workers, timeout=STEP_TIMEOUT_S)
         io["inputs"][...] = inputs
         io["targets"][...] = targets
-        ctrl = backend.arena["ctrl"]
-        ctrl[1] += 1                               # publish the step number...
-        backend._barrier.wait(poll=backend.check_workers)   # ...release workers
-        backend._barrier.wait(poll=backend.check_workers,   # join: shard grads
-                              timeout=STEP_TIMEOUT_S)       # and losses ready
+        barrier.wait(poll=backend.check_workers)            # release workers
+        barrier.wait(poll=backend.check_workers,            # join: shard grads
+                     timeout=STEP_TIMEOUT_S)                # and losses ready
         return [float(x) for x in backend.arena["losses"]]
 
 
@@ -252,7 +248,7 @@ class MultiprocessingBackend(ExecutionBackend):
             "params": ((P, n), np.float32),
             "grads": ((P, n), np.float32),
             "losses": ((P,), np.float64),
-            "ctrl": ((4,), np.int64),
+            "ctrl": ((1,), np.int64),
             "arrive": ((self._num_workers + 1,), np.int64),
         }
         for rank in range(P):
@@ -272,8 +268,7 @@ class MultiprocessingBackend(ExecutionBackend):
     def create_executor(self, trainer) -> _MultiprocessExecutor:
         return _MultiprocessExecutor(self, model=trainer.config.model,
                                      preset=trainer.config.preset,
-                                     seed=trainer.config.seed,
-                                     taped=trainer.config.taped)
+                                     seed=trainer.config.seed)
 
     # ------------------------------------------------------------------ #
     # worker lifecycle
@@ -297,7 +292,6 @@ class MultiprocessingBackend(ExecutionBackend):
                 "model": executor.model,
                 "preset": executor.preset,
                 "seed": executor.seed,
-                "taped": executor.taped,
                 "buffer_names": self._buffer_names,
                 "state": {"name": self.arena.name, "slots": self.arena.slots},
                 "io": {"name": self.io_arena.name, "slots": self.io_arena.slots},
@@ -325,21 +319,21 @@ class MultiprocessingBackend(ExecutionBackend):
             return
         self._closed = True
         processes = self._processes or []
-        if processes and self.arena is not None and self._barrier is not None \
-                and all(p.is_alive() for p, _ in processes):
-            self.arena["ctrl"][0] = CMD_SHUTDOWN
-            # Workers may be one barrier phase ahead after an aborted
-            # iteration; a couple of bounded arrivals releases them either
-            # way, after which they observe SHUTDOWN and exit.
-            for _ in range(2):
-                try:
+        if processes and all(p.is_alive() for p, _ in processes):
+            # Workers read the command only right after a release, so each
+            # one arrives at the next release and exits.  A step aborted
+            # between its release and join leaves the parent on an odd
+            # generation, its workers possibly still about to read RUN:
+            # join that step before publishing the command.
+            try:
+                if self._barrier.generation % 2:
                     self._barrier.wait(timeout=2.0)
-                except BarrierTimeout:
-                    break
-                for process, _ in processes:
-                    process.join(timeout=2.0)
-                if not any(p.is_alive() for p, _ in processes):
-                    break
+                self.arena["ctrl"][0] = CMD_SHUTDOWN
+                self._barrier.wait(timeout=2.0)
+            except BarrierTimeout:
+                pass
+            for process, _ in processes:
+                process.join(timeout=2.0)
         for process, _ in processes:
             if process.is_alive():
                 process.terminate()

@@ -212,6 +212,11 @@ class ShmBarrier:
         self.index = int(index)
         self.parties = int(arrive.shape[0])
 
+    @property
+    def generation(self) -> int:
+        """The last generation this participant arrived at."""
+        return int(self.arrive[self.index])
+
     def wait(self, timeout: Optional[float] = None,
              poll: Optional[Callable[[], None]] = None) -> int:
         """Arrive and block until every participant reaches this generation.
@@ -220,7 +225,7 @@ class ShmBarrier:
         liveness there; workers check for an orphaned parent) and may raise
         to abort the wait.  Returns the generation number passed.
         """
-        generation = int(self.arrive[self.index]) + 1
+        generation = self.generation + 1
         self.arrive[self.index] = generation
         deadline = None if timeout is None else time.monotonic() + timeout
         spins = 0

@@ -86,7 +86,6 @@ RUN_FLAG_FIELDS: Dict[str, str] = {
     "batch_size": "batch_size",
     "seed": "seed",
     "eval_every": "eval_every",
-    "taped": "taped",
     "compute_model": "compute_model",
     "seed_clock": "clock_seed",
     "seed_faults": "fault_seed",
@@ -178,11 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train_parent.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     train_parent.add_argument("--eval-every", type=int, default=argparse.SUPPRESS,
                               help="evaluate every k epochs (always on the last)")
-    train_parent.add_argument("--taped", dest="taped",
-                              action=argparse.BooleanOptionalAction,
-                              default=argparse.SUPPRESS,
-                              help="record the batched graph once and replay it every "
-                                   "iteration (--no-taped for the eager batched path)")
     # type=, not choices=: registry lookups accept aliases and case/
     # punctuation variants ("localsgd", "Top-K"), exactly like spec files,
     # and the canonical name lands in the namespace.
@@ -335,10 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "benchmark (default: 1 2 4)")
     bench_backend.add_argument("--iterations", type=int, default=20)
     bench_backend.add_argument("--repeats", type=int, default=3)
-    bench_backend.add_argument("--taped", dest="taped",
-                               action=argparse.BooleanOptionalAction, default=True,
-                               help="benchmark the taped executors "
-                                    "(--no-taped for eager batched)")
     bench_backend.add_argument("--output", default="BENCH_backend.json",
                                help="JSON file the run is appended to")
     bench_backend.set_defaults(handler=cmd_bench_backend)
@@ -520,7 +510,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     derived = spec.to_trainer_config()
     print(f"derived TrainerConfig: model={derived.model!r} preset={derived.preset!r} "
           f"algorithm={derived.algorithm!r} world_size={derived.world_size} "
-          f"epochs={derived.epochs} taped={derived.taped}")
+          f"epochs={derived.epochs}")
     sync = spec.resolved_sync()
     print(f"sync: {sync.describe()}")
     for note in sync.notes():
@@ -604,7 +594,7 @@ def cmd_bench_backend(args: argparse.Namespace) -> str:
                                    world_size=args.workers,
                                    workers=args.backend_workers,
                                    iterations=args.iterations,
-                                   repeats=args.repeats, taped=args.taped)
+                                   repeats=args.repeats)
     text = format_benchmark(result)
     print(text)
     if args.output:

@@ -37,6 +37,14 @@ model exposing ``forward_batched``), :class:`BatchedLanguageModelExecutor`
 covers the LSTM language model with stacked truncated-BPTT state.  Models
 with unsupported layers (e.g. active dropout) fall back to the per-replica
 autograd loop — still through the flat buffers.
+
+Every executor keeps per-input-signature state across iterations: the two
+autograd executors record their batched graph on a
+:class:`~repro.tensor.tape.Tape` the first time they see a signature and
+replay it afterwards; the MLP executor routes its fixed program through a
+preallocated :class:`_MLPWorkspace`.  Both are bit-identical to the plain
+eager pass, which survives only as the recording pass and as the fallback
+for graphs that cannot be replayed and signatures past :data:`_MAX_TAPES`.
 """
 
 from __future__ import annotations
@@ -53,9 +61,9 @@ from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor, functional as F
 from repro.tensor.tape import Tape, TapeReplayer, recording
 
-#: Distinct input-shape signatures a taped executor keeps recordings for
-#: (typically two: the steady batch and the smaller trailing batch).  Unseen
-#: signatures beyond the cap run eagerly without recording.
+#: Distinct input-shape signatures an executor keeps recordings (or MLP
+#: workspaces) for — typically two: the steady batch and the smaller trailing
+#: batch.  Unseen signatures beyond the cap run without being kept.
 _MAX_TAPES = 4
 
 
@@ -85,8 +93,53 @@ def _linear_relu_stack(model: Module) -> Optional[List[Tuple[str, Optional[Linea
     return steps
 
 
+class _MLPWorkspace:
+    """Preallocated buffers for one input signature of the MLP executor."""
+
+    __slots__ = ("input_buf", "target_buf", "acts", "masks", "tmp_w", "dz",
+                 "shifted", "exp", "sum_exp", "log_sum", "log_probs", "picked_mean",
+                 "dz0")
+
+    def __init__(self, plan, P: int, batch: int, features: int, classes: int):
+        self.input_buf = np.empty((P, batch, features), dtype=np.float32)
+        self.target_buf = np.empty((P, batch), dtype=np.int64)
+        self.acts: List[Optional[np.ndarray]] = []
+        self.masks: List[Optional[np.ndarray]] = []
+        self.tmp_w: List[Optional[np.ndarray]] = []
+        self.dz: List[Optional[np.ndarray]] = []
+        width = features
+        for kind, weights, _, _, _ in plan:
+            if kind == "relu":
+                self.acts.append(None)
+                self.masks.append(np.empty((P, batch, width), dtype=bool))
+                self.tmp_w.append(None)
+                self.dz.append(None)
+            else:
+                out_features, in_features = weights.shape[1], weights.shape[2]
+                self.acts.append(np.empty((P, batch, out_features), dtype=np.float32))
+                self.masks.append(None)
+                self.tmp_w.append(np.empty((P, out_features, in_features),
+                                           dtype=np.float32))
+                self.dz.append(np.empty((P, batch, in_features), dtype=np.float32))
+                width = out_features
+        self.shifted = np.empty((P, batch, classes), dtype=np.float32)
+        self.exp = np.empty((P, batch, classes), dtype=np.float32)
+        self.sum_exp = np.empty((P, batch, 1), dtype=np.float32)
+        self.log_sum = np.empty((P, batch, 1), dtype=np.float32)
+        self.log_probs = np.empty((P, batch, classes), dtype=np.float32)
+        self.picked_mean = np.empty((P,), dtype=np.float32)
+        self.dz0 = np.empty((P, batch, classes), dtype=np.float32)
+
+
 class BatchedReplicaExecutor:
-    """One fused forward/backward for ``P`` replicas of a Linear/ReLU MLP."""
+    """One fused forward/backward for ``P`` replicas of a Linear/ReLU MLP.
+
+    The MLP plan is already a fixed program (no Python graph to record), so
+    per input signature every intermediate gets a persistent
+    :class:`_MLPWorkspace` buffer and the arithmetic is routed through ufunc /
+    ``np.matmul`` ``out=`` — near-zero per-iteration allocation.  Signatures
+    past :data:`_MAX_TAPES` run through a workspace built for that call only.
+    """
 
     def __init__(self, replicas: Sequence[Module], world: WorldFlatBuffers):
         steps = _linear_relu_stack(replicas[0])
@@ -111,6 +164,8 @@ class BatchedReplicaExecutor:
             else:
                 biases = grad_b = None
             self._plan.append(("linear", weights, biases, grad_w, grad_b))
+        self._workspaces: Dict[Tuple[int, ...], _MLPWorkspace] = {}
+        self.tape_stats: Dict[str, int] = {"recorded": 0, "replays": 0, "eager": 0}
 
     @staticmethod
     def supports(model: Module) -> bool:
@@ -130,53 +185,82 @@ class BatchedReplicaExecutor:
         if inputs.shape[0] != P:
             raise ValueError(f"expected {P} replica batches, got {inputs.shape[0]}")
         batch = inputs.shape[1]
-        X = np.asarray(inputs, dtype=np.float32).reshape(P, batch, -1)
-        targets = np.asarray(targets, dtype=np.int64).reshape(P, batch)
+        features = int(np.prod(inputs.shape[2:]))
+        signature = (P, batch, features)
+        ws = self._workspaces.get(signature)
+        if ws is not None:
+            self.tape_stats["replays"] += 1
+        else:
+            classes = self._plan[-1][1].shape[1]
+            ws = _MLPWorkspace(self._plan, P, batch, features, classes)
+            if len(self._workspaces) < _MAX_TAPES:
+                self._workspaces[signature] = ws
+                self.tape_stats["recorded"] += 1
+            else:
+                self.tape_stats["eager"] += 1
+
+        np.copyto(ws.input_buf, np.asarray(inputs).reshape(P, batch, features),
+                  casting="unsafe")
+        np.copyto(ws.target_buf, np.asarray(targets).reshape(P, batch),
+                  casting="unsafe")
 
         # ---- forward ---------------------------------------------------- #
-        caches: List[Tuple] = []
-        for kind, weights, biases, _, _ in self._plan:
+        X = ws.input_buf
+        layer_inputs: List[np.ndarray] = []
+        for step, (kind, weights, biases, _, _) in enumerate(self._plan):
             if kind == "relu":
-                mask = X > 0
-                X = X * mask
-                caches.append(("relu", mask))
+                mask = ws.masks[step]
+                np.greater(X, 0, out=mask)
+                np.multiply(X, mask, out=X)
             else:
-                caches.append(("linear", X))
-                X = np.matmul(X, weights.transpose(0, 2, 1))
+                layer_inputs.append(X)
+                act = ws.acts[step]
+                np.matmul(X, weights.transpose(0, 2, 1), out=act)
                 if biases is not None:
-                    X = X + biases[:, None, :]
+                    np.add(act, biases[:, None, :], out=act)
+                X = act
         logits = X                                            # (P, B, C)
 
         # ---- softmax cross-entropy (per replica) ------------------------ #
-        shifted = logits - logits.max(axis=2, keepdims=True)
-        exp = np.exp(shifted)
-        sum_exp = exp.sum(axis=2, keepdims=True)
-        log_probs = shifted - np.log(sum_exp)
+        np.subtract(logits, logits.max(axis=2, keepdims=True), out=ws.shifted)
+        np.exp(ws.shifted, out=ws.exp)
+        ws.exp.sum(axis=2, keepdims=True, out=ws.sum_exp)
+        np.log(ws.sum_exp, out=ws.log_sum)
+        np.subtract(ws.shifted, ws.log_sum, out=ws.log_probs)
         replica_index = np.arange(P)[:, None]
         batch_index = np.arange(batch)[None, :]
-        losses = -log_probs[replica_index, batch_index, targets].mean(axis=1)
+        np.mean(ws.log_probs[replica_index, batch_index, ws.target_buf],
+                axis=1, out=ws.picked_mean)
+        np.negative(ws.picked_mean, out=ws.picked_mean)
 
-        dZ = exp / sum_exp
-        dZ[replica_index, batch_index, targets] -= 1.0
-        dZ /= batch
+        np.divide(ws.exp, ws.sum_exp, out=ws.dz0)
+        ws.dz0[replica_index, batch_index, ws.target_buf] -= 1.0
+        ws.dz0 /= batch
 
         # ---- backward ---------------------------------------------------- #
-        for (kind, weights, biases, grad_w, grad_b), cache in zip(
-                reversed(self._plan), reversed(caches)):
+        dZ = ws.dz0
+        linear_cursor = len(layer_inputs)
+        for step in range(len(self._plan) - 1, -1, -1):
+            kind, weights, biases, grad_w, grad_b = self._plan[step]
             if kind == "relu":
-                dZ = dZ * cache[1]
+                np.multiply(dZ, ws.masks[step], out=dZ)
             else:
-                layer_input = cache[1]
-                grad_w[...] = np.matmul(dZ.transpose(0, 2, 1), layer_input)
+                linear_cursor -= 1
+                layer_input = layer_inputs[linear_cursor]
+                tmp_w = ws.tmp_w[step]
+                np.matmul(dZ.transpose(0, 2, 1), layer_input, out=tmp_w)
+                grad_w[...] = tmp_w
                 if grad_b is not None:
-                    grad_b[...] = dZ.sum(axis=1)
-                dZ = np.matmul(dZ, weights)
+                    dZ.sum(axis=1, out=grad_b)
+                if step > 0:
+                    np.matmul(dZ, weights, out=ws.dz[step])
+                    dZ = ws.dz[step]
 
         # Expose the freshly written flat storage through param.grad so the
         # looped optimizer path / introspection see the same gradients.
         for buffers in self.world.replica_buffers:
             buffers.attach_grads()
-        return [float(value) for value in losses]
+        return [float(value) for value in ws.picked_mean]
 
 
 class ReplicaStack:
@@ -267,6 +351,58 @@ def supports_batched_forward(model: Module) -> bool:
     return all(hasattr(type(module), "forward_batched") for module in model.modules())
 
 
+class _GraphRecording:
+    """One recorded iteration: the replayer plus the swappable input buffers."""
+
+    __slots__ = ("replayer", "input_buf", "target_buf", "state_bufs", "new_state")
+
+    def __init__(self, replayer: TapeReplayer, input_buf: np.ndarray,
+                 target_buf: np.ndarray, state_bufs=None, new_state=None):
+        self.replayer = replayer
+        self.input_buf = input_buf
+        self.target_buf = target_buf
+        self.state_bufs = state_bufs
+        self.new_state = new_state
+
+
+def _tape_for(recordings: Dict, signature: Tuple[int, ...]) -> Optional[Tape]:
+    """A fresh tape on first sight of ``signature`` while fewer than
+    :data:`_MAX_TAPES` are kept; ``None`` (run eagerly) otherwise."""
+    if signature in recordings or len(recordings) >= _MAX_TAPES:
+        return None
+    return Tape()
+
+
+def _finish_pass(executor, signature: Tuple[int, ...], tape: Optional[Tape],
+                 loss: Tensor, *buffers, **state) -> List[float]:
+    """Backward of a pass run under ``tape``, then keep its recording.
+
+    A valid tape becomes the signature's :class:`_GraphRecording` (with the
+    pass's owned ``buffers`` / ``state`` as its input buffers); an invalid one
+    marks the signature permanently eager.
+    """
+    loss.backward(np.ones(executor.stack.world_size, dtype=np.float32))
+    executor.stack.attach_grads()
+    if tape is not None and tape.valid:
+        executor._recordings[signature] = _GraphRecording(
+            TapeReplayer(tape, loss), *buffers, **state)
+        executor.tape_stats["recorded"] += 1
+    else:
+        if tape is not None:
+            executor._recordings[signature] = None
+        executor.tape_stats["eager"] += 1
+    return [float(value) for value in loss.data]
+
+
+def _replay(executor, rec: _GraphRecording) -> List[float]:
+    """Run a recording whose input buffers already hold this iteration."""
+    executor.stack.begin_iteration()
+    loss_data = rec.replayer.replay()
+    executor.stack.attach_grads()
+    executor.tape_stats["replays"] += 1
+    return [float(value) for value in loss_data]
+
+
 class BatchedAutogradExecutor:
     """One fused autograd pass for ``P`` replicas of any batchable classifier.
 
@@ -276,6 +412,14 @@ class BatchedAutogradExecutor:
     views, and one backward pass writes every replica's gradients into the
     flat ``(P, n)`` matrix — bit-identical to ``P`` independent autograd
     passes, at a fraction of the Python graph overhead.
+
+    The first call with a given input shape runs that pass with a
+    :class:`~repro.tensor.tape.Tape` installed; later calls copy the new batch
+    into the recorded input buffers and replay the planned program
+    (workspace-reusing thunks + fused elementwise chains), bit-identical to
+    the pass itself.  Graphs that record unreplayable ops (``where``,
+    eval-mode BatchNorm, ...) and signatures past :data:`_MAX_TAPES` keep
+    running the pass without a tape.
     """
 
     def __init__(self, replicas: Sequence[Module], world: WorldFlatBuffers):
@@ -285,6 +429,10 @@ class BatchedAutogradExecutor:
         self.stack = ReplicaStack(replicas, world)
         self.model = replicas[0]
         self.world = world
+        #: signature -> _GraphRecording, or None when that signature's graph
+        #: recorded an unreplayable op (permanent eager fallback).
+        self._recordings: Dict[Tuple[int, ...], Optional[_GraphRecording]] = {}
+        self.tape_stats: Dict[str, int] = {"recorded": 0, "replays": 0, "eager": 0}
 
     @staticmethod
     def supports(model: Module) -> bool:
@@ -303,12 +451,21 @@ class BatchedAutogradExecutor:
         inputs = np.asarray(inputs, dtype=np.float32)
         if inputs.shape[0] != P:
             raise ValueError(f"expected {P} replica batches, got {inputs.shape[0]}")
+        signature = inputs.shape
+        rec = self._recordings.get(signature)
+        if rec is not None:
+            np.copyto(rec.input_buf, inputs)
+            np.copyto(rec.target_buf, np.asarray(targets), casting="unsafe")
+            return _replay(self, rec)
+
+        tape = _tape_for(self._recordings, signature)
+        input_buf = np.array(inputs)        # owned: a recording's input buffer
+        target_buf = np.ascontiguousarray(np.asarray(targets))
         self.stack.begin_iteration()
-        logits = self.model.forward_batched(Tensor(inputs), self.stack)
-        loss = F.cross_entropy_batched(logits, np.asarray(targets))
-        loss.backward(np.ones(P, dtype=np.float32))
-        self.stack.attach_grads()
-        return [float(value) for value in loss.data]
+        with recording(tape):
+            logits = self.model.forward_batched(Tensor(input_buf), self.stack)
+            loss = F.cross_entropy_batched(logits, target_buf)
+        return _finish_pass(self, signature, tape, loss, input_buf, target_buf)
 
 
 class BatchedLanguageModelExecutor:
@@ -317,6 +474,14 @@ class BatchedLanguageModelExecutor:
     Threads one *stacked* LSTM state (``(P, N, H)`` tensors per layer)
     between windows instead of ``P`` per-replica states; gradients land in
     the flat ``(P, n)`` matrix exactly as the classification executors'.
+
+    Records and replays per signature like :class:`BatchedAutogradExecutor`.
+    The recorded graph takes the carried state through owned ``(P, N, H)``
+    input buffers: each replay first copies the incoming state (or zeros, at
+    an epoch start) into those buffers — the incoming tensors alias the
+    previous replay's *output* buffers, which the program is about to
+    overwrite, so the copy must happen before the program runs.  One tape
+    serves both the fresh-state and carried-state cases.
     """
 
     def __init__(self, replicas: Sequence[Module], world: WorldFlatBuffers):
@@ -327,6 +492,8 @@ class BatchedLanguageModelExecutor:
         self.stack = ReplicaStack(replicas, world)
         self.model = model
         self.world = world
+        self._recordings: Dict[Tuple[int, ...], Optional[_GraphRecording]] = {}
+        self.tape_stats: Dict[str, int] = {"recorded": 0, "replays": 0, "eager": 0}
 
     @staticmethod
     def supports(model: Module) -> bool:
@@ -347,118 +514,10 @@ class BatchedLanguageModelExecutor:
         tokens = np.asarray(tokens)
         if tokens.shape[0] != P:
             raise ValueError(f"expected {P} replica batches, got {tokens.shape[0]}")
-        self.stack.begin_iteration()
-        logits, new_state = self.model.forward_batched(tokens, state, self.stack)
         targets = np.asarray(targets).reshape(P, -1)
-        loss = F.cross_entropy_batched(logits, targets)
-        loss.backward(np.ones(P, dtype=np.float32))
-        self.stack.attach_grads()
-        return ([float(value) for value in loss.data],
-                self.model.detach_state(new_state))
-
-
-class _GraphRecording:
-    """One recorded iteration: the replayer plus the swappable input buffers."""
-
-    __slots__ = ("replayer", "input_buf", "target_buf", "state_bufs", "new_state",
-                 "loss")
-
-    def __init__(self, replayer: TapeReplayer, input_buf: np.ndarray,
-                 target_buf: np.ndarray, loss: Tensor,
-                 state_bufs=None, new_state=None):
-        self.replayer = replayer
-        self.input_buf = input_buf
-        self.target_buf = target_buf
-        self.loss = loss
-        self.state_bufs = state_bufs
-        self.new_state = new_state
-
-
-class TapedAutogradExecutor(BatchedAutogradExecutor):
-    """:class:`BatchedAutogradExecutor` that records the batched graph once
-    per input signature and replays it on later iterations.
-
-    The first call with a given input shape runs the normal eager batched
-    pass with a :class:`~repro.tensor.tape.Tape` installed; subsequent calls
-    copy the new batch into the recorded input buffers and replay the planned
-    program (workspace-reusing thunks + fused elementwise chains), which is
-    bit-identical to the eager pass.  Models that record unreplayable ops
-    (active dropout, eval-mode BatchNorm, ...) invalidate the tape and keep
-    running eagerly.
-    """
-
-    def __init__(self, replicas: Sequence[Module], world: WorldFlatBuffers):
-        super().__init__(replicas, world)
-        #: signature -> _GraphRecording, or None when that signature's graph
-        #: recorded an unreplayable op (permanent eager fallback).
-        self._recordings: Dict[Tuple[int, ...], Optional[_GraphRecording]] = {}
-        self.tape_stats: Dict[str, int] = {"recorded": 0, "replays": 0, "eager": 0}
-
-    def forward_backward(self, inputs: np.ndarray, targets: np.ndarray) -> List[float]:
-        P = self.stack.world_size
-        inputs = np.asarray(inputs, dtype=np.float32)
-        signature = inputs.shape
-        if signature in self._recordings:
-            rec = self._recordings[signature]
-            if rec is None:
-                self.tape_stats["eager"] += 1
-                return super().forward_backward(inputs, targets)
-            np.copyto(rec.input_buf, inputs)
-            np.copyto(rec.target_buf, np.asarray(targets), casting="unsafe")
-            self.stack.begin_iteration()
-            loss_data = rec.replayer.replay()
-            self.stack.attach_grads()
-            self.tape_stats["replays"] += 1
-            return [float(value) for value in loss_data]
-        if len(self._recordings) >= _MAX_TAPES:
-            self.tape_stats["eager"] += 1
-            return super().forward_backward(inputs, targets)
-
-        input_buf = np.array(inputs, dtype=np.float32)
-        target_buf = np.ascontiguousarray(np.asarray(targets))
-        tape = Tape()
-        self.stack.begin_iteration()
-        with recording(tape):
-            logits = self.model.forward_batched(Tensor(input_buf), self.stack)
-            loss = F.cross_entropy_batched(logits, target_buf)
-        loss.backward(np.ones(P, dtype=np.float32))
-        self.stack.attach_grads()
-        if tape.valid:
-            self._recordings[signature] = _GraphRecording(
-                TapeReplayer(tape, loss), input_buf, target_buf, loss)
-            self.tape_stats["recorded"] += 1
-        else:
-            self._recordings[signature] = None
-            self.tape_stats["eager"] += 1
-        return [float(value) for value in loss.data]
-
-
-class TapedLanguageModelExecutor(BatchedLanguageModelExecutor):
-    """:class:`BatchedLanguageModelExecutor` with record-once/replay tapes.
-
-    The recorded graph takes the carried truncated-BPTT state through owned
-    ``(P, N, H)`` input buffers: each replay first copies the incoming state
-    (or zeros, at an epoch start) into those buffers — the incoming tensors
-    alias the previous replay's *output* buffers, which the program is about
-    to overwrite, so the copy must happen before the program runs.  One tape
-    serves both the fresh-state and carried-state cases.
-    """
-
-    def __init__(self, replicas: Sequence[Module], world: WorldFlatBuffers):
-        super().__init__(replicas, world)
-        self._recordings: Dict[Tuple[int, ...], Optional[_GraphRecording]] = {}
-        self.tape_stats: Dict[str, int] = {"recorded": 0, "replays": 0, "eager": 0}
-
-    def forward_backward(self, tokens: np.ndarray, targets: np.ndarray,
-                         state) -> Tuple[List[float], object]:
-        P = self.stack.world_size
-        tokens = np.asarray(tokens)
         signature = tokens.shape
-        if signature in self._recordings:
-            rec = self._recordings[signature]
-            if rec is None:
-                self.tape_stats["eager"] += 1
-                return super().forward_backward(tokens, targets, state)
+        rec = self._recordings.get(signature)
+        if rec is not None:
             if state is None:
                 for h_buf, c_buf in rec.state_bufs:
                     h_buf[...] = 0.0
@@ -468,204 +527,43 @@ class TapedLanguageModelExecutor(BatchedLanguageModelExecutor):
                     np.copyto(h_buf, h.data)
                     np.copyto(c_buf, c.data)
             np.copyto(rec.input_buf, tokens, casting="unsafe")
-            np.copyto(rec.target_buf, np.asarray(targets).reshape(P, -1), casting="unsafe")
-            self.stack.begin_iteration()
-            loss_data = rec.replayer.replay()
-            self.stack.attach_grads()
-            self.tape_stats["replays"] += 1
-            return ([float(value) for value in loss_data],
-                    self.model.detach_state(rec.new_state))
-        if len(self._recordings) >= _MAX_TAPES:
-            self.tape_stats["eager"] += 1
-            return super().forward_backward(tokens, targets, state)
+            np.copyto(rec.target_buf, targets, casting="unsafe")
+            return _replay(self, rec), self.model.detach_state(rec.new_state)
 
+        tape = _tape_for(self._recordings, signature)
         token_buf = np.ascontiguousarray(tokens)
-        target_buf = np.ascontiguousarray(np.asarray(targets).reshape(P, -1))
-        batch = tokens.shape[-1]
+        target_buf = np.ascontiguousarray(targets)
         if state is None:
-            state_in = self.model.initial_state_batched(P, batch)
+            state = self.model.initial_state_batched(P, tokens.shape[-1])
         else:
-            # Owned copies become the tape's state input buffers.
-            state_in = [(Tensor(np.array(h.data)), Tensor(np.array(c.data)))
-                        for h, c in state]
-        tape = Tape()
+            # Owned copies: a recording's state input buffers.
+            state = [(Tensor(np.array(h.data)), Tensor(np.array(c.data)))
+                     for h, c in state]
         self.stack.begin_iteration()
         with recording(tape):
-            logits, new_state = self.model.forward_batched(token_buf, state_in, self.stack)
+            logits, new_state = self.model.forward_batched(token_buf, state, self.stack)
             loss = F.cross_entropy_batched(logits, target_buf)
-        loss.backward(np.ones(P, dtype=np.float32))
-        self.stack.attach_grads()
-        if tape.valid:
-            self._recordings[signature] = _GraphRecording(
-                TapeReplayer(tape, loss), token_buf, target_buf, loss,
-                state_bufs=[(h.data, c.data) for h, c in state_in],
-                new_state=new_state)
-            self.tape_stats["recorded"] += 1
-        else:
-            self._recordings[signature] = None
-            self.tape_stats["eager"] += 1
-        return ([float(value) for value in loss.data],
-                self.model.detach_state(new_state))
-
-
-class _MLPWorkspace:
-    """Preallocated buffers for one input signature of the taped MLP path."""
-
-    __slots__ = ("input_buf", "target_buf", "acts", "masks", "tmp_w", "dz",
-                 "shifted", "exp", "sum_exp", "log_sum", "log_probs", "picked_mean",
-                 "dz0")
-
-    def __init__(self, plan, P: int, batch: int, features: int, classes: int):
-        self.input_buf = np.empty((P, batch, features), dtype=np.float32)
-        self.target_buf = np.empty((P, batch), dtype=np.int64)
-        self.acts: List[Optional[np.ndarray]] = []
-        self.masks: List[Optional[np.ndarray]] = []
-        self.tmp_w: List[Optional[np.ndarray]] = []
-        self.dz: List[Optional[np.ndarray]] = []
-        width = features
-        for kind, weights, _, _, _ in plan:
-            if kind == "relu":
-                self.acts.append(None)
-                self.masks.append(np.empty((P, batch, width), dtype=bool))
-                self.tmp_w.append(None)
-                self.dz.append(None)
-            else:
-                out_features, in_features = weights.shape[1], weights.shape[2]
-                self.acts.append(np.empty((P, batch, out_features), dtype=np.float32))
-                self.masks.append(None)
-                self.tmp_w.append(np.empty((P, out_features, in_features),
-                                           dtype=np.float32))
-                self.dz.append(np.empty((P, batch, in_features), dtype=np.float32))
-                width = out_features
-        self.shifted = np.empty((P, batch, classes), dtype=np.float32)
-        self.exp = np.empty((P, batch, classes), dtype=np.float32)
-        self.sum_exp = np.empty((P, batch, 1), dtype=np.float32)
-        self.log_sum = np.empty((P, batch, 1), dtype=np.float32)
-        self.log_probs = np.empty((P, batch, classes), dtype=np.float32)
-        self.picked_mean = np.empty((P,), dtype=np.float32)
-        self.dz0 = np.empty((P, batch, classes), dtype=np.float32)
-
-
-class TapedReplicaExecutor(BatchedReplicaExecutor):
-    """Workspace-reusing variant of the hand-derived MLP fast path.
-
-    The MLP plan is already a fixed program (no Python graph to record), so
-    "taping" here is pure workspace planning: per input signature, every
-    intermediate of :meth:`BatchedReplicaExecutor.forward_backward` gets a
-    persistent buffer and the identical arithmetic is routed through ufunc /
-    ``np.matmul`` ``out=`` — bit-identical results with near-zero per-iteration
-    allocation.
-    """
-
-    def __init__(self, replicas: Sequence[Module], world: WorldFlatBuffers):
-        super().__init__(replicas, world)
-        self._workspaces: Dict[Tuple[int, ...], _MLPWorkspace] = {}
-        self.tape_stats: Dict[str, int] = {"recorded": 0, "replays": 0, "eager": 0}
-
-    def forward_backward(self, inputs: np.ndarray, targets: np.ndarray) -> List[float]:
-        P = self.world.world_size
-        if inputs.shape[0] != P:
-            raise ValueError(f"expected {P} replica batches, got {inputs.shape[0]}")
-        batch = inputs.shape[1]
-        features = int(np.prod(inputs.shape[2:]))
-        signature = (P, batch, features)
-        ws = self._workspaces.get(signature)
-        if ws is None:
-            if len(self._workspaces) >= _MAX_TAPES:
-                self.tape_stats["eager"] += 1
-                return super().forward_backward(inputs, targets)
-            classes = self._plan[-1][1].shape[1]
-            ws = _MLPWorkspace(self._plan, P, batch, features, classes)
-            self._workspaces[signature] = ws
-            self.tape_stats["recorded"] += 1
-        else:
-            self.tape_stats["replays"] += 1
-
-        np.copyto(ws.input_buf, np.asarray(inputs).reshape(P, batch, features),
-                  casting="unsafe")
-        np.copyto(ws.target_buf, np.asarray(targets).reshape(P, batch),
-                  casting="unsafe")
-
-        # ---- forward (same arithmetic as the eager plan, out= routed) ----- #
-        X = ws.input_buf
-        layer_inputs: List[np.ndarray] = []
-        for step, (kind, weights, biases, _, _) in enumerate(self._plan):
-            if kind == "relu":
-                mask = ws.masks[step]
-                np.greater(X, 0, out=mask)
-                np.multiply(X, mask, out=X)
-            else:
-                layer_inputs.append(X)
-                act = ws.acts[step]
-                np.matmul(X, weights.transpose(0, 2, 1), out=act)
-                if biases is not None:
-                    np.add(act, biases[:, None, :], out=act)
-                X = act
-        logits = X                                            # (P, B, C)
-
-        # ---- softmax cross-entropy (per replica) ------------------------- #
-        np.subtract(logits, logits.max(axis=2, keepdims=True), out=ws.shifted)
-        np.exp(ws.shifted, out=ws.exp)
-        ws.exp.sum(axis=2, keepdims=True, out=ws.sum_exp)
-        np.log(ws.sum_exp, out=ws.log_sum)
-        np.subtract(ws.shifted, ws.log_sum, out=ws.log_probs)
-        replica_index = np.arange(P)[:, None]
-        batch_index = np.arange(batch)[None, :]
-        np.mean(ws.log_probs[replica_index, batch_index, ws.target_buf],
-                axis=1, out=ws.picked_mean)
-        np.negative(ws.picked_mean, out=ws.picked_mean)
-
-        np.divide(ws.exp, ws.sum_exp, out=ws.dz0)
-        ws.dz0[replica_index, batch_index, ws.target_buf] -= 1.0
-        ws.dz0 /= batch
-
-        # ---- backward ----------------------------------------------------- #
-        dZ = ws.dz0
-        linear_cursor = len(layer_inputs)
-        for step in range(len(self._plan) - 1, -1, -1):
-            kind, weights, biases, grad_w, grad_b = self._plan[step]
-            if kind == "relu":
-                np.multiply(dZ, ws.masks[step], out=dZ)
-            else:
-                linear_cursor -= 1
-                layer_input = layer_inputs[linear_cursor]
-                tmp_w = ws.tmp_w[step]
-                np.matmul(dZ.transpose(0, 2, 1), layer_input, out=tmp_w)
-                grad_w[...] = tmp_w
-                if grad_b is not None:
-                    dZ.sum(axis=1, out=grad_b)
-                if step > 0:
-                    np.matmul(dZ, weights, out=ws.dz[step])
-                    dZ = ws.dz[step]
-
-        for buffers in self.world.replica_buffers:
-            buffers.attach_grads()
-        return [float(value) for value in ws.picked_mean]
+        losses = _finish_pass(self, signature, tape, loss, token_buf, target_buf,
+                              state_bufs=[(h.data, c.data) for h, c in state],
+                              new_state=new_state)
+        return losses, self.model.detach_state(new_state)
 
 
 def build_replica_executor(replicas: Sequence[Module], world: WorldFlatBuffers,
-                           task: str, taped: bool = False):
+                           task: str):
     """Pick the fastest batched executor the model supports, else ``None``.
 
     Classification MLPs get the hand-derived :class:`BatchedReplicaExecutor`;
     other classifiers with full ``forward_batched`` coverage get the generic
     :class:`BatchedAutogradExecutor`; language models get
-    :class:`BatchedLanguageModelExecutor`.  With ``taped=True`` each is
-    replaced by its record-once/replay subclass (bit-identical, with automatic
-    eager fallback when a model records unreplayable ops).  ``None`` means the
-    trainer should run the per-replica autograd loop (still through the flat
-    buffers).
+    :class:`BatchedLanguageModelExecutor`.  ``None`` means the trainer should
+    run the per-replica autograd loop (still through the flat buffers).
     """
     model = replicas[0]
     if task == "classification":
-        if BatchedReplicaExecutor.supports(model):
-            cls = TapedReplicaExecutor if taped else BatchedReplicaExecutor
-            return cls(replicas, world)
-        if BatchedAutogradExecutor.supports(model):
-            cls = TapedAutogradExecutor if taped else BatchedAutogradExecutor
-            return cls(replicas, world)
-    elif task == "language_model":
-        if BatchedLanguageModelExecutor.supports(model):
-            cls = TapedLanguageModelExecutor if taped else BatchedLanguageModelExecutor
-            return cls(replicas, world)
+        for cls in (BatchedReplicaExecutor, BatchedAutogradExecutor):
+            if cls.supports(model):
+                return cls(replicas, world)
+    elif task == "language_model" and BatchedLanguageModelExecutor.supports(model):
+        return BatchedLanguageModelExecutor(replicas, world)
     return None

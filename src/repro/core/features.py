@@ -214,8 +214,6 @@ class RunFeatures:
         for name in ("seed", "clock_seed", "fault_seed"):
             if not _is_int(getattr(config, name)):
                 problems.append(f"{name} must be an integer, got {getattr(config, name)!r}")
-        if not isinstance(config.taped, bool):
-            problems.append(f"taped must be true/false, got {config.taped!r}")
 
         # Constructibility: build what the trainer will build.
         if not isinstance(config.compressor_kwargs, dict):

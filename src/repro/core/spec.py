@@ -50,6 +50,19 @@ from repro.sync import SyncSpec
 from repro.utils.serialization import to_jsonable
 
 
+#: Retired spec keys.  Spec files written before an option was removed carry
+#: ``"<key>": true`` (its default then), which is read past; any other value
+#: asked for behaviour that no longer exists and raises the key's message.
+_RETIRED_KEYS: Dict[str, str] = {
+    "fused_pipeline": "`fused_pipeline: false` was removed: the per-rank loops "
+                      "are a test oracle now (tests/reference_trainer.py); "
+                      "delete the key",
+    "taped": "`taped: false` was removed: the batched executors always record "
+             "and replay, running eagerly only where a graph cannot be "
+             "replayed (tests/eager_executors.py is the oracle); delete the key",
+}
+
+
 class SpecError(ValueError):
     """An invalid or unparseable experiment spec, with actionable messages."""
 
@@ -85,9 +98,6 @@ class ExperimentSpec:
     #: None, a registered fabric name, a NetworkModel, or its dict form.
     network: Union[None, str, dict, NetworkModel] = None
     eval_every: int = 1
-    #: Record-once/replay execution of the batched executors (see
-    #: repro.tensor.tape).
-    taped: bool = True
     #: Callback specs: registered names or {"name": ..., **kwargs} dicts
     #: (ready Callback instances are accepted but not JSON-serializable).
     callbacks: List[object] = field(default_factory=list)
@@ -206,18 +216,15 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ExperimentSpec":
-        """Build a spec from a dict, rejecting unknown keys with suggestions."""
+        """Build a spec from a dict, rejecting unknown keys with suggestions
+        (retired keys set to ``true`` are read past; see ``_RETIRED_KEYS``)."""
         if not isinstance(payload, dict):
             raise SpecError(f"expected a JSON object, got {type(payload).__name__}")
-        # Legacy-key reader: spec files written before the option was removed
-        # carry ``"fused_pipeline": true`` (then the default); read past it.
         payload = dict(payload)
-        if payload.pop("fused_pipeline", True) is not True:
-            raise SpecError(
-                "`fused_pipeline: false` was removed: the per-rank loops are "
-                "a test oracle now (tests/reference_trainer.py); delete the key")
-        problems = unknown_field_problems(payload,
-                                          [f.name for f in dataclasses.fields(cls)])
+        problems = [message for key, message in _RETIRED_KEYS.items()
+                    if payload.pop(key, True) is not True]
+        problems += unknown_field_problems(payload,
+                                           [f.name for f in dataclasses.fields(cls)])
         if problems:
             raise SpecError(problems)
         return cls(**payload)

@@ -104,11 +104,6 @@ class TrainerConfig:
     network: Optional[NetworkModel] = None
     #: Evaluate every k epochs (always evaluates on the last epoch).
     eval_every: int = 1
-    #: Record the batched executor's graph once per input signature and replay
-    #: it on later iterations (bit-identical; see repro.tensor.tape).  Models
-    #: that record unreplayable ops (e.g. active dropout) fall back to eager
-    #: batched execution automatically.
-    taped: bool = True
     #: Synchronization setup: None (the default allreduce + mean, i.e. the
     #: paper's Algorithm 1), a :class:`repro.sync.SyncSpec`, or its dict form
     #: (``{"strategy": "gossip", "topology": "ring",
@@ -137,7 +132,7 @@ class TrainerConfig:
     #: against different training/timing randomness.
     fault_seed: int = 0
     #: Execution backend: where forward/backward passes run.  ``"inprocess"``
-    #: (the default) is the single-process batched/taped executor;
+    #: (the default) is the single-process batched executor;
     #: ``"multiprocessing"`` fans rank shards out to worker processes over
     #: shared-memory flat buffers, bit-identical to inprocess.  See
     #: :mod:`repro.backends`.

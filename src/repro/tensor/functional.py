@@ -443,8 +443,8 @@ def cross_entropy_batched(logits: Tensor, targets: np.ndarray) -> Tensor:
     if active_tape() is None:
         return Tensor._make(loss_value, (logits,), "cross_entropy_batched", backward)
     # Replay refreshes the captured int target buffer from the caller's array
-    # (``src``): taped executors mutate their target buffer in place each
-    # iteration, so the recorded reference stays live.
+    # (``src``): the batched executors mutate their target buffer in place
+    # each iteration, so the recorded reference stays live.
     exp_ws = np.empty_like(shifted)
 
     def replay() -> None:

@@ -10,6 +10,7 @@ the supporting contract.
 
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -28,11 +29,11 @@ from repro.registry import public_registries
 from repro.utils.rng import replica_init_seed
 
 
-def train_params_and_metrics(backend, *, model="fnn3", world_size=2, taped=True,
+def train_params_and_metrics(backend, *, model="fnn3", world_size=2,
                              iterations=3, **backend_kwargs):
     config = TrainerConfig(model=model, preset="tiny", algorithm="a2sgd",
                            world_size=world_size, epochs=1, seed=0,
-                           max_iterations_per_epoch=iterations, taped=taped,
+                           max_iterations_per_epoch=iterations,
                            backend=backend, backend_kwargs=backend_kwargs)
     trainer = DistributedTrainer(config)
     try:
@@ -160,22 +161,12 @@ class TestBitIdentity:
     @pytest.mark.parametrize("world_size", [2, 4])
     def test_taped_run_bit_identical(self, model, world_size):
         p_in, m_in, f_in = train_params_and_metrics(
-            "inprocess", model=model, world_size=world_size, taped=True)
+            "inprocess", model=model, world_size=world_size)
         p_mp, m_mp, f_mp = train_params_and_metrics(
-            "multiprocessing", model=model, world_size=world_size, taped=True,
-            num_workers=2)
+            "multiprocessing", model=model, world_size=world_size, num_workers=2)
         assert np.array_equal(p_in, p_mp)
         assert m_in == m_mp
         assert f_in == f_mp
-
-    def test_eager_fused_run_bit_identical(self):
-        p_in, m_in, _ = train_params_and_metrics("inprocess",
-                                                 model="fnn3", taped=False)
-        p_mp, m_mp, _ = train_params_and_metrics("multiprocessing",
-                                                 model="fnn3", taped=False,
-                                                 num_workers=2)
-        assert np.array_equal(p_in, p_mp)
-        assert m_in == m_mp
 
     def test_one_worker_per_rank_bit_identical(self):
         p_in, _, _ = train_params_and_metrics("inprocess", world_size=3)
@@ -225,6 +216,31 @@ class TestWorkerLifecycle:
         trainer.close()
         assert all(not p.is_alive() for p in processes)
         assert leaked_segments() == []
+
+    def test_close_right_after_a_step_is_prompt_and_clean(self):
+        # Every worker reads the shutdown command at the same release
+        # generation, so none is left waiting on a sibling that already left.
+        trainer, _ = self._spawned_trainer()
+        processes = [p for p, _ in trainer.backend._processes]
+        start = time.monotonic()
+        trainer.close()
+        assert time.monotonic() - start < 0.5
+        assert [p.exitcode for p in processes] == [0, 0]
+
+    def test_step_aborted_between_release_and_join(self):
+        # The parent released a step but never joined it (an interrupted
+        # call): the next call joins it first, and close() still exits clean.
+        trainer, batches = self._spawned_trainer()
+        processes = [p for p, _ in trainer.backend._processes]
+        try:
+            expected = trainer._gradients(batches, None)[0].copy()
+            trainer.backend._barrier.wait()
+            np.testing.assert_array_equal(trainer._gradients(batches, None)[0],
+                                          expected)
+            trainer.backend._barrier.wait()
+        finally:
+            trainer.close()
+        assert [p.exitcode for p in processes] == [0, 0]
 
     def test_close_is_idempotent(self):
         trainer, _ = self._spawned_trainer()

@@ -32,12 +32,11 @@ class TestDerivation:
 
     def test_to_trainer_config_copies_values(self):
         spec = quick_spec(algorithm="topk", compressor_kwargs={"ratio": 0.01},
-                          eval_every=2, taped=False)
+                          eval_every=2)
         config = spec.to_trainer_config()
         assert config.algorithm == "topk"
         assert config.compressor_kwargs == {"ratio": 0.01}
         assert config.eval_every == 2
-        assert config.taped is False
 
     def test_trainer_config_does_not_alias_spec_mutables(self):
         spec = quick_spec(compressor_kwargs={"ratio": 0.01})
@@ -108,38 +107,46 @@ class TestFromDictErrors:
             ExperimentSpec.from_file(path)
 
 
-class TestLegacyFusedPipelineKey:
-    """The removed ``fused_pipeline`` option survives only as a reader for
-    spec files written before its removal (they all carry ``true``)."""
+#: Retired spec keys and the pinned message a value other than ``true`` gets.
+RETIRED_KEYS = {
+    "fused_pipeline": "`fused_pipeline: false` was removed: the per-rank loops are "
+                      "a test oracle now (tests/reference_trainer.py); delete the key",
+    "taped": "`taped: false` was removed: the batched executors always record and "
+             "replay, running eagerly only where a graph cannot be replayed "
+             "(tests/eager_executors.py is the oracle); delete the key",
+}
 
-    PINNED = ("`fused_pipeline: false` was removed: the per-rank loops are a "
-              "test oracle now (tests/reference_trainer.py); delete the key")
 
-    def test_true_is_read_past(self):
+@pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
+class TestRetiredKeys:
+    """A removed option survives only as a reader for spec files written
+    before its removal (they all carry ``true``)."""
+
+    def test_true_is_read_past(self, key):
         payload = quick_spec().to_dict()
-        assert ExperimentSpec.from_dict({**payload, "fused_pipeline": True}) \
+        assert ExperimentSpec.from_dict({**payload, key: True}) \
             == ExperimentSpec.from_dict(payload)
 
     @pytest.mark.parametrize("value", [False, 0, "true", None])
-    def test_any_other_value_is_rejected_with_the_pinned_message(self, value):
+    def test_any_other_value_is_rejected_with_the_pinned_message(self, key, value):
         with pytest.raises(SpecError) as excinfo:
-            ExperimentSpec.from_dict({"fused_pipeline": value})
-        assert excinfo.value.problems == [self.PINNED]
+            ExperimentSpec.from_dict({key: value})
+        assert excinfo.value.problems == [RETIRED_KEYS[key]]
 
-    def test_key_is_not_written_back(self):
-        spec = ExperimentSpec.from_dict({"fused_pipeline": True})
-        assert "fused_pipeline" not in spec.to_dict()
+    def test_key_is_not_written_back(self, key):
+        spec = ExperimentSpec.from_dict({key: True})
+        assert key not in spec.to_dict()
 
-    def test_it_is_not_a_field_any_more(self):
-        with pytest.raises(SpecError, match="unknown field 'fused_pipeline'"):
-            quick_spec().replace(fused_pipeline=True)
-        with pytest.raises(TypeError, match="fused_pipeline"):
-            TrainerConfig(fused_pipeline=True)
+    def test_it_is_not_a_field_any_more(self, key):
+        with pytest.raises(SpecError, match=f"unknown field '{key}'"):
+            quick_spec().replace(**{key: True})
+        with pytest.raises(TypeError, match=key):
+            TrainerConfig(**{key: True})
 
     @pytest.mark.parametrize(
         "path", sorted(EXAMPLES.glob("spec_*.json")), ids=lambda p: p.name)
-    def test_example_specs_validate_without_the_key(self, path):
-        assert "fused_pipeline" not in json.loads(path.read_text())
+    def test_example_specs_validate_without_the_key(self, key, path):
+        assert key not in json.loads(path.read_text())
         ExperimentSpec.from_file(path).validate()
 
 
