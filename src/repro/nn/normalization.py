@@ -2,7 +2,10 @@
 
 ResNet-20 and VGG-16 rely on BatchNorm; the layer keeps running statistics as
 buffers (excluded from gradient synchronization, as in the paper's setup where
-only gradients are exchanged).
+only gradients are exchanged).  Both layers run the one fused
+:func:`~repro.tensor.functional.batch_norm` op, per replica (``forward``) and
+over a stacked replica batch (``forward_batched``), so the two paths are
+bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, init
+from repro.tensor import Tensor, functional as F, init
 from repro.tensor.tensor import invalidate_active_tape, record_tape_effect
 
 
@@ -30,110 +33,45 @@ class _BatchNormBase(Module):
         self._buffers["running_mean"][...] = (1 - m) * self._buffers["running_mean"] + m * mean
         self._buffers["running_var"][...] = (1 - m) * self._buffers["running_var"] + m * var
 
+    def forward(self, x: Tensor) -> Tensor:
+        if not self.training:
+            stats = (self._buffers["running_mean"], self._buffers["running_var"])
+            return F.batch_norm(x, self.weight, self.bias, self.eps, stats)[0]
+        out, mean, var = F.batch_norm(x, self.weight, self.bias, self.eps)
+        self._update_running(mean[0], var[0])
+        return out
+
+    def forward_batched(self, x: Tensor, stack) -> Tensor:
+        """Normalize a stacked ``(P, N, C, ...)`` replica batch per replica.
+
+        Batch statistics stay per replica, and every replica's module
+        (``stack.siblings``) updates its running buffers with its own slice's
+        statistics — bit-identical to running :meth:`forward` replica by
+        replica.
+        """
+        siblings = stack.siblings(self)
+        weight, bias = stack.tensor(self.weight), stack.tensor(self.bias)
+        if not self.training:
+            invalidate_active_tape("batchnorm eval-mode buffers")
+            stats = (np.stack([s._buffers["running_mean"] for s in siblings]),
+                     np.stack([s._buffers["running_var"] for s in siblings]))
+            return F.batch_norm(x, weight, bias, self.eps, stats)[0]
+        out, mean, var = F.batch_norm(x, weight, bias, self.eps)
+
+        def update_running() -> None:
+            # Iterates the op's mean/var workspaces at call time, so a tape
+            # replay that refreshed them in place updates the same statistics.
+            for sibling, m_row, v_row in zip(siblings, mean, var):
+                sibling._update_running(m_row, v_row)
+
+        update_running()
+        record_tape_effect(update_running)
+        return out
+
 
 class BatchNorm1d(_BatchNormBase):
     """Batch normalization over a (N, C) tensor."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            mean = x.mean(axis=0, keepdims=True)
-            var = x.var(axis=0, keepdims=True)
-            self._update_running(mean.data.reshape(-1), var.data.reshape(-1))
-        else:
-            mean = Tensor(self._buffers["running_mean"].reshape(1, -1))
-            var = Tensor(self._buffers["running_var"].reshape(1, -1))
-        x_hat = (x - mean) / (var + self.eps).sqrt()
-        return x_hat * self.weight.reshape(1, -1) + self.bias.reshape(1, -1)
-
-    def forward_batched(self, x: Tensor, stack) -> Tensor:
-        """Normalize a stacked ``(P, N, C)`` replica batch per replica.
-
-        Batch statistics stay per replica (axis 1 only), and each replica's
-        own running buffers are updated with its slice's statistics, exactly
-        as the per-replica loop does.
-        """
-        P = x.shape[0]
-        if self.training:
-            mean = x.mean(axis=1, keepdims=True)
-            var = x.var(axis=1, keepdims=True)
-            siblings = list(stack.siblings(self))
-
-            def update_running() -> None:
-                # Reads mean/var data fresh at call time, so a tape replay that
-                # refreshed those buffers in place updates the same statistics.
-                for sibling, m_row, v_row in zip(siblings,
-                                                 mean.data.reshape(P, -1),
-                                                 var.data.reshape(P, -1)):
-                    sibling._update_running(m_row, v_row)
-
-            update_running()
-            record_tape_effect(update_running)
-        else:
-            invalidate_active_tape("batchnorm eval-mode buffers")
-            siblings = stack.siblings(self)
-            mean = Tensor(np.stack([s._buffers["running_mean"] for s in siblings])
-                          .reshape(P, 1, -1))
-            var = Tensor(np.stack([s._buffers["running_var"] for s in siblings])
-                         .reshape(P, 1, -1))
-        x_hat = (x - mean) / (var + self.eps).sqrt()
-        return (x_hat * stack.reshaped(self.weight, P, 1, self.num_features)
-                + stack.reshaped(self.bias, P, 1, self.num_features))
-
 
 class BatchNorm2d(_BatchNormBase):
     """Batch normalization over an (N, C, H, W) tensor, per channel."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            mean = x.mean(axis=(0, 2, 3), keepdims=True)
-            var = x.var_spatial() if hasattr(x, "var_spatial") else self._channel_var(x, mean)
-            self._update_running(mean.data.reshape(-1), var.data.reshape(-1))
-        else:
-            mean = Tensor(self._buffers["running_mean"].reshape(1, -1, 1, 1))
-            var = Tensor(self._buffers["running_var"].reshape(1, -1, 1, 1))
-        x_hat = (x - mean) / (var + self.eps).sqrt()
-        return (x_hat * self.weight.reshape(1, -1, 1, 1)
-                + self.bias.reshape(1, -1, 1, 1))
-
-    def forward_batched(self, x: Tensor, stack) -> Tensor:
-        """Normalize a stacked ``(P, N, C, H, W)`` replica batch per replica.
-
-        The reduction axes exclude the leading replica axis, so each replica
-        sees exactly its own batch statistics; running buffers are updated on
-        every replica's module (``stack.siblings``) with its own slice —
-        bit-identical to running :meth:`forward` replica by replica.
-        """
-        P = x.shape[0]
-        if self.training:
-            mean = x.mean(axis=(1, 3, 4), keepdims=True)
-            var = self._channel_var_batched(x, mean)
-            siblings = list(stack.siblings(self))
-
-            def update_running() -> None:
-                for sibling, m_row, v_row in zip(siblings,
-                                                 mean.data.reshape(P, -1),
-                                                 var.data.reshape(P, -1)):
-                    sibling._update_running(m_row, v_row)
-
-            update_running()
-            record_tape_effect(update_running)
-        else:
-            invalidate_active_tape("batchnorm eval-mode buffers")
-            siblings = stack.siblings(self)
-            mean = Tensor(np.stack([s._buffers["running_mean"] for s in siblings])
-                          .reshape(P, 1, -1, 1, 1))
-            var = Tensor(np.stack([s._buffers["running_var"] for s in siblings])
-                         .reshape(P, 1, -1, 1, 1))
-        x_hat = (x - mean) / (var + self.eps).sqrt()
-        return (x_hat * stack.reshaped(self.weight, P, 1, self.num_features, 1, 1)
-                + stack.reshaped(self.bias, P, 1, self.num_features, 1, 1))
-
-    @staticmethod
-    def _channel_var(x: Tensor, mean: Tensor) -> Tensor:
-        centered = x - mean
-        return (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-
-    @staticmethod
-    def _channel_var_batched(x: Tensor, mean: Tensor) -> Tensor:
-        centered = x - mean
-        return (centered * centered).mean(axis=(1, 3, 4), keepdims=True)

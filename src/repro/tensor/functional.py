@@ -1,12 +1,12 @@
 """Functional neural-network operations built on :class:`~repro.tensor.Tensor`.
 
 This module contains the composite operations the models need: im2col-based
-2-D convolution and pooling, numerically stable softmax / log-softmax /
-cross-entropy, linear projection, dropout and embedding lookup.  All
-operations construct the autograd graph through the primitive ops defined on
-:class:`Tensor`, except convolution and pooling which provide hand-written
-backward closures for efficiency (one big GEMM instead of thousands of tiny
-ops).
+2-D convolution and pooling, batch normalization, numerically stable softmax /
+log-softmax / cross-entropy, linear projection, dropout and embedding lookup.
+All operations construct the autograd graph through the primitive ops defined
+on :class:`Tensor`, except convolution, pooling and batch normalization, which
+provide hand-written backward closures for efficiency (one big GEMM, or a few
+contiguous reductions, instead of many small ops).
 
 The ``*_batched`` variants evaluate all ``P`` replicas of a simulated world in
 one call: operands gain a leading replica axis (inputs ``(P, N, ...)``,
@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, _unbroadcast, active_tape, invalidate_active_tape
+from repro.tensor.tensor import Tensor, active_tape, invalidate_active_tape, is_grad_enabled
 
 
 # ---------------------------------------------------------------------- #
@@ -341,6 +341,123 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """Average over the spatial dimensions of an NCHW tensor → (N, C)."""
     return x.mean(axis=(2, 3))
+
+
+# ---------------------------------------------------------------------- #
+# normalization
+# ---------------------------------------------------------------------- #
+def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float,
+               stats: Optional[Tuple[np.ndarray, np.ndarray]] = None
+               ) -> Tuple[Tensor, np.ndarray, np.ndarray]:
+    """Per-channel batch normalization of ``P`` replicas at once.
+
+    ``weight`` and ``bias`` are ``(C,)`` for one replica, with ``x`` shaped
+    ``(N, C, *spatial)``, or stacked ``(P, C)``, with ``x`` shaped
+    ``(P, N, C, *spatial)``; either way the op views ``x`` as
+    ``(P, N, C, S)`` and normalizes each (replica, channel) over its
+    ``m = N·S`` values.
+
+    Training mode (``stats`` is ``None``): the mean and the biased variance
+    each come from two reductions over contiguous axes — over N on
+    ``(P, N, C·S)``, then over S on ``(P, C, S)``.  Eval mode: ``stats`` is
+    the running ``(mean, var)`` pair, shaped like ``weight``.  Returns
+    ``(out, mean, var)`` with ``(P, C)`` statistics; in training mode they
+    are workspaces that every tape replay refreshes in place.
+
+    The backward is derived by hand, with ``x̂`` the normalized input::
+
+        db = Σ dy        dw = Σ dy·x̂
+        dx = w·inv_std/m · (m·dy − db − x̂·dw)     (training)
+        dx = w·inv_std · dy                        (eval: constant statistics)
+
+    Every array the op writes is a workspace it owns, and the eager call and
+    the replay rule are one function, so a replay is bit-identical to the
+    recorded pass and each replica's slice is bit-identical to the ``P = 1``
+    call on that replica alone.
+    """
+    C = weight.shape[-1]
+    P = 1 if weight.ndim == 1 else weight.shape[0]
+    N = x.shape[weight.ndim - 1]
+    if x.shape[weight.ndim] != C:
+        raise ValueError(f"input {x.shape} does not have {C} channels at axis {weight.ndim}")
+    S = int(np.prod(x.shape[weight.ndim + 1:], dtype=np.int64))
+    m = N * S
+    shape4 = (P, N, C, S)
+    training = stats is None
+    if training:
+        mean = np.empty((P, C), dtype=np.float32)
+        var = np.empty((P, C), dtype=np.float32)
+    else:
+        mean, var = (np.reshape(s, (P, C)) for s in stats)
+    inv_std = np.empty((P, C), dtype=np.float32)
+    partial = np.empty((P, C * S), dtype=np.float32)
+    runs_backward = is_grad_enabled() and any(t.requires_grad for t in (x, weight, bias))
+    # Inference (running statistics, no backward) needs no separate x̂: it
+    # normalizes in place in an output laid out like ``x`` — conv outputs
+    # keep the batch axis innermost, which the next conv's patch gather
+    # streams.  Otherwise every workspace is C-contiguous, like the
+    # gradients ``Tensor._accumulate`` copies, so the backward passes (and
+    # the next ReLU's ``grad * mask``) stream their operands.
+    inference = not training and not runs_backward
+    out = np.empty_like(x.data) if inference else np.empty(x.shape, dtype=np.float32)
+    out4 = out.reshape(shape4)
+    if not np.may_share_memory(out4, out):       # x's layout has no such view
+        out = np.empty(x.shape, dtype=np.float32)
+        out4 = out.reshape(shape4)
+    x_hat = out4 if inference else np.empty(shape4, dtype=np.float32)
+    if runs_backward:
+        # Gradient workspaces, handed to the parents by reference; ``dx`` also
+        # serves as the dy·x̂ scratch before it is written.
+        dx = np.empty(x.shape, dtype=np.float32)
+        dx4 = dx.reshape(shape4)
+        dw = np.empty(weight.shape, dtype=np.float32)
+        db = np.empty(bias.shape, dtype=np.float32)
+
+    def channel_sum(values: np.ndarray, total: np.ndarray) -> None:
+        np.sum(values.reshape(P, N, C * S), axis=1, out=partial)
+        np.sum(partial.reshape(P, C, S), axis=2, out=total)
+
+    def forward() -> None:
+        x4 = x.data.reshape(shape4)
+        if training:
+            channel_sum(x4, mean)
+            np.multiply(mean, 1.0 / m, out=mean)
+        np.subtract(x4, mean[:, None, :, None], out=x_hat)
+        if training:
+            np.multiply(x_hat, x_hat, out=out4)      # out4 doubles as scratch
+            channel_sum(out4, var)
+            np.multiply(var, 1.0 / m, out=var)
+        np.add(var, eps, out=inv_std)
+        np.sqrt(inv_std, out=inv_std)
+        np.divide(1.0, inv_std, out=inv_std)
+        np.multiply(x_hat, inv_std[:, None, :, None], out=x_hat)
+        np.multiply(x_hat, weight.data.reshape(P, 1, C, 1), out=out4)
+        np.add(out4, bias.data.reshape(P, 1, C, 1), out=out4)
+
+    def backward(grad: np.ndarray) -> None:
+        dy = grad.reshape(shape4)
+        db2, dw2 = db.reshape(P, C), dw.reshape(P, C)
+        channel_sum(dy, db2)
+        np.multiply(dy, x_hat, out=dx4)
+        channel_sum(dx4, dw2)
+        if x.requires_grad:
+            scale = (weight.data.reshape(P, C) * inv_std)[:, None, :, None]
+            if training:
+                # dx = scale · (dy − (db + x̂·dw) / m)
+                np.multiply(x_hat, (dw2 / m)[:, None, :, None], out=dx4)
+                np.add(dx4, (db2 / m)[:, None, :, None], out=dx4)
+                np.subtract(dy, dx4, out=dx4)
+                np.multiply(dx4, scale, out=dx4)
+            else:
+                np.multiply(dy, scale, out=dx4)
+            x._accumulate(dx)
+        if weight.requires_grad:
+            weight._accumulate(dw)
+        if bias.requires_grad:
+            bias._accumulate(db)
+
+    forward()
+    return Tensor._make(out, (x, weight, bias), "batch_norm", backward, forward), mean, var
 
 
 # ---------------------------------------------------------------------- #
