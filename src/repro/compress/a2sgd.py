@@ -20,7 +20,7 @@ paper's convergence analysis bounds.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,90 +57,14 @@ class A2SGDCompressor(Compressor):
         self.two_means = bool(two_means)
 
     # ------------------------------------------------------------------ #
-    # static pieces of Algorithm 1 (exposed for tests / analysis)
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def two_level_means(gradient: np.ndarray,
-                        positive_mask: Optional[np.ndarray] = None) -> Tuple[float, float]:
-        """Absolute means of the non-negative and negative entries (µ_+, µ_-).
-
-        Computed from the sign mask and two masked BLAS dots — no ``np.abs``
-        temporary and no boolean gathers, which is the "no complex sampling or
-        sorting" property §3 highlights.  ``compress`` passes its
-        already-computed sign mask so the mask is built exactly once per
-        gradient.  Each side is summed *directly* against its own 0/1 mask:
-        deriving the negative sum as ``positive_sum - total`` looks cheaper
-        but cancels catastrophically when one side dominates, inflating µ_-
-        past ``max |g|``.
-        """
-        gradient = np.asarray(gradient)
-        if positive_mask is None:
-            positive_mask = gradient >= 0
-        positive_sum = float(np.dot(gradient, positive_mask.astype(gradient.dtype)))
-        negative_sum = -float(np.dot(gradient, (~positive_mask).astype(gradient.dtype)))
-        positive_count = int(np.count_nonzero(positive_mask))
-        negative_count = gradient.size - positive_count
-        mu_plus = positive_sum / positive_count if positive_count else 0.0
-        mu_minus = negative_sum / negative_count if negative_count else 0.0
-        # Guard against tiny negative values from rounding when one side is
-        # (nearly) empty.
-        return max(0.0, mu_plus), max(0.0, mu_minus)
-
-    @staticmethod
-    def encode(gradient: np.ndarray, mu_plus: float, mu_minus: float) -> np.ndarray:
-        """The paper's ``enc(v) = pos(v)·µ_+ − neg(v)·µ_-`` operator (selected
-        in float32, the gradient pipeline's dtype)."""
-        encoded = select_by_mask(np.empty(gradient.shape, dtype=np.float32),
-                                 gradient >= 0, mu_plus, -mu_minus)
-        return encoded.astype(gradient.dtype, copy=False)
-
-    # ------------------------------------------------------------------ #
-    # Compressor protocol
-    # ------------------------------------------------------------------ #
-    def compress(self, gradient: np.ndarray) -> Tuple[np.ndarray, Dict]:
-        gradient = self._flatten(gradient)
-        positive_mask = gradient >= 0
-
-        if self.two_means:
-            mu_plus, mu_minus = self.two_level_means(gradient, positive_mask)
-            encoded = select_by_mask(np.empty(gradient.shape, dtype=np.float32),
-                                     positive_mask, mu_plus, -mu_minus)
-            payload = np.array([mu_plus, mu_minus], dtype=np.float64)
-        else:
-            # Single-mean ablation: one signed mean replaces every entry.
-            mu = float(gradient.mean())
-            encoded = np.full_like(gradient, mu)
-            payload = np.array([mu, 0.0], dtype=np.float64)
-
-        error = gradient - encoded if self.error_feedback else np.zeros_like(gradient)
-        ctx = {"positive_mask": positive_mask, "error": error}
-        self._record(self.WIRE_BITS, gradient, encoded)
-        return payload, ctx
-
-    def decompress(self, global_payload: np.ndarray, ctx: Dict) -> np.ndarray:
-        global_payload = np.asarray(global_payload, dtype=np.float64)
-        if global_payload.shape != (2,):
-            raise ValueError("A2SGD expects a global payload of exactly two means")
-        positive_mask = ctx["positive_mask"]
-        reconstructed = np.empty(positive_mask.shape, dtype=np.float32)
-        if self.two_means:
-            select_by_mask(reconstructed, positive_mask,
-                           global_payload[0], -global_payload[1])
-        else:
-            reconstructed.fill(global_payload[0])
-        return ctx["error"] + reconstructed
-
-    # ------------------------------------------------------------------ #
-    # batched kernels: every rank in one set of axis reductions
+    # kernels: every rank in one call (per-rank calls are a batch of one)
     # ------------------------------------------------------------------ #
     @classmethod
     def compress_batch(cls, compressors: Sequence["A2SGDCompressor"], G: np.ndarray
                        ) -> Tuple[List[np.ndarray], List[Dict]]:
+        if not cls._uniform(compressors, "error_feedback", "two_means"):
+            return cls._compress_each(compressors, G)
         reference = compressors[0]
-        if any(c.error_feedback != reference.error_feedback
-               or c.two_means != reference.two_means for c in compressors):
-            return super().compress_batch(compressors, G)
-
         G = np.asarray(G, dtype=np.float32)
         P, n = G.shape
         masks = G >= 0
@@ -151,28 +75,32 @@ class A2SGDCompressor(Compressor):
             # set per step is 2–3 rows — not the 4×(P, n) whole-matrix
             # casts/selects/subtractions this used before, which fell out of
             # L2 between passes on mid-sized models (lstm_ptb) and made the
-            # batched exchange *slower* than the per-rank loop.  Every
-            # arithmetic op and its order still match the looped path
-            # (same masked BLAS dots as two_level_means, the same
-            # select_by_mask primitive), so payloads, contexts and stats stay
-            # bit-identical.
+            # batched exchange *slower* than the per-rank loop.  Each side
+            # is summed directly against its own 0/1 mask: deriving the
+            # negative sum as ``positive_sum - total`` looks cheaper but
+            # cancels catastrophically when one side dominates, inflating µ_-
+            # past ``max |g|``.
             positive_sums = np.empty(P)
             positive_counts = np.empty(P, dtype=np.int64)
             negative_sums = np.empty(P)
-            for p in range(P):
-                mask_f32 = masks[p].astype(np.float32)
-                positive_sums[p] = float(np.dot(G[p], mask_f32))
-                # 1 − mask is exactly the (~mask) cast for 0/1 values and
-                # reuses the row buffer instead of allocating a bool inverse.
-                np.subtract(np.float32(1.0), mask_f32, out=mask_f32)
-                negative_sums[p] = -float(np.dot(G[p], mask_f32))
-                positive_counts[p] = np.count_nonzero(masks[p])
+            # An inf entry times its 0 in the other side's mask is NaN; the
+            # finiteness check below reports it, so numpy need not warn.
+            with np.errstate(invalid="ignore"):
+                for p in range(P):
+                    mask_f32 = masks[p].astype(np.float32)
+                    positive_sums[p] = float(np.dot(G[p], mask_f32))
+                    # 1 − mask is exactly the (~mask) cast for 0/1 values and
+                    # reuses the row buffer instead of allocating a bool inverse.
+                    np.subtract(np.float32(1.0), mask_f32, out=mask_f32)
+                    negative_sums[p] = -float(np.dot(G[p], mask_f32))
+                    positive_counts[p] = np.count_nonzero(masks[p])
             negative_counts = n - positive_counts
             mu_plus = np.maximum(0.0, np.where(
                 positive_counts > 0, positive_sums / np.maximum(positive_counts, 1), 0.0))
             mu_minus = np.maximum(0.0, np.where(
                 negative_counts > 0, negative_sums / np.maximum(negative_counts, 1), 0.0))
             means = np.stack([mu_plus, mu_minus], axis=1)           # (P, 2) float64
+            cls._require_finite(means)
             if reference.error_feedback:
                 # Fused select + subtract + stats: the encoding is selected
                 # straight into the error matrix, subtracted from G in place
@@ -195,9 +123,11 @@ class A2SGDCompressor(Compressor):
                 errors = np.zeros((P, n), dtype=np.float32)
                 cls._record_batch(compressors, cls.WIRE_BITS, G, encoded)
         else:
+            # Single-mean ablation: one signed mean replaces every entry.
             mu = G.mean(axis=1).astype(np.float64)
-            encoded = np.broadcast_to(mu[:, None].astype(np.float32), (P, n))
             means = np.stack([mu, np.zeros(P)], axis=1)
+            cls._require_finite(means)
+            encoded = np.broadcast_to(mu[:, None].astype(np.float32), (P, n))
             if reference.error_feedback:
                 errors = G - encoded
             else:
@@ -225,18 +155,14 @@ class A2SGDCompressor(Compressor):
     @classmethod
     def decompress_batch(cls, compressors: Sequence["A2SGDCompressor"],
                          exchanged: Sequence, contexts: Sequence[Dict]) -> np.ndarray:
-        reference = compressors[0]
-        if any(c.two_means != reference.two_means for c in compressors):
-            return super().decompress_batch(compressors, exchanged, contexts)
         global_means = np.stack([np.asarray(e, dtype=np.float64) for e in exchanged])
         if global_means.shape[1:] != (2,):
             raise ValueError("A2SGD expects a global payload of exactly two means")
         # Fast path: compress_batch cached its stacked mask/error matrices
         # and the per-rank row views in the contexts (one shared tuple).
         # Object-identity checks on every rank's entries confirm nothing was
-        # swapped in since compression; otherwise fall back to _stack_rows —
-        # which also covers contexts from the looped ``compress`` (still
-        # zero-copy when rows alias one matrix).
+        # swapped in since compression; otherwise fall back to _stack_rows
+        # (still zero-copy when rows alias one matrix).
         stacked = contexts[0].get("_stacked")
         if stacked is not None and stacked[0].shape[0] == len(contexts) \
                 and all(ctx.get("_stacked") is stacked
@@ -248,17 +174,32 @@ class A2SGDCompressor(Compressor):
             masks = cls._stack_rows([ctx["positive_mask"] for ctx in contexts])
             errors = cls._stack_rows([ctx["error"] for ctx in contexts])
         reconstructed = np.empty(masks.shape, dtype=np.float32)
-        if reference.two_means:
-            # The error is added while the freshly-selected row is cache-hot
-            # (a whole-matrix ``+= errors`` would re-stream every row).
-            for p in range(masks.shape[0]):
+        # The error is added while the freshly-selected row is cache-hot (a
+        # whole-matrix ``+= errors`` would re-stream every row).
+        for p, compressor in enumerate(compressors):
+            if compressor.two_means:
                 select_by_mask(reconstructed[p], masks[p],
                                global_means[p, 0], -global_means[p, 1])
-                reconstructed[p] += errors[p]
-        else:
-            reconstructed[...] = global_means[:, 0:1]
-            reconstructed += errors
+            else:
+                reconstructed[p] = global_means[p, 0]
+            reconstructed[p] += errors[p]
         return reconstructed
+
+    @staticmethod
+    def _require_finite(means: np.ndarray) -> None:
+        """Refuse non-finite ``(P, 2)`` means, naming the ranks.
+
+        A NaN or ±inf gradient entry makes at least one of its row's masked
+        dots (or its single mean) non-finite, so this O(P) check on the means
+        catches every one — where the encoding would otherwise ship NaN/inf
+        means to every rank.
+        """
+        finite = np.isfinite(means).all(axis=1)
+        if not finite.all():
+            P = means.shape[0]
+            bad = "; ".join(f"rank {p} of {P}: (µ₊, µ₋) = ({means[p, 0]}, {means[p, 1]})"
+                            for p in np.flatnonzero(~finite))
+            raise FloatingPointError(f"a2sgd: non-finite gradient means — {bad}")
 
     # ------------------------------------------------------------------ #
     # analytics (Table 2)

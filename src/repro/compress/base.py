@@ -14,6 +14,12 @@ synchronization in three steps (mirroring §3.1 / Algorithm 1 of the paper):
 3. ``decompress(global_payload, ctx)`` or ``decompress_gathered(payloads,
    ctx)`` — reconstruct the gradient this worker feeds to its optimizer.
 
+Each step is written once per compressor, as a kernel over every rank at
+once: ``compress_batch`` takes the stacked ``(world_size, n)`` gradient
+matrix and ``decompress_batch`` returns the ``(world_size, n)``
+reconstruction.  The per-rank methods above are defined here, on the base
+class, as a batch of one.
+
 Two analytic methods report the quantities in Table 2 of the paper:
 ``wire_bits(n)`` (communication traffic per worker per iteration) and
 ``computation_complexity(n)`` (asymptotic cost of the compression step).
@@ -59,6 +65,16 @@ def select_by_mask(out: np.ndarray, mask: np.ndarray, if_true: float,
     return out
 
 
+def scaled_payloads_mean(payloads: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Float32 mean of ``scale · v`` over ``[scale, v_1, ..., v_n]`` payloads
+    — the gathered reconstruction of TernGrad and SignSGD."""
+    total = np.zeros(n, dtype=np.float64)
+    for payload in payloads:
+        payload = np.asarray(payload, dtype=np.float64)
+        total += payload[0] * payload[1:]
+    return (total / len(payloads)).astype(np.float32)
+
+
 class ExchangeKind(enum.Enum):
     """How a compressor's payloads are exchanged across workers."""
 
@@ -85,9 +101,11 @@ class CompressionStats:
 class Compressor:
     """Base class for gradient compressors.
 
-    Subclasses must set :attr:`name` and :attr:`exchange`, and implement
-    :meth:`compress`, one of the decompress methods, :meth:`wire_bits` and
-    :meth:`computation_complexity`.
+    Subclasses must set :attr:`name` and :attr:`exchange`, and implement the
+    two batch kernels :meth:`compress_batch` and :meth:`decompress_batch`,
+    :meth:`wire_bits` and :meth:`computation_complexity`.  The per-rank
+    :meth:`compress` / :meth:`decompress` / :meth:`decompress_gathered` come
+    from this class.
     """
 
     #: Registry / display name.
@@ -96,36 +114,36 @@ class Compressor:
     exchange: ExchangeKind = ExchangeKind.ALLREDUCE
     #: Whether the compressor keeps a persistent residual across iterations.
     uses_error_feedback: bool = False
-    #: For Allgather compressors: True when ``decompress_gathered`` depends
-    #: only on the gathered payloads and a rank-invariant context (the usual
-    #: case — every rank reconstructs the same averaged gradient), letting
-    #: ``decompress_batch`` compute one rank and broadcast the row.
-    gathered_rank_invariant: bool = False
 
     def __init__(self) -> None:
         self.stats = CompressionStats()
 
     # ------------------------------------------------------------------ #
-    # core protocol
+    # per-rank protocol: the batch kernels on a batch of one
     # ------------------------------------------------------------------ #
     def compress(self, gradient: np.ndarray) -> Tuple[np.ndarray, Dict]:
         """Compress a flat gradient into (wire payload, local context)."""
-        raise NotImplementedError
+        payloads, contexts = type(self).compress_batch(
+            [self], self._flatten(gradient)[None, :])
+        return payloads[0], contexts[0]
 
     def decompress(self, global_payload: np.ndarray, ctx: Dict) -> np.ndarray:
         """Reconstruct the update gradient from an Allreduce result."""
-        raise NotImplementedError
+        return type(self).decompress_batch(
+            [self], [self._flatten(global_payload)], [ctx])[0]
 
     def decompress_gathered(self, payloads: Sequence[np.ndarray], ctx: Dict) -> np.ndarray:
-        """Reconstruct the update gradient from Allgather results."""
-        raise NotImplementedError
+        """Reconstruct the update gradient from Allgather results (the row
+        may be a read-only view)."""
+        return type(self).decompress_batch(
+            [self], [[self._flatten(p) for p in payloads]], [ctx])[0]
 
     def reset_state(self) -> None:
         """Clear any persistent state (error-feedback memory, statistics)."""
         self.stats = CompressionStats()
 
     # ------------------------------------------------------------------ #
-    # batched protocol (one call per iteration instead of one per rank)
+    # batch kernels (one call per iteration instead of one per rank)
     # ------------------------------------------------------------------ #
     @classmethod
     def compress_batch(cls, compressors: Sequence["Compressor"], G: np.ndarray
@@ -133,19 +151,11 @@ class Compressor:
         """Compress the stacked ``(world_size, n)`` gradient matrix.
 
         Row ``p`` of ``G`` is rank ``p``'s flat gradient and ``compressors[p]``
-        is that rank's instance (per-rank error-feedback state lives on the
-        instances exactly as in the looped path).  Returns the per-rank
-        payloads and contexts, bit-identical to calling ``compress`` rank by
-        rank.  This default *is* that loop; subclasses override it with
-        vectorized kernels.
+        is that rank's instance (per-rank error-feedback state and RNG
+        streams live on the instances).  Returns the per-rank payloads and
+        contexts.
         """
-        payloads: List[np.ndarray] = []
-        contexts: List[Dict] = []
-        for compressor, row in zip(compressors, np.asarray(G)):
-            payload, ctx = compressor.compress(row)
-            payloads.append(payload)
-            contexts.append(ctx)
-        return payloads, contexts
+        raise NotImplementedError(f"{cls.__name__} does not implement compress_batch")
 
     @classmethod
     def decompress_batch(cls, compressors: Sequence["Compressor"],
@@ -153,24 +163,32 @@ class Compressor:
         """Reconstruct every rank's update as one ``(world_size, n)`` matrix.
 
         ``exchanged[p]`` is rank ``p``'s collective result (the reduced
-        payload for Allreduce, the payload list for Allgather).  Rows are
-        bit-identical to the per-rank ``decompress``/``decompress_gathered``
-        loop.  When ``gathered_rank_invariant`` is set the Allgather
-        reconstruction is computed once and broadcast, turning the seed's
-        O(P²·n) reconstruction into O(P·n); the returned matrix may then be a
-        read-only broadcast view.
+        payload for Allreduce, the payload list for Allgather).  Allgather
+        reconstructions are rank-invariant, so the kernels compute rank 0's
+        row once and return a read-only ``(world_size, n)`` broadcast of it.
         """
-        if cls.exchange is ExchangeKind.ALLGATHER:
-            if cls.gathered_rank_invariant:
-                row = np.asarray(compressors[0].decompress_gathered(
-                    exchanged[0], contexts[0]), dtype=np.float32)
-                return np.broadcast_to(row, (len(compressors), row.size))
-            rows = [np.asarray(c.decompress_gathered(e, ctx), dtype=np.float32)
-                    for c, e, ctx in zip(compressors, exchanged, contexts)]
-        else:
-            rows = [np.asarray(c.decompress(e, ctx), dtype=np.float32)
-                    for c, e, ctx in zip(compressors, exchanged, contexts)]
-        return np.stack(rows)
+        raise NotImplementedError(f"{cls.__name__} does not implement decompress_batch")
+
+    @staticmethod
+    def _uniform(compressors: Sequence["Compressor"], *attrs: str) -> bool:
+        """Whether every rank shares the configuration ``attrs`` — the
+        precondition of a kernel that runs all rows with rank 0's settings."""
+        first = compressors[0]
+        return all(getattr(c, attr) == getattr(first, attr)
+                   for c in compressors[1:] for attr in attrs)
+
+    @classmethod
+    def _compress_each(cls, compressors: Sequence["Compressor"], G: np.ndarray
+                       ) -> Tuple[List[np.ndarray], List[Dict]]:
+        """``compress_batch`` as one batch of one per rank: the path for a
+        batch whose ranks are configured differently."""
+        payloads: List[np.ndarray] = []
+        contexts: List[Dict] = []
+        for p, compressor in enumerate(compressors):
+            (payload,), (ctx,) = cls.compress_batch([compressor], G[p:p + 1])
+            payloads.append(payload)
+            contexts.append(ctx)
+        return payloads, contexts
 
     @staticmethod
     def _stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
@@ -192,10 +210,11 @@ class Compressor:
                      dtype=np.float32) -> np.ndarray:
         """Gather a per-rank state vector (e.g. ``_residual``) into ``(P, n)``.
 
-        Zero rows stand in for missing/mismatched state, mirroring the lazy
-        initialization of the looped path.  When every rank's state is already
-        a row view of one shared ``(P, n)`` matrix — which is how the batched
-        kernels write state back — that matrix is returned without copying.
+        Zero rows stand in for missing/mismatched state: a rank's state
+        starts at zero on its first compress.  When every rank's state is
+        already a row view of one shared ``(P, n)`` matrix — which is how the
+        batched kernels write state back — that matrix is returned without
+        copying.
         """
         rows = [getattr(c, attr, None) for c in compressors]
         base = rows[0].base if isinstance(rows[0], np.ndarray) else None
@@ -245,23 +264,16 @@ class Compressor:
             raise ValueError("compressors operate on flat (1-D) gradient vectors")
         return gradient
 
-    def _record(self, wire_bits: float, original: np.ndarray,
-                transmitted_estimate: np.ndarray) -> None:
-        """Track wire traffic and the relative compression error."""
-        denom = float(np.linalg.norm(original)) or 1.0
-        error = float(np.linalg.norm(original - transmitted_estimate)) / denom
-        self.stats.record(wire_bits, error)
-
     @staticmethod
     def _record_batch(compressors: Sequence["Compressor"], wire_bits: float,
-                      originals: np.ndarray, transmitted: np.ndarray) -> None:
-        """Per-rank statistics for a batched compress.
+                      originals: Sequence[np.ndarray],
+                      transmitted: Sequence[np.ndarray]) -> None:
+        """Track each rank's wire traffic and relative compression error.
 
-        Row-wise BLAS norms, exactly as the looped ``_record`` computes them —
-        bit-identical stats, and faster than the float64 matrix ``einsum``
-        reductions this used before (those upcast every element and turned the
-        stats pass into a measurable fraction of ``exchange_ms`` on larger
-        models).
+        Row-wise BLAS norms — faster than float64 matrix ``einsum``
+        reductions, which upcast every element and turned the stats pass into
+        a measurable fraction of ``exchange_ms`` on larger models.  Rows may
+        come as a matrix or as a list.
         """
         for compressor, original, estimate in zip(compressors, originals, transmitted):
             denom = float(np.linalg.norm(original)) or 1.0

@@ -20,15 +20,6 @@ class DenseCompressor(Compressor):
     exchange = ExchangeKind.ALLREDUCE
     uses_error_feedback = False
 
-    def compress(self, gradient: np.ndarray) -> Tuple[np.ndarray, Dict]:
-        gradient = self._flatten(gradient)
-        self._record(32.0 * gradient.size, gradient, gradient)
-        return gradient, {}
-
-    def decompress(self, global_payload: np.ndarray, ctx: Dict) -> np.ndarray:
-        return np.asarray(global_payload)
-
-    # ------------------------------------------------------------------ #
     @classmethod
     def compress_batch(cls, compressors: Sequence["DenseCompressor"], G: np.ndarray
                        ) -> Tuple[List[np.ndarray], List[Dict]]:

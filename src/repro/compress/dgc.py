@@ -20,11 +20,9 @@ baseline set.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 import numpy as np
 
-from repro.compress.base import Compressor, ExchangeKind, sparsity_k
+from repro.compress.base import ExchangeKind
 from repro.compress.topk import TopKCompressor
 
 
@@ -80,68 +78,31 @@ class DGCCompressor(TopKCompressor):
             self.clip_norm_factor * norm / np.sqrt(gradient.size))
         return np.clip(gradient, -threshold, threshold)
 
-    def compress(self, gradient: np.ndarray) -> Tuple[np.ndarray, Dict]:
-        gradient = self._flatten(gradient)
-        clipped = self._clip(gradient)
-
-        if self._velocity is None or self._velocity.shape != gradient.shape:
-            self._velocity = np.zeros_like(gradient)
-        if self._residual is None or self._residual.shape != gradient.shape:
-            self._residual = np.zeros_like(gradient)
-
-        # Momentum correction: accumulate velocity locally, then accumulate the
-        # velocity (not the raw gradient) into the residual.
-        self._velocity = self.momentum * self._velocity + clipped
-        self._residual = self._residual + self._velocity
-
-        indices = self.select(self._residual)
-        values = self._residual[indices]
-
-        # Momentum factor masking: clear both accumulators on the transmitted
-        # coordinates so their momentum is not applied twice.
-        self._residual[indices] = 0.0
-        self._velocity[indices] = 0.0
-
-        payload = self.pack_payload(indices, values)
-        sparse_estimate = np.zeros_like(gradient)
-        sparse_estimate[indices] = values
-        wire = self.wire_bits(gradient.size)
-        self._record(wire, gradient, sparse_estimate)
-        return payload, {"n": gradient.size, "k": len(indices)}
-
     # ------------------------------------------------------------------ #
     @classmethod
     def compress_batch(cls, compressors, G):
-        """Batched DGC: momentum correction, masking and selection over the
-        stacked ``(P, n)`` matrix.
+        """DGC over the stacked ``(P, n)`` matrix: clipping, momentum
+        correction, selection and momentum factor masking.
 
-        The per-rank clipping norms are computed with the same
-        ``np.linalg.norm`` call as the looped path (a P-element Python loop)
-        so the clipped gradients — and therefore every downstream value — are
-        bit-identical to compressing rank by rank.
+        Each rank's clip threshold comes from its own row norm (a P-element
+        loop of ``_clip``).  The ``clip_dtype`` threshold scalar sets the
+        dtype of the clipped rows and so of the velocity/residual state; a
+        zero-norm row is left unclipped and joins the state in that dtype.
         """
+        if not cls._uniform(compressors, "ratio", "momentum", "clip_norm_factor",
+                            "clip_dtype"):
+            return cls._compress_each(compressors, G)
         reference = compressors[0]
-        if any(c.ratio != reference.ratio or c.momentum != reference.momentum
-               or c.clip_norm_factor != reference.clip_norm_factor
-               or c.clip_dtype != reference.clip_dtype
-               for c in compressors):
-            return Compressor.compress_batch(compressors, G)
-
         G = np.asarray(G, dtype=np.float32)
         P, n = G.shape
         if reference.clip_norm_factor is None:
             clipped = G
             state_dtype = np.float32
         else:
-            # Same per-rank norm + scalar clip as the looped _clip.  The
-            # clip_dtype threshold scalar propagates its dtype to the clipped
-            # gradient (and hence the velocity/residual state), exactly as the
-            # looped path does; a rank with a zero-norm gradient keeps float32
-            # there, so that degenerate mix falls back to the loop.
-            if any(float(np.linalg.norm(G[p])) == 0.0 for p in range(P)):
-                return Compressor.compress_batch(compressors, G)
-            clipped = np.stack([reference._clip(G[p]) for p in range(P)])
-            state_dtype = clipped.dtype
+            state_dtype = reference.clip_dtype
+            clipped = np.empty((P, n), dtype=state_dtype)
+            for p in range(P):
+                clipped[p] = reference._clip(G[p])
 
         velocities = cls._stack_state(compressors, "_velocity", P, n, dtype=state_dtype)
         residuals = cls._stack_state(compressors, "_residual", P, n, dtype=state_dtype)

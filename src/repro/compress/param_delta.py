@@ -108,8 +108,7 @@ class ParameterDeltaCodec:
         ``estimates[i] = ref + decompress(payloads[i])`` is the
         reconstruction every receiver of that payload obtains, and
         ``payload_bits`` is the analytic wire size of one payload.
-        Compression runs through the compressor's batched kernels
-        (``compress_batch``), bit-identical to the per-rank loop;
+        Compression runs through the compressor's ``compress_batch`` kernel;
         error-feedback residuals update on the per-rank instances as usual.
 
         ``ranks`` restricts the exchange to a subset of ranks (a degraded

@@ -68,22 +68,6 @@ class QSGDCompressor(Compressor):
         self._residual = None
 
     # ------------------------------------------------------------------ #
-    def quantize(self, vector: np.ndarray) -> Tuple[float, np.ndarray]:
-        """Return (norm, signed integer levels in [-s, s]) for ``vector``."""
-        norm = float(np.linalg.norm(vector))
-        if norm == 0.0:
-            return 0.0, np.zeros(vector.size, dtype=np.int8)
-        scaled = np.abs(vector) / norm * self.levels
-        lower = np.floor(scaled)
-        probability_up = scaled - lower
-        rounded = lower + (self.rng.random(vector.size) < probability_up)
-        rounded = np.clip(rounded, 0, self.levels)
-        return norm, (np.sign(vector) * rounded).astype(np.int8)
-
-    def dequantize(self, norm: float, levels: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`quantize` (in expectation equal to the input)."""
-        return (np.asarray(levels, dtype=np.float64) / self.levels) * norm
-
     def _bucket_bounds(self, n: int) -> np.ndarray:
         size = self.bucket_size or n
         return np.arange(0, n + size, size)[:max(2, int(np.ceil(n / size)) + 1)]
@@ -121,14 +105,8 @@ class QSGDCompressor(Compressor):
         signed = (np.sign(blocks) * rounded).astype(np.int8)
         return norms32.astype(np.float64), signed.reshape(P, -1)[:, :n]
 
-    def quantize_bucketed(self, vector: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Quantize per bucket; returns (per-bucket norms, signed levels)."""
-        vector = np.asarray(vector, dtype=np.float32)
-        norms, levels = self._quantize_rows(vector[None, :], [self.rng])
-        return norms[0], levels[0]
-
     def dequantize_bucketed(self, norms: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`quantize_bucketed` (row- or matrix-shaped).
+        """Inverse of :meth:`_quantize_rows` (row- or matrix-shaped).
 
         Accepts ``(B,)``/``(n,)`` vectors or stacked ``(P, B)``/``(P, n)``
         matrices; the per-bucket scales are expanded with one ``np.repeat``
@@ -142,51 +120,12 @@ class QSGDCompressor(Compressor):
         return np.asarray(levels, dtype=np.float64) / self.levels * scales
 
     # ------------------------------------------------------------------ #
-    def compress(self, gradient: np.ndarray) -> Tuple[np.ndarray, Dict]:
-        gradient = self._flatten(gradient)
-        if self.error_feedback:
-            if self._residual is None or self._residual.shape != gradient.shape:
-                self._residual = np.zeros_like(gradient)
-            corrected = self._residual + gradient
-        else:
-            corrected = gradient
-
-        norms, levels = self.quantize_bucketed(corrected)
-        estimate = self.dequantize_bucketed(norms, levels).astype(gradient.dtype)
-        if self.error_feedback:
-            self._residual = corrected - estimate
-
-        # Payload layout: [#buckets, norms..., levels...] — levels are small
-        # integers, so a real deployment would entropy-code them into ≈2.8
-        # bits each.
-        payload = np.concatenate([[float(len(norms))], norms,
-                                  levels.astype(np.float64)])
-        wire = self.wire_bits(gradient.size)
-        self._record(wire, corrected, estimate)
-        return payload, {"n": gradient.size}
-
-    def decompress_gathered(self, payloads: Sequence[np.ndarray], ctx: Dict) -> np.ndarray:
-        n = int(ctx["n"])
-        total = np.zeros(n, dtype=np.float64)
-        for payload in payloads:
-            payload = np.asarray(payload, dtype=np.float64)
-            num_buckets = int(payload[0])
-            norms = payload[1:1 + num_buckets]
-            levels = payload[1 + num_buckets:]
-            total += self.dequantize_bucketed(norms, levels)
-        return (total / len(payloads)).astype(np.float32)
-
-    # ------------------------------------------------------------------ #
-    gathered_rank_invariant = True
-
     @classmethod
     def compress_batch(cls, compressors: Sequence["QSGDCompressor"], G: np.ndarray
                        ) -> Tuple[List[np.ndarray], List[Dict]]:
+        if not cls._uniform(compressors, "levels", "error_feedback", "bucket_size"):
+            return cls._compress_each(compressors, G)
         reference = compressors[0]
-        if any(c.levels != reference.levels or c.error_feedback != reference.error_feedback
-               or c.bucket_size != reference.bucket_size for c in compressors):
-            return super().compress_batch(compressors, G)
-
         G = np.asarray(G, dtype=np.float32)
         P, n = G.shape
         if reference.error_feedback:
@@ -202,16 +141,30 @@ class QSGDCompressor(Compressor):
             for p, compressor in enumerate(compressors):
                 compressor._residual = new_residuals[p]
 
+        # Payload layout: [#buckets, norms..., levels...] — levels are small
+        # integers, so a real deployment would entropy-code them into ≈2.8
+        # bits each.
         num_buckets = norms.shape[1]
-        payloads: List[np.ndarray] = []
-        contexts: List[Dict] = []
-        wire = reference.wire_bits(n)
-        for p, compressor in enumerate(compressors):
-            payloads.append(np.concatenate([[float(num_buckets)], norms[p],
-                                            levels[p].astype(np.float64)]))
-            compressor._record(wire, corrected[p], estimates[p])
-            contexts.append({"n": n})
-        return payloads, contexts
+        payloads = [np.concatenate([[float(num_buckets)], norms[p],
+                                    levels[p].astype(np.float64)]) for p in range(P)]
+        cls._record_batch(compressors, reference.wire_bits(n), corrected, estimates)
+        return payloads, [{"n": n} for _ in range(P)]
+
+    @classmethod
+    def decompress_batch(cls, compressors: Sequence["QSGDCompressor"],
+                         exchanged: Sequence, contexts: Sequence[Dict]) -> np.ndarray:
+        """Every rank averages the same dequantized payloads (with rank 0's
+        levels and bucket size): one row, computed once and broadcast."""
+        n = int(contexts[0]["n"])
+        total = np.zeros(n, dtype=np.float64)
+        for payload in exchanged[0]:
+            payload = np.asarray(payload, dtype=np.float64)
+            num_buckets = int(payload[0])
+            norms = payload[1:1 + num_buckets]
+            levels = payload[1 + num_buckets:]
+            total += compressors[0].dequantize_bucketed(norms, levels)
+        row = (total / len(exchanged[0])).astype(np.float32)
+        return np.broadcast_to(row, (len(compressors), n))
 
     # ------------------------------------------------------------------ #
     def contraction_problem(self) -> Optional[str]:

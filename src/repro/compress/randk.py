@@ -38,8 +38,8 @@ class RandKCompressor(TopKCompressor):
     @classmethod
     def select_batch(cls, compressors, C):
         """Rank-local RNG streams force a per-rank draw loop (in rank order,
-        so the draws are bit-identical to the looped path); everything else in
-        the batched compress stays vectorized."""
+        so a rank draws the same indices in a batch of P as in a batch of
+        one); everything else in the batched compress stays vectorized."""
         return [compressor.select(row) for compressor, row in zip(compressors, C)]
 
     def computation_complexity(self, n: int) -> str:

@@ -8,11 +8,11 @@ quantization residual is kept locally and added to the next gradient
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.compress.base import Compressor, ExchangeKind
+from repro.compress.base import Compressor, ExchangeKind, scaled_payloads_mean
 
 
 class SignSGDCompressor(Compressor):
@@ -21,9 +21,6 @@ class SignSGDCompressor(Compressor):
     name = "signsgd"
     exchange = ExchangeKind.ALLGATHER
     uses_error_feedback = True
-    #: decompress_gathered only reads the gathered payloads and n, so the
-    #: batched path reconstructs once and broadcasts the row to every rank.
-    gathered_rank_invariant = True
 
     def __init__(self, error_feedback: bool = True):
         super().__init__()
@@ -34,33 +31,40 @@ class SignSGDCompressor(Compressor):
         super().reset_state()
         self._residual = None
 
-    def compress(self, gradient: np.ndarray) -> Tuple[np.ndarray, Dict]:
-        gradient = self._flatten(gradient)
-        if self.error_feedback:
-            if self._residual is None or self._residual.shape != gradient.shape:
-                self._residual = np.zeros_like(gradient)
-            corrected = self._residual + gradient
-        else:
-            corrected = gradient
+    @classmethod
+    def compress_batch(cls, compressors: Sequence["SignSGDCompressor"], G: np.ndarray
+                       ) -> Tuple[List[np.ndarray], List[Dict]]:
+        """Sign-compress row by row: each rank's scale is the mean magnitude
+        of its own error-corrected row."""
+        G = np.asarray(G, dtype=np.float32)
+        P, n = G.shape
+        corrected_rows: List[np.ndarray] = []
+        estimates = np.empty((P, n), dtype=np.float32)
+        payloads: List[np.ndarray] = []
+        for p, compressor in enumerate(compressors):
+            if compressor.error_feedback:
+                if compressor._residual is None or compressor._residual.shape != (n,):
+                    compressor._residual = np.zeros(n, dtype=np.float32)
+                corrected = compressor._residual + G[p]
+            else:
+                corrected = G[p]
+            scale = float(np.abs(corrected).mean())
+            signs = np.sign(corrected)
+            estimates[p] = scale * signs
+            if compressor.error_feedback:
+                compressor._residual = corrected - estimates[p]
+            corrected_rows.append(corrected)
+            payloads.append(np.concatenate([[scale], signs.astype(np.float64)]))
+        cls._record_batch(compressors, compressors[0].wire_bits(n), corrected_rows, estimates)
+        return payloads, [{"n": n} for _ in range(P)]
 
-        scale = float(np.abs(corrected).mean())
-        signs = np.sign(corrected)
-        estimate = (scale * signs).astype(gradient.dtype)
-        if self.error_feedback:
-            self._residual = corrected - estimate
-
-        payload = np.concatenate([[scale], signs.astype(np.float64)])
-        wire = self.wire_bits(gradient.size)
-        self._record(wire, corrected, estimate)
-        return payload, {"n": gradient.size}
-
-    def decompress_gathered(self, payloads: Sequence[np.ndarray], ctx: Dict) -> np.ndarray:
-        n = int(ctx["n"])
-        total = np.zeros(n, dtype=np.float64)
-        for payload in payloads:
-            payload = np.asarray(payload, dtype=np.float64)
-            total += payload[0] * payload[1:]
-        return (total / len(payloads)).astype(np.float32)
+    @classmethod
+    def decompress_batch(cls, compressors: Sequence["SignSGDCompressor"],
+                         exchanged: Sequence, contexts: Sequence[Dict]) -> np.ndarray:
+        """Every rank averages the same gathered payloads: one row, computed
+        once and broadcast."""
+        row = scaled_payloads_mean(exchanged[0], int(contexts[0]["n"]))
+        return np.broadcast_to(row, (len(compressors), row.size))
 
     def wire_bits(self, n: int, world_size: int = 1) -> float:
         """One bit per coordinate plus one 32-bit scale."""

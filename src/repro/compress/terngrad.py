@@ -8,11 +8,11 @@ plus one scalar for ``s_t``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compress.base import Compressor, ExchangeKind
+from repro.compress.base import Compressor, ExchangeKind, scaled_payloads_mean
 from repro.utils.rng import new_rng
 
 
@@ -22,9 +22,6 @@ class TernGradCompressor(Compressor):
     name = "terngrad"
     exchange = ExchangeKind.ALLGATHER
     uses_error_feedback = False
-    #: decompress_gathered only reads the gathered payloads and n, so the
-    #: batched path reconstructs once and broadcasts the row to every rank.
-    gathered_rank_invariant = True
 
     def __init__(self, rng: Optional[np.random.Generator] = None,
                  clip_std: Optional[float] = 2.5):
@@ -34,34 +31,42 @@ class TernGradCompressor(Compressor):
         #: the TernGrad paper to bound the scale; ``None`` disables it.
         self.clip_std = clip_std
 
-    def compress(self, gradient: np.ndarray) -> Tuple[np.ndarray, Dict]:
-        gradient = self._flatten(gradient).astype(np.float64)
-        work = gradient
-        if self.clip_std is not None and gradient.size > 1:
-            sigma = gradient.std()
-            if sigma > 0:
-                bound = self.clip_std * sigma
-                work = np.clip(gradient, -bound, bound)
-        scale = float(np.abs(work).max())
-        if scale == 0.0:
-            ternary = np.zeros(gradient.size, dtype=np.int8)
-        else:
-            probability = np.abs(work) / scale
-            ternary = (np.sign(work) * (self.rng.random(gradient.size) < probability)
-                       ).astype(np.int8)
-        estimate = (ternary.astype(np.float64) * scale).astype(np.float32)
-        payload = np.concatenate([[scale], ternary.astype(np.float64)])
-        wire = self.wire_bits(gradient.size)
-        self._record(wire, gradient, estimate)
-        return payload, {"n": gradient.size}
+    @classmethod
+    def compress_batch(cls, compressors: Sequence["TernGradCompressor"], G: np.ndarray
+                       ) -> Tuple[List[np.ndarray], List[Dict]]:
+        """Ternarize row by row in rank order: each rank's clip bound and
+        scale come from its own row, its stochastic rounding from its own
+        RNG stream."""
+        G = np.asarray(G, dtype=np.float32).astype(np.float64)
+        P, n = G.shape
+        estimates = np.empty((P, n), dtype=np.float32)
+        payloads: List[np.ndarray] = []
+        for p, compressor in enumerate(compressors):
+            gradient = work = G[p]
+            if compressor.clip_std is not None and n > 1:
+                sigma = gradient.std()
+                if sigma > 0:
+                    bound = compressor.clip_std * sigma
+                    work = np.clip(gradient, -bound, bound)
+            scale = float(np.abs(work).max())
+            if scale == 0.0:
+                ternary = np.zeros(n, dtype=np.int8)
+            else:
+                probability = np.abs(work) / scale
+                ternary = (np.sign(work) * (compressor.rng.random(n) < probability)
+                           ).astype(np.int8)
+            estimates[p] = ternary.astype(np.float64) * scale
+            payloads.append(np.concatenate([[scale], ternary.astype(np.float64)]))
+        cls._record_batch(compressors, compressors[0].wire_bits(n), G, estimates)
+        return payloads, [{"n": n} for _ in range(P)]
 
-    def decompress_gathered(self, payloads: Sequence[np.ndarray], ctx: Dict) -> np.ndarray:
-        n = int(ctx["n"])
-        total = np.zeros(n, dtype=np.float64)
-        for payload in payloads:
-            payload = np.asarray(payload, dtype=np.float64)
-            total += payload[0] * payload[1:]
-        return (total / len(payloads)).astype(np.float32)
+    @classmethod
+    def decompress_batch(cls, compressors: Sequence["TernGradCompressor"],
+                         exchanged: Sequence, contexts: Sequence[Dict]) -> np.ndarray:
+        """Every rank averages the same gathered payloads: one row, computed
+        once and broadcast."""
+        row = scaled_payloads_mean(exchanged[0], int(contexts[0]["n"]))
+        return np.broadcast_to(row, (len(compressors), row.size))
 
     def wire_bits(self, n: int, world_size: int = 1) -> float:
         """Two bits per coordinate (three levels) plus one 32-bit scale."""

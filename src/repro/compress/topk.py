@@ -44,7 +44,6 @@ class TopKCompressor(Compressor):
     name = "topk"
     exchange = ExchangeKind.ALLGATHER
     uses_error_feedback = True
-    gathered_rank_invariant = True
 
     def __init__(self, ratio: float = 0.001, error_feedback: bool = True,
                  include_index_bits: bool = False):
@@ -82,54 +81,8 @@ class TopKCompressor(Compressor):
         super().reset_state()
         self._residual = None
 
-    def _accumulate_residual(self, gradient: np.ndarray) -> np.ndarray:
-        if not self.error_feedback:
-            return gradient
-        if self._residual is None or self._residual.shape != gradient.shape:
-            self._residual = np.zeros_like(gradient)
-        return self._residual + gradient
-
-    def select(self, corrected: np.ndarray) -> np.ndarray:
-        """Indices of the k largest-magnitude coordinates (unordered)."""
-        k = sparsity_k(corrected.size, self.ratio)
-        if k >= corrected.size:
-            return np.arange(corrected.size)
-        # argpartition gives the top-k set in O(n); full sorting is not needed.
-        return np.argpartition(np.abs(corrected), -k)[-k:]
-
-    def compress(self, gradient: np.ndarray) -> Tuple[np.ndarray, Dict]:
-        gradient = self._flatten(gradient)
-        corrected = self._accumulate_residual(gradient)
-        indices = self.select(corrected)
-        values = corrected[indices]
-
-        if self.error_feedback:
-            self._residual = corrected.copy()
-            self._residual[indices] = 0.0
-
-        # Payload layout: [indices..., values...] in one float32 array so the
-        # collective layer only ever moves flat numeric buffers.
-        payload = self.pack_payload(indices, values)
-        sparse_estimate = np.zeros_like(gradient)
-        sparse_estimate[indices] = values
-        wire = self.wire_bits(gradient.size)
-        self._record(wire, corrected, sparse_estimate)
-        ctx = {"n": gradient.size, "k": len(indices)}
-        return payload, ctx
-
-    def decompress_gathered(self, payloads: Sequence[np.ndarray], ctx: Dict) -> np.ndarray:
-        n = int(ctx["n"])
-        dense = np.zeros(n, dtype=np.float64)
-        for payload in payloads:
-            indices, values = self.unpack_payload(payload)
-            # Indices are unique within one payload (they come from a top-k /
-            # random-subset selection), so a direct fancy-index add suffices —
-            # no unbuffered np.add.at needed.
-            dense[indices] += values.astype(np.float64)
-        return (dense / len(payloads)).astype(np.float32)
-
     # ------------------------------------------------------------------ #
-    # batched kernels
+    # kernels: every rank in one call (per-rank calls are a batch of one)
     # ------------------------------------------------------------------ #
     @classmethod
     def select_batch(cls, compressors: Sequence["TopKCompressor"], C: np.ndarray
@@ -147,17 +100,15 @@ class TopKCompressor(Compressor):
             return np.tile(np.arange(n), (P, 1))
         # Row-by-row partition: numpy's axis-1 argpartition goes through the
         # generic strided machinery and is measurably slower than P contiguous
-        # row partitions — which are exactly the looped path's selections.
+        # row partitions.
         return np.stack([np.argpartition(np.abs(C[p]), -k)[-k:] for p in range(P)])
 
     @classmethod
     def compress_batch(cls, compressors: Sequence["TopKCompressor"], G: np.ndarray
                        ) -> Tuple[List[np.ndarray], List[Dict]]:
+        if not cls._uniform(compressors, "ratio", "error_feedback"):
+            return cls._compress_each(compressors, G)
         reference = compressors[0]
-        if any(c.ratio != reference.ratio or c.error_feedback != reference.error_feedback
-               for c in compressors):
-            return super().compress_batch(compressors, G)
-
         G = np.asarray(G, dtype=np.float32)
         P, n = G.shape
         if reference.error_feedback:
@@ -202,8 +153,21 @@ class TopKCompressor(Compressor):
         cls._record_batch(compressors, reference.wire_bits(n), corrected, sparse_estimates)
         return payloads, contexts
 
-    # decompress_batch: inherited — reconstruction is rank-invariant, so the
-    # base class computes one rank's gathered average and broadcasts it.
+    @classmethod
+    def decompress_batch(cls, compressors: Sequence["TopKCompressor"],
+                         exchanged: Sequence, contexts: Sequence[Dict]) -> np.ndarray:
+        """Every rank averages the same densified payloads: rank 0's row,
+        computed once and broadcast."""
+        n = int(contexts[0]["n"])
+        dense = np.zeros(n, dtype=np.float64)
+        for payload in exchanged[0]:
+            indices, values = cls.unpack_payload(payload)
+            # Indices are unique within one payload (they come from a top-k /
+            # random-subset / threshold selection), so a direct fancy-index
+            # add suffices — no unbuffered np.add.at needed.
+            dense[indices] += values.astype(np.float64)
+        row = (dense / len(exchanged[0])).astype(np.float32)
+        return np.broadcast_to(row, (len(compressors), n))
 
     # ------------------------------------------------------------------ #
     def wire_bits(self, n: int, world_size: int = 1) -> float:

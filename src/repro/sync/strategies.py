@@ -80,12 +80,12 @@ class AllreduceStrategy(SyncStrategy):
         """Synchronize one iteration from the stacked ``(P, n)`` matrix.
 
         Compression and reconstruction run through the compressor's
-        ``compress_batch``/``decompress_batch`` kernels (bit-identical to the
-        per-rank ``compress``/``decompress`` loop, which remains the fallback
-        for compressors without batched kernels).  The measured
-        kernel time is divided by the participant count: the simulation
-        executes all ranks' compression in one call on one host, while the
-        modelled deployment runs the per-worker kernels in parallel.  A
+        ``compress_batch``/``decompress_batch`` kernels (the only kernels a
+        compressor implements; its per-rank methods are a batch of one).
+        The measured kernel time is divided by the participant count: the
+        simulation executes all ranks' compression in one call on one host,
+        while the modelled deployment runs the per-worker kernels in
+        parallel.  A
         healthy world hands ``G`` and the bound compressor list straight to
         the kernels and returns ``decompress_batch``'s own output; only a
         degraded one gathers the alive rows and scatters them back.

@@ -3,9 +3,10 @@
 Until PR 22 these loops lived in ``src/`` behind ``fused_pipeline=False``;
 they are the executable specification of Algorithm 1 lines 2-7 one rank at a
 time: per-replica forward/backward, per-rank ``compress`` → collective →
-per-rank ``decompress``, per-rank ``optimizer.step()``.  The trainer under
-test must reproduce them bit for bit (allclose for the hand-derived MLP
-executor).  Everything else — data, fault phase, parameter phase, callbacks,
+per-rank ``decompress`` (the compressor bodies of
+``tests/reference_compressors.py``), per-rank ``optimizer.step()``.  The
+trainer under test must reproduce them bit for bit (allclose for the
+hand-derived MLP executor).  Everything else — data, fault phase, parameter phase, callbacks,
 checkpoints — is the trainer's own code, shared by both sides.
 """
 
@@ -14,18 +15,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compress.base import ExchangeKind
 from repro.core.flat_buffer import segment_views
 from repro.core.flatten import unflatten_into_gradients
 from repro.core.timeline import SyncReport
 from repro.core.trainer import DistributedTrainer
+from tests import reference_compressors as oracle
 
 
 def exchange_per_rank(self, gradients: Sequence[np.ndarray]
                       ) -> Tuple[List[np.ndarray], SyncReport]:
     """The pre-PR-22 ``AllreduceStrategy.exchange`` body, verbatim, as a free
     function over a bound strategy (``self``); its two helpers (gradient-list
-    validation, ``GradientCorruption.apply_list``) inlined."""
+    validation, ``GradientCorruption.apply_list``) inlined, and the
+    compressor calls pointed at the per-rank oracle bodies."""
     if len(gradients) != self.world.world_size:
         raise ValueError("one gradient per rank is required")
     n = int(np.asarray(gradients[0]).size)
@@ -49,8 +51,8 @@ def exchange_per_rank(self, gradients: Sequence[np.ndarray]
     compression_times = [0.0] * world_size
     for rank in alive:
         start = time.perf_counter()
-        payloads[rank], contexts[rank] = self.compressors[rank].compress(
-            np.asarray(gradients[rank], dtype=np.float32))
+        payloads[rank], contexts[rank] = oracle.compress(
+            self.compressors[rank], np.asarray(gradients[rank], dtype=np.float32))
         compression_times[rank] = time.perf_counter() - start
 
     # ---- global exchange + aggregation (line 5) ---------------------- #
@@ -60,12 +62,8 @@ def exchange_per_rank(self, gradients: Sequence[np.ndarray]
     # ---- reconstruction (line 6) ------------------------------------- #
     new_gradients = [np.asarray(g, dtype=np.float32) for g in gradients]
     for rank in alive:
-        compressor = self.compressors[rank]
         start = time.perf_counter()
-        if exchange_kind is ExchangeKind.ALLREDUCE:
-            rebuilt = compressor.decompress(exchanged[rank], contexts[rank])
-        else:
-            rebuilt = compressor.decompress_gathered(exchanged[rank], contexts[rank])
+        rebuilt = oracle.decompress(self.compressors[rank], exchanged[rank], contexts[rank])
         compression_times[rank] += time.perf_counter() - start
         new_gradients[rank] = np.asarray(rebuilt, dtype=np.float32)
 

@@ -5,6 +5,13 @@ import pytest
 
 from repro.compress import A2SGDCompressor, ExchangeKind
 from repro.compress.base import select_by_mask
+from tests.reference_compressors import encode, two_level_means
+
+
+def means(gradient):
+    """(µ₊, µ₋) as the compress kernel computes them: its payload."""
+    payload, _ = A2SGDCompressor().compress(gradient)
+    return payload[0], payload[1]
 
 
 def _f32(bits: int) -> np.float32:
@@ -80,35 +87,38 @@ class TestSelectByMask:
 class TestTwoLevelMeans:
     def test_means_match_definition(self):
         g = np.array([1.0, -2.0, 3.0, -4.0, 0.0], dtype=np.float32)
-        mu_plus, mu_minus = A2SGDCompressor.two_level_means(g)
+        mu_plus, mu_minus = means(g)
         # Positive entries (>= 0): 1, 3, 0 -> mean 4/3; negatives: |-2|,|-4| -> 3.
         assert mu_plus == pytest.approx(4.0 / 3.0)
         assert mu_minus == pytest.approx(3.0)
 
     def test_all_positive_gradient(self):
         g = np.array([1.0, 2.0, 3.0], dtype=np.float32)
-        mu_plus, mu_minus = A2SGDCompressor.two_level_means(g)
+        mu_plus, mu_minus = means(g)
         assert mu_plus == pytest.approx(2.0)
         assert mu_minus == 0.0
 
     def test_all_negative_gradient(self):
         g = np.array([-1.0, -3.0], dtype=np.float32)
-        mu_plus, mu_minus = A2SGDCompressor.two_level_means(g)
+        mu_plus, mu_minus = means(g)
         assert mu_plus == 0.0
         assert mu_minus == pytest.approx(2.0)
 
     def test_zero_vector(self):
-        mu_plus, mu_minus = A2SGDCompressor.two_level_means(np.zeros(4, dtype=np.float32))
+        mu_plus, mu_minus = means(np.zeros(4, dtype=np.float32))
         assert mu_plus == 0.0 and mu_minus == 0.0
 
     def test_means_are_nonnegative(self, gradient_vector):
-        mu_plus, mu_minus = A2SGDCompressor.two_level_means(gradient_vector)
+        mu_plus, mu_minus = means(gradient_vector)
         assert mu_plus >= 0.0 and mu_minus >= 0.0
 
     def test_enc_operator(self):
+        # Without error feedback a worker's own means reconstruct enc(g).
         g = np.array([0.5, -0.25, 2.0], dtype=np.float32)
-        mu_plus, mu_minus = A2SGDCompressor.two_level_means(g)
-        encoded = A2SGDCompressor.encode(g, mu_plus, mu_minus)
+        compressor = A2SGDCompressor(error_feedback=False)
+        payload, ctx = compressor.compress(g)
+        mu_plus, mu_minus = payload
+        encoded = compressor.decompress(payload, ctx)
         np.testing.assert_allclose(encoded, [mu_plus, -mu_minus, mu_plus], rtol=1e-6)
 
 
@@ -119,7 +129,7 @@ class TestCompressDecompress:
 
     def test_payload_contains_the_two_means(self, gradient_vector):
         payload, _ = A2SGDCompressor().compress(gradient_vector)
-        mu_plus, mu_minus = A2SGDCompressor.two_level_means(gradient_vector)
+        mu_plus, mu_minus = two_level_means(gradient_vector)
         assert payload[0] == pytest.approx(mu_plus, rel=1e-6)
         assert payload[1] == pytest.approx(mu_minus, rel=1e-6)
 
@@ -131,7 +141,7 @@ class TestCompressDecompress:
     def test_error_vector_is_gradient_minus_encoding(self, gradient_vector):
         compressor = A2SGDCompressor()
         payload, ctx = compressor.compress(gradient_vector)
-        encoded = A2SGDCompressor.encode(gradient_vector, payload[0], payload[1])
+        encoded = encode(gradient_vector, payload[0], payload[1])
         np.testing.assert_allclose(ctx["error"], gradient_vector - encoded, atol=1e-6)
 
     def test_single_worker_roundtrip_is_lossless(self, gradient_vector):
@@ -172,7 +182,7 @@ class TestCompressDecompress:
         np.testing.assert_array_equal(ctx["error"], np.zeros_like(gradient_vector))
         reconstructed = compressor.decompress(payload, ctx)
         # Without the error term the reconstruction is exactly the encoding.
-        expected = A2SGDCompressor.encode(gradient_vector, payload[0], payload[1])
+        expected = encode(gradient_vector, payload[0], payload[1])
         np.testing.assert_allclose(reconstructed, expected, atol=1e-6)
 
     def test_single_mean_ablation(self, gradient_vector):
@@ -181,6 +191,25 @@ class TestCompressDecompress:
         assert payload[1] == 0.0
         reconstructed = compressor.decompress(payload, ctx)
         np.testing.assert_allclose(reconstructed, gradient_vector, atol=1e-6)
+
+
+class TestNonFiniteGradients:
+    """A NaN or ±inf entry is refused with its rank and means named — by the
+    batch kernel and by the per-rank call async_ps makes every event — instead
+    of shipping NaN/inf (or, per rank, silently zero) means."""
+
+    @pytest.mark.parametrize("two_means", [True, False], ids=["two_means", "single_mean"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_names_the_rank_and_its_means(self, rng, bad, two_means):
+        G = (rng.standard_normal((4, 64)) * 0.01).astype(np.float32)
+        G[2, 5] = bad
+        compressors = [A2SGDCompressor(two_means=two_means) for _ in range(4)]
+        with pytest.raises(FloatingPointError, match=r"rank 2 of 4: \(µ₊, µ₋\) = ") as caught:
+            A2SGDCompressor.compress_batch(compressors, G)
+        assert "rank 0" not in str(caught.value) and "rank 3" not in str(caught.value)
+        assert all(c.stats.iterations == 0 for c in compressors)
+        with pytest.raises(FloatingPointError, match="rank 0 of 1"):
+            compressors[2].compress(G[2])
 
 
 class TestStatisticalProperties:
@@ -206,7 +235,7 @@ class TestStatisticalProperties:
     def test_encoding_preserves_sign_pattern(self, gradient_vector):
         compressor = A2SGDCompressor()
         payload, ctx = compressor.compress(gradient_vector)
-        encoded = A2SGDCompressor.encode(gradient_vector, payload[0], payload[1])
+        encoded = encode(gradient_vector, payload[0], payload[1])
         assert np.all((encoded >= 0) == (gradient_vector >= 0))
 
     def test_mean_of_reconstruction_across_workers_close_to_dense(self, rng):

@@ -191,30 +191,37 @@ class TestGaussianK:
         assert np.count_nonzero(dense) == payload.size // 2
 
 
+def whole_vector_quantize(compressor, g):
+    """(norm, signed levels) of an unbucketed QSGD payload."""
+    payload, _ = compressor.compress(g)
+    assert payload[0] == 1.0                     # one bucket: the whole vector
+    return payload[1], payload[2:]
+
+
 class TestQSGD:
     def test_quantization_levels_bounded(self, rng):
         g = rng.standard_normal(1000).astype(np.float32)
-        compressor = QSGDCompressor(levels=4)
-        norm, levels = compressor.quantize(g)
+        compressor = QSGDCompressor(levels=4, bucket_size=None)
+        norm, levels = whole_vector_quantize(compressor, g)
         assert norm == pytest.approx(np.linalg.norm(g), rel=1e-5)
         assert np.abs(levels).max() <= 4
 
     def test_quantization_unbiased_in_expectation(self, rng):
         g = rng.standard_normal(200).astype(np.float32)
-        compressor = QSGDCompressor(levels=4, error_feedback=False,
+        compressor = QSGDCompressor(levels=4, error_feedback=False, bucket_size=None,
                                     rng=np.random.default_rng(0))
         estimates = np.zeros_like(g, dtype=np.float64)
         trials = 400
         for _ in range(trials):
-            norm, levels = compressor.quantize(g)
-            estimates += compressor.dequantize(norm, levels)
+            payload, ctx = compressor.compress(g)
+            estimates += compressor.decompress_gathered([payload], ctx)
         estimates /= trials
         error = np.abs(estimates - g).mean() / np.abs(g).mean()
         assert error < 0.15
 
     def test_zero_vector_quantizes_to_zero(self):
-        compressor = QSGDCompressor()
-        norm, levels = compressor.quantize(np.zeros(10, dtype=np.float32))
+        compressor = QSGDCompressor(bucket_size=None)
+        norm, levels = whole_vector_quantize(compressor, np.zeros(10, dtype=np.float32))
         assert norm == 0.0
         assert np.all(levels == 0)
 
@@ -248,7 +255,9 @@ class TestQSGD:
     def test_bucketed_roundtrip_shapes(self, rng):
         g = rng.standard_normal(1000).astype(np.float32)
         compressor = QSGDCompressor(bucket_size=300, error_feedback=False)
-        norms, levels = compressor.quantize_bucketed(g)
+        payload, _ = compressor.compress(g)
+        norms, levels = payload[1:5], payload[5:]
+        assert payload[0] == 4.0
         assert levels.shape == (1000,)
         assert norms.shape == (4,)
         recovered = compressor.dequantize_bucketed(norms, levels)

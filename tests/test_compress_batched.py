@@ -1,19 +1,21 @@
-"""Batched compressor kernels must be bit-identical to the per-rank loop.
+"""The compressor kernels must reproduce the per-rank oracle bit for bit.
 
-For every registered algorithm, running ``compress_batch`` /
-``decompress_batch`` over the stacked (P, n) gradient matrix must produce
-exactly the payloads, contexts, reconstructions and error-feedback state that
-the rank-by-rank ``compress`` / ``decompress`` loop produces — including
-across iterations, where the residual state feeds back into the next
-compression.  Stochastic compressors hold one RNG per rank, seeded
-identically in both runs.
+Every compressor implements ``compress_batch`` / ``decompress_batch`` over the
+stacked (P, n) gradient matrix, and gets its per-rank ``compress`` /
+``decompress`` from the base class as a batch of one.  For every registered
+algorithm, both paths must produce exactly the payloads, contexts,
+reconstructions, error-feedback state and statistics of the per-rank bodies
+in ``tests/reference_compressors.py`` — across iterations, where the residual
+state feeds back into the next compression.  Stochastic compressors hold one
+RNG per rank, seeded identically on both sides.
 """
 
 import numpy as np
 import pytest
 
 from repro.compress import get_compressor, list_compressors
-from repro.compress.base import ExchangeKind
+from repro.compress.base import Compressor, ExchangeKind
+from tests import reference_compressors as oracle
 
 
 WORLD_SIZE = 4
@@ -21,16 +23,43 @@ N = 1000
 ITERATIONS = 4
 
 
-def make_compressors(name):
-    """Two identical banks of per-rank compressors (deterministic RNGs)."""
+#: Every registered compressor at its defaults, the non-default
+#: configurations each kernel branches on, and mixed-configuration banks (one
+#: kwargs dict per rank): batches of one for a2sgd and topk, per-row
+#: settings inside the signsgd and terngrad kernels.
+CONFIGS = [(name, {}) for name in list_compressors()] + [
+    ("a2sgd", {"two_means": False}), ("a2sgd", {"error_feedback": False}),
+    ("topk", {"error_feedback": False}), ("qsgd", {"bucket_size": None}),
+    ("qsgd", {"error_feedback": False}), ("dgc", {"clip_norm_factor": None}),
+    ("dgc", {"clip_dtype": "float32"}), ("signsgd", {"error_feedback": False}),
+    ("terngrad", {"clip_std": None}),
+    ("a2sgd", [{}, {"two_means": False}, {"error_feedback": False},
+               {"two_means": False, "error_feedback": False}]),
+    ("topk", [{"ratio": 0.05}, {"ratio": 0.1}, {"ratio": 0.05, "error_feedback": False},
+              {"ratio": 0.1}]),
+    ("signsgd", [{}, {"error_feedback": False}] * 2),
+    ("terngrad", [{}, {"clip_std": None}] * 2),
+]
+
+
+def config_id(config):
+    name, kwargs = config
+    if isinstance(kwargs, list):
+        return f"{name}-mixed"
+    return "-".join([name, *(f"{k}={v}" for k, v in kwargs.items())])
+
+
+def make_compressors(name, kwargs=None):
+    """Two identical banks of per-rank compressors (deterministic RNGs);
+    ``kwargs`` is one dict for every rank or a list of one per rank."""
 
     def bank():
         compressors = []
         for rank in range(WORLD_SIZE):
-            kwargs = {}
+            rank_kwargs = dict(kwargs[rank] if isinstance(kwargs, list) else kwargs or {})
             if name in ("topk", "gaussiank", "randk", "dgc"):
-                kwargs["ratio"] = 0.05
-            compressor = get_compressor(name, **kwargs)
+                rank_kwargs.setdefault("ratio", 0.05)
+            compressor = get_compressor(name, **rank_kwargs)
             if hasattr(compressor, "rng"):
                 compressor.rng = np.random.default_rng(1000 + rank)
             compressors.append(compressor)
@@ -53,18 +82,12 @@ def reduce_exchanged(payloads, kind):
     return [[np.asarray(p).copy() for p in payloads] for _ in payloads]
 
 
-def run_looped(compressors, G, kind):
-    payloads, contexts = [], []
-    for compressor, row in zip(compressors, G):
-        payload, ctx = compressor.compress(row.copy())
-        payloads.append(payload)
-        contexts.append(ctx)
+def run_oracle(compressors, G, kind):
+    payloads, contexts = zip(*(oracle.compress(c, row.copy())
+                               for c, row in zip(compressors, G)))
     exchanged = reduce_exchanged(payloads, kind)
-    if kind is ExchangeKind.ALLREDUCE:
-        rows = [c.decompress(e, ctx) for c, e, ctx in zip(compressors, exchanged, contexts)]
-    else:
-        rows = [c.decompress_gathered(e, ctx)
-                for c, e, ctx in zip(compressors, exchanged, contexts)]
+    rows = [oracle.decompress(c, e, ctx)
+            for c, e, ctx in zip(compressors, exchanged, contexts)]
     return payloads, contexts, np.stack([np.asarray(r, dtype=np.float32) for r in rows])
 
 
@@ -76,57 +99,76 @@ def run_batched(compressors, G, kind):
     return payloads, contexts, np.asarray(matrix, dtype=np.float32)
 
 
-@pytest.mark.parametrize("name", list_compressors())
-def test_batched_bit_identical_to_loop(name):
-    looped, batched = make_compressors(name)
-    kind = looped[0].exchange
+def run_batch_of_one(compressors, G, kind):
+    """The public per-rank methods — the path async_ps and the parameter
+    codec take."""
+    payloads, contexts = zip(*(c.compress(row.copy()) for c, row in zip(compressors, G)))
+    exchanged = reduce_exchanged(payloads, kind)
+    if kind is ExchangeKind.ALLREDUCE:
+        rows = [c.decompress(e, ctx) for c, e, ctx in zip(compressors, exchanged, contexts)]
+    else:
+        rows = [c.decompress_gathered(e, ctx)
+                for c, e, ctx in zip(compressors, exchanged, contexts)]
+    return payloads, contexts, np.stack([np.asarray(r, dtype=np.float32) for r in rows])
+
+
+def public(ctx):
+    """Underscore-prefixed keys are private kernel caches (e.g. a2sgd's
+    stacked mask/error matrices); everything decompress or a checkpoint may
+    read must match."""
+    return {k for k in ctx if not k.startswith("_")}
+
+
+def assert_step_matches(name, iteration, expected, got, check_dtype=True):
+    (ep, ec, erows, ecomp), (gp, gc, grows, gcomp) = expected, got
+    where = f"{name} iter {iteration}"
+    for rank in range(WORLD_SIZE):
+        np.testing.assert_array_equal(np.asarray(ep[rank]), np.asarray(gp[rank]),
+                                      err_msg=f"{where}: payload rank {rank}")
+        assert public(ec[rank]) == public(gc[rank])
+        for key in public(ec[rank]):
+            np.testing.assert_array_equal(np.asarray(ec[rank][key]), np.asarray(gc[rank][key]),
+                                          err_msg=f"{where}: ctx[{key}] rank {rank}")
+    np.testing.assert_array_equal(erows, grows, err_msg=f"{where}: reconstruction")
+    for rank, (e, g) in enumerate(zip(ecomp, gcomp)):
+        for attr in ("_residual", "_velocity"):
+            estate, gstate = getattr(e, attr, None), getattr(g, attr, None)
+            assert (estate is None) == (gstate is None), \
+                f"{where}: {attr} present on one side only (rank {rank})"
+            if estate is not None:
+                np.testing.assert_array_equal(estate, gstate,
+                                              err_msg=f"{where}: {attr} rank {rank}")
+                if check_dtype:
+                    assert estate.dtype == gstate.dtype
+        assert e.stats == g.stats, f"{where}: stats rank {rank}"
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=config_id)
+@pytest.mark.parametrize("run", [run_batched, run_batch_of_one],
+                         ids=["batch", "batch_of_one"])
+def test_kernels_match_oracle(config, run):
+    name, kwargs = config
+    expected_bank, bank = make_compressors(name, kwargs)
+    kind = bank[0].exchange
     for iteration, G in enumerate(gradient_stream()):
-        lp, lc, lrows = run_looped(looped, G, kind)
-        bp, bc, brows = run_batched(batched, G, kind)
-
-        for rank in range(WORLD_SIZE):
-            np.testing.assert_array_equal(
-                np.asarray(lp[rank]), np.asarray(bp[rank]),
-                err_msg=f"{name}: payload mismatch rank {rank} iter {iteration}")
-            # Underscore-prefixed keys are private batch-kernel caches (e.g.
-            # a2sgd's stacked mask/error matrices); the semantic context —
-            # everything decompress()/the checkpoint may read — must match.
-            def public(ctx):
-                return {k for k in ctx if not k.startswith("_")}
-            assert public(lc[rank]) == public(bc[rank])
-            for key in public(lc[rank]):
-                np.testing.assert_array_equal(
-                    np.asarray(lc[rank][key]), np.asarray(bc[rank][key]),
-                    err_msg=f"{name}: ctx[{key}] mismatch rank {rank} iter {iteration}")
-        np.testing.assert_array_equal(
-            lrows, brows, err_msg=f"{name}: reconstruction mismatch iter {iteration}")
-
-        # Error-feedback state must also track bit-for-bit across iterations.
-        for rank, (lo, ba) in enumerate(zip(looped, batched)):
-            for attr in ("_residual", "_velocity"):
-                lstate, bstate = getattr(lo, attr, None), getattr(ba, attr, None)
-                if lstate is None and bstate is None:
-                    continue
-                assert lstate is not None and bstate is not None, \
-                    f"{name}: {attr} present in only one path (rank {rank})"
-                np.testing.assert_array_equal(
-                    lstate, bstate,
-                    err_msg=f"{name}: {attr} diverged rank {rank} iter {iteration}")
+        expected = run_oracle(expected_bank, G, kind)
+        got = run(bank, G, kind)
+        assert_step_matches(name, iteration, (*expected, expected_bank), (*got, bank))
 
 
-@pytest.mark.parametrize("name", list_compressors())
-def test_batched_stats_track_loop(name):
-    """Wire-traffic accounting must not depend on the execution path."""
-    looped, batched = make_compressors(name)
-    kind = looped[0].exchange
-    for G in gradient_stream(seed=21):
-        run_looped(looped, G, kind)
-        run_batched(batched, G, kind)
-    for lo, ba in zip(looped, batched):
-        assert lo.stats.iterations == ba.stats.iterations
-        assert lo.stats.total_wire_bits == ba.stats.total_wire_bits
-        assert lo.stats.last_compression_error == pytest.approx(
-            ba.stats.last_compression_error, rel=1e-5, abs=1e-9)
+@pytest.mark.parametrize("clip_dtype", ["float64", "float32"])
+def test_dgc_zero_gradient_row_matches_oracle(clip_dtype):
+    """A zero-norm row skips the clip inside the kernel.  The oracle keeps a
+    fresh rank's state in float32 there, the kernel in ``clip_dtype`` — the
+    same values."""
+    expected_bank, bank = make_compressors("dgc", {"clip_dtype": clip_dtype})
+    for iteration, G in enumerate(gradient_stream(seed=11)):
+        G[2] = 0.0
+        expected = run_oracle(expected_bank, G, ExchangeKind.ALLGATHER)
+        got = run_batched(bank, G, ExchangeKind.ALLGATHER)
+        assert_step_matches("dgc", iteration, (*expected, expected_bank), (*got, bank),
+                            check_dtype=False)
+        assert all(c._velocity.dtype == np.dtype(clip_dtype) for c in bank)
 
 
 def test_mixed_configuration_falls_back_to_loop():
@@ -143,20 +185,22 @@ def test_mixed_configuration_falls_back_to_loop():
         assert ctx["k"] == expected_ctx["k"]
 
 
-def test_custom_compressor_without_batch_kernels_works():
-    """Third-party compressors that only implement compress/decompress work
-    through the default batch entry points unchanged."""
-    from repro.compress.base import Compressor
+def test_custom_compressor_with_only_batch_kernels_gets_per_rank_methods():
+    """A third-party compressor implements the two batch kernels; the
+    per-rank methods come from the base class."""
 
     class NegatingCompressor(Compressor):
         name = "negate"
         exchange = ExchangeKind.ALLREDUCE
 
-        def compress(self, gradient):
-            return -np.asarray(gradient), {"n": gradient.size}
+        @classmethod
+        def compress_batch(cls, compressors, G):
+            G = np.asarray(G, dtype=np.float32)
+            return list(-G), [{"n": G.shape[1]} for _ in compressors]
 
-        def decompress(self, global_payload, ctx):
-            return -np.asarray(global_payload)
+        @classmethod
+        def decompress_batch(cls, compressors, exchanged, contexts):
+            return -np.stack([np.asarray(e, dtype=np.float32) for e in exchanged])
 
         def wire_bits(self, n, world_size=1):
             return 32.0 * n
@@ -164,11 +208,35 @@ def test_custom_compressor_without_batch_kernels_works():
         def computation_complexity(self, n):
             return "O(n)"
 
-    compressors = [NegatingCompressor() for _ in range(3)]
     G = np.random.default_rng(0).standard_normal((3, 16)).astype(np.float32)
+    compressor = NegatingCompressor()
+    payload, ctx = compressor.compress(G[0])
+    np.testing.assert_array_equal(payload, -G[0])
+    assert ctx == {"n": 16}
+    np.testing.assert_array_equal(compressor.decompress(payload, ctx), G[0])
+    with pytest.raises(ValueError, match="1-D"):
+        compressor.compress(G)
+
+    compressors = [NegatingCompressor() for _ in range(3)]
     payloads, contexts = NegatingCompressor.compress_batch(compressors, G)
-    np.testing.assert_allclose(np.stack(payloads), -G)
     exchanged = reduce_exchanged(payloads, ExchangeKind.ALLREDUCE)
     matrix = NegatingCompressor.decompress_batch(compressors, exchanged, contexts)
     expected = np.broadcast_to(np.mean(G, axis=0, dtype=np.float64).astype(np.float32), G.shape)
     np.testing.assert_allclose(matrix, expected, atol=1e-6)
+
+
+def test_custom_compressor_with_only_per_rank_compress_names_the_missing_kernel():
+    """The trainer calls only the batch kernels, so a compressor that
+    implements per-rank ``compress`` alone fails there, naming the kernel."""
+
+    class PerRankOnly(Compressor):
+        name = "per_rank_only"
+
+        def compress(self, gradient):
+            return -np.asarray(gradient), {}
+
+    G = np.ones((2, 8), dtype=np.float32)
+    with pytest.raises(NotImplementedError, match="PerRankOnly does not implement compress_batch"):
+        PerRankOnly.compress_batch([PerRankOnly(), PerRankOnly()], G)
+    with pytest.raises(NotImplementedError, match="decompress_batch"):
+        PerRankOnly().decompress(np.ones(8, dtype=np.float32), {})

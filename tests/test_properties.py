@@ -22,6 +22,7 @@ from repro.compress import (
 )
 from repro.compress.base import select_by_mask
 from repro.tensor import Tensor
+from tests.reference_compressors import encode
 
 
 # Bounded, finite float arrays representative of gradients.  The package
@@ -42,7 +43,8 @@ class TestA2SGDProperties:
     @given(gradient_arrays)
     @settings(max_examples=60, deadline=None)
     def test_two_means_are_nonnegative_and_bounded(self, gradient):
-        mu_plus, mu_minus = A2SGDCompressor.two_level_means(gradient)
+        payload, _ = A2SGDCompressor().compress(gradient)
+        mu_plus, mu_minus = payload
         assert mu_plus >= 0.0
         assert mu_minus >= 0.0
         # Each mean is a float32 masked dot divided by a count, so it can
@@ -61,7 +63,7 @@ class TestA2SGDProperties:
         """g = enc(g) + ε exactly, by construction (Algorithm 1 line 4)."""
         compressor = A2SGDCompressor()
         payload, ctx = compressor.compress(gradient)
-        encoded = A2SGDCompressor.encode(gradient, payload[0], payload[1])
+        encoded = encode(gradient, payload[0], payload[1])
         np.testing.assert_allclose(ctx["error"] + encoded, gradient, atol=1e-5)
 
     @given(gradient_arrays)
@@ -76,7 +78,7 @@ class TestA2SGDProperties:
     def test_encoding_sum_preserves_sign_split_mass(self, gradient):
         """Σ enc(g) over positives equals µ+·|positives| (mean definition)."""
         positives = gradient[gradient >= 0]
-        mu_plus, _ = A2SGDCompressor.two_level_means(gradient)
+        mu_plus = A2SGDCompressor().compress(gradient)[0][0]
         np.testing.assert_allclose(positives.sum(), mu_plus * positives.size, rtol=1e-3,
                                    atol=1e-3)
 
@@ -204,8 +206,9 @@ class TestQuantizerProperties:
     @given(gradient_arrays, st.integers(min_value=1, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_qsgd_levels_bounded_and_sign_preserved(self, gradient, levels):
-        compressor = QSGDCompressor(levels=levels, error_feedback=False)
-        norm, quantized = compressor.quantize(gradient)
+        compressor = QSGDCompressor(levels=levels, error_feedback=False, bucket_size=None)
+        payload, _ = compressor.compress(gradient)
+        norm, quantized = payload[1], payload[2:]
         assert np.abs(quantized).max() <= levels
         nonzero = quantized != 0
         assert np.all(np.sign(quantized[nonzero]) == np.sign(gradient[nonzero]))
@@ -213,10 +216,10 @@ class TestQuantizerProperties:
     @given(gradient_arrays, st.integers(min_value=1, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_qsgd_dequantize_bounded_by_norm(self, gradient, levels):
-        compressor = QSGDCompressor(levels=levels, error_feedback=False)
-        norm, quantized = compressor.quantize(gradient)
-        recovered = compressor.dequantize(norm, quantized)
-        assert np.all(np.abs(recovered) <= norm + 1e-5)
+        compressor = QSGDCompressor(levels=levels, error_feedback=False, bucket_size=None)
+        payload, ctx = compressor.compress(gradient)
+        recovered = compressor.decompress_gathered([payload], ctx)
+        assert np.all(np.abs(recovered) <= payload[1] + 1e-5)
 
     @given(gradient_arrays)
     @settings(max_examples=60, deadline=None)

@@ -226,6 +226,16 @@ class TestAsyncParameterServer:
         for vector in finalized:
             np.testing.assert_array_equal(vector, strategy.server_params)
 
+    def test_non_finite_a2sgd_push_is_refused(self):
+        world = InProcessWorld(2)
+        strategy = SyncSpec(strategy="async_ps").build(
+            world, [COMPRESSORS.create("a2sgd") for _ in range(2)])
+        engine = FakeEngine(2)
+        strategy.async_setup(engine)
+        engine.grad_matrix[1, :] = [0.5, -0.25, np.nan, 0.1]
+        with pytest.raises(FloatingPointError, match="non-finite gradient means"):
+            strategy.worker_step(1, lr=0.1)
+
     def test_comm_is_priced_and_wire_bits_counted(self):
         strategy, engine = bound_strategy(strategy="async_ps", )
         strategy.async_setup(engine)
