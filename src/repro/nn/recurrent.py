@@ -2,9 +2,9 @@
 
 The implementation follows the standard LSTM equations with a single fused
 weight matrix per direction (input-to-hidden and hidden-to-hidden), matching
-what ``torch.nn.LSTM`` computes.  Sequences are processed step by step through
-the autograd graph, so backpropagation-through-time falls out of the generic
-backward pass.
+what ``torch.nn.LSTM`` computes.  Each layer runs a whole truncated-BPTT
+window as one :func:`~repro.tensor.functional.lstm` node with a hand-derived
+backward; a single step is that op's ``T = 1`` call.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, init
+from repro.tensor import Tensor, functional as F, init
 from repro.utils.rng import new_rng
 
 
@@ -34,49 +34,24 @@ class LSTMCell(Module):
         self.bias_ih = Parameter(init.zeros((4 * hidden_size,)))
         self.bias_hh = Parameter(init.zeros((4 * hidden_size,)))
 
+    def window(self, x: Tensor, state: Tuple[Tensor, Tensor], stack=None
+               ) -> Tuple[Tensor, Tensor, Tensor]:
+        """This layer over a ``(T, N, D)`` window, or a stacked ``(P, T, N, D)``
+        one with ``stack``'s parameter views; returns ``(out, h_T, c_T)``."""
+        params = (self.weight_ih, self.weight_hh, self.bias_ih, self.bias_hh)
+        if stack is not None:
+            params = tuple(stack.tensor(p) for p in params)
+        return F.lstm(x, *params, *state)
+
     def forward(self, x: Tensor, state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tensor]:
-        h_prev, c_prev = state
-        gates = (x.matmul(self.weight_ih.T) + self.bias_ih
-                 + h_prev.matmul(self.weight_hh.T) + self.bias_hh)
-        hs = self.hidden_size
-        i_gate = gates[:, 0 * hs:1 * hs].sigmoid()
-        f_gate = gates[:, 1 * hs:2 * hs].sigmoid()
-        g_gate = gates[:, 2 * hs:3 * hs].tanh()
-        o_gate = gates[:, 3 * hs:4 * hs].sigmoid()
-        # Saturated-gate products decay carried values into float32
-        # subnormals across long chains, where x86 kernels run 10-100x
-        # slower; flushing the state updates keeps the recurrence (and its
-        # backward) at full kernel speed without touching normal values.
-        c_new = (f_gate * c_prev + i_gate * g_gate).flush_subnormals()
-        h_new = (o_gate * c_new.tanh()).flush_subnormals()
-        return h_new, c_new
+        _, h, c = self.window(x.reshape(1, *x.shape), state)
+        return h, c
 
     def forward_batched(self, x: Tensor, state: Tuple[Tensor, Tensor], stack
                         ) -> Tuple[Tensor, Tensor]:
-        """One LSTM step for all replicas: ``(P, N, D)`` input, stacked weights.
-
-        Mirrors :meth:`forward` operation for operation with a leading replica
-        axis — the fused gate matmuls become stacked GEMMs against the
-        ``(P, 4H, D)``/``(P, 4H, H)`` weight views, so every replica slice is
-        bit-identical to stepping that replica's cell alone.
-        """
-        h_prev, c_prev = state
-        weight_ih = stack.tensor(self.weight_ih)
-        weight_hh = stack.tensor(self.weight_hh)
-        bias_ih = stack.reshaped(self.bias_ih, x.shape[0], 1, 4 * self.hidden_size)
-        bias_hh = stack.reshaped(self.bias_hh, x.shape[0], 1, 4 * self.hidden_size)
-        gates = (x.matmul(weight_ih.transpose((0, 2, 1))) + bias_ih
-                 + h_prev.matmul(weight_hh.transpose((0, 2, 1))) + bias_hh)
-        hs = self.hidden_size
-        i_gate = gates[:, :, 0 * hs:1 * hs].sigmoid()
-        f_gate = gates[:, :, 1 * hs:2 * hs].sigmoid()
-        g_gate = gates[:, :, 2 * hs:3 * hs].tanh()
-        o_gate = gates[:, :, 3 * hs:4 * hs].sigmoid()
-        # Same subnormal flush as :meth:`forward` — the stacked update must
-        # stay bit-identical to stepping each replica's cell alone.
-        c_new = (f_gate * c_prev + i_gate * g_gate).flush_subnormals()
-        h_new = (o_gate * c_new.tanh()).flush_subnormals()
-        return h_new, c_new
+        """One LSTM step for all replicas: ``(P, N, D)`` input, stacked weights."""
+        _, h, c = self.window(x.reshape(x.shape[0], 1, *x.shape[1:]), state, stack)
+        return h, c
 
     def initial_state(self, batch_size: int) -> Tuple[Tensor, Tensor]:
         """Zero hidden and cell state for a batch."""
@@ -93,8 +68,8 @@ class LSTMCell(Module):
 class LSTM(Module):
     """Multi-layer LSTM over a (T, N, D) input sequence.
 
-    Returns the stacked hidden states of the top layer, shape (T, N, H), and
-    the final (h, c) state per layer.
+    Returns the hidden states of the top layer, shape (T, N, H), and the
+    final (h, c) state per layer.
     """
 
     def __init__(self, input_size: int, hidden_size: int, num_layers: int = 1,
@@ -111,54 +86,37 @@ class LSTM(Module):
             self.add_module(f"cell{layer}", cell)
             self.cells.append(cell)
 
+    def _layers(self, x: Tensor, state: List[Tuple[Tensor, Tensor]], stack=None
+                ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
+        """Run the layers one whole window at a time, each feeding the next."""
+        if len(state) != self.num_layers:
+            raise ValueError(f"expected {self.num_layers} layer states, got {len(state)}")
+        new_state = []
+        for cell, layer_state in zip(self.cells, state):
+            x, h, c = cell.window(x, layer_state, stack)
+            new_state.append((h, c))
+        return x, new_state
+
     def forward(self, x: Tensor,
                 state: Optional[List[Tuple[Tensor, Tensor]]] = None
                 ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
-        seq_len, batch, _ = x.shape
         if state is None:
-            state = [cell.initial_state(batch) for cell in self.cells]
-        if len(state) != self.num_layers:
-            raise ValueError(f"expected {self.num_layers} layer states, got {len(state)}")
-
-        outputs: List[Tensor] = []
-        states = list(state)
-        for t in range(seq_len):
-            layer_input = x[t]
-            for layer, cell in enumerate(self.cells):
-                h, c = cell(layer_input, states[layer])
-                states[layer] = (h, c)
-                layer_input = h
-            outputs.append(layer_input)
-        stacked = Tensor.stack(outputs, axis=0)
-        return stacked, states
+            state = [cell.initial_state(x.shape[1]) for cell in self.cells]
+        return self._layers(x, state)
 
     def forward_batched(self, x: Tensor,
                         state: Optional[List[Tuple[Tensor, Tensor]]], stack
                         ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
         """Multi-layer LSTM over a stacked ``(P, T, N, D)`` replica batch.
 
-        The time/layer loop structure of :meth:`forward` is preserved exactly
-        (same graph shape, same accumulation order into the weights during
-        BPTT); only the per-step ops gain the replica axis.  Returns the top
-        layer's hidden states ``(P, T, N, H)`` and the per-layer final states.
+        The same op calls as :meth:`forward` with ``stack``'s ``(P, *shape)``
+        parameter views, so every replica slice is bit-identical to running
+        that replica alone.  Returns the top layer's hidden states
+        ``(P, T, N, H)`` and the per-layer final states.
         """
-        world_size, seq_len, batch, _ = x.shape
         if state is None:
-            state = [cell.initial_state_batched(world_size, batch) for cell in self.cells]
-        if len(state) != self.num_layers:
-            raise ValueError(f"expected {self.num_layers} layer states, got {len(state)}")
-
-        outputs: List[Tensor] = []
-        states = list(state)
-        for t in range(seq_len):
-            layer_input = x[:, t]
-            for layer, cell in enumerate(self.cells):
-                h, c = cell.forward_batched(layer_input, states[layer], stack)
-                states[layer] = (h, c)
-                layer_input = h
-            outputs.append(layer_input)
-        stacked = Tensor.stack(outputs, axis=1)
-        return stacked, states
+            state = self.initial_state_batched(x.shape[0], x.shape[2])
+        return self._layers(x, state, stack)
 
     def initial_state_batched(self, world_size: int, batch_size: int
                               ) -> List[Tuple[Tensor, Tensor]]:

@@ -1,12 +1,13 @@
 """Functional neural-network operations built on :class:`~repro.tensor.Tensor`.
 
 This module contains the composite operations the models need: im2col-based
-2-D convolution and pooling, batch normalization, numerically stable softmax /
-log-softmax / cross-entropy, linear projection, dropout and embedding lookup.
-All operations construct the autograd graph through the primitive ops defined
-on :class:`Tensor`, except convolution, pooling and batch normalization, which
-provide hand-written backward closures for efficiency (one big GEMM, or a few
-contiguous reductions, instead of many small ops).
+2-D convolution and pooling, batch normalization, a whole-window LSTM layer,
+numerically stable softmax / log-softmax / cross-entropy, linear projection,
+dropout and embedding lookup.  All operations construct the autograd graph
+through the primitive ops defined on :class:`Tensor`, except convolution,
+pooling, batch normalization and the LSTM layer, which provide hand-written
+backward closures for efficiency (one big GEMM, or a few contiguous
+reductions, instead of many small ops).
 
 The ``*_batched`` variants evaluate all ``P`` replicas of a simulated world in
 one call: operands gain a leading replica axis (inputs ``(P, N, ...)``,
@@ -22,7 +23,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, active_tape, invalidate_active_tape, is_grad_enabled
+from repro.tensor.tensor import (
+    Tensor,
+    _flush_below_floor,
+    active_tape,
+    invalidate_active_tape,
+    is_grad_enabled,
+    stable_sigmoid,
+)
 
 
 # ---------------------------------------------------------------------- #
@@ -458,6 +466,194 @@ def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float,
 
     forward()
     return Tensor._make(out, (x, weight, bias), "batch_norm", backward, forward), mean, var
+
+
+# ---------------------------------------------------------------------- #
+# recurrent
+# ---------------------------------------------------------------------- #
+def lstm(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias_ih: Tensor,
+         bias_hh: Tensor, h0: Tensor, c0: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
+    """One LSTM layer over a whole truncated-BPTT window, ``P`` replicas at once.
+
+    One replica: ``x`` is ``(T, N, D)``, the parameters ``(4H, D)``,
+    ``(4H, H)``, ``(4H,)``, ``(4H,)`` and the initial state ``(N, H)``.
+    Stacked: every operand gains a leading replica axis ``P``.  Gates are
+    stacked ``[input, forget, cell, output]`` as in ``torch.nn.LSTM``.
+    Returns ``(out, h_T, c_T)``: the hidden state of every step,
+    ``(…, T, N, H)``, and the final hidden / cell state, shaped like ``h0``.
+    All three are views of one ``(2, …, T, N, H)`` hidden/cell node, so
+    gradients enter from the output sequence and the final state alike, and
+    leave through ``x``, the four parameters, ``h0`` and ``c0``.
+
+    Forward, with ``X = x·W_ihᵀ + b_ih + b_hh`` one GEMM over all ``T·N``
+    rows::
+
+        [i, f, g, o] = [σ, σ, tanh, σ](X_t + h_{t−1}·W_hhᵀ)
+        c_t = f·c_{t−1} + i·g        h_t = o·tanh(c_t)
+
+    Backward, by hand, for t = T−1 … 0, with ``dc`` starting as the gradient
+    of ``c_T``, ``dgates_T·W_hh`` as 0, and σ' = σ(1 − σ), tanh' = 1 − tanh²
+    computed for the whole window first::
+
+        dh = dout_t + dgates_{t+1}·W_hh
+        dc = dc_{t+1}·f_{t+1} + dh·o·tanh'(c_t)
+        dgates_t = [dc·g, dc·c_{t−1}, dc·i, dh·tanh(c_t)] ⊙ [σ'(i), σ'(f), tanh'(g), σ'(o)]
+
+    after which ``dx = dgates·W_ih``, ``dW_ih = dgatesᵀ·x``,
+    ``dW_hh = dgatesᵀ·h_{t−1}`` and ``db_ih = db_hh = Σ dgates`` are each one
+    GEMM or reduction over all ``T·N`` rows: only ``h_{t−1}·W_hhᵀ`` and
+    ``dgates_t·W_hh`` stay inside the time loop.  σ is
+    :func:`~repro.tensor.tensor.stable_sigmoid`; ``c_t``, ``h_t`` and the
+    incoming ``dh``, ``dc`` and ``dgates_t`` are flushed below
+    ``_FLUSH_FLOOR``, so saturated gates cannot seed subnormal chains.
+
+    Every array the op writes is a workspace it owns, and the eager call and
+    the replay rule are one function, so a replay is bit-identical to the
+    recorded pass and each replica's slice is bit-identical to the ``P = 1``
+    call on that replica alone.  Gradient workspaces exist only when a
+    backward will run; without one, only the current step's activations are
+    kept.
+    """
+    G, D = weight_ih.shape[-2:]
+    H = G // 4
+    P = 1 if weight_ih.ndim == 2 else weight_ih.shape[0]
+    if x.ndim != weight_ih.ndim + 1 or x.shape[-1] != D:
+        raise ValueError(f"input {x.shape} does not match input weights {weight_ih.shape}")
+    T, N = x.shape[-3:-1]
+    if h0.shape != x.shape[:-3] + (N, H) or c0.shape != h0.shape:
+        raise ValueError(f"state {h0.shape}/{c0.shape} does not match input {x.shape} "
+                         f"with hidden size {H}")
+    TN = T * N
+    parents = (x, weight_ih, weight_hh, bias_ih, bias_hh, h0, c0)
+    runs_backward = is_grad_enabled() and any(t.requires_grad for t in parents)
+    slots = T if runs_backward else 1       # activation slots; step t uses t % slots
+    hc = np.empty((2,) + x.shape[:-1] + (H,), dtype=np.float32)
+    hs, cs = hc.reshape(2, P, T, N, H)
+    x_proj = np.empty((P, T, N, G), dtype=np.float32)
+    # Time-major, so every step's activations are one contiguous block.
+    acts = np.empty((slots, P, N, G), dtype=np.float32)      # σ(i), σ(f), tanh(g), σ(o)
+    tanh_c = np.empty((slots, P, N, H), dtype=np.float32)
+    # Contiguous transposed weights, copied once per pass: at the lstm_ptb/tiny
+    # shapes (x86-64, one OpenBLAS thread) the stacked matmul against a
+    # transposed (P, 4H, ·) view measured 1.7-2.5x slower than against these.
+    w_ih_t = np.empty((P, D, G), dtype=np.float32)
+    w_hh_t = np.empty((P, H, G), dtype=np.float32)
+    bias = np.empty((P, G), dtype=np.float32)
+    pre = np.empty((P, N, G), dtype=np.float32)              # one step's pre-activations
+    scratch = np.empty((P, N, G), dtype=np.float32)
+    mask = np.empty((P, N, G), dtype=bool)
+    small = np.empty((P, N, H), dtype=np.float32)
+    small_mask = np.empty((P, N, H), dtype=bool)
+    pre_g = pre[..., 2 * H:3 * H]
+
+    def gate_views(a: np.ndarray) -> Tuple[np.ndarray, ...]:
+        return tuple(a[..., k * H:(k + 1) * H] for k in range(4))
+
+    steps = [(x_proj[:, t], acts[t % slots], *gate_views(acts[t % slots]), hs[:, t], cs[:, t],
+              tanh_c[t % slots]) for t in range(T)]
+
+    def forward() -> None:
+        np.copyto(w_ih_t, weight_ih.data.reshape(P, G, D).transpose(0, 2, 1))
+        np.copyto(w_hh_t, weight_hh.data.reshape(P, G, H).transpose(0, 2, 1))
+        np.add(bias_ih.data.reshape(P, G), bias_hh.data.reshape(P, G), out=bias)
+        np.matmul(x.data.reshape(P, TN, D), w_ih_t, out=x_proj.reshape(P, TN, G))
+        np.add(x_proj, bias[:, None, None], out=x_proj)
+        h_prev, c_prev = h0.data.reshape(P, N, H), c0.data.reshape(P, N, H)
+        for x_t, a, i, f, g, o, h, c, tc in steps:
+            np.matmul(h_prev, w_hh_t, out=pre)
+            np.add(pre, x_t, out=pre)
+            stable_sigmoid(pre, a, scratch, mask)
+            np.tanh(pre_g, out=g)
+            np.multiply(f, c_prev, out=c)
+            np.multiply(i, g, out=small)
+            np.add(c, small, out=c)
+            _flush_below_floor(c, small, small_mask)
+            np.tanh(c, out=tc)
+            np.multiply(o, tc, out=h)
+            _flush_below_floor(h, small, small_mask)
+            h_prev, c_prev = h, c
+
+    if runs_backward:
+        d_gates = np.empty((T, P, N, G), dtype=np.float32)   # time-major, like ``acts``
+        d_act = np.empty((T, P, N, G), dtype=np.float32)    # σ' per gate, 1 − g² for g
+        d_tanh_c = np.empty((T, P, N, H), dtype=np.float32)
+        dh = np.empty((P, N, H), dtype=np.float32)
+        dc = np.empty((P, N, H), dtype=np.float32)
+        # The carried recurrences; after step 0 they are h0's and c0's gradients.
+        dh_next = np.empty(h0.shape, dtype=np.float32)
+        dc_next = np.empty(c0.shape, dtype=np.float32)
+        h_prev_all = np.empty((P, T, N, H), dtype=np.float32)
+        dhc = np.empty_like(hc)
+        dx = np.empty(x.shape, dtype=np.float32)
+        dw_ih = np.empty(weight_ih.shape, dtype=np.float32)
+        dw_hh = np.empty(weight_hh.shape, dtype=np.float32)
+        db_ih = np.empty(bias_ih.shape, dtype=np.float32)
+        db_hh = np.empty(bias_hh.shape, dtype=np.float32)
+        d_act_g = d_act[..., 2 * H:3 * H]
+        dh_next3, dc_next3 = dh_next.reshape(P, N, H), dc_next.reshape(P, N, H)
+        d_steps = [(d_gates[t], *gate_views(d_gates[t]), d_act[t], d_tanh_c[t],
+                    cs[:, t - 1] if t else None) for t in range(T)]
+
+    def backward(grad: np.ndarray) -> None:
+        dout, dc_last = grad.reshape(2, P, T, N, H)
+        w_hh = weight_hh.data.reshape(P, G, H)
+        np.subtract(1.0, acts, out=d_act)
+        np.multiply(d_act, acts, out=d_act)
+        np.multiply(acts[..., 2 * H:3 * H], acts[..., 2 * H:3 * H], out=d_act_g)
+        np.subtract(1.0, d_act_g, out=d_act_g)
+        np.multiply(tanh_c, tanh_c, out=d_tanh_c)
+        np.subtract(1.0, d_tanh_c, out=d_tanh_c)
+        dh_next3.fill(0.0)
+        np.copyto(dc_next3, dc_last[:, T - 1])
+        for t in range(T - 1, -1, -1):
+            _, _, i, f, g, o, _, _, tc = steps[t]
+            dg_t, d_i, d_f, d_g, d_o, dact_t, dtc_t, c_prev = d_steps[t]
+            if c_prev is None:
+                c_prev = c0.data.reshape(P, N, H)
+            np.add(dout[:, t], dh_next3, out=dh)
+            _flush_below_floor(dh, small, small_mask)
+            np.multiply(dh, tc, out=d_o)
+            np.multiply(dh, o, out=dc)
+            np.multiply(dc, dtc_t, out=dc)
+            np.add(dc, dc_next3, out=dc)
+            _flush_below_floor(dc, small, small_mask)
+            np.multiply(dc, g, out=d_i)
+            np.multiply(dc, c_prev, out=d_f)
+            np.multiply(dc, i, out=d_g)
+            np.multiply(dc, f, out=dc_next3)
+            np.multiply(dg_t, dact_t, out=dg_t)
+            _flush_below_floor(dg_t, scratch, mask)
+            if t or h0.requires_grad:
+                np.matmul(dg_t, w_hh, out=dh_next3)
+        # ``d_act`` is dead now: its memory takes dgates replica-major,
+        # (P, T·N, 4H), for the window GEMMs.
+        dg3 = d_act.reshape(P, TN, G)
+        np.copyto(dg3.reshape(P, T, N, G), d_gates.transpose(1, 0, 2, 3))
+        if x.requires_grad:
+            np.matmul(dg3, weight_ih.data.reshape(P, G, D), out=dx.reshape(P, TN, D))
+            x._accumulate(dx)
+        if weight_ih.requires_grad:
+            np.matmul(dg3.transpose(0, 2, 1), x.data.reshape(P, TN, D),
+                      out=dw_ih.reshape(P, G, D))
+            weight_ih._accumulate(dw_ih)
+        if weight_hh.requires_grad:
+            h_prev_all[:, 0] = h0.data.reshape(P, N, H)
+            h_prev_all[:, 1:] = hs[:, :-1]
+            np.matmul(dg3.transpose(0, 2, 1), h_prev_all.reshape(P, TN, H),
+                      out=dw_hh.reshape(P, G, H))
+            weight_hh._accumulate(dw_hh)
+        np.sum(dg3, axis=1, out=db_ih.reshape(P, G))
+        np.copyto(db_hh, db_ih)
+        for param, d_param in ((bias_ih, db_ih), (bias_hh, db_hh), (h0, dh_next), (c0, dc_next)):
+            if param.requires_grad:
+                param._accumulate(d_param)
+
+    forward()
+    node = Tensor._make(hc, parents, "lstm", backward, forward)
+    if runs_backward:
+        node.pin_grad(dhc)       # the output views scatter their gradients here
+    last = (Ellipsis, T - 1, slice(None), slice(None))
+    return node[0], node[(0,) + last], node[(1,) + last]
 
 
 # ---------------------------------------------------------------------- #

@@ -93,7 +93,7 @@ def _fused(thunks: List[Callable[[], None]]) -> Callable[[], None]:
 
     The arithmetic is unchanged — the same thunks run in the same order — but
     a single dispatch replaces one Python call per op, which is where the time
-    goes for chains like bias-add -> ReLU or the four LSTM gate activations.
+    goes for chains like bias-add -> ReLU.
     """
     def run() -> None:
         for thunk in thunks:

@@ -107,14 +107,68 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-# Floor for the subnormal guards below (sigmoid saturation, LSTM state
-# updates, matmul gradient flush).  One subnormal operand or result makes an
-# x86 kernel run 10-100x slower, and a value flushed merely to the normal
-# minimum (~1.2e-38) times a small weight (~1e-4..1e-2) lands right back in
-# the subnormal range inside the very next GEMM.  1e-30 keeps products of
-# guarded values with any realistic training operand normal, while staying
+# Floor for the subnormal guards (sigmoid saturation, the LSTM op's state
+# updates and gradients, matmul gradient flush).  One subnormal operand or
+# result makes an x86 kernel run 10-100x slower, and a value flushed merely to
+# the normal minimum (~1.2e-38) times a small weight (~1e-4..1e-2) lands right
+# back in the subnormal range inside the very next GEMM.  1e-30 keeps products
+# of guarded values with any realistic training operand normal, while staying
 # ~20 orders of magnitude below anything that can move a float32 weight.
 _FLUSH_FLOOR = np.float32(1e-30)
+
+_FLUSH_FLOOR_BITS = _FLUSH_FLOOR.view(np.uint32)
+_SIGN_BIT = np.uint32(0x80000000)
+_ONE_BITS = np.float32(1.0).view(np.uint32)
+
+
+def _flush_below_floor(a: np.ndarray, scratch: np.ndarray, mask: np.ndarray) -> None:
+    """Zero the entries of ``a`` with ``|a| < _FLUSH_FLOOR``, in place.
+
+    The masked multiply only changes entries with ``0 < |a| < floor``, which
+    are rare (exact zeros are not: a saturated gate has σ' = 0), so it runs
+    only if one exists: on the ``uint32`` view of ``|a|``, ``bits − 1``
+    wraps 0 to the maximum, and its minimum is below ``bits(floor) − 1``
+    exactly when some such entry exists.  NaN is left as the multiply
+    would leave it.  ``scratch`` (float32) and ``mask`` (bool) are
+    workspaces shaped like ``a``.
+    """
+    bits = scratch.view(np.uint32)
+    np.abs(a, out=scratch)
+    np.subtract(bits, 1, out=bits)
+    if bits.min(initial=_FLUSH_FLOOR_BITS) < _FLUSH_FLOOR_BITS - 1:     # empty: no
+        np.abs(a, out=scratch)
+        np.greater_equal(scratch, _FLUSH_FLOOR, out=mask)
+        np.multiply(a, mask, out=a)
+
+
+def stable_sigmoid(x: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                   mask: np.ndarray) -> None:
+    """Write the logistic function of float32 ``x`` into ``out``.
+
+    Two-branch stable form: with ``e = exp(-|x|)``, σ = 1/(1+e) for x ≥ 0 and
+    e/(1+e) otherwise, so neither branch can overflow.  The branch select
+    picks the numerator (``1`` or ``e``) on ``scratch``'s ``uint32`` view —
+    ``((bits(e) ^ bits(1)) · [x < 0]) ^ bits(1)``, branch-free and bit-exact
+    for every pattern — and ``-|x|`` is ``x`` with its sign bit set, so the
+    result equals ``np.where(x >= 0, 1/(1+e), e/(1+e))`` bit for bit (±0, ±inf
+    and NaN included).  Saturated values (σ < ~1e-30, pre-activation below
+    ~-69) would underflow toward float32 subnormals, where every downstream
+    product runs 10-100x slower on x86; a gate that closed is flushed to 0
+    (see ``_FLUSH_FLOOR``).
+
+    ``scratch`` (float32) and ``mask`` (bool) are caller-owned workspaces
+    shaped like ``x``; ``out`` may alias ``x``.  Allocates nothing.
+    """
+    np.less(x, 0, out=mask)                  # before ``out`` (maybe ``x``) is written
+    bits = scratch.view(np.uint32)
+    np.bitwise_or(x.view(np.uint32), _SIGN_BIT, out=bits)       # -|x|
+    np.exp(scratch, out=scratch)
+    np.add(scratch, 1.0, out=out)
+    np.bitwise_xor(bits, _ONE_BITS, out=bits)
+    np.multiply(bits, mask, out=bits)
+    np.bitwise_xor(bits, _ONE_BITS, out=bits)                   # e if x < 0 else 1
+    np.divide(scratch, out, out=out)
+    _flush_below_floor(out, scratch, mask)
 
 
 class Tensor:
@@ -290,8 +344,8 @@ class Tensor:
 
         Equivalent to building a dense zeros-like array, scattering into it
         and calling :meth:`_accumulate`, but without the dense temporary or
-        the full-array add — slice/gather backward passes (LSTM gate slices,
-        embedding lookups) hit this every training iteration.
+        the full-array add — slice/gather backward passes (the LSTM op's
+        output views, embedding lookups) hit this every training iteration.
         """
         target = self.grad
         if target is None:
@@ -575,71 +629,21 @@ class Tensor:
         return Tensor._make(out_data, (self,), "tanh", backward, replay, True)
 
     def sigmoid(self) -> "Tensor":
-        # Numerically stable logistic function: exponentiate only the negative
-        # magnitude so neither branch can overflow.
-        neg_abs = -np.abs(self.data)
-        exp_neg = np.exp(neg_abs)
-        out_data = np.where(self.data >= 0, 1.0 / (1.0 + exp_neg), exp_neg / (1.0 + exp_neg))
-        # Saturated gates (pre-activation < ~-69) underflow toward float32
-        # subnormals, and every downstream product then runs 10-100x slower
-        # on x86.  A gate below the flush floor is semantically closed:
-        # flush it to 0 (see ``_FLUSH_FLOOR`` for the threshold choice).
-        out_data *= out_data >= _FLUSH_FLOOR
+        # The eager call and the replay rule are one function writing into
+        # workspaces the op owns, so replays allocate nothing.
+        out_data = np.empty(self.shape, dtype=np.float32)
+        scratch = np.empty_like(out_data)
+        mask = np.empty(self.shape, dtype=bool)
+
+        def forward() -> None:
+            stable_sigmoid(self.data, out_data, scratch, mask)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad * out_data * (1.0 - out_data))
 
-        if _ACTIVE_TAPE is None:
-            return Tensor._make(out_data, (self,), "sigmoid", backward)
-        out_data = np.asarray(out_data)
-        # Replay workspaces: the closure below runs every iteration on the
-        # training hot path, so it must not allocate.  Same two-branch
-        # arithmetic as the recorded forward, ufunc by ufunc.
-        denom = np.empty_like(exp_neg)
-        positive = np.empty(out_data.shape, dtype=bool)
-
-        def replay() -> None:
-            np.abs(self.data, out=neg_abs)
-            np.negative(neg_abs, out=neg_abs)
-            np.exp(neg_abs, out=exp_neg)
-            np.add(exp_neg, 1.0, out=denom)
-            np.divide(exp_neg, denom, out=out_data)
-            np.divide(1.0, denom, out=denom)
-            np.greater_equal(self.data, 0, out=positive)
-            np.copyto(out_data, denom, where=positive)
-            np.greater_equal(out_data, _FLUSH_FLOOR, out=positive)
-            np.multiply(out_data, positive, out=out_data)
-
-        return Tensor._make(out_data, (self,), "sigmoid", backward, replay, True)
-
-    def flush_subnormals(self) -> "Tensor":
-        """Zero values below ``_FLUSH_FLOOR``; identity for everything else.
-
-        Recurrent chains multiply saturated gates into the float32 subnormal
-        range, and a single subnormal operand or product makes downstream x86
-        kernels run 10-100x slower — for values that carry no training
-        signal.  Applied at the LSTM cell/hidden-state updates so long
-        carried chains keep full kernel throughput; the backward pass treats
-        the op as identity but floors the incoming gradient the same way,
-        breaking subnormal chains in the dc/dh recurrences.  The masks are
-        recomputed from the live buffers, so taped replays stay bit-identical
-        to the eager path.
-        """
-        out_data = self.data * (np.abs(self.data) >= _FLUSH_FLOOR)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (np.abs(grad) >= _FLUSH_FLOOR))
-
-        if _ACTIVE_TAPE is None:
-            return Tensor._make(out_data, (self,), "flush_subnormals", backward)
-        out_data = np.asarray(out_data)
-
-        def replay() -> None:
-            np.multiply(self.data, np.abs(self.data) >= _FLUSH_FLOOR, out=out_data)
-
-        return Tensor._make(out_data, (self,), "flush_subnormals", backward, replay, True)
+        forward()
+        return Tensor._make(out_data, (self,), "sigmoid", backward, forward, True)
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
