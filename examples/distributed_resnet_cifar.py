@@ -57,7 +57,7 @@ def main() -> None:
         ])
     print(format_table(
         ["algorithm", "final top-1", "bits/worker/iter", "sim comm (ms)",
-         "compression (ms)", "wall time (s)"],
+         "modelled compression (ms)", "wall time (s)"],
         rows, title="Per-algorithm accounting"))
 
 

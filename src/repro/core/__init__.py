@@ -18,7 +18,7 @@ from repro.core.flatten import flatten_gradients, flatten_parameters, unflatten_
 from repro.core.metrics import TrainingMetrics, evaluate_classifier, evaluate_language_model, top1_accuracy
 from repro.core.timeline import IterationTimeline, SyncReport
 from repro.core.trainer import DistributedTrainer, TrainerConfig
-from repro.core.cost_model import CompressionTimingEstimator, CostModel, IterationCostBreakdown
+from repro.core.cost_model import CostModel, IterationCostBreakdown
 from repro.core.algorithm1 import a2sgd_quadratic_descent, dense_quadratic_descent
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.spec import ExperimentSpec, SpecError
@@ -56,7 +56,6 @@ __all__ = [
     "DistributedTrainer",
     "TrainerConfig",
     "CostModel",
-    "CompressionTimingEstimator",
     "IterationCostBreakdown",
     "a2sgd_quadratic_descent",
     "dense_quadratic_descent",

@@ -18,11 +18,11 @@ figures from a per-iteration cost breakdown:
   memory bandwidth (plus a selection term for Top-K), while QSGD is charged
   the throughput of the CPU/NumPy reference implementation the paper
   benchmarks (§4.1/[42]).  The constants are documented on
-  :class:`AnalyticCompressionModel`.  (The *measured* kernel times of this
-  repository's own implementations are still available through
-  :class:`CompressionTimingEstimator`; the Figure 2 benchmark uses those
-  directly because Figure 2 is precisely a measurement of compression
-  kernels.)
+  :class:`AnalyticCompressionModel`.  The same price is what a training run's
+  simulated clock charges (``SyncReport.compression_time_s``, read through
+  :data:`DEFAULT_COMPRESSION_MODEL`), so the figures and a run share one
+  compression term.  Figure 2 is a measurement of this repository's own
+  kernels, so its benchmark times them directly instead.
 * **communication** — the α–β model of the collective the algorithm uses,
   with the analytic wire size from Table 2 (32n, 32k, 2.8n+32 or 64 bits).
 
@@ -33,18 +33,13 @@ count — are determined by the same structural quantities the paper analyses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.comm.network_model import CollectiveTimeModel, NetworkModel, infiniband_100gbps
-from repro.compress.base import ExchangeKind, sparsity_k
+from repro.compress.base import ExchangeKind
 from repro.compress.registry import get_compressor
 from repro.models.registry import PAPER_HYPERPARAMETERS, PAPER_PARAMETER_COUNTS
-from repro.utils.rng import new_rng
-from repro.utils.timer import median_time
 
 
 @dataclass
@@ -69,68 +64,6 @@ class IterationCostBreakdown:
             "communication_s": self.communication_s,
             "total_s": self.total_s,
         }
-
-
-class CompressionTimingEstimator:
-    """Measure compressor kernels on a sample vector and extrapolate to size n.
-
-    Measuring at the full 66 M parameters for every algorithm would dominate
-    benchmark runtime, so kernels are timed at ``sample_size`` coordinates and
-    scaled by the algorithm's complexity model:
-
-    * linear algorithms (A2SGD, Gaussian-K, TernGrad, SignSGD): time ∝ n;
-    * Top-K: time ∝ n + k·log n  (argpartition + selection);
-    * QSGD reference implementation: time ∝ n² (per the paper's Table 2 the
-      benchmarked implementation quantizes coordinates in a Python loop), with
-      the quadratic term damped by ``qsgd_python_overhead`` to keep the
-      extrapolation within the order of magnitude Figure 2 reports;
-    * Dense: zero (nothing to compute).
-    """
-
-    #: Exponent model per algorithm: time(n) = measured * (n / sample)^exponent.
-    COMPLEXITY_EXPONENT: Dict[str, float] = {
-        "dense": 0.0,
-        "a2sgd": 1.0,
-        "gaussiank": 1.0,
-        "terngrad": 1.0,
-        "signsgd": 1.0,
-        "randk": 1.0,
-        "topk": 1.05,
-        "qsgd": 1.25,
-    }
-
-    def __init__(self, sample_size: int = 1_000_000, repeats: int = 3,
-                 seed: int = 0):
-        if sample_size < 1:
-            raise ValueError("sample_size must be positive")
-        self.sample_size = int(sample_size)
-        self.repeats = int(repeats)
-        self.seed = int(seed)
-        self._cache: Dict[str, float] = {}
-
-    def _measure(self, algorithm: str) -> float:
-        """Seconds to compress one ``sample_size`` gradient with ``algorithm``."""
-        if algorithm in self._cache:
-            return self._cache[algorithm]
-        if algorithm == "dense":
-            self._cache[algorithm] = 0.0
-            return 0.0
-        gradient = new_rng("cost_model_sample", seed=self.seed).standard_normal(
-            self.sample_size).astype(np.float32)
-        compressor = get_compressor(algorithm)
-        measured = median_time(lambda: compressor.compress(gradient), repeats=self.repeats)
-        self._cache[algorithm] = float(measured)
-        return self._cache[algorithm]
-
-    def compression_time(self, algorithm: str, n: int) -> float:
-        """Estimated compression time for an ``n``-parameter gradient."""
-        algorithm = algorithm.lower()
-        if algorithm == "dense":
-            return 0.0
-        measured = self._measure(algorithm)
-        exponent = self.COMPLEXITY_EXPONENT.get(algorithm, 1.0)
-        scale = (max(1, n) / self.sample_size) ** exponent
-        return measured * scale
 
 
 @dataclass
@@ -185,6 +118,13 @@ class AnalyticCompressionModel:
         return time_s
 
 
+#: The one compression price of the package: every synchronization strategy
+#: prices ``SyncReport.compression_time_s`` through this instance (so the
+#: simulated clock is a pure function of the spec and the seeds), and
+#: :class:`CostModel` defaults to the same constants.
+DEFAULT_COMPRESSION_MODEL = AnalyticCompressionModel()
+
+
 @dataclass
 class CostModel:
     """End-to-end iteration / training-time model for the paper's evaluation.
@@ -213,8 +153,6 @@ class CostModel:
         The paper's Top-K / Gaussian-K density (0.001 of n).
     compression:
         Analytic model of compression time on the paper's hardware.
-    timing:
-        Measured-kernel estimator (kept for "measured" mode / Figure 2).
     """
 
     network: NetworkModel = field(default_factory=infiniband_100gbps)
@@ -225,9 +163,8 @@ class CostModel:
     lstm_sequence_length: int = 35
     sparsity_ratio: float = 0.001
     qsgd_levels: int = 4
-    compression: Optional[AnalyticCompressionModel] = None
-    timing: Optional[CompressionTimingEstimator] = None
-    use_measured_compression: bool = False
+    compression: AnalyticCompressionModel = field(
+        default_factory=AnalyticCompressionModel)
 
     #: How many times each parameter is applied per example: convolution
     #: kernels are reused across spatial positions and LSTM weights across
@@ -243,10 +180,6 @@ class CostModel:
     })
 
     def __post_init__(self) -> None:
-        if self.compression is None:
-            self.compression = AnalyticCompressionModel()
-        if self.timing is None and self.use_measured_compression:
-            self.timing = CompressionTimingEstimator()
         self.time_model = CollectiveTimeModel(self.network)
 
     # ------------------------------------------------------------------ #
@@ -297,15 +230,9 @@ class CostModel:
         return self.time_model.allgather(message_bytes, world_size)
 
     def compression_time(self, algorithm: str, model: str) -> float:
-        """Compression + reconstruction time for one iteration.
-
-        Uses the analytic (paper-hardware) model by default; switches to the
-        measured-kernel estimator when ``use_measured_compression`` is set.
-        """
-        n = self.model_parameters(model)
-        if self.use_measured_compression and self.timing is not None:
-            return self.timing.compression_time(algorithm.lower(), n)
-        return self.compression.compression_time(algorithm.lower(), n)
+        """Compression + reconstruction time for one iteration (analytic)."""
+        return self.compression.compression_time(algorithm,
+                                                 self.model_parameters(model))
 
     def iteration_breakdown(self, model: str, algorithm: str,
                             world_size: int) -> IterationCostBreakdown:

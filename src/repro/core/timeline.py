@@ -10,8 +10,10 @@ from typing import Dict, List
 class SyncReport:
     """Timing and traffic of one gradient synchronization."""
 
-    #: Wall-clock seconds spent compressing + decompressing, max across workers
-    #: (workers run in parallel in a real deployment, so the slowest gates).
+    #: Modelled seconds one worker spends compressing + decompressing: the
+    #: analytic price ``compression_time(algorithm, n)`` of
+    #: :data:`repro.core.cost_model.DEFAULT_COMPRESSION_MODEL` (workers
+    #: compress in parallel, so one worker's price is the iteration's).
     compression_time_s: float = 0.0
     #: Simulated collective time from the α–β network model.
     comm_time_s: float = 0.0
@@ -32,8 +34,8 @@ class IterationTimeline:
     """Accumulated timing of a training run, per component.
 
     ``compute`` is the measured forward/backward time of the simulated
-    workers (max across workers per iteration), ``compression`` the measured
-    compressor time, ``communication`` the simulated collective time, and
+    workers (max across workers per iteration), ``compression`` the modelled
+    compressor price, ``communication`` the simulated collective time, and
     ``aggregation`` the modeled robust-aggregator combine time.  Fed one
     record per iteration by
     :class:`repro.core.callbacks.TimelineCallback` at ``on_iteration_end``.

@@ -276,10 +276,6 @@ class DistributedTrainer:
                 self.sim_engine.report.fault = self.fault_injector.report
             elif self.lockstep_sim is not None:
                 self.lockstep_sim.report.fault = self.fault_injector.report
-                # Fault schedules are queried by simulated time: measured
-                # kernel wall time must not leak into the clock or the
-                # fault timeline would not be reproducible.
-                self.lockstep_sim.deterministic = True
 
         # Checkpointed state: each owner implements state_arrays() /
         # load_state_arrays() under its own key prefix; core/checkpoint.py is

@@ -9,7 +9,7 @@ Two integration points with the trainer:
   numerics, simulated duration), the strategy's :meth:`worker_step` performs
   the async numerics and prices its traffic through the α–β network model,
   and the rank's next completion is scheduled at
-  ``event_time + comm + stall + compute``.  Epoch semantics are
+  ``event_time + compression + comm + stall + compute``.  Epoch semantics are
   *update-budget based*: one epoch is ``world_size × iterations_per_epoch``
   worker steps in event order (the same number of gradient computations as
   a lockstep epoch), so fast ranks contribute more steps per epoch — which
@@ -17,9 +17,14 @@ Two integration points with the trainer:
   progress.
 * :class:`LockstepSimulator` keeps the synchronous paths' numerics
   untouched and only *prices* them: each lockstep iteration costs the
-  barrier ``max_r(compute_r + stall_r)`` plus the iteration's measured-model
+  barrier ``max_r(compute_r + stall_r)`` plus the iteration's modelled
   compression/communication/aggregation time.  Under a constant model this
   reproduces today's behaviour bit for bit while adding a simulated clock.
+
+Every term on both clocks is modelled, none measured — compression too: the
+strategies report the analytic price of
+:data:`~repro.core.cost_model.DEFAULT_COMPRESSION_MODEL` — so a run's
+simulated time is a pure function of its spec and its seeds.
 
 Both expose ``state_arrays``/``load_state_arrays`` so checkpoints capture
 the clock, the in-flight events and the compute-model RNG positions
@@ -260,8 +265,10 @@ class SimulationEngine:
                                         staleness=step.staleness,
                                         rejected=step.rejected)
                 self.total_steps += 1
-                # The worker resumes computing after its exchange completes.
-                self._schedule_next(rank, when + step.comm_time_s)
+                # The worker resumes computing after its push is compressed
+                # and its exchange completes.
+                self._schedule_next(
+                    rank, when + step.compression_time_s + step.comm_time_s)
                 epoch_losses.append(loss)
                 trainer._end_iteration(state, loss, lr, compute_wall,
                                        step.to_sync_report())
@@ -360,12 +367,6 @@ class LockstepSimulator:
         compute_model.bind(self.world_size, self.clock_seed)
         self.now = 0.0
         self.iterations = 0
-        #: When True, measured kernel wall time (compression_time_s) is
-        #: excluded from the clock so the timeline is a pure function of
-        #: the seeds.  The fault layer requires this: fault models are
-        #: queried by simulated time, so micro-second perf_counter noise
-        #: would otherwise make the fault schedule non-reproducible.
-        self.deterministic = False
         self.report = SimReport(compute_model=compute_model.to_dict(),
                                 clock_seed=self.clock_seed,
                                 world_size=self.world_size,
@@ -403,10 +404,8 @@ class LockstepSimulator:
             # the compute-model streams aligned with a healthy run).
             barrier = max((draws[r][0] + draws[r][1] for r in alive),
                           default=0.0)
-        overhead = (sync_report.comm_time_s
-                    + getattr(sync_report, "aggregation_time_s", 0.0))
-        if not self.deterministic:
-            overhead += sync_report.compression_time_s
+        overhead = (sync_report.compression_time_s + sync_report.comm_time_s
+                    + sync_report.aggregation_time_s)
         duration = barrier + overhead + float(extra_s)
         self.now += duration
         self.iterations += 1

@@ -29,13 +29,13 @@ resumed trajectories bit-identical.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.compress.base import ExchangeKind
+from repro.core.cost_model import DEFAULT_COMPRESSION_MODEL
 from repro.core.timeline import SyncReport
 from repro.sync.base import SYNC_STRATEGIES, SyncStrategy
 
@@ -196,10 +196,9 @@ class AsyncParameterServerStrategy(AsyncStrategy):
         # it with the rank's own decompressor (allreduce-kind payloads are
         # rank-locally reconstructible, and error feedback stays per rank).
         compressor = self.compressors[rank]
-        start = time.perf_counter()
         payload, ctx = compressor.compress(gradient)
         decoded = compressor.decompress(payload, ctx)
-        kernel_time = time.perf_counter() - start
+        compression_s = DEFAULT_COMPRESSION_MODEL.compression_time(compressor.name, n)
         push_bits = compressor.wire_bits(n)
 
         # A push lost in transit (message-loss fault) never reaches the
@@ -211,7 +210,7 @@ class AsyncParameterServerStrategy(AsyncStrategy):
             self.pull_versions[rank] = self.version
             comm_time = self._p2p(push_bits / 8.0) + self._p2p(4.0 * n)
             return AsyncStepReport(comm_time_s=comm_time,
-                                   compression_time_s=kernel_time,
+                                   compression_time_s=compression_s,
                                    wire_bits=push_bits + 32.0 * n,
                                    exchange="ps_push_lost")
 
@@ -238,7 +237,7 @@ class AsyncParameterServerStrategy(AsyncStrategy):
 
         comm_time = self._p2p(push_bits / 8.0) + self._p2p(4.0 * n)
         return AsyncStepReport(comm_time_s=comm_time,
-                               compression_time_s=kernel_time,
+                               compression_time_s=compression_s,
                                wire_bits=push_bits + 32.0 * n,
                                exchange="ps_push_pull",
                                staleness=staleness,

@@ -27,7 +27,6 @@ update.  Robust aggregators bound the damage; the plain mean does not.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,6 +35,7 @@ from repro.comm.inprocess import InProcessWorld
 from repro.comm.topology import CommTopology
 from repro.compress.base import Compressor, ExchangeKind
 from repro.compress.param_delta import ParameterDeltaCodec
+from repro.core.cost_model import DEFAULT_COMPRESSION_MODEL
 from repro.core.timeline import SyncReport
 from repro.registry import Registry
 from repro.sync.aggregators import Aggregator
@@ -480,7 +480,6 @@ class SyncStrategy:
         codec = self.parameter_codec
         membership = self._active_membership()
         staged = self._staged_parameter_payloads(param_rows)
-        start = time.perf_counter()
         if membership is None:
             payloads, estimates, wire_bits = codec.encode(staged)
             alive = None
@@ -494,11 +493,9 @@ class SyncStrategy:
             payloads = [None] * len(staged)
             for i, r in enumerate(alive):
                 payloads[r] = sub_payloads[i]
-        kernel_time = time.perf_counter() - start
         comm_before = self.world.simulated_comm_time
         self.world.allgather(payloads, logical_bytes=wire_bits / 8.0)
         comm_time = self.world.simulated_comm_time - comm_before
-        start = time.perf_counter()
         combined = self.aggregator.combine(estimates)
         if alive is None:
             codec.advance(estimates)
@@ -508,11 +505,11 @@ class SyncStrategy:
             codec.advance(estimates, ranks=alive)
             for r in alive:
                 param_rows[r][...] = combined
-        kernel_time += time.perf_counter() - start
         aggregation_time = self.aggregator.combine_time_s(
             estimates.shape[0], estimates.shape[1])
         return SyncReport(
-            compression_time_s=float(kernel_time) / self.world.world_size,
+            compression_time_s=DEFAULT_COMPRESSION_MODEL.compression_time(
+                codec.algorithm, estimates.shape[1]),
             comm_time_s=float(comm_time),
             wire_bits_per_worker=float(wire_bits),
             exchange="compressed_parameter_allgather",

@@ -32,13 +32,13 @@ phase.  ``none`` keeps the dense float32 exchange, bit for bit.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.topology import HierarchicalTopology
 from repro.compress.base import ExchangeKind
+from repro.core.cost_model import DEFAULT_COMPRESSION_MODEL
 from repro.core.timeline import SyncReport
 from repro.sync.base import SYNC_STRATEGIES, SyncStrategy
 
@@ -82,10 +82,10 @@ class AllreduceStrategy(SyncStrategy):
         Compression and reconstruction run through the compressor's
         ``compress_batch``/``decompress_batch`` kernels (the only kernels a
         compressor implements; its per-rank methods are a batch of one).
-        The measured kernel time is divided by the participant count: the
-        simulation executes all ranks' compression in one call on one host,
-        while the modelled deployment runs the per-worker kernels in
-        parallel.  A
+        Their cost is priced, not measured: one worker's
+        ``compression_time(algorithm, n)`` from
+        :data:`~repro.core.cost_model.DEFAULT_COMPRESSION_MODEL` (the
+        workers compress in parallel in the modelled deployment).  A
         healthy world hands ``G`` and the bound compressor list straight to
         the kernels and returns ``decompress_batch``'s own output; only a
         degraded one gathers the alive rows and scatters them back.
@@ -105,10 +105,8 @@ class AllreduceStrategy(SyncStrategy):
         logical_bytes = wire_bits / 8.0
         batch = type(reference)
 
-        start = time.perf_counter()
         payloads, contexts = batch.compress_batch(
             compressors, G if alive is None else G[alive])
-        kernel_time = time.perf_counter() - start
         if alive is not None:
             scattered: List[Optional[np.ndarray]] = [None] * self.world.world_size
             for rank, payload in zip(alive, payloads):
@@ -118,18 +116,17 @@ class AllreduceStrategy(SyncStrategy):
         exchanged, comm_time, wire_exchange, aggregation_time = self._combine(
             payloads, exchange_kind, logical_bytes)
 
-        start = time.perf_counter()
         if alive is not None:
             exchanged = [exchanged[r] for r in alive]
         new_matrix = batch.decompress_batch(compressors, exchanged, contexts)
-        kernel_time += time.perf_counter() - start
         if alive is not None:
             full = G.copy()
             full[alive] = np.asarray(new_matrix, dtype=np.float32)
             new_matrix = full
 
         report = SyncReport(
-            compression_time_s=float(kernel_time) / len(compressors),
+            compression_time_s=DEFAULT_COMPRESSION_MODEL.compression_time(
+                reference.name, n),
             comm_time_s=float(comm_time),
             wire_bits_per_worker=float(wire_bits),
             exchange=wire_exchange,
@@ -338,16 +335,16 @@ class FedAvgStrategy(LocalSGDStrategy):
         for _ in range(2 * (cohort + len(groups))):
             world.point_to_point(nbytes)
         comm_time = world.simulated_comm_time - comm_before
-        start = time.perf_counter()
         partials = [stacked[list(group)].sum(axis=0, dtype=np.float64)
                     for group in groups]
         combined = (np.sum(partials, axis=0) / cohort).astype(np.float32)
         results = [combined.copy() for _ in range(cohort)]
-        kernel_time = time.perf_counter() - start
+        # Dense parameters compress nothing; the partial sums are the
+        # aggregation, which ``combine_time_s`` prices.
         aggregation_time = self.aggregator.combine_time_s(cohort,
                                                           stacked.shape[1])
         report = SyncReport(
-            compression_time_s=float(kernel_time) / cohort,
+            compression_time_s=0.0,
             comm_time_s=float(comm_time),
             wire_bits_per_worker=(topology.max_group_size(cohort) + 1)
             * 8.0 * nbytes,
@@ -453,18 +450,14 @@ class GossipStrategy(SyncStrategy):
         staged_rows = self._staged_parameter_payloads(param_rows)
         if membership is None:
             alive = list(range(world.world_size))
-            start = time.perf_counter()
             payloads, estimates, wire_bits = codec.encode(staged_rows)
-            kernel_time = time.perf_counter() - start
         else:
             # Only survivors encode: dead ranks' compressor residuals and
             # references stay frozen, and their (stale) parameter rows never
             # enter a neighbourhood — the re-routed graph excludes them.
             alive = membership.alive_ranks()
-            start = time.perf_counter()
             sub_payloads, estimates, wire_bits = codec.encode(
                 [staged_rows[r] for r in alive], ranks=alive)
-            kernel_time = time.perf_counter() - start
             payloads = [None] * world.world_size
             for i, rank in enumerate(alive):
                 payloads[rank] = sub_payloads[i]
@@ -474,7 +467,6 @@ class GossipStrategy(SyncStrategy):
         comm_before = world.simulated_comm_time
         world.neighbor_exchange(payloads, topology, logical_bytes=wire_bits / 8.0)
         comm_time = world.simulated_comm_time - comm_before
-        start = time.perf_counter()
         position = {rank: i for i, rank in enumerate(alive)}
         for rank in alive:
             if membership is None:
@@ -485,11 +477,11 @@ class GossipStrategy(SyncStrategy):
                     rank, world.world_size, membership.alive)]
             param_rows[rank][...] = self.aggregator.combine(estimates[neighborhood])
         codec.advance(estimates, ranks=None if membership is None else alive)
-        kernel_time += time.perf_counter() - start
         n = int(np.asarray(param_rows[0]).size)
         aggregation_time = self.aggregator.combine_time_s(max_degree + 1, n)
         return SyncReport(
-            compression_time_s=float(kernel_time) / len(alive),
+            compression_time_s=DEFAULT_COMPRESSION_MODEL.compression_time(
+                codec.algorithm, n),
             comm_time_s=float(comm_time),
             wire_bits_per_worker=max_degree * float(wire_bits),
             exchange="compressed_neighbor_exchange",

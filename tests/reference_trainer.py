@@ -10,11 +10,11 @@ hand-derived MLP executor).  Everything else — data, fault phase, parameter ph
 checkpoints — is the trainer's own code, shared by both sides.
 """
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.cost_model import DEFAULT_COMPRESSION_MODEL
 from repro.core.flat_buffer import segment_views
 from repro.core.flatten import unflatten_into_gradients
 from repro.core.timeline import SyncReport
@@ -24,10 +24,11 @@ from tests import reference_compressors as oracle
 
 def exchange_per_rank(self, gradients: Sequence[np.ndarray]
                       ) -> Tuple[List[np.ndarray], SyncReport]:
-    """The pre-PR-22 ``AllreduceStrategy.exchange`` body, verbatim, as a free
+    """The former per-rank ``AllreduceStrategy.exchange`` body as a free
     function over a bound strategy (``self``); its two helpers (gradient-list
-    validation, ``GradientCorruption.apply_list``) inlined, and the
-    compressor calls pointed at the per-rank oracle bodies."""
+    validation, ``GradientCorruption.apply_list``) inlined, the compressor
+    calls pointed at the per-rank oracle bodies, and compression priced like
+    the strategy prices it (one worker's analytic ``compression_time``)."""
     if len(gradients) != self.world.world_size:
         raise ValueError("one gradient per rank is required")
     n = int(np.asarray(gradients[0]).size)
@@ -48,12 +49,9 @@ def exchange_per_rank(self, gradients: Sequence[np.ndarray]
     # ---- compression (lines 3-4 of Algorithm 1) ---------------------- #
     payloads: List[Optional[np.ndarray]] = [None] * world_size
     contexts: List[Optional[Dict]] = [None] * world_size
-    compression_times = [0.0] * world_size
     for rank in alive:
-        start = time.perf_counter()
         payloads[rank], contexts[rank] = oracle.compress(
             self.compressors[rank], np.asarray(gradients[rank], dtype=np.float32))
-        compression_times[rank] = time.perf_counter() - start
 
     # ---- global exchange + aggregation (line 5) ---------------------- #
     exchanged, comm_time, wire_exchange, aggregation_time = self._combine(
@@ -62,13 +60,11 @@ def exchange_per_rank(self, gradients: Sequence[np.ndarray]
     # ---- reconstruction (line 6) ------------------------------------- #
     new_gradients = [np.asarray(g, dtype=np.float32) for g in gradients]
     for rank in alive:
-        start = time.perf_counter()
         rebuilt = oracle.decompress(self.compressors[rank], exchanged[rank], contexts[rank])
-        compression_times[rank] += time.perf_counter() - start
         new_gradients[rank] = np.asarray(rebuilt, dtype=np.float32)
 
     report = SyncReport(
-        compression_time_s=float(max(compression_times)),
+        compression_time_s=DEFAULT_COMPRESSION_MODEL.compression_time(reference.name, n),
         comm_time_s=float(comm_time),
         wire_bits_per_worker=float(wire_bits),
         exchange=wire_exchange,

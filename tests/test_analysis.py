@@ -19,7 +19,7 @@ from repro.analysis import (
     variance_ratio,
 )
 from repro.analysis.convergence import track_gradient_bound_samples
-from repro.core.cost_model import CompressionTimingEstimator, CostModel
+from repro.core.cost_model import CostModel
 
 
 class TestGradientHistogram:
@@ -106,7 +106,7 @@ class TestConvergenceDiagnostics:
 class TestScaling:
     @pytest.fixture(scope="class")
     def cost_model(self):
-        return CostModel(timing=CompressionTimingEstimator(sample_size=20_000, repeats=1))
+        return CostModel()
 
     def test_scaling_table_structure(self, cost_model):
         table = scaling_efficiency_table(cost_model, models=("fnn3", "lstm_ptb"),

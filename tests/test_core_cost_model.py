@@ -4,44 +4,12 @@ import numpy as np
 import pytest
 
 from repro.comm import NetworkModel, ethernet_10gbps, infiniband_100gbps
-from repro.core.cost_model import CompressionTimingEstimator, CostModel
+from repro.core.cost_model import CostModel
 
 
 @pytest.fixture(scope="module")
 def cost_model():
-    # A small measurement sample keeps the test fast; the extrapolation logic
-    # is what is under test.
-    return CostModel(timing=CompressionTimingEstimator(sample_size=50_000, repeats=1))
-
-
-class TestCompressionTimingEstimator:
-    def test_dense_costs_nothing(self):
-        estimator = CompressionTimingEstimator(sample_size=10_000, repeats=1)
-        assert estimator.compression_time("dense", 10**8) == 0.0
-
-    def test_measurement_cached(self):
-        estimator = CompressionTimingEstimator(sample_size=10_000, repeats=1)
-        first = estimator.compression_time("a2sgd", 10_000)
-        assert "a2sgd" in estimator._cache
-        second = estimator.compression_time("a2sgd", 10_000)
-        assert first == second
-
-    def test_extrapolation_grows_with_n(self):
-        estimator = CompressionTimingEstimator(sample_size=10_000, repeats=1)
-        small = estimator.compression_time("a2sgd", 10_000)
-        large = estimator.compression_time("a2sgd", 10_000_000)
-        assert large > small
-
-    def test_qsgd_superlinear_extrapolation(self):
-        estimator = CompressionTimingEstimator(sample_size=10_000, repeats=1)
-        t1 = estimator.compression_time("qsgd", 10_000)
-        t100 = estimator.compression_time("qsgd", 1_000_000)
-        # Exponent 1.25 means 100x size -> more than 100x time.
-        assert t100 / max(t1, 1e-12) > 100
-
-    def test_invalid_sample_size(self):
-        with pytest.raises(ValueError):
-            CompressionTimingEstimator(sample_size=0)
+    return CostModel()
 
 
 class TestTable2Columns(object):
@@ -114,10 +82,8 @@ class TestIterationTime:
         assert t16 > t2
 
     def test_slower_network_increases_dense_gap(self):
-        fast = CostModel(network=infiniband_100gbps(),
-                         timing=CompressionTimingEstimator(sample_size=20_000, repeats=1))
-        slow = CostModel(network=ethernet_10gbps(),
-                         timing=CompressionTimingEstimator(sample_size=20_000, repeats=1))
+        fast = CostModel(network=infiniband_100gbps())
+        slow = CostModel(network=ethernet_10gbps())
         gap_fast = (fast.iteration_time("lstm_ptb", "dense", 8)
                     / fast.iteration_time("lstm_ptb", "a2sgd", 8))
         gap_slow = (slow.iteration_time("lstm_ptb", "dense", 8)

@@ -312,6 +312,14 @@ class TestHierarchicalFedAvg:
         # The tree exchange costs simulated wire time.
         assert tree.world.simulated_comm_time > 0.0
 
+    def test_tree_average_compresses_nothing(self):
+        """Dense partial sums are aggregation (priced by ``combine_time_s``),
+        not compression."""
+        tree = make_trainer(sync=self.SYNC)
+        tree.train()
+        assert tree.world.simulated_comm_time > 0.0
+        assert tree.timeline.compression_s == 0.0
+
     def test_only_hierarchical_topology_binds(self):
         with pytest.raises(SpecError, match="accepts the two-level "
                                             "'hierarchical' topology only"):

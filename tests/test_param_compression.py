@@ -15,6 +15,7 @@ from repro.compress.param_delta import ParameterDeltaCodec
 from repro.compress.registry import get_compressor
 from repro.core.callbacks import Callback
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.core.cost_model import CostModel
 from repro.core.features import RunFeatures
 from repro.core.flatten import flatten_parameters
 from repro.core.timeline import SyncReport
@@ -103,6 +104,23 @@ class LegacyLocalSGDReference(LocalSGDStrategy):
         for row, result in zip(param_rows, results):
             row[...] = result
         return report
+
+
+class TestParameterPhaseIsPriced:
+    @pytest.mark.parametrize("sync", [
+        {"strategy": "local_sgd", "period": 2, "parameter_compression": "topk"},
+        {"strategy": "gossip", "topology": "ring", "parameter_compression": "topk"},
+    ], ids=["local_sgd", "gossip"])
+    def test_codec_paths_price_the_codec_algorithm(self, sync):
+        """The codec's compressor, not the gradient one, prices the phase."""
+        recorder = ReportRecorder()
+        trainer = DistributedTrainer(make_config("fnn3", 4, sync=sync, iterations=4),
+                                     callbacks=[recorder])
+        trainer.train()
+        price = CostModel().compression.compression_time("topk", trainer.num_parameters)
+        exchanged = [r for r in recorder.reports if r.exchange != "local"]
+        assert exchanged
+        assert all(r.compression_time_s == price for r in exchanged)
 
 
 GOSSIP_NONE = {"strategy": "gossip", "topology": "ring",

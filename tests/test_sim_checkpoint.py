@@ -133,12 +133,6 @@ class TestResumedTrajectoriesAreBitIdentical:
                   num_train=800, num_test=160, seq_len=8, batch_size=None)
         original = make_trainer(**lm)
         resumed = make_trainer(**lm)
-        # Without a fault layer the clock folds in *measured* compression
-        # kernel seconds; the deterministic clock (the one the fault layer
-        # uses) prices modeled time only, so the comparison below does not
-        # depend on the machine.
-        original.lockstep_sim.deterministic = True
-        resumed.lockstep_sim.deterministic = True
         original.train()
         path = save_checkpoint(original, tmp_path / "ckpt.npz")
         load_checkpoint(resumed, path)

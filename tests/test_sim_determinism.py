@@ -2,10 +2,13 @@
 must reproduce the exact event timeline and bit-identical final parameters
 across world sizes (satellite: clock-seed determinism)."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.core import DistributedTrainer, TrainerConfig
+from repro.analysis import time_to_accuracy_sweep
+from repro.core import DistributedTrainer, ExperimentSpec, TrainerConfig, run_experiment
 from repro.core.flatten import flatten_parameters
 
 
@@ -60,3 +63,30 @@ class TestClockSeedDeterminism:
         # Event times are the clock's pop order: non-decreasing.
         times = [when for when, _ in report.events]
         assert times == sorted(times)
+
+
+LOGNORMAL = {"name": "lognormal", "sigma": 0.5}
+
+
+class TestLockstepClockIsAPureFunctionOfTheSeeds:
+    """Compression is priced, not timed, so a healthy seeded lockstep run's
+    clock repeats byte for byte (qsgd: the priciest kernel)."""
+
+    def test_sim_report_is_byte_identical_across_runs(self):
+        spec = ExperimentSpec(model="fnn3", preset="tiny", algorithm="qsgd",
+                              world_size=4, epochs=2, batch_size=4,
+                              max_iterations_per_epoch=3, num_train=128,
+                              num_test=32, seed=0, compute_model=LOGNORMAL,
+                              clock_seed=11)
+        first, second = (json.dumps(run_experiment(spec).sim, sort_keys=True)
+                         for _ in range(2))
+        assert first == second
+
+    def test_time_to_accuracy_sweep_is_byte_identical_across_runs(self):
+        def sweep():
+            return json.dumps(time_to_accuracy_sweep(
+                model="fnn3", algorithm="qsgd", world_size=4, epochs=2,
+                max_iterations_per_epoch=3, compute_model=LOGNORMAL,
+                clock_seed=3, sync_setups={"allreduce": {"strategy": "allreduce"}}),
+                sort_keys=True)
+        assert sweep() == sweep()
