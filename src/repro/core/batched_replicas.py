@@ -557,7 +557,9 @@ def build_replica_executor(replicas: Sequence[Module], world: WorldFlatBuffers,
     other classifiers with full ``forward_batched`` coverage get the generic
     :class:`BatchedAutogradExecutor`; language models get
     :class:`BatchedLanguageModelExecutor`.  ``None`` means the trainer should
-    run the per-replica autograd loop (still through the flat buffers).
+    run the per-replica autograd loop (still through the flat buffers); the
+    async engine, which calls this once per rank on a P = 1 row of the world,
+    refuses such a model.
     """
     model = replicas[0]
     if task == "classification":

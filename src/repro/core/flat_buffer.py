@@ -235,6 +235,20 @@ class WorldFlatBuffers:
         """The stacked ``(P, n)`` gradient operand (zero-copy)."""
         return self.grad_matrix
 
+    def row(self, rank: int) -> "WorldFlatBuffers":
+        """Rank ``rank`` as a P = 1 world over the same storage.
+
+        Its ``(1, n)`` matrices are views of row ``rank`` and its one replica
+        buffer is that rank's own, so an executor built on it reads and writes
+        the world's rows in place; nothing is copied or re-adopted.
+        """
+        view = object.__new__(WorldFlatBuffers)
+        view.layout = self.layout
+        view.param_matrix = self.param_matrix[rank:rank + 1]
+        view.grad_matrix = self.grad_matrix[rank:rank + 1]
+        view.replica_buffers = self.replica_buffers[rank:rank + 1]
+        return view
+
     def stacked_param_view(self, index: int) -> np.ndarray:
         """Parameter ``index`` of every replica as one ``(P, *shape)`` view."""
         offset, size, shape = list(self.layout.segments())[index]

@@ -229,8 +229,9 @@ class DistributedTrainer:
         self.flat_world: WorldFlatBuffers = self.backend.create_world(self.replicas)
         self._velocity_matrix = np.zeros_like(self.flat_world.param_matrix)
         self._step_scratch = np.empty_like(self.flat_world.param_matrix)
-        # The batched executor stacks all ranks into one graph — the async
-        # event loop computes one rank at a time, eagerly.
+        # The lockstep executor stacks all ranks into one graph.  Async runs
+        # leave it None: the event loop steps one rank at a time through its
+        # own P = 1 executor over that rank's row (SimulationEngine).
         self.executor = None if self.is_async \
             else self.backend.create_executor(self)
 
@@ -383,10 +384,10 @@ class DistributedTrainer:
     def _replica_step(self, rank: int, inputs, targets, state=None) -> tuple:
         """Forward → cross-entropy → backward → detach on one replica.
 
-        The one per-replica step: the executor-less fallback (ragged LM
-        shards) and the async engine's per-event gradient both call it.  The
-        caller zeroes the gradients; returns ``(loss, carried BPTT state or
-        None)``.
+        The lockstep executor-less fallback's per-replica step (ragged LM
+        shards; the per-rank oracle trainer runs it too).  The async engine
+        does not: it replays a P = 1 executor per rank.  The caller zeroes
+        the gradients; returns ``(loss, carried BPTT state or None)``.
         """
         replica = self.replicas[rank]
         if self.spec.task == "language_model":

@@ -76,6 +76,4 @@ class DataLoader:
         self._epoch += 1
         limit = (n // self.batch_size) * self.batch_size if self.drop_last else n
         for start in range(0, limit, self.batch_size):
-            idx = order[start:start + self.batch_size]
-            xs, ys = zip(*(self.dataset[int(i)] for i in idx))
-            yield np.stack(xs), np.asarray(ys)
+            yield self.dataset[order[start:start + self.batch_size]]

@@ -13,7 +13,11 @@ class Dataset:
     def __len__(self) -> int:
         raise NotImplementedError
 
-    def __getitem__(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
+    def __getitem__(self, index) -> Tuple[np.ndarray, np.ndarray]:
+        """One example for an integer ``index``; for an integer index array,
+        the stacked batch ``(inputs[index], targets[index])`` in that order —
+        :class:`~repro.data.dataloader.DataLoader` gathers each batch with one
+        such call."""
         raise NotImplementedError
 
 
@@ -40,7 +44,7 @@ class ArrayDataset(Dataset):
     def __len__(self) -> int:
         return len(self.inputs)
 
-    def __getitem__(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
+    def __getitem__(self, index) -> Tuple[np.ndarray, np.ndarray]:
         return self.inputs[index], self.targets[index]
 
     def subset(self, indices: np.ndarray) -> "ArrayDataset":

@@ -181,6 +181,32 @@ class TestShardingAndLoader:
         assert len(batches) == 3
         assert batches[-1][0].shape[0] == 2
 
+    @pytest.mark.parametrize("shuffle", [True, False])
+    @pytest.mark.parametrize("drop_last", [True, False])
+    def test_dataloader_gathers_like_the_per_sample_stack(self, drop_last, shuffle):
+        # One fancy-index gather per batch reproduces the per-sample
+        # __getitem__ + np.stack batches byte for byte: values, dtype, shape
+        # and order, over two passes of the shuffle stream.
+        rng = np.random.default_rng(3)
+        ds = ArrayDataset(rng.standard_normal((23, 1, 3, 2)).astype(np.float32),
+                          rng.integers(0, 10, 23).astype(np.int32))
+        loader = DataLoader(ds, batch_size=5, shuffle=shuffle, drop_last=drop_last,
+                            rng=np.random.default_rng(11))
+        order_rng = np.random.default_rng(11)
+        limit = 20 if drop_last else 23
+        for _ in range(2):
+            order = order_rng.permutation(23) if shuffle else np.arange(23)
+            expected = []
+            for start in range(0, limit, 5):
+                xs, ys = zip(*(ds[int(i)] for i in order[start:start + 5]))
+                expected.append((np.stack(xs), np.asarray(ys)))
+            batches = list(loader)
+            assert len(batches) == len(expected) == len(loader)
+            for batch, reference in zip(batches, expected):
+                for got, want in zip(batch, reference):
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes()
+
     def test_dataloader_shuffle_changes_order_but_not_content(self):
         ds = ArrayDataset(np.arange(20).reshape(20, 1), np.arange(20))
         loader = DataLoader(ds, batch_size=20, shuffle=True,

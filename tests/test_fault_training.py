@@ -9,12 +9,14 @@ import math
 import numpy as np
 import pytest
 
+from repro.backends import base as backends_base
+from repro.core import batched_replicas
 from repro.core import (DistributedTrainer, TrainerConfig, load_checkpoint,
                         save_checkpoint)
 from repro.core.callbacks import Callback
 from repro.core.flatten import flatten_parameters
+from repro.sim import engine as sim_engine
 
-from tests.reference_trainer import ReferenceTrainer
 
 
 class StopAfterEpoch(Callback):
@@ -181,32 +183,43 @@ class TestFaultDeterminism:
                                       final_params(second))
         assert first.simulated_time_s == second.simulated_time_s
 
-    def test_async_and_lockstep_share_the_replica_step_and_the_resync(self, monkeypatch):
-        # The per-replica forward/backward and the rejoin re-sync are written
-        # once on the trainer; the async engine and the lockstep per-rank
-        # reference must both go through them (a re-forked copy would stop
-        # counting here).
-        calls = {"_replica_step": 0, "_rejoin_rank": 0}
+    def test_async_and_lockstep_share_the_executor_builder_and_the_resync(
+            self, monkeypatch):
+        # The executor selection rule and the rejoin re-sync are written
+        # once; the lockstep trainer (one stacked P = 4 executor) and the
+        # async engine (one P = 1 executor per rank over its world row) must
+        # both go through them, and every gradient must come from those
+        # executors (a re-forked copy would stop counting here).
+        built, rejoined = [], []
+        original_build = batched_replicas.build_replica_executor
+        original_rejoin = DistributedTrainer._rejoin_rank
 
-        def counting(name):
-            original = getattr(DistributedTrainer, name)
+        def counting_build(replicas, world, task):
+            built.append(world.world_size)
+            return original_build(replicas, world, task)
 
-            def wrapper(self, *args, **kwargs):
-                calls[name] += 1
-                return original(self, *args, **kwargs)
-            return wrapper
+        def counting_rejoin(self, rank):
+            rejoined.append(rank)
+            return original_rejoin(self, rank)
 
-        for name in calls:
-            monkeypatch.setattr(DistributedTrainer, name, counting(name))
-        for trainer_cls, overrides in ((DistributedTrainer, STRATEGIES["async_ps"]),
-                                       (ReferenceTrainer, {})):
-            calls.update(_replica_step=0, _rejoin_rank=0)
-            trainer = trainer_cls(make_config(faults=FAULTS["blackout"], fault_seed=9,
-                                              epochs=3, **overrides))
+        monkeypatch.setattr(backends_base, "build_replica_executor", counting_build)
+        monkeypatch.setattr(sim_engine, "build_replica_executor", counting_build)
+        monkeypatch.setattr(DistributedTrainer, "_rejoin_rank", counting_rejoin)
+        for overrides, world_sizes in ((STRATEGIES["async_ps"], [1, 1, 1, 1]),
+                                       (STRATEGIES["allreduce"], [4])):
+            built.clear()
+            rejoined.clear()
+            trainer = make_trainer(faults=FAULTS["blackout"], fault_seed=9,
+                                   epochs=3, **overrides)
+            assert built == world_sizes
             trainer.train()
             rejoins = sum(trainer.fault_injector.report.rejoins_per_rank)
-            assert rejoins > 0 and calls["_rejoin_rank"] == rejoins
-            assert calls["_replica_step"] >= trainer.timeline.iterations > 0
+            assert rejoins > 0 and len(rejoined) == rejoins
+            executors = trainer.sim_engine._executors if trainer.is_async \
+                else [trainer.executor]
+            runs = sum(executor.tape_stats["recorded"] + executor.tape_stats["replays"]
+                       for executor in executors)
+            assert runs == trainer.timeline.iterations > 0
 
     def test_fault_timeline_is_world_size_invariant(self):
         # Per-rank schedule streams never involve world_size: rank r's

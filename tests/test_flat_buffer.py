@@ -133,6 +133,20 @@ class TestWorldFlatBuffers:
         stacked[2] = 7.0
         assert np.all(world.param_matrix[2][:stacked[2].size] == 7.0)
 
+    def test_row_is_a_p1_world_over_the_same_storage(self):
+        replicas = [small_model() for _ in range(3)]
+        world = WorldFlatBuffers(replicas)
+        before = world.param_matrix.copy()
+        row = world.row(1)
+        assert (row.world_size, row.num_parameters) == (1, world.num_parameters)
+        assert row.replica_buffers == [world.replica_buffers[1]]
+        assert np.shares_memory(row.param_matrix, world.param_matrix[1])
+        assert np.shares_memory(row.grad_matrix, world.grad_matrix[1])
+        np.testing.assert_array_equal(world.param_matrix, before)  # not re-adopted
+        row.stacked_grad_view(0)[0] = 3.0
+        assert np.all(world.grad_matrix[1][:12] == 3.0)
+        assert not world.grad_matrix[[0, 2]].any()
+
 
 class TestCheckpointThroughFlatBuffers:
     def make_trainer(self, **overrides):

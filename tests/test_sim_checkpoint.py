@@ -45,6 +45,11 @@ SETUPS = {
     "async_ps": {"sync": {"strategy": "async_ps",
                           "strategy_kwargs": {"staleness_penalty": 0.9}}},
     "easgd": {"sync": {"strategy": "easgd", "period": 2}},
+    # Nine steps per column make one BPTT window per pass, so no carried
+    # state is live at the checkpoint (a resumed LM restarts its windows).
+    "async_ps-lstm_ptb": {"model": "lstm_ptb", "algorithm": "a2sgd",
+                          "num_train": 576, "num_test": 160, "seq_len": 8,
+                          "batch_size": None, "sync": {"strategy": "async_ps"}},
 }
 
 
@@ -85,6 +90,9 @@ class TestResumedTrajectoriesAreBitIdentical:
         assert resumed.metrics.train_loss == uninterrupted.metrics.train_loss
         assert resumed.metrics.simulated_time_s == \
             uninterrupted.metrics.simulated_time_s
+        # The resumed engine recorded each rank's program afresh.
+        assert [executor.tape_stats["recorded"]
+                for executor in resumed.sim_engine._executors] == [1, 1]
 
     def test_async_ps_server_state_round_trips(self, tmp_path):
         trainer = make_trainer(stop_after=1, **SETUPS["async_ps"])

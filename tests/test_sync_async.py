@@ -371,6 +371,100 @@ class TestEndToEnd:
 
 
 # --------------------------------------------------------------------- #
+# the engine's per-rank executors
+# --------------------------------------------------------------------- #
+LM = dict(model="lstm_ptb", algorithm="a2sgd", num_train=2000, num_test=160,
+          seq_len=8)
+
+
+def engine_and_lockstep(**overrides):
+    """An async_ps trainer and a lockstep trainer over one perturbed world:
+    the same distinct parameter row per rank in both."""
+    lockstep = DistributedTrainer(make_config(**overrides))
+    engine_trainer = DistributedTrainer(make_config(sync={"strategy": "async_ps"},
+                                                    **overrides))
+    noise = np.random.default_rng(5).standard_normal(
+        lockstep.flat_world.param_matrix.shape).astype(np.float32) * 1e-2
+    for trainer in (lockstep, engine_trainer):
+        trainer.flat_world.param_matrix += noise
+    return engine_trainer, lockstep
+
+
+def assert_events_match_lockstep(iterations: int, **overrides):
+    """Each engine event's gradient, loss and carried state for rank r equal
+    row r of the lockstep trainer's stage-1 pass on the same batches, bit for
+    bit, over ``iterations`` consecutive iterations (BPTT windows for an LM);
+    so do the replicas' buffers afterwards."""
+    engine_trainer, lockstep = engine_and_lockstep(**overrides)
+    engine = engine_trainer.sim_engine
+    iterators = lockstep._epoch_iterators()
+    batches = [lockstep._next_batches(iterators) for _ in range(iterations)]
+    engine._iterators = [iter([window[rank] for window in batches])
+                         for rank in range(len(batches[0]))]
+    states = None
+    for window in batches:
+        G, _, states = lockstep._gradients(window, states)
+        for rank in range(len(window)):
+            loss = engine._compute_gradient(rank)
+            assert loss == lockstep._last_losses[rank]
+            assert np.array_equal(engine.grad_matrix[rank], G[rank])
+            carried = engine._lm_states[rank]
+            if carried is not None:
+                # Stacked lockstep state, or the per-rank loop's own state.
+                rows = [(h.data[rank], c.data[rank]) for h, c in states] \
+                    if lockstep.executor is not None \
+                    else [(h.data, c.data) for h, c in states[rank]]
+                for (h, c), (h_ref, c_ref) in zip(carried, rows):
+                    assert np.array_equal(h.data[0], h_ref)
+                    assert np.array_equal(c.data[0], c_ref)
+    for mine, reference in zip(engine_trainer.replicas, lockstep.replicas):
+        for (name, buffer), (_, expected) in zip(mine.named_buffers(),
+                                                 reference.named_buffers()):
+            assert np.array_equal(buffer, expected), name
+    return engine_trainer, lockstep
+
+
+class TestPerRankExecutors:
+    """The async engine steps a rank through the executor the lockstep path
+    builds, at P = 1 on that rank's row of the world."""
+
+    @pytest.mark.parametrize("model", ["fnn3", "resnet20"])
+    def test_event_gradient_is_the_lockstep_row(self, model):
+        engine_trainer, _ = assert_events_match_lockstep(
+            iterations=2, model=model, world_size=4)
+        if model == "resnet20":
+            # The running stats compared equal above have really moved.
+            fresh = dict(engine_trainer.spec.build(seed=0).named_buffers())
+            assert all(not np.array_equal(buffer, fresh[name]) for name, buffer
+                       in engine_trainer.replicas[0].named_buffers())
+
+    def test_lm_event_carries_a_stacked_state_across_windows(self):
+        engine_trainer, lockstep = assert_events_match_lockstep(
+            iterations=2, world_size=4, batch_size=4, **LM)
+        assert lockstep.executor is not None
+        assert all(state is not None for state in engine_trainer.sim_engine._lm_states)
+
+    def test_lm_with_uneven_shards_runs_one_executor_per_rank(self):
+        # 64 columns over 3 ranks: 22 / 21 / 21.  The lockstep trainer falls
+        # back to its per-replica loop; each engine rank replays its own
+        # recorded window shape, bit for bit with that loop.
+        engine_trainer, lockstep = assert_events_match_lockstep(
+            iterations=2, world_size=3, batch_size=None, **LM)
+        assert lockstep.executor is None
+        assert [shard.batch_size for shard in engine_trainer.lm_shards] == [22, 21, 21]
+        assert [executor.tape_stats["recorded"]
+                for executor in engine_trainer.sim_engine._executors] == [1, 1, 1]
+
+    def test_lm_with_uneven_shards_trains(self):
+        trainer = DistributedTrainer(make_config(
+            world_size=3, batch_size=None, sync={"strategy": "async_ps"}, **LM))
+        trainer.train()
+        assert np.isfinite(trainer.metrics.train_loss[-1])
+        assert sum(executor.tape_stats["replays"]
+                   for executor in trainer.sim_engine._executors) > 0
+
+
+# --------------------------------------------------------------------- #
 # acceptance pins
 # --------------------------------------------------------------------- #
 class TestAcceptance:
