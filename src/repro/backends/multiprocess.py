@@ -57,6 +57,7 @@ import numpy as np
 
 from repro.backends.base import EXECUTION_BACKENDS, ExecutionBackend
 from repro.backends.shm import BarrierTimeout, SharedMemoryArena, ShmBarrier
+from repro.core.batched_replicas import replica_executor_class
 from repro.core.flat_buffer import (
     FlatLayout,
     WorldFlatBuffers,
@@ -266,6 +267,9 @@ class MultiprocessingBackend(ExecutionBackend):
         return world
 
     def create_executor(self, trainer) -> _MultiprocessExecutor:
+        # The workers build their executors after the fork; a model without
+        # one must fail here, in the constructor, not as a dead worker.
+        replica_executor_class(trainer.replicas[0], trainer.spec.task)
         return _MultiprocessExecutor(self, model=trainer.config.model,
                                      preset=trainer.config.preset,
                                      seed=trainer.config.seed)

@@ -34,9 +34,11 @@ arithmetic — so LSTM/conv gradients are bit-identical to the per-replica
 autograd loop while paying one Python graph instead of ``P``.
 :class:`BatchedAutogradExecutor` covers classifiers (ResNet, VGG, and any
 model exposing ``forward_batched``), :class:`BatchedLanguageModelExecutor`
-covers the LSTM language model with stacked truncated-BPTT state.  Models
-with unsupported layers (e.g. active dropout) fall back to the per-replica
-autograd loop — still through the flat buffers.
+covers the LSTM language model with stacked truncated-BPTT state.  A model
+with a layer lacking ``forward_batched`` has no executor:
+:func:`build_replica_executor` raises, naming the layer types.
+:class:`RankExecutors` runs one P = 1 executor per rank (the async engine,
+and lockstep language models whose shards differ in width).
 
 Every executor keeps per-input-signature state across iterations: the two
 autograd executors record their batched graph on a
@@ -341,16 +343,6 @@ class ReplicaStack:
             buffers.attach_grads()
 
 
-def supports_batched_forward(model: Module) -> bool:
-    """Whether every module in the tree provides a ``forward_batched`` mirror.
-
-    Layers without one (e.g. active :class:`~repro.nn.Dropout`, whose
-    per-replica mask generators a batched pass cannot reproduce in order)
-    force the trainer back to the per-replica autograd loop.
-    """
-    return all(hasattr(type(module), "forward_batched") for module in model.modules())
-
-
 class _GraphRecording:
     """One recorded iteration: the replayer plus the swappable input buffers."""
 
@@ -423,9 +415,6 @@ class BatchedAutogradExecutor:
     """
 
     def __init__(self, replicas: Sequence[Module], world: WorldFlatBuffers):
-        if not supports_batched_forward(replicas[0]):
-            raise ValueError(f"{type(replicas[0]).__name__} has layers without a "
-                             "batched forward; use the per-replica loop")
         self.stack = ReplicaStack(replicas, world)
         self.model = replicas[0]
         self.world = world
@@ -433,11 +422,6 @@ class BatchedAutogradExecutor:
         #: recorded an unreplayable op (permanent eager fallback).
         self._recordings: Dict[Tuple[int, ...], Optional[_GraphRecording]] = {}
         self.tape_stats: Dict[str, int] = {"recorded": 0, "replays": 0, "eager": 0}
-
-    @staticmethod
-    def supports(model: Module) -> bool:
-        """Whether the generic batched executor can run the model."""
-        return supports_batched_forward(model)
 
     def forward_backward(self, inputs: np.ndarray, targets: np.ndarray) -> List[float]:
         """Cross-entropy forward + backward for every replica at once.
@@ -485,29 +469,19 @@ class BatchedLanguageModelExecutor:
     """
 
     def __init__(self, replicas: Sequence[Module], world: WorldFlatBuffers):
-        model = replicas[0]
-        if not self.supports(model):
-            raise ValueError(f"{type(model).__name__} has layers without a "
-                             "batched forward; use the per-replica loop")
         self.stack = ReplicaStack(replicas, world)
-        self.model = model
+        self.model = replicas[0]
         self.world = world
         self._recordings: Dict[Tuple[int, ...], Optional[_GraphRecording]] = {}
         self.tape_stats: Dict[str, int] = {"recorded": 0, "replays": 0, "eager": 0}
-
-    @staticmethod
-    def supports(model: Module) -> bool:
-        """Batched LM execution needs a state-threading ``forward_batched``."""
-        return (supports_batched_forward(model)
-                and hasattr(type(model), "detach_state"))
 
     def forward_backward(self, tokens: np.ndarray, targets: np.ndarray,
                          state) -> Tuple[List[float], object]:
         """One BPTT window for every replica at once.
 
-        ``tokens``/``targets`` are stacked ``(P, T, N)`` integer batches;
-        ``state`` is ``None`` at an epoch start or whatever the previous call
-        returned.  Returns the per-replica mean losses and the detached
+        ``tokens``/``targets`` are stacked ``(P, T, N)`` integer batches (an
+        array or ``P`` equally-shaped per-rank arrays); ``state`` is ``None``
+        at an epoch start or whatever the previous call returned.  Returns the per-replica mean losses and the detached
         stacked state for the next window.
         """
         P = self.stack.world_size
@@ -549,23 +523,87 @@ class BatchedLanguageModelExecutor:
         return losses, self.model.detach_state(new_state)
 
 
+def replica_executor_class(model: Module, task: str) -> type:
+    """The executor class :func:`build_replica_executor` picks for ``model``.
+
+    Classification MLPs get the hand-derived :class:`BatchedReplicaExecutor`,
+    other classifiers the generic :class:`BatchedAutogradExecutor`, language
+    models :class:`BatchedLanguageModelExecutor`.  A model with no executor
+    raises one ``ValueError`` naming the layer types that lack
+    ``forward_batched`` — the check a backend runs before it spawns anything.
+    """
+    if task == "classification" and BatchedReplicaExecutor.supports(model):
+        return BatchedReplicaExecutor
+    # E.g. nn.Dropout: a stacked pass cannot draw the per-replica masks in
+    # the order each replica's own generator would.
+    missing = sorted({type(module).__name__ for module in model.modules()
+                      if not hasattr(type(module), "forward_batched")})
+    if missing:
+        raise ValueError(f"model {type(model).__name__} has no batched executor: "
+                         f"{', '.join(missing)} lack forward_batched")
+    if task == "classification":
+        return BatchedAutogradExecutor
+    if task == "language_model":
+        if not hasattr(type(model), "detach_state"):
+            raise ValueError(f"language model {type(model).__name__} has no "
+                             "batched executor: it lacks detach_state")
+        return BatchedLanguageModelExecutor
+    raise ValueError(f"unknown task {task!r}")
+
+
 def build_replica_executor(replicas: Sequence[Module], world: WorldFlatBuffers,
                            task: str):
-    """Pick the fastest batched executor the model supports, else ``None``.
+    """The fastest batched executor over ``replicas`` and their ``world``.
 
-    Classification MLPs get the hand-derived :class:`BatchedReplicaExecutor`;
-    other classifiers with full ``forward_batched`` coverage get the generic
-    :class:`BatchedAutogradExecutor`; language models get
-    :class:`BatchedLanguageModelExecutor`.  ``None`` means the trainer should
-    run the per-replica autograd loop (still through the flat buffers); the
-    async engine, which calls this once per rank on a P = 1 row of the world,
-    refuses such a model.
+    Never ``None``: see :func:`replica_executor_class` for the selection
+    rule and the ``ValueError`` an unsupported model raises.
     """
-    model = replicas[0]
-    if task == "classification":
-        for cls in (BatchedReplicaExecutor, BatchedAutogradExecutor):
-            if cls.supports(model):
-                return cls(replicas, world)
-    elif task == "language_model" and BatchedLanguageModelExecutor.supports(model):
-        return BatchedLanguageModelExecutor(replicas, world)
-    return None
+    return replica_executor_class(replicas[0], task)(replicas, world)
+
+
+class RankExecutors:
+    """One P = 1 executor per rank, each over that rank's row of the world.
+
+    Built by the rule of :func:`build_replica_executor` on
+    :meth:`WorldFlatBuffers.row`, so a rank replays the program recorded for
+    its own batch shape and writes its gradient row in place.  The async
+    engine steps one rank per event (:meth:`step`); the lockstep trainer runs
+    every rank in turn (:meth:`forward_backward`) when language-model shards
+    differ in width and cannot be stacked.
+    """
+
+    def __init__(self, replicas: Sequence[Module], world: WorldFlatBuffers,
+                 task: str):
+        self.task = task
+        self.executors = [build_replica_executor([replica], world.row(rank), task)
+                          for rank, replica in enumerate(replicas)]
+
+    def step(self, rank: int, inputs: np.ndarray, targets: np.ndarray,
+             state=None) -> Tuple[float, object]:
+        """Rank ``rank``'s forward/backward on its own batch.
+
+        Returns its loss and the carried stacked P = 1 BPTT state (``state``
+        is that rank's previous one, ``None`` at an epoch start; classifiers
+        carry none).
+        """
+        executor = self.executors[rank]
+        if self.task == "language_model":
+            losses, state = executor.forward_backward(inputs[None], targets[None], state)
+        else:
+            losses = executor.forward_backward(inputs[None], targets[None])
+        return losses[0], state
+
+    def forward_backward(self, inputs: Sequence[np.ndarray],
+                         targets: Sequence[np.ndarray],
+                         states=None) -> Tuple[List[float], List]:
+        """Every rank in turn: per-rank batches in, per-rank losses and the
+        per-rank carried states out (``states`` is ``None`` at an epoch
+        start) — :class:`BatchedLanguageModelExecutor`'s contract."""
+        if states is None:
+            states = [None] * len(self.executors)
+        losses, carried = [], []
+        for rank, (x, y, state) in enumerate(zip(inputs, targets, states)):
+            loss, state = self.step(rank, x, y, state)
+            losses.append(loss)
+            carried.append(state)
+        return losses, carried

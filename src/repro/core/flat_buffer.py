@@ -14,8 +14,7 @@ iteration.  This module removes those copies structurally:
   *adopted*: each ``Parameter.data`` is re-pointed at a strided view of the
   flat vector, and each ``Parameter.grad`` is *pinned*
   (:meth:`repro.tensor.Tensor.pin_grad`) to a view of the gradient vector, so
-  autograd accumulates directly into flat storage and
-  ``flatten_gradients`` / ``unflatten_into_gradients`` become no-ops.
+  autograd accumulates directly into flat storage.
 * :class:`WorldFlatBuffers` stacks the per-replica vectors as rows of one
   ``(P, n)`` matrix, which is exactly the batched-gradient operand the
   ``compress_batch`` kernels and the fused optimizer step consume — the
@@ -118,15 +117,14 @@ class ModelFlatBuffers:
                 raise ValueError("flat stores must be float32 vectors of the layout size")
 
         self.parameters: List[Parameter] = [p for _, p in model.named_parameters()]
-        self._param_views = segment_views(self.params, self.layout)
         self._grad_views = segment_views(self.grads, self.layout)
-        for param, pview, gview in zip(self.parameters, self._param_views, self._grad_views):
+        for param, pview, gview in zip(self.parameters,
+                                       segment_views(self.params, self.layout),
+                                       self._grad_views):
             if adopt_values:
                 pview[...] = param.data        # adopt current values
             param.data = pview                 # re-point at flat storage
             param.pin_grad(gview)              # autograd writes into flat storage
-        # Let core.flatten recognise adopted models and skip the copy loops.
-        model._flat_buffers = self
 
     # ------------------------------------------------------------------ #
     def zero_grads(self) -> None:
@@ -134,24 +132,6 @@ class ModelFlatBuffers:
         self.grads.fill(0.0)
         for param in self.parameters:
             param.grad = None
-
-    def grad_vector(self) -> np.ndarray:
-        """The flat gradient vector (zero-copy).
-
-        Parameters that received no gradient since :meth:`zero_grads`
-        contribute zeros, matching ``flatten_gradients(missing_as_zero=True)``.
-        """
-        return self.grads
-
-    def set_grad_vector(self, flat: np.ndarray) -> None:
-        """Write a flat gradient back (the fused ``unflatten_into_gradients``).
-
-        Also re-attaches every parameter's pinned view so ``param.grad``
-        reflects the written values.
-        """
-        self.grads[...] = flat
-        for param, gview in zip(self.parameters, self._grad_views):
-            param.grad = gview
 
     def attach_grads(self) -> None:
         """Point every ``param.grad`` at its pinned flat view.
@@ -161,16 +141,6 @@ class ModelFlatBuffers:
         """
         for param, gview in zip(self.parameters, self._grad_views):
             param.grad = gview
-
-    def param_vector(self) -> np.ndarray:
-        """The flat parameter vector (zero-copy; mutating it moves the model)."""
-        return self.params
-
-    def param_view(self, index: int) -> np.ndarray:
-        return self._param_views[index]
-
-    def grad_view(self, index: int) -> np.ndarray:
-        return self._grad_views[index]
 
 
 class WorldFlatBuffers:
@@ -230,10 +200,6 @@ class WorldFlatBuffers:
         for buffers in self.replica_buffers:
             for param in buffers.parameters:
                 param.grad = None
-
-    def grad_matrix_view(self) -> np.ndarray:
-        """The stacked ``(P, n)`` gradient operand (zero-copy)."""
-        return self.grad_matrix
 
     def row(self, rank: int) -> "WorldFlatBuffers":
         """Rank ``rank`` as a P = 1 world over the same storage.

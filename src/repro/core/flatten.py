@@ -10,35 +10,20 @@ the mapping is stable across workers and iterations.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module
 
 
-def _flat_buffers(model: Module):
-    """The model's adopted flat storage, if it has one (see core.flat_buffer)."""
-    return getattr(model, "_flat_buffers", None)
-
-
-def flatten_gradients(model: Module, missing_as_zero: bool = True,
-                      copy: bool = True) -> np.ndarray:
+def flatten_gradients(model: Module, missing_as_zero: bool = True) -> np.ndarray:
     """Concatenate all parameter gradients into one float32 vector.
 
     Parameters without a gradient contribute zeros when ``missing_as_zero``
     (e.g. layers unused in a particular forward pass); otherwise a missing
     gradient raises.
-
-    For models adopted by :class:`repro.core.flat_buffer.ModelFlatBuffers`
-    the gradients already live in one contiguous vector; in that case this is
-    a single vectorized copy, or zero-copy with ``copy=False`` (the returned
-    array is then the live storage — treat it as read-only).
     """
-    buffers = _flat_buffers(model)
-    if buffers is not None and all(p.grad is buffers.grad_view(i)
-                                   for i, p in enumerate(buffers.parameters)):
-        return buffers.grads.copy() if copy else buffers.grads
     pieces: List[np.ndarray] = []
     for name, param in model.named_parameters():
         if param.grad is None:
@@ -52,29 +37,14 @@ def flatten_gradients(model: Module, missing_as_zero: bool = True,
     return np.concatenate(pieces)
 
 
-def flatten_parameters(model: Module, copy: bool = True) -> np.ndarray:
-    """Concatenate all parameter values into one float32 vector.
-
-    Adopted models (see :mod:`repro.core.flat_buffer`) already store their
-    parameters contiguously, so this is one vectorized copy — or zero-copy
-    with ``copy=False`` (mutating the result then moves the model).
-    """
-    buffers = _flat_buffers(model)
-    if buffers is not None:
-        return buffers.params.copy() if copy else buffers.params
+def flatten_parameters(model: Module) -> np.ndarray:
+    """Concatenate all parameter values into one float32 vector."""
     return np.concatenate([p.data.reshape(-1).astype(np.float32) for p in model.parameters()])
 
 
 def unflatten_into_gradients(model: Module, flat: np.ndarray) -> None:
     """Write a flat gradient vector back into ``param.grad`` slots."""
     flat = np.asarray(flat, dtype=np.float32)
-    buffers = _flat_buffers(model)
-    if buffers is not None:
-        if flat.size != buffers.grads.size:
-            raise ValueError(f"flat gradient has {flat.size} entries but the model "
-                             f"has {buffers.grads.size}")
-        buffers.set_grad_vector(flat.reshape(-1))
-        return
     offset = 0
     for param in model.parameters():
         size = param.size
@@ -90,13 +60,6 @@ def unflatten_into_gradients(model: Module, flat: np.ndarray) -> None:
 def unflatten_into_parameters(model: Module, flat: np.ndarray) -> None:
     """Write a flat parameter vector back into the model weights."""
     flat = np.asarray(flat, dtype=np.float32)
-    buffers = _flat_buffers(model)
-    if buffers is not None:
-        if flat.size != buffers.params.size:
-            raise ValueError(f"flat vector has {flat.size} entries but the model "
-                             f"has {buffers.params.size}")
-        buffers.params[...] = flat.reshape(-1)
-        return
     offset = 0
     for param in model.parameters():
         size = param.size
@@ -107,18 +70,3 @@ def unflatten_into_parameters(model: Module, flat: np.ndarray) -> None:
         offset += size
     if offset != flat.size:
         raise ValueError(f"flat vector has {flat.size} entries but the model has {offset}")
-
-
-def average_parameters(models: Sequence[Module]) -> None:
-    """Average the parameters of replicas in-place (Algorithm 1, lines 9–10).
-
-    At the end of training the paper performs one dense synchronization so all
-    workers share the same final model; this helper applies that step to the
-    simulated replicas.
-    """
-    if not models:
-        raise ValueError("no models to average")
-    flats = [flatten_parameters(m) for m in models]
-    mean = np.mean(np.stack(flats), axis=0)
-    for model in models:
-        unflatten_into_parameters(model, mean)

@@ -41,7 +41,7 @@ import numpy as np
 from repro.comm.inprocess import InProcessWorld
 from repro.comm.network_model import NetworkModel
 from repro.compress.registry import get_compressor
-from repro.core.batched_replicas import BatchedLanguageModelExecutor
+from repro.core.batched_replicas import RankExecutors
 from repro.core.callbacks import (
     Callback,
     CallbackList,
@@ -69,7 +69,6 @@ from repro.optim.registry import OPTIMIZERS
 from repro.optim.sgd import sgd_flat_update
 from repro.sim.engine import LockstepSimulator, SimulationEngine
 from repro.sync import SyncSpec, merge_reports
-from repro.tensor import Tensor, functional as F
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedSequenceFactory, replica_init_seed
 
@@ -229,18 +228,20 @@ class DistributedTrainer:
         self.flat_world: WorldFlatBuffers = self.backend.create_world(self.replicas)
         self._velocity_matrix = np.zeros_like(self.flat_world.param_matrix)
         self._step_scratch = np.empty_like(self.flat_world.param_matrix)
+        self._setup_data()
         # The lockstep executor stacks all ranks into one graph.  Async runs
         # leave it None: the event loop steps one rank at a time through its
-        # own P = 1 executor over that rank's row (SimulationEngine).
-        self.executor = None if self.is_async \
-            else self.backend.create_executor(self)
-
-        self._setup_data()
-        # The stacked LM executor needs every rank to contribute equally-shaped
-        # windows; uneven shards (batch not divisible by P) use the loop.
-        if (isinstance(self.executor, BatchedLanguageModelExecutor)
-                and len({shard.batch_size for shard in self.lm_shards}) != 1):
+        # own P = 1 executor over that rank's row (SimulationEngine).  LM
+        # shards of unequal width (batch not divisible by P) cannot be
+        # stacked, so each rank runs its own P = 1 executor in turn.
+        if self.is_async:
             self.executor = None
+        elif (self.spec.task == "language_model"
+              and len({shard.batch_size for shard in self.lm_shards}) != 1):
+            self.executor = RankExecutors(self.replicas, self.flat_world,
+                                          self.spec.task)
+        else:
+            self.executor = self.backend.create_executor(self)
         self.metrics = TrainingMetrics(metric_name=self.spec.metric)
         self.timeline = IterationTimeline()
         self._global_iteration = 0
@@ -380,54 +381,25 @@ class DistributedTrainer:
     # Each stage is written once over the flat ``(P, n)`` world and decides
     # the task itself, so the lockstep loop, ``analysis/perf_backend`` and the
     # test-tree per-rank oracle (tests/reference_trainer.py, which overrides
-    # two of them) make the same four calls.
-    def _replica_step(self, rank: int, inputs, targets, state=None) -> tuple:
-        """Forward → cross-entropy → backward → detach on one replica.
-
-        The lockstep executor-less fallback's per-replica step (ragged LM
-        shards; the per-rank oracle trainer runs it too).  The async engine
-        does not: it replays a P = 1 executor per rank.  The caller zeroes
-        the gradients; returns ``(loss, carried BPTT state or None)``.
-        """
-        replica = self.replicas[rank]
-        if self.spec.task == "language_model":
-            logits, state = replica(inputs, state)
-        else:
-            logits = replica(Tensor(inputs))
-        loss = F.cross_entropy(logits, targets)
-        loss.backward()
-        return loss.item(), None if state is None else replica.detach_state(state)
-
+    # the first three with per-rank loops) make the same four calls.
     def _gradients(self, batches: Sequence, states) -> tuple:
         """Stage 1 — every replica's local gradient (line 2).
 
-        Returns ``(G, mean loss, states)``: ``G`` is the flat ``(P, n)``
-        gradient matrix and ``states`` the carried BPTT state — one stacked
-        state under the batched executor, one entry per rank otherwise;
-        ``None`` at an epoch start, and classifiers never carry any.
+        One executor call writes every parameter's gradient into the flat
+        ``(P, n)`` matrix, so no zeroing pass is needed.  Returns ``(G, mean
+        loss, states)``: ``G`` is that matrix and ``states`` the carried BPTT
+        state — one stacked state, or one per rank under
+        :class:`RankExecutors`; ``None`` at an epoch start, and classifiers
+        never carry any.
         """
-        world = self.flat_world
-        if self.executor is not None:
-            # One graph for all replicas; the executor writes every
-            # parameter's gradient, so no zeroing pass is needed.
-            inputs = np.stack([batch[0] for batch in batches])
-            targets = np.stack([batch[1] for batch in batches])
-            if self.spec.task == "language_model":
-                losses, states = self.executor.forward_backward(inputs, targets, states)
-            else:
-                losses = self.executor.forward_backward(inputs, targets)
+        inputs = [batch[0] for batch in batches]
+        targets = [batch[1] for batch in batches]
+        if self.spec.task == "language_model":
+            losses, states = self.executor.forward_backward(inputs, targets, states)
         else:
-            # Per-replica loop; backward accumulates straight into the
-            # zeroed gradient matrix.
-            if states is None:
-                states = [None] * len(batches)
-            world.zero_grads()
-            losses = []
-            for rank, (inputs, targets) in enumerate(batches):
-                loss, states[rank] = self._replica_step(rank, inputs, targets, states[rank])
-                losses.append(loss)
+            losses = self.executor.forward_backward(np.stack(inputs), np.stack(targets))
         self._last_losses = np.asarray(losses, dtype=np.float64)
-        return world.grad_matrix, float(np.mean(losses)), states
+        return self.flat_world.grad_matrix, float(np.mean(losses)), states
 
     def _exchange(self, G) -> tuple:
         """Stage 2 — the strategy synchronizes the gradients (lines 3-6)."""

@@ -30,20 +30,16 @@ class LSTMLanguageModel(nn.Module):
         LSTM hidden state size.
     num_layers:
         Number of stacked LSTM layers.
-    dropout:
-        Dropout probability applied to the LSTM output.
     """
 
     def __init__(self, vocab_size: int = 10000, embedding_dim: int = 1500,
-                 hidden_size: int = 1500, num_layers: int = 2, dropout: float = 0.0,
-                 seed: int = 0):
+                 hidden_size: int = 1500, num_layers: int = 2, seed: int = 0):
         super().__init__()
         rng = new_rng("lstm_lm", vocab_size, hidden_size, seed=seed)
         self.embedding = nn.Embedding(vocab_size, embedding_dim,
                                       rng=np.random.default_rng(rng.integers(0, 2**63 - 1)))
         self.lstm = nn.LSTM(embedding_dim, hidden_size, num_layers,
                             rng=np.random.default_rng(rng.integers(0, 2**63 - 1)))
-        self.dropout = nn.Dropout(dropout) if dropout > 0 else None
         self.decoder = nn.Linear(hidden_size, vocab_size,
                                  rng=np.random.default_rng(rng.integers(0, 2**63 - 1)))
         self.vocab_size = int(vocab_size)
@@ -64,8 +60,6 @@ class LSTMLanguageModel(nn.Module):
             raise ValueError("tokens must have shape (seq_len, batch)")
         embedded = self.embedding(tokens)                     # (T, N, D)
         output, state = self.lstm(embedded, state)            # (T, N, H)
-        if self.dropout is not None:
-            output = self.dropout(output)
         flat = output.reshape(-1, self.hidden_size)            # (T*N, H)
         logits = self.decoder(flat)                            # (T*N, V)
         return logits, state
@@ -79,14 +73,10 @@ class LSTMLanguageModel(nn.Module):
         come from ``stack``'s ``(P, ...)`` views of the world's flat buffers.
         Returns logits ``(P, T*N, V)`` and the stacked LSTM state — each
         replica slice bit-identical to :meth:`forward` on that replica.
-        Dropout models fall back to the per-replica loop (masks are drawn from
-        per-replica generators whose order a batched pass cannot reproduce).
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 3:
             raise ValueError("stacked tokens must have shape (world_size, seq_len, batch)")
-        if self.dropout is not None:
-            raise ValueError("batched forward does not support dropout")
         embedded = self.embedding.forward_batched(tokens, stack)    # (P, T, N, D)
         output, state = self.lstm.forward_batched(embedded, state, stack)
         flat = output.reshape(output.shape[0], -1, self.hidden_size)  # (P, T*N, H)

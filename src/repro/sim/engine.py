@@ -6,9 +6,10 @@ Two integration points with the trainer:
   strategy ``is_async``.  Ranks advance at the heterogeneous speeds drawn
   from the compute-time model: the clock pops the earliest ``(time, rank)``
   completion event, that rank's gradient is computed (real numerics,
-  simulated duration) by the executor the lockstep path would build, run at
-  P = 1 on that rank's row of the flat world — the same recorded program,
-  one rank at a time — the strategy's :meth:`worker_step` performs
+  simulated duration) by its entry of
+  :class:`~repro.core.batched_replicas.RankExecutors` — the executor the
+  lockstep path would build, run at P = 1 on that rank's row of the flat
+  world — the strategy's :meth:`worker_step` performs
   the async numerics and prices its traffic through the α–β network model,
   and the rank's next completion is scheduled at
   ``event_time + compression + comm + stall + compute``.  Epoch semantics are
@@ -41,7 +42,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.batched_replicas import build_replica_executor
+from repro.core.batched_replicas import RankExecutors
 from repro.sim.clock import VirtualClock
 from repro.sim.compute import ComputeTimeModel
 from repro.sim.report import SimReport
@@ -72,13 +73,8 @@ class SimulationEngine:
         self._iterators = None
         #: One P = 1 executor per rank over its row of the world: each event
         #: replays that rank's recorded program and writes its gradient row.
-        world = trainer.flat_world
-        self._executors = [build_replica_executor([replica], world.row(rank),
-                                                  trainer.spec.task)
-                           for rank, replica in enumerate(trainer.replicas)]
-        if self._executors[0] is None:
-            raise ValueError(f"model {trainer.config.model!r} has no batched "
-                             "executor; async strategies need one")
+        self._executors = RankExecutors(trainer.replicas, trainer.flat_world,
+                                        trainer.spec.task)
         #: Carried BPTT state per rank, a stacked P = 1 state (stays ``None``
         #: for classifiers).
         self._lm_states: List = [None] * world_size
@@ -181,13 +177,9 @@ class SimulationEngine:
     def _compute_gradient(self, rank: int) -> float:
         """Forward/backward for one rank, written into its gradient row."""
         inputs, targets = self._next_batch(rank)
-        executor = self._executors[rank]
-        if self.trainer.spec.task == "language_model":
-            losses, self._lm_states[rank] = executor.forward_backward(
-                inputs[None], targets[None], self._lm_states[rank])
-        else:
-            losses = executor.forward_backward(inputs[None], targets[None])
-        return losses[0]
+        loss, self._lm_states[rank] = self._executors.step(
+            rank, inputs, targets, self._lm_states[rank])
+        return loss
 
     # ------------------------------------------------------------------ #
     # the event loop

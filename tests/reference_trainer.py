@@ -2,11 +2,11 @@
 
 Until PR 22 these loops lived in ``src/`` behind ``fused_pipeline=False``;
 they are the executable specification of Algorithm 1 lines 2-7 one rank at a
-time: per-replica forward/backward, per-rank ``compress`` → collective →
-per-rank ``decompress`` (the compressor bodies of
-``tests/reference_compressors.py``), per-rank ``optimizer.step()``.  The
-trainer under test must reproduce them bit for bit (allclose for the
-hand-derived MLP executor).  Everything else — data, fault phase, parameter phase, callbacks,
+time: per-replica forward/backward (``_replica_step``, which no ``src/``
+path runs), per-rank ``compress`` → collective → per-rank ``decompress``
+(the compressor bodies of ``tests/reference_compressors.py``), per-rank
+``optimizer.step()``.  The trainer under test must reproduce them bit for
+bit (allclose for the hand-derived MLP executor).  Everything else — data, fault phase, parameter phase, callbacks,
 checkpoints — is the trainer's own code, shared by both sides.
 """
 
@@ -19,6 +19,7 @@ from repro.core.flat_buffer import segment_views
 from repro.core.flatten import unflatten_into_gradients
 from repro.core.timeline import SyncReport
 from repro.core.trainer import DistributedTrainer
+from repro.tensor import Tensor, functional as F
 from tests import reference_compressors as oracle
 
 
@@ -91,6 +92,33 @@ class ReferenceTrainer(DistributedTrainer):
             optimizer._velocity = dict(enumerate(
                 segment_views(self._velocity_matrix[rank], layout)))
             self.rank_optimizers.append(optimizer)
+
+    def _replica_step(self, rank: int, inputs, targets, state=None) -> tuple:
+        """Forward → cross-entropy → backward → detach on one replica; the
+        caller zeroes the gradients.  Returns ``(loss, carried BPTT state or
+        None)``."""
+        replica = self.replicas[rank]
+        if self.spec.task == "language_model":
+            logits, state = replica(inputs, state)
+        else:
+            logits = replica(Tensor(inputs))
+        loss = F.cross_entropy(logits, targets)
+        loss.backward()
+        return loss.item(), None if state is None else replica.detach_state(state)
+
+    def _gradients(self, batches, states) -> tuple:
+        # Backward accumulates straight into the zeroed gradient matrix
+        # through the parameters' pinned views; one carried state per rank.
+        world = self.flat_world
+        if states is None:
+            states = [None] * len(batches)
+        world.zero_grads()
+        losses = []
+        for rank, (inputs, targets) in enumerate(batches):
+            loss, states[rank] = self._replica_step(rank, inputs, targets, states[rank])
+            losses.append(loss)
+        self._last_losses = np.asarray(losses, dtype=np.float64)
+        return world.grad_matrix, float(np.mean(losses)), states
 
     def _exchange(self, G) -> tuple:
         strategy = self.sync_strategy

@@ -8,6 +8,7 @@ pinned incompatibility messages, dead-worker reporting, segment reaping) is
 the supporting contract.
 """
 
+import dataclasses
 import os
 import signal
 import time
@@ -15,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.backends import (
     EXECUTION_BACKENDS,
     InProcessBackend,
@@ -25,6 +27,7 @@ from repro.backends import (
 from repro.core.features import RunFeatures
 from repro.core.spec import ExperimentSpec, SpecError
 from repro.core.trainer import DistributedTrainer, TrainerConfig
+from repro.models.registry import MODELS
 from repro.registry import public_registries
 from repro.utils.rng import replica_init_seed
 
@@ -280,6 +283,29 @@ class TestWorkerLifecycle:
         with pytest.raises(ValueError, match="dataset too small for the requested"):
             DistributedTrainer(config)
         assert len(cleanup_errors) == 1
+        assert leaked_segments() == []
+
+    def test_model_without_an_executor_fails_before_any_worker(self, monkeypatch):
+        # Workers build their executors after the fork; the parent runs the
+        # same check first, so the constructor names the layer (instead of a
+        # worker dying on a missing executor) and the arena is freed.
+        for attr in ("_entries", "_index", "_descriptions"):
+            monkeypatch.setattr(MODELS, attr, dict(getattr(MODELS, attr)))
+
+        def dropout_mlp(seed):
+            rng = np.random.default_rng(seed)
+            return nn.Sequential(nn.Linear(64, 16, rng=rng), nn.Dropout(0.5),
+                                 nn.Linear(16, 10, rng=rng))
+
+        MODELS.register("dropout_mlp/tiny", dataclasses.replace(
+            MODELS.get("fnn3/tiny"), name="dropout_mlp", builder=dropout_mlp,
+            builder_kwargs={}))
+        config = TrainerConfig(model="dropout_mlp", preset="tiny", world_size=2,
+                               epochs=1, max_iterations_per_epoch=2,
+                               backend="multiprocessing",
+                               backend_kwargs={"num_workers": 2})
+        with pytest.raises(ValueError, match="Dropout lack forward_batched"):
+            DistributedTrainer(config)
         assert leaked_segments() == []
 
     def test_batch_shape_change_rejected(self):

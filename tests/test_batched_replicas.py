@@ -15,12 +15,14 @@ from repro.core.batched_replicas import (
     BatchedAutogradExecutor,
     BatchedLanguageModelExecutor,
     BatchedReplicaExecutor,
+    RankExecutors,
     build_replica_executor,
 )
 from repro.core.flat_buffer import WorldFlatBuffers
 from repro.core.flatten import flatten_gradients
 from repro.models.fnn import FNN3
 from repro.models.lstm_lm import LSTMLanguageModel
+from repro.models.registry import MODELS
 from repro.models.resnet import ResNet
 from repro.models.vgg import VGG16
 from repro.tensor import Tensor, functional as F
@@ -45,6 +47,29 @@ def autograd_reference(replicas, inputs, targets):
                                          for p in replica.parameters()]))
         losses.append(loss.item())
     return np.stack(gradients), losses
+
+
+class TestBuilderIsTotal:
+    """``build_replica_executor`` returns an executor or raises; the trainer
+    has no per-replica fallback to hand a model to."""
+
+    @pytest.mark.parametrize("key", [key for key in MODELS.list()
+                                     if key.endswith("/tiny")])
+    @pytest.mark.parametrize("P", [1, 3])
+    def test_every_registered_model_gets_an_executor(self, key, P):
+        spec = MODELS.get(key)
+        replicas = [spec.build(seed=rank) for rank in range(P)]
+        executor = build_replica_executor(replicas, WorldFlatBuffers(replicas),
+                                          spec.task)
+        assert executor is not None and hasattr(executor, "forward_backward")
+
+    @pytest.mark.parametrize("task", ["classification", "language_model"])
+    def test_a_layer_without_forward_batched_is_named(self, task):
+        replicas = [nn.Sequential(nn.Linear(5, 4), nn.Dropout(0.5), nn.Linear(4, 2))
+                    for _ in range(2)]
+        world = WorldFlatBuffers(replicas)
+        with pytest.raises(ValueError, match="Dropout lack forward_batched"):
+            build_replica_executor(replicas, world, task)
 
 
 class TestSupports:
@@ -135,9 +160,9 @@ def tiny_resnet(seed=5):
                   in_channels=3, seed=seed)
 
 
-def tiny_lstm(num_layers=2, dropout=0.0, seed=3):
+def tiny_lstm(num_layers=2, seed=3):
     return LSTMLanguageModel(vocab_size=31, embedding_dim=8, hidden_size=7,
-                             num_layers=num_layers, dropout=dropout, seed=seed)
+                             num_layers=num_layers, seed=seed)
 
 
 class TestLSTMExecutorParity:
@@ -197,13 +222,6 @@ class TestLSTMExecutorParity:
         for (tokens, targets), exp in zip(windows, expected):
             _, state = executor.forward_backward(tokens, targets, state)
             np.testing.assert_array_equal(world.grad_matrix, exp)
-
-    def test_dropout_model_falls_back_to_loop(self):
-        model = tiny_lstm(dropout=0.5)
-        assert not BatchedLanguageModelExecutor.supports(model)
-        replicas = [tiny_lstm(dropout=0.5) for _ in range(2)]
-        world = WorldFlatBuffers(replicas)
-        assert build_replica_executor(replicas, world, "language_model") is None
 
 
 class TestConvExecutorParity:
@@ -287,12 +305,6 @@ class TestConvExecutorParity:
         executor = build_replica_executor(replicas, world, "classification")
         assert isinstance(executor, BatchedReplicaExecutor)
 
-    def test_unsupported_layer_returns_none(self):
-        replicas = [nn.Sequential(nn.Linear(5, 4), nn.Dropout(0.5), nn.Linear(4, 2))
-                    for _ in range(2)]
-        world = WorldFlatBuffers(replicas)
-        assert build_replica_executor(replicas, world, "classification") is None
-
     def test_param_grad_views_attached_after_batched_run(self, rng):
         P = 2
         replicas = [tiny_resnet() for _ in range(P)]
@@ -315,6 +327,9 @@ RESNET = dict(model="resnet20", num_train=128, num_test=32, batch_size=8)
 ORACLE_CELLS = {
     "lstm_ptb-a2sgd": dict(LSTM, algorithm="a2sgd"),
     "lstm_ptb-topk": dict(LSTM, algorithm="topk"),
+    # 64 columns over 3 ranks (22 / 21 / 21): one P = 1 executor per rank.
+    "lstm_ptb-ragged": dict(LSTM, algorithm="a2sgd", world_size=3,
+                            batch_size=None, num_train=2000),
     "resnet20-a2sgd": dict(RESNET, algorithm="a2sgd"),
     "resnet20-topk": dict(RESNET, algorithm="topk"),
     "lstm_ptb-blackout": dict(LSTM, algorithm="a2sgd", epochs=3,
@@ -345,6 +360,9 @@ class TestTrainerMatchesPerRankReference:
             metrics = trainer.train()
             runs.append((trainer, metrics))
         (batched, metrics), (reference, reference_metrics) = runs
+        if cell == "lstm_ptb-ragged":
+            assert [shard.batch_size for shard in batched.lm_shards] == [22, 21, 21]
+            assert isinstance(batched.executor, RankExecutors)
         params = batched.flat_world.param_matrix
         reference_params = reference.flat_world.param_matrix
         if overrides["model"] == "fnn3":

@@ -5,7 +5,6 @@ import pytest
 
 from repro import nn
 from repro.core.flatten import (
-    average_parameters,
     flatten_gradients,
     flatten_parameters,
     unflatten_into_gradients,
@@ -69,17 +68,3 @@ class TestFlattening:
             unflatten_into_gradients(model, np.zeros(3))
         with pytest.raises(ValueError):
             unflatten_into_parameters(model, np.zeros(model.num_parameters() + 1))
-
-    def test_average_parameters(self):
-        models = [small_model() for _ in range(3)]
-        for i, model in enumerate(models):
-            unflatten_into_parameters(model, np.full(model.num_parameters(), float(i),
-                                                     dtype=np.float32))
-        average_parameters(models)
-        for model in models:
-            np.testing.assert_allclose(flatten_parameters(model),
-                                       np.ones(model.num_parameters()), rtol=1e-6)
-
-    def test_average_parameters_empty_raises(self):
-        with pytest.raises(ValueError):
-            average_parameters([])

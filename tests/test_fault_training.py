@@ -15,7 +15,6 @@ from repro.core import (DistributedTrainer, TrainerConfig, load_checkpoint,
                         save_checkpoint)
 from repro.core.callbacks import Callback
 from repro.core.flatten import flatten_parameters
-from repro.sim import engine as sim_engine
 
 
 
@@ -203,7 +202,7 @@ class TestFaultDeterminism:
             return original_rejoin(self, rank)
 
         monkeypatch.setattr(backends_base, "build_replica_executor", counting_build)
-        monkeypatch.setattr(sim_engine, "build_replica_executor", counting_build)
+        monkeypatch.setattr(batched_replicas, "build_replica_executor", counting_build)
         monkeypatch.setattr(DistributedTrainer, "_rejoin_rank", counting_rejoin)
         for overrides, world_sizes in ((STRATEGIES["async_ps"], [1, 1, 1, 1]),
                                        (STRATEGIES["allreduce"], [4])):
@@ -215,7 +214,7 @@ class TestFaultDeterminism:
             trainer.train()
             rejoins = sum(trainer.fault_injector.report.rejoins_per_rank)
             assert rejoins > 0 and len(rejoined) == rejoins
-            executors = trainer.sim_engine._executors if trainer.is_async \
+            executors = trainer.sim_engine._executors.executors if trainer.is_async \
                 else [trainer.executor]
             runs = sum(executor.tape_stats["recorded"] + executor.tape_stats["replays"]
                        for executor in executors)

@@ -92,7 +92,7 @@ class TestResumedTrajectoriesAreBitIdentical:
             uninterrupted.metrics.simulated_time_s
         # The resumed engine recorded each rank's program afresh.
         assert [executor.tape_stats["recorded"]
-                for executor in resumed.sim_engine._executors] == [1, 1]
+                for executor in resumed.sim_engine._executors.executors] == [1, 1]
 
     def test_async_ps_server_state_round_trips(self, tmp_path):
         trainer = make_trainer(stop_after=1, **SETUPS["async_ps"])

@@ -10,6 +10,7 @@ import pytest
 from repro.analysis.sweeps import time_to_accuracy_sweep
 from repro.comm.inprocess import InProcessWorld
 from repro.compress.registry import COMPRESSORS
+from repro.core.batched_replicas import BatchedLanguageModelExecutor
 from repro.core.experiment import run_experiment
 from repro.core.features import RunFeatures
 from repro.core.flatten import flatten_parameters
@@ -21,6 +22,8 @@ from repro.sync.async_strategies import (
     ElasticAveragingStrategy,
 )
 from repro.sync.base import SYNC_STRATEGIES
+
+from tests.reference_trainer import ReferenceTrainer
 
 
 # --------------------------------------------------------------------- #
@@ -377,10 +380,10 @@ LM = dict(model="lstm_ptb", algorithm="a2sgd", num_train=2000, num_test=160,
           seq_len=8)
 
 
-def engine_and_lockstep(**overrides):
+def engine_and_lockstep(lockstep_cls=DistributedTrainer, **overrides):
     """An async_ps trainer and a lockstep trainer over one perturbed world:
     the same distinct parameter row per rank in both."""
-    lockstep = DistributedTrainer(make_config(**overrides))
+    lockstep = lockstep_cls(make_config(**overrides))
     engine_trainer = DistributedTrainer(make_config(sync={"strategy": "async_ps"},
                                                     **overrides))
     noise = np.random.default_rng(5).standard_normal(
@@ -390,12 +393,13 @@ def engine_and_lockstep(**overrides):
     return engine_trainer, lockstep
 
 
-def assert_events_match_lockstep(iterations: int, **overrides):
+def assert_events_match_lockstep(iterations: int, lockstep_cls=DistributedTrainer,
+                                 **overrides):
     """Each engine event's gradient, loss and carried state for rank r equal
     row r of the lockstep trainer's stage-1 pass on the same batches, bit for
     bit, over ``iterations`` consecutive iterations (BPTT windows for an LM);
     so do the replicas' buffers afterwards."""
-    engine_trainer, lockstep = engine_and_lockstep(**overrides)
+    engine_trainer, lockstep = engine_and_lockstep(lockstep_cls, **overrides)
     engine = engine_trainer.sim_engine
     iterators = lockstep._epoch_iterators()
     batches = [lockstep._next_batches(iterators) for _ in range(iterations)]
@@ -412,7 +416,7 @@ def assert_events_match_lockstep(iterations: int, **overrides):
             if carried is not None:
                 # Stacked lockstep state, or the per-rank loop's own state.
                 rows = [(h.data[rank], c.data[rank]) for h, c in states] \
-                    if lockstep.executor is not None \
+                    if isinstance(lockstep.executor, BatchedLanguageModelExecutor) \
                     else [(h.data, c.data) for h, c in states[rank]]
                 for (h, c), (h_ref, c_ref) in zip(carried, rows):
                     assert np.array_equal(h.data[0], h_ref)
@@ -441,19 +445,19 @@ class TestPerRankExecutors:
     def test_lm_event_carries_a_stacked_state_across_windows(self):
         engine_trainer, lockstep = assert_events_match_lockstep(
             iterations=2, world_size=4, batch_size=4, **LM)
-        assert lockstep.executor is not None
+        assert isinstance(lockstep.executor, BatchedLanguageModelExecutor)
         assert all(state is not None for state in engine_trainer.sim_engine._lm_states)
 
     def test_lm_with_uneven_shards_runs_one_executor_per_rank(self):
-        # 64 columns over 3 ranks: 22 / 21 / 21.  The lockstep trainer falls
-        # back to its per-replica loop; each engine rank replays its own
-        # recorded window shape, bit for bit with that loop.
+        # 64 columns over 3 ranks: 22 / 21 / 21.  Each engine rank replays
+        # its own recorded window shape, bit for bit with the per-replica
+        # loop of the reference trainer.
         engine_trainer, lockstep = assert_events_match_lockstep(
-            iterations=2, world_size=3, batch_size=None, **LM)
-        assert lockstep.executor is None
+            iterations=2, lockstep_cls=ReferenceTrainer, world_size=3,
+            batch_size=None, **LM)
         assert [shard.batch_size for shard in engine_trainer.lm_shards] == [22, 21, 21]
         assert [executor.tape_stats["recorded"]
-                for executor in engine_trainer.sim_engine._executors] == [1, 1, 1]
+                for executor in engine_trainer.sim_engine._executors.executors] == [1, 1, 1]
 
     def test_lm_with_uneven_shards_trains(self):
         trainer = DistributedTrainer(make_config(
@@ -461,7 +465,7 @@ class TestPerRankExecutors:
         trainer.train()
         assert np.isfinite(trainer.metrics.train_loss[-1])
         assert sum(executor.tape_stats["replays"]
-                   for executor in trainer.sim_engine._executors) > 0
+                   for executor in trainer.sim_engine._executors.executors) > 0
 
 
 # --------------------------------------------------------------------- #

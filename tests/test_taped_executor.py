@@ -52,9 +52,9 @@ def tiny_vgg():
                  image_size=32, seed=5)
 
 
-def tiny_lstm(num_layers=2, dropout=0.0):
+def tiny_lstm(num_layers=2):
     return LSTMLanguageModel(vocab_size=31, embedding_dim=8, hidden_size=7,
-                             num_layers=num_layers, dropout=dropout, seed=3)
+                             num_layers=num_layers, seed=3)
 
 
 class WhereClassifier(nn.Module):
@@ -254,11 +254,6 @@ class TestTapedLSTMParity:
                     np.testing.assert_array_equal(tc.data, ec.data)
         # One tape serves both the fresh-state and carried-state iterations.
         assert taped.tape_stats == {"recorded": 1, "replays": 3, "eager": 0}
-
-    def test_dropout_model_is_unsupported_like_eager(self):
-        replicas = [tiny_lstm(dropout=0.5) for _ in range(2)]
-        world = WorldFlatBuffers(replicas)
-        assert build_replica_executor(replicas, world, "language_model") is None
 
 
 class TestTapedTrainerEquivalence:

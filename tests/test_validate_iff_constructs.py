@@ -7,8 +7,11 @@ driven through both entry points: ``ExperimentSpec.validate()`` and
 trainer's ``ValueError`` must contain validate's first problem verbatim, and
 on an accepted row the trainer must construct, train and close.
 
-Data sizing (``batch_size`` / ``num_train`` too large or small for the
-dataset) is the one known exception — see ROADMAP.md — and has no row here.
+Two known exceptions have no row here: data sizing (``batch_size`` /
+``num_train`` too large or small for the dataset — see ROADMAP.md), and a
+registered custom model with a layer type lacking ``forward_batched``, which
+validates while the trainer's constructor raises the executor builder's
+``ValueError`` naming those types.
 """
 
 from __future__ import annotations
