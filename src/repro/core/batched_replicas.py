@@ -276,6 +276,11 @@ class ReplicaStack:
     for every replica with zero copies.  :meth:`siblings` resolves a module of
     replica 0 to the corresponding module on every replica (needed by layers
     with per-replica buffers, e.g. BatchNorm running statistics).
+
+    A ``forward_batched`` body needs only :meth:`tensor`, :meth:`siblings`
+    and :attr:`world_size`; the per-replica call ``module(x)`` runs the same
+    body over a stack of one with that interface (:mod:`repro.nn.module`),
+    with no flat world behind it.
     """
 
     def __init__(self, replicas: Sequence[Module], world: WorldFlatBuffers):
@@ -286,7 +291,6 @@ class ReplicaStack:
         self._index_of: Dict[int, int] = {
             id(p): i for i, p in enumerate(world.replica_buffers[0].parameters)}
         self._tensors: Dict[int, Tensor] = {}
-        self._reshaped: Dict[Tuple[int, Tuple[int, ...]], Tensor] = {}
         module_rows = [list(replica.modules()) for replica in replicas]
         if len({len(row) for row in module_rows}) != 1:
             raise ValueError("replicas do not share one module structure")
@@ -306,26 +310,6 @@ class ReplicaStack:
             stacked.pin_grad(self.world.stacked_grad_view(index))
             self._tensors[index] = stacked
         return stacked
-
-    def reshaped(self, param: Parameter, *shape: int) -> Tensor:
-        """A cached reshape of :meth:`tensor` (e.g. a broadcastable bias row).
-
-        Caching matters for more than speed: when a parameter is used many
-        times in one graph (an LSTM bias across BPTT steps), the seed graph
-        accumulates its gradient *inside each consumer's backward closure* —
-        the parameter is a direct leaf parent.  A fresh reshape node per use
-        would defer those accumulations to the reshape closures, which occupy
-        different topological positions, changing the floating-point
-        summation order.  One shared reshape node acts as a proxy leaf that
-        accumulates in consumer-closure order — exactly the seed's order —
-        keeping batched gradients bit-identical.
-        """
-        key = (id(param), shape)
-        node = self._reshaped.get(key)
-        if node is None:
-            node = self.tensor(param).reshape(*shape)
-            self._reshaped[key] = node
-        return node
 
     def siblings(self, module: Module) -> Tuple[Module, ...]:
         """The corresponding module on every replica (replica order)."""
@@ -407,9 +391,8 @@ class BatchedAutogradExecutor:
 
     The first call with a given input shape runs that pass with a
     :class:`~repro.tensor.tape.Tape` installed; later calls copy the new batch
-    into the recorded input buffers and replay the planned program
-    (workspace-reusing thunks + fused elementwise chains), bit-identical to
-    the pass itself.  Graphs that record unreplayable ops (``where``,
+    into the recorded input buffers and replay the recorded program of
+    workspace-reusing thunks, bit-identical to the pass itself.  Graphs that record unreplayable ops (``where``,
     eval-mode BatchNorm, ...) and signatures past :data:`_MAX_TAPES` keep
     running the pass without a tape.
     """
@@ -515,7 +498,8 @@ class BatchedLanguageModelExecutor:
                      for h, c in state]
         self.stack.begin_iteration()
         with recording(tape):
-            logits, new_state = self.model.forward_batched(token_buf, state, self.stack)
+            logits, new_state = self.model.forward_batched(token_buf, state,
+                                                           stack=self.stack)
             loss = F.cross_entropy_batched(logits, target_buf)
         losses = _finish_pass(self, signature, tape, loss, token_buf, target_buf,
                               state_bufs=[(h.data, c.data) for h, c in state],

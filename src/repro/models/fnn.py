@@ -51,19 +51,15 @@ class FNN3(nn.Module):
         self.input_dim = int(input_dim)
         self.num_classes = int(num_classes)
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Classify a batch; accepts (N, D) or image-shaped (N, C, H, W) input."""
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
-        return self.net(x)
-
     def forward_batched(self, x: Tensor, stack) -> Tensor:
-        """Classify stacked replica batches ``(P, N, ...)`` through autograd.
+        """Classify stacked replica batches ``(P, N, D)`` or image-shaped
+        ``(P, N, C, H, W)`` through autograd.
 
         The trainer prefers the hand-derived
         :class:`~repro.core.batched_replicas.BatchedReplicaExecutor` for MLPs;
-        this mirror keeps FNN models runnable under the generic batched
-        executor as well (e.g. inside larger compositions).
+        this body serves the per-replica call (its ``P = 1`` case) and keeps
+        FNN models runnable under the generic batched executor as well (e.g.
+        inside larger compositions).
         """
         if x.ndim > 3:
             x = x.reshape(x.shape[0], x.shape[1], -1)

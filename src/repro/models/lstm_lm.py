@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro import nn
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor
 from repro.utils.rng import new_rng
 
 
@@ -46,39 +46,23 @@ class LSTMLanguageModel(nn.Module):
         self.hidden_size = int(hidden_size)
         self.num_layers = int(num_layers)
 
-    def forward(self, tokens: np.ndarray,
-                state: Optional[List[Tuple[Tensor, Tensor]]] = None
-                ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
-        """Score next-token logits for a (T, N) batch of token ids.
-
-        Returns logits of shape (T*N, V) — flattened so they feed directly
-        into :func:`repro.tensor.functional.cross_entropy` — and the final
-        LSTM state for truncated BPTT.
-        """
-        tokens = np.asarray(tokens)
-        if tokens.ndim != 2:
-            raise ValueError("tokens must have shape (seq_len, batch)")
-        embedded = self.embedding(tokens)                     # (T, N, D)
-        output, state = self.lstm(embedded, state)            # (T, N, H)
-        flat = output.reshape(-1, self.hidden_size)            # (T*N, H)
-        logits = self.decoder(flat)                            # (T*N, V)
-        return logits, state
-
     def forward_batched(self, tokens: np.ndarray,
-                        state: Optional[List[Tuple[Tensor, Tensor]]], stack
+                        state: Optional[List[Tuple[Tensor, Tensor]]] = None, *, stack
                         ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
         """Score next-token logits for all replicas at once.
 
         ``tokens`` is the stacked per-replica batch ``(P, T, N)``; parameters
-        come from ``stack``'s ``(P, ...)`` views of the world's flat buffers.
-        Returns logits ``(P, T*N, V)`` and the stacked LSTM state — each
-        replica slice bit-identical to :meth:`forward` on that replica.
+        come from ``stack``'s ``(P, ...)`` views.  Returns logits
+        ``(P, T*N, V)`` — flattened so they feed directly into
+        :func:`repro.tensor.functional.cross_entropy_batched` — and the
+        stacked LSTM state for truncated BPTT.  The per-replica call
+        ``model(tokens, state)`` on ``(T, N)`` tokens is the ``P = 1`` case.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 3:
             raise ValueError("stacked tokens must have shape (world_size, seq_len, batch)")
         embedded = self.embedding.forward_batched(tokens, stack)    # (P, T, N, D)
-        output, state = self.lstm.forward_batched(embedded, state, stack)
+        output, state = self.lstm.forward_batched(embedded, state, stack=stack)
         flat = output.reshape(output.shape[0], -1, self.hidden_size)  # (P, T*N, H)
         logits = self.decoder.forward_batched(flat, stack)            # (P, T*N, V)
         return logits, state

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import nn
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor
 from repro.utils.rng import new_rng
 
 
@@ -45,14 +45,6 @@ class BasicBlock(nn.Module):
         else:
             self.shortcut = None
             self.shortcut_bn = None
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.bn1(self.conv1(x)).relu()
-        out = self.bn2(self.conv2(out))
-        identity = x
-        if self.shortcut is not None:
-            identity = self.shortcut_bn(self.shortcut(x))
-        return (out + identity).relu()
 
     def forward_batched(self, x: Tensor, stack) -> Tensor:
         """Residual block over a stacked ``(P, N, C, H, W)`` replica batch."""
@@ -108,20 +100,11 @@ class ResNet(nn.Module):
             layers.append(BasicBlock(out_channels, out_channels, stride=1, rng=_child_rng(rng)))
         return nn.Sequential(*layers)
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.bn1(self.conv1(x)).relu()
-        out = self.stage1(out)
-        out = self.stage2(out)
-        out = self.stage3(out)
-        out = self.pool(out)
-        return self.fc(out)
-
     def forward_batched(self, x: Tensor, stack) -> Tensor:
         """Classify all replicas' batches at once (``x`` is ``(P, N, C, H, W)``).
 
-        Mirrors :meth:`forward` layer for layer with the batched module
-        kernels, writing gradients straight into the world's flat buffers via
-        ``stack``'s pinned parameter views.
+        Under an executor, gradients land straight in the world's flat
+        buffers via ``stack``'s pinned parameter views.
         """
         out = self.bn1.forward_batched(self.conv1.forward_batched(x, stack), stack).relu()
         out = self.stage1.forward_batched(out, stack)

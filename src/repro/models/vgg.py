@@ -73,11 +73,6 @@ class VGG16(nn.Module):
         self.classifier = nn.Linear(final_width, int(num_classes), rng=_child_rng(rng))
         self.num_classes = int(num_classes)
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.features(x)
-        out = self.pool(out)
-        return self.classifier(out)
-
     def forward_batched(self, x: Tensor, stack) -> Tensor:
         """Classify all replicas' batches at once (``x`` is ``(P, N, C, H, W)``)."""
         out = self.features.forward_batched(x, stack)

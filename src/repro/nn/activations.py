@@ -9,9 +9,6 @@ from repro.tensor import Tensor
 class ReLU(Module):
     """Rectified linear unit."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
     def forward_batched(self, x: Tensor, stack) -> Tensor:
         """Elementwise, so the stacked replica batch needs no special handling."""
         return x.relu()
@@ -20,18 +17,12 @@ class ReLU(Module):
 class Tanh(Module):
     """Hyperbolic tangent."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
     def forward_batched(self, x: Tensor, stack) -> Tensor:
         return x.tanh()
 
 
 class Sigmoid(Module):
     """Logistic sigmoid."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
 
     def forward_batched(self, x: Tensor, stack) -> Tensor:
         return x.sigmoid()

@@ -43,16 +43,13 @@ class Conv2d(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor) -> Tensor:
-        return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
     def forward_batched(self, x: Tensor, stack) -> Tensor:
         """Convolve all replicas at once with stacked ``(P, ...)`` filters.
 
         One im2col gathers every replica's patches and one stacked GEMM per
         direction replaces the per-replica loop (see
         :func:`repro.tensor.functional.conv2d_batched`); each replica slice is
-        bit-identical to :meth:`forward` on that replica.
+        bit-identical to convolving that replica alone.
         """
         bias = stack.tensor(self.bias) if self.bias is not None else None
         return F.conv2d_batched(x, stack.tensor(self.weight), bias,

@@ -30,9 +30,6 @@ class Embedding(Module):
         rng = rng if rng is not None else new_rng("embedding", num_embeddings, embedding_dim)
         self.weight = Parameter(init.uniform((num_embeddings, embedding_dim), rng, bound=0.1))
 
-    def forward(self, indices: np.ndarray) -> Tensor:
-        return F.embedding(indices, self.weight)
-
     def forward_batched(self, indices: np.ndarray, stack) -> Tensor:
         """Look all replicas' tokens up at once: ``(P, ...)`` indices against
         the stacked ``(P, V, D)`` tables (bit-identical per replica)."""

@@ -9,9 +9,6 @@ from repro.tensor import Tensor
 class Flatten(Module):
     """Reshape ``(N, ...)`` into ``(N, prod(...))``."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
-
     def forward_batched(self, x: Tensor, stack) -> Tensor:
         """Keep the leading replica axis; collapse per-sample dimensions."""
         return x.reshape(x.shape[0], x.shape[1], -1)

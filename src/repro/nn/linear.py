@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, functional as F, init
+from repro.tensor import Tensor, init
 from repro.utils.rng import new_rng
 
 
@@ -37,9 +37,6 @@ class Linear(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor) -> Tensor:
-        return F.linear(x, self.weight, self.bias)
-
     def forward_batched(self, x: Tensor, stack) -> Tensor:
         """Affine map of all replicas at once: ``(P, N, in) -> (P, N, out)``.
 
@@ -51,7 +48,7 @@ class Linear(Module):
         weight = stack.tensor(self.weight)
         out = x.matmul(weight.transpose((0, 2, 1)))
         if self.bias is not None:
-            out = out + stack.reshaped(self.bias, x.shape[0], 1, self.out_features)
+            out = out + stack.tensor(self.bias).reshape(x.shape[0], 1, self.out_features)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -5,6 +5,14 @@ models rely on: registration of parameters and submodules by attribute
 assignment, recursive parameter iteration, train/eval mode, ``zero_grad`` and
 a flat ``state_dict``.
 
+A layer or model implements one forward body, ``forward_batched(*inputs,
+stack)``: every input carries a leading replica axis ``P`` and ``stack`` (a
+:class:`~repro.core.batched_replicas.ReplicaStack`) resolves each parameter to
+its stacked ``(P, *shape)`` tensor.  The per-replica call ``module(*inputs)``
+is that body's ``P = 1`` case (:meth:`Module.forward`).  A forward-only layer
+such as ``Dropout`` defines ``forward`` instead; it runs per replica inside a
+``Sequential`` but has no batched executor.
+
 The distributed trainer treats a model as "the ordered list of its
 parameters"; gradient compression operates on the concatenation of their
 gradients (see :mod:`repro.core.flatten`).
@@ -27,6 +35,38 @@ class Parameter(Tensor):
         if isinstance(data, Tensor):
             data = data.data
         super().__init__(data, requires_grad=requires_grad)
+
+
+class _StackOfOne:
+    """The ``P = 1`` stack a per-replica call runs ``forward_batched`` over:
+    one cached ``(1, *shape)`` reshape node per parameter, so backward lands
+    in ``param.grad`` (and in a pinned gradient view)."""
+
+    world_size = 1
+
+    def __init__(self) -> None:
+        self._tensors: Dict[int, Tensor] = {}
+
+    def tensor(self, param: Parameter) -> Tensor:
+        stacked = self._tensors.get(id(param))
+        if stacked is None:
+            stacked = self._tensors[id(param)] = param.reshape(1, *param.shape)
+        return stacked
+
+    def siblings(self, module: "Module") -> Tuple["Module", ...]:
+        return (module,)
+
+
+def _replica_axis(value, add: bool):
+    """Add (or drop) a leading axis of size 1 on every tensor or array in
+    ``value``, walking nested tuples/lists; ``None`` passes through."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(_replica_axis(item, add) for item in value)
+    if isinstance(value, Tensor):
+        return value.reshape(1, *value.shape) if add else value.reshape(*value.shape[1:])
+    if value is None or not add:
+        return value
+    return np.asarray(value)[None]
 
 
 class Module:
@@ -147,8 +187,18 @@ class Module:
     # ------------------------------------------------------------------ #
     # forward
     # ------------------------------------------------------------------ #
-    def forward(self, *args, **kwargs):
-        raise NotImplementedError
+    def forward(self, *inputs):
+        """The per-replica pass: ``forward_batched`` over a stack of one.
+
+        Every input gains a leading replica axis of size 1 and every output
+        loses it again (:func:`_replica_axis`).
+        """
+        batched = getattr(self, "forward_batched", None)
+        if batched is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither forward nor forward_batched")
+        outputs = batched(*_replica_axis(inputs, add=True), stack=_StackOfOne())
+        return _replica_axis(outputs, add=False)
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

@@ -2,10 +2,10 @@
 
 ResNet-20 and VGG-16 rely on BatchNorm; the layer keeps running statistics as
 buffers (excluded from gradient synchronization, as in the paper's setup where
-only gradients are exchanged).  Both layers run the one fused
-:func:`~repro.tensor.functional.batch_norm` op, per replica (``forward``) and
-over a stacked replica batch (``forward_batched``), so the two paths are
-bit-identical by construction.
+only gradients are exchanged).  Both layers have one body,
+``forward_batched``, which runs the fused
+:func:`~repro.tensor.functional.batch_norm` op over a stacked replica batch;
+the per-replica call is its ``P = 1`` case.
 """
 
 from __future__ import annotations
@@ -33,21 +33,12 @@ class _BatchNormBase(Module):
         self._buffers["running_mean"][...] = (1 - m) * self._buffers["running_mean"] + m * mean
         self._buffers["running_var"][...] = (1 - m) * self._buffers["running_var"] + m * var
 
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training:
-            stats = (self._buffers["running_mean"], self._buffers["running_var"])
-            return F.batch_norm(x, self.weight, self.bias, self.eps, stats)[0]
-        out, mean, var = F.batch_norm(x, self.weight, self.bias, self.eps)
-        self._update_running(mean[0], var[0])
-        return out
-
     def forward_batched(self, x: Tensor, stack) -> Tensor:
         """Normalize a stacked ``(P, N, C, ...)`` replica batch per replica.
 
         Batch statistics stay per replica, and every replica's module
         (``stack.siblings``) updates its running buffers with its own slice's
-        statistics — bit-identical to running :meth:`forward` replica by
-        replica.
+        statistics — bit-identical to normalizing replica by replica.
         """
         siblings = stack.siblings(self)
         weight, bias = stack.tensor(self.weight), stack.tensor(self.bias)

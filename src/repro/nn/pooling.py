@@ -16,9 +16,6 @@ class MaxPool2d(Module):
         self.kernel_size = int(kernel_size)
         self.stride = int(stride) if stride is not None else int(kernel_size)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel_size, self.stride)
-
     def forward_batched(self, x: Tensor, stack) -> Tensor:
         """Pool a stacked ``(P, N, C, H, W)`` replica batch."""
         return F.max_pool2d_batched(x, self.kernel_size, self.stride)
@@ -37,9 +34,6 @@ class AvgPool2d(Module):
 
 class GlobalAvgPool2d(Module):
     """Average over all spatial positions, producing (N, C)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.global_avg_pool2d(x)
 
     def forward_batched(self, x: Tensor, stack) -> Tensor:
         """Average ``(P, N, C, H, W)`` over the spatial axes → ``(P, N, C)``."""

@@ -34,18 +34,12 @@ class LSTMCell(Module):
         self.bias_ih = Parameter(init.zeros((4 * hidden_size,)))
         self.bias_hh = Parameter(init.zeros((4 * hidden_size,)))
 
-    def window(self, x: Tensor, state: Tuple[Tensor, Tensor], stack=None
+    def window(self, x: Tensor, state: Tuple[Tensor, Tensor], stack
                ) -> Tuple[Tensor, Tensor, Tensor]:
-        """This layer over a ``(T, N, D)`` window, or a stacked ``(P, T, N, D)``
-        one with ``stack``'s parameter views; returns ``(out, h_T, c_T)``."""
+        """This layer over a stacked ``(P, T, N, D)`` window with ``stack``'s
+        parameter views; returns ``(out, h_T, c_T)``."""
         params = (self.weight_ih, self.weight_hh, self.bias_ih, self.bias_hh)
-        if stack is not None:
-            params = tuple(stack.tensor(p) for p in params)
-        return F.lstm(x, *params, *state)
-
-    def forward(self, x: Tensor, state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tensor]:
-        _, h, c = self.window(x.reshape(1, *x.shape), state)
-        return h, c
+        return F.lstm(x, *(stack.tensor(p) for p in params), *state)
 
     def forward_batched(self, x: Tensor, state: Tuple[Tensor, Tensor], stack
                         ) -> Tuple[Tensor, Tensor]:
@@ -86,9 +80,19 @@ class LSTM(Module):
             self.add_module(f"cell{layer}", cell)
             self.cells.append(cell)
 
-    def _layers(self, x: Tensor, state: List[Tuple[Tensor, Tensor]], stack=None
-                ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
-        """Run the layers one whole window at a time, each feeding the next."""
+    def forward_batched(self, x: Tensor,
+                        state: Optional[List[Tuple[Tensor, Tensor]]] = None, *, stack
+                        ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
+        """Multi-layer LSTM over a stacked ``(P, T, N, D)`` replica batch.
+
+        Each layer runs one whole window with ``stack``'s ``(P, *shape)``
+        parameter views and feeds the next, so every replica slice is
+        bit-identical to running that replica alone.  ``state`` defaults to
+        zeros.  Returns the top layer's hidden states ``(P, T, N, H)`` and the
+        per-layer final states.
+        """
+        if state is None:
+            state = self.initial_state_batched(x.shape[0], x.shape[2])
         if len(state) != self.num_layers:
             raise ValueError(f"expected {self.num_layers} layer states, got {len(state)}")
         new_state = []
@@ -96,27 +100,6 @@ class LSTM(Module):
             x, h, c = cell.window(x, layer_state, stack)
             new_state.append((h, c))
         return x, new_state
-
-    def forward(self, x: Tensor,
-                state: Optional[List[Tuple[Tensor, Tensor]]] = None
-                ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
-        if state is None:
-            state = [cell.initial_state(x.shape[1]) for cell in self.cells]
-        return self._layers(x, state)
-
-    def forward_batched(self, x: Tensor,
-                        state: Optional[List[Tuple[Tensor, Tensor]]], stack
-                        ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
-        """Multi-layer LSTM over a stacked ``(P, T, N, D)`` replica batch.
-
-        The same op calls as :meth:`forward` with ``stack``'s ``(P, *shape)``
-        parameter views, so every replica slice is bit-identical to running
-        that replica alone.  Returns the top layer's hidden states
-        ``(P, T, N, H)`` and the per-layer final states.
-        """
-        if state is None:
-            state = self.initial_state_batched(x.shape[0], x.shape[2])
-        return self._layers(x, state, stack)
 
     def initial_state_batched(self, world_size: int, batch_size: int
                               ) -> List[Tuple[Tensor, Tensor]]:

@@ -9,12 +9,14 @@ pooling, batch normalization and the LSTM layer, which provide hand-written
 backward closures for efficiency (one big GEMM, or a few contiguous
 reductions, instead of many small ops).
 
-The ``*_batched`` variants evaluate all ``P`` replicas of a simulated world in
+Convolution, max pooling, cross-entropy and embedding each have one body, the
+``*_batched`` op, which evaluates all ``P`` replicas of a simulated world in
 one call: operands gain a leading replica axis (inputs ``(P, N, ...)``,
 parameters ``(P, *shape)`` — strided views of the world's flat buffers, see
-:mod:`repro.core.batched_replicas`) and every replica slice performs exactly
-the arithmetic of the unbatched op, keeping the fused pipeline bit-identical
-to the per-replica loop.
+:mod:`repro.core.batched_replicas`).  The per-replica op is the P = 1 call,
+so every replica slice performs exactly the arithmetic of running that
+replica alone.  Batch normalization and the LSTM layer take either form
+directly.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ from repro.tensor.tensor import (
     is_grad_enabled,
     stable_sigmoid,
 )
+
+
+def _one(t: Tensor) -> Tensor:
+    """``t`` as a stack of one replica: a leading axis of size 1."""
+    return t.reshape(1, *t.shape)
 
 
 # ---------------------------------------------------------------------- #
@@ -83,48 +90,11 @@ def _scatter_patches(d: np.ndarray, x_shape: Tuple[int, int, int, int, int], ker
 # ---------------------------------------------------------------------- #
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, *,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution on an NCHW tensor.
-
-    Parameters
-    ----------
-    x:
-        Input of shape ``(N, C_in, H, W)``.
-    weight:
-        Filters of shape ``(C_out, C_in, K, K)``.
-    bias:
-        Optional per-channel bias of shape ``(C_out,)``.
-    """
-    n, c_in, h, w = x.shape
-    c_out, c_in_w, kh, kw = weight.shape
-    if c_in != c_in_w:
-        raise ValueError(f"input channels {c_in} do not match weight channels {c_in_w}")
-    if kh != kw:
-        raise ValueError("only square kernels are supported")
-    kernel = kh
-
-    patches = _gather_patches(x.data[None], kernel, stride, padding)
-    out_h, out_w = patches.shape[4:6]
-    cols = patches.reshape(c_in * kernel * kernel, -1)     # (C*K*K, OH*OW*N)
-    w_mat = weight.data.reshape(c_out, -1)
-    out = w_mat @ cols                                     # (C_out, OH*OW*N)
-    out = out.reshape(c_out, out_h * out_w, n).transpose(2, 0, 1).reshape(n, c_out, out_h, out_w)
-    if bias is not None:
-        out = out + bias.data.reshape(1, c_out, 1, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(grad: np.ndarray) -> None:
-        grad_mat = grad.reshape(n, c_out, out_h * out_w).transpose(1, 2, 0).reshape(c_out, -1)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
-        if weight.requires_grad:
-            weight._accumulate((grad_mat @ cols.T).reshape(weight.shape))
-        if x.requires_grad:
-            dcols = w_mat.T @ grad_mat
-            x._accumulate(_scatter_patches(dcols.reshape(patches.shape), (1, *x.shape),
-                                           kernel, stride, padding)[0])
-
-    return Tensor._make(out, parents, "conv2d", backward)
+    """2-D convolution of an ``(N, C_in, H, W)`` input with ``(C_out, C_in, K, K)``
+    filters and an optional ``(C_out,)`` bias: :func:`conv2d_batched` at P = 1."""
+    out = conv2d_batched(_one(x), _one(weight), None if bias is None else _one(bias),
+                         stride=stride, padding=padding)
+    return out.reshape(*out.shape[1:])
 
 
 def conv2d_batched(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, *,
@@ -134,10 +104,10 @@ def conv2d_batched(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, *,
     The replica axis leads every operand: ``x`` is ``(P, N, C_in, H, W)``,
     ``weight`` is ``(P, C_out, C_in, K, K)`` and ``bias`` is ``(P, C_out)``.
     The image patches of all replicas are gathered with **one** im2col call,
-    then one stacked GEMM per direction replaces the ``P`` independent GEMMs
-    of :func:`conv2d`.  Every replica's slice performs exactly the arithmetic
-    of the unbatched op, so forward activations and parameter gradients are
-    bit-identical to running :func:`conv2d` replica by replica.
+    then one stacked GEMM per direction replaces ``P`` independent GEMMs.
+    Every replica's slice performs exactly the arithmetic of convolving that
+    replica alone, so forward activations and parameter gradients equal the
+    :func:`conv2d` (P = 1) call on each replica bit for bit.
     """
     P, n, c_in, h, w = x.shape
     P_w, c_out, c_in_w, kh, kw = weight.shape
@@ -152,8 +122,7 @@ def conv2d_batched(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, *,
     patches = _gather_patches(x.data, kernel, stride, padding)
     out_h, out_w = patches.shape[4:6]
     ckk = c_in * kernel * kernel
-    # Replica p's block equals the exact column matrix the unbatched conv2d
-    # builds for that replica.
+    # Replica p's block is the exact column matrix of replica p alone.
     cols_p = patches.reshape(P, ckk, out_h * out_w * n)
     w_mat = weight.data.reshape(P, c_out, ckk)
     mm = np.matmul(w_mat, cols_p)                          # (P, C_out, OH*OW*N)
@@ -198,63 +167,19 @@ def conv2d_batched(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, *,
 
 
 def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tensor:
-    """Max pooling over non-overlapping (or strided) square windows."""
-    stride = kernel if stride is None else stride
-    n, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-
-    # View input as (N, C, OH, K, OW, K) windows when stride == kernel and the
-    # spatial size divides exactly; otherwise fall back to im2col.
-    if stride == kernel and h % kernel == 0 and w % kernel == 0:
-        reshaped = x.data.reshape(n, c, out_h, kernel, out_w, kernel)
-        out = reshaped.max(axis=(3, 5))
-        argmask = (reshaped == out[:, :, :, None, :, None])
-        # Break ties: keep only the first max in each window.  Group the two
-        # kernel axes together (window-major layout) before flattening them.
-        window_major = argmask.transpose(0, 1, 2, 4, 3, 5)        # (N,C,OH,OW,K,K)
-        flat = window_major.reshape(n, c, out_h, out_w, kernel * kernel)
-        first = np.zeros_like(flat)
-        idx = flat.argmax(axis=-1)
-        np.put_along_axis(first, idx[..., None], 1, axis=-1)
-        mask = (first.reshape(n, c, out_h, out_w, kernel, kernel)
-                     .transpose(0, 1, 2, 4, 3, 5))                # back to (N,C,OH,K,OW,K)
-
-        def backward(grad: np.ndarray) -> None:
-            if not x.requires_grad:
-                return
-            g = grad[:, :, :, None, :, None] * mask
-            x._accumulate(g.reshape(n, c, h, w))
-
-        return Tensor._make(out, (x,), "max_pool2d", backward)
-
-    patches = _gather_patches(x.data.reshape(1, n * c, 1, h, w), kernel, stride, 0)
-    oh, ow = patches.shape[4:6]
-    cols = patches.reshape(kernel * kernel, -1)
-    arg = cols.argmax(axis=0)
-    out = cols[arg, np.arange(cols.shape[1])]
-    out = out.reshape(oh * ow, n * c).T.reshape(n, c, oh, ow)
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        dcols = np.zeros_like(cols)
-        gflat = grad.reshape(n * c, oh * ow).T.reshape(-1)
-        dcols[arg, np.arange(cols.shape[1])] = gflat
-        dx = _scatter_patches(dcols.reshape(patches.shape), (1, n * c, 1, h, w),
-                              kernel, stride, 0)
-        x._accumulate(dx.reshape(n, c, h, w))
-
-    return Tensor._make(out, (x,), "max_pool2d", backward)
+    """Max pooling of an ``(N, C, H, W)`` input over square windows:
+    :func:`max_pool2d_batched` at P = 1."""
+    out = max_pool2d_batched(_one(x), kernel, stride)
+    return out.reshape(*out.shape[1:])
 
 
 def max_pool2d_batched(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tensor:
     """Max pooling over ``(P, N, C, H, W)`` stacked replica batches.
 
     Pooling has no parameters, so the replica axis simply folds into the
-    window bookkeeping; each replica slice computes exactly what
-    :func:`max_pool2d` computes for it (same window maxima, same
-    first-max tie-breaking, same scatter in the backward pass).
+    window bookkeeping; each replica slice computes exactly what pooling that
+    replica alone computes (same window maxima, same first-max tie-breaking,
+    same scatter in the backward pass).
     """
     stride = kernel if stride is None else stride
     P, n, c, h, w = x.shape
@@ -296,7 +221,7 @@ def max_pool2d_batched(x: Tensor, kernel: int = 2, stride: Optional[int] = None)
         return Tensor._make(out, (x,), "max_pool2d_batched", backward, replay)
 
     # Strided / non-dividing windows: fold the replica axis into the im2col
-    # batch exactly as the unbatched slow path folds (N, C).
+    # batch together with (N, C).
     patches = _gather_patches(x.data.reshape(1, P * n * c, 1, h, w), kernel, stride, 0)
     oh, ow = patches.shape[4:6]
     cols = patches.reshape(kernel * kernel, -1)
@@ -684,38 +609,9 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean cross-entropy between ``logits`` (N, C) and integer ``targets`` (N,).
-
-    The gradient is the standard ``softmax - onehot`` divided by batch size,
-    wired directly for efficiency and numerical stability.
-    """
-    targets = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
-    targets = targets.astype(np.int64).reshape(-1)
-    n, c = logits.shape
-    if targets.shape[0] != n:
-        raise ValueError(f"targets length {targets.shape[0]} does not match batch {n}")
-
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    # Deeply negative shifted logits (< ~-87) exponentiate into float32
-    # subnormals, where x86 kernels run 10-100x slower; those terms cannot
-    # move the float32 logsumexp (the max term is 1.0), so flush them.
-    exp_shifted = np.exp(shifted)
-    exp_shifted *= exp_shifted >= np.finfo(exp_shifted.dtype).tiny
-    logsumexp = np.log(exp_shifted.sum(axis=1, keepdims=True))
-    log_probs = shifted - logsumexp
-    loss_value = -log_probs[np.arange(n), targets].mean()
-
-    def backward(grad: np.ndarray) -> None:
-        if not logits.requires_grad:
-            return
-        probs = np.exp(log_probs)
-        # Same flush as the forward: a probability below ~1.2e-38 carries no
-        # gradient signal but poisons every downstream kernel's speed.
-        probs *= probs >= np.finfo(probs.dtype).tiny
-        probs[np.arange(n), targets] -= 1.0
-        logits._accumulate(grad * probs / n)
-
-    return Tensor._make(np.asarray(loss_value, dtype=np.float32), (logits,), "cross_entropy", backward)
+    """Mean cross-entropy between ``logits`` (N, C) and integer ``targets`` (N,):
+    :func:`cross_entropy_batched` at P = 1, a scalar."""
+    return cross_entropy_batched(_one(logits), targets).reshape(())
 
 
 def cross_entropy_batched(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -723,9 +619,9 @@ def cross_entropy_batched(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     Returns the ``(P,)`` vector of replica losses; calling ``backward`` with a
     gradient of ones reproduces, slice by slice, exactly the arithmetic of
-    :func:`cross_entropy` run on each replica separately (same shifted
-    softmax, same contiguous-axis mean, same ``(softmax - onehot)/N``
-    gradient), so the batched loss is bit-identical to the per-replica loop.
+    each replica alone (same shifted softmax, same contiguous-axis mean, same
+    ``(softmax - onehot)/N`` gradient), so the batched loss is bit-identical
+    to the per-replica loop.
     """
     src = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
     p, n, c = logits.shape
@@ -734,8 +630,9 @@ def cross_entropy_batched(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ValueError(f"targets shape {targets.shape} does not match batch ({p}, {n})")
 
     shifted = logits.data - logits.data.max(axis=2, keepdims=True)
-    # Mirror :func:`cross_entropy`'s subnormal flush so the batched loss and
-    # its gradient stay bit-identical to the per-replica loop.
+    # Deeply negative shifted logits (< ~-87) exponentiate into float32
+    # subnormals, where x86 kernels run 10-100x slower; those terms cannot
+    # move the float32 logsumexp (the max term is 1.0), so flush them.
     exp_shifted = np.exp(shifted)
     exp_shifted *= exp_shifted >= np.finfo(exp_shifted.dtype).tiny
     logsumexp = np.log(exp_shifted.sum(axis=2, keepdims=True))
@@ -749,6 +646,8 @@ def cross_entropy_batched(logits: Tensor, targets: np.ndarray) -> Tensor:
         if not logits.requires_grad:
             return
         probs = np.exp(log_probs)
+        # Same flush as the forward: a probability below ~1.2e-38 carries no
+        # gradient signal but poisons every downstream kernel's speed.
         probs *= probs >= np.finfo(probs.dtype).tiny
         probs[replica_index, batch_index, targets] -= 1.0
         logits._accumulate(grad.reshape(p, 1, 1) * probs / n)
@@ -805,18 +704,11 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
 
 
 def embedding(indices: np.ndarray, weight: Tensor) -> Tensor:
-    """Look up rows of ``weight`` (V, D) for integer ``indices`` (...,)."""
+    """Look up rows of ``weight`` (V, D) for integer ``indices`` (...,):
+    :func:`embedding_batched` at P = 1."""
     indices = indices.data if isinstance(indices, Tensor) else np.asarray(indices)
-    indices = indices.astype(np.int64)
-    out = weight.data[indices]
-
-    def backward(grad: np.ndarray) -> None:
-        if not weight.requires_grad:
-            return
-        weight._accumulate_at(indices.reshape(-1),
-                              grad.reshape(-1, weight.shape[1]), False)
-
-    return Tensor._make(out, (weight,), "embedding", backward)
+    out = embedding_batched(indices[None], _one(weight))
+    return out.reshape(*out.shape[1:])
 
 
 def embedding_batched(indices: np.ndarray, weight: Tensor) -> Tensor:
@@ -824,8 +716,9 @@ def embedding_batched(indices: np.ndarray, weight: Tensor) -> Tensor:
 
     ``indices`` carries the replica axis first, ``(P, ...)``; replica ``p``
     looks its tokens up in table ``weight[p]``.  The scatter-add backward
-    touches disjoint table slabs per replica in the same visiting order as
-    :func:`embedding`, so gradients are bit-identical to the per-replica loop.
+    touches disjoint table slabs per replica in the same visiting order as a
+    lookup of one replica, so gradients are bit-identical to the per-replica
+    loop.
     """
     src = indices.data if isinstance(indices, Tensor) else np.asarray(indices)
     indices = src.astype(np.int64)

@@ -17,10 +17,11 @@ Correctness rests on two invariants:
    a NumPy view of their parent record a view marker and do nothing on replay.
 2. **Identical backward order.** Float accumulation into multi-consumer nodes
    is order-sensitive, so the replayer computes the backward topological order
-   once using the *same* iterative DFS as :meth:`Tensor.backward` and walks it
-   every replay.  Together with thunks that re-run the exact eager arithmetic
-   (same ufuncs, only routed through ``out=``), this makes replay bit-identical
-   to the eager batched path.
+   once with :func:`~repro.tensor.tensor.backward_order`, the sort
+   :meth:`Tensor.backward` uses, and walks it every replay.  Together with
+   thunks that re-run the exact eager arithmetic (same ufuncs, only routed
+   through ``out=``), this makes replay bit-identical to the eager batched
+   path.
 
 Ops that cannot be replayed (data-dependent control flow such as ``dropout``,
 comparisons, ``Tensor.where``) invalidate the tape; executors then fall back
@@ -30,11 +31,11 @@ to eager execution for that signature.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from .tensor import Tensor, _NO_REPLAY, _VIEW_REPLAY, set_active_tape
+from .tensor import Tensor, _NO_REPLAY, _VIEW_REPLAY, backward_order, set_active_tape
 
 
 class Tape:
@@ -42,17 +43,16 @@ class Tape:
 
     ``record_node`` / ``record_effect`` are called by the op implementations
     while this tape is installed via :func:`repro.tensor.tensor.set_active_tape`
-    (use the :func:`recording` context manager).  Steps are ``(kind, fn)``
-    pairs where ``kind`` is ``"ew"`` for fusable elementwise thunks, ``"op"``
-    for other replayable thunks, and ``"effect"`` for recorded side effects
-    (e.g. BatchNorm running-buffer updates).
+    (use the :func:`recording` context manager).  ``steps`` is the replay
+    program in recording order: the ops' replay thunks and recorded side
+    effects (e.g. BatchNorm running-buffer updates).
     """
 
     __slots__ = ("nodes", "steps", "view_ops", "invalid_reason")
 
     def __init__(self) -> None:
         self.nodes: List[Tensor] = []
-        self.steps: List[Tuple[str, Callable[[], None]]] = []
+        self.steps: List[Callable[[], None]] = []
         self.view_ops: int = 0
         self.invalid_reason: Optional[str] = None
 
@@ -64,7 +64,7 @@ class Tape:
         if self.invalid_reason is None:
             self.invalid_reason = reason
 
-    def record_node(self, node: Tensor, replay, elementwise: bool) -> None:
+    def record_node(self, node: Tensor, replay) -> None:
         self.nodes.append(node)
         if replay is _NO_REPLAY:
             self.invalidate(f"op {node.op!r} has no replay rule")
@@ -72,10 +72,10 @@ class Tape:
         if replay is _VIEW_REPLAY:
             self.view_ops += 1
             return
-        self.steps.append(("ew" if elementwise else "op", replay))
+        self.steps.append(replay)
 
     def record_effect(self, effect: Callable[[], None]) -> None:
-        self.steps.append(("effect", effect))
+        self.steps.append(effect)
 
 
 @contextlib.contextmanager
@@ -86,73 +86,6 @@ def recording(tape: Tape):
         yield tape
     finally:
         set_active_tape(previous)
-
-
-def _fused(thunks: List[Callable[[], None]]) -> Callable[[], None]:
-    """Collapse a run of elementwise thunks into one call.
-
-    The arithmetic is unchanged — the same thunks run in the same order — but
-    a single dispatch replaces one Python call per op, which is where the time
-    goes for chains like bias-add -> ReLU.
-    """
-    def run() -> None:
-        for thunk in thunks:
-            thunk()
-    return run
-
-
-def _peephole(steps: List[Tuple[str, Callable[[], None]]]
-              ) -> Tuple[List[Callable[[], None]], int]:
-    """Plan the replay program: fuse maximal runs of adjacent elementwise
-    thunks.  Returns ``(program, fused_chains)``."""
-    program: List[Callable[[], None]] = []
-    fused_chains = 0
-    run: List[Callable[[], None]] = []
-
-    def flush() -> None:
-        nonlocal fused_chains
-        if not run:
-            return
-        if len(run) == 1:
-            program.append(run[0])
-        else:
-            program.append(_fused(list(run)))
-            fused_chains += 1
-        run.clear()
-
-    for kind, fn in steps:
-        if kind == "ew":
-            run.append(fn)
-        else:
-            flush()
-            program.append(fn)
-    flush()
-    return program, fused_chains
-
-
-def _backward_topo(root: Tensor) -> List[Tensor]:
-    """Topological order of the graph below ``root``.
-
-    This is a verbatim copy of the DFS in :meth:`Tensor.backward`: the replay
-    backward pass must visit nodes in exactly the same order, because float
-    accumulation into multi-consumer parents depends on it.
-    """
-    topo: List[Tensor] = []
-    visited: set = set()
-    stack: List[Tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
-    return topo
 
 
 class TapeReplayer:
@@ -179,8 +112,8 @@ class TapeReplayer:
             raise ValueError(f"cannot replay an invalid tape: {tape.invalid_reason}")
         if loss._backward is None:
             raise ValueError("loss tensor has no backward closure; was it recorded?")
-        self._program, fused_chains = _peephole(tape.steps)
-        self._topo = _backward_topo(loss)
+        self._program = list(tape.steps)
+        self._topo = backward_order(loss)
         self._loss = loss
         if seed_grad is None:
             seed_grad = np.ones_like(loss.data)
@@ -194,7 +127,6 @@ class TapeReplayer:
             "recorded_ops": len(tape.nodes),
             "view_ops": tape.view_ops,
             "replay_steps": len(self._program),
-            "fused_chains": fused_chains,
         }
 
     def replay(self) -> np.ndarray:

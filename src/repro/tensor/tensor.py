@@ -171,6 +171,31 @@ def stable_sigmoid(x: np.ndarray, out: np.ndarray, scratch: np.ndarray,
     _flush_below_floor(out, scratch, mask)
 
 
+def backward_order(root: "Tensor") -> List["Tensor"]:
+    """Topological order of the graph below ``root``, parents first.
+
+    One iterative DFS serves :meth:`Tensor.backward` and the tape replayer
+    (:mod:`repro.tensor.tape`): float accumulation into multi-consumer parents
+    depends on the order, so both must walk exactly this one.
+    """
+    topo: List[Tensor] = []
+    visited: set[int] = set()
+    stack: List[Tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    return topo
+
+
 class Tensor:
     """An n-dimensional array with optional gradient tracking.
 
@@ -280,14 +305,13 @@ class Tensor:
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"], op: str,
               backward: Callable[[np.ndarray], None],
-              replay=_NO_REPLAY, elementwise: bool = False) -> "Tensor":
+              replay=_NO_REPLAY) -> "Tensor":
         """Create an op output, wiring the backward closure when needed.
 
         ``replay`` is the op's tape-replay rule: a thunk that refreshes the
         output (and any captured scratch arrays) in place, ``_VIEW_REPLAY``
         when the output aliases a parent, or ``_NO_REPLAY`` (the default) when
         the op cannot be replayed — recording such an op invalidates the tape.
-        ``elementwise`` tags cheap thunks the tape planner may fuse into runs.
         """
         requires = False
         if _GRAD_ENABLED:
@@ -300,7 +324,7 @@ class Tensor:
         if requires:
             out._backward = backward
         if _ACTIVE_TAPE is not None:
-            _ACTIVE_TAPE.record_node(out, replay, elementwise)
+            _ACTIVE_TAPE.record_node(out, replay)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -385,24 +409,8 @@ class Tensor:
             if grad.shape != self.data.shape:
                 raise ValueError(f"gradient shape {grad.shape} does not match output shape {self.data.shape}")
 
-        topo: List[Tensor] = []
-        visited: set[int] = set()
-        stack: List[Tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
-
         self._accumulate(grad)
-        for node in reversed(topo):
+        for node in reversed(backward_order(self)):
             if node._backward is None or node.grad is None:
                 continue
             node._backward(node.grad)
@@ -435,7 +443,7 @@ class Tensor:
         def replay() -> None:
             np.add(self.data, other.data, out=out_data)
 
-        return Tensor._make(out_data, (self, other), "add", backward, replay, True)
+        return Tensor._make(out_data, (self, other), "add", backward, replay)
 
     __radd__ = __add__
 
@@ -456,7 +464,7 @@ class Tensor:
         def replay() -> None:
             np.subtract(self.data, other.data, out=out_data)
 
-        return Tensor._make(out_data, (self, other), "sub", backward, replay, True)
+        return Tensor._make(out_data, (self, other), "sub", backward, replay)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return Tensor._coerce(other) - self
@@ -478,7 +486,7 @@ class Tensor:
         def replay() -> None:
             np.multiply(self.data, other.data, out=out_data)
 
-        return Tensor._make(out_data, (self, other), "mul", backward, replay, True)
+        return Tensor._make(out_data, (self, other), "mul", backward, replay)
 
     __rmul__ = __mul__
 
@@ -499,7 +507,7 @@ class Tensor:
         def replay() -> None:
             np.divide(self.data, other.data, out=out_data)
 
-        return Tensor._make(out_data, (self, other), "div", backward, replay, True)
+        return Tensor._make(out_data, (self, other), "div", backward, replay)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return Tensor._coerce(other) / self
@@ -518,7 +526,7 @@ class Tensor:
         def replay() -> None:
             np.negative(self.data, out=out_data)
 
-        return Tensor._make(out_data, (self,), "neg", backward, replay, True)
+        return Tensor._make(out_data, (self,), "neg", backward, replay)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
@@ -536,7 +544,7 @@ class Tensor:
         def replay() -> None:
             np.power(self.data, exponent, out=out_data)
 
-        return Tensor._make(out_data, (self,), "pow", backward, replay, True)
+        return Tensor._make(out_data, (self,), "pow", backward, replay)
 
     # Comparisons produce detached boolean/float tensors (no gradient); the
     # result is data-dependent in a way a tape replay cannot refresh, so they
@@ -578,7 +586,7 @@ class Tensor:
         def replay() -> None:
             np.exp(self.data, out=out_data)
 
-        return Tensor._make(out_data, (self,), "exp", backward, replay, True)
+        return Tensor._make(out_data, (self,), "exp", backward, replay)
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
@@ -594,7 +602,7 @@ class Tensor:
         def replay() -> None:
             np.log(self.data, out=out_data)
 
-        return Tensor._make(out_data, (self,), "log", backward, replay, True)
+        return Tensor._make(out_data, (self,), "log", backward, replay)
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
@@ -610,7 +618,7 @@ class Tensor:
         def replay() -> None:
             np.sqrt(self.data, out=out_data)
 
-        return Tensor._make(out_data, (self,), "sqrt", backward, replay, True)
+        return Tensor._make(out_data, (self,), "sqrt", backward, replay)
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
@@ -626,7 +634,7 @@ class Tensor:
         def replay() -> None:
             np.tanh(self.data, out=out_data)
 
-        return Tensor._make(out_data, (self,), "tanh", backward, replay, True)
+        return Tensor._make(out_data, (self,), "tanh", backward, replay)
 
     def sigmoid(self) -> "Tensor":
         # The eager call and the replay rule are one function writing into
@@ -643,7 +651,7 @@ class Tensor:
                 self._accumulate(grad * out_data * (1.0 - out_data))
 
         forward()
-        return Tensor._make(out_data, (self,), "sigmoid", backward, forward, True)
+        return Tensor._make(out_data, (self,), "sigmoid", backward, forward)
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
@@ -661,7 +669,7 @@ class Tensor:
             np.greater(self.data, 0, out=mask)
             np.multiply(self.data, mask, out=out_data)
 
-        return Tensor._make(out_data, (self,), "relu", backward, replay, True)
+        return Tensor._make(out_data, (self,), "relu", backward, replay)
 
     def abs(self) -> "Tensor":
         sign = np.sign(self.data)
@@ -679,7 +687,7 @@ class Tensor:
             np.sign(self.data, out=sign)
             np.abs(self.data, out=out_data)
 
-        return Tensor._make(out_data, (self,), "abs", backward, replay, True)
+        return Tensor._make(out_data, (self,), "abs", backward, replay)
 
     def clip(self, low: float, high: float) -> "Tensor":
         out_data = np.clip(self.data, low, high)
@@ -698,7 +706,7 @@ class Tensor:
             np.greater_equal(self.data, low, out=mask)
             mask &= self.data <= high
 
-        return Tensor._make(out_data, (self,), "clip", backward, replay, True)
+        return Tensor._make(out_data, (self,), "clip", backward, replay)
 
     # ------------------------------------------------------------------ #
     # reductions

@@ -111,7 +111,7 @@ class EagerLanguageModelExecutor(BatchedLanguageModelExecutor):
         if tokens.shape[0] != P:
             raise ValueError(f"expected {P} replica batches, got {tokens.shape[0]}")
         self.stack.begin_iteration()
-        logits, new_state = self.model.forward_batched(tokens, state, self.stack)
+        logits, new_state = self.model.forward_batched(tokens, state, stack=self.stack)
         targets = np.asarray(targets).reshape(P, -1)
         loss = F.cross_entropy_batched(logits, targets)
         loss.backward(np.ones(P, dtype=np.float32))

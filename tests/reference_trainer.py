@@ -3,11 +3,14 @@
 Until PR 22 these loops lived in ``src/`` behind ``fused_pipeline=False``;
 they are the executable specification of Algorithm 1 lines 2-7 one rank at a
 time: per-replica forward/backward (``_replica_step``, which no ``src/``
-path runs), per-rank ``compress`` → collective → per-rank ``decompress``
-(the compressor bodies of ``tests/reference_compressors.py``), per-rank
-``optimizer.step()``.  The trainer under test must reproduce them bit for
-bit (allclose for the hand-derived MLP executor).  Everything else — data, fault phase, parameter phase, callbacks,
-checkpoints — is the trainer's own code, shared by both sides.
+path runs, over the former per-module forward bodies of
+``tests/reference_forward.py``), per-rank ``compress`` → collective →
+per-rank ``decompress`` (the compressor bodies of
+``tests/reference_compressors.py``), per-rank ``optimizer.step()``.  The
+trainer under test must reproduce them bit for bit (allclose for the
+hand-derived MLP executor).  Everything else — data, fault phase, parameter
+phase, callbacks, checkpoints — is the trainer's own code, shared by both
+sides.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -19,8 +22,9 @@ from repro.core.flat_buffer import segment_views
 from repro.core.flatten import unflatten_into_gradients
 from repro.core.timeline import SyncReport
 from repro.core.trainer import DistributedTrainer
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor
 from tests import reference_compressors as oracle
+from tests.reference_forward import cross_entropy, reference_forward
 
 
 def exchange_per_rank(self, gradients: Sequence[np.ndarray]
@@ -99,10 +103,10 @@ class ReferenceTrainer(DistributedTrainer):
         None)``."""
         replica = self.replicas[rank]
         if self.spec.task == "language_model":
-            logits, state = replica(inputs, state)
+            logits, state = reference_forward(replica, inputs, state)
         else:
-            logits = replica(Tensor(inputs))
-        loss = F.cross_entropy(logits, targets)
+            logits = reference_forward(replica, Tensor(inputs))
+        loss = cross_entropy(logits, targets)
         loss.backward()
         return loss.item(), None if state is None else replica.detach_state(state)
 

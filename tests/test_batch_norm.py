@@ -26,6 +26,7 @@ from repro.tensor.tensor import no_grad
 
 from tests.conftest import numerical_gradient
 from tests.numerics_ledger import LEDGER
+from tests.reference_forward import reference_forward
 
 EPS = 1e-5
 
@@ -171,9 +172,10 @@ EDGE_CASES = {
 
 
 class TestStackedEqualsPerReplicaLoop:
-    """``forward_batched`` over ``P`` stacked replicas against ``forward`` on
-    each replica alone: outputs, input / weight / bias gradients and running
-    buffers bit for bit, over two training passes and one eval pass."""
+    """``forward_batched`` over ``P`` stacked replicas against the former
+    per-replica body (``tests/reference_forward.py``) on each replica alone:
+    outputs, input / weight / bias gradients and running buffers bit for bit,
+    over two training passes and one eval pass."""
 
     @pytest.mark.parametrize("P", [1, 2, 4, 8])
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
@@ -207,7 +209,7 @@ class TestStackedEqualsPerReplicaLoop:
             for p, layer in enumerate(loop):
                 layer.zero_grad()
                 xp = Tensor(x[p].copy(), requires_grad=True)
-                out_p = layer(xp)
+                out_p = reference_forward(layer, xp)
                 out_p.backward(dy[p])
                 np.testing.assert_array_equal(out.data[p], out_p.data)
                 np.testing.assert_array_equal(xt.grad[p], xp.grad)

@@ -25,8 +25,9 @@ from repro.models.lstm_lm import LSTMLanguageModel
 from repro.models.registry import MODELS
 from repro.models.resnet import ResNet
 from repro.models.vgg import VGG16
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor
 
+from tests.reference_forward import cross_entropy, reference_forward
 from tests.reference_trainer import ReferenceTrainer
 
 
@@ -40,8 +41,8 @@ def autograd_reference(replicas, inputs, targets):
     gradients, losses = [], []
     for replica, x, y in zip(replicas, inputs, targets):
         replica.zero_grad()
-        logits = replica(Tensor(x))
-        loss = F.cross_entropy(logits, y)
+        logits = reference_forward(replica, Tensor(x))
+        loss = cross_entropy(logits, y)
         loss.backward()
         gradients.append(np.concatenate([np.asarray(p.grad, dtype=np.float32).reshape(-1)
                                          for p in replica.parameters()]))
@@ -180,8 +181,8 @@ class TestLSTMExecutorParity:
         for p in range(P):
             replica = replicas[p]
             replica.zero_grad()
-            logits, _ = replica(tokens[p], None)
-            loss = F.cross_entropy(logits, targets[p].reshape(-1))
+            logits, _ = reference_forward(replica, tokens[p], None)
+            loss = cross_entropy(logits, targets[p].reshape(-1))
             loss.backward()
             expected_grads.append(flatten_gradients(replica))
             expected_losses.append(loss.item())
@@ -209,8 +210,8 @@ class TestLSTMExecutorParity:
             for p in range(P):
                 replica = replicas[p]
                 replica.zero_grad()
-                logits, state = replica(tokens[p], states[p])
-                loss = F.cross_entropy(logits, targets[p].reshape(-1))
+                logits, state = reference_forward(replica, tokens[p], states[p])
+                loss = cross_entropy(logits, targets[p].reshape(-1))
                 loss.backward()
                 grads.append(flatten_gradients(replica))
                 states[p] = replica.detach_state(state)
@@ -239,7 +240,7 @@ class TestConvExecutorParity:
         for p in range(P):
             replica = replicas[p]
             replica.zero_grad()
-            loss = F.cross_entropy(replica(Tensor(inputs[p])), targets[p])
+            loss = cross_entropy(reference_forward(replica, Tensor(inputs[p])), targets[p])
             loss.backward()
             expected_grads.append(flatten_gradients(replica))
             expected_losses.append(loss.item())
@@ -287,7 +288,7 @@ class TestConvExecutorParity:
         for p in range(P):
             replica = reference[p]
             replica.zero_grad()
-            loss = F.cross_entropy(replica(Tensor(inputs[p])), targets[p])
+            loss = cross_entropy(reference_forward(replica, Tensor(inputs[p])), targets[p])
             loss.backward()
             expected.append(flatten_gradients(replica))
 

@@ -15,6 +15,8 @@ from repro.tensor import Tensor, functional as F
 from repro.tensor.functional import _gather_patches, _scatter_patches
 from repro.tensor.tape import Tape, TapeReplayer, recording
 
+from tests.reference_forward import max_pool2d as reference_max_pool2d
+
 
 # ---------------------------------------------------------------------- #
 # Verbatim pre-PR-17 kernels (src/repro/tensor/functional.py at d0de95d).
@@ -205,7 +207,7 @@ class TestMaxPoolFallback:
         (out_b * Tensor(grad)).sum().backward()
         for p in range(P):
             xp = Tensor(data[p].copy(), requires_grad=True)
-            out_p = F.max_pool2d(xp, kernel=kernel, stride=stride)
+            out_p = reference_max_pool2d(xp, kernel=kernel, stride=stride)
             (out_p * Tensor(grad[p])).sum().backward()
             np.testing.assert_array_equal(bits(out_b.data[p]), bits(out_p.data))
             np.testing.assert_array_equal(bits(xb.grad[p]), bits(xp.grad))

@@ -36,6 +36,7 @@ from repro.tensor.tensor import _FLUSH_FLOOR, no_grad
 from tests.conftest import numerical_gradient
 from tests.eager_executors import EagerLanguageModelExecutor
 from tests.numerics_ledger import LEDGER
+from tests.reference_forward import reference_forward
 
 
 # ---------------------------------------------------------------------- #
@@ -268,8 +269,9 @@ def test_eval_call_allocates_no_backward_workspaces():
 # equivalences, bit for bit
 # ---------------------------------------------------------------------- #
 class TestStackedEqualsPerReplicaLoop:
-    """``LSTM.forward_batched`` over ``P`` stacked replicas against
-    ``LSTM.forward`` on each replica alone: outputs, final states and the
+    """``LSTM.forward_batched`` over ``P`` stacked replicas against the former
+    per-replica ``LSTM.forward`` (``tests/reference_forward.py``) on each
+    replica alone: outputs, final states and the
     gradients of the input, the initial states and every parameter, with the
     loss reading the output sequence and every layer's final state."""
 
@@ -304,8 +306,8 @@ class TestStackedEqualsPerReplicaLoop:
             xt = Tensor(x.copy(), requires_grad=True)
             st = [(Tensor(h.copy(), requires_grad=True), Tensor(c.copy(), requires_grad=True))
                   for h, c in states]
-            out, final = (module.forward_batched(xt, st, *stack) if stack
-                          else module(xt, st))
+            out, final = (module.forward_batched(xt, st, stack=stack[0]) if stack
+                          else reference_forward(module, xt, st))
             loss = (out * Tensor(probe)).sum()
             for (h, c), (ph, pc) in zip(final, state_probes):
                 loss = loss + (h * Tensor(ph)).sum() + (c * Tensor(pc)).sum()
@@ -510,10 +512,10 @@ class TestStableSigmoid:
         tape = Tape()
         with recording(tape):
             y = Tensor(buf).sigmoid()
-        assert [kind for kind, _ in tape.steps] == ["ew"]
+        assert len(tape.steps) == 1
         for data in (x, -x, x[::-1].copy()):
             np.copyto(buf, data)
-            for _, step in tape.steps:
+            for step in tape.steps:
                 step()
             np.testing.assert_array_equal(y.data.view(np.uint32),
                                           previous_sigmoid(data).view(np.uint32))

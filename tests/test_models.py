@@ -16,6 +16,9 @@ from repro.models import (
     list_models,
 )
 from repro.tensor import Tensor, functional as F
+from repro.tensor.tensor import no_grad
+from tests.reference_forward import cross_entropy as reference_cross_entropy
+from tests.reference_forward import reference_forward
 
 
 class TestFNN3:
@@ -181,3 +184,77 @@ class TestRegistry:
         for name in list_models():
             tiny = get_model_spec(name, "tiny")
             assert tiny.build(seed=0).num_parameters() < 100_000
+
+
+class TestForwardIsStackOfOne:
+    """``model(...)`` is ``forward_batched`` over a stack of one: on every
+    registered tiny model it equals the former per-replica bodies of
+    ``tests/reference_forward.py`` bit for bit — logits, loss, every gradient
+    and BatchNorm buffer over two training passes (two carried windows for
+    the language model), then the eval logits under ``no_grad``."""
+
+    @staticmethod
+    def bits(a):
+        return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+    def assert_same(self, a, b):
+        np.testing.assert_array_equal(self.bits(a), self.bits(b))
+
+    @pytest.mark.parametrize("name", ["fnn3", "resnet20", "vgg16", "lstm_ptb"])
+    def test_matches_reference_forward(self, name):
+        spec = get_model_spec(name, "tiny")
+        model, reference = spec.build(seed=0), spec.build(seed=0)
+        rng = np.random.default_rng(7)
+        language_model = spec.task == "language_model"
+
+        def draw():
+            if language_model:
+                shape = (spec.input_shape[0], 3)
+                return (rng.integers(0, spec.num_classes, size=shape),
+                        rng.integers(0, spec.num_classes, size=shape).reshape(-1))
+            return (Tensor(rng.standard_normal((4, *spec.input_shape)).astype(np.float32)),
+                    rng.integers(0, spec.num_classes, size=4))
+
+        states = [None, None]
+        for _window in range(2):
+            inputs, targets = draw()
+            results = []
+            for index, (net, forward, loss_fn) in enumerate((
+                    (model, lambda m, *a: m(*a), F.cross_entropy),
+                    (reference, reference_forward, reference_cross_entropy))):
+                net.zero_grad()
+                if language_model:
+                    logits, state = forward(net, inputs, states[index])
+                    states[index] = net.detach_state(state)
+                else:
+                    logits = forward(net, inputs)
+                loss = loss_fn(logits, targets)
+                loss.backward()
+                results.append((logits.data, loss.data,
+                                [p.grad for p in net.parameters()],
+                                [b for _, b in net.named_buffers()]))
+            (logits, loss, grads, buffers), (ref_logits, ref_loss, ref_grads, ref_buffers) = results
+            self.assert_same(logits, ref_logits)
+            self.assert_same(loss, ref_loss)
+            for grad, ref_grad in zip(grads, ref_grads, strict=True):
+                self.assert_same(grad, ref_grad)
+            for buf, ref_buf in zip(buffers, ref_buffers, strict=True):
+                self.assert_same(buf, ref_buf)
+            if language_model:
+                for (h, c), (ref_h, ref_c) in zip(*states, strict=True):
+                    self.assert_same(h.data, ref_h.data)
+                    self.assert_same(c.data, ref_c.data)
+
+        model.eval()
+        reference.eval()
+        inputs, _ = draw()
+        with no_grad():
+            if language_model:
+                (logits, state), (ref_logits, ref_state) = (
+                    model(inputs, states[0]), reference_forward(reference, inputs, states[1]))
+                for (h, c), (ref_h, ref_c) in zip(state, ref_state, strict=True):
+                    self.assert_same(h.data, ref_h.data)
+                    self.assert_same(c.data, ref_c.data)
+            else:
+                logits, ref_logits = model(inputs), reference_forward(reference, inputs)
+        self.assert_same(logits.data, ref_logits.data)

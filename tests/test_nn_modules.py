@@ -1,10 +1,13 @@
 """Tests for the Module/Parameter infrastructure."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.tensor import Tensor
+from repro.tensor import Tensor, functional as F
 
 
 def build_small_mlp() -> nn.Module:
@@ -115,3 +118,31 @@ class TestSequential:
         model.append(nn.ReLU())
         assert len(model) == 2
         assert len(model.parameters()) == 2
+
+
+class TestOneForwardPerModule:
+    """A layer or model implements ``forward_batched``; ``forward`` is the
+    base class's stack of one."""
+
+    def test_no_class_defines_both_bodies(self):
+        import repro.models
+        both = set()
+        for package in (nn, repro.models):
+            for info in pkgutil.iter_modules(package.__path__, package.__name__ + "."):
+                for cls in vars(importlib.import_module(info.name)).values():
+                    if (isinstance(cls, type) and issubclass(cls, nn.Module)
+                            and "forward" in vars(cls) and hasattr(cls, "forward_batched")):
+                        both.add(cls.__name__)
+        assert both == {"Sequential"}
+
+    def test_forward_only_layer_runs_inside_sequential(self):
+        model = nn.Sequential(nn.Linear(4, 8), nn.Dropout(0.5, rng=np.random.default_rng(0)),
+                              nn.ReLU(), nn.Linear(8, 2))
+        x = Tensor(np.ones((3, 4), dtype=np.float32))
+        dropped = F.dropout(model[0](x), 0.5, np.random.default_rng(0))
+        expected = model[3](model[2](dropped))
+        np.testing.assert_array_equal(model(x).data, expected.data)
+
+    def test_a_module_without_either_body_raises(self):
+        with pytest.raises(NotImplementedError, match="neither forward nor forward_batched"):
+            nn.Module()(Tensor(np.ones(2, dtype=np.float32)))

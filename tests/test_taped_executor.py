@@ -1,7 +1,7 @@
 """Record/replay execution must be bit-identical to the eager batched pass.
 
 The executors record the stacked replica graph on the first iteration of each
-input signature and replay a peephole-fused program afterwards, swapping only
+input signature and replay the recorded program afterwards, swapping only
 the input/target (and carried BPTT state) buffers.  Every covered model family
 is pinned with ``assert_array_equal`` against the eager oracles of
 ``tests/eager_executors.py`` — gradients, losses, BatchNorm running buffers and

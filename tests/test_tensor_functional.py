@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tensor import Tensor, functional as F
+from tests import reference_forward as reference_ops
 from tests.conftest import check_gradient, numerical_gradient
 
 
@@ -216,3 +217,52 @@ class TestDropoutEmbedding:
         b = rng.standard_normal(2).astype(np.float32)
         out = F.linear(Tensor(x), Tensor(w), Tensor(b))
         np.testing.assert_allclose(out.data, x @ w.T + b, rtol=1e-5)
+
+
+# Per-replica op ≡ its former body: F.conv2d / max_pool2d / cross_entropy /
+# embedding are one-call P = 1 wrappers of their ``*_batched`` ops; the
+# bodies they replaced live in tests/reference_forward.py.
+def _conv_case(rng, c_out, kernel, stride, padding, bias):
+    x = rng.standard_normal((2, 3, 7, 7)).astype(np.float32)
+    w = rng.standard_normal((c_out, 3, kernel, kernel)).astype(np.float32)
+    b = rng.standard_normal(c_out).astype(np.float32) if bias else None
+    return [x, w] + ([b] if bias else []), (lambda f, x, w, b=None: f(
+        x, w, b, stride=stride, padding=padding))
+
+
+PER_REPLICA_OP_CASES = {
+    "conv_bias_stride2_pad1": ("conv2d", lambda rng: _conv_case(rng, 4, 3, 2, 1, True)),
+    "conv_1x1": ("conv2d", lambda rng: _conv_case(rng, 5, 1, 1, 0, False)),
+    "max_pool_dividing": ("max_pool2d", lambda rng: (
+        [rng.standard_normal((2, 3, 8, 8)).astype(np.float32)],
+        lambda f, x: f(x, 2))),
+    "max_pool_k3_s2_on_9x9": ("max_pool2d", lambda rng: (
+        [rng.standard_normal((2, 3, 9, 9)).astype(np.float32)],
+        lambda f, x: f(x, 3, 2))),
+    "max_pool_k2_on_7x7": ("max_pool2d", lambda rng: (
+        [rng.standard_normal((2, 3, 7, 7)).astype(np.float32)],
+        lambda f, x: f(x, 2))),
+    "cross_entropy_x40_logits": ("cross_entropy", lambda rng: (
+        [40.0 * rng.standard_normal((6, 10)).astype(np.float32)],
+        lambda f, logits: f(logits, rng.integers(0, 10, size=6)))),
+    "embedding": ("embedding", lambda rng: (
+        [rng.standard_normal((11, 4)).astype(np.float32)],
+        lambda f, table: f(rng.integers(0, 11, size=(3, 5)), table))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PER_REPLICA_OP_CASES))
+def test_per_replica_op_matches_its_former_body(case):
+    """Forward values and every operand's gradient, bit for bit."""
+    op, make = PER_REPLICA_OP_CASES[case]
+    results = []
+    for fn in (getattr(F, op), getattr(reference_ops, op)):
+        operands, call = make(np.random.default_rng(3))
+        tensors = [Tensor(a, requires_grad=True) for a in operands]
+        out = call(fn, *tensors)
+        probe = np.random.default_rng(4).standard_normal(out.shape).astype(np.float32)
+        (out * Tensor(probe)).sum().backward()
+        results.append([out.data] + [t.grad for t in tensors])
+    assert results[0][0].shape == results[1][0].shape
+    for got, expected in zip(*results, strict=True):
+        np.testing.assert_array_equal(got.view(np.uint32), expected.view(np.uint32))
