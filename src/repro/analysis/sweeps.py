@@ -166,8 +166,7 @@ def time_to_accuracy_sweep(model: str = "fnn3", algorithm: str = "dense",
             "metric_name": result.metric_name,
             "final": float(result.final_metric),
             "simulated_time_s": [float(v) for v in result.metrics.simulated_time_s],
-            "total_simulated_s": float(result.sim["simulated_time_s"])
-                if result.sim else float("nan"),
+            "total_simulated_s": float(result.sim["simulated_time_s"]),
             "sim": result.sim,
         }
     higher_is_better = all(r["metric_name"] == "top1" for r in results.values())

@@ -207,9 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               type=_registry_name(COMPUTE_MODELS),
                               metavar=f"{{{','.join(COMPUTE_MODELS.list())}}}",
                               help="per-rank compute-time model for the simulated "
-                                   "clock (async strategies default to constant; "
-                                   "with a sync strategy this attaches the "
-                                   "lockstep time simulator)")
+                                   "clock every run keeps (default: constant)")
     train_parent.add_argument("--seed-clock", dest="seed_clock", type=int,
                               default=argparse.SUPPRESS, metavar="SEED",
                               help="seed for the compute-time draws (independent "
@@ -469,25 +467,24 @@ def cmd_run(args: argparse.Namespace):
                  f"({100 * clients['cohort_fraction']:.0f}%), "
                  f"{clients['rounds']} round(s), "
                  f"unique clients seen {clients['unique_clients_seen']}")
-    if result.sim is not None:
-        sim = result.sim
-        line = (f"simulated time: {sim['simulated_time_s']:.4f}s "
-                f"({sim['strategy']} on {sim['compute_model'].get('name', '?')} "
-                f"compute model, clock seed {sim['clock_seed']})")
-        if sim.get("rejected_pushes"):
-            line += f"; rejected pushes: {sim['rejected_pushes']}"
-        text = f"{text}\n{line}"
-        fault = sim.get("fault")
-        if fault:
-            fault_line = (f"faults ({fault['model']}, seed {fault['seed']}): "
-                          f"downtime {fault['total_downtime_s']:.4f}s over "
-                          f"{sum(fault['down_transitions_per_rank'])} outage(s), "
-                          f"{sum(fault['rejoins_per_rank'])} rejoin(s), "
-                          f"{fault['dropped_messages']} dropped message(s), "
-                          f"{fault['retries']} retrie(s), "
-                          f"re-sync {fault['resync_bytes']:,.0f} B over "
-                          f"{fault['resyncs']} catch-up(s)")
-            text = f"{text}\n{fault_line}"
+    sim = result.sim
+    line = (f"simulated time: {sim['simulated_time_s']:.4f}s "
+            f"({sim['strategy']} on {sim['compute_model'].get('name', '?')} "
+            f"compute model, clock seed {sim['clock_seed']})")
+    if sim.get("rejected_pushes"):
+        line += f"; rejected pushes: {sim['rejected_pushes']}"
+    text = f"{text}\n{line}"
+    fault = sim.get("fault")
+    if fault:
+        fault_line = (f"faults ({fault['model']}, seed {fault['seed']}): "
+                      f"downtime {fault['total_downtime_s']:.4f}s over "
+                      f"{sum(fault['down_transitions_per_rank'])} outage(s), "
+                      f"{sum(fault['rejoins_per_rank'])} rejoin(s), "
+                      f"{fault['dropped_messages']} dropped message(s), "
+                      f"{fault['retries']} retrie(s), "
+                      f"re-sync {fault['resync_bytes']:,.0f} B over "
+                      f"{fault['resyncs']} catch-up(s)")
+        text = f"{text}\n{fault_line}"
     print(text)
     if args.output:
         path = save_json(result.as_dict(), args.output)

@@ -10,7 +10,6 @@ from repro.core.callbacks import (
     EvaluationCallback,
     MetricsCallback,
     ProgressCallback,
-    TimelineCallback,
     TrainState,
 )
 from repro.core.flat_buffer import FlatLayout, ModelFlatBuffers, WorldFlatBuffers
@@ -34,7 +33,6 @@ __all__ = [
     "Callback",
     "CallbackList",
     "TrainState",
-    "TimelineCallback",
     "EvaluationCallback",
     "MetricsCallback",
     "ProgressCallback",

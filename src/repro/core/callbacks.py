@@ -1,9 +1,8 @@
 """Pluggable trainer lifecycle: the Callback protocol and built-in callbacks.
 
 The :class:`~repro.core.trainer.DistributedTrainer` no longer hard-codes
-metrics collection, timeline recording, evaluation cadence or progress
-logging — each is a :class:`Callback` observing a :class:`TrainState` view
-of the run.
+metrics collection, evaluation cadence or progress logging — each is a
+:class:`Callback` observing a :class:`TrainState` view of the run.
 
 Hook order per run::
 
@@ -15,8 +14,8 @@ Hook order per run::
     on_train_end
 
 Callbacks run in list order: the trainer's defaults first
-(timeline -> evaluation -> metrics, so ``state.metric_value`` is populated
-before it is recorded), then user callbacks in the order they were passed.
+(evaluation -> metrics, so ``state.metric_value`` is populated before it is
+recorded), then user callbacks in the order they were passed.
 
 New per-worker or per-iteration behaviours — worker dropout, gradient-noise
 injection, stragglers, early stopping — are written as callbacks and, when
@@ -72,8 +71,6 @@ class TrainState:
     lr: float = math.nan
     #: Synchronization report of the last iteration.
     report: Optional["SyncReport"] = None
-    #: Measured forward/backward wall time of the last iteration.
-    compute_time_s: float = 0.0
     #: Evaluation result for the finishing epoch (set by EvaluationCallback).
     metric_value: float = math.nan
     stop_requested: bool = field(default=False, repr=False)
@@ -179,14 +176,6 @@ class CallbackList(Callback):
 CALLBACKS = Registry("callback", expose="callbacks")
 
 
-class TimelineCallback(Callback):
-    """Records per-iteration compute/compression/communication timing."""
-
-    def on_iteration_end(self, state: TrainState) -> None:
-        if state.report is not None:
-            state.timeline.record(state.compute_time_s, state.report)
-
-
 class EvaluationCallback(Callback):
     """Evaluates the consensus model on the configured epoch cadence.
 
@@ -213,15 +202,7 @@ class MetricsCallback(Callback):
 
     def on_epoch_end(self, state: TrainState) -> None:
         trainer = state.trainer
-        # NaN (not the measured-model total) when no virtual clock is
-        # attached, so time-to-accuracy plots never mix the two time bases.
-        sim_time = trainer.simulated_time_s \
-            if trainer.sim_report is not None else math.nan
         sim_report = trainer.sim_report
-        # Cumulative (not per-epoch deltas): the row reproduces identically
-        # whether a run was interrupted and resumed or ran straight through.
-        rejected = sim_report.rejected_pushes if sim_report is not None else 0
-        staleness = sim_report.mean_staleness() if sim_report is not None else 0.0
         population = getattr(trainer, "population", None)
         if population is not None:
             summary = population.summary()
@@ -237,9 +218,11 @@ class MetricsCallback(Callback):
             state.epoch, state.epoch_loss, state.metric_value,
             comm_time=trainer.world.simulated_comm_time,
             compute_time=state.timeline.compute_s,
-            simulated_time=sim_time,
-            rejected_pushes=rejected,
-            mean_staleness=staleness,
+            simulated_time=trainer.simulated_time_s,
+            # Cumulative (not per-epoch deltas): the row reproduces
+            # identically whether a run was resumed or ran straight through.
+            rejected_pushes=sim_report.rejected_pushes,
+            mean_staleness=sim_report.mean_staleness(),
             active_clients=active,
             cohort_fraction=fraction,
             unique_clients_seen=unique_seen)

@@ -30,9 +30,9 @@ class ExperimentResult:
     num_parameters: int
     wire_bits_per_iteration: float
     wall_time_s: float
-    #: Virtual-clock summary (``SimReport.as_dict()`` minus the raw event
-    #: log) when the run tracked simulated time; None otherwise.
-    sim: Optional[Dict[str, object]] = None
+    #: Simulated-clock summary: ``SimReport.as_dict()`` (which leaves out the
+    #: raw event log).
+    sim: Dict[str, object]
     #: Client-participation summary (the population's ``summary()`` dict)
     #: when the spec configured a federated client population; None
     #: otherwise.
@@ -76,10 +76,6 @@ def run_experiment(config: ExperimentSpec,
         # segments) must release them even when training raises.
         trainer.close()
     wall = time.perf_counter() - start
-    sim = None
-    if trainer.sim_report is not None:
-        sim = trainer.sim_report.as_dict()
-        sim.pop("events", None)  # the raw event log is checkpoint-scale data
     return ExperimentResult(
         config=config,
         metrics=metrics,
@@ -87,7 +83,7 @@ def run_experiment(config: ExperimentSpec,
         num_parameters=trainer.num_parameters,
         wire_bits_per_iteration=trainer.wire_bits_per_iteration,
         wall_time_s=wall,
-        sim=sim,
+        sim=trainer.sim_report.as_dict(),
         clients=trainer.population.summary()
         if trainer.population is not None else None,
     )

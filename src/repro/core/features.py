@@ -24,7 +24,7 @@ what the owners return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -90,8 +90,8 @@ class RunFeatures:
     parameter_compressor: Optional[type] = None
     #: The sync period H (1 when unset or not an integer).
     period: int = 1
-    #: The clock's compute-time model, defaulted: async strategies and
-    #: fault injection imply simulated time ("constant"); None = untimed.
+    #: The clock's compute-time model, "constant" unless the config names
+    #: one: every run keeps simulated time (None only when unresolvable).
     compute_model: Optional[ComputeTimeModel] = None
     #: Table-1 learning-rate policy, the optimizer it selects ("lars" or
     #: "sgd") and the base learning rate (``config.base_lr`` or Table 1's).
@@ -145,8 +145,10 @@ class RunFeatures:
         compressor = resolved(COMPRESSORS.get, str(config.algorithm))
         network = resolved(resolve_network, config.network)
         sync = resolved(SyncSpec.resolve, config.sync)
-        compute_model = resolved(resolve_compute_model, config.compute_model,
-                                 "compute_model: ")
+        compute_model = resolved(
+            resolve_compute_model,
+            "constant" if config.compute_model is None else config.compute_model,
+            "compute_model: ")
         faults = resolved(FaultSpec.resolve, config.faults)
         backend = resolved(resolve_backend, config.backend)
         clients = resolved(ClientSpec.resolve, config.clients)
@@ -173,19 +175,14 @@ class RunFeatures:
                     model_spec.lr_policy, world_size=world_size,
                     total_epochs=config.epochs)
                 optimizer = "lars" if use_lars else "sgd"
-        features = cls(config=config, errors=tuple(errors), world_size=world_size,
-                       model_spec=model_spec, network=network, sync=sync,
-                       faults=faults, clients=clients, backend=backend,
-                       compressor=compressor, strategy=strategy,
-                       aggregator=aggregator, topology=topology,
-                       parameter_compressor=parameter_compressor, period=period,
-                       compute_model=compute_model, lr_policy=lr_policy,
-                       optimizer=optimizer, base_lr=base_lr)
-        if compute_model is None and (features.is_async or features.faults_active):
-            # Async strategies always train on the virtual clock, and fault
-            # schedules / recovery penalties live on simulated time.
-            return replace(features, compute_model=resolve_compute_model("constant"))
-        return features
+        return cls(config=config, errors=tuple(errors), world_size=world_size,
+                   model_spec=model_spec, network=network, sync=sync,
+                   faults=faults, clients=clients, backend=backend,
+                   compressor=compressor, strategy=strategy,
+                   aggregator=aggregator, topology=topology,
+                   parameter_compressor=parameter_compressor, period=period,
+                   compute_model=compute_model, lr_policy=lr_policy,
+                   optimizer=optimizer, base_lr=base_lr)
 
     # ------------------------------------------------------------------ #
     # the one compatibility check

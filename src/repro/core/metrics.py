@@ -81,9 +81,10 @@ class TrainingMetrics:
     train_loss: List[float] = field(default_factory=list)
     metric: List[float] = field(default_factory=list)
     simulated_comm_time_s: List[float] = field(default_factory=list)
-    wall_compute_time_s: List[float] = field(default_factory=list)
-    #: Virtual-clock time at the end of each epoch (NaN when the run has no
-    #: compute-time model attached) — the x-axis of time-to-accuracy plots.
+    #: Cumulative simulated compute time (``timeline.compute_s``).
+    simulated_compute_time_s: List[float] = field(default_factory=list)
+    #: Simulated time at the end of each epoch — the x-axis of
+    #: time-to-accuracy plots.
     simulated_time_s: List[float] = field(default_factory=list)
     #: Async-PS health per epoch row: cumulative pushes rejected for
     #: staleness, and the running mean of the staleness histogram (0 for
@@ -111,7 +112,7 @@ class TrainingMetrics:
         self.train_loss.append(float(train_loss))
         self.metric.append(float(metric_value))
         self.simulated_comm_time_s.append(float(comm_time))
-        self.wall_compute_time_s.append(float(compute_time))
+        self.simulated_compute_time_s.append(float(compute_time))
         self.simulated_time_s.append(float(simulated_time))
         self.rejected_pushes.append(int(rejected_pushes))
         self.mean_staleness.append(float(mean_staleness))
@@ -141,7 +142,7 @@ class TrainingMetrics:
         ("train_loss", "train_loss"),
         ("metric", "metric"),
         ("simulated_comm_time_s", "simulated_comm_time_s"),
-        ("wall_compute_time_s", "wall_compute_time_s"),
+        ("simulated_compute_time_s", "simulated_compute_time_s"),
         ("simulated_time_s", "simulated_time_s"),
         ("rejected_pushes", "rejected_pushes"),
         ("mean_staleness", "mean_staleness"),

@@ -104,10 +104,9 @@ class ExperimentSpec:
     #: Synchronization section: None (allreduce + mean, the paper's
     #: Algorithm 1), a SyncSpec, or its dict form.
     sync: Union[None, dict, SyncSpec] = None
-    #: Compute-time model for the simulated clock: None, a registered name
-    #: ("constant", "lognormal", "straggler", "intermittent_dropout") or a
-    #: {"name": ..., **kwargs} dict.  Async sync strategies default to
-    #: "constant" when None.
+    #: Compute-time model for the simulated clock every run keeps: None
+    #: ("constant"), a registered name ("constant", "lognormal", "straggler",
+    #: "intermittent_dropout") or a {"name": ..., **kwargs} dict.
     compute_model: Union[None, str, dict] = None
     #: Seed for the per-rank compute-time draws (independent of ``seed``).
     clock_seed: int = 0

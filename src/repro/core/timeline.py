@@ -1,9 +1,9 @@
-"""Per-iteration timing records."""
+"""Simulated timing records: one synchronization's, and a run's totals."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass
@@ -31,43 +31,40 @@ class SyncReport:
 
 @dataclass
 class IterationTimeline:
-    """Accumulated timing of a training run, per component.
+    """Simulated time of a training run, per component.
 
-    ``compute`` is the measured forward/backward time of the simulated
-    workers (max across workers per iteration), ``compression`` the modelled
-    compressor price, ``communication`` the simulated collective time, and
-    ``aggregation`` the modeled robust-aggregator combine time.  Fed one
-    record per iteration by
-    :class:`repro.core.callbacks.TimelineCallback` at ``on_iteration_end``.
+    A fold over the run's priced iterations, fed in one place by the
+    simulator that keeps the run's clock.  Each lockstep iteration
+    (:meth:`repro.sim.engine.LockstepSimulator.record_iteration`) adds its
+    compute barrier — the slowest surviving rank's drawn ``compute + stall``
+    — its report's compression, communication and aggregation terms, and
+    the fault layer's time (rejoin re-syncs, discovery timeouts,
+    retransmissions, slow-node stalls), so ``total_s`` is the lockstep
+    clock.  Each async event (:class:`repro.sim.engine.SimulationEngine`)
+    adds the compute time it draws for its rank's next step and its step's
+    terms; ranks overlap there, so the sum runs ahead of the clock.
     """
 
     compute_s: float = 0.0
     compression_s: float = 0.0
     communication_s: float = 0.0
     aggregation_s: float = 0.0
+    fault_s: float = 0.0
     iterations: int = 0
-    per_iteration: List[Dict[str, float]] = field(default_factory=list)
 
-    def record(self, compute_s: float, report: SyncReport) -> None:
+    def record(self, compute_s: float, report: SyncReport,
+               fault_s: float = 0.0) -> None:
         self.compute_s += compute_s
         self.compression_s += report.compression_time_s
         self.communication_s += report.comm_time_s
         self.aggregation_s += report.aggregation_time_s
+        self.fault_s += fault_s
         self.iterations += 1
-        self.per_iteration.append({
-            "compute_s": compute_s,
-            "compression_s": report.compression_time_s,
-            "communication_s": report.comm_time_s,
-            "aggregation_s": report.aggregation_time_s,
-        })
 
     @property
     def total_s(self) -> float:
         return (self.compute_s + self.compression_s + self.communication_s
-                + self.aggregation_s)
-
-    def mean_iteration_time(self) -> float:
-        return self.total_s / self.iterations if self.iterations else 0.0
+                + self.aggregation_s + self.fault_s)
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -75,6 +72,7 @@ class IterationTimeline:
             "compression_s": self.compression_s,
             "communication_s": self.communication_s,
             "aggregation_s": self.aggregation_s,
+            "fault_s": self.fault_s,
             "total_s": self.total_s,
             "iterations": float(self.iterations),
         }

@@ -22,8 +22,8 @@ worker adds back its own error vector), so the trainer really does keep
 ``world_size`` models — this is essential to reproducing the algorithm's
 behaviour rather than an implementation convenience.
 
-Cross-cutting concerns — metrics collection, timeline recording, evaluation
-cadence, checkpointing, progress logging — live in
+Cross-cutting concerns — metrics collection, evaluation cadence,
+checkpointing, progress logging — live in
 :mod:`repro.core.callbacks`, not here: the trainer drives the
 ``Callback`` lifecycle hooks and new per-iteration behaviours plug in as
 callbacks without touching this file.
@@ -32,7 +32,6 @@ callbacks without touching this file.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
@@ -47,14 +46,12 @@ from repro.core.callbacks import (
     CallbackList,
     EvaluationCallback,
     MetricsCallback,
-    TimelineCallback,
     TrainState,
     resolve_callbacks,
 )
 from repro.core.features import RunFeatures
 from repro.core.flat_buffer import WorldFlatBuffers
 from repro.core.metrics import TrainingMetrics, evaluate_classifier, evaluate_language_model
-from repro.core.timeline import IterationTimeline
 from repro.core.trainer_state import LiveWorkerRows, Progress, WorldRows
 from repro.data.dataloader import DataLoader, shard_dataset
 from repro.data.partition import partition_clients
@@ -108,14 +105,13 @@ class TrainerConfig:
     #: (``{"strategy": "gossip", "topology": "ring",
     #: "parameter_compression": "topk", ...}``).
     sync: Optional[object] = None
-    #: Compute-time model for the simulated clock: None, a registered name
-    #: ("constant", "lognormal", "straggler", "intermittent_dropout"), a
-    #: ``{"name": ..., **kwargs}`` dict, or a
-    #: :class:`repro.sim.compute.ComputeTimeModel` instance.  Async
-    #: strategies always run on the virtual clock (defaulting to
-    #: "constant"); with a synchronous strategy a non-None model attaches a
-    #: :class:`repro.sim.engine.LockstepSimulator` that prices each
-    #: iteration without touching the numerics.
+    #: Compute-time model for the simulated clock: None ("constant"), a
+    #: registered name ("constant", "lognormal", "straggler",
+    #: "intermittent_dropout"), a ``{"name": ..., **kwargs}`` dict, or a
+    #: :class:`repro.sim.compute.ComputeTimeModel` instance.  Every run keeps
+    #: simulated time: async strategies on the virtual-clock event engine,
+    #: synchronous ones through a :class:`repro.sim.engine.LockstepSimulator`
+    #: that prices each iteration without touching the numerics.
     compute_model: Optional[object] = None
     #: Seed for the per-rank compute-time draws (independent of ``seed`` so
     #: timing noise never perturbs the training numerics).
@@ -151,7 +147,7 @@ class DistributedTrainer:
 
     ``callbacks`` accepts :class:`~repro.core.callbacks.Callback` instances,
     registered callback names, or ``{"name": ..., **kwargs}`` dicts; they run
-    after the built-in timeline/evaluation/metrics callbacks, in order.
+    after the built-in evaluation/metrics callbacks, in order.
     """
 
     def __init__(self, config: TrainerConfig, callbacks: Optional[Iterable] = None):
@@ -243,25 +239,26 @@ class DistributedTrainer:
         else:
             self.executor = self.backend.create_executor(self)
         self.metrics = TrainingMetrics(metric_name=self.spec.metric)
-        self.timeline = IterationTimeline()
         self._global_iteration = 0
         #: Live worker rows snapshotted just before finalize() collapsed them
         #: (async runs only) — lets checkpoints resume per-rank trajectories.
         self._async_worker_rows: Optional[np.ndarray] = None
 
-        # Simulated time.  Async strategies always train on the virtual-clock
-        # event engine; synchronous strategies keep their lockstep numerics
-        # and, when the (defaulted) compute model is set, attach a
-        # LockstepSimulator that prices each iteration.
+        # Simulated time, the run's one time base.  Async strategies train
+        # on the virtual-clock event engine; synchronous strategies keep
+        # their lockstep numerics and a LockstepSimulator prices each
+        # iteration.  Exactly one of the two exists; ``simulator`` is it.
         self.sim_engine: Optional[SimulationEngine] = None
         self.lockstep_sim: Optional[LockstepSimulator] = None
         if self.is_async:
             self.sim_engine = SimulationEngine(self, features.compute_model,
                                                config.clock_seed)
-        elif features.compute_model is not None:
+        else:
             self.lockstep_sim = LockstepSimulator(config.world_size,
                                                   features.compute_model,
                                                   config.clock_seed)
+        self.simulator = self.sim_engine or self.lockstep_sim
+        self.timeline = self.simulator.timeline
 
         # Fault layer: membership mask + injector.  ``intermittent_dropout``
         # compute stalls are bridged to membership absences on the lockstep
@@ -273,18 +270,16 @@ class DistributedTrainer:
         self._last_losses: Optional[np.ndarray] = None
         if self.fault_injector is not None:
             self.world.membership = self.fault_injector.membership
+            self.simulator.report.fault = self.fault_injector.report
             if self.sim_engine is not None:
                 self.sim_engine.injector = self.fault_injector
-                self.sim_engine.report.fault = self.fault_injector.report
-            elif self.lockstep_sim is not None:
-                self.lockstep_sim.report.fault = self.fault_injector.report
 
         # Checkpointed state: each owner implements state_arrays() /
         # load_state_arrays() under its own key prefix; core/checkpoint.py is
         # one loop over this list each way.  New subsystems append themselves.
         owners = [("", WorldRows(self)),
                   ("sync_param_", self.sync_strategy.parameter_codec),
-                  ("sim_", self.sim_engine or self.lockstep_sim),
+                  ("sim_", self.simulator),
                   ("sync_async_", self.sync_strategy if self.is_async else None),
                   ("async_worker_", LiveWorkerRows(self) if self.is_async else None),
                   ("fault_", self.fault_injector),
@@ -294,12 +289,11 @@ class DistributedTrainer:
                                   if owner is not None]
 
         # Lifecycle plugins.  The built-ins reproduce the seed trainer's
-        # behaviour (timeline first so metrics sees fresh compute totals,
-        # evaluation before metrics so the epoch row has its metric value);
-        # user callbacks run after them in the order given.
+        # behaviour (evaluation before metrics so the epoch row has its
+        # metric value); user callbacks run after them in the order given.
         self.state = TrainState(trainer=self)
-        self.callbacks = CallbackList([TimelineCallback(), EvaluationCallback(),
-                                       MetricsCallback(), *resolve_callbacks(callbacks)])
+        self.callbacks = CallbackList([EvaluationCallback(), MetricsCallback(),
+                                       *resolve_callbacks(callbacks)])
 
     # ------------------------------------------------------------------ #
     # data pipelines
@@ -594,7 +588,7 @@ class DistributedTrainer:
         matrix = self.flat_world.param_matrix
         for rank, row in enumerate(self.sync_strategy.finalize(list(matrix))):
             matrix[rank] = row
-        if self.population is not None and self.sim_report is not None:
+        if self.population is not None:
             self.sim_report.participation = self.population.summary()
         self.callbacks.on_train_end(state)
         return self.metrics
@@ -625,30 +619,17 @@ class DistributedTrainer:
         return state.epoch_progress
 
     def _end_iteration(self, state: TrainState, loss: float, lr: float,
-                       compute_time: float, report,
-                       alive: Optional[List[int]] = None,
-                       extra_s: float = 0.0) -> None:
+                       report) -> None:
         self._global_iteration += 1
         state.global_iteration = self._global_iteration
         state.loss = loss
         state.lr = lr
-        state.compute_time_s = compute_time
         state.report = report
-        if self.lockstep_sim is not None and report is not None:
-            # Price the lockstep iteration before callbacks run so metrics
-            # rows see the advanced simulated clock.
-            duration = self.lockstep_sim.record_iteration(report, alive=alive,
-                                                          extra_s=extra_s)
-            if alive is not None and self.fault_injector is not None:
-                for rank in self.fault_injector.membership.dead_ranks():
-                    self.fault_injector.report.record_downtime(rank, duration)
         self.callbacks.on_iteration_end(state)
 
     def _end_epoch(self, state: TrainState, epoch: int, epoch_losses: List[float]) -> None:
         state.epoch = epoch
         state.epoch_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
-        if self.lockstep_sim is not None:
-            self.lockstep_sim.record_epoch_mark()
         self.callbacks.on_epoch_end(state)
 
     def _resume_epoch(self) -> int:
@@ -711,20 +692,24 @@ class DistributedTrainer:
                 if state.stop_requested:
                     break
                 batches = self._next_batches(iterators)
-                start = time.perf_counter()
                 G, loss, states = self._gradients(batches, states)
-                compute_time = time.perf_counter() - start
                 new, report = self._exchange(G)
                 lr = self._apply(new, progress)
                 report = self._parameter_phase(report)
+                # Price the iteration before callbacks run so metrics rows
+                # see the advanced simulated clock.
+                duration = self.lockstep_sim.record_iteration(report, alive=alive,
+                                                              extra_s=extra_s)
                 if alive is not None:
                     # Mean training loss over the surviving ranks only.
                     loss = float(np.mean(self._last_losses[alive]))
+                    for rank in self.fault_injector.membership.dead_ranks():
+                        self.fault_injector.report.record_downtime(rank, duration)
                 epoch_losses.append(loss)
-                self._end_iteration(state, loss, lr, compute_time, report,
-                                    alive=alive, extra_s=extra_s)
+                self._end_iteration(state, loss, lr, report)
                 if state.stop_requested:
                     break
+            self.lockstep_sim.record_epoch_mark()
             self._end_epoch(state, epoch, epoch_losses)
             if state.stop_requested:
                 break
@@ -778,31 +763,13 @@ class DistributedTrainer:
 
     @property
     def sim_report(self):
-        """The run's :class:`~repro.sim.report.SimReport`, or None.
-
-        Present whenever simulated time is being tracked: always for async
-        strategies, and for synchronous strategies configured with a
-        ``compute_model``.
-        """
-        if self.sim_engine is not None:
-            return self.sim_engine.report
-        if self.lockstep_sim is not None:
-            return self.lockstep_sim.report
-        return None
+        """The run's :class:`~repro.sim.report.SimReport` — the async
+        engine's or the lockstep simulator's; every run has one."""
+        return self.simulator.report
 
     @property
     def simulated_time_s(self) -> float:
-        """Simulated wall-clock of the run so far (seconds).
-
-        The virtual clock when one is attached; otherwise the measured-model
-        timeline total (compute + compression + communication +
-        aggregation), which is what the seed trainer always reported.
-        """
-        if self.sim_engine is not None:
-            return self.sim_engine.clock.now
-        if self.lockstep_sim is not None:
-            return self.lockstep_sim.now
-        return self.timeline.total_s
-
-    def mean_iteration_time(self) -> float:
-        return self.timeline.mean_iteration_time()
+        """Simulated wall-clock of the run so far (seconds): the simulator's
+        clock, the run's one time base.  On the lockstep paths it equals
+        ``timeline.total_s`` up to float rounding."""
+        return self.simulator.now

@@ -21,8 +21,8 @@ Two integration points with the trainer:
 * :class:`LockstepSimulator` keeps the synchronous paths' numerics
   untouched and only *prices* them: each lockstep iteration costs the
   barrier ``max_r(compute_r + stall_r)`` plus the iteration's modelled
-  compression/communication/aggregation time.  Under a constant model this
-  reproduces today's behaviour bit for bit while adding a simulated clock.
+  compression/communication/aggregation time.  Every synchronous run has
+  one, on the ``constant`` model unless the spec names another.
 
 Every term on both clocks is modelled, none measured — compression too: the
 strategies report the analytic price of
@@ -37,12 +37,12 @@ the clock, the in-flight events and the compute-model RNG positions
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.batched_replicas import RankExecutors
+from repro.core.timeline import IterationTimeline
 from repro.sim.clock import VirtualClock
 from repro.sim.compute import ComputeTimeModel
 from repro.sim.report import SimReport
@@ -68,6 +68,7 @@ class SimulationEngine:
                                 clock_seed=self.clock_seed,
                                 world_size=world_size,
                                 strategy=trainer.sync_strategy.name)
+        self.timeline = IterationTimeline()
         self.total_steps = 0
         self.batches_consumed: List[int] = [0] * world_size
         self._iterators = None
@@ -82,6 +83,11 @@ class SimulationEngine:
         #: Optional :class:`repro.faults.injector.FaultInjector`, installed
         #: by the trainer.  ``None`` keeps the event loop fault-free.
         self.injector = None
+
+    @property
+    def now(self) -> float:
+        """The virtual clock's current time (seconds)."""
+        return self.clock.now
 
     # ------------------------------------------------------------------ #
     # engine protocol consumed by AsyncStrategy implementations
@@ -184,12 +190,15 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     # the event loop
     # ------------------------------------------------------------------ #
-    def _schedule_next(self, rank: int, start: float) -> None:
+    def _schedule_next(self, rank: int, start: float) -> float:
+        """Draw ``rank``'s next step and schedule its completion; returns
+        the drawn ``compute + stall`` seconds."""
         compute_s, stall_s = self.compute_model.step_time(rank)
         if self.injector is not None and self.injector.affects_timing:
             stall_s += self.injector.extra_stall(rank)
         self.report.record_schedule(rank, compute_s, stall_s)
         self.clock.schedule(start + stall_s + compute_s, rank)
+        return stall_s + compute_s
 
     # ------------------------------------------------------------------ #
     # fault layer (event dispositions; strategies never see the injector)
@@ -262,9 +271,7 @@ class SimulationEngine:
                 state.iteration = step_in_epoch
                 state.epoch_progress = epoch + step_in_epoch / steps_per_epoch
                 trainer.callbacks.on_iteration_start(state)
-                wall_start = time.perf_counter()
                 loss = self._compute_gradient(rank)
-                compute_wall = time.perf_counter() - wall_start
                 lr = max(trainer.lr_policy.lr_at(state.epoch_progress,
                                                  trainer.base_lr), 1e-12)
                 step = strategy.worker_step(rank, lr)
@@ -274,11 +281,12 @@ class SimulationEngine:
                 self.total_steps += 1
                 # The worker resumes computing after its push is compressed
                 # and its exchange completes.
-                self._schedule_next(
+                compute_s = self._schedule_next(
                     rank, when + step.compression_time_s + step.comm_time_s)
+                report = step.to_sync_report()
+                self.timeline.record(compute_s, report)
                 epoch_losses.append(loss)
-                trainer._end_iteration(state, loss, lr, compute_wall,
-                                       step.to_sync_report())
+                trainer._end_iteration(state, loss, lr, report)
                 if state.stop_requested:
                     break
             self.report.record_epoch_mark(self.clock.now)
@@ -358,12 +366,13 @@ class SimulationEngine:
 class LockstepSimulator:
     """Simulated-time accounting for the synchronous lockstep paths.
 
-    Numerics are untouched: the trainer's loops run exactly as before and
-    call :meth:`record_iteration` once per iteration with that iteration's
+    Numerics are untouched: the trainer's lockstep loop calls
+    :meth:`record_iteration` once per iteration with that iteration's
     :class:`~repro.core.timeline.SyncReport`.  The iteration's simulated
     duration is the compute barrier — every rank draws its step time from
     the compute model and the slowest gates the collective — plus the
-    report's compression, communication and aggregation time.
+    report's compression, communication and aggregation time and the fault
+    layer's extra time; :attr:`timeline` folds the same terms.
     """
 
     def __init__(self, world_size: int, compute_model: ComputeTimeModel,
@@ -378,6 +387,7 @@ class LockstepSimulator:
                                 clock_seed=self.clock_seed,
                                 world_size=self.world_size,
                                 strategy="lockstep")
+        self.timeline = IterationTimeline()
         self._pending_draws: Optional[List] = None
 
     def draw_iteration(self) -> List:
@@ -413,9 +423,11 @@ class LockstepSimulator:
                           default=0.0)
         overhead = (sync_report.compression_time_s + sync_report.comm_time_s
                     + sync_report.aggregation_time_s)
-        duration = barrier + overhead + float(extra_s)
+        extra_s = float(extra_s)
+        duration = barrier + overhead + extra_s
         self.now += duration
         self.iterations += 1
+        self.timeline.record(barrier, sync_report, extra_s)
         alive_set = None if alive is None else set(alive)
         for rank, (compute, stall) in enumerate(draws):
             if alive_set is not None and rank not in alive_set:
@@ -442,6 +454,8 @@ class LockstepSimulator:
         }
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
+        if "clock_now" not in arrays:
+            return  # written by a clockless run: the fresh clock starts at 0
         self.now = float(arrays["clock_now"][0])
         self.iterations = int(arrays["iterations"][0])
         self.compute_model.restore([int(c) for c in arrays["draws"]])

@@ -44,10 +44,7 @@ def train_params_and_metrics(backend, *, model="fnn3", world_size=2,
         params = trainer.flat_world.param_matrix.copy()
     finally:
         trainer.close()
-    payload = metrics.as_dict()
-    payload.pop("wall_compute_time_s", None)   # measured wall clock differs
-    payload.pop("simulated_time_s", None)      # NaN-filled when untimed
-    return params, payload, metrics.final_metric
+    return params, metrics.as_dict(), metrics.final_metric
 
 
 # --------------------------------------------------------------------------- #

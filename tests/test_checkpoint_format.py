@@ -22,6 +22,12 @@ HISTORY = ["epoch_history", "loss_history", "metric_history",
            "progress"]
 
 
+#: Written by every synchronous run: the lockstep simulator's clock.
+LOCKSTEP_SIM = ["sim_busy_s", "sim_clock_now", "sim_comm_s", "sim_draws",
+                "sim_epoch_marks", "sim_iterations", "sim_stall_s",
+                "sim_steps_per_rank"]
+
+
 def world_rows(world_size: int, tensors: int) -> list:
     """Per rank: parameters, lr and one momentum array per parameter tensor."""
     keys = []
@@ -37,17 +43,17 @@ FAMILIES = {
     "a2sgd_lars": (
         dict(model="vgg16", batch_size=2, max_iterations_per_epoch=1,
              num_train=16, num_test=4),
-        HISTORY + world_rows(2, 41)),
+        HISTORY + LOCKSTEP_SIM + world_rows(2, 41)),
     "topk_residual": (
         dict(algorithm="topk", compressor_kwargs={"ratio": 0.05}),
-        HISTORY + world_rows(2, 8)
+        HISTORY + LOCKSTEP_SIM + world_rows(2, 8)
         + ["compressor_residual_0", "compressor_residual_1"]),
     "gossip_topk_codec": (
         dict(algorithm="dense", world_size=3,
              sync={"strategy": "gossip", "topology": "ring",
                    "parameter_compression": "topk",
                    "parameter_compression_kwargs": {"ratio": 0.05}}),
-        HISTORY + world_rows(3, 8)
+        HISTORY + LOCKSTEP_SIM + world_rows(3, 8)
         + ["sync_param_references", "sync_param_residual_0",
            "sync_param_residual_1", "sync_param_residual_2"]),
     "async_ps": (
@@ -71,16 +77,14 @@ FAMILIES = {
            "fault_message_counters", "fault_needs_catchup",
            "fault_report_down_transitions", "fault_report_downtime_s",
            "fault_report_rejoins", "fault_report_resync_bytes",
-           "fault_report_scalars", "fault_stall_counters",
-           "sim_busy_s", "sim_clock_now", "sim_comm_s", "sim_draws",
-           "sim_epoch_marks", "sim_iterations", "sim_stall_s",
-           "sim_steps_per_rank"]),
+           "fault_report_scalars", "fault_stall_counters"]
+        + LOCKSTEP_SIM),
     # N=6 clients on K=2 slots: two swapped-out clients are parked.
     "fedavg_sampled": (
         dict(algorithm="dense", max_iterations_per_epoch=4, num_train=256,
              sync={"strategy": "fedavg", "period": 2},
              clients={"num_clients": 6, "sampler": "uniform", "sampler_seed": 7}),
-        HISTORY + world_rows(2, 8)
+        HISTORY + LOCKSTEP_SIM + world_rows(2, 8)
         + ["clients_assignment", "clients_round", "clients_seen",
            "clients_store_1_velocity", "clients_store_4_velocity"]),
 }

@@ -94,18 +94,18 @@ class TestIterationTimeline:
     def test_record_accumulates_components(self):
         timeline = IterationTimeline()
         timeline.record(0.5, SyncReport(compression_time_s=0.1, comm_time_s=0.2))
-        timeline.record(0.5, SyncReport(compression_time_s=0.1, comm_time_s=0.2))
+        timeline.record(0.5, SyncReport(compression_time_s=0.1, comm_time_s=0.2),
+                        fault_s=0.3)
         assert timeline.iterations == 2
         assert timeline.compute_s == pytest.approx(1.0)
         assert timeline.compression_s == pytest.approx(0.2)
         assert timeline.communication_s == pytest.approx(0.4)
-        assert timeline.total_s == pytest.approx(1.6)
-        assert timeline.mean_iteration_time() == pytest.approx(0.8)
-        assert len(timeline.per_iteration) == 2
+        assert timeline.fault_s == pytest.approx(0.3)
+        assert timeline.total_s == pytest.approx(1.9)
 
     def test_empty_timeline(self):
         timeline = IterationTimeline()
-        assert timeline.mean_iteration_time() == 0.0
+        assert timeline.total_s == 0.0
         assert timeline.as_dict()["iterations"] == 0.0
 
     def test_sync_report_defaults(self):

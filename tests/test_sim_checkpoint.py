@@ -168,12 +168,31 @@ class TestResumedTrajectoriesAreBitIdentical:
         assert fresh.lockstep_sim.compute_model.step_counts == \
             trainer.lockstep_sim.compute_model.step_counts
 
-    def test_plain_checkpoints_still_load_into_simulated_trainers(self, tmp_path):
-        """A checkpoint written without any sim state (older run / no compute
-        model) must load cleanly when the target trainer has no sim either."""
-        plain = make_trainer(epochs=1, compute_model=None)
-        plain.train()
-        path = save_checkpoint(plain, tmp_path / "ckpt.npz")
-        fresh = make_trainer(epochs=1, compute_model=None)
-        load_checkpoint(fresh, path)
-        assert fresh.sim_report is None
+    def test_clockless_checkpoints_load_and_resume(self, tmp_path):
+        """Earlier commits gave a synchronous run without a compute model no
+        clock, so its checkpoint holds no ``sim_*`` keys (and NaN simulated
+        times).  Such a file still loads: the fresh clock starts at 0, and
+        the resumed trajectory matches the uninterrupted run bit for bit."""
+        interrupted = make_trainer(stop_after=1, compute_model=None)
+        interrupted.train()
+        path = save_checkpoint(interrupted, tmp_path / "ckpt.npz")
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files
+                      if not name.startswith("sim_")}
+        arrays["metrics_sim_time"] = np.full_like(arrays["metrics_sim_time"], np.nan)
+        clockless = tmp_path / "clockless.npz"
+        np.savez_compressed(clockless, **arrays)
+
+        resumed = make_trainer(compute_model=None)
+        load_checkpoint(resumed, clockless)
+        resumed.lockstep_sim.load_state_arrays({})
+        assert resumed.simulated_time_s == 0.0
+        assert resumed.lockstep_sim.iterations == 0
+        resumed.train()
+        uninterrupted = make_trainer(compute_model=None)
+        uninterrupted.train()
+        assert np.array_equal(final_params(resumed), final_params(uninterrupted))
+        assert resumed.metrics.train_loss == uninterrupted.metrics.train_loss
+        # One epoch of four iterations ran on the fresh clock.
+        assert resumed.lockstep_sim.iterations == 4
+        assert resumed.simulated_time_s > 0.0

@@ -360,10 +360,12 @@ class TestEndToEnd:
         assert sum(sim["steps_per_rank"]) == 2 * 2 * 4
         assert np.isfinite(result.final_metric)
 
-    def test_sync_run_without_compute_model_has_no_sim_report(self):
+    def test_sync_run_without_compute_model_runs_on_the_constant_clock(self):
         result = run_experiment(tiny_spec())
-        assert result.sim is None
-        assert all(np.isnan(v) for v in result.metrics.simulated_time_s)
+        sim = result.sim
+        assert sim["strategy"] == "lockstep"
+        assert sim["compute_model"]["name"] == "constant"
+        assert result.metrics.simulated_time_s[-1] == sim["simulated_time_s"] > 0.0
 
     def test_lockstep_run_with_compute_model_is_priced(self):
         result = run_experiment(tiny_spec(compute_model="constant"))
@@ -473,8 +475,9 @@ class TestPerRankExecutors:
 # --------------------------------------------------------------------- #
 class TestAcceptance:
     def test_allreduce_under_constant_model_is_bit_identical(self):
-        """Attaching the constant compute model only *prices* the lockstep
-        run — every parameter of every replica stays exactly equal."""
+        """The constant compute model only *prices* the lockstep run —
+        every parameter of every replica stays exactly equal — and it is
+        what a spec without a compute model runs on."""
         def train(config):
             trainer = DistributedTrainer(config)
             trainer.train()
@@ -485,8 +488,8 @@ class TestAcceptance:
         priced_trainer, priced = train(make_config(
             world_size=2, compute_model="constant", clock_seed=0))
         assert np.array_equal(baseline, priced)
-        assert baseline_trainer.sim_report is None
-        assert priced_trainer.sim_report is not None
+        assert baseline_trainer.sim_report.as_dict() == \
+            priced_trainer.sim_report.as_dict()
         assert priced_trainer.simulated_time_s > 0.0
 
     def test_async_ps_beats_allreduce_on_time_to_accuracy(self):
