@@ -37,8 +37,8 @@ model exposing ``forward_batched``), :class:`BatchedLanguageModelExecutor`
 covers the LSTM language model with stacked truncated-BPTT state.  A model
 with a layer lacking ``forward_batched`` has no executor:
 :func:`build_replica_executor` raises, naming the layer types.
-:class:`RankExecutors` runs one P = 1 executor per rank (the async engine,
-and lockstep language models whose shards differ in width).
+:class:`RankExecutors` runs one P = 1 executor per rank (language models
+whose shards differ in width).
 
 Every executor keeps per-input-signature state across iterations: the two
 autograd executors record their batched graph on a
@@ -265,6 +265,16 @@ class BatchedReplicaExecutor:
         return [float(value) for value in ws.picked_mean]
 
 
+def stack_rows(rows) -> np.ndarray:
+    """Per-rank arrays as one stacked ``(P, ...)`` batch.  A ``None`` row — a
+    rank whose result the caller does not need — becomes zeros shaped like
+    the others; an array passes through."""
+    if isinstance(rows, np.ndarray):
+        return rows
+    template = next(row for row in rows if row is not None)
+    return np.asarray([np.zeros_like(template) if row is None else row for row in rows])
+
+
 class ReplicaStack:
     """Stacked ``(P, *shape)`` autograd views over a world's parameters.
 
@@ -463,15 +473,16 @@ class BatchedLanguageModelExecutor:
         """One BPTT window for every replica at once.
 
         ``tokens``/``targets`` are stacked ``(P, T, N)`` integer batches (an
-        array or ``P`` equally-shaped per-rank arrays); ``state`` is ``None``
+        array or ``P`` equally-shaped per-rank arrays, where a ``None`` row
+        runs on zeros — see :func:`stack_rows`); ``state`` is ``None``
         at an epoch start or whatever the previous call returned.  Returns the per-replica mean losses and the detached
         stacked state for the next window.
         """
         P = self.stack.world_size
-        tokens = np.asarray(tokens)
+        tokens = stack_rows(tokens)
         if tokens.shape[0] != P:
             raise ValueError(f"expected {P} replica batches, got {tokens.shape[0]}")
-        targets = np.asarray(targets).reshape(P, -1)
+        targets = stack_rows(targets).reshape(P, -1)
         signature = tokens.shape
         rec = self._recordings.get(signature)
         if rec is not None:
@@ -505,6 +516,25 @@ class BatchedLanguageModelExecutor:
                               state_bufs=[(h.data, c.data) for h, c in state],
                               new_state=new_state)
         return losses, self.model.detach_state(new_state)
+
+    def select_states(self, take: Sequence[bool], first, second):
+        """Per replica, the carried state row of ``first`` where ``take`` is
+        set and of ``second`` elsewhere, as owned arrays (``None`` is the
+        zero state).  The copies matter: a replay's carried state aliases
+        its recording's output buffers, which the next replay overwrites."""
+        if first is None and second is None:
+            return None
+        template = first if first is not None else second
+        rows = np.asarray(take, dtype=bool).reshape(-1, 1, 1)
+
+        def arrays(state):
+            if state is None:
+                return [(np.zeros_like(h.data), np.zeros_like(c.data))
+                        for h, c in template]
+            return [(h.data, c.data) for h, c in state]
+
+        return [(Tensor(np.where(rows, h1, h2)), Tensor(np.where(rows, c1, c2)))
+                for (h1, c1), (h2, c2) in zip(arrays(first), arrays(second))]
 
 
 def replica_executor_class(model: Module, task: str) -> type:
@@ -550,44 +580,46 @@ class RankExecutors:
 
     Built by the rule of :func:`build_replica_executor` on
     :meth:`WorldFlatBuffers.row`, so a rank replays the program recorded for
-    its own batch shape and writes its gradient row in place.  The async
-    engine steps one rank per event (:meth:`step`); the lockstep trainer runs
-    every rank in turn (:meth:`forward_backward`) when language-model shards
-    differ in width and cannot be stacked.
+    its own batch shape and writes its gradient row in place.  The trainer
+    uses it for language models whose shards differ in width and cannot be
+    stacked: :meth:`forward_backward` runs every rank in turn.
     """
 
     def __init__(self, replicas: Sequence[Module], world: WorldFlatBuffers,
                  task: str):
-        self.task = task
         self.executors = [build_replica_executor([replica], world.row(rank), task)
                           for rank, replica in enumerate(replicas)]
-
-    def step(self, rank: int, inputs: np.ndarray, targets: np.ndarray,
-             state=None) -> Tuple[float, object]:
-        """Rank ``rank``'s forward/backward on its own batch.
-
-        Returns its loss and the carried stacked P = 1 BPTT state (``state``
-        is that rank's previous one, ``None`` at an epoch start; classifiers
-        carry none).
-        """
-        executor = self.executors[rank]
-        if self.task == "language_model":
-            losses, state = executor.forward_backward(inputs[None], targets[None], state)
-        else:
-            losses = executor.forward_backward(inputs[None], targets[None])
-        return losses[0], state
 
     def forward_backward(self, inputs: Sequence[np.ndarray],
                          targets: Sequence[np.ndarray],
                          states=None) -> Tuple[List[float], List]:
         """Every rank in turn: per-rank batches in, per-rank losses and the
         per-rank carried states out (``states`` is ``None`` at an epoch
-        start) — :class:`BatchedLanguageModelExecutor`'s contract."""
+        start, and so is a rank's entry when its BPTT state restarts) —
+        :class:`BatchedLanguageModelExecutor`'s contract.  A rank whose batch
+        is ``None`` is skipped: its gradient row stays as it was, and its
+        loss and state are ``None``."""
         if states is None:
             states = [None] * len(self.executors)
         losses, carried = [], []
-        for rank, (x, y, state) in enumerate(zip(inputs, targets, states)):
-            loss, state = self.step(rank, x, y, state)
-            losses.append(loss)
+        for executor, x, y, state in zip(self.executors, inputs, targets, states):
+            if x is None:
+                losses.append(None)
+                carried.append(None)
+                continue
+            rank_losses, state = executor.forward_backward(x[None], y[None], state)
+            losses.append(rank_losses[0])
             carried.append(state)
         return losses, carried
+
+    def select_states(self, take: Sequence[bool], first, second) -> List:
+        """Per rank, an owned copy of ``first``'s state where ``take`` is set
+        and of ``second``'s elsewhere (``None`` is the zero state) — the
+        per-rank form of :meth:`BatchedLanguageModelExecutor.select_states`."""
+        size = len(self.executors)
+        first = [None] * size if first is None else first
+        second = [None] * size if second is None else second
+        return [None if state is None else
+                [(Tensor(h.data.copy()), Tensor(c.data.copy())) for h, c in state]
+                for state in (a if pick else b
+                              for pick, a, b in zip(take, first, second))]

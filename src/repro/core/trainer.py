@@ -52,7 +52,7 @@ from repro.core.callbacks import (
 from repro.core.features import RunFeatures
 from repro.core.flat_buffer import WorldFlatBuffers
 from repro.core.metrics import TrainingMetrics, evaluate_classifier, evaluate_language_model
-from repro.core.trainer_state import LiveWorkerRows, Progress, WorldRows
+from repro.core.trainer_state import LiveWorkerRows, ModuleBuffers, Progress, WorldRows
 from repro.data.dataloader import DataLoader, shard_dataset
 from repro.data.partition import partition_clients
 from repro.data.registry import get_dataset
@@ -225,15 +225,12 @@ class DistributedTrainer:
         self._velocity_matrix = np.zeros_like(self.flat_world.param_matrix)
         self._step_scratch = np.empty_like(self.flat_world.param_matrix)
         self._setup_data()
-        # The lockstep executor stacks all ranks into one graph.  Async runs
-        # leave it None: the event loop steps one rank at a time through its
-        # own P = 1 executor over that rank's row (SimulationEngine).  LM
-        # shards of unequal width (batch not divisible by P) cannot be
-        # stacked, so each rank runs its own P = 1 executor in turn.
-        if self.is_async:
-            self.executor = None
-        elif (self.spec.task == "language_model"
-              and len({shard.batch_size for shard in self.lm_shards}) != 1):
+        # The executor stacks all ranks into one graph, for the lockstep loop
+        # and for the async engine's gradient waves alike.  LM shards of
+        # unequal width (batch not divisible by P) cannot be stacked, so each
+        # rank runs its own P = 1 executor in turn.
+        if (self.spec.task == "language_model"
+                and len({shard.batch_size for shard in self.lm_shards}) != 1):
             self.executor = RankExecutors(self.replicas, self.flat_world,
                                           self.spec.task)
         else:
@@ -278,6 +275,7 @@ class DistributedTrainer:
         # load_state_arrays() under its own key prefix; core/checkpoint.py is
         # one loop over this list each way.  New subsystems append themselves.
         owners = [("", WorldRows(self)),
+                  ("buffers_", ModuleBuffers(self)),
                   ("sync_param_", self.sync_strategy.parameter_codec),
                   ("sim_", self.simulator),
                   ("sync_async_", self.sync_strategy if self.is_async else None),

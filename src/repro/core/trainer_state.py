@@ -2,7 +2,7 @@
 
 Subsystems with a class of their own (parameter codec, simulators, async
 strategies, fault injector, client population) implement ``state_arrays()`` /
-``load_state_arrays(arrays)`` themselves; these three cover the rest.  The
+``load_state_arrays(arrays)`` themselves; these four cover the rest.  The
 ordered owner list is built in ``DistributedTrainer._build``.
 """
 
@@ -57,6 +57,23 @@ class WorldRows(_TrainerOwner):
                 kind: arrays[f"compressor_{kind}_{rank}"]
                 for kind in ("residual", "velocity")
                 if f"compressor_{kind}_{rank}" in arrays})
+
+
+class ModuleBuffers(_TrainerOwner):
+    """Per rank: the replica's module buffers (BatchNorm running statistics),
+    in ``named_buffers`` order.  They are no row of the flat world, so
+    without them a resumed run would evaluate on fresh statistics.  Models
+    without buffers write no keys."""
+
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        return {f"{rank}_{index}": buffer.copy()
+                for rank, replica in enumerate(self.trainer.replicas)
+                for index, (_, buffer) in enumerate(replica.named_buffers())}
+
+    def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
+        for rank, replica in enumerate(self.trainer.replicas):
+            for index, (_, buffer) in enumerate(replica.named_buffers()):
+                buffer[...] = arrays[f"{rank}_{index}"]
 
 
 class LiveWorkerRows(_TrainerOwner):

@@ -5,19 +5,21 @@ Two integration points with the trainer:
 * :class:`SimulationEngine` replaces the lockstep epoch loops when the bound
   strategy ``is_async``.  Ranks advance at the heterogeneous speeds drawn
   from the compute-time model: the clock pops the earliest ``(time, rank)``
-  completion event, that rank's gradient is computed (real numerics,
-  simulated duration) by its entry of
-  :class:`~repro.core.batched_replicas.RankExecutors` — the executor the
-  lockstep path would build, run at P = 1 on that rank's row of the flat
-  world — the strategy's :meth:`worker_step` performs
-  the async numerics and prices its traffic through the α–β network model,
-  and the rank's next completion is scheduled at
-  ``event_time + compression + comm + stall + compute``.  Epoch semantics are
-  *update-budget based*: one epoch is ``world_size × iterations_per_epoch``
-  worker steps in event order (the same number of gradient computations as
-  a lockstep epoch), so fast ranks contribute more steps per epoch — which
-  is exactly how asynchronous training converts straggler slack into
-  progress.
+  completion event, the strategy's :meth:`worker_step` consumes that rank's
+  gradient (real numerics, simulated duration), performs the async numerics
+  and prices its traffic through the α–β network model, and the rank's next
+  completion is scheduled at ``event_time + compression + comm + stall +
+  compute``.  Gradients are computed in *waves*: ``async_ps`` and ``easgd``
+  write only the event rank's row, so a rank's next gradient depends only on
+  its own row, its next batch and its carried BPTT state.  When an event
+  finds its rank with no pending gradient, one call of the trainer's own
+  executor (``trainer.executor``, the one the lockstep path runs) computes
+  the next gradient of every rank without one; each stays pending in its
+  gradient row until its own event consumes it.  Epoch semantics are *update-budget
+  based*: one epoch is ``world_size × iterations_per_epoch`` worker steps in
+  event order (the same number of gradient computations as a lockstep
+  epoch), so fast ranks contribute more steps per epoch — which is exactly
+  how asynchronous training converts straggler slack into progress.
 * :class:`LockstepSimulator` keeps the synchronous paths' numerics
   untouched and only *prices* them: each lockstep iteration costs the
   barrier ``max_r(compute_r + stall_r)`` plus the iteration's modelled
@@ -41,7 +43,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.batched_replicas import RankExecutors
+from repro.core.batched_replicas import stack_rows
 from repro.core.timeline import IterationTimeline
 from repro.sim.clock import VirtualClock
 from repro.sim.compute import ComputeTimeModel
@@ -72,13 +74,23 @@ class SimulationEngine:
         self.total_steps = 0
         self.batches_consumed: List[int] = [0] * world_size
         self._iterators = None
-        #: One P = 1 executor per rank over its row of the world: each event
-        #: replays that rank's recorded program and writes its gradient row.
-        self._executors = RankExecutors(trainer.replicas, trainer.flat_world,
-                                        trainer.spec.task)
-        #: Carried BPTT state per rank, a stacked P = 1 state (stays ``None``
-        #: for classifiers).
-        self._lm_states: List = [None] * world_size
+        #: Per rank: the batch drawn for its next step (kept until its event
+        #: consumes it), whether its gradient row and loss hold that step's
+        #: result, and whether its stream restarted on the draw.
+        self._batches: List = [None] * world_size
+        self._pending: List[bool] = [False] * world_size
+        self._losses: List[float] = [0.0] * world_size
+        self._restarted: List[bool] = [False] * world_size
+        #: Per rank: its module buffers (BatchNorm running statistics, updated
+        #: in place by every step) and their values before its pending step.
+        self._buffers = [[buffer for _, buffer in replica.named_buffers()]
+                         for replica in trainer.replicas]
+        self._rollback: List = [None] * world_size
+        #: Carried BPTT state in the executor's own format, as the last wave
+        #: took it in and gave it out (owned copies; ``None`` is the zero
+        #: state; classifiers carry none).
+        self._lm_in = None
+        self._lm_out = None
         self._primed = False
         #: Optional :class:`repro.faults.injector.FaultInjector`, installed
         #: by the trainer.  ``None`` keeps the event loop fault-free.
@@ -154,38 +166,101 @@ class SimulationEngine:
     def _init_data(self) -> None:
         if self._iterators is not None:
             return
-        world_size = self.trainer.config.world_size
         self._iterators = self.trainer._epoch_iterators()
         # Resume: fast-forward each rank's stream by replaying the batches it
         # already consumed (the loaders reshuffle deterministically per pass,
         # so skipping k batches lands the RNGs exactly where they were).
         # Carried BPTT state is not replayed — a resumed language model run
         # restarts its truncation windows, like the lockstep epoch boundary.
-        skip = list(self.batches_consumed)
-        self.batches_consumed = [0] * world_size
-        for rank, count in enumerate(skip):
+        for rank, count in enumerate(self.batches_consumed):
             for _ in range(count):
-                self._next_batch(rank)
+                self._draw(rank)
 
-    def _next_batch(self, rank: int):
+    def _draw(self, rank: int):
+        """``rank``'s next batch; counted only when its event consumes it."""
         try:
-            batch = next(self._iterators[rank])
+            return next(self._iterators[rank])
         except StopIteration:
             # A new pass over the rank's data restarts its BPTT windows.  (The
             # streams are lazy generators: the other ranks' fresh ones are
             # dropped unstarted, consuming no data and no shuffle RNG.)
             self._iterators[rank] = self.trainer._epoch_iterators()[rank]
-            self._lm_states[rank] = None
-            batch = next(self._iterators[rank])
-        self.batches_consumed[rank] += 1
-        return batch
+            self._restarted[rank] = True
+            return next(self._iterators[rank])
+
+    def _wave(self, rank: int) -> None:
+        """Every stale rank's next gradient in one call of the trainer's
+        executor, triggered by ``rank``'s event.
+
+        A rank without a pending gradient draws its next batch and steps
+        from its current row and the BPTT state its last step left; its
+        gradient then stays pending until its own event consumes it.  A
+        stacked call needs one batch shape, so a rank whose batch differs
+        from ``rank``'s in length (a language model's shorter last window of
+        a pass) waits for a wave of its own.  Every other row — pending or
+        waiting — is passed as ``None``: the per-rank loop skips it, a
+        stacked call runs a zero stand-in on it, and its gradient row,
+        buffers and carried state are put back.
+        """
+        trainer = self.trainer
+        executor = trainer.executor
+        grads = trainer.flat_world.grad_matrix
+        cached = [batch is not None for batch in self._batches]
+        for other, batch in enumerate(self._batches):
+            if batch is None:
+                self._batches[other] = self._draw(other)
+        length = len(self._batches[rank][0])
+        fresh = [not pending and len(batch[0]) == length
+                 for pending, batch in zip(self._pending, self._batches)]
+        kept = {other: grads[other].copy()
+                for other, pending in enumerate(self._pending) if pending}
+        snapshot = [[buffer.copy() for buffer in buffers] for buffers in self._buffers]
+        inputs = [batch[0] if use else None for use, batch in zip(fresh, self._batches)]
+        targets = [batch[1] if use else None for use, batch in zip(fresh, self._batches)]
+        if trainer.spec.task == "language_model":
+            # A rank holding a batch steps from the state it took in with it;
+            # the others continue from their last output, or from zeros
+            # after their stream restarted.
+            state = executor.select_states(cached, self._lm_in, self._lm_out)
+            state = executor.select_states(self._restarted, None, state)
+            losses, out = executor.forward_backward(inputs, targets, state)
+            self._lm_in = state
+            self._lm_out = executor.select_states(fresh, out, self._lm_out)
+            self._restarted = [False] * len(self._batches)
+        else:
+            losses = executor.forward_backward(stack_rows(inputs), stack_rows(targets))
+        for other, saved in enumerate(snapshot):
+            if fresh[other]:
+                self._pending[other] = True
+                self._losses[other] = losses[other]
+                self._rollback[other] = saved
+            else:
+                for buffer, value in zip(self._buffers[other], saved):
+                    buffer[...] = value
+        for other, row in kept.items():
+            grads[other] = row
 
     def _compute_gradient(self, rank: int) -> float:
-        """Forward/backward for one rank, written into its gradient row."""
-        inputs, targets = self._next_batch(rank)
-        loss, self._lm_states[rank] = self._executors.step(
-            rank, inputs, targets, self._lm_states[rank])
-        return loss
+        """``rank``'s gradient for this event, in its gradient row; returns
+        its loss.  Runs a wave when the rank has none pending."""
+        if not self._pending[rank]:
+            self._wave(rank)
+        self._pending[rank] = False
+        self._batches[rank] = None
+        self._rollback[rank] = None
+        self.batches_consumed[rank] += 1
+        return self._losses[rank]
+
+    def _drop_pending(self, rank: int) -> None:
+        """Forget ``rank``'s pending gradient: its buffers go back to their
+        values before that step.  The rank keeps its batch, and the next
+        wave re-runs it from its current row and its input BPTT state."""
+        if not self._pending[rank]:
+            return
+        self._pending[rank] = False
+        for buffer, value in zip(self._buffers[rank], self._rollback[rank]):
+            buffer[...] = value
+        self._rollback[rank] = None
 
     # ------------------------------------------------------------------ #
     # the event loop
@@ -233,7 +308,10 @@ class SimulationEngine:
 
     def _rejoin(self, rank: int, when: float) -> None:
         """Serve a rejoining rank the trainer's priced dense re-sync, then
-        resume its compute schedule once the catch-up has arrived."""
+        resume its compute schedule once the catch-up has arrived.  The
+        re-sync overwrites its row, so a gradient pending on the old row is
+        dropped."""
+        self._drop_pending(rank)
         resync_time = self.trainer._rejoin_rank(rank)
         self.injector.needs_catchup[rank] = False
         self.report.comm_s_per_rank[rank] += resync_time
@@ -290,6 +368,10 @@ class SimulationEngine:
                 if state.stop_requested:
                     break
             self.report.record_epoch_mark(self.clock.now)
+            # Evaluation and checkpoints see the state of a run that computed
+            # no gradient ahead of its event.
+            for rank in range(world_size):
+                self._drop_pending(rank)
             trainer._end_epoch(state, epoch, epoch_losses)
             if state.stop_requested:
                 break

@@ -37,13 +37,20 @@ def world_rows(world_size: int, tensors: int) -> list:
     return keys
 
 
+def module_buffers(world_size: int, buffers: int) -> list:
+    """Per rank: one array per module buffer (BatchNorm running stats)."""
+    return [f"buffers_{rank}_{index}" for rank in range(world_size)
+            for index in range(buffers)]
+
+
 #: family -> (config overrides, every key the file holds)
 FAMILIES = {
-    # vgg16's Table-1 policy selects LARS; 41 parameter tensors.
+    # vgg16's Table-1 policy selects LARS; 41 parameter tensors and 13
+    # BatchNorm layers' running mean / var.
     "a2sgd_lars": (
         dict(model="vgg16", batch_size=2, max_iterations_per_epoch=1,
              num_train=16, num_test=4),
-        HISTORY + LOCKSTEP_SIM + world_rows(2, 41)),
+        HISTORY + LOCKSTEP_SIM + world_rows(2, 41) + module_buffers(2, 26)),
     "topk_residual": (
         dict(algorithm="topk", compressor_kwargs={"ratio": 0.05}),
         HISTORY + LOCKSTEP_SIM + world_rows(2, 8)

@@ -395,12 +395,22 @@ def engine_and_lockstep(lockstep_cls=DistributedTrainer, **overrides):
     return engine_trainer, lockstep
 
 
+def carried_rows(trainer, states, rank):
+    """Rank ``rank``'s carried BPTT state as ``(h, c)`` arrays per layer, from
+    ``states`` in ``trainer.executor``'s format: one stacked state, or one
+    P = 1 state per rank."""
+    if isinstance(trainer.executor, BatchedLanguageModelExecutor):
+        return [(h.data[rank], c.data[rank]) for h, c in states]
+    return [(h.data[0], c.data[0]) for h, c in states[rank]]
+
+
 def assert_events_match_lockstep(iterations: int, lockstep_cls=DistributedTrainer,
                                  **overrides):
     """Each engine event's gradient, loss and carried state for rank r equal
     row r of the lockstep trainer's stage-1 pass on the same batches, bit for
     bit, over ``iterations`` consecutive iterations (BPTT windows for an LM);
-    so do the replicas' buffers afterwards."""
+    so do the replicas' buffers afterwards.  The engine computes each
+    window's gradients in one wave and hands them out one event at a time."""
     engine_trainer, lockstep = engine_and_lockstep(lockstep_cls, **overrides)
     engine = engine_trainer.sim_engine
     iterators = lockstep._epoch_iterators()
@@ -414,15 +424,15 @@ def assert_events_match_lockstep(iterations: int, lockstep_cls=DistributedTraine
             loss = engine._compute_gradient(rank)
             assert loss == lockstep._last_losses[rank]
             assert np.array_equal(engine.grad_matrix[rank], G[rank])
-            carried = engine._lm_states[rank]
-            if carried is not None:
+            if engine._lm_out is not None:
                 # Stacked lockstep state, or the per-rank loop's own state.
                 rows = [(h.data[rank], c.data[rank]) for h, c in states] \
                     if isinstance(lockstep.executor, BatchedLanguageModelExecutor) \
                     else [(h.data, c.data) for h, c in states[rank]]
+                carried = carried_rows(engine_trainer, engine._lm_out, rank)
                 for (h, c), (h_ref, c_ref) in zip(carried, rows):
-                    assert np.array_equal(h.data[0], h_ref)
-                    assert np.array_equal(c.data[0], c_ref)
+                    assert np.array_equal(h, h_ref)
+                    assert np.array_equal(c, c_ref)
     for mine, reference in zip(engine_trainer.replicas, lockstep.replicas):
         for (name, buffer), (_, expected) in zip(mine.named_buffers(),
                                                  reference.named_buffers()):
@@ -430,9 +440,9 @@ def assert_events_match_lockstep(iterations: int, lockstep_cls=DistributedTraine
     return engine_trainer, lockstep
 
 
-class TestPerRankExecutors:
-    """The async engine steps a rank through the executor the lockstep path
-    builds, at P = 1 on that rank's row of the world."""
+class TestEventGradients:
+    """An async engine event's gradient is its rank's row of one call of
+    ``trainer.executor`` — the executor the lockstep path runs."""
 
     @pytest.mark.parametrize("model", ["fnn3", "resnet20"])
     def test_event_gradient_is_the_lockstep_row(self, model):
@@ -448,18 +458,20 @@ class TestPerRankExecutors:
         engine_trainer, lockstep = assert_events_match_lockstep(
             iterations=2, world_size=4, batch_size=4, **LM)
         assert isinstance(lockstep.executor, BatchedLanguageModelExecutor)
-        assert all(state is not None for state in engine_trainer.sim_engine._lm_states)
+        assert isinstance(engine_trainer.executor, BatchedLanguageModelExecutor)
+        assert engine_trainer.sim_engine._lm_out is not None
 
     def test_lm_with_uneven_shards_runs_one_executor_per_rank(self):
-        # 64 columns over 3 ranks: 22 / 21 / 21.  Each engine rank replays
-        # its own recorded window shape, bit for bit with the per-replica
-        # loop of the reference trainer.
+        # 64 columns over 3 ranks: 22 / 21 / 21.  The trainer's executor runs
+        # one P = 1 executor per rank, each replaying its own recorded window
+        # shape, bit for bit with the per-replica loop of the reference
+        # trainer.
         engine_trainer, lockstep = assert_events_match_lockstep(
             iterations=2, lockstep_cls=ReferenceTrainer, world_size=3,
             batch_size=None, **LM)
         assert [shard.batch_size for shard in engine_trainer.lm_shards] == [22, 21, 21]
         assert [executor.tape_stats["recorded"]
-                for executor in engine_trainer.sim_engine._executors.executors] == [1, 1, 1]
+                for executor in engine_trainer.executor.executors] == [1, 1, 1]
 
     def test_lm_with_uneven_shards_trains(self):
         trainer = DistributedTrainer(make_config(
@@ -467,7 +479,7 @@ class TestPerRankExecutors:
         trainer.train()
         assert np.isfinite(trainer.metrics.train_loss[-1])
         assert sum(executor.tape_stats["replays"]
-                   for executor in trainer.sim_engine._executors.executors) > 0
+                   for executor in trainer.executor.executors) > 0
 
 
 # --------------------------------------------------------------------- #
