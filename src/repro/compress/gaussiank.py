@@ -14,10 +14,10 @@ for the largest model in Figure 4 (see §4.4's discussion).
 
 from __future__ import annotations
 
+from statistics import NormalDist
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.compress.base import ExchangeKind, sparsity_k
 from repro.compress.topk import TopKCompressor
@@ -49,7 +49,7 @@ class GaussianKCompressor(TopKCompressor):
             return 0.0
         mean = float(corrected.mean())
         quantile = 1.0 - self.ratio / 2.0
-        return abs(mean) + sigma * float(scipy_stats.norm.ppf(quantile))
+        return abs(mean) + sigma * NormalDist().inv_cdf(quantile)
 
     def select(self, corrected: np.ndarray) -> np.ndarray:
         """Indices whose magnitude exceeds the Gaussian-estimated threshold.

@@ -29,7 +29,7 @@ does.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -252,3 +252,27 @@ def adopt_module_buffers(model: Module, views, *, adopt_values: bool = True) -> 
             view[...] = current
         module._buffers[leaf] = view
         object.__setattr__(module, leaf, view)
+
+
+class RowSnapshot:
+    """Copies of some ranks' arrays, put back after a call that writes
+    every rank.
+
+    The fused optimizer kernel and the stacked executors update all ``P``
+    rows at once; a rank that must not move — a down rank, a gradient still
+    pending, module buffers ahead of their event — is copied first and put
+    back after.  ``arrays_of(rank)`` lists the rank's live arrays (row
+    views, module buffers).
+    """
+
+    def __init__(self, arrays_of: Callable[[int], Sequence[np.ndarray]],
+                 ranks: Iterable[int]):
+        self._arrays_of = arrays_of
+        self.saved = {rank: [array.copy() for array in arrays_of(rank)]
+                      for rank in ranks}
+
+    def restore(self, ranks: Optional[Iterable[int]] = None) -> None:
+        """Put ``ranks`` back (default: every saved rank)."""
+        for rank in self.saved if ranks is None else ranks:
+            for array, saved in zip(self._arrays_of(rank), self.saved[rank]):
+                array[...] = saved

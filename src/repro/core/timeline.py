@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict
+
+import numpy as np
 
 
 @dataclass
@@ -33,16 +35,17 @@ class SyncReport:
 class IterationTimeline:
     """Simulated time of a training run, per component.
 
-    A fold over the run's priced iterations, fed in one place by the
-    simulator that keeps the run's clock.  Each lockstep iteration
-    (:meth:`repro.sim.engine.LockstepSimulator.record_iteration`) adds its
-    compute barrier — the slowest surviving rank's drawn ``compute + stall``
-    — its report's compression, communication and aggregation terms, and
-    the fault layer's time (rejoin re-syncs, discovery timeouts,
-    retransmissions, slow-node stalls), so ``total_s`` is the lockstep
-    clock.  Each async event (:class:`repro.sim.engine.SimulationEngine`)
-    adds the compute time it draws for its rank's next step and its step's
-    terms; ranks overlap there, so the sum runs ahead of the clock.
+    A fold over the run's priced steps, fed by the run's
+    :class:`repro.sim.engine.Simulator` and saved with its checkpoint keys.
+    Each barrier iteration (:meth:`~repro.sim.engine.Simulator.record_iteration`)
+    adds its compute barrier — the slowest surviving rank's drawn ``compute +
+    stall`` — its report's compression, communication and aggregation terms,
+    and the fault layer's time (rejoin re-syncs, discovery timeouts,
+    retransmissions, slow-node stalls), so ``total_s`` is the barrier
+    schedule's clock.  Each async event
+    (:class:`~repro.sim.engine.EventSchedule`) adds the compute time it draws
+    for its rank's next step and its step's terms; ranks overlap there, so
+    the sum runs ahead of the clock.
     """
 
     compute_s: float = 0.0
@@ -76,3 +79,10 @@ class IterationTimeline:
             "total_s": self.total_s,
             "iterations": float(self.iterations),
         }
+
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        return {name: np.array([value]) for name, value in asdict(self).items()}
+
+    def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
+        for name, value in arrays.items():
+            setattr(self, name, value[0].item())

@@ -22,16 +22,17 @@ worker adds back its own error vector), so the trainer really does keep
 ``world_size`` models — this is essential to reproducing the algorithm's
 behaviour rather than an implementation convenience.
 
-Cross-cutting concerns — metrics collection, evaluation cadence,
-checkpointing, progress logging — live in
-:mod:`repro.core.callbacks`, not here: the trainer drives the
-``Callback`` lifecycle hooks and new per-iteration behaviours plug in as
-callbacks without touching this file.
+The trainer owns the world and the four stages; the epoch loop that calls
+them is the run's :class:`repro.sim.engine.Simulator`, on its barrier
+schedule (or, for async strategies, its event schedule).  Cross-cutting
+concerns — metrics collection, evaluation cadence, checkpointing, progress
+logging — live in :mod:`repro.core.callbacks`, not here: the simulator's
+loop drives the ``Callback`` lifecycle hooks and new per-iteration
+behaviours plug in as callbacks without touching this file.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
@@ -50,7 +51,7 @@ from repro.core.callbacks import (
     resolve_callbacks,
 )
 from repro.core.features import RunFeatures
-from repro.core.flat_buffer import WorldFlatBuffers
+from repro.core.flat_buffer import RowSnapshot, WorldFlatBuffers
 from repro.core.metrics import TrainingMetrics, evaluate_classifier, evaluate_language_model
 from repro.core.trainer_state import LiveWorkerRows, ModuleBuffers, Progress, WorldRows
 from repro.data.dataloader import DataLoader, shard_dataset
@@ -61,10 +62,13 @@ from repro.federated import ClientPopulation, ClientSpec
 from repro.data.synthetic_text import LanguageModelBatcher
 from repro.models.registry import ModelSpec
 from repro.nn.module import Module
-from repro.optim.lars import LARS, lars_flat_update
 from repro.optim.registry import OPTIMIZERS
-from repro.optim.sgd import sgd_flat_update
-from repro.sim.engine import LockstepSimulator, SimulationEngine
+# The optimizer kernels run through Simulator.flat_update; these two names
+# stay importable here because benchmarks/perf/tracing.py patches them, and
+# Benchmark v2 (which reads trainer.simulator) drops them.
+from repro.optim.lars import lars_flat_update  # noqa: F401
+from repro.optim.sgd import sgd_flat_update  # noqa: F401
+from repro.sim.engine import Simulator
 from repro.sync import SyncSpec, merge_reports
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedSequenceFactory, replica_init_seed
@@ -109,9 +113,10 @@ class TrainerConfig:
     #: registered name ("constant", "lognormal", "straggler",
     #: "intermittent_dropout"), a ``{"name": ..., **kwargs}`` dict, or a
     #: :class:`repro.sim.compute.ComputeTimeModel` instance.  Every run keeps
-    #: simulated time: async strategies on the virtual-clock event engine,
-    #: synchronous ones through a :class:`repro.sim.engine.LockstepSimulator`
-    #: that prices each iteration without touching the numerics.
+    #: simulated time on one :class:`repro.sim.engine.Simulator`: async
+    #: strategies step on its event schedule, synchronous ones on its
+    #: barrier schedule, which prices each iteration without touching the
+    #: numerics.
     compute_model: Optional[object] = None
     #: Seed for the per-rank compute-time draws (independent of ``seed`` so
     #: timing noise never perturbs the training numerics).
@@ -181,7 +186,7 @@ class DistributedTrainer:
         # aggregator (how payloads combine); the default SyncSpec() is the
         # paper's Algorithm 1 and reproduces the seed trainer bit for bit.
         self.sync_strategy = self.sync_spec.build(self.world, self.compressors)
-        #: Whether the bound strategy trains on the virtual-clock event loop.
+        #: Whether the bound strategy steps on the simulator's event schedule.
         self.is_async = features.is_async
 
         # Execution backend: where the forward/backward passes run.
@@ -225,8 +230,8 @@ class DistributedTrainer:
         self._velocity_matrix = np.zeros_like(self.flat_world.param_matrix)
         self._step_scratch = np.empty_like(self.flat_world.param_matrix)
         self._setup_data()
-        # The executor stacks all ranks into one graph, for the lockstep loop
-        # and for the async engine's gradient waves alike.  LM shards of
+        # The executor stacks all ranks into one graph, for the barrier
+        # schedule and the event schedule's gradient waves alike.  LM shards of
         # unequal width (batch not divisible by P) cannot be stacked, so each
         # rank runs its own P = 1 executor in turn.
         if (self.spec.task == "language_model"
@@ -241,22 +246,6 @@ class DistributedTrainer:
         #: (async runs only) — lets checkpoints resume per-rank trajectories.
         self._async_worker_rows: Optional[np.ndarray] = None
 
-        # Simulated time, the run's one time base.  Async strategies train
-        # on the virtual-clock event engine; synchronous strategies keep
-        # their lockstep numerics and a LockstepSimulator prices each
-        # iteration.  Exactly one of the two exists; ``simulator`` is it.
-        self.sim_engine: Optional[SimulationEngine] = None
-        self.lockstep_sim: Optional[LockstepSimulator] = None
-        if self.is_async:
-            self.sim_engine = SimulationEngine(self, features.compute_model,
-                                               config.clock_seed)
-        else:
-            self.lockstep_sim = LockstepSimulator(config.world_size,
-                                                  features.compute_model,
-                                                  config.clock_seed)
-        self.simulator = self.sim_engine or self.lockstep_sim
-        self.timeline = self.simulator.timeline
-
         # Fault layer: membership mask + injector.  ``intermittent_dropout``
         # compute stalls are bridged to membership absences on the lockstep
         # paths (the timing-only behaviour lives on as the ``slow_node``
@@ -267,9 +256,16 @@ class DistributedTrainer:
         self._last_losses: Optional[np.ndarray] = None
         if self.fault_injector is not None:
             self.world.membership = self.fault_injector.membership
-            self.simulator.report.fault = self.fault_injector.report
-            if self.sim_engine is not None:
-                self.sim_engine.injector = self.fault_injector
+
+        # Simulated time, the run's one time base, and the only epoch loop:
+        # async strategies step on the simulator's event schedule,
+        # synchronous ones on its barrier schedule.
+        self.simulator = Simulator(self, features.compute_model, config.clock_seed)
+        self.timeline = self.simulator.timeline
+        # The simulator under its schedule's old name, or None; only
+        # benchmarks/perf reads these, and Benchmark v2 removes them.
+        self.sim_engine = self.simulator if self.is_async else None
+        self.lockstep_sim = None if self.is_async else self.simulator
 
         # Checkpointed state: each owner implements state_arrays() /
         # load_state_arrays() under its own key prefix; core/checkpoint.py is
@@ -371,7 +367,7 @@ class DistributedTrainer:
     # the four stages of one iteration (Algorithm 1 lines 2-7)
     # ------------------------------------------------------------------ #
     # Each stage is written once over the flat ``(P, n)`` world and decides
-    # the task itself, so the lockstep loop, ``analysis/perf_backend`` and the
+    # the task itself, so the barrier schedule, ``analysis/perf_backend`` and the
     # test-tree per-rank oracle (tests/reference_trainer.py, which overrides
     # the first three with per-rank loops) make the same four calls.
     def _gradients(self, batches: Sequence, states) -> tuple:
@@ -400,34 +396,27 @@ class DistributedTrainer:
     def _apply(self, new, epoch_progress: float) -> float:
         """Stage 3 — the optimizer step (line 7); returns the learning rate.
 
-        One fused kernel call updates every replica's row of the parameter
-        and ``self._velocity_matrix`` momentum matrices.
+        One fused kernel call — the simulator's, which async workers and a
+        parameter server step through too — updates every replica's row of
+        the parameter and ``self._velocity_matrix`` momentum matrices.
         """
-        lr = max(self.lr_policy.lr_at(epoch_progress, self.base_lr), 1e-12)
-        optimizer = self.optimizer
-        optimizer.set_lr(lr)
-        dead = self._dead_ranks()
+        lr = self._lr_at(epoch_progress)
+        self.optimizer.set_lr(lr)
         world = self.flat_world
         # The fused kernel updates every row; a down rank must not advance,
         # so its parameter/velocity rows are snapshotted and put back.
-        if dead:
-            saved_params = world.param_matrix[dead].copy()
-            saved_velocity = self._velocity_matrix[dead].copy()
-        if isinstance(optimizer, LARS):
-            lars_flat_update(world.param_matrix, new,
-                             world.layout.offsets[:-1], world.layout.sizes, lr,
-                             optimizer.momentum, optimizer.weight_decay,
-                             optimizer.trust_coefficient, optimizer.eps,
-                             velocity=self._velocity_matrix, scratch=self._step_scratch)
-        else:
-            sgd_flat_update(world.param_matrix, new, lr,
-                            optimizer.momentum, optimizer.weight_decay,
-                            optimizer.nesterov,
-                            velocity=self._velocity_matrix, scratch=self._step_scratch)
-        if dead:
-            world.param_matrix[dead] = saved_params
-            self._velocity_matrix[dead] = saved_velocity
+        dead = RowSnapshot(lambda rank: (world.param_matrix[rank],
+                                         self._velocity_matrix[rank]),
+                           self._dead_ranks() or ())
+        self.simulator.flat_update(world.param_matrix, new, lr,
+                                   velocity=self._velocity_matrix,
+                                   scratch=self._step_scratch)
+        dead.restore()
         return lr
+
+    def _lr_at(self, epoch_progress: float) -> float:
+        """The learning rate at a fractional epoch (floored above zero)."""
+        return max(self.lr_policy.lr_at(epoch_progress, self.base_lr), 1e-12)
 
     def _parameter_phase(self, report):
         """Stage 4 — let the strategy exchange parameters after the step
@@ -445,7 +434,7 @@ class DistributedTrainer:
             report, self.sync_strategy.post_step(list(self.flat_world.param_matrix)))
 
     # ------------------------------------------------------------------ #
-    # fault layer (the async engine has its own gate but shares _rejoin_rank)
+    # fault layer (each schedule has its own gate; both call _rejoin_rank)
     # ------------------------------------------------------------------ #
     def _dead_ranks(self) -> Optional[List[int]]:
         """Ranks currently out of membership, or ``None`` for a healthy world
@@ -455,88 +444,10 @@ class DistributedTrainer:
             return None
         return injector.membership.dead_ranks()
 
-    def _fault_phase(self, state: TrainState) -> tuple:
-        """Advance the fault layer at a lockstep iteration boundary.
-
-        Rejoins run first (a rank whose outage ended catches up through a
-        priced dense re-sync before the iteration), then new outages flip
-        membership — model-driven schedules plus ``intermittent_dropout``
-        compute stalls bridged to absences — each charging the barrier's
-        timeout + bounded-backoff discovery penalty.  Message-loss models
-        price reliable retransmission of the survivors' lockstep sends.
-
-        Returns ``(alive_ranks_or_None, extra_simulated_seconds)``; with no
-        injector this is ``(None, 0.0)`` and nothing else runs.
-        """
-        injector = self.fault_injector
-        if injector is None:
-            return None, 0.0
-        membership = injector.membership
-        now = self.lockstep_sim.now
-        extra_s = 0.0
-        world_size = self.config.world_size
-        for rank in range(world_size):
-            if membership.is_alive(rank):
-                continue
-            if injector.down_interval(rank, now) is not None:
-                continue  # still inside its outage (or crashed for good)
-            extra_s += self._rejoin_rank(rank)
-        bridged = set()
-        if injector.bridge_compute_stalls:
-            draws = self.lockstep_sim.draw_iteration()
-            bridged = {rank for rank, (_, stall) in enumerate(draws)
-                       if stall > 0.0}
-        for rank in range(world_size):
-            if not membership.is_alive(rank):
-                injector.report.lost_steps += 1
-                continue
-            if injector.down_interval(rank, now) is not None or rank in bridged:
-                membership.set_alive(rank, False)
-                injector.report.record_down(rank)
-                injector.report.lost_steps += 1
-                extra_s += injector.discovery_penalty_s()
-        if membership.num_alive == 0:
-            # The whole world is down at once.  Bridged compute dropouts
-            # last a single iteration, so those ranks return immediately;
-            # otherwise the world idles until the first scheduled outage
-            # ends, and only a permanent all-crash (no finite end anywhere)
-            # stops the run instead of deadlocking a collective over zero
-            # participants.
-            if all(injector.down_interval(rank, now) is not None
-                   for rank in range(world_size)):
-                ends = []
-                for rank in range(world_size):
-                    interval = injector.down_interval(rank, now)
-                    if math.isfinite(interval[1]):
-                        ends.append(interval[1])
-                if not ends:
-                    state.stop_requested = True
-                    return [], extra_s
-                horizon = min(ends)
-                extra_s += horizon - now
-                now = horizon
-            for rank in range(world_size):
-                if injector.down_interval(rank, now) is None:
-                    extra_s += self._rejoin_rank(rank)
-        if injector.affects_timing:
-            # slow_node keeps the legacy timing-only reading: per-rank
-            # stalls run in parallel and the slowest gates the barrier.
-            stalls = [injector.extra_stall(rank)
-                      for rank in membership.alive_ranks()]
-            extra_s += max(stalls, default=0.0)
-        if injector.affects_messages:
-            # Per-rank retransmit ladders run in parallel; the unluckiest
-            # survivor's backoff gates the barrier.
-            penalties = [injector.retransmit_penalty_s(rank)
-                         for rank in membership.alive_ranks()]
-            extra_s += max(penalties, default=0.0)
-        alive = None if membership.all_alive else membership.alive_ranks()
-        return alive, extra_s
-
     def _rejoin_rank(self, rank: int) -> float:
         """Serve one rejoining rank its catch-up; returns the simulated cost.
-        The one re-sync routine: the lockstep fault phase and the async
-        engine's event gate both call it.
+        The one re-sync routine: the barrier schedule's fault phase and the
+        event schedule's fault gate both call it.
 
         The rank adopts the strategy's consensus (or the survivors' mean),
         zeroes its momentum, resets its compressor/codec state, and the
@@ -573,14 +484,7 @@ class DistributedTrainer:
         state = self.state
         self._async_worker_rows = None
         self.callbacks.on_train_start(state)
-        if self.sim_engine is not None:
-            self.sim_engine.run(state)
-        else:
-            self._train_lockstep(state)
-        if self.is_async:
-            # finalize() collapses every worker row onto the consensus; keep
-            # the live rows for checkpoints written after train().
-            self._async_worker_rows = self.flat_world.param_matrix.copy()
+        self.simulator.run(state)
         # Algorithm 1 lines 9-10: final dense consolidation of the replicas,
         # combined by the strategy's aggregator (mean reproduces the seed).
         matrix = self.flat_world.param_matrix
@@ -609,49 +513,6 @@ class DistributedTrainer:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _begin_iteration(self, state: TrainState, epoch: int, iteration: int) -> float:
-        state.epoch = epoch
-        state.iteration = iteration
-        state.epoch_progress = epoch + iteration / max(1, self.iterations_per_epoch)
-        self.callbacks.on_iteration_start(state)
-        return state.epoch_progress
-
-    def _end_iteration(self, state: TrainState, loss: float, lr: float,
-                       report) -> None:
-        self._global_iteration += 1
-        state.global_iteration = self._global_iteration
-        state.loss = loss
-        state.lr = lr
-        state.report = report
-        self.callbacks.on_iteration_end(state)
-
-    def _end_epoch(self, state: TrainState, epoch: int, epoch_losses: List[float]) -> None:
-        state.epoch = epoch
-        state.epoch_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
-        self.callbacks.on_epoch_end(state)
-
-    def _resume_epoch(self) -> int:
-        """Completed epochs of a checkpoint-restored run (0 when fresh).
-
-        The loaders reshuffle from a stateful RNG each epoch, so the skipped
-        epochs' permutations are replayed to line the shuffle stream up with
-        the uninterrupted run's.
-        """
-        if not self._global_iteration or not self.iterations_per_epoch:
-            return 0
-        completed = self._global_iteration // self.iterations_per_epoch
-        if completed >= self.config.epochs:
-            # A finished run: train() runs the whole schedule again (the
-            # long-standing retrain semantics); only an *interrupted* run
-            # continues where it stopped.
-            return 0
-        for _ in range(completed):
-            for loader in getattr(self, "loaders", []):
-                if loader.shuffle:
-                    loader.rng.permutation(len(loader.dataset))
-                loader._epoch += 1
-        return completed
-
     def _next_batches(self, iterators: List) -> List:
         """One slot-ordered batch list for the iteration.
 
@@ -669,48 +530,6 @@ class DistributedTrainer:
         if self.spec.task == "language_model":
             return [shard.batches() for shard in self.lm_shards]
         return [iter(loader) for loader in self.loaders]
-
-    def _train_lockstep(self, state: TrainState) -> None:
-        """The lockstep schedule: every iteration runs the fault phase and
-        the four stages, for classifiers and language models alike."""
-        for epoch in range(self._resume_epoch(), self.config.epochs):
-            state.epoch = epoch
-            self.callbacks.on_epoch_start(state)
-            iterators = self._epoch_iterators()
-            states = None               # BPTT state restarts with the epoch
-            epoch_losses: List[float] = []
-            for iteration in range(self.iterations_per_epoch):
-                progress = self._begin_iteration(state, epoch, iteration)
-                if self.population is not None:
-                    # Round boundaries sit right after the previous round's
-                    # parameter averaging; the cohort (and its slot state)
-                    # must be in place before the gradients are computed.
-                    self.population.begin_round(self)
-                alive, extra_s = self._fault_phase(state)
-                if state.stop_requested:
-                    break
-                batches = self._next_batches(iterators)
-                G, loss, states = self._gradients(batches, states)
-                new, report = self._exchange(G)
-                lr = self._apply(new, progress)
-                report = self._parameter_phase(report)
-                # Price the iteration before callbacks run so metrics rows
-                # see the advanced simulated clock.
-                duration = self.lockstep_sim.record_iteration(report, alive=alive,
-                                                              extra_s=extra_s)
-                if alive is not None:
-                    # Mean training loss over the surviving ranks only.
-                    loss = float(np.mean(self._last_losses[alive]))
-                    for rank in self.fault_injector.membership.dead_ranks():
-                        self.fault_injector.report.record_downtime(rank, duration)
-                epoch_losses.append(loss)
-                self._end_iteration(state, loss, lr, report)
-                if state.stop_requested:
-                    break
-            self.lockstep_sim.record_epoch_mark()
-            self._end_epoch(state, epoch, epoch_losses)
-            if state.stop_requested:
-                break
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -761,13 +580,12 @@ class DistributedTrainer:
 
     @property
     def sim_report(self):
-        """The run's :class:`~repro.sim.report.SimReport` — the async
-        engine's or the lockstep simulator's; every run has one."""
+        """The run's :class:`~repro.sim.report.SimReport`; every run has one."""
         return self.simulator.report
 
     @property
     def simulated_time_s(self) -> float:
         """Simulated wall-clock of the run so far (seconds): the simulator's
-        clock, the run's one time base.  On the lockstep paths it equals
+        clock, the run's one time base.  On the barrier schedule it equals
         ``timeline.total_s`` up to float rounding."""
         return self.simulator.now

@@ -7,7 +7,8 @@ of mutable state (per-rank message/stall counters, pending catch-up
 flags) that the stateless fault models cannot carry.  Injection points
 call it from exactly two layers:
 
-* the ``SimulationEngine`` event loop / lockstep iteration boundary —
+* the :class:`repro.sim.engine.Simulator`'s fault gates (one per event on
+  the event schedule, one per iteration boundary on the barrier schedule) —
   membership transitions, rejoin catch-up scheduling, stall injection;
 * the exchange layer — per-message loss draws and retransmit pricing.
 

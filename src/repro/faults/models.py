@@ -3,8 +3,9 @@
 A :class:`FaultModel` is a pure, deterministic function of
 ``(fault_seed, rank)`` onto the simulated-time axis.  It never mutates
 training state itself — the :class:`repro.faults.injector.FaultInjector`
-queries it at injection points (the ``SimulationEngine`` event loop, the
-lockstep iteration boundary, the exchange layer) and flips the
+queries it at injection points (the simulator's two fault gates — the
+event schedule's per event, the barrier schedule's per iteration — and the
+exchange layer) and flips the
 :class:`~repro.faults.membership.Membership` mask accordingly.  Keeping
 schedules outside the strategies is the design invariant: strategies
 *consult* membership, they never decide faults.

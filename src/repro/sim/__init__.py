@@ -2,8 +2,9 @@
 
 See :mod:`repro.sim.clock` (the priority-queue event loop),
 :mod:`repro.sim.compute` (registry-backed per-rank compute-time models),
-:mod:`repro.sim.engine` (the async event loop + lockstep time accounting)
-and :mod:`repro.sim.report` (the per-run :class:`SimReport`).
+:mod:`repro.sim.engine` (the :class:`Simulator`: every run's clock and its
+one epoch loop, on a barrier or an event schedule) and
+:mod:`repro.sim.report` (the per-run :class:`SimReport`).
 """
 
 from repro.sim.clock import VirtualClock
@@ -12,15 +13,16 @@ from repro.sim.compute import (
     ComputeTimeModel,
     resolve_compute_model,
 )
-from repro.sim.engine import LockstepSimulator, SimulationEngine
+from repro.sim.engine import BarrierSchedule, EventSchedule, Simulator
 from repro.sim.report import SimReport
 
 __all__ = [
+    "BarrierSchedule",
     "COMPUTE_MODELS",
     "ComputeTimeModel",
-    "LockstepSimulator",
+    "EventSchedule",
     "SimReport",
-    "SimulationEngine",
+    "Simulator",
     "VirtualClock",
     "resolve_compute_model",
 ]

@@ -1,12 +1,12 @@
 """Asynchronous strategies driven by the virtual clock.
 
 Unlike the lockstep strategies, these never see "one iteration's gradients
-from every rank" — the :class:`repro.sim.engine.SimulationEngine` pops one
-completion event at a time and hands the strategy *one* rank's gradient via
+from every rank" — the simulator's :class:`repro.sim.engine.EventSchedule`
+pops one completion event at a time and hands the strategy *one* rank's gradient via
 :meth:`AsyncStrategy.worker_step`.  The strategy performs its numerics on
 the shared flat ``(P, n)`` buffers, prices its traffic through the world's
 α–β :meth:`~repro.comm.inprocess.InProcessWorld.point_to_point`, and returns
-an :class:`AsyncStepReport` the engine folds into the timeline/SimReport.
+an :class:`AsyncStepReport` the simulator folds into the timeline/SimReport.
 
 Two classic members of the family:
 
@@ -67,8 +67,8 @@ class AsyncStrategy(SyncStrategy):
         super().__init__()
         self.engine = None
 
-    # The lockstep entry point must never be reached: the trainer routes
-    # async strategies through the simulation engine.
+    # The lockstep entry point must never be reached: async strategies run
+    # on the simulator's event schedule.
     def exchange_batched(self, G: np.ndarray):
         raise RuntimeError(f"async strategy {self.name!r} has no lockstep "
                            f"exchange; it runs on the simulation engine "
@@ -91,7 +91,7 @@ class AsyncStrategy(SyncStrategy):
     # engine protocol
     # ------------------------------------------------------------------ #
     def async_setup(self, engine) -> None:
-        """Attach to a :class:`~repro.sim.engine.SimulationEngine` once.
+        """Attach to the run's :class:`~repro.sim.engine.Simulator` once.
 
         Idempotent across resumed ``train()`` calls: state initialized here
         must survive ``load_state_arrays`` having run first.

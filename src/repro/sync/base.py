@@ -166,11 +166,10 @@ class SyncStrategy:
     optional_topology: bool = False
     #: Whether the strategy reads the local-SGD ``period`` knob.
     uses_period: bool = False
-    #: Whether the strategy is event-driven: the trainer then routes training
-    #: through the virtual-clock :class:`repro.sim.engine.SimulationEngine`
-    #: (which calls ``worker_step`` per completion event) instead of the
-    #: lockstep ``exchange_batched`` loop.  See
-    #: :mod:`repro.sync.async_strategies`.
+    #: Whether the strategy is event-driven: the simulator then steps on its
+    #: :class:`repro.sim.engine.EventSchedule` (which calls ``worker_step``
+    #: per completion event) instead of the barrier schedule's
+    #: ``exchange_batched``.  See :mod:`repro.sync.async_strategies`.
     is_async: bool = False
 
     @classmethod

@@ -1,13 +1,13 @@
 """The per-event reference the async engine's gradient waves are tested against.
 
-Until gradients were computed in waves, :class:`~repro.sim.engine.SimulationEngine`
-stepped one rank per event through its own :class:`RankExecutors` — one
-P = 1 executor per rank over that rank's row of the flat world — drawing the
-rank's batch at its event and carrying one P = 1 BPTT state per rank.
-:class:`ReferenceEngine` keeps that ``_compute_gradient`` body; everything
-else (clock, fault gate, strategies, reports, checkpoints) is the engine's
-own code, shared by both sides.  Its ranks never hold a pending gradient, so
-the engine's drop-pending hooks are no-ops here.
+Until gradients were computed in waves, the async event loop stepped one
+rank per event through its own :class:`RankExecutors` — one P = 1 executor
+per rank over that rank's row of the flat world — drawing the rank's batch
+at its event and carrying one P = 1 BPTT state per rank.
+:class:`ReferenceSchedule` keeps that ``_compute_gradient`` body; everything
+else (clock, fault gate, strategies, reports, checkpoints) is the
+simulator's own code, shared by both sides.  Its ranks never hold a pending
+gradient, so the event schedule's drop-pending hooks are no-ops here.
 
 Build a trainer on it with :func:`reference_trainer`.
 """
@@ -15,16 +15,17 @@ Build a trainer on it with :func:`reference_trainer`.
 from unittest import mock
 
 from repro.core import DistributedTrainer
-from repro.core import trainer as trainer_module
 from repro.core.batched_replicas import RankExecutors
-from repro.sim.engine import SimulationEngine
+from repro.sim import engine as engine_module
+from repro.sim.engine import EventSchedule
 
 
-class ReferenceEngine(SimulationEngine):
-    """The engine with one P = 1 executor step per event."""
+class ReferenceSchedule(EventSchedule):
+    """The event schedule with one P = 1 executor step per event."""
 
-    def __init__(self, trainer, compute_model, clock_seed):
-        super().__init__(trainer, compute_model, clock_seed)
+    def __init__(self, sim):
+        super().__init__(sim)
+        trainer = self.trainer
         self._executors = RankExecutors(trainer.replicas, trainer.flat_world,
                                         trainer.spec.task)
         #: Carried BPTT state per rank, a stacked P = 1 state (stays ``None``
@@ -48,6 +49,6 @@ class ReferenceEngine(SimulationEngine):
 
 
 def reference_trainer(config, callbacks=None) -> DistributedTrainer:
-    """A trainer whose async runs step on :class:`ReferenceEngine`."""
-    with mock.patch.object(trainer_module, "SimulationEngine", ReferenceEngine):
+    """A trainer whose async runs step on :class:`ReferenceSchedule`."""
+    with mock.patch.object(engine_module, "EventSchedule", ReferenceSchedule):
         return DistributedTrainer(config, callbacks=callbacks)

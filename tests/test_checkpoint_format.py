@@ -22,10 +22,15 @@ HISTORY = ["epoch_history", "loss_history", "metric_history",
            "progress"]
 
 
-#: Written by every synchronous run: the lockstep simulator's clock.
+#: Written by every run: the simulator's iteration timeline.
+SIM_TIMELINE = ["sim_timeline_aggregation_s", "sim_timeline_communication_s",
+                "sim_timeline_compression_s", "sim_timeline_compute_s",
+                "sim_timeline_fault_s", "sim_timeline_iterations"]
+
+#: Written by every synchronous run: the simulator on its barrier schedule.
 LOCKSTEP_SIM = ["sim_busy_s", "sim_clock_now", "sim_comm_s", "sim_draws",
                 "sim_epoch_marks", "sim_iterations", "sim_stall_s",
-                "sim_steps_per_rank"]
+                "sim_steps_per_rank"] + SIM_TIMELINE
 
 
 def world_rows(world_size: int, tensors: int) -> list:
@@ -71,7 +76,7 @@ FAMILIES = {
            "sim_draws", "sim_epoch_marks", "sim_event_mask", "sim_next_time",
            "sim_primed", "sim_rejected", "sim_staleness_counts",
            "sim_staleness_keys", "sim_stall_s", "sim_steps_per_rank",
-           "sim_total_steps",
+           "sim_total_steps"] + SIM_TIMELINE + [
            "sync_async_pull_versions", "sync_async_rejected_pushes",
            "sync_async_server_params", "sync_async_server_velocity",
            "sync_async_staleness_counts", "sync_async_staleness_keys",

@@ -1,6 +1,6 @@
 """The async engine's gradient waves equal the per-event reference bit for bit.
 
-:class:`~repro.sim.engine.SimulationEngine` computes every stale rank's next
+:class:`~repro.sim.engine.EventSchedule` computes every stale rank's next
 gradient in one call of the trainer's executor and keeps each pending until
 its own event; ``tests/reference_engine.py`` steps one rank per event at
 P = 1, as the engine did before waves.  Over the strategy × model × fault
@@ -99,7 +99,8 @@ def test_waves_equal_the_per_event_reference(strategy, model, fault):
         for (name, buffer), (_, expected) in zip(mine.named_buffers(),
                                                  theirs.named_buffers()):
             assert np.array_equal(buffer, expected), name
-    assert waves.sim_engine.batches_consumed == reference.sim_engine.batches_consumed
+    assert waves.simulator.schedule.batches_consumed == \
+        reference.simulator.schedule.batches_consumed
     assert waves.sim_report.as_dict() == reference.sim_report.as_dict()
     # Evaluation (BatchNorm running statistics included) saw the same state.
     assert waves.metrics.train_loss == reference.metrics.train_loss
@@ -128,4 +129,4 @@ def test_language_model_cells_reach_the_short_last_window(model):
     trainer, _ = run(DistributedTrainer, model, "async_ps", "healthy")
     lengths = [len(inputs) for inputs, _ in trainer.lm_shards[0].batches()]
     assert lengths == [8, 8, 1]
-    assert max(trainer.sim_engine.batches_consumed) > len(lengths)
+    assert max(trainer.simulator.schedule.batches_consumed) > len(lengths)

@@ -49,7 +49,7 @@ def test_lockstep_timeline_total_is_the_simulated_time(label):
     with DistributedTrainer(TrainerConfig(**{**BASE, **LOCKSTEP_RUNS[label]})) as trainer:
         trainer.train()
     timeline = trainer.timeline.as_dict()
-    assert timeline["iterations"] == trainer.lockstep_sim.iterations == 8
+    assert timeline["iterations"] == trainer.simulator.total_steps == 8
     assert math.isclose(timeline["total_s"], trainer.simulated_time_s)
     assert trainer.metrics.simulated_time_s[-1] == trainer.simulated_time_s
     if label == "transient_blackout":

@@ -8,6 +8,7 @@ import pytest
 from repro.core import DistributedTrainer, TrainerConfig, load_checkpoint, save_checkpoint
 from repro.core.callbacks import Callback
 from repro.core.flatten import flatten_parameters
+from repro.core.timeline import IterationTimeline
 
 
 class StopAfterEpoch(Callback):
@@ -102,6 +103,51 @@ class TestResumedTrajectoriesAreBitIdentical:
         # The resumed trainer's executor recorded its program afresh.
         assert resumed.executor.tape_stats["recorded"] == 1
 
+    @pytest.mark.parametrize("label", ["lockstep", "async_ps"])
+    def test_resumed_timeline_matches_uninterrupted_run(self, label, tmp_path):
+        overrides = SETUPS.get(label, {})
+        uninterrupted = make_trainer(**overrides)
+        uninterrupted.train()
+        first_half = make_trainer(stop_after=1, **overrides)
+        first_half.train()
+        path = save_checkpoint(first_half, tmp_path / "ckpt.npz")
+        resumed = make_trainer(**overrides)
+        load_checkpoint(resumed, path)
+        assert resumed.timeline.as_dict() == first_half.timeline.as_dict()
+        resumed.train()
+        timeline, expected = resumed.timeline.as_dict(), uninterrupted.timeline.as_dict()
+        if label == "lockstep":
+            # A lockstep exchange prices its collective as the difference of
+            # the world's running communication total, which no checkpoint
+            # holds: after a resume each term can differ in the last ulp.
+            for key in ("communication_s", "total_s"):
+                assert timeline.pop(key) == pytest.approx(expected.pop(key),
+                                                          rel=1e-12, abs=0.0)
+        assert timeline == expected
+
+    @pytest.mark.parametrize("label", ["lockstep", "async_ps"])
+    def test_checkpoints_without_a_timeline_load(self, label, tmp_path):
+        """Files from before the timeline was saved resume the trajectory
+        and the clock exactly; the timeline starts fresh at the resume."""
+        overrides = SETUPS.get(label, {})
+        first_half = make_trainer(stop_after=1, **overrides)
+        first_half.train()
+        path = save_checkpoint(first_half, tmp_path / "ckpt.npz")
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files
+                      if not name.startswith("sim_timeline_")}
+        np.savez_compressed(tmp_path / "untimed.npz", **arrays)
+        resumed = make_trainer(**overrides)
+        load_checkpoint(resumed, tmp_path / "untimed.npz")
+        assert resumed.timeline.as_dict() == IterationTimeline().as_dict()
+        resumed.train()
+        uninterrupted = make_trainer(**overrides)
+        uninterrupted.train()
+        assert np.array_equal(final_params(resumed), final_params(uninterrupted))
+        assert resumed.simulated_time_s == uninterrupted.simulated_time_s
+        steps = uninterrupted.timeline.iterations
+        assert resumed.timeline.iterations == steps - first_half.timeline.iterations
+
     def test_async_ps_server_state_round_trips(self, tmp_path):
         trainer = make_trainer(stop_after=1, **SETUPS["async_ps"])
         trainer.train()
@@ -127,11 +173,11 @@ class TestResumedTrajectoriesAreBitIdentical:
 
         fresh = make_trainer(**SETUPS["easgd"])
         load_checkpoint(fresh, path)
-        engine, restored = trainer.sim_engine, fresh.sim_engine
+        engine, restored = trainer.simulator, fresh.simulator
         assert restored.clock.now == engine.clock.now
         assert restored.clock.pending() == engine.clock.pending()
         assert restored.total_steps == engine.total_steps
-        assert restored.batches_consumed == engine.batches_consumed
+        assert restored.schedule.batches_consumed == engine.schedule.batches_consumed
         assert restored.compute_model.step_counts == \
             engine.compute_model.step_counts
         np.testing.assert_array_equal(fresh.sync_strategy.center,
@@ -152,17 +198,17 @@ class TestResumedTrajectoriesAreBitIdentical:
         original.train()
         path = save_checkpoint(original, tmp_path / "ckpt.npz")
         load_checkpoint(resumed, path)
-        assert resumed.lockstep_sim.now == original.lockstep_sim.now > 0.0
+        assert resumed.simulator.now == original.simulator.now > 0.0
 
         original.train()
         resumed.train()
         assert np.array_equal(final_params(original), final_params(resumed))
-        assert resumed.lockstep_sim.iterations == original.lockstep_sim.iterations
-        assert resumed.lockstep_sim.compute_model.step_counts == \
-            original.lockstep_sim.compute_model.step_counts
-        assert resumed.lockstep_sim.now == original.lockstep_sim.now
-        assert resumed.lockstep_sim.report.epoch_time_s == \
-            original.lockstep_sim.report.epoch_time_s
+        assert resumed.simulator.total_steps == original.simulator.total_steps
+        assert resumed.simulator.compute_model.step_counts == \
+            original.simulator.compute_model.step_counts
+        assert resumed.simulator.now == original.simulator.now
+        assert resumed.simulator.report.epoch_time_s == \
+            original.simulator.report.epoch_time_s
 
     def test_lockstep_simulator_round_trips(self, tmp_path):
         trainer = make_trainer(stop_after=1)
@@ -171,10 +217,10 @@ class TestResumedTrajectoriesAreBitIdentical:
 
         fresh = make_trainer()
         load_checkpoint(fresh, path)
-        assert fresh.lockstep_sim.now == trainer.lockstep_sim.now
-        assert fresh.lockstep_sim.iterations == trainer.lockstep_sim.iterations
-        assert fresh.lockstep_sim.compute_model.step_counts == \
-            trainer.lockstep_sim.compute_model.step_counts
+        assert fresh.simulator.now == trainer.simulator.now
+        assert fresh.simulator.total_steps == trainer.simulator.total_steps
+        assert fresh.simulator.compute_model.step_counts == \
+            trainer.simulator.compute_model.step_counts
 
     def test_clockless_checkpoints_load_and_resume(self, tmp_path):
         """Earlier commits gave a synchronous run without a compute model no
@@ -193,14 +239,14 @@ class TestResumedTrajectoriesAreBitIdentical:
 
         resumed = make_trainer(compute_model=None)
         load_checkpoint(resumed, clockless)
-        resumed.lockstep_sim.load_state_arrays({})
+        resumed.simulator.load_state_arrays({})
         assert resumed.simulated_time_s == 0.0
-        assert resumed.lockstep_sim.iterations == 0
+        assert resumed.simulator.total_steps == 0
         resumed.train()
         uninterrupted = make_trainer(compute_model=None)
         uninterrupted.train()
         assert np.array_equal(final_params(resumed), final_params(uninterrupted))
         assert resumed.metrics.train_loss == uninterrupted.metrics.train_loss
         # One epoch of four iterations ran on the fresh clock.
-        assert resumed.lockstep_sim.iterations == 4
+        assert resumed.simulator.total_steps == 4
         assert resumed.simulated_time_s > 0.0

@@ -412,7 +412,7 @@ def assert_events_match_lockstep(iterations: int, lockstep_cls=DistributedTraine
     so do the replicas' buffers afterwards.  The engine computes each
     window's gradients in one wave and hands them out one event at a time."""
     engine_trainer, lockstep = engine_and_lockstep(lockstep_cls, **overrides)
-    engine = engine_trainer.sim_engine
+    engine = engine_trainer.simulator.schedule
     iterators = lockstep._epoch_iterators()
     batches = [lockstep._next_batches(iterators) for _ in range(iterations)]
     engine._iterators = [iter([window[rank] for window in batches])
@@ -423,7 +423,7 @@ def assert_events_match_lockstep(iterations: int, lockstep_cls=DistributedTraine
         for rank in range(len(window)):
             loss = engine._compute_gradient(rank)
             assert loss == lockstep._last_losses[rank]
-            assert np.array_equal(engine.grad_matrix[rank], G[rank])
+            assert np.array_equal(engine.sim.grad_matrix[rank], G[rank])
             if engine._lm_out is not None:
                 # Stacked lockstep state, or the per-rank loop's own state.
                 rows = [(h.data[rank], c.data[rank]) for h, c in states] \
@@ -459,7 +459,7 @@ class TestEventGradients:
             iterations=2, world_size=4, batch_size=4, **LM)
         assert isinstance(lockstep.executor, BatchedLanguageModelExecutor)
         assert isinstance(engine_trainer.executor, BatchedLanguageModelExecutor)
-        assert engine_trainer.sim_engine._lm_out is not None
+        assert engine_trainer.simulator.schedule._lm_out is not None
 
     def test_lm_with_uneven_shards_runs_one_executor_per_rank(self):
         # 64 columns over 3 ranks: 22 / 21 / 21.  The trainer's executor runs
