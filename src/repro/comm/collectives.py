@@ -21,8 +21,9 @@ model prices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +46,10 @@ class CollectiveTrace:
         Number of communication rounds on the critical path.
     world_size:
         Number of participating ranks.
+    simulated_time_s:
+        The α–β price of this execution, set when a world records the trace
+        (``None`` before).  A caller prices its collective from this value,
+        never from a difference of running totals.
     """
 
     kind: str
@@ -52,6 +57,7 @@ class CollectiveTrace:
     bytes_sent_per_rank: float
     rounds: int
     world_size: int
+    simulated_time_s: Optional[float] = None
 
 
 def _stage_read_only(payload: np.ndarray) -> np.ndarray:
@@ -121,6 +127,21 @@ def allreduce_naive(buffers: Sequence[np.ndarray],
     return [result.copy() for _ in range(p)], trace
 
 
+@lru_cache(maxsize=64)
+def _ring_chunks(p: int, n: int) -> Tuple[Tuple[int, int, int], ...]:
+    """The ring allreduce's plan: ``(c, start, stop)`` for every non-empty
+    chunk ``c`` of an ``n``-element buffer over ``p`` ranks.
+
+    Chunk ``c`` spans ``[bounds[c], bounds[c + 1])`` of
+    ``linspace(0, n, p + 1)`` (the last chunk absorbs the remainder; when
+    ``n < p`` some chunks are empty).  A pure function of ``(p, n)`` holding
+    O(p) integers, so it is computed once per shape and reused.
+    """
+    bounds = np.linspace(0, n, p + 1, dtype=np.int64).tolist()
+    return tuple((c, bounds[c], bounds[c + 1]) for c in range(p)
+                 if bounds[c + 1] > bounds[c])
+
+
 def allreduce_ring(buffers: Sequence[np.ndarray],
                    op: CollectiveOp = CollectiveOp.MEAN) -> tuple[List[np.ndarray], CollectiveTrace]:
     """Bandwidth-optimal ring allreduce (reduce-scatter phase + allgather phase).
@@ -131,45 +152,48 @@ def allreduce_ring(buffers: Sequence[np.ndarray],
     the finished chunks circulate back.  Each rank transmits ``2 (P-1)/P`` of
     the buffer in total.
 
-    The reduction is evaluated as a vectorized fold: element ``j`` belongs to
-    chunk ``c(j)`` and accumulates contributions in ring order ``c(j),
-    c(j)+1, …`` — the exact per-element addition sequence of a chunk-by-chunk
-    ring (the seed's nested Python loops produced the same sums two orders of
-    magnitude slower; the allgather phase is pure copying and contributes no
-    arithmetic).
+    The reduction is evaluated as a vectorized fold in the exact per-element
+    addition order of a chunk-by-chunk ring: element ``j`` of chunk ``c``
+    accumulates ranks ``c, c+1, …, c+P-1 (mod P)``.  Each chunk's columns are
+    copied into a ``(P, n)`` float64 matrix with the rank rows rotated by
+    ``c`` (two slice copies per chunk), so hop ``s`` of every chunk is row
+    ``s`` and the fold is ``P − 1`` whole-row additions.  The chunk plan
+    (:func:`_ring_chunks`) is cached per ``(P, n)``.  The allgather phase is
+    pure copying and contributes no arithmetic.
     """
     arrays = _as_float_arrays(buffers)
     p = len(arrays)
     original_shape = arrays[0].shape
     nbytes = float(arrays[0].nbytes)
-    flat = np.stack([a.reshape(-1) for a in arrays]).astype(np.float64)
+    flat = np.array(arrays).reshape(p, -1)
     n = flat.shape[1]
 
     if p == 1:
+        flat = flat.astype(np.float64)
         result = flat[0] if op is not CollectiveOp.MEAN else flat[0] / 1.0
         out = [result.reshape(original_shape).astype(arrays[0].dtype)]
         return out, CollectiveTrace("allreduce_ring", nbytes, 0.0, 0, 1)
 
-    # Chunk boundaries (last chunk absorbs the remainder) and, per element,
-    # the chunk that owns it — i.e. the rank where its ring reduction starts.
-    bounds = np.linspace(0, n, p + 1, dtype=np.int64)
-    owner = np.searchsorted(bounds, np.arange(n), side="right") - 1
-    np.clip(owner, 0, p - 1, out=owner)           # empty trailing chunks
-
-    columns = np.arange(n)
-    reduced = flat[owner, columns]
+    # hops[s, j] is the contribution element j receives at hop s: rank
+    # (c + s) mod p for the chunk c that owns it.
+    hops = np.empty((p, n), dtype=np.float64)
+    for c, start, stop in _ring_chunks(p, n):
+        hops[:p - c, start:stop] = flat[c:, start:stop]
+        hops[p - c:, start:stop] = flat[:c, start:stop]
+    del flat        # peak memory: the float64 hops, then the results only
+    reduced = hops[0]
     for step in range(1, p):
-        rows = owner + step
-        rows[rows >= p] -= p
-        contribution = flat[rows, columns]
         if op is CollectiveOp.MAX:
-            np.maximum(reduced, contribution, out=reduced)
+            np.maximum(reduced, hops[step], out=reduced)
         else:
-            reduced += contribution
+            reduced += hops[step]
     if op is CollectiveOp.MEAN:
         reduced = reduced / p
 
-    results = [reduced.reshape(original_shape).astype(arrays[0].dtype) for _ in range(p)]
+    # Every rank gets its own copy (rows of one matrix, cast once).
+    results = np.empty((p, n), dtype=arrays[0].dtype)
+    results[...] = reduced
+    results = list(results.reshape((p,) + original_shape))
     trace = CollectiveTrace(kind="allreduce_ring", message_bytes=nbytes,
                             bytes_sent_per_rank=2.0 * (p - 1) / p * nbytes,
                             rounds=2 * (p - 1), world_size=p)

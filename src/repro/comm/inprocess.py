@@ -94,7 +94,7 @@ class InProcessWorld:
         if len(buffers) != self.world_size:
             raise ValueError(f"expected {self.world_size} contributions, got {len(buffers)}")
 
-    def _alive(self) -> Optional[List[int]]:
+    def _alive(self) -> Optional[np.ndarray]:
         """Participating ranks under the membership mask, or ``None`` for the
         all-alive fast path.  Callers always pass full ``world_size`` buffer
         lists; dead ranks' entries are ignored (they may be ``None``), and
@@ -104,7 +104,7 @@ class InProcessWorld:
         if membership is None or membership.all_alive:
             return None
         alive = membership.alive_ranks()
-        if not alive:
+        if not alive.size:
             raise RuntimeError("collective called with every rank dead")
         return alive
 
@@ -130,6 +130,7 @@ class InProcessWorld:
             simulated = self.time_model.collective_time(
                 "allreduce" if trace.kind.startswith("allreduce") else trace.kind,
                 trace.message_bytes, trace.world_size)
+        trace.simulated_time_s = simulated
         self.stats.record(trace, simulated)
         self.last_trace = trace
         return simulated
@@ -197,7 +198,7 @@ class InProcessWorld:
         if root not in alive:
             raise ValueError(f"broadcast root {root} is not alive")
         sub = [buffers[r] for r in alive]
-        results, trace = _broadcast(sub, root=alive.index(root))
+        results, trace = _broadcast(sub, root=int(np.searchsorted(alive, root)))
         self._record(trace, logical_bytes)
         out = list(buffers)
         for i, r in enumerate(alive):
@@ -275,6 +276,7 @@ class InProcessWorld:
                                 bytes_sent_per_rank=message_bytes,
                                 rounds=1, world_size=self.world_size)
         simulated = self.network.point_to_point(message_bytes)
+        trace.simulated_time_s = simulated
         self.stats.record(trace, simulated)
         self.last_trace = trace
         return simulated
@@ -289,6 +291,13 @@ class InProcessWorld:
     def simulated_comm_time(self) -> float:
         """Total simulated communication time accumulated so far (seconds)."""
         return self.stats.simulated_time_s
+
+    @property
+    def last_comm_time(self) -> float:
+        """Simulated seconds of the most recent collective — its own trace's
+        price, which (unlike a difference of :attr:`simulated_comm_time`
+        readings) does not depend on what the world recorded before."""
+        return self.last_trace.simulated_time_s
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"InProcessWorld(world_size={self.world_size}, "

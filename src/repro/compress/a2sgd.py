@@ -25,6 +25,13 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.compress.base import Compressor, ExchangeKind, select_by_mask
+from repro.optim.sgd import row_blocks
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[dot(a[i], b[i]) for i]`` in one call: a stack of vector–vector
+    matmuls, each the BLAS dot ``np.dot`` runs on one row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 class A2SGDCompressor(Compressor):
@@ -59,6 +66,15 @@ class A2SGDCompressor(Compressor):
     # ------------------------------------------------------------------ #
     # kernels: every rank in one call (per-rank calls are a batch of one)
     # ------------------------------------------------------------------ #
+    # Both kernels walk the (P, n) matrix in the row blocks of
+    # ``sgd_flat_update`` (``row_blocks``): whole rows while ``rows · n ≤
+    # STEP_BLOCK_ELEMENTS`` (one block for every rank at small n), one row
+    # per block above that.
+    # Each step below is one NumPy call per block, not one per rank, and a
+    # block's operands stay cache-resident across the passes.  Row dots go
+    # through ``np.matmul`` on ``(rows, 1, n) @ (rows, n, 1)`` stacks, which
+    # runs the same BLAS dot as a per-row ``np.dot`` — so the sums, and the
+    # means, are bit-identical to the per-rank kernel.
     @classmethod
     def compress_batch(cls, compressors: Sequence["A2SGDCompressor"], G: np.ndarray
                        ) -> Tuple[List[np.ndarray], List[Dict]]:
@@ -68,74 +84,45 @@ class A2SGDCompressor(Compressor):
         G = np.asarray(G, dtype=np.float32)
         P, n = G.shape
         masks = G >= 0
+        blocks = row_blocks(P, n)
 
         if reference.two_means:
-            # Row-blocked kernel: each rank's row makes two passes through
-            # the loops below with only row-sized temporaries, so the working
-            # set per step is 2–3 rows — not the 4×(P, n) whole-matrix
-            # casts/selects/subtractions this used before, which fell out of
-            # L2 between passes on mid-sized models (lstm_ptb) and made the
-            # batched exchange *slower* than the per-rank loop.  Each side
-            # is summed directly against its own 0/1 mask: deriving the
-            # negative sum as ``positive_sum - total`` looks cheaper but
-            # cancels catastrophically when one side dominates, inflating µ_-
-            # past ``max |g|``.
-            positive_sums = np.empty(P)
-            positive_counts = np.empty(P, dtype=np.int64)
-            negative_sums = np.empty(P)
-            # An inf entry times its 0 in the other side's mask is NaN; the
-            # finiteness check below reports it, so numpy need not warn.
-            with np.errstate(invalid="ignore"):
-                for p in range(P):
-                    mask_f32 = masks[p].astype(np.float32)
-                    positive_sums[p] = float(np.dot(G[p], mask_f32))
-                    # 1 − mask is exactly the (~mask) cast for 0/1 values and
-                    # reuses the row buffer instead of allocating a bool inverse.
-                    np.subtract(np.float32(1.0), mask_f32, out=mask_f32)
-                    negative_sums[p] = -float(np.dot(G[p], mask_f32))
-                    positive_counts[p] = np.count_nonzero(masks[p])
-            negative_counts = n - positive_counts
-            mu_plus = np.maximum(0.0, np.where(
-                positive_counts > 0, positive_sums / np.maximum(positive_counts, 1), 0.0))
-            mu_minus = np.maximum(0.0, np.where(
-                negative_counts > 0, negative_sums / np.maximum(negative_counts, 1), 0.0))
-            means = np.stack([mu_plus, mu_minus], axis=1)           # (P, 2) float64
-            cls._require_finite(means)
-            if reference.error_feedback:
-                # Fused select + subtract + stats: the encoding is selected
-                # straight into the error matrix, subtracted from G in place
-                # while the row is cache-hot, and the compression-error norm
-                # reads the materialized residual instead of re-deriving
-                # ``G - encoded`` — no ``encoded`` temporary is ever allocated.
-                errors = np.empty((P, n), dtype=np.float32)
-                for p, compressor in enumerate(compressors):
-                    select_by_mask(errors[p], masks[p], mu_plus[p], -mu_minus[p])
-                    np.subtract(G[p], errors[p], out=errors[p])
-                    denom = float(np.linalg.norm(G[p])) or 1.0
-                    compressor.stats.record(
-                        cls.WIRE_BITS, float(np.linalg.norm(errors[p])) / denom)
-            else:
-                # Ablation path (no retained error): the encoding itself is
-                # the transmitted estimate the statistics need.
-                encoded = np.empty((P, n), dtype=np.float32)
-                for p in range(P):
-                    select_by_mask(encoded[p], masks[p], mu_plus[p], -mu_minus[p])
-                errors = np.zeros((P, n), dtype=np.float32)
-                cls._record_batch(compressors, cls.WIRE_BITS, G, encoded)
+            means = cls._two_level_means(G, masks, blocks)
+            if_true, if_false = means[:, 0], -means[:, 1]
         else:
-            # Single-mean ablation: one signed mean replaces every entry.
+            # Single-mean ablation: one signed mean replaces every entry (a
+            # select whose two operands are equal is that constant).
             mu = G.mean(axis=1).astype(np.float64)
             means = np.stack([mu, np.zeros(P)], axis=1)
-            cls._require_finite(means)
-            encoded = np.broadcast_to(mu[:, None].astype(np.float32), (P, n))
-            if reference.error_feedback:
-                errors = G - encoded
-            else:
-                errors = np.zeros((P, n), dtype=np.float32)
-            cls._record_batch(compressors, cls.WIRE_BITS, G, encoded)
+            if_true = if_false = mu
+        cls._require_finite(means)      # before any state or statistic moves
 
-        payloads: List[np.ndarray] = []
-        contexts: List[Dict] = []
+        # The residual ε = G − enc(G), selected and subtracted one block at a
+        # time: it is the retained error under error feedback, and a scratch
+        # the statistics read in the ablation that drops it.
+        if reference.error_feedback:
+            errors = np.empty((P, n), dtype=np.float32)
+        else:
+            errors = np.zeros((P, n), dtype=np.float32)
+            scratch = np.empty((blocks[0].stop - blocks[0].start, n), dtype=np.float32)
+        gradient_norms = np.empty(P, dtype=np.float32)
+        residual_norms = np.empty(P, dtype=np.float32)
+        for block in blocks:
+            rows = G[block]
+            residual = errors[block] if reference.error_feedback \
+                else scratch[:rows.shape[0]]
+            select_by_mask(residual, masks[block], if_true[block, None],
+                           if_false[block, None])
+            np.subtract(rows, residual, out=residual)
+            gradient_norms[block] = np.sqrt(_row_dots(rows, rows))
+            residual_norms[block] = np.sqrt(_row_dots(residual, residual))
+        # Relative compression error ‖ε‖ / ‖g‖ (an all-zero row divides by 1).
+        denominators = gradient_norms.astype(np.float64)
+        denominators[denominators == 0.0] = 1.0
+        relative_errors = (residual_norms.astype(np.float64) / denominators).tolist()
+        for compressor, relative_error in zip(compressors, relative_errors):
+            compressor.stats.record(cls.WIRE_BITS, relative_error)
+
         # The stacked matrices — and the exact per-rank row views handed out
         # below — ride along in every context so decompress_batch can skip
         # _stack_rows' per-row pointer checks (a measurable slice of exchange
@@ -143,19 +130,50 @@ class A2SGDCompressor(Compressor):
         # path verifies each context still holds the cached view objects, so
         # a caller that swaps in its own mask/error array falls back to the
         # general stacking path instead of being silently ignored.
-        mask_rows = [masks[p] for p in range(P)]
-        error_rows = [errors[p] for p in range(P)]
+        mask_rows = list(masks)
+        error_rows = list(errors)
         stacked = (masks, errors, mask_rows, error_rows)
-        for p, compressor in enumerate(compressors):
-            payloads.append(means[p])
-            contexts.append({"positive_mask": mask_rows[p], "error": error_rows[p],
-                             "_stacked": stacked})
-        return payloads, contexts
+        contexts = [{"positive_mask": mask_rows[p], "error": error_rows[p],
+                     "_stacked": stacked} for p in range(P)]
+        return list(means), contexts
+
+    @staticmethod
+    def _two_level_means(G: np.ndarray, masks: np.ndarray,
+                         blocks: Sequence[slice]) -> np.ndarray:
+        """``(µ₊, µ₋)`` of every row as a ``(P, 2)`` float64 matrix.
+
+        Each side is summed directly against its own 0/1 mask: deriving the
+        negative sum as ``positive_sum - total`` looks cheaper but cancels
+        catastrophically when one side dominates, inflating µ₋ past
+        ``max |g|``.  A multi-row block (``n ≤ STEP_BLOCK_ELEMENTS / 2``)
+        counts its positives as the mask rows' dot with ones, exact in float32
+        far beyond that ``n``; a one-row block takes the faster 1-D count.
+        """
+        P, n = G.shape
+        sums = np.empty((P, 2))                   # (positive, |negative|) per row
+        counts = np.empty((P, 2), dtype=np.int64)
+        ones = np.ones(n, dtype=np.float32) if len(blocks) < P else None
+        # An inf entry times its 0 in the other side's mask is NaN; the
+        # caller's finiteness check reports it, so numpy need not warn.
+        with np.errstate(invalid="ignore"):
+            for block in blocks:
+                rows = G[block]
+                mask_f32 = masks[block].astype(np.float32)
+                sums[block, 0] = _row_dots(rows, mask_f32)
+                counts[block, 0] = np.count_nonzero(masks[block]) \
+                    if len(rows) == 1 else mask_f32 @ ones
+                # 1 − mask is exactly the (~mask) cast for 0/1 values and
+                # reuses the block buffer instead of a bool inverse.
+                np.subtract(np.float32(1.0), mask_f32, out=mask_f32)
+                sums[block, 1] = -_row_dots(rows, mask_f32)
+        counts[:, 1] = n - counts[:, 0]
+        # An empty side has mean 0; the outer max guards rounding below 0.
+        return np.maximum(0.0, np.where(counts > 0, sums / np.maximum(counts, 1), 0.0))
 
     @classmethod
     def decompress_batch(cls, compressors: Sequence["A2SGDCompressor"],
                          exchanged: Sequence, contexts: Sequence[Dict]) -> np.ndarray:
-        global_means = np.stack([np.asarray(e, dtype=np.float64) for e in exchanged])
+        global_means = np.array(exchanged, dtype=np.float64)
         if global_means.shape[1:] != (2,):
             raise ValueError("A2SGD expects a global payload of exactly two means")
         # Fast path: compress_batch cached its stacked mask/error matrices
@@ -173,16 +191,16 @@ class A2SGDCompressor(Compressor):
         else:
             masks = cls._stack_rows([ctx["positive_mask"] for ctx in contexts])
             errors = cls._stack_rows([ctx["error"] for ctx in contexts])
+        # The global select ε + pos·µ̄₊ − neg·µ̄₋ per block; a single-mean
+        # rank selects its one mean on both sides.
+        if_true = global_means[:, 0]
+        if_false = np.where([c.two_means for c in compressors],
+                            -global_means[:, 1], if_true)
         reconstructed = np.empty(masks.shape, dtype=np.float32)
-        # The error is added while the freshly-selected row is cache-hot (a
-        # whole-matrix ``+= errors`` would re-stream every row).
-        for p, compressor in enumerate(compressors):
-            if compressor.two_means:
-                select_by_mask(reconstructed[p], masks[p],
-                               global_means[p, 0], -global_means[p, 1])
-            else:
-                reconstructed[p] = global_means[p, 0]
-            reconstructed[p] += errors[p]
+        for block in row_blocks(*masks.shape):
+            select_by_mask(reconstructed[block], masks[block], if_true[block, None],
+                           if_false[block, None])
+            reconstructed[block] += errors[block]
         return reconstructed
 
     @staticmethod

@@ -34,18 +34,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 
-def select_by_mask(out: np.ndarray, mask: np.ndarray, if_true: float,
-                   if_false: float) -> np.ndarray:
+def select_by_mask(out: np.ndarray, mask: np.ndarray, if_true, if_false) -> np.ndarray:
     """Write ``where(mask, float32(if_true), float32(if_false))`` into ``out``.
 
     ``out`` is a caller-owned float32 array and ``mask`` a bool array of the
-    same shape.  The select runs on ``out``'s ``uint32`` view — mask → 0/1,
-    times ``bits(a) ^ bits(b)``, xor ``bits(b)`` — three streaming integer
-    passes with no data-dependent branch, where a scalar ``np.where`` is
-    branch-mispredict bound on sign-random gradients (≈ 13× slower at
-    n = 200k).  Integer ops copy the two bit patterns verbatim, so the result
-    is bit-exact for every float32 (NaN payloads, ±inf, ±0, subnormals —
-    FTZ/DAZ does not touch integer arithmetic).  Returns ``out``.
+    same shape.  ``if_true`` / ``if_false`` are scalars, or arrays that
+    broadcast against ``out`` — a ``(rows, 1)`` column selects per row, so
+    one call serves a whole block of ranks.  The select runs on ``out``'s
+    ``uint32`` view — mask → 0/1, times ``bits(a) ^ bits(b)``, xor
+    ``bits(b)`` — three streaming integer passes with no data-dependent
+    branch, where a scalar ``np.where`` is branch-mispredict bound on
+    sign-random gradients (≈ 13× slower at n = 200k).  Integer ops copy the
+    two bit patterns verbatim, so the result is bit-exact for every float32
+    (NaN payloads, ±inf, ±0, subnormals — FTZ/DAZ does not touch integer
+    arithmetic).  Returns ``out``.
     """
     if not isinstance(out, np.ndarray) or out.dtype != np.float32:
         raise TypeError("select_by_mask writes into a float32 ndarray, got "
@@ -56,8 +58,8 @@ def select_by_mask(out: np.ndarray, mask: np.ndarray, if_true: float,
     if mask.shape != out.shape:
         raise ValueError(f"select_by_mask: mask shape {mask.shape} does not "
                          f"match out shape {out.shape}")
-    true_bits = np.float32(if_true).view(np.uint32)
-    false_bits = np.float32(if_false).view(np.uint32)
+    true_bits = np.asarray(if_true, dtype=np.float32).view(np.uint32)
+    false_bits = np.asarray(if_false, dtype=np.float32).view(np.uint32)
     bits = out.view(np.uint32)
     np.copyto(bits, mask, casting="unsafe")
     bits *= true_bits ^ false_bits

@@ -73,6 +73,10 @@ from repro.sync import SyncSpec, merge_reports
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedSequenceFactory, replica_init_seed
 
+#: The dead ranks of a run without a fault layer.
+_NO_RANKS = np.empty(0, dtype=np.intp)
+_NO_RANKS.setflags(write=False)
+
 
 @dataclass
 class TrainerConfig:
@@ -407,7 +411,7 @@ class DistributedTrainer:
         # so its parameter/velocity rows are snapshotted and put back.
         dead = RowSnapshot(lambda rank: (world.param_matrix[rank],
                                          self._velocity_matrix[rank]),
-                           self._dead_ranks() or ())
+                           self._dead_ranks())
         self.simulator.flat_update(world.param_matrix, new, lr,
                                    velocity=self._velocity_matrix,
                                    scratch=self._step_scratch)
@@ -436,13 +440,11 @@ class DistributedTrainer:
     # ------------------------------------------------------------------ #
     # fault layer (each schedule has its own gate; both call _rejoin_rank)
     # ------------------------------------------------------------------ #
-    def _dead_ranks(self) -> Optional[List[int]]:
-        """Ranks currently out of membership, or ``None`` for a healthy world
-        (the fast path — zero overhead without a fault layer)."""
+    def _dead_ranks(self) -> np.ndarray:
+        """Ranks currently out of membership, an index array (empty for a
+        healthy world or a run without a fault layer)."""
         injector = self.fault_injector
-        if injector is None or injector.membership.all_alive:
-            return None
-        return injector.membership.dead_ranks()
+        return _NO_RANKS if injector is None else injector.membership.dead_ranks()
 
     def _rejoin_rank(self, rank: int) -> float:
         """Serve one rejoining rank its catch-up; returns the simulated cost.
@@ -460,7 +462,7 @@ class DistributedTrainer:
         row = strategy.catch_up(rank)
         if row is None:
             alive = membership.alive_ranks()
-            source = self.flat_world.param_matrix[alive] if alive \
+            source = self.flat_world.param_matrix[alive] if alive.size \
                 else self.flat_world.param_matrix[rank:rank + 1]
             row = source.mean(axis=0)
         row = np.asarray(row, dtype=np.float32).reshape(-1)
@@ -546,8 +548,8 @@ class DistributedTrainer:
         if consensus is None:
             # A down rank's stale replica must not pull the consensus.
             alive = self.fault_injector.membership.alive_ranks() \
-                if self._dead_ranks() else []
-            consensus = np.mean(matrix[alive] if alive else matrix, axis=0)
+                if self._dead_ranks().size else ()
+            consensus = np.mean(matrix[alive] if len(alive) else matrix, axis=0)
         probe = self.replicas[0]        # its parameters are views of row 0
         original = matrix[0].copy()
         matrix[0] = consensus

@@ -15,19 +15,40 @@ one consistent view within an iteration.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 class Membership:
-    """Boolean alive-mask over ``world_size`` ranks (all alive initially)."""
+    """Boolean alive-mask over ``world_size`` ranks (all alive initially).
+
+    The rank sets every degraded iteration asks for — alive, dead, their
+    count, whether all are alive — are computed at most once per
+    transition, not per query (the index arrays on the first query after
+    it: one fault phase may flip several ranks).  ``alive``,
+    ``alive_ranks()`` and ``dead_ranks()`` are read-only arrays
+    (``alive_ranks()`` indexes a ``(P, n)`` matrix directly); only
+    :meth:`set_alive` and :meth:`load_state_arrays` change them.
+    """
 
     def __init__(self, world_size: int):
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
         self.world_size = int(world_size)
-        self.alive = np.ones(self.world_size, dtype=bool)
+        self._set_mask(np.ones(self.world_size, dtype=bool))
+
+    def _set_mask(self, alive: np.ndarray) -> None:
+        alive.setflags(write=False)
+        self.alive = alive
+        self.num_alive = int(np.count_nonzero(alive))
+        self.all_alive = self.num_alive == self.world_size
+        self._alive_ranks = self._dead_ranks = None
 
     # ------------------------------------------------------------------ #
     # queries
@@ -35,19 +56,17 @@ class Membership:
     def is_alive(self, rank: int) -> bool:
         return bool(self.alive[rank])
 
-    def alive_ranks(self) -> List[int]:
-        return [int(r) for r in np.flatnonzero(self.alive)]
+    def alive_ranks(self) -> np.ndarray:
+        """Surviving ranks, ascending (a read-only index array)."""
+        if self._alive_ranks is None:
+            self._alive_ranks = _read_only(np.flatnonzero(self.alive))
+        return self._alive_ranks
 
-    def dead_ranks(self) -> List[int]:
-        return [int(r) for r in np.flatnonzero(~self.alive)]
-
-    @property
-    def num_alive(self) -> int:
-        return int(self.alive.sum())
-
-    @property
-    def all_alive(self) -> bool:
-        return bool(self.alive.all())
+    def dead_ranks(self) -> np.ndarray:
+        """Ranks out of membership, ascending (a read-only index array)."""
+        if self._dead_ranks is None:
+            self._dead_ranks = _read_only(np.flatnonzero(~self.alive))
+        return self._dead_ranks
 
     # ------------------------------------------------------------------ #
     # transitions
@@ -56,7 +75,10 @@ class Membership:
         if not 0 <= rank < self.world_size:
             raise ValueError(f"rank {rank} out of range for world_size "
                              f"{self.world_size}")
-        self.alive[rank] = bool(alive)
+        if bool(self.alive[rank]) != bool(alive):
+            mask = self.alive.copy()
+            mask[rank] = bool(alive)
+            self._set_mask(mask)
 
     # ------------------------------------------------------------------ #
     # checkpointing
@@ -68,7 +90,7 @@ class Membership:
         alive = np.asarray(arrays["alive"]).astype(bool)
         if alive.shape != (self.world_size,):
             raise ValueError("membership state does not match world_size")
-        self.alive = alive.copy()
+        self._set_mask(alive.copy())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Membership(alive={self.alive.astype(int).tolist()})"

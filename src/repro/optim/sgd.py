@@ -32,6 +32,14 @@ import numpy as np
 STEP_BLOCK_ELEMENTS = 1 << 16
 
 
+def row_blocks(P: int, n: int) -> List[slice]:
+    """The row blocks of a ``(P, n)`` matrix the blocked kernels walk: whole
+    rows while ``rows · n ≤ STEP_BLOCK_ELEMENTS``, one row per block above
+    that (where :func:`sgd_flat_update` also cuts the row into columns)."""
+    rows = max(1, STEP_BLOCK_ELEMENTS // max(n, 1))
+    return [slice(start, min(start + rows, P)) for start in range(0, P, rows)]
+
+
 def _sgd_update_block(params: np.ndarray, grads: np.ndarray, lr: np.float32,
                       momentum: np.float32, weight_decay: np.float32,
                       nesterov: bool, velocity: Optional[np.ndarray],
@@ -93,17 +101,18 @@ def sgd_flat_update(params: np.ndarray, grads: np.ndarray, lr: float,
         return
 
     n = params.shape[-1]
-    rows, cols = max(1, STEP_BLOCK_ELEMENTS // n), min(n, STEP_BLOCK_ELEMENTS)
     grads = np.broadcast_to(grads, params.shape).reshape(-1, n)
     params = params.reshape(-1, n)
     if velocity is not None:
         velocity = velocity.reshape(-1, n)
+    blocks = row_blocks(params.shape[0], n)
+    rows, cols = blocks[0].stop - blocks[0].start, min(n, STEP_BLOCK_ELEMENTS)
     if scratch is None or not scratch.flags.c_contiguous:
         scratch = np.empty(rows * cols, dtype=params.dtype)
     scratch = scratch.reshape(-1)[:rows * cols].reshape(rows, cols)
-    for i in range(0, params.shape[0], rows):
+    for row_block in blocks:
         for j in range(0, n, cols):
-            block = (slice(i, i + rows), slice(j, j + cols))
+            block = (row_block, slice(j, j + cols))
             block_params = params[block]
             _sgd_update_block(
                 block_params, grads[block], lr, momentum, weight_decay, nesterov,

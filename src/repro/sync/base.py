@@ -492,9 +492,8 @@ class SyncStrategy:
             payloads = [None] * len(staged)
             for i, r in enumerate(alive):
                 payloads[r] = sub_payloads[i]
-        comm_before = self.world.simulated_comm_time
         self.world.allgather(payloads, logical_bytes=wire_bits / 8.0)
-        comm_time = self.world.simulated_comm_time - comm_before
+        comm_time = self.world.last_comm_time
         combined = self.aggregator.combine(estimates)
         if alive is None:
             codec.advance(estimates)
@@ -532,7 +531,6 @@ class SyncStrategy:
             # its own parameters instead of deadlocking a collective.
             return list(vectors), self._passthrough_report()
         nbytes = float(np.asarray(vectors[0]).nbytes)
-        comm_before = self.world.simulated_comm_time
         aggregation_time = 0.0
         op = self.aggregator.collective_op
         if op is not None:
@@ -552,7 +550,7 @@ class SyncStrategy:
                 results = [combined.copy() if membership.is_alive(r) else vectors[r]
                            for r in range(self.world.world_size)]
             wire_exchange = "parameter_allgather"
-        comm_time = self.world.simulated_comm_time - comm_before
+        comm_time = self.world.last_comm_time
         report = SyncReport(compression_time_s=0.0, comm_time_s=float(comm_time),
                             wire_bits_per_worker=8.0 * nbytes,
                             exchange=wire_exchange,

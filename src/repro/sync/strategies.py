@@ -120,8 +120,12 @@ class AllreduceStrategy(SyncStrategy):
             exchanged = [exchanged[r] for r in alive]
         new_matrix = batch.decompress_batch(compressors, exchanged, contexts)
         if alive is not None:
-            full = G.copy()
-            full[alive] = np.asarray(new_matrix, dtype=np.float32)
+            # Every row of the full-P output is written once: the survivors'
+            # reconstructions, and the dead ranks' own gradients.
+            full = np.empty_like(G)
+            full[alive] = new_matrix
+            dead = membership.dead_ranks()
+            full[dead] = G[dead]
             new_matrix = full
 
         report = SyncReport(
@@ -145,7 +149,6 @@ class AllreduceStrategy(SyncStrategy):
         cost (the O(P·m) gather pass, sort/Weiszfeld work) is returned as
         the fourth element so the iteration report prices it.
         """
-        comm_before = self.world.simulated_comm_time
         aggregation_time = 0.0
         op = self.aggregator.collective_op
         if exchange_kind is ExchangeKind.ALLREDUCE:
@@ -168,8 +171,7 @@ class AllreduceStrategy(SyncStrategy):
         else:
             exchanged = self.world.allgather(payloads, logical_bytes=logical_bytes)
             wire_exchange = exchange_kind.value
-        comm_time = self.world.simulated_comm_time - comm_before
-        return exchanged, comm_time, wire_exchange, aggregation_time
+        return exchanged, self.world.last_comm_time, wire_exchange, aggregation_time
 
 @SYNC_STRATEGIES.register("local_sgd", aliases=("localsgd", "periodic"),
                           description="apply local gradients; aggregate "
@@ -331,10 +333,9 @@ class FedAvgStrategy(LocalSGDStrategy):
         stacked = np.stack([np.asarray(v, dtype=np.float32) for v in vectors])
         nbytes = float(stacked[0].nbytes)
         groups = topology.edge_groups(cohort)
-        comm_before = world.simulated_comm_time
+        comm_time = 0.0
         for _ in range(2 * (cohort + len(groups))):
-            world.point_to_point(nbytes)
-        comm_time = world.simulated_comm_time - comm_before
+            comm_time += world.point_to_point(nbytes)
         partials = [stacked[list(group)].sum(axis=0, dtype=np.float64)
                     for group in groups]
         combined = (np.sum(partials, axis=0) / cohort).astype(np.float32)
@@ -414,9 +415,8 @@ class GossipStrategy(SyncStrategy):
             return self._gossip_compressed(param_rows, max_degree)
         staged_rows = self._staged_parameter_payloads(param_rows)
         nbytes = float(np.asarray(staged_rows[0]).nbytes)
-        comm_before = world.simulated_comm_time
         gathered = world.neighbor_exchange(staged_rows, topology)
-        comm_time = world.simulated_comm_time - comm_before
+        comm_time = world.last_comm_time
         # All neighbourhood payloads are staged read-only copies, so the
         # in-place writes below cannot corrupt a neighbour's input.
         n = int(np.asarray(param_rows[0]).size)
@@ -464,9 +464,8 @@ class GossipStrategy(SyncStrategy):
         # The exchange moves the compressed payloads (the estimates are
         # recomputed locally by every receiver); the α–β model prices the
         # compressed payload size, not the dense vectors it stands for.
-        comm_before = world.simulated_comm_time
         world.neighbor_exchange(payloads, topology, logical_bytes=wire_bits / 8.0)
-        comm_time = world.simulated_comm_time - comm_before
+        comm_time = world.last_comm_time
         position = {rank: i for i, rank in enumerate(alive)}
         for rank in alive:
             if membership is None:

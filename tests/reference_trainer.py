@@ -134,7 +134,7 @@ class ReferenceTrainer(DistributedTrainer):
         lr = max(self.lr_policy.lr_at(epoch_progress, self.base_lr), 1e-12)
         for optimizer in (self.optimizer, *self.rank_optimizers):
             optimizer.set_lr(lr)
-        dead = self._dead_ranks() or ()
+        dead = self._dead_ranks()
         for rank, (replica, optimizer) in enumerate(zip(self.replicas, self.rank_optimizers)):
             if rank in dead:
                 continue  # a down rank takes no optimizer step

@@ -12,10 +12,80 @@ from repro.comm import (
     broadcast,
     reduce_scatter,
 )
+from repro.comm.collectives import _ring_chunks
 
 
 def make_buffers(rng, world_size=4, n=101):
     return [rng.standard_normal(n).astype(np.float32) for _ in range(world_size)]
+
+
+def reference_allreduce_ring(buffers, op=CollectiveOp.MEAN):
+    """The ring allreduce's former body: every call builds its per-element
+    owner plan from ``linspace`` / ``searchsorted`` / ``arange`` and folds
+    with P − 1 fancy gathers.  The oracle for the cached chunk plan."""
+    arrays = [np.asarray(b) for b in buffers]
+    p = len(arrays)
+    flat = np.stack([a.reshape(-1) for a in arrays]).astype(np.float64)
+    n = flat.shape[1]
+    if p == 1:
+        result = flat[0] if op is not CollectiveOp.MEAN else flat[0] / 1.0
+        return [result.reshape(arrays[0].shape).astype(arrays[0].dtype)]
+    bounds = np.linspace(0, n, p + 1, dtype=np.int64)
+    owner = np.searchsorted(bounds, np.arange(n), side="right") - 1
+    np.clip(owner, 0, p - 1, out=owner)
+    columns = np.arange(n)
+    reduced = flat[owner, columns]
+    for step in range(1, p):
+        rows = owner + step
+        rows[rows >= p] -= p
+        contribution = flat[rows, columns]
+        if op is CollectiveOp.MAX:
+            np.maximum(reduced, contribution, out=reduced)
+        else:
+            reduced += contribution
+    if op is CollectiveOp.MEAN:
+        reduced = reduced / p
+    return [reduced.reshape(arrays[0].shape).astype(arrays[0].dtype) for _ in range(p)]
+
+
+def ring_cells():
+    for p in range(1, 10):
+        for n in sorted({1, 2, p - 1, p, p + 1, 4522}):
+            yield p, n
+
+
+class TestRingPlan:
+    """The cached chunk plan keeps every element's addition order: the ring
+    equals its former per-call-plan body bit for bit."""
+
+    @pytest.mark.parametrize("op", list(CollectiveOp), ids=lambda op: op.name)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p, n", list(ring_cells()))
+    def test_ring_equals_the_former_ring(self, p, n, dtype, op):
+        rng = np.random.default_rng(p * 10_000 + n)
+        # Magnitudes spread over six decades, so any change in the order the
+        # contributions are added changes the rounded sums.
+        buffers = [(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3, size=n)
+                    ).astype(dtype) for _ in range(p)]
+        results, _ = allreduce_ring(buffers, op)
+        expected = reference_allreduce_ring(buffers, op)
+        assert len(results) == p
+        for got, want in zip(results, expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_plan_is_built_once_per_shape_and_holds_o_of_p_integers(self, rng):
+        buffers = make_buffers(rng, world_size=7, n=4523)
+        allreduce_ring(buffers)
+        before = _ring_chunks.cache_info()
+        for _ in range(3):
+            allreduce_ring(buffers)
+        after = _ring_chunks.cache_info()
+        assert after.misses == before.misses and after.hits == before.hits + 3
+        plan = _ring_chunks(7, 4523)
+        assert len(plan) == 7 and all(len(chunk) == 3 for chunk in plan)
+        # Fewer elements than ranks: only the non-empty chunks are planned.
+        assert [c for c, _, _ in _ring_chunks(8, 2)] == [3, 7]
 
 
 class TestAllreduceRing:

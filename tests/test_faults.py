@@ -30,18 +30,33 @@ class TestMembership:
         m = Membership(4)
         assert m.all_alive
         assert m.num_alive == 4
-        assert m.alive_ranks() == [0, 1, 2, 3]
-        assert m.dead_ranks() == []
+        assert m.alive_ranks().tolist() == [0, 1, 2, 3]
+        assert m.dead_ranks().tolist() == []
 
     def test_transitions(self):
         m = Membership(4)
         m.set_alive(2, False)
         assert not m.all_alive
         assert not m.is_alive(2)
-        assert m.alive_ranks() == [0, 1, 3]
-        assert m.dead_ranks() == [2]
+        assert m.alive_ranks().tolist() == [0, 1, 3]
+        assert m.dead_ranks().tolist() == [2]
         m.set_alive(2, True)
         assert m.all_alive
+
+    def test_rank_sets_are_read_only_index_arrays_computed_per_transition(self):
+        m = Membership(4)
+        m.set_alive(1, False)
+        alive, dead = m.alive_ranks(), m.dead_ranks()
+        assert m.alive_ranks() is alive and m.dead_ranks() is dead
+        assert not (alive.flags.writeable or dead.flags.writeable
+                    or m.alive.flags.writeable)
+        G = np.arange(8.0).reshape(4, 2)
+        np.testing.assert_array_equal(G[alive], G[[0, 2, 3]])
+        m.set_alive(1, False)                       # no transition: same sets
+        assert m.alive_ranks() is alive
+        m.set_alive(1, True)
+        assert m.alive_ranks().tolist() == [0, 1, 2, 3] and m.all_alive
+        assert m.num_alive == 4 and not m.dead_ranks().size
 
     def test_out_of_range_rank_rejected(self):
         m = Membership(2)
@@ -54,7 +69,7 @@ class TestMembership:
         m.set_alive(3, False)
         fresh = Membership(4)
         fresh.load_state_arrays(m.state_arrays())
-        assert fresh.alive_ranks() == [0, 2]
+        assert fresh.alive_ranks().tolist() == [0, 2]
 
     def test_state_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="world_size"):
@@ -373,7 +388,7 @@ class TestFaultInjector:
         fresh = FaultInjector(FAULT_MODELS.create("message_loss", p=0.5),
                               world_size=2, seed=3)
         fresh.load_state_arrays(state)
-        assert fresh.membership.dead_ranks() == [1]
+        assert fresh.membership.dead_ranks().tolist() == [1]
         assert fresh.needs_catchup[1]
         assert fresh.report.as_dict() == injector.report.as_dict()
         # Future draws continue the original sequence, not restart it.
