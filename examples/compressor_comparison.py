@@ -18,6 +18,7 @@ import argparse
 
 import numpy as np
 
+from repro.analysis.convergence import single_shot_error
 from repro.analysis.reporting import format_table
 from repro.compress import get_compressor, list_compressors
 from repro.compress.base import ExchangeKind
@@ -41,10 +42,7 @@ def fidelity_of_average(name: str, gradients: list[np.ndarray]) -> float:
         payloads.append(payload)
         contexts.append(ctx)
     if compressors[0].exchange is ExchangeKind.ALLREDUCE:
-        if name == "dense":
-            global_payload = np.mean(np.stack(payloads), axis=0)
-        else:
-            global_payload = np.mean(np.stack(payloads), axis=0)
+        global_payload = np.mean(np.stack(payloads), axis=0)
         updates = [c.decompress(global_payload, ctx) for c, ctx in zip(compressors, contexts)]
     else:
         updates = [c.decompress_gathered(payloads, ctx) for c, ctx in zip(compressors, contexts)]
@@ -68,15 +66,13 @@ def main() -> None:
     for name in list_compressors():
         compressor = get_compressor(name)
         seconds = median_time(lambda c=compressor: c.compress(timing_sample.copy()), repeats=3)
-        fresh = get_compressor(name)
-        fresh.compress(timing_sample.copy())
         rows.append([
             name,
             compressor.exchange.value,
             f"{compressor.wire_bits(args.size):,.0f}",
             compressor.computation_complexity(args.size),
             f"{seconds * 1e3:.2f}",
-            f"{fresh.stats.last_compression_error:.3f}",
+            f"{single_shot_error(get_compressor(name), timing_sample.copy()):.3f}",
             f"{fidelity_of_average(name, gradients):.3f}",
         ])
 

@@ -5,6 +5,7 @@ from repro.analysis.convergence import (
     assumption3_bound_estimate,
     empirical_gradient_bound_holds,
     reconstruction_preserves_mean,
+    single_shot_error,
     time_to_accuracy,
     variance_ratio,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "empirical_gradient_bound_holds",
     "variance_ratio",
     "reconstruction_preserves_mean",
+    "single_shot_error",
     "scaling_efficiency_table",
     "speedup_curve",
     "time_to_accuracy",

@@ -13,6 +13,9 @@ The analysis rests on three ingredients that can be checked numerically:
   should equal averaging the raw gradients up to the difference between
   local and global means; :func:`reconstruction_preserves_mean` quantifies
   the gap.
+
+:func:`single_shot_error` measures how much of one gradient a compressor's
+payload loses before error feedback (the column ``repro compare`` prints).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.compress.a2sgd import A2SGDCompressor
+from repro.compress.base import Compressor, ExchangeKind
 
 
 def assumption3_bound_estimate(gradient_norms_sq: Sequence[float],
@@ -85,6 +89,25 @@ def reconstruction_preserves_mean(gradients: Sequence[np.ndarray]) -> float:
     a2sgd_average = np.mean(np.stack(reconstructed), axis=0)
     scale = float(np.linalg.norm(dense_average)) or 1.0
     return float(np.linalg.norm(a2sgd_average - dense_average)) / scale
+
+
+def single_shot_error(compressor: Compressor, gradient: np.ndarray) -> float:
+    """``‖g − ĝ‖ / ‖g‖`` for one compression of ``gradient`` by a fresh
+    ``compressor`` acting as a lone rank.
+
+    ``ĝ`` is what the rank reconstructs from its own payload (the Allreduce
+    mean or the Allgather of one), without the error it retains locally — the
+    context's ``error``, A2SGD's ε.  An all-zero gradient divides by 1.
+    """
+    payload, ctx = compressor.compress(gradient)
+    if compressor.exchange is ExchangeKind.ALLREDUCE:
+        estimate = compressor.decompress(payload, ctx)
+    else:
+        estimate = compressor.decompress_gathered([payload], ctx)
+    estimate = np.asarray(estimate, dtype=np.float64) - ctx.get("error", 0.0)
+    gradient = np.asarray(gradient, dtype=np.float64)
+    scale = float(np.linalg.norm(gradient)) or 1.0
+    return float(np.linalg.norm(gradient - estimate)) / scale
 
 
 def time_to_accuracy(times: Sequence[float], values: Sequence[float],

@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.convergence import single_shot_error
 from repro.analysis.reporting import format_figure_series, format_table
 from repro.backends import EXECUTION_BACKENDS
 from repro.analysis.sweeps import DEFAULT_ALGORITHMS, convergence_sweep, cost_sweep
@@ -567,12 +568,10 @@ def cmd_compare(args: argparse.Namespace) -> str:
     for name in list_compressors():
         compressor = get_compressor(name)
         seconds = median_time(lambda c=compressor: c.compress(gradient.copy()), repeats=3)
-        fresh = get_compressor(name)
-        fresh.compress(gradient.copy())
+        error = single_shot_error(get_compressor(name), gradient.copy())
         rows.append([name, compressor.exchange.value,
                      f"{compressor.wire_bits(args.size):,.0f}",
-                     f"{seconds * 1e3:.2f}",
-                     f"{fresh.stats.last_compression_error:.3f}"])
+                     f"{seconds * 1e3:.2f}", f"{error:.3f}"])
     text = format_table(
         ["compressor", "exchange", "bits/worker", "compress (ms)", "single-shot error"],
         rows, title=f"Compressor comparison on an n={args.size:,} gradient")

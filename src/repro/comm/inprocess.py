@@ -43,7 +43,7 @@ class WorldStats:
     logical_payload_bytes: float = 0.0
     simulated_time_s: float = 0.0
 
-    def record(self, trace: CollectiveTrace, simulated_time: float) -> None:
+    def add(self, trace: CollectiveTrace, simulated_time: float) -> None:
         self.collective_counts[trace.kind] = self.collective_counts.get(trace.kind, 0) + 1
         self.bytes_sent_per_rank += trace.bytes_sent_per_rank
         self.logical_payload_bytes += trace.message_bytes
@@ -131,7 +131,7 @@ class InProcessWorld:
                 "allreduce" if trace.kind.startswith("allreduce") else trace.kind,
                 trace.message_bytes, trace.world_size)
         trace.simulated_time_s = simulated
-        self.stats.record(trace, simulated)
+        self.stats.add(trace, simulated)
         self.last_trace = trace
         return simulated
 
@@ -277,7 +277,7 @@ class InProcessWorld:
                                 rounds=1, world_size=self.world_size)
         simulated = self.network.point_to_point(message_bytes)
         trace.simulated_time_s = simulated
-        self.stats.record(trace, simulated)
+        self.stats.add(trace, simulated)
         self.last_trace = trace
         return simulated
 

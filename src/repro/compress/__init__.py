@@ -19,7 +19,7 @@ back into the gradient used for the model update, and the analytic methods
 ``wire_bits``/``computation_complexity`` report the Table 2 quantities.
 """
 
-from repro.compress.base import CompressionStats, Compressor, ExchangeKind
+from repro.compress.base import Compressor, ExchangeKind
 from repro.compress.param_delta import ParameterDeltaCodec
 from repro.compress.dense import DenseCompressor
 from repro.compress.a2sgd import A2SGDCompressor
@@ -35,7 +35,6 @@ from repro.compress.registry import COMPRESSORS, get_compressor, list_compressor
 __all__ = [
     "Compressor",
     "ExchangeKind",
-    "CompressionStats",
     "ParameterDeltaCodec",
     "DenseCompressor",
     "A2SGDCompressor",

@@ -59,7 +59,6 @@ class A2SGDCompressor(Compressor):
     WIRE_BITS = 64.0
 
     def __init__(self, error_feedback: bool = True, two_means: bool = True):
-        super().__init__()
         self.error_feedback = bool(error_feedback)
         self.two_means = bool(two_means)
 
@@ -95,33 +94,19 @@ class A2SGDCompressor(Compressor):
             mu = G.mean(axis=1).astype(np.float64)
             means = np.stack([mu, np.zeros(P)], axis=1)
             if_true = if_false = mu
-        cls._require_finite(means)      # before any state or statistic moves
+        cls._require_finite(means)      # before any state moves
 
-        # The residual ε = G − enc(G), selected and subtracted one block at a
-        # time: it is the retained error under error feedback, and a scratch
-        # the statistics read in the ablation that drops it.
+        # The retained error ε = G − enc(G), selected and subtracted one
+        # block at a time; the ablation that drops it keeps zeros.
         if reference.error_feedback:
             errors = np.empty((P, n), dtype=np.float32)
+            for block in blocks:
+                error = errors[block]
+                select_by_mask(error, masks[block], if_true[block, None],
+                               if_false[block, None])
+                np.subtract(G[block], error, out=error)
         else:
             errors = np.zeros((P, n), dtype=np.float32)
-            scratch = np.empty((blocks[0].stop - blocks[0].start, n), dtype=np.float32)
-        gradient_norms = np.empty(P, dtype=np.float32)
-        residual_norms = np.empty(P, dtype=np.float32)
-        for block in blocks:
-            rows = G[block]
-            residual = errors[block] if reference.error_feedback \
-                else scratch[:rows.shape[0]]
-            select_by_mask(residual, masks[block], if_true[block, None],
-                           if_false[block, None])
-            np.subtract(rows, residual, out=residual)
-            gradient_norms[block] = np.sqrt(_row_dots(rows, rows))
-            residual_norms[block] = np.sqrt(_row_dots(residual, residual))
-        # Relative compression error ‖ε‖ / ‖g‖ (an all-zero row divides by 1).
-        denominators = gradient_norms.astype(np.float64)
-        denominators[denominators == 0.0] = 1.0
-        relative_errors = (residual_norms.astype(np.float64) / denominators).tolist()
-        for compressor, relative_error in zip(compressors, relative_errors):
-            compressor.stats.record(cls.WIRE_BITS, relative_error)
 
         # The stacked matrices — and the exact per-rank row views handed out
         # below — ride along in every context so decompress_batch can skip

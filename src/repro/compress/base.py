@@ -28,7 +28,6 @@ Two analytic methods report the quantities in Table 2 of the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,22 +83,6 @@ class ExchangeKind(enum.Enum):
     ALLGATHER = "allgather"
 
 
-@dataclass
-class CompressionStats:
-    """Running statistics a compressor keeps about its own behaviour."""
-
-    iterations: int = 0
-    total_wire_bits: float = 0.0
-    last_wire_bits: float = 0.0
-    last_compression_error: float = 0.0
-
-    def record(self, wire_bits: float, compression_error: float) -> None:
-        self.iterations += 1
-        self.total_wire_bits += float(wire_bits)
-        self.last_wire_bits = float(wire_bits)
-        self.last_compression_error = float(compression_error)
-
-
 class Compressor:
     """Base class for gradient compressors.
 
@@ -116,9 +99,6 @@ class Compressor:
     exchange: ExchangeKind = ExchangeKind.ALLREDUCE
     #: Whether the compressor keeps a persistent residual across iterations.
     uses_error_feedback: bool = False
-
-    def __init__(self) -> None:
-        self.stats = CompressionStats()
 
     # ------------------------------------------------------------------ #
     # per-rank protocol: the batch kernels on a batch of one
@@ -141,8 +121,7 @@ class Compressor:
             [self], [[self._flatten(p) for p in payloads]], [ctx])[0]
 
     def reset_state(self) -> None:
-        """Clear any persistent state (error-feedback memory, statistics)."""
-        self.stats = CompressionStats()
+        """Clear any persistent state (error-feedback memory)."""
 
     # ------------------------------------------------------------------ #
     # batch kernels (one call per iteration instead of one per rank)
@@ -265,22 +244,6 @@ class Compressor:
         if gradient.ndim != 1:
             raise ValueError("compressors operate on flat (1-D) gradient vectors")
         return gradient
-
-    @staticmethod
-    def _record_batch(compressors: Sequence["Compressor"], wire_bits: float,
-                      originals: Sequence[np.ndarray],
-                      transmitted: Sequence[np.ndarray]) -> None:
-        """Track each rank's wire traffic and relative compression error.
-
-        Row-wise BLAS norms — faster than float64 matrix ``einsum``
-        reductions, which upcast every element and turned the stats pass into
-        a measurable fraction of ``exchange_ms`` on larger models.  Rows may
-        come as a matrix or as a list.
-        """
-        for compressor, original, estimate in zip(compressors, originals, transmitted):
-            denom = float(np.linalg.norm(original)) or 1.0
-            error = float(np.linalg.norm(original - estimate)) / denom
-            compressor.stats.record(wire_bits, error)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(name={self.name!r}, exchange={self.exchange.value})"

@@ -124,19 +124,10 @@ class DGCCompressor(TopKCompressor):
             compressor._residual = residuals[p]
             compressor._velocity = velocities[p]
 
-        sparse_estimates = np.zeros((P, n), dtype=np.float32)
-        if ragged:
-            for p, indices in enumerate(selections):
-                sparse_estimates[p, indices] = values[p]
-        else:
-            np.put_along_axis(sparse_estimates, selections,
-                              np.asarray(values, dtype=np.float32), axis=1)
-
         payloads, contexts = [], []
         for p in range(P):
             payloads.append(cls.pack_payload(selections[p], values[p]))
             contexts.append({"n": n, "k": len(selections[p])})
-        cls._record_batch(compressors, reference.wire_bits(n), G, sparse_estimates)
         return payloads, contexts
 
     def computation_complexity(self, n: int) -> str:

@@ -52,7 +52,6 @@ class QSGDCompressor(Compressor):
     def __init__(self, levels: int = 4, error_feedback: bool = True,
                  bucket_size: Optional[int] = 512,
                  rng: Optional[np.random.Generator] = None):
-        super().__init__()
         if levels < 1:
             raise ValueError("levels must be >= 1")
         if bucket_size is not None and bucket_size < 1:
@@ -64,7 +63,6 @@ class QSGDCompressor(Compressor):
         self._residual: np.ndarray | None = None
 
     def reset_state(self) -> None:
-        super().reset_state()
         self._residual = None
 
     # ------------------------------------------------------------------ #
@@ -135,11 +133,11 @@ class QSGDCompressor(Compressor):
             corrected = G
 
         norms, levels = reference._quantize_rows(corrected, [c.rng for c in compressors])
-        estimates = reference.dequantize_bucketed(norms, levels).astype(np.float32)
         if reference.error_feedback:
-            new_residuals = corrected - estimates
+            # ``corrected`` is this call's own sum: it becomes the residuals.
+            corrected -= reference.dequantize_bucketed(norms, levels).astype(np.float32)
             for p, compressor in enumerate(compressors):
-                compressor._residual = new_residuals[p]
+                compressor._residual = corrected[p]
 
         # Payload layout: [#buckets, norms..., levels...] — levels are small
         # integers, so a real deployment would entropy-code them into ≈2.8
@@ -147,7 +145,6 @@ class QSGDCompressor(Compressor):
         num_buckets = norms.shape[1]
         payloads = [np.concatenate([[float(num_buckets)], norms[p],
                                     levels[p].astype(np.float64)]) for p in range(P)]
-        cls._record_batch(compressors, reference.wire_bits(n), corrected, estimates)
         return payloads, [{"n": n} for _ in range(P)]
 
     @classmethod

@@ -23,12 +23,10 @@ class SignSGDCompressor(Compressor):
     uses_error_feedback = True
 
     def __init__(self, error_feedback: bool = True):
-        super().__init__()
         self.error_feedback = bool(error_feedback)
         self._residual: np.ndarray | None = None
 
     def reset_state(self) -> None:
-        super().reset_state()
         self._residual = None
 
     @classmethod
@@ -38,8 +36,6 @@ class SignSGDCompressor(Compressor):
         of its own error-corrected row."""
         G = np.asarray(G, dtype=np.float32)
         P, n = G.shape
-        corrected_rows: List[np.ndarray] = []
-        estimates = np.empty((P, n), dtype=np.float32)
         payloads: List[np.ndarray] = []
         for p, compressor in enumerate(compressors):
             if compressor.error_feedback:
@@ -50,12 +46,9 @@ class SignSGDCompressor(Compressor):
                 corrected = G[p]
             scale = float(np.abs(corrected).mean())
             signs = np.sign(corrected)
-            estimates[p] = scale * signs
             if compressor.error_feedback:
-                compressor._residual = corrected - estimates[p]
-            corrected_rows.append(corrected)
+                compressor._residual = corrected - np.float32(scale) * signs
             payloads.append(np.concatenate([[scale], signs.astype(np.float64)]))
-        cls._record_batch(compressors, compressors[0].wire_bits(n), corrected_rows, estimates)
         return payloads, [{"n": n} for _ in range(P)]
 
     @classmethod

@@ -25,7 +25,6 @@ class TernGradCompressor(Compressor):
 
     def __init__(self, rng: Optional[np.random.Generator] = None,
                  clip_std: Optional[float] = 2.5):
-        super().__init__()
         self.rng = rng if rng is not None else new_rng("terngrad")
         #: Optional gradient clipping (in standard deviations) recommended by
         #: the TernGrad paper to bound the scale; ``None`` disables it.
@@ -39,7 +38,6 @@ class TernGradCompressor(Compressor):
         RNG stream."""
         G = np.asarray(G, dtype=np.float32).astype(np.float64)
         P, n = G.shape
-        estimates = np.empty((P, n), dtype=np.float32)
         payloads: List[np.ndarray] = []
         for p, compressor in enumerate(compressors):
             gradient = work = G[p]
@@ -55,9 +53,7 @@ class TernGradCompressor(Compressor):
                 probability = np.abs(work) / scale
                 ternary = (np.sign(work) * (compressor.rng.random(n) < probability)
                            ).astype(np.int8)
-            estimates[p] = ternary.astype(np.float64) * scale
             payloads.append(np.concatenate([[scale], ternary.astype(np.float64)]))
-        cls._record_batch(compressors, compressors[0].wire_bits(n), G, estimates)
         return payloads, [{"n": n} for _ in range(P)]
 
     @classmethod

@@ -47,7 +47,6 @@ class TopKCompressor(Compressor):
 
     def __init__(self, ratio: float = 0.001, error_feedback: bool = True,
                  include_index_bits: bool = False):
-        super().__init__()
         if not 0.0 < ratio <= 1.0:
             raise ValueError("ratio must be in (0, 1]")
         self.ratio = float(ratio)
@@ -78,7 +77,6 @@ class TopKCompressor(Compressor):
 
     # ------------------------------------------------------------------ #
     def reset_state(self) -> None:
-        super().reset_state()
         self._residual = None
 
     # ------------------------------------------------------------------ #
@@ -121,36 +119,28 @@ class TopKCompressor(Compressor):
         ragged = not isinstance(selections, np.ndarray)
 
         row_index = None if ragged else np.arange(P)[:, None]
-        if reference.error_feedback:
-            new_residuals = corrected.copy()
-            if ragged:
-                for p, indices in enumerate(selections):
-                    new_residuals[p, indices] = 0.0
-            else:
-                # Direct fancy indexing: put_along_axis builds the same index
-                # grid through several Python-level helpers per call.
-                new_residuals[row_index, selections] = 0.0
-            for p, compressor in enumerate(compressors):
-                compressor._residual = new_residuals[p]
-
         if ragged:
             values = [corrected[p, indices] for p, indices in enumerate(selections)]
         else:
             values = corrected[row_index, selections]
-
-        sparse_estimates = np.zeros((P, n), dtype=np.float32)
-        if ragged:
-            for p, indices in enumerate(selections):
-                sparse_estimates[p, indices] = values[p]
-        else:
-            sparse_estimates[row_index, selections] = values
+        if reference.error_feedback:
+            # ``corrected`` is this call's own sum: zero the sent coordinates
+            # in place and keep its rows as the residuals.
+            if ragged:
+                for p, indices in enumerate(selections):
+                    corrected[p, indices] = 0.0
+            else:
+                # Direct fancy indexing: put_along_axis builds the same index
+                # grid through several Python-level helpers per call.
+                corrected[row_index, selections] = 0.0
+            for p, compressor in enumerate(compressors):
+                compressor._residual = corrected[p]
 
         payloads: List[np.ndarray] = []
         contexts: List[Dict] = []
         for p in range(P):
             payloads.append(cls.pack_payload(selections[p], values[p]))
             contexts.append({"n": n, "k": len(selections[p])})
-        cls._record_batch(compressors, reference.wire_bits(n), corrected, sparse_estimates)
         return payloads, contexts
 
     @classmethod

@@ -53,7 +53,7 @@ from repro.core.callbacks import (
 from repro.core.features import RunFeatures
 from repro.core.flat_buffer import RowSnapshot, WorldFlatBuffers
 from repro.core.metrics import TrainingMetrics, evaluate_classifier, evaluate_language_model
-from repro.core.trainer_state import LiveWorkerRows, ModuleBuffers, Progress, WorldRows
+from repro.core.trainer_state import ModuleBuffers, Progress, WorldRows
 from repro.data.dataloader import DataLoader, shard_dataset
 from repro.data.partition import partition_clients
 from repro.data.registry import get_dataset
@@ -246,9 +246,10 @@ class DistributedTrainer:
             self.executor = self.backend.create_executor(self)
         self.metrics = TrainingMetrics(metric_name=self.spec.metric)
         self._global_iteration = 0
-        #: Live worker rows snapshotted just before finalize() collapsed them
-        #: (async runs only) — lets checkpoints resume per-rank trajectories.
-        self._async_worker_rows: Optional[np.ndarray] = None
+        #: The worker rows as they stood before train()'s finalize() replaced
+        #: them with the consensus; the next train() — on this trainer or on
+        #: one loaded from a checkpoint written after it — continues from them.
+        self._worker_rows: Optional[np.ndarray] = None
 
         # Fault layer: membership mask + injector.  ``intermittent_dropout``
         # compute stalls are bridged to membership absences on the lockstep
@@ -279,7 +280,6 @@ class DistributedTrainer:
                   ("sync_param_", self.sync_strategy.parameter_codec),
                   ("sim_", self.simulator),
                   ("sync_async_", self.sync_strategy if self.is_async else None),
-                  ("async_worker_", LiveWorkerRows(self) if self.is_async else None),
                   ("fault_", self.fault_injector),
                   ("clients_", self.population),
                   ("", Progress(self))]
@@ -484,12 +484,17 @@ class DistributedTrainer:
     def train(self) -> TrainingMetrics:
         """Run the full training schedule and return the per-epoch metrics."""
         state = self.state
-        self._async_worker_rows = None
+        matrix = self.flat_world.param_matrix
+        if self._worker_rows is not None:
+            # Called again: continue each rank's own trajectory, as a run
+            # resumed from a checkpoint written after the last train() does.
+            matrix[:] = self._worker_rows
+            self._worker_rows = None
         self.callbacks.on_train_start(state)
         self.simulator.run(state)
         # Algorithm 1 lines 9-10: final dense consolidation of the replicas,
         # combined by the strategy's aggregator (mean reproduces the seed).
-        matrix = self.flat_world.param_matrix
+        self._worker_rows = matrix.copy()
         for rank, row in enumerate(self.sync_strategy.finalize(list(matrix))):
             matrix[rank] = row
         if self.population is not None:

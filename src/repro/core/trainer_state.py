@@ -2,7 +2,7 @@
 
 Subsystems with a class of their own (parameter codec, simulators, async
 strategies, fault injector, client population) implement ``state_arrays()`` /
-``load_state_arrays(arrays)`` themselves; these four cover the rest.  The
+``load_state_arrays(arrays)`` themselves; these three cover the rest.  The
 ordered owner list is built in ``DistributedTrainer._build``.
 """
 
@@ -24,12 +24,20 @@ class _TrainerOwner:
 class WorldRows(_TrainerOwner):
     """Per rank: parameters, learning rate, momentum (one array per parameter
     tensor) and the compressor's retained error — Algorithm 1's three vectors,
-    read from row ``rank`` of the ``(P, n)`` matrices."""
+    read from row ``rank`` of the ``(P, n)`` matrices.
+
+    ``train()`` ends by replacing every row with the consensus, and keeps the
+    rows from before that step for the next ``train()`` to continue from (the
+    mean of equal float32 rows need not equal that row).  After ``train()``
+    they are saved as ``worker_rows``; files of earlier commits saved an
+    async run's as ``async_worker_rows``."""
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         trainer = self.trainer
         world = trainer.flat_world
         arrays: Dict[str, np.ndarray] = {}
+        if trainer._worker_rows is not None:
+            arrays["worker_rows"] = trainer._worker_rows
         for rank in range(world.world_size):
             arrays[f"params_{rank}"] = world.param_matrix[rank].copy()
             arrays[f"opt_lr_{rank}"] = np.array([trainer.optimizer.lr], dtype=np.float64)
@@ -48,6 +56,8 @@ class WorldRows(_TrainerOwner):
             raise KeyError(f"checkpoint was saved with world_size={saved}, "
                            f"the trainer has world_size={world.world_size}")
         trainer.optimizer.set_lr(float(arrays["opt_lr_0"][0]))
+        rows = arrays.get("worker_rows", arrays.get("async_worker_rows"))
+        trainer._worker_rows = None if rows is None else np.array(rows, dtype=np.float32)
         for rank in range(world.world_size):
             world.param_matrix[rank] = arrays[f"params_{rank}"]
             velocity = segment_views(trainer._velocity_matrix[rank], world.layout)
@@ -74,21 +84,6 @@ class ModuleBuffers(_TrainerOwner):
         for rank, replica in enumerate(self.trainer.replicas):
             for index, (_, buffer) in enumerate(replica.named_buffers()):
                 buffer[...] = arrays[f"{rank}_{index}"]
-
-
-class LiveWorkerRows(_TrainerOwner):
-    """Async runs: each rank's live vector (its last pull / local state).
-    ``train()`` ends by collapsing the replicas onto the consensus, so a
-    post-train save reads the pre-finalize snapshot instead of the matrix;
-    listed after :class:`WorldRows`, loading overwrites the consensus rows."""
-
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        rows = self.trainer._async_worker_rows
-        return {"rows": self.trainer.flat_world.param_matrix.copy()
-                if rows is None else rows}
-
-    def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        self.trainer.flat_world.param_matrix[:] = arrays["rows"]
 
 
 class Progress(_TrainerOwner):

@@ -509,9 +509,6 @@ class EventSchedule(Schedule):
             # Finite outages charge their downtime when discovered; an
             # infinite one (crash_stop) only ends with the run.
             sim.injector.settle_permanent_downtime(sim.clock.now)
-        # finalize() collapses every worker row onto the consensus; keep the
-        # live rows for checkpoints written after train().
-        self.trainer._async_worker_rows = sim.param_matrix.copy()
 
     # ------------------------------------------------------------------ #
     # data feeding (per-rank continuous streams)

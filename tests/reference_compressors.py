@@ -6,8 +6,9 @@ Every compressor in ``repro.compress`` implements Algorithm 1 once, as the
 base class as a batch of one.  The functions below are the per-rank bodies
 the compressors carried before that, verbatim as free functions over a
 compressor instance (``self``), together with the helpers only they called
-(Top-K's ``select``, ``_accumulate_residual``, ``_record``, A2SGD's
-``two_level_means``/``encode``, QSGD's ``quantize_bucketed``).
+(Top-K's ``select``, ``_accumulate_residual``, A2SGD's
+``two_level_means``/``encode``, QSGD's ``quantize_bucketed``), less the
+compression statistics the compressors no longer keep.
 ``tests/test_compress_batched.py`` pins the kernels to them;
 ``tests/reference_trainer.py`` runs them end to end.
 """
@@ -36,14 +37,6 @@ def flatten(gradient: np.ndarray) -> np.ndarray:
     if gradient.ndim != 1:
         raise ValueError("compressors operate on flat (1-D) gradient vectors")
     return gradient
-
-
-def record(self, wire_bits: float, original: np.ndarray,
-           transmitted_estimate: np.ndarray) -> None:
-    """Track wire traffic and the relative compression error."""
-    denom = float(np.linalg.norm(original)) or 1.0
-    error = float(np.linalg.norm(original - transmitted_estimate)) / denom
-    self.stats.record(wire_bits, error)
 
 
 def two_level_means(gradient: np.ndarray,
@@ -119,7 +112,6 @@ def a2sgd_compress(self, gradient: np.ndarray) -> Tuple[np.ndarray, Dict]:
 
     error = gradient - encoded if self.error_feedback else np.zeros_like(gradient)
     ctx = {"positive_mask": positive_mask, "error": error}
-    record(self, self.WIRE_BITS, gradient, encoded)
     return payload, ctx
 
 
@@ -139,7 +131,6 @@ def a2sgd_decompress(self, global_payload: np.ndarray, ctx: Dict) -> np.ndarray:
 
 def dense_compress(self, gradient: np.ndarray) -> Tuple[np.ndarray, Dict]:
     gradient = flatten(gradient)
-    record(self, 32.0 * gradient.size, gradient, gradient)
     return gradient, {}
 
 
@@ -160,10 +151,6 @@ def topk_compress(self, gradient: np.ndarray) -> Tuple[np.ndarray, Dict]:
     # Payload layout: [indices..., values...] in one float32 array so the
     # collective layer only ever moves flat numeric buffers.
     payload = self.pack_payload(indices, values)
-    sparse_estimate = np.zeros_like(gradient)
-    sparse_estimate[indices] = values
-    wire = self.wire_bits(gradient.size)
-    record(self, wire, corrected, sparse_estimate)
     ctx = {"n": gradient.size, "k": len(indices)}
     return payload, ctx
 
@@ -203,10 +190,6 @@ def dgc_compress(self, gradient: np.ndarray) -> Tuple[np.ndarray, Dict]:
     self._velocity[indices] = 0.0
 
     payload = self.pack_payload(indices, values)
-    sparse_estimate = np.zeros_like(gradient)
-    sparse_estimate[indices] = values
-    wire = self.wire_bits(gradient.size)
-    record(self, wire, gradient, sparse_estimate)
     return payload, {"n": gradient.size, "k": len(indices)}
 
 
@@ -229,8 +212,6 @@ def qsgd_compress(self, gradient: np.ndarray) -> Tuple[np.ndarray, Dict]:
     # bits each.
     payload = np.concatenate([[float(len(norms))], norms,
                               levels.astype(np.float64)])
-    wire = self.wire_bits(gradient.size)
-    record(self, wire, corrected, estimate)
     return payload, {"n": gradient.size}
 
 
@@ -261,10 +242,7 @@ def terngrad_compress(self, gradient: np.ndarray) -> Tuple[np.ndarray, Dict]:
         probability = np.abs(work) / scale
         ternary = (np.sign(work) * (self.rng.random(gradient.size) < probability)
                    ).astype(np.int8)
-    estimate = (ternary.astype(np.float64) * scale).astype(np.float32)
     payload = np.concatenate([[scale], ternary.astype(np.float64)])
-    wire = self.wire_bits(gradient.size)
-    record(self, wire, gradient, estimate)
     return payload, {"n": gradient.size}
 
 
@@ -284,8 +262,6 @@ def signsgd_compress(self, gradient: np.ndarray) -> Tuple[np.ndarray, Dict]:
         self._residual = corrected - estimate
 
     payload = np.concatenate([[scale], signs.astype(np.float64)])
-    wire = self.wire_bits(gradient.size)
-    record(self, wire, corrected, estimate)
     return payload, {"n": gradient.size}
 
 

@@ -34,8 +34,10 @@ LOCKSTEP_SIM = ["sim_busy_s", "sim_clock_now", "sim_comm_s", "sim_draws",
 
 
 def world_rows(world_size: int, tensors: int) -> list:
-    """Per rank: parameters, lr and one momentum array per parameter tensor."""
-    keys = []
+    """Per rank: parameters, lr and one momentum array per parameter tensor;
+    and, since every file here is written after ``train()``, the rows it
+    ended on before the consensus step."""
+    keys = ["worker_rows"]
     for rank in range(world_size):
         keys += [f"params_{rank}", f"opt_lr_{rank}"]
         keys += [f"opt_velocity_{rank}_{index}" for index in range(tensors)]
@@ -71,8 +73,7 @@ FAMILIES = {
     "async_ps": (
         dict(algorithm="dense", sync={"strategy": "async_ps"}),
         HISTORY + world_rows(2, 8)
-        + ["async_worker_rows",
-           "sim_batches_consumed", "sim_busy_s", "sim_clock_now", "sim_comm_s",
+        + ["sim_batches_consumed", "sim_busy_s", "sim_clock_now", "sim_comm_s",
            "sim_draws", "sim_epoch_marks", "sim_event_mask", "sim_next_time",
            "sim_primed", "sim_rejected", "sim_staleness_counts",
            "sim_staleness_keys", "sim_stall_s", "sim_steps_per_rank",

@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.compress import get_compressor, list_compressors
+from tests.test_compress_registry import decoded_payload
 
 
 class TestCLIParsing:
@@ -76,6 +79,21 @@ class TestCLICommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "a2sgd" in out and "dense" in out and "dgc" in out
+
+    def test_compare_error_column_is_each_lone_rank_error(self, capsys):
+        main(["compare", "--size", "20000", "--seed", "0"])
+        table = capsys.readouterr().out.splitlines()[3:]
+        column = {cells[0].strip(): cells[-1].strip()
+                  for cells in (line.split("|") for line in table)}
+        assert sorted(column) == list_compressors()
+        gradient = (np.random.default_rng(0).standard_normal(20000) * 0.01
+                    ).astype(np.float32)
+        g = gradient.astype(np.float64)
+        for name, printed in column.items():
+            payload, _ = get_compressor(name).compress(gradient.copy())
+            estimate = decoded_payload(get_compressor(name), payload, gradient)
+            expected = np.linalg.norm(g - estimate) / np.linalg.norm(g)
+            assert printed == f"{expected:.3f}", name
 
 
 class TestConfigDrivenCLI:

@@ -139,7 +139,6 @@ class TestTopK:
         compressor.compress(gradient_vector)
         compressor.reset_state()
         assert compressor._residual is None
-        assert compressor.stats.iterations == 0
 
     def test_ratio_validation(self):
         with pytest.raises(ValueError):
@@ -244,9 +243,13 @@ class TestQSGD:
                                 rng=np.random.default_rng(0))
         fine = QSGDCompressor(bucket_size=128, error_feedback=False,
                               rng=np.random.default_rng(0))
-        coarse.compress(g)
-        fine.compress(g)
-        assert fine.stats.last_compression_error < coarse.stats.last_compression_error
+
+        def error(compressor):
+            payload, ctx = compressor.compress(g)
+            estimate = compressor.decompress_gathered([payload], ctx)
+            return np.linalg.norm(g - estimate) / np.linalg.norm(g)
+
+        assert error(fine) < error(coarse)
 
     def test_bucket_size_validation(self):
         with pytest.raises(ValueError):

@@ -90,7 +90,7 @@ def test_waves_equal_the_per_event_reference(strategy, model, fault):
     reference, reference_losses = run(reference_trainer, model, strategy, fault)
 
     assert wave_losses == reference_losses
-    assert np.array_equal(waves._async_worker_rows, reference._async_worker_rows)
+    assert np.array_equal(waves._worker_rows, reference._worker_rows)
     assert np.array_equal(waves.flat_world.param_matrix,
                           reference.flat_world.param_matrix)
     consensus = waves.sync_strategy.consensus_vector()

@@ -244,3 +244,56 @@ class TestResumedTrajectoriesAreBitIdentical:
         # One epoch of four iterations ran on the fresh clock.
         assert resumed.simulator.total_steps == 4
         assert resumed.simulated_time_s > 0.0
+
+
+class TestFilesWrittenAfterTrain:
+    """``train()`` ends by replacing every row with the consensus; a file
+    written after it keeps the rows from before that step, so the resumed
+    run continues each rank's own trajectory (the mean of equal float32 rows
+    need not be that row, and A2SGD's rows are not equal)."""
+
+    CASES = {
+        "a2sgd": dict(algorithm="a2sgd", world_size=4),
+        "transient_blackout": dict(
+            world_size=4, fault_seed=9,
+            faults={"model": "transient_blackout",
+                    "model_kwargs": {"mean_down_s": 0.02, "mean_up_s": 0.03}}),
+    }
+
+    @pytest.mark.parametrize("label", sorted(CASES))
+    def test_resume_matches_uninterrupted_run(self, label, tmp_path):
+        overrides = self.CASES[label]
+        uninterrupted = make_trainer(**overrides)
+        uninterrupted.train()
+        first_half = make_trainer(stop_after=1, **overrides)
+        first_half.train()
+        path = save_checkpoint(first_half, tmp_path / "ckpt.npz")
+        resumed = make_trainer(**overrides)
+        load_checkpoint(resumed, path)
+        # Loaded, the trainer holds what the saving one did: the consensus.
+        assert np.array_equal(final_params(resumed), final_params(first_half))
+        resumed.train()
+        assert np.array_equal(final_params(uninterrupted), final_params(resumed))
+        assert resumed.metrics.train_loss == uninterrupted.metrics.train_loss
+        assert resumed.simulated_time_s == uninterrupted.simulated_time_s
+
+    def test_earlier_async_files_continue_the_live_rows(self, tmp_path):
+        """Earlier commits saved an async run's pre-consensus rows as
+        ``async_worker_rows``; such a file resumes like a current one."""
+        overrides = SETUPS["async_ps"]
+        first_half = make_trainer(stop_after=1, **overrides)
+        first_half.train()
+        path = save_checkpoint(first_half, tmp_path / "ckpt.npz")
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["async_worker_rows"] = arrays.pop("worker_rows")
+        earlier = tmp_path / "earlier.npz"
+        np.savez_compressed(earlier, **arrays)
+
+        current, resumed = make_trainer(**overrides), make_trainer(**overrides)
+        load_checkpoint(current, path)
+        load_checkpoint(resumed, earlier)
+        current.train()
+        resumed.train()
+        assert np.array_equal(final_params(current), final_params(resumed))
+        assert resumed.metrics.train_loss == current.metrics.train_loss
