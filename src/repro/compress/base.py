@@ -32,6 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.rng import generator_state, set_generator_state
+
 
 def select_by_mask(out: np.ndarray, mask: np.ndarray, if_true, if_false) -> np.ndarray:
     """Write ``where(mask, float32(if_true), float32(if_false))`` into ``out``.
@@ -249,16 +251,24 @@ class Compressor:
         return f"{type(self).__name__}(name={self.name!r}, exchange={self.exchange.value})"
 
 
+#: The kinds of persistent per-rank state a compressor may hold: vectors
+#: (error-feedback residual, DGC velocity) and its generator's words.
+COMPRESSOR_STATE_KINDS = ("residual", "velocity", "rng")
+
+
 def compressor_state_arrays(compressor: Compressor) -> Dict[str, np.ndarray]:
     """The compressor's persistent per-rank state (error-feedback residual,
-    DGC velocity), keyed by kind — the single source of truth for
-    checkpointing, shared by the trainer checkpoint and the parameter-delta
-    codec."""
+    DGC velocity, the state of its ``rng``), keyed by kind — the single
+    source of truth for checkpointing, shared by the trainer checkpoint and
+    the parameter-delta codec."""
     state: Dict[str, np.ndarray] = {}
     for kind in ("residual", "velocity"):
         value = getattr(compressor, f"_{kind}", None)
         if value is not None:
             state[kind] = value
+    rng = getattr(compressor, "rng", None)
+    if rng is not None:
+        state["rng"] = generator_state(rng)
     return state
 
 
@@ -268,6 +278,8 @@ def restore_compressor_state(compressor: Compressor,
     as-is).  Writes in place when shape/dtype match so state that aliases a
     shared ``(P, n)`` matrix (rows written by the batched kernels) keeps its
     zero-copy home."""
+    if "rng" in state:
+        set_generator_state(compressor.rng, state["rng"])
     for kind in ("residual", "velocity"):
         if kind not in state:
             continue

@@ -52,6 +52,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.compress.base import (
+    COMPRESSOR_STATE_KINDS,
     Compressor,
     ExchangeKind,
     compressor_state_arrays,
@@ -216,7 +217,7 @@ class ParameterDeltaCodec:
         for rank, compressor in enumerate(self.compressors):
             restore_compressor_state(compressor, {
                 kind: arrays[f"{kind}_{rank}"]
-                for kind in ("residual", "velocity")
+                for kind in COMPRESSOR_STATE_KINDS
                 if f"{kind}_{rank}" in arrays})
 
     def reset(self) -> None:

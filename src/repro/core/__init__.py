@@ -19,7 +19,7 @@ from repro.core.timeline import IterationTimeline, SyncReport
 from repro.core.trainer import DistributedTrainer, TrainerConfig
 from repro.core.cost_model import CostModel, IterationCostBreakdown
 from repro.core.algorithm1 import a2sgd_quadratic_descent, dense_quadratic_descent
-from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.core.checkpoint import CheckpointVersionError, load_checkpoint, save_checkpoint
 from repro.core.spec import ExperimentSpec, SpecError
 from repro.core.experiment import (
     ExperimentResult,
@@ -59,6 +59,7 @@ __all__ = [
     "dense_quadratic_descent",
     "save_checkpoint",
     "load_checkpoint",
+    "CheckpointVersionError",
     "ExperimentSpec",
     "SpecError",
     "ExperimentResult",

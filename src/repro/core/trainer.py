@@ -532,8 +532,14 @@ class DistributedTrainer:
             return population.draw_batches(self._global_iteration)
         return [next(it) for it in iterators]
 
+    def _streams(self) -> List:
+        """The per-rank batch sources: LM shards, or loaders (none when a
+        sampled cohort draws statelessly)."""
+        return self.lm_shards if self.spec.task == "language_model" else self.loaders
+
     def _epoch_iterators(self) -> List:
-        """Fresh per-rank batch streams for one pass over the data."""
+        """Per-rank batch streams for one pass over the data: a new pass, or
+        the rest of a pass a checkpoint restored."""
         if self.spec.task == "language_model":
             return [shard.batches() for shard in self.lm_shards]
         return [iter(loader) for loader in self.loaders]

@@ -12,7 +12,11 @@ from typing import Dict
 
 import numpy as np
 
-from repro.compress.base import compressor_state_arrays, restore_compressor_state
+from repro.compress.base import (
+    COMPRESSOR_STATE_KINDS,
+    compressor_state_arrays,
+    restore_compressor_state,
+)
 from repro.core.flat_buffer import segment_views
 
 
@@ -24,13 +28,13 @@ class _TrainerOwner:
 class WorldRows(_TrainerOwner):
     """Per rank: parameters, learning rate, momentum (one array per parameter
     tensor) and the compressor's retained error — Algorithm 1's three vectors,
-    read from row ``rank`` of the ``(P, n)`` matrices.
+    read from row ``rank`` of the ``(P, n)`` matrices — and the compressor's
+    generator state.
 
     ``train()`` ends by replacing every row with the consensus, and keeps the
     rows from before that step for the next ``train()`` to continue from (the
     mean of equal float32 rows need not equal that row).  After ``train()``
-    they are saved as ``worker_rows``; files of earlier commits saved an
-    async run's as ``async_worker_rows``."""
+    they are saved as ``worker_rows``."""
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         trainer = self.trainer
@@ -56,7 +60,7 @@ class WorldRows(_TrainerOwner):
             raise KeyError(f"checkpoint was saved with world_size={saved}, "
                            f"the trainer has world_size={world.world_size}")
         trainer.optimizer.set_lr(float(arrays["opt_lr_0"][0]))
-        rows = arrays.get("worker_rows", arrays.get("async_worker_rows"))
+        rows = arrays.get("worker_rows")
         trainer._worker_rows = None if rows is None else np.array(rows, dtype=np.float32)
         for rank in range(world.world_size):
             world.param_matrix[rank] = arrays[f"params_{rank}"]
@@ -65,7 +69,7 @@ class WorldRows(_TrainerOwner):
                 view[...] = arrays[f"opt_velocity_{rank}_{index}"]
             restore_compressor_state(trainer.compressors[rank], {
                 kind: arrays[f"compressor_{kind}_{rank}"]
-                for kind in ("residual", "velocity")
+                for kind in COMPRESSOR_STATE_KINDS
                 if f"compressor_{kind}_{rank}" in arrays})
 
 

@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.data.datasets import ArrayDataset, Dataset
-from repro.utils.rng import new_rng
+from repro.utils.rng import generator_state, new_rng, set_generator_state
 
 
 def shard_dataset(dataset: ArrayDataset, rank: int, world_size: int,
@@ -39,6 +39,11 @@ def shard_dataset(dataset: ArrayDataset, rank: int, world_size: int,
 class DataLoader:
     """Iterate a dataset in shuffled mini-batches.
 
+    Every ``iter()`` is one pass in a fresh order.  ``pass_words`` (the
+    generator state that pass's order was drawn from) and ``cursor`` (the
+    batches it has yielded, -1 before the first pass) are what a checkpoint
+    saves; :meth:`restore_pass` puts the stream back on them.
+
     Parameters
     ----------
     dataset:
@@ -62,7 +67,9 @@ class DataLoader:
         self.shuffle = bool(shuffle)
         self.drop_last = bool(drop_last)
         self.rng = rng if rng is not None else new_rng("dataloader")
-        self._epoch = 0
+        self.pass_words = generator_state(self.rng)
+        self.cursor = -1
+        self._resume: Optional[Tuple[np.ndarray, int]] = None
 
     def __len__(self) -> int:
         n = len(self.dataset)
@@ -71,9 +78,26 @@ class DataLoader:
         return (n + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        n = len(self.dataset)
-        order = self.rng.permutation(n) if self.shuffle else np.arange(n)
-        self._epoch += 1
+        order, self.cursor = self._resume or (self._draw_order(), 0)
+        self._resume = None
+        n = len(order)
         limit = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        for start in range(0, limit, self.batch_size):
+        for start in range(self.cursor * self.batch_size, limit, self.batch_size):
+            self.cursor += 1
             yield self.dataset[order[start:start + self.batch_size]]
+
+    def _draw_order(self) -> np.ndarray:
+        self.pass_words = generator_state(self.rng)
+        n = len(self.dataset)
+        return self.rng.permutation(n) if self.shuffle else np.arange(n)
+
+    def restore_pass(self, words: np.ndarray, cursor: int, resume: bool) -> None:
+        """Set the generator onto ``words`` and redraw that pass's order
+        (which leaves it where the saving loader's was); with ``resume`` the
+        next ``iter()`` continues the pass after ``cursor`` batches."""
+        set_generator_state(self.rng, words)
+        self.pass_words = generator_state(self.rng)
+        self.cursor, self._resume = int(cursor), None
+        if self.cursor >= 0:
+            order = self._draw_order()
+            self._resume = (order, self.cursor) if resume else None

@@ -11,7 +11,7 @@ corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -77,7 +77,9 @@ class LanguageModelBatcher:
     The stream is reshaped into ``batch_size`` parallel sequences (as in the
     standard PTB training recipe); :meth:`batches` yields
     ``(inputs, targets)`` pairs of shape ``(seq_len, batch_size)`` where the
-    targets are the inputs shifted by one position.
+    targets are the inputs shifted by one position.  Every :meth:`batches`
+    call is one pass; ``cursor``, the windows it has yielded, is what a
+    checkpoint saves.
     """
 
     def __init__(self, tokens: np.ndarray, batch_size: int, seq_len: int):
@@ -90,18 +92,28 @@ class LanguageModelBatcher:
         self.batch_size = int(batch_size)
         self.seq_len = int(seq_len)
         self.data = tokens[:usable].reshape(batch_size, -1).T   # (steps, batch)
+        self.cursor = 0
+        self._resume: Optional[int] = None
 
     def __len__(self) -> int:
         """Number of (input, target) windows per epoch."""
         return max(0, (self.data.shape[0] - 1) // self.seq_len)
 
     def batches(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        self.cursor, self._resume = self._resume or 0, None
         steps = self.data.shape[0]
-        for start in range(0, steps - 1, self.seq_len):
+        for start in range(self.cursor * self.seq_len, steps - 1, self.seq_len):
+            self.cursor += 1
             end = min(start + self.seq_len, steps - 1)
             inputs = self.data[start:end]
             targets = self.data[start + 1:end + 1]
             yield inputs, targets
+
+    def restore_pass(self, cursor: int, resume: bool) -> None:
+        """With ``resume``, the next :meth:`batches` continues after
+        ``cursor`` windows."""
+        self.cursor = int(cursor)
+        self._resume = self.cursor if resume else None
 
     def shard(self, rank: int, world_size: int) -> "LanguageModelBatcher":
         """Restrict the batch dimension to this worker's share (data parallelism)."""
@@ -114,4 +126,6 @@ class LanguageModelBatcher:
         sharded.batch_size = len(columns)
         sharded.seq_len = self.seq_len
         sharded.data = self.data[:, columns]
+        sharded.cursor = 0
+        sharded._resume = None
         return sharded

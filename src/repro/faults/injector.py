@@ -176,9 +176,8 @@ class FaultInjector:
             arrays["stall_counters"], dtype=np.int64).copy()
         self.needs_catchup = np.asarray(
             arrays["needs_catchup"]).astype(bool).copy()
-        if "downtime_marks" in arrays:
-            self._downtime_marks = np.asarray(
-                arrays["downtime_marks"], dtype=np.float64).copy()
+        self._downtime_marks = np.asarray(
+            arrays["downtime_marks"], dtype=np.float64).copy()
         self.membership.load_state_arrays(
             {"alive": arrays["membership_alive"]})
         self.report.load_state_arrays(

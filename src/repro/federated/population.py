@@ -36,6 +36,14 @@ from repro.utils.rng import new_rng
 _HISTORY_LIMIT = 10_000
 
 
+def _parked_state(compressor) -> Dict[str, np.ndarray]:
+    """The compressor state a client takes out of its slot: its vectors.  The
+    generator stays with the slot, whichever client the slot hosts."""
+    state = compressor_state_arrays(compressor)
+    state.pop("rng", None)
+    return state
+
+
 class SlotAssignment:
     """One round's binding of cohort clients onto replica slots.
 
@@ -219,11 +227,11 @@ class ClientPopulation:
             if codec is not None:
                 if codec.bootstrapped:
                     codec_ref = codec._references[slot].copy()
-                codec_comp = compressor_state_arrays(codec.compressors[slot])
+                codec_comp = _parked_state(codec.compressors[slot])
             self.store.put(
                 client,
                 velocity=velocity[slot].copy(),
-                compressor=compressor_state_arrays(trainer.compressors[slot]),
+                compressor=_parked_state(trainer.compressors[slot]),
                 codec_reference=codec_ref,
                 codec_compressor=codec_comp)
 
@@ -311,12 +319,8 @@ class ClientPopulation:
         return arrays
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        if "round" in arrays:
-            round_state = np.asarray(arrays["round"], dtype=np.int64)
-            self.round_index = int(round_state[0])
-            self.rounds_completed = int(round_state[1])
-        if "seen" in arrays:
-            self._seen = np.asarray(arrays["seen"]).astype(bool).copy()
+        self.round_index, self.rounds_completed = arrays["round"].tolist()
+        self._seen = np.asarray(arrays["seen"]).astype(bool).copy()
         if "assignment" in arrays:
             self.assignment = SlotAssignment(
                 np.asarray(arrays["assignment"], dtype=np.int64).tolist())

@@ -8,11 +8,10 @@ per-rank :func:`repro.utils.rng.new_rng` generators derived from the
 ``clock_seed``, so timelines are reproducible and independent of the data
 seed.
 
-Determinism across checkpoint/resume relies on a replay discipline: every
-call to :meth:`ComputeTimeModel.step_time` consumes a fixed number of draws
-for that rank (possibly zero), and :meth:`ComputeTimeModel.restore` rebuilds
-the generators and replays the recorded per-rank draw counts, leaving the
-streams exactly where they were at save time.
+A checkpoint saves each rank's generator by its state
+(:meth:`ComputeTimeModel.generator_states`) and :meth:`ComputeTimeModel.restore`
+sets it back, so a resumed run draws what the uninterrupted one would
+whatever a model's draws per call.
 
 Models are registry-backed (``COMPUTE_MODELS``) so new heterogeneity
 scenarios plug in without trainer changes, and appear automatically in
@@ -26,30 +25,28 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.registry import Registry
-from repro.utils.rng import new_rng
+from repro.utils.rng import generator_state, new_rng, set_generator_state
 
 COMPUTE_MODELS = Registry("compute-time model", expose="compute-models")
 
 
 class ComputeTimeModel:
-    """Base class: per-rank seeded generators + draw-count replay."""
+    """Base class: one seeded generator per rank."""
 
     name = "base"
 
     def __init__(self):
         self.world_size = 0
         self.clock_seed = 0
-        self.step_counts: List[int] = []
         self._rngs: List[np.random.Generator] = []
 
     # ------------------------------------------------------------------ #
     def bind(self, world_size: int, clock_seed: int) -> None:
-        """Attach the model to a world; resets all generators and counters."""
+        """Attach the model to a world; resets all generators."""
         if world_size < 1:
             raise ValueError("world_size must be at least 1")
         self.world_size = int(world_size)
         self.clock_seed = int(clock_seed)
-        self.step_counts = [0] * self.world_size
         self._rngs = [new_rng("sim-compute", self.name, rank, seed=self.clock_seed)
                       for rank in range(self.world_size)]
 
@@ -57,25 +54,23 @@ class ComputeTimeModel:
         """Draw the next ``(compute_s, stall_s)`` for ``rank``."""
         if not 0 <= rank < self.world_size:
             raise IndexError(f"rank {rank} out of range (bind() first?)")
-        sample = self._sample(rank)
-        self.step_counts[rank] += 1
-        return sample
+        return self._sample(rank)
 
-    def restore(self, step_counts: Sequence[int]) -> None:
-        """Replay ``step_counts[rank]`` draws per rank after a fresh bind."""
-        if len(step_counts) != self.world_size:
-            raise ValueError("step_counts length must equal world_size")
-        self._rngs = [new_rng("sim-compute", self.name, rank, seed=self.clock_seed)
-                      for rank in range(self.world_size)]
-        for rank, count in enumerate(step_counts):
-            for _ in range(int(count)):
-                self._sample(rank)
-        self.step_counts = [int(count) for count in step_counts]
+    def generator_states(self) -> np.ndarray:
+        """Every rank's generator state, a ``(world_size, 6)`` uint64 array."""
+        return np.stack([generator_state(rng) for rng in self._rngs])
+
+    def restore(self, states: np.ndarray) -> None:
+        """Set every rank's generator onto :meth:`generator_states` output."""
+        if len(states) != self.world_size:
+            raise ValueError(f"{len(states)} generator states for "
+                             f"world_size {self.world_size}")
+        for rng, words in zip(self._rngs, states):
+            set_generator_state(rng, words)
 
     # ------------------------------------------------------------------ #
     def _sample(self, rank: int) -> Tuple[float, float]:
-        """One draw from the rank's stream; subclasses must consume a fixed
-        number of generator values per call (possibly zero)."""
+        """One draw from the rank's stream."""
         raise NotImplementedError
 
     def to_dict(self) -> Dict[str, object]:
@@ -142,8 +137,9 @@ class StragglerComputeModel(ComputeTimeModel):
 
     ``straggler_ranks`` (default: the last rank) take ``slowdown×`` the base
     mean; ``sigma > 0`` adds mean-preserving lognormal jitter on every rank,
-    giving the "lognormal straggler" scenario from the issue.  One normal
-    draw per step regardless of ``sigma`` keeps replay counts uniform.
+    giving the "lognormal straggler" scenario.  Every step draws one normal,
+    also at ``sigma = 0`` (jitter exactly 1), so a rank's stream does not
+    depend on ``sigma``.
     """
 
     name = "straggler"

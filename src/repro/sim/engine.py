@@ -26,9 +26,11 @@ resumed run starts, per-epoch setup and teardown, and one step.
 
 Every term on the clock is modelled, none measured (compression is priced
 by :data:`~repro.core.cost_model.DEFAULT_COMPRESSION_MODEL`), so simulated
-time is a pure function of the spec and its seeds; the checkpoint keys
-(clock, in-flight events, compute-model draw counts, report, timeline) make
-resumed trajectories bit-identical.
+time is a pure function of the spec and its seeds.  The checkpoint keys hold
+state, never history: the clock, in-flight events, the compute model's
+generator states, every rank's batch stream (its latest pass's generator
+words and cursor), the report and the timeline.  A resumed run sets them and
+continues at ``divmod(total_steps, steps_per_epoch)``; nothing is replayed.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ class Simulator:
         self.timeline = IterationTimeline()
         #: Completed steps: barrier iterations, or worker events.
         self.total_steps = 0
+        #: The losses of the current epoch's steps so far.
+        self.epoch_losses: List[float] = []
         self._pending_draws: Optional[List] = None
         self.schedule = EventSchedule(self) if trainer.is_async else BarrierSchedule(self)
 
@@ -102,7 +106,6 @@ class Simulator:
             state.epoch = epoch
             callbacks.on_epoch_start(state)
             schedule.begin_epoch()
-            epoch_losses: List[float] = []
             while done < schedule.steps_per_epoch:
                 step = schedule.step(state, epoch, done)
                 if step is None:        # the fault layer stopped the run
@@ -112,7 +115,7 @@ class Simulator:
                 trainer._global_iteration += 1
                 state.global_iteration = trainer._global_iteration
                 state.loss, state.lr, state.report = step
-                epoch_losses.append(state.loss)
+                self.epoch_losses.append(state.loss)
                 callbacks.on_iteration_end(state)
                 if state.stop_requested:
                     break
@@ -120,7 +123,8 @@ class Simulator:
             self.report.record_epoch_mark(self.clock.now)
             schedule.end_epoch()
             state.epoch = epoch
-            state.epoch_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
+            losses, self.epoch_losses = self.epoch_losses, []
+            state.epoch_loss = float(np.mean(losses)) if losses else float("nan")
             callbacks.on_epoch_end(state)
             if state.stop_requested:
                 break
@@ -240,7 +244,8 @@ class Simulator:
     # ------------------------------------------------------------------ #
     def state_arrays(self) -> Dict[str, np.ndarray]:
         arrays = {"clock_now": np.array([self.clock.now], dtype=np.float64),
-                  "draws": np.array(self.compute_model.step_counts, dtype=np.int64)}
+                  "draws": self.compute_model.generator_states(),
+                  "epoch_losses": np.array(self.epoch_losses, dtype=np.float64)}
         for key, (name, dtype) in _REPORT_KEYS.items():
             arrays[key] = np.array(getattr(self.report, name), dtype=dtype)
         for key, value in self.timeline.state_arrays().items():
@@ -249,18 +254,13 @@ class Simulator:
         return arrays
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Restore every field the file holds.  A field it lacks — the
-        timeline before it was saved, the whole clock of a clockless run —
-        keeps its fresh value."""
-        if "clock_now" in arrays:
-            now = float(arrays["clock_now"][0])
-            self.clock.restore(now, {})
-            self.report.simulated_time_s = now
-        if "draws" in arrays:
-            self.compute_model.restore(arrays["draws"].tolist())
+        now = float(arrays["clock_now"][0])
+        self.clock.restore(now, {})
+        self.report.simulated_time_s = now
+        self.compute_model.restore(arrays["draws"])
+        self.epoch_losses = arrays["epoch_losses"].tolist()
         for key, (name, _) in _REPORT_KEYS.items():
-            if key in arrays:
-                setattr(self.report, name, arrays[key].tolist())
+            setattr(self.report, name, arrays[key].tolist())
         self.timeline.load_state_arrays({key[len("timeline_"):]: value
                                          for key, value in arrays.items()
                                          if key.startswith("timeline_")})
@@ -287,6 +287,30 @@ class Schedule:
     def finish(self) -> None:
         """Run teardown, after the last epoch."""
 
+    def _stream_arrays(self, held=0) -> Dict[str, np.ndarray]:
+        """Every rank's batch stream: the batches its latest pass has yielded,
+        less ``held`` (per rank, drawn but not yet consumed), and for
+        loaders the generator words that pass's order was drawn from.  A
+        sampled cohort draws statelessly and writes no keys."""
+        streams = self.trainer._streams()
+        if not streams:
+            return {}
+        cursor = np.array([stream.cursor for stream in streams], dtype=np.int64)
+        arrays = {"stream_cursor": cursor - held}
+        if self.trainer.spec.task != "language_model":
+            arrays["stream_words"] = np.stack([loader.pass_words for loader in streams])
+        return arrays
+
+    def _restore_streams(self, arrays: Dict[str, np.ndarray], resume: bool) -> None:
+        """Put every stream back on its saved pass; with ``resume`` each
+        rank's next pass continues it, otherwise a new pass starts."""
+        for rank, stream in enumerate(self.trainer._streams()):
+            cursor = int(arrays["stream_cursor"][rank])
+            if "stream_words" in arrays:
+                stream.restore_pass(arrays["stream_words"][rank], cursor, resume)
+            else:
+                stream.restore_pass(cursor, resume)
+
 
 class BarrierSchedule(Schedule):
     """Synchronous strategies: every rank steps at once, and the slowest
@@ -298,31 +322,20 @@ class BarrierSchedule(Schedule):
         self._states = None
 
     def start(self) -> tuple:
-        """A checkpoint-restored run starts at its first unfinished epoch
-        (a fresh or finished run at epoch 0), from that epoch's start.
+        self.steps_per_epoch = self.trainer.iterations_per_epoch
+        return self._resume_point()
 
-        The loaders reshuffle from a stateful RNG each epoch, so the skipped
-        epochs' permutations are replayed to line the shuffle stream up with
-        the uninterrupted run's.
-        """
+    def _resume_point(self) -> tuple:
+        """``(epoch, iteration)`` the next ``train()`` starts at: where an
+        interrupted run stopped, or ``(0, 0)`` for a fresh or finished one
+        (train() then runs the whole schedule again)."""
         trainer = self.trainer
-        self.steps_per_epoch = trainer.iterations_per_epoch
-        if not trainer._global_iteration or not trainer.iterations_per_epoch:
-            return 0, 0
-        completed = trainer._global_iteration // trainer.iterations_per_epoch
-        if completed >= trainer.config.epochs:
-            # A finished run: train() runs the whole schedule again (the
-            # long-standing retrain semantics); only an *interrupted* run
-            # continues where it stopped.
-            return 0, 0
-        for _ in range(completed):
-            for loader in getattr(trainer, "loaders", []):
-                if loader.shuffle:
-                    loader.rng.permutation(len(loader.dataset))
-                loader._epoch += 1
-        return completed, 0
+        epoch, done = divmod(self.sim.total_steps, trainer.iterations_per_epoch)
+        return (0, 0) if epoch >= trainer.config.epochs else (epoch, done)
 
     def begin_epoch(self) -> None:
+        # Every epoch starts new passes, abandoning the rest of the last
+        # ones; a file written mid-epoch continues its passes instead.
         self._iterators = self.trainer._epoch_iterators()
         self._states = None             # BPTT state restarts with the epoch
 
@@ -363,7 +376,9 @@ class BarrierSchedule(Schedule):
         price reliable retransmission of the survivors' lockstep sends.
 
         Returns ``(alive_ranks_or_None, extra_simulated_seconds)``; with no
-        injector this is ``(None, 0.0)`` and nothing else runs.
+        injector this is ``(None, 0.0)`` and nothing else runs.  Each rank's
+        outage is looked up once at ``now`` (and once more at the horizon
+        when the whole world idles): the answer depends only on (rank, t).
         """
         injector = self.sim.injector
         if injector is None:
@@ -373,9 +388,10 @@ class BarrierSchedule(Schedule):
         now = self.sim.clock.now
         extra_s = 0.0
         world_size = self.sim.world_size
+        intervals = [injector.down_interval(rank, now) for rank in range(world_size)]
         for rank in range(world_size):
             # Not while still inside its outage (or crashed for good).
-            if not membership.is_alive(rank) and injector.down_interval(rank, now) is None:
+            if not membership.is_alive(rank) and intervals[rank] is None:
                 extra_s += trainer._rejoin_rank(rank)
         bridged = set()
         if injector.bridge_compute_stalls:
@@ -386,7 +402,7 @@ class BarrierSchedule(Schedule):
             if not membership.is_alive(rank):
                 injector.report.lost_steps += 1
                 continue
-            if injector.down_interval(rank, now) is not None or rank in bridged:
+            if intervals[rank] is not None or rank in bridged:
                 membership.set_alive(rank, False)
                 injector.report.record_down(rank)
                 injector.report.lost_steps += 1
@@ -398,7 +414,6 @@ class BarrierSchedule(Schedule):
             # ends, and only a permanent all-crash (no finite end anywhere)
             # stops the run instead of deadlocking a collective over zero
             # participants.
-            intervals = [injector.down_interval(rank, now) for rank in range(world_size)]
             if None not in intervals:
                 ends = [end for _, end in intervals if math.isfinite(end)]
                 if not ends:
@@ -407,8 +422,10 @@ class BarrierSchedule(Schedule):
                 horizon = min(ends)
                 extra_s += horizon - now
                 now = horizon
+                intervals = [injector.down_interval(rank, now)
+                             for rank in range(world_size)]
             for rank in range(world_size):
-                if injector.down_interval(rank, now) is None:
+                if intervals[rank] is None:
                     extra_s += trainer._rejoin_rank(rank)
         if injector.affects_timing:
             # slow_node keeps the legacy timing-only reading: per-rank
@@ -424,11 +441,13 @@ class BarrierSchedule(Schedule):
         return alive, extra_s
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        return {"iterations": np.array([self.sim.total_steps], dtype=np.int64)}
+        return {"iterations": np.array([self.sim.total_steps], dtype=np.int64),
+                **self._stream_arrays()}
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        if "iterations" in arrays:
-            self.sim.total_steps = int(arrays["iterations"][0])
+        self.sim.total_steps = int(arrays["iterations"][0])
+        _, done = self._resume_point()
+        self._restore_streams(arrays, resume=done > 0)
 
 
 class EventSchedule(Schedule):
@@ -437,7 +456,6 @@ class EventSchedule(Schedule):
     def __init__(self, sim: Simulator):
         super().__init__(sim)
         world_size = sim.world_size
-        self.batches_consumed: List[int] = [0] * world_size
         self._iterators = None
         #: Per rank: the batch drawn for its next step (kept until its event
         #: consumes it), whether its gradient row and loss hold that step's
@@ -463,7 +481,8 @@ class EventSchedule(Schedule):
         sim = self.sim
         self.steps_per_epoch = sim.world_size * self.trainer.iterations_per_epoch
         self.trainer.sync_strategy.async_setup(sim)
-        self._init_data()
+        if self._iterators is None:
+            self._iterators = self.trainer._epoch_iterators()
         if not self._primed:
             for rank in range(sim.world_size):
                 sim.schedule_rank(rank, sim.clock.now)
@@ -513,21 +532,8 @@ class EventSchedule(Schedule):
     # ------------------------------------------------------------------ #
     # data feeding (per-rank continuous streams)
     # ------------------------------------------------------------------ #
-    def _init_data(self) -> None:
-        if self._iterators is not None:
-            return
-        self._iterators = self.trainer._epoch_iterators()
-        # Resume: fast-forward each rank's stream by replaying the batches it
-        # already consumed (the loaders reshuffle deterministically per pass,
-        # so skipping k batches lands the RNGs exactly where they were).
-        # Carried BPTT state is not replayed — a resumed language model run
-        # restarts its truncation windows, like the lockstep epoch boundary.
-        for rank, count in enumerate(self.batches_consumed):
-            for _ in range(count):
-                self._draw(rank)
-
     def _draw(self, rank: int):
-        """``rank``'s next batch; counted only when its event consumes it."""
+        """``rank``'s next batch: its stream runs pass after pass."""
         try:
             return next(self._iterators[rank])
         except StopIteration:
@@ -596,7 +602,6 @@ class EventSchedule(Schedule):
         self._pending[rank] = False
         self._batches[rank] = None
         self._rollback[rank] = None
-        self.batches_consumed[rank] += 1
         return self._losses[rank]
 
     def _drop_pending(self, rank: int) -> None:
@@ -666,26 +671,27 @@ class EventSchedule(Schedule):
                                    dtype=np.int64),
             "primed": np.array([int(self._primed)], dtype=np.int64),
             "total_steps": np.array([sim.total_steps], dtype=np.int64),
-            "batches_consumed": np.array(self.batches_consumed, dtype=np.int64),
             "staleness_keys": np.array(sorted(histogram), dtype=np.int64),
             "staleness_counts": np.array([histogram[k] for k in sorted(histogram)],
                                          dtype=np.int64),
             "rejected": np.array([sim.report.rejected_pushes], dtype=np.int64),
+            # A batch drawn for a rank's next step goes back to its stream:
+            # the resumed rank draws it again.
+            **self._stream_arrays(held=np.array([batch is not None
+                                                 for batch in self._batches])),
         }
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
         sim = self.sim
         self._primed = bool(int(arrays["primed"][0]))
         if self._primed:
-            # Files from before the fault layer had no mask: every rank
-            # always had an event.
-            mask = arrays.get("event_mask", np.ones(sim.world_size))
             for rank, when in enumerate(arrays["next_time"].tolist()):
-                if mask[rank]:
+                if arrays["event_mask"][rank]:
                     sim.clock.schedule(when, rank)
         sim.total_steps = int(arrays["total_steps"][0])
-        self.batches_consumed = arrays["batches_consumed"].tolist()
-        if "staleness_keys" in arrays:
-            sim.report.staleness_histogram = dict(zip(
-                arrays["staleness_keys"].tolist(), arrays["staleness_counts"].tolist()))
-            sim.report.rejected_pushes = int(arrays["rejected"][0])
+        sim.report.staleness_histogram = dict(zip(
+            arrays["staleness_keys"].tolist(), arrays["staleness_counts"].tolist()))
+        sim.report.rejected_pushes = int(arrays["rejected"][0])
+        # Carried BPTT state is not saved: a resumed language model run
+        # restarts its truncation windows, like the barrier's epoch start.
+        self._restore_streams(arrays, resume=True)

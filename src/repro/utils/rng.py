@@ -57,6 +57,31 @@ def new_rng(*components: object, seed: int | None = None) -> np.random.Generator
     return np.random.default_rng(derive_seed(*components, base=seed))
 
 
+_WORD = (1 << 64) - 1
+
+
+def generator_state(rng: np.random.Generator) -> np.ndarray:
+    """A PCG64 generator's whole state as six ``uint64`` words: its 128-bit
+    state and increment (high word first), ``has_uint32`` and ``uinteger``.
+    A checkpoint saves where a stream *is*, not how it got there; any other
+    bit generator raises ``TypeError``."""
+    state = rng.bit_generator.state
+    if state["bit_generator"] != "PCG64":
+        raise TypeError(f"generator_state handles PCG64, got {state['bit_generator']}")
+    pcg = state["state"]
+    return np.array([pcg["state"] >> 64, pcg["state"] & _WORD, pcg["inc"] >> 64,
+                     pcg["inc"] & _WORD, state["has_uint32"], state["uinteger"]],
+                    dtype=np.uint64)
+
+
+def set_generator_state(rng: np.random.Generator, words) -> None:
+    """Inverse of :func:`generator_state` (NumPy refuses a non-PCG64 ``rng``)."""
+    w = [int(word) for word in words]
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64", "has_uint32": w[4], "uinteger": w[5],
+        "state": {"state": w[0] << 64 | w[1], "inc": w[2] << 64 | w[3]}}
+
+
 def replica_init_seed(experiment_seed: int, rank: int) -> int:
     """The weight-initialization seed for replica ``rank``.
 

@@ -38,7 +38,6 @@ class ReferenceSchedule(EventSchedule):
         if self._restarted[rank]:
             self._restarted[rank] = False
             self._lm_states[rank] = None
-        self.batches_consumed[rank] += 1
         executor = self._executors.executors[rank]
         if self.trainer.spec.task == "language_model":
             losses, self._lm_states[rank] = executor.forward_backward(

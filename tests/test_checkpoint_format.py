@@ -1,10 +1,11 @@
 """The checkpoint's key set, pinned per owner family.
 
 ``core/checkpoint.py`` is two loops over ``trainer.checkpoint_owners``; what
-lands in the ``.npz`` is decided by the owners and their prefixes.  Files
-written by earlier commits must keep loading (there is no legacy reader), so
-every key each family writes is spelled out here: renaming, dropping or adding
-one is a format change and has to show up as an edit to this file.
+lands in the ``.npz`` is decided by the owners and their prefixes.  A file
+loads only under the format version it was written with, so every key each
+family writes is spelled out here: renaming, dropping or adding one is a
+format change — it has to show up as an edit to this file and a new
+``FORMAT_VERSION``.
 """
 
 import numpy as np
@@ -15,8 +16,9 @@ from repro.core import DistributedTrainer, TrainerConfig, load_checkpoint, save_
 BASE = dict(model="fnn3", preset="tiny", algorithm="a2sgd", world_size=2, epochs=1,
             batch_size=8, max_iterations_per_epoch=3, num_train=128, num_test=32, seed=0)
 
-#: Written by every run: progress counters + the metric history columns.
-HISTORY = ["epoch_history", "loss_history", "metric_history",
+#: Written by every run: the format version, progress counters + the metric
+#: history columns.
+HISTORY = ["format_version", "epoch_history", "loss_history", "metric_history",
            "metrics_active_clients", "metrics_cohort_fraction", "metrics_rejected",
            "metrics_sim_time", "metrics_staleness", "metrics_unique_clients",
            "progress"]
@@ -29,8 +31,11 @@ SIM_TIMELINE = ["sim_timeline_aggregation_s", "sim_timeline_communication_s",
 
 #: Written by every synchronous run: the simulator on its barrier schedule.
 LOCKSTEP_SIM = ["sim_busy_s", "sim_clock_now", "sim_comm_s", "sim_draws",
-                "sim_epoch_marks", "sim_iterations", "sim_stall_s",
-                "sim_steps_per_rank"] + SIM_TIMELINE
+                "sim_epoch_losses", "sim_epoch_marks", "sim_iterations",
+                "sim_stall_s", "sim_steps_per_rank"] + SIM_TIMELINE
+
+#: Written by every run whose ranks read loaders: each stream's latest pass.
+STREAMS = ["sim_stream_cursor", "sim_stream_words"]
 
 
 def world_rows(world_size: int, tensors: int) -> list:
@@ -57,27 +62,34 @@ FAMILIES = {
     "a2sgd_lars": (
         dict(model="vgg16", batch_size=2, max_iterations_per_epoch=1,
              num_train=16, num_test=4),
-        HISTORY + LOCKSTEP_SIM + world_rows(2, 41) + module_buffers(2, 26)),
+        HISTORY + LOCKSTEP_SIM + STREAMS + world_rows(2, 41) + module_buffers(2, 26)),
     "topk_residual": (
         dict(algorithm="topk", compressor_kwargs={"ratio": 0.05}),
-        HISTORY + LOCKSTEP_SIM + world_rows(2, 8)
+        HISTORY + LOCKSTEP_SIM + STREAMS + world_rows(2, 8)
         + ["compressor_residual_0", "compressor_residual_1"]),
+    # A stochastic compressor's generator is saved by its state, beside its
+    # error-feedback residual.
+    "qsgd_generator": (
+        dict(algorithm="qsgd"),
+        HISTORY + LOCKSTEP_SIM + STREAMS + world_rows(2, 8)
+        + ["compressor_residual_0", "compressor_residual_1",
+           "compressor_rng_0", "compressor_rng_1"]),
     "gossip_topk_codec": (
         dict(algorithm="dense", world_size=3,
              sync={"strategy": "gossip", "topology": "ring",
                    "parameter_compression": "topk",
                    "parameter_compression_kwargs": {"ratio": 0.05}}),
-        HISTORY + LOCKSTEP_SIM + world_rows(3, 8)
+        HISTORY + LOCKSTEP_SIM + STREAMS + world_rows(3, 8)
         + ["sync_param_references", "sync_param_residual_0",
            "sync_param_residual_1", "sync_param_residual_2"]),
     "async_ps": (
         dict(algorithm="dense", sync={"strategy": "async_ps"}),
         HISTORY + world_rows(2, 8)
-        + ["sim_batches_consumed", "sim_busy_s", "sim_clock_now", "sim_comm_s",
-           "sim_draws", "sim_epoch_marks", "sim_event_mask", "sim_next_time",
-           "sim_primed", "sim_rejected", "sim_staleness_counts",
+        + ["sim_busy_s", "sim_clock_now", "sim_comm_s", "sim_draws",
+           "sim_epoch_losses", "sim_epoch_marks", "sim_event_mask",
+           "sim_next_time", "sim_primed", "sim_rejected", "sim_staleness_counts",
            "sim_staleness_keys", "sim_stall_s", "sim_steps_per_rank",
-           "sim_total_steps"] + SIM_TIMELINE + [
+           "sim_total_steps"] + STREAMS + SIM_TIMELINE + [
            "sync_async_pull_versions", "sync_async_rejected_pushes",
            "sync_async_server_params", "sync_async_server_velocity",
            "sync_async_staleness_counts", "sync_async_staleness_keys",
@@ -91,8 +103,9 @@ FAMILIES = {
            "fault_report_down_transitions", "fault_report_downtime_s",
            "fault_report_rejoins", "fault_report_resync_bytes",
            "fault_report_scalars", "fault_stall_counters"]
-        + LOCKSTEP_SIM),
-    # N=6 clients on K=2 slots: two swapped-out clients are parked.
+        + LOCKSTEP_SIM + STREAMS),
+    # N=6 clients on K=2 slots: two swapped-out clients are parked.  Their
+    # batches are drawn statelessly, so no stream is saved.
     "fedavg_sampled": (
         dict(algorithm="dense", max_iterations_per_epoch=4, num_train=256,
              sync={"strategy": "fedavg", "period": 2},

@@ -133,10 +133,16 @@ class TestCompressorContracts:
 
     @pytest.mark.parametrize("name", sorted(COMPRESSORS))
     def test_reset_state_clears_persistent_state(self, name, gradient_vector):
+        """The error-feedback vectors go; a generator keeps its place (a
+        rejoining rank does not restart its stream)."""
         compressor = get_compressor(name)
         compressor.compress(gradient_vector)
+        before = compressor_state_arrays(compressor)
         compressor.reset_state()
-        assert compressor_state_arrays(compressor) == {}
+        after = compressor_state_arrays(compressor)
+        assert set(after) <= {"rng"}
+        if "rng" in after:
+            np.testing.assert_array_equal(after["rng"], before["rng"])
 
 
 def decoded_payload(compressor, payload, gradient):

@@ -167,6 +167,51 @@ class TestGracefulDegradation:
         assert trainer.state.stop_requested
 
 
+class TestFaultPhaseQueries:
+    """The barrier's fault phase asks for each rank's outage once per time
+    point: once at the iteration's start, and once more at the horizon when
+    the whole world is down and idles to the first rejoin."""
+
+    @pytest.mark.parametrize("mean_down_s,mean_up_s", [(0.02, 0.03), (0.5, 0.01)])
+    def test_one_lookup_per_rank_per_time_point(self, mean_down_s, mean_up_s):
+        calls = []
+
+        class MarkIterations(Callback):
+            def on_iteration_start(self, state) -> None:
+                calls.append(None)
+
+        trainer = DistributedTrainer(make_config(
+            epochs=1, faults={"model": "transient_blackout",
+                              "model_kwargs": {"mean_down_s": mean_down_s,
+                                               "mean_up_s": mean_up_s}},
+            fault_seed=1), callbacks=[MarkIterations()])
+        injector = trainer.fault_injector
+        lookup = injector.down_interval
+
+        def counted(rank, t):
+            calls.append((rank, t))
+            return lookup(rank, t)
+
+        injector.down_interval = counted
+        trainer.train()
+        iterations, advances = [], 0
+        for call in calls:
+            if call is None:
+                iterations.append([])
+            else:
+                iterations[-1].append(call)
+        assert len(iterations) == trainer.iterations_per_epoch
+        world = range(trainer.config.world_size)
+        for queries in iterations:
+            times = sorted({t for _, t in queries})
+            assert len(times) in (1, 2)
+            advances += len(times) - 1
+            for t in times:
+                assert sorted(rank for rank, when in queries if when == t) == list(world)
+        if mean_down_s > mean_up_s:
+            assert advances > 0
+
+
 class TestFaultDeterminism:
     def test_same_fault_seed_reproduces_timeline_and_parameters(self):
         runs = []

@@ -5,7 +5,7 @@ gradient in one call of the trainer's executor and keeps each pending until
 its own event; ``tests/reference_engine.py`` steps one rank per event at
 P = 1, as the engine did before waves.  Over the strategy × model × fault
 grid, a run on each must end with the same worker rows, server / center
-vector, module buffers, per-event losses, consumed batches and
+vector, module buffers, per-event losses, stream positions and
 :class:`~repro.sim.report.SimReport`.
 """
 
@@ -17,6 +17,7 @@ import pytest
 from repro.core import DistributedTrainer, TrainerConfig
 from repro.core import trainer as trainer_module
 from repro.core.callbacks import Callback
+from repro.utils.rng import generator_state, set_generator_state
 from tests.reference_engine import reference_trainer
 
 STRATEGIES = {
@@ -70,6 +71,30 @@ class EventLosses(Callback):
         self.losses.append(state.loss)
 
 
+def stream_positions(trainer) -> list:
+    """Per rank, the saved ``(cursor, pass words)`` of the pass holding its
+    next batch.  A pass that ran out is the next pass at cursor 0: a wave may
+    have drawn that pass's first batch ahead, where the per-event reference
+    has not drawn it yet."""
+    arrays = trainer.simulator.schedule.state_arrays()
+    positions = []
+    for rank, stream in enumerate(trainer._streams()):
+        cursor = int(arrays["stream_cursor"][rank])
+        words = arrays["stream_words"][rank] if "stream_words" in arrays else None
+        # Batches per pass; an LM pass ends on a shorter window.
+        size = len(stream) if words is not None \
+            else -(-(len(stream.data) - 1) // stream.seq_len)
+        if cursor == size:
+            cursor = 0
+            if words is not None:
+                rng = np.random.default_rng()
+                set_generator_state(rng, words)
+                rng.permutation(len(stream.dataset))
+                words = generator_state(rng)
+        positions.append((cursor, None if words is None else words.tolist()))
+    return positions
+
+
 def run(build, model: str, strategy: str, fault: str):
     config = TrainerConfig(**MODELS[model], preset="tiny", epochs=2,
                            max_iterations_per_epoch=2, seed=0,
@@ -99,8 +124,9 @@ def test_waves_equal_the_per_event_reference(strategy, model, fault):
         for (name, buffer), (_, expected) in zip(mine.named_buffers(),
                                                  theirs.named_buffers()):
             assert np.array_equal(buffer, expected), name
-    assert waves.simulator.schedule.batches_consumed == \
-        reference.simulator.schedule.batches_consumed
+    # Each rank's saved stream stands where its consumed batches left it (a
+    # batch a wave drew ahead goes back to the stream).
+    assert stream_positions(waves) == stream_positions(reference)
     assert waves.sim_report.as_dict() == reference.sim_report.as_dict()
     # Evaluation (BatchNorm running statistics included) saw the same state.
     assert waves.metrics.train_loss == reference.metrics.train_loss
@@ -129,4 +155,4 @@ def test_language_model_cells_reach_the_short_last_window(model):
     trainer, _ = run(DistributedTrainer, model, "async_ps", "healthy")
     lengths = [len(inputs) for inputs, _ in trainer.lm_shards[0].batches()]
     assert lengths == [8, 8, 1]
-    assert max(trainer.simulator.schedule.batches_consumed) > len(lengths)
+    assert max(trainer.sim_report.steps_per_rank) > len(lengths)

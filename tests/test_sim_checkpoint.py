@@ -5,10 +5,16 @@ trajectory bit for bit (satellite: sim/async checkpointing)."""
 import numpy as np
 import pytest
 
-from repro.core import DistributedTrainer, TrainerConfig, load_checkpoint, save_checkpoint
+from repro.core import (
+    CheckpointVersionError,
+    DistributedTrainer,
+    TrainerConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.core.callbacks import Callback
+from repro.core.checkpoint import FORMAT_VERSION
 from repro.core.flatten import flatten_parameters
-from repro.core.timeline import IterationTimeline
 
 
 class StopAfterEpoch(Callback):
@@ -19,6 +25,19 @@ class StopAfterEpoch(Callback):
 
     def on_epoch_end(self, state) -> None:
         if state.epoch + 1 >= self.epochs:
+            state.stop_requested = True
+
+
+class SaveAndStopAt(Callback):
+    """Write a checkpoint at the end of one iteration, then stop."""
+
+    def __init__(self, epoch: int, iteration: int, path):
+        self.at = (int(epoch), int(iteration))
+        self.path = path
+
+    def on_iteration_end(self, state) -> None:
+        if (state.epoch, state.iteration) == self.at:
+            save_checkpoint(state.trainer, self.path)
             state.stop_requested = True
 
 
@@ -119,29 +138,6 @@ class TestResumedTrajectoriesAreBitIdentical:
         # uninterrupted run's exactly.
         assert resumed.timeline.as_dict() == uninterrupted.timeline.as_dict()
 
-    @pytest.mark.parametrize("label", ["lockstep", "async_ps"])
-    def test_checkpoints_without_a_timeline_load(self, label, tmp_path):
-        """Files from before the timeline was saved resume the trajectory
-        and the clock exactly; the timeline starts fresh at the resume."""
-        overrides = SETUPS.get(label, {})
-        first_half = make_trainer(stop_after=1, **overrides)
-        first_half.train()
-        path = save_checkpoint(first_half, tmp_path / "ckpt.npz")
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files
-                      if not name.startswith("sim_timeline_")}
-        np.savez_compressed(tmp_path / "untimed.npz", **arrays)
-        resumed = make_trainer(**overrides)
-        load_checkpoint(resumed, tmp_path / "untimed.npz")
-        assert resumed.timeline.as_dict() == IterationTimeline().as_dict()
-        resumed.train()
-        uninterrupted = make_trainer(**overrides)
-        uninterrupted.train()
-        assert np.array_equal(final_params(resumed), final_params(uninterrupted))
-        assert resumed.simulated_time_s == uninterrupted.simulated_time_s
-        steps = uninterrupted.timeline.iterations
-        assert resumed.timeline.iterations == steps - first_half.timeline.iterations
-
     def test_async_ps_server_state_round_trips(self, tmp_path):
         trainer = make_trainer(stop_after=1, **SETUPS["async_ps"])
         trainer.train()
@@ -171,9 +167,14 @@ class TestResumedTrajectoriesAreBitIdentical:
         assert restored.clock.now == engine.clock.now
         assert restored.clock.pending() == engine.clock.pending()
         assert restored.total_steps == engine.total_steps
-        assert restored.schedule.batches_consumed == engine.schedule.batches_consumed
-        assert restored.compute_model.step_counts == \
-            engine.compute_model.step_counts
+        # Every stream's saved state (generator words, cursor less the
+        # batches drawn ahead) and every compute-model generator round-trip.
+        saved, loaded = engine.schedule.state_arrays(), restored.schedule.state_arrays()
+        assert sorted(saved) == sorted(loaded)
+        for key in saved:
+            np.testing.assert_array_equal(loaded[key], saved[key], err_msg=key)
+        np.testing.assert_array_equal(restored.compute_model.generator_states(),
+                                      engine.compute_model.generator_states())
         np.testing.assert_array_equal(fresh.sync_strategy.center,
                                       trainer.sync_strategy.center)
         np.testing.assert_array_equal(fresh.sync_strategy.local_steps,
@@ -198,8 +199,9 @@ class TestResumedTrajectoriesAreBitIdentical:
         resumed.train()
         assert np.array_equal(final_params(original), final_params(resumed))
         assert resumed.simulator.total_steps == original.simulator.total_steps
-        assert resumed.simulator.compute_model.step_counts == \
-            original.simulator.compute_model.step_counts
+        np.testing.assert_array_equal(
+            resumed.simulator.compute_model.generator_states(),
+            original.simulator.compute_model.generator_states())
         assert resumed.simulator.now == original.simulator.now
         assert resumed.simulator.report.epoch_time_s == \
             original.simulator.report.epoch_time_s
@@ -213,37 +215,61 @@ class TestResumedTrajectoriesAreBitIdentical:
         load_checkpoint(fresh, path)
         assert fresh.simulator.now == trainer.simulator.now
         assert fresh.simulator.total_steps == trainer.simulator.total_steps
-        assert fresh.simulator.compute_model.step_counts == \
-            trainer.simulator.compute_model.step_counts
+        np.testing.assert_array_equal(fresh.simulator.compute_model.generator_states(),
+                                      trainer.simulator.compute_model.generator_states())
+        assert [loader.rng.bit_generator.state for loader in fresh.loaders] == \
+            [loader.rng.bit_generator.state for loader in trainer.loaders]
 
-    def test_clockless_checkpoints_load_and_resume(self, tmp_path):
-        """Earlier commits gave a synchronous run without a compute model no
-        clock, so its checkpoint holds no ``sim_*`` keys (and NaN simulated
-        times).  Such a file still loads: the fresh clock starts at 0, and
-        the resumed trajectory matches the uninterrupted run bit for bit."""
-        interrupted = make_trainer(stop_after=1, compute_model=None)
-        interrupted.train()
-        path = save_checkpoint(interrupted, tmp_path / "ckpt.npz")
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files
-                      if not name.startswith("sim_")}
-        arrays["metrics_sim_time"] = np.full_like(arrays["metrics_sim_time"], np.nan)
-        clockless = tmp_path / "clockless.npz"
-        np.savez_compressed(clockless, **arrays)
-
-        resumed = make_trainer(compute_model=None)
-        load_checkpoint(resumed, clockless)
-        resumed.simulator.load_state_arrays({})
-        assert resumed.simulated_time_s == 0.0
-        assert resumed.simulator.total_steps == 0
-        resumed.train()
-        uninterrupted = make_trainer(compute_model=None)
+    def test_a_file_written_mid_epoch_continues_at_its_iteration(self, tmp_path):
+        """A lockstep file written inside epoch 1 resumes at the next
+        iteration of that epoch, its streams continuing the passes they
+        were in."""
+        uninterrupted = make_trainer(algorithm="qsgd")
         uninterrupted.train()
-        assert np.array_equal(final_params(resumed), final_params(uninterrupted))
+        path = tmp_path / "ckpt.npz"
+        interrupted = DistributedTrainer(make_config(algorithm="qsgd"),
+                                         callbacks=[SaveAndStopAt(1, 2, path)])
+        interrupted.train()
+        resumed = make_trainer(algorithm="qsgd")
+        load_checkpoint(resumed, path)
+        assert resumed.simulator.schedule.start() == (1, 3)
+        resumed.train()
+        assert np.array_equal(final_params(uninterrupted), final_params(resumed))
         assert resumed.metrics.train_loss == uninterrupted.metrics.train_loss
-        # One epoch of four iterations ran on the fresh clock.
-        assert resumed.simulator.total_steps == 4
-        assert resumed.simulated_time_s > 0.0
+        assert resumed.metrics.metric == uninterrupted.metrics.metric
+        assert resumed.simulated_time_s == uninterrupted.simulated_time_s
+        assert resumed.sim_report.epoch_time_s == uninterrupted.sim_report.epoch_time_s
+        assert resumed.timeline.as_dict() == uninterrupted.timeline.as_dict()
+
+
+class TestFormatVersion:
+    """A file of another format (or of none) is refused by name: earlier
+    files hold replay counts that no reader honours any more."""
+
+    @staticmethod
+    def rewrite(source, target, **changes):
+        with np.load(source) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays.update(changes)
+        arrays = {name: value for name, value in arrays.items() if value is not None}
+        np.savez_compressed(target, **arrays)
+        return target
+
+    def test_a_file_without_a_version_is_refused(self, tmp_path):
+        path = save_checkpoint(make_trainer(), tmp_path / "ckpt.npz")
+        earlier = self.rewrite(path, tmp_path / "earlier.npz", format_version=None)
+        with pytest.raises(CheckpointVersionError,
+                           match=f"format version none; this build reads version {FORMAT_VERSION}"):
+            load_checkpoint(make_trainer(), earlier)
+
+    def test_a_file_of_another_version_is_refused(self, tmp_path):
+        path = save_checkpoint(make_trainer(), tmp_path / "ckpt.npz")
+        other = self.rewrite(path, tmp_path / "other.npz",
+                             format_version=np.array([FORMAT_VERSION + 1]))
+        with pytest.raises(CheckpointVersionError,
+                           match=f"format version {FORMAT_VERSION + 1}; "
+                                 f"this build reads version {FORMAT_VERSION}"):
+            load_checkpoint(make_trainer(), other)
 
 
 class TestFilesWrittenAfterTrain:
@@ -254,6 +280,15 @@ class TestFilesWrittenAfterTrain:
 
     CASES = {
         "a2sgd": dict(algorithm="a2sgd", world_size=4),
+        # Stochastic compressors: their generators are part of the state.
+        "qsgd": dict(algorithm="qsgd", world_size=4),
+        "terngrad": dict(algorithm="terngrad", world_size=4),
+        "randk": dict(algorithm="randk", world_size=4),
+        "local_sgd-qsgd_codec": dict(
+            world_size=4, sync={"strategy": "local_sgd", "period": 2,
+                                "parameter_compression": "qsgd",
+                                "parameter_compression_kwargs": {
+                                    "levels": 16, "bucket_size": 64}}),
         "transient_blackout": dict(
             world_size=4, fault_seed=9,
             faults={"model": "transient_blackout",
@@ -276,24 +311,3 @@ class TestFilesWrittenAfterTrain:
         assert np.array_equal(final_params(uninterrupted), final_params(resumed))
         assert resumed.metrics.train_loss == uninterrupted.metrics.train_loss
         assert resumed.simulated_time_s == uninterrupted.simulated_time_s
-
-    def test_earlier_async_files_continue_the_live_rows(self, tmp_path):
-        """Earlier commits saved an async run's pre-consensus rows as
-        ``async_worker_rows``; such a file resumes like a current one."""
-        overrides = SETUPS["async_ps"]
-        first_half = make_trainer(stop_after=1, **overrides)
-        first_half.train()
-        path = save_checkpoint(first_half, tmp_path / "ckpt.npz")
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files}
-        arrays["async_worker_rows"] = arrays.pop("worker_rows")
-        earlier = tmp_path / "earlier.npz"
-        np.savez_compressed(earlier, **arrays)
-
-        current, resumed = make_trainer(**overrides), make_trainer(**overrides)
-        load_checkpoint(current, path)
-        load_checkpoint(resumed, earlier)
-        current.train()
-        resumed.train()
-        assert np.array_equal(final_params(current), final_params(resumed))
-        assert resumed.metrics.train_loss == current.metrics.train_loss

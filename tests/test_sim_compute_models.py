@@ -119,28 +119,29 @@ class TestRestore:
         ("straggler", {"sigma": 0.3}),
         ("intermittent_dropout", {"drop_prob": 0.3, "sigma": 0.2}),
     ])
-    def test_replay_restores_stream_position(self, name, kwargs):
-        """restore() replays the recorded draw counts, so future draws match
-        an uninterrupted run exactly."""
+    def test_restore_sets_the_generator_states(self, name, kwargs):
+        """restore() puts every rank's generator on the saved state, so
+        future draws match an uninterrupted run exactly."""
         reference = COMPUTE_MODELS.create(name, **kwargs)
         reference.bind(3, clock_seed=11)
-        consumed = [3, 0, 5]
-        for rank, count in enumerate(consumed):
+        for rank, count in enumerate([3, 0, 5]):
             for _ in range(count):
                 reference.step_time(rank)
+        saved = reference.generator_states()
         expected = [reference.step_time(rank) for rank in range(3)]
 
         resumed = COMPUTE_MODELS.create(name, **kwargs)
         resumed.bind(3, clock_seed=11)
-        resumed.restore(consumed)
-        assert resumed.step_counts == consumed
+        resumed.restore(saved)
+        np.testing.assert_array_equal(resumed.generator_states(), saved)
         assert [resumed.step_time(rank) for rank in range(3)] == expected
 
     def test_restore_requires_matching_world_size(self):
         model = ConstantComputeModel()
         model.bind(2, clock_seed=0)
+        states = model.generator_states()
         with pytest.raises(ValueError):
-            model.restore([1, 2, 3])
+            model.restore(np.concatenate([states, states[:1]]))
 
     def test_to_dict_round_trips_through_resolve(self):
         for name in ALL_NAMES:
