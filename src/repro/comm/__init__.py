@@ -4,7 +4,7 @@ The paper runs Horovod/MPI Allreduce over 16 GPU nodes on 100 Gbps
 InfiniBand.  This package replaces that stack with:
 
 * :mod:`repro.comm.collectives` — faithful collective algorithms (ring
-  Allreduce, ring Allgather, binomial-tree Broadcast, Reduce-scatter) that
+  Allreduce, ring Allgather, the gossip neighbour exchange) that
   operate on the per-rank NumPy buffers of an in-process "world" and report
   exactly how many bytes each rank sent;
 * :mod:`repro.comm.network_model` — an α–β (latency–bandwidth) cost model
@@ -22,11 +22,8 @@ from repro.comm.backend import CollectiveOp, Communicator
 from repro.comm.collectives import (
     CollectiveTrace,
     allgather,
-    allreduce_naive,
     allreduce_ring,
-    broadcast,
     neighbor_exchange,
-    reduce_scatter,
 )
 from repro.comm.inprocess import InProcessWorld, WorldStats
 from repro.comm.network_model import (
@@ -51,11 +48,8 @@ __all__ = [
     "CollectiveOp",
     "CollectiveTrace",
     "allreduce_ring",
-    "allreduce_naive",
     "allgather",
-    "broadcast",
     "neighbor_exchange",
-    "reduce_scatter",
     "InProcessWorld",
     "WorldStats",
     "NetworkModel",

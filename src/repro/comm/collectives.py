@@ -11,8 +11,8 @@ The ring Allreduce is implemented as a genuine reduce-scatter + allgather over
 chunks (not a shortcut ``sum``), so tests can verify both the numerics and the
 step structure that the paper's timing analysis relies on.
 
-Allgather and broadcast distribute their results through a shared read-only
-staging buffer: each contributor's payload is copied once and every rank
+Allgather and the neighbour exchange distribute their results through a
+shared read-only staging buffer: each contributor's payload is copied once and every rank
 receives views of the same storage (as on a real fabric, where a payload is
 serialized once).  This cuts the per-exchange memcopy of payload-gathering
 algorithms from O(P²·n) to O(P·n) without touching the traces the network
@@ -108,23 +108,6 @@ def _as_float_arrays(buffers: Sequence[np.ndarray]) -> List[np.ndarray]:
         if a.shape != shape:
             raise ValueError(f"all contributions must share a shape; got {a.shape} vs {shape}")
     return arrays
-
-
-def allreduce_naive(buffers: Sequence[np.ndarray],
-                    op: CollectiveOp = CollectiveOp.MEAN) -> tuple[List[np.ndarray], CollectiveTrace]:
-    """Reference allreduce: reduce centrally then copy to every rank.
-
-    Exists to cross-check the ring implementation in tests; its trace models a
-    gather+broadcast star, which is how a naive parameter server would behave.
-    """
-    arrays = _as_float_arrays(buffers)
-    p = len(arrays)
-    result = op.combine(arrays)
-    nbytes = float(arrays[0].nbytes)
-    trace = CollectiveTrace(kind="broadcast", message_bytes=nbytes,
-                            bytes_sent_per_rank=nbytes, rounds=2 * max(0, p - 1),
-                            world_size=p)
-    return [result.copy() for _ in range(p)], trace
 
 
 @lru_cache(maxsize=64)
@@ -226,34 +209,20 @@ def allgather(buffers: Sequence[np.ndarray]) -> tuple[List[List[np.ndarray]], Co
     return gathered, trace
 
 
-def broadcast(buffers: Sequence[np.ndarray], root: int = 0) -> tuple[List[np.ndarray], CollectiveTrace]:
-    """Binomial-tree broadcast of ``buffers[root]`` to every rank.
-
-    The root's payload is staged once into a shared read-only buffer; every
-    rank receives the same view (one copy total instead of one per rank).
-    """
-    arrays = _as_float_arrays(buffers)
-    p = len(arrays)
-    if not 0 <= root < p:
-        raise ValueError(f"root {root} out of range for world size {p}")
-    payload = arrays[root]
-    nbytes = float(payload.nbytes)
-    rounds = int(np.ceil(np.log2(p))) if p > 1 else 0
-    trace = CollectiveTrace(kind="broadcast", message_bytes=nbytes,
-                            bytes_sent_per_rank=nbytes, rounds=rounds, world_size=p)
-    staged = _stage_read_only(payload)
-    return [staged for _ in range(p)], trace
-
-
-def neighbor_exchange(buffers: Sequence[np.ndarray], topology
+def neighbor_exchange(buffers: Sequence[np.ndarray], topology,
+                      alive: Sequence[bool]
                       ) -> tuple[List[List[np.ndarray]], CollectiveTrace]:
     """Sparse allgather over a :class:`~repro.comm.topology.CommTopology` graph.
 
     Rank ``r``'s result is the list of contributions of its *closed
-    neighbourhood* (itself plus its graph neighbours), in ascending rank
-    order — the averaging set of one gossip step.  Each contribution is
-    staged once into a shared read-only buffer exactly like
-    :func:`allgather`, so neighbours receive views, not copies.
+    neighbourhood* (itself plus its graph neighbours) under the ``alive``
+    mask, in ascending rank order — the averaging set of one gossip step.
+    Each contribution is staged once into a shared read-only buffer exactly
+    like :func:`allgather`, so neighbours receive views, not copies.  Dead
+    ranks contribute nothing (their entry of ``buffers`` is never read and
+    may be ``None``) and receive an empty list; the graph routes around
+    them (:meth:`~repro.comm.topology.CommTopology.neighbors` — rings walk
+    past dead hops, a dead star hub is replaced by the lowest survivor).
 
     Contributions may have different lengths (an "allgatherv" over the
     graph): compressed parameter payloads — Gaussian-K deltas in
@@ -265,33 +234,21 @@ def neighbor_exchange(buffers: Sequence[np.ndarray], topology
 
     The trace models one send per edge endpoint: a rank with degree ``d``
     puts ``d`` copies of its payload on the wire, and the critical path is
-    the maximum degree (a rank's NIC serializes its sends), which is what
-    the α–β model prices.  This is how the graph "drives the network cost":
-    a ring costs 2 rounds for any ``P >= 3`` (1 at ``P = 2``) while the
-    star's hub pays ``P - 1``.
+    the maximum degree over the survivors (a rank's NIC serializes its
+    sends), which is what the α–β model prices.  This is how the graph
+    "drives the network cost": a ring costs 2 rounds for any ``P >= 3`` (1
+    at ``P = 2``) while the star's hub pays ``P - 1``.
     """
-    staged, mean_bytes = _stage_ragged_payloads(buffers, "neighbor_exchange")
-    p = len(staged)
+    p = len(buffers)
     topology.validate(p)
-    gathered = [[staged[q] for q in topology.closed_neighborhood(r, p)] for r in range(p)]
+    survivors = [rank for rank in range(p) if alive[rank]]
+    staged, mean_bytes = _stage_ragged_payloads(
+        [buffers[rank] for rank in survivors], "neighbor_exchange")
+    by_rank = dict(zip(survivors, staged))
+    gathered = [[by_rank[q] for q in topology.closed_neighborhood(r, p, alive)]
+                if alive[r] else [] for r in range(p)]
     trace = CollectiveTrace(kind="neighbor_exchange", message_bytes=mean_bytes,
-                            bytes_sent_per_rank=topology.mean_degree(p) * mean_bytes,
-                            rounds=topology.max_degree(p), world_size=p)
+                            bytes_sent_per_rank=topology.mean_degree(p, alive) * mean_bytes,
+                            rounds=topology.max_degree(p, alive),
+                            world_size=len(survivors))
     return gathered, trace
-
-
-def reduce_scatter(buffers: Sequence[np.ndarray],
-                   op: CollectiveOp = CollectiveOp.SUM) -> tuple[List[np.ndarray], CollectiveTrace]:
-    """Reduce across ranks, then scatter equal chunks (rank r gets chunk r)."""
-    arrays = _as_float_arrays(buffers)
-    p = len(arrays)
-    flat = [a.reshape(-1) for a in arrays]
-    n = flat[0].size
-    reduced = op.combine(flat)
-    bounds = np.linspace(0, n, p + 1, dtype=np.int64)
-    outputs = [reduced[bounds[r]:bounds[r + 1]].copy() for r in range(p)]
-    nbytes = float(arrays[0].nbytes)
-    trace = CollectiveTrace(kind="reduce_scatter", message_bytes=nbytes,
-                            bytes_sent_per_rank=(p - 1) / p * nbytes if p > 1 else 0.0,
-                            rounds=max(0, p - 1), world_size=p)
-    return outputs, trace

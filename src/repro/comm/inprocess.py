@@ -23,15 +23,12 @@ import numpy as np
 from repro.comm.backend import CollectiveOp
 from repro.comm.collectives import (
     CollectiveTrace,
-    _stage_ragged_payloads,
     allgather as _allgather,
-    allreduce_naive,
     allreduce_ring,
-    broadcast as _broadcast,
     neighbor_exchange as _neighbor_exchange,
-    reduce_scatter as _reduce_scatter,
 )
 from repro.comm.network_model import CollectiveTimeModel, NetworkModel, infiniband_100gbps
+from repro.faults.membership import Membership
 
 
 @dataclass
@@ -66,47 +63,35 @@ class InProcessWorld:
     network:
         The fabric model used to price collectives; defaults to the paper's
         100 Gbps InfiniBand.
-    use_ring_allreduce:
-        If True (default) dense allreduces use the ring algorithm; otherwise
-        the naive gather+broadcast reference implementation.
     """
 
-    def __init__(self, world_size: int, network: Optional[NetworkModel] = None,
-                 use_ring_allreduce: bool = True):
+    def __init__(self, world_size: int, network: Optional[NetworkModel] = None):
         if world_size < 1:
             raise ValueError("world size must be at least 1")
         self.world_size = int(world_size)
         self.network = network if network is not None else infiniband_100gbps()
         self.time_model = CollectiveTimeModel(self.network)
-        self.use_ring_allreduce = bool(use_ring_allreduce)
         self.stats = WorldStats()
         self.last_trace: Optional[CollectiveTrace] = None
-        #: Live membership mask (a :class:`repro.faults.membership.Membership`,
-        #: installed by the trainer's fault injector).  ``None`` — the default
-        #: — means a healthy static world and keeps every collective on the
-        #: exact pre-fault code path.
-        self.membership = None
+        #: Live membership mask: every rank alive on a run without a fault
+        #: layer; a run with one installs its injector's mask here.  Every
+        #: collective runs over its alive ranks — a healthy world is the
+        #: all-alive case, not a separate path.
+        self.membership = Membership(self.world_size)
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
     def _check(self, buffers: Sequence[np.ndarray]) -> None:
+        """Callers always pass full ``world_size`` buffer lists; the alive
+        ranks' entries are the participants (:meth:`Membership.gather`),
+        dead ranks' entries are ignored (they may be ``None``), and each
+        collective hands dead ranks their own contribution back (or an empty
+        gather), so reductions renormalize over the survivors."""
         if len(buffers) != self.world_size:
             raise ValueError(f"expected {self.world_size} contributions, got {len(buffers)}")
-
-    def _alive(self) -> Optional[np.ndarray]:
-        """Participating ranks under the membership mask, or ``None`` for the
-        all-alive fast path.  Callers always pass full ``world_size`` buffer
-        lists; dead ranks' entries are ignored (they may be ``None``), and
-        dead ranks receive their own contribution back (or an empty gather),
-        so reductions renormalize over the survivors automatically."""
-        membership = self.membership
-        if membership is None or membership.all_alive:
-            return None
-        alive = membership.alive_ranks()
-        if not alive.size:
+        if not self.membership.num_alive:
             raise RuntimeError("collective called with every rank dead")
-        return alive
 
     def _record(self, trace: CollectiveTrace, logical_bytes: Optional[float] = None) -> float:
         """Price a collective trace and add it to the world statistics.
@@ -141,122 +126,42 @@ class InProcessWorld:
     def allreduce(self, buffers: Sequence[np.ndarray],
                   op: CollectiveOp = CollectiveOp.MEAN,
                   logical_bytes: Optional[float] = None) -> List[np.ndarray]:
-        """Allreduce across all ranks; returns each rank's (identical) result.
+        """Ring allreduce over the alive ranks; returns each rank's result.
 
-        Under a degraded membership only surviving ranks participate: the
-        reduction (and a MEAN's normalization) runs over the alive subset
+        The reduction (and a MEAN's normalization) runs over the survivors
         and dead ranks receive their own contribution back untouched.
         """
         self._check(buffers)
-        alive = self._alive()
-        sub = buffers if alive is None else [buffers[r] for r in alive]
-        if self.use_ring_allreduce:
-            results, trace = allreduce_ring(sub, op)
-        else:
-            results, trace = allreduce_naive(sub, op)
+        results, trace = allreduce_ring(self.membership.gather(buffers), op)
         self._record(trace, logical_bytes)
-        if alive is None:
-            return results
-        out = list(buffers)
-        for i, r in enumerate(alive):
-            out[r] = results[i]
-        return out
+        return self.membership.scatter(results, buffers)
 
     def allgather(self, buffers: Sequence[np.ndarray],
                   logical_bytes: Optional[float] = None) -> List[List[np.ndarray]]:
-        """Allgather; rank ``r``'s result is the full list of contributions.
+        """Allgather; a surviving rank's result is the list of surviving
+        contributions (in rank order), a dead rank's an empty list.
 
         Every rank receives read-only views of one shared staging buffer per
         contribution (one copy per contributor, not per rank).
-
-        Under a degraded membership the gathered list holds only surviving
-        contributions (in rank order) and dead ranks receive an empty list.
         """
         self._check(buffers)
-        alive = self._alive()
-        sub = buffers if alive is None else [buffers[r] for r in alive]
-        results, trace = _allgather(sub)
+        results, trace = _allgather(self.membership.gather(buffers))
         self._record(trace, logical_bytes)
-        if alive is None:
-            return results
-        out: List[List[np.ndarray]] = [[] for _ in range(self.world_size)]
-        for i, r in enumerate(alive):
-            out[r] = results[i]
-        return out
-
-    def broadcast(self, buffers: Sequence[np.ndarray], root: int = 0,
-                  logical_bytes: Optional[float] = None) -> List[np.ndarray]:
-        """Broadcast rank ``root``'s buffer to every rank (one shared
-        read-only staging copy, not one copy per rank).  A dead root cannot
-        broadcast; dead receivers keep their own buffer."""
-        self._check(buffers)
-        alive = self._alive()
-        if alive is None:
-            results, trace = _broadcast(buffers, root=root)
-            self._record(trace, logical_bytes)
-            return results
-        if root not in alive:
-            raise ValueError(f"broadcast root {root} is not alive")
-        sub = [buffers[r] for r in alive]
-        results, trace = _broadcast(sub, root=int(np.searchsorted(alive, root)))
-        self._record(trace, logical_bytes)
-        out = list(buffers)
-        for i, r in enumerate(alive):
-            out[r] = results[i]
-        return out
-
-    def reduce_scatter(self, buffers: Sequence[np.ndarray],
-                       op: CollectiveOp = CollectiveOp.SUM,
-                       logical_bytes: Optional[float] = None) -> List[np.ndarray]:
-        """Reduce then scatter equal chunks across ranks.  Under a degraded
-        membership only survivors contribute and receive chunks; dead ranks
-        get their own (unreduced) buffer back."""
-        self._check(buffers)
-        alive = self._alive()
-        sub = buffers if alive is None else [buffers[r] for r in alive]
-        results, trace = _reduce_scatter(sub, op)
-        self._record(trace, logical_bytes)
-        if alive is None:
-            return results
-        out = list(buffers)
-        for i, r in enumerate(alive):
-            out[r] = results[i]
-        return out
+        return self.membership.scatter(results, [[] for _ in range(self.world_size)])
 
     def neighbor_exchange(self, buffers: Sequence[np.ndarray], topology,
                           logical_bytes: Optional[float] = None) -> List[List[np.ndarray]]:
         """Gossip exchange over a :class:`~repro.comm.topology.CommTopology`.
 
         Rank ``r``'s result is the read-only staged contributions of its
-        closed neighbourhood (itself + graph neighbours), ascending by rank.
-        Priced by the graph's maximum degree, not the world size.
-
-        Under a degraded membership the graph is re-routed around dead
-        ranks (:meth:`~repro.comm.topology.CommTopology.alive_neighbors` —
-        rings walk past dead hops, a dead star hub is replaced by the
-        lowest survivor), degree/wire accounting follows the degraded
-        graph, and dead ranks contribute nothing and receive an empty list.
+        closed neighbourhood (itself + graph neighbours) under the live
+        membership, ascending by rank; dead ranks contribute nothing and
+        receive an empty list (see
+        :func:`~repro.comm.collectives.neighbor_exchange`).  Priced by the
+        graph's maximum degree over the survivors, not the world size.
         """
         self._check(buffers)
-        alive = self._alive()
-        if alive is None:
-            results, trace = _neighbor_exchange(buffers, topology)
-            self._record(trace, logical_bytes)
-            return results
-        p = self.world_size
-        topology.validate(p)
-        mask = self.membership.alive
-        staged, mean_bytes = _stage_ragged_payloads(
-            [buffers[r] for r in alive], "neighbor_exchange")
-        by_rank = {r: staged[i] for i, r in enumerate(alive)}
-        gathered: List[List[np.ndarray]] = [[] for _ in range(p)]
-        for r in alive:
-            hood = topology.alive_closed_neighborhood(r, p, mask)
-            gathered[r] = [by_rank[q] for q in hood]
-        trace = CollectiveTrace(
-            kind="neighbor_exchange", message_bytes=mean_bytes,
-            bytes_sent_per_rank=topology.alive_mean_degree(p, mask) * mean_bytes,
-            rounds=topology.alive_max_degree(p, mask), world_size=len(alive))
+        gathered, trace = _neighbor_exchange(buffers, topology, self.membership.alive)
         self._record(trace, logical_bytes)
         return gathered
 

@@ -152,7 +152,7 @@ class CollectiveTimeModel:
         return self.allreduce_ring(message_bytes, world_size)
 
     # ------------------------------------------------------------------ #
-    # allgather / broadcast / reduce-scatter
+    # allgather / neighbour exchange
     # ------------------------------------------------------------------ #
     def allgather(self, per_rank_bytes: float, world_size: int) -> float:
         """Ring allgather: (P−1) steps, each moving one rank's contribution."""
@@ -160,22 +160,6 @@ class CollectiveTimeModel:
         if p == 1:
             return 0.0
         return (p - 1) * self.network.point_to_point(per_rank_bytes)
-
-    def broadcast(self, message_bytes: float, world_size: int) -> float:
-        """Binomial-tree broadcast: ceil(log2 P) rounds of the full message."""
-        p = max(1, int(world_size))
-        if p == 1:
-            return 0.0
-        rounds = math.ceil(math.log2(p))
-        return rounds * self.network.point_to_point(message_bytes)
-
-    def reduce_scatter(self, message_bytes: float, world_size: int) -> float:
-        """Ring reduce-scatter: (P−1) steps of ``m/P`` bytes."""
-        p = max(1, int(world_size))
-        if p == 1:
-            return 0.0
-        chunk = message_bytes / p
-        return (p - 1) * self.network.point_to_point(chunk)
 
     def neighbor_exchange(self, message_bytes: float, max_degree: int) -> float:
         """Gossip neighbour exchange: the busiest rank's sends gate the step.
@@ -205,8 +189,6 @@ class CollectiveTimeModel:
             "allreduce_ring": self.allreduce_ring,
             "allreduce_recursive_doubling": self.allreduce_recursive_doubling,
             "allgather": self.allgather,
-            "broadcast": self.broadcast,
-            "reduce_scatter": self.reduce_scatter,
         }
         if kind not in dispatch:
             raise KeyError(f"unknown collective {kind!r}")

@@ -7,10 +7,13 @@ Two kinds of topology live here:
   translate measured compute times into testbed estimates.
 * :class:`CommTopology` and its registry ``TOPOLOGIES`` — *logical*
   communication graphs over the ranks of a world (ring, star,
-  fully-connected).  The gossip synchronization strategy averages each
-  rank's parameters with its graph neighbours, and the graph's degree
-  structure drives the α–β network cost of the exchange
-  (:meth:`repro.comm.inprocess.InProcessWorld.neighbor_exchange`).
+  fully-connected, hierarchical).  The gossip synchronization strategy
+  averages each rank's parameters with its graph neighbours, and the
+  graph's degree structure drives the α–β network cost of the exchange
+  (:meth:`repro.comm.inprocess.InProcessWorld.neighbor_exchange`).  Each
+  graph answers every query under an alive mask — one rule per graph that
+  routes around dead ranks, whose all-alive answer is the static graph — so
+  a degraded world and a healthy one ask the same question.
 """
 
 from __future__ import annotations
@@ -65,80 +68,57 @@ class ClusterTopology:
 class CommTopology:
     """A communication graph over the ranks ``0 .. world_size-1``.
 
-    Subclasses define :meth:`neighbors`; everything else (degrees, closed
-    neighbourhoods, validation) derives from it.  Graphs are undirected in
-    spirit — a rank both sends to and receives from its neighbours — but
-    :meth:`neighbors` is the single source of truth, so an asymmetric graph
-    (the star's hub) simply returns asymmetric neighbour sets.
+    Every query takes the world's alive mask (``alive[r]`` is whether rank
+    ``r`` participates; a healthy world passes all ``True``): the graph a
+    gossip step runs on is the one routed around dead ranks, and the static
+    graph is its all-alive case.  Subclasses define :meth:`neighbors`;
+    everything else (degrees, closed neighbourhoods, validation) derives
+    from it.  Graphs are undirected in spirit — a rank both sends to and
+    receives from its neighbours — but :meth:`neighbors` is the single
+    source of truth, so an asymmetric graph (the star's hub) simply returns
+    asymmetric neighbour sets.
     """
 
     name: str = "base"
 
-    def neighbors(self, rank: int, world_size: int) -> Tuple[int, ...]:
-        """Ranks that ``rank`` exchanges with (excluding itself), ascending."""
+    def neighbors(self, rank: int, world_size: int,
+                  alive: Sequence[bool]) -> Tuple[int, ...]:
+        """Surviving ranks that ``rank`` exchanges with (excluding itself),
+        ascending.  A dead rank has none, and no dead rank is anyone's
+        neighbour."""
         raise NotImplementedError
 
-    def closed_neighborhood(self, rank: int, world_size: int) -> Tuple[int, ...]:
-        """``rank`` plus its neighbours, ascending — the gossip averaging set."""
+    def closed_neighborhood(self, rank: int, world_size: int,
+                            alive: Sequence[bool]) -> Tuple[int, ...]:
+        """``rank`` plus its neighbours, ascending — the gossip averaging set.
+
+        The order is part of the contract: a gossip mean sums the set in
+        this order, so reordering it would change the float result.
+        """
         self.validate(world_size)
         if not 0 <= rank < world_size:
             raise ValueError(f"rank {rank} out of range for world size {world_size}")
-        return tuple(sorted({rank, *self.neighbors(rank, world_size)}))
+        return tuple(sorted({rank, *self.neighbors(rank, world_size, alive)}))
 
-    def degree(self, rank: int, world_size: int) -> int:
-        return len(self.neighbors(rank, world_size))
+    def degree(self, rank: int, world_size: int, alive: Sequence[bool]) -> int:
+        return len(self.neighbors(rank, world_size, alive))
 
-    def max_degree(self, world_size: int) -> int:
-        return max((self.degree(r, world_size) for r in range(world_size)), default=0)
+    def max_degree(self, world_size: int, alive: Sequence[bool]) -> int:
+        """Max degree over surviving ranks — the exchange's critical path."""
+        return max((self.degree(r, world_size, alive)
+                    for r in range(world_size) if alive[r]), default=0)
 
-    def mean_degree(self, world_size: int) -> float:
-        if world_size < 1:
+    def mean_degree(self, world_size: int, alive: Sequence[bool]) -> float:
+        survivors = [r for r in range(world_size) if alive[r]]
+        if not survivors:
             return 0.0
-        return sum(self.degree(r, world_size) for r in range(world_size)) / world_size
+        return sum(self.degree(r, world_size, alive)
+                   for r in survivors) / len(survivors)
 
     def validate(self, world_size: int) -> "CommTopology":
         if world_size < 1:
             raise ValueError("world size must be at least 1")
         return self
-
-    # ------------------------------------------------------------------ #
-    # live-membership re-routing
-    # ------------------------------------------------------------------ #
-    def alive_neighbors(self, rank: int, world_size: int,
-                        alive: Sequence[bool]) -> Tuple[int, ...]:
-        """Neighbours of ``rank`` once dead ranks are routed around.
-
-        The default simply drops dead neighbours from the static graph;
-        subclasses with exploitable structure (ring, star) reconnect the
-        graph instead so a single failure does not partition it.
-        """
-        return tuple(n for n in self.neighbors(rank, world_size) if alive[n])
-
-    def alive_closed_neighborhood(self, rank: int, world_size: int,
-                                  alive: Sequence[bool]) -> Tuple[int, ...]:
-        """``rank`` plus its re-routed neighbours (the degraded gossip set)."""
-        self.validate(world_size)
-        if not 0 <= rank < world_size:
-            raise ValueError(f"rank {rank} out of range for world size {world_size}")
-        if all(alive):
-            return self.closed_neighborhood(rank, world_size)
-        return tuple(sorted({rank, *self.alive_neighbors(rank, world_size, alive)}))
-
-    def alive_degree(self, rank: int, world_size: int,
-                     alive: Sequence[bool]) -> int:
-        return len(self.alive_neighbors(rank, world_size, alive))
-
-    def alive_max_degree(self, world_size: int, alive: Sequence[bool]) -> int:
-        """Max degree over surviving ranks — the degraded wire critical path."""
-        return max((self.alive_degree(r, world_size, alive)
-                    for r in range(world_size) if alive[r]), default=0)
-
-    def alive_mean_degree(self, world_size: int, alive: Sequence[bool]) -> float:
-        survivors = [r for r in range(world_size) if alive[r]]
-        if not survivors:
-            return 0.0
-        return sum(self.alive_degree(r, world_size, alive)
-                   for r in survivors) / len(survivors)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}()"
@@ -154,15 +134,11 @@ class RingTopology(CommTopology):
 
     name = "ring"
 
-    def neighbors(self, rank: int, world_size: int) -> Tuple[int, ...]:
-        if world_size <= 1:
-            return ()
-        return tuple(sorted({(rank - 1) % world_size, (rank + 1) % world_size}))
-
-    def alive_neighbors(self, rank: int, world_size: int,
-                        alive: Sequence[bool]) -> Tuple[int, ...]:
+    def neighbors(self, rank: int, world_size: int,
+                  alive: Sequence[bool]) -> Tuple[int, ...]:
         """Walk the ring past dead ranks: each survivor connects to the
-        nearest alive rank in each direction, keeping the ring closed."""
+        nearest alive rank in each direction, keeping the ring closed (with
+        every rank alive, its two ring neighbours)."""
         if world_size <= 1 or not alive[rank]:
             return ()
         found = set()
@@ -181,17 +157,10 @@ class StarTopology(CommTopology):
 
     name = "star"
 
-    def neighbors(self, rank: int, world_size: int) -> Tuple[int, ...]:
-        if world_size <= 1:
-            return ()
-        if rank == 0:
-            return tuple(range(1, world_size))
-        return (0,)
-
-    def alive_neighbors(self, rank: int, world_size: int,
-                        alive: Sequence[bool]) -> Tuple[int, ...]:
-        """When the hub dies, the lowest surviving rank acts as hub so the
-        leaves are never stranded."""
+    def neighbors(self, rank: int, world_size: int,
+                  alive: Sequence[bool]) -> Tuple[int, ...]:
+        """The lowest surviving rank is the hub (rank 0 while it lives), so
+        the leaves are never stranded when the hub dies."""
         if world_size <= 1 or not alive[rank]:
             return ()
         survivors = [r for r in range(world_size) if alive[r]]
@@ -210,8 +179,11 @@ class FullyConnectedTopology(CommTopology):
 
     name = "fully_connected"
 
-    def neighbors(self, rank: int, world_size: int) -> Tuple[int, ...]:
-        return tuple(r for r in range(world_size) if r != rank)
+    def neighbors(self, rank: int, world_size: int,
+                  alive: Sequence[bool]) -> Tuple[int, ...]:
+        if not alive[rank]:
+            return ()
+        return tuple(r for r in range(world_size) if r != rank and alive[r])
 
 
 @TOPOLOGIES.register("hierarchical", aliases=("two_level", "edge"),
@@ -260,9 +232,12 @@ class HierarchicalTopology(CommTopology):
     def max_group_size(self, world_size: int) -> int:
         return max(len(group) for group in self.edge_groups(world_size))
 
-    def neighbors(self, rank: int, world_size: int) -> Tuple[int, ...]:
+    def neighbors(self, rank: int, world_size: int,
+                  alive: Sequence[bool]) -> Tuple[int, ...]:
+        if not alive[rank]:
+            return ()
         group = self.edge_groups(world_size)[self.edge_of(rank, world_size)]
-        return tuple(r for r in group if r != rank)
+        return tuple(r for r in group if r != rank and alive[r])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"HierarchicalTopology(num_edges={self.num_edges})"

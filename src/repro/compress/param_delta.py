@@ -112,10 +112,11 @@ class ParameterDeltaCodec:
         Compression runs through the compressor's ``compress_batch`` kernel;
         error-feedback residuals update on the per-rank instances as usual.
 
-        ``ranks`` restricts the exchange to a subset of ranks (a degraded
-        membership): ``rows`` then holds one row per listed rank, only those
-        ranks' compressors and references participate, and dead ranks'
-        residuals/references stay frozen — a down worker does nothing.
+        ``ranks`` lists the participating ranks, ascending (the alive ranks
+        of the world's membership; every rank when omitted): ``rows`` holds
+        one row per listed rank, only those ranks' compressors and
+        references participate, and the others' residuals/references stay
+        frozen — a down worker does nothing.
 
         The very first exchange has no references to delta against, so it
         ships the **dense** parameter vectors (``payload_bits = 32 n``) and
@@ -125,8 +126,7 @@ class ParameterDeltaCodec:
         """
         X = np.stack([np.asarray(row, dtype=np.float32) for row in rows])
         P, n = X.shape
-        participants = list(range(len(self.compressors))) if ranks is None \
-            else [int(r) for r in ranks]
+        participants = self._participants(ranks)
         if P != len(participants):
             raise ValueError(f"expected {len(participants)} parameter rows, got {P}")
         if self._references is None:
@@ -140,6 +140,12 @@ class ParameterDeltaCodec:
                                                     ranks=participants)
         return payloads, estimates, self.wire_bits(n)
 
+    def _participants(self, ranks: Sequence[int] | None) -> List[int]:
+        """The participating ranks as a list: ``ranks``, or every rank."""
+        if ranks is None:
+            return list(range(len(self.compressors)))
+        return [int(r) for r in ranks]
+
     def decode_deltas(self, payloads: Sequence[np.ndarray],
                       contexts: Sequence[Dict],
                       ranks: Sequence[int] | None = None) -> np.ndarray:
@@ -150,8 +156,7 @@ class ParameterDeltaCodec:
         through ``decompress_gathered`` with a singleton list (the mean of
         one payload is the payload's own reconstruction).
         """
-        compressors = self.compressors if ranks is None \
-            else [self.compressors[r] for r in ranks]
+        compressors = [self.compressors[r] for r in self._participants(ranks)]
         rows: List[np.ndarray] = []
         for compressor, payload, ctx in zip(compressors, payloads, contexts):
             if compressor.exchange is ExchangeKind.ALLREDUCE:
@@ -167,20 +172,17 @@ class ParameterDeltaCodec:
 
         Estimates are a deterministic function of the previous references
         and the public payloads, so senders and receivers stay in lockstep.
-        With ``ranks``, only those rows move; a degraded world's first
-        (bootstrap) exchange allocates the full matrix with zero rows for
-        the absent ranks — they receive a dense re-sync at rejoin
-        (:meth:`resync_rank`) before ever delta-coding again.
+        Only the participating ranks' rows move (``ranks`` as in
+        :meth:`encode`); the first (bootstrap) exchange allocates the
+        reference matrix with zero rows for absent ranks — they receive a
+        dense re-sync at rejoin (:meth:`resync_rank`) before ever
+        delta-coding again.
         """
-        if ranks is None:
-            self._references = np.array(estimates, dtype=np.float32, copy=True)
-            return
         estimates = np.asarray(estimates, dtype=np.float32)
         if self._references is None:
             self._references = np.zeros(
                 (len(self.compressors), estimates.shape[1]), dtype=np.float32)
-        for i, rank in enumerate(ranks):
-            self._references[int(rank)] = estimates[i]
+        self._references[self._participants(ranks)] = estimates
 
     def resync_rank(self, rank: int, row: np.ndarray) -> None:
         """Dense re-sync of one rank's codec state (rejoin catch-up).

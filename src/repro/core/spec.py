@@ -2,9 +2,9 @@
 
 An :class:`ExperimentSpec` is the single serializable description of one
 cell of the paper's evaluation grid (model × compressor × world-size ×
-network).  It *derives* the trainer's :class:`~repro.core.trainer.TrainerConfig`
-field-by-field from ``dataclasses.fields`` instead of hand-mirroring it, so
-adding a trainer knob automatically makes it spec- and JSON-addressable.
+network).  It *is* a :class:`~repro.core.trainer.TrainerConfig` — a subclass
+that declares no option of its own beyond ``callbacks`` — so adding a trainer
+knob automatically makes it spec- and JSON-addressable.
 
 The spec round-trips through JSON::
 
@@ -73,68 +73,21 @@ class SpecError(ValueError):
 
 
 @dataclass
-class ExperimentSpec:
-    """One fully-described experiment, serializable and trainer-derivable."""
+class ExperimentSpec(TrainerConfig):
+    """One fully-described experiment, serializable and trainer-derivable.
 
-    model: str = "fnn3"
-    preset: str = "tiny"
-    algorithm: str = "a2sgd"
-    world_size: int = 4
-    epochs: int = 3
-    seed: int = 0
-    #: Per-worker batch size; None defers to Table 1's global batch / P.
-    batch_size: Optional[int] = None
-    #: Override the base learning rate (None defers to Table 1).
-    base_lr: Optional[float] = None
-    momentum: float = 0.9
-    weight_decay: float = 0.0
+    Every option is a :class:`~repro.core.trainer.TrainerConfig` field,
+    declared once there (the declarative forms — a network name or dict, a
+    sync / faults / clients dict — are accepted by the trainer too); a spec
+    caps epochs at 20 iterations unless told otherwise and adds the
+    ``callbacks`` it builds the trainer with.
+    """
+
     #: Cap on iterations per epoch; None runs full epochs.
     max_iterations_per_epoch: Optional[int] = 20
-    seq_len: int = 12
-    num_train: Optional[int] = None
-    num_test: Optional[int] = None
-    #: Extra kwargs forwarded to the compressor constructor.
-    compressor_kwargs: Dict[str, object] = field(default_factory=dict)
-    #: None, a registered fabric name, a NetworkModel, or its dict form.
-    network: Union[None, str, dict, NetworkModel] = None
-    eval_every: int = 1
     #: Callback specs: registered names or {"name": ..., **kwargs} dicts
     #: (ready Callback instances are accepted but not JSON-serializable).
     callbacks: List[object] = field(default_factory=list)
-    #: Synchronization section: None (allreduce + mean, the paper's
-    #: Algorithm 1), a SyncSpec, or its dict form.
-    sync: Union[None, dict, SyncSpec] = None
-    #: Compute-time model for the simulated clock every run keeps: None
-    #: ("constant"), a registered name ("constant", "lognormal", "straggler",
-    #: "intermittent_dropout") or a {"name": ..., **kwargs} dict.
-    compute_model: Union[None, str, dict] = None
-    #: Seed for the per-rank compute-time draws (independent of ``seed``).
-    clock_seed: int = 0
-    #: Fault-injection section: None or ``{"model": "none"}`` (the default —
-    #: bit-identical to the pre-fault code paths), a registered fault-model
-    #: name ("crash_stop", "transient_blackout", "message_loss",
-    #: "slow_node"), a :class:`repro.faults.FaultSpec`, or its dict form
-    #: (``{"model": ..., "model_kwargs": {...}, "barrier_timeout_s": ...}``).
-    faults: Union[None, str, dict, "FaultSpec"] = None
-    #: Seed for the fault timeline draws (independent of ``seed`` and
-    #: ``clock_seed`` so injected faults never perturb training numerics
-    #: or healthy-run timing).
-    fault_seed: int = 0
-    #: Execution backend: ``"inprocess"`` (the default single-process
-    #: executors) or ``"multiprocessing"`` (worker processes over
-    #: shared-memory flat buffers, bit-identical numerics).  Validated
-    #: against the ``EXECUTION_BACKENDS`` registry.
-    backend: str = "inprocess"
-    #: Extra kwargs forwarded to the backend constructor, e.g.
-    #: ``{"num_workers": 4}``.
-    backend_kwargs: Dict[str, object] = field(default_factory=dict)
-    #: Client-population section: None (every rank is a client — the
-    #: pre-federated behaviour), an int (``num_clients`` with full
-    #: participation), a :class:`repro.federated.ClientSpec`, or its dict
-    #: form (``{"num_clients": 64, "cohort_size": 8,
-    #: "sampler": "uniform_without_replacement", "data_skew": "dirichlet",
-    #: "data_skew_kwargs": {"alpha": 0.3}}``).
-    clients: Union[None, int, dict, "ClientSpec"] = None
 
     # ------------------------------------------------------------------ #
     # derivation

@@ -73,11 +73,6 @@ from repro.sync import SyncSpec, merge_reports
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedSequenceFactory, replica_init_seed
 
-#: The dead ranks of a run without a fault layer.
-_NO_RANKS = np.empty(0, dtype=np.intp)
-_NO_RANKS.setflags(write=False)
-
-
 @dataclass
 class TrainerConfig:
     """Configuration of one distributed training run."""
@@ -125,8 +120,8 @@ class TrainerConfig:
     #: Seed for the per-rank compute-time draws (independent of ``seed`` so
     #: timing noise never perturbs the training numerics).
     clock_seed: int = 0
-    #: Fault-injection setup: None (the default — no faults, bit-identical
-    #: to the pre-fault code paths), a registered fault-model name
+    #: Fault-injection setup: None (the default — no faults: every rank
+    #: stays alive), a registered fault-model name
     #: ("crash_stop", "transient_blackout", "message_loss", "slow_node"),
     #: a :class:`repro.faults.FaultSpec`, or its dict form (the experiment
     #: spec's ``faults`` section).
@@ -254,7 +249,8 @@ class DistributedTrainer:
         # Fault layer: membership mask + injector.  ``intermittent_dropout``
         # compute stalls are bridged to membership absences on the lockstep
         # paths (the timing-only behaviour lives on as the ``slow_node``
-        # fault model).
+        # fault model).  Without a fault layer the world keeps its own
+        # all-alive membership and the injector is None.
         self.fault_injector = self.fault_spec.build(
             config.world_size, seed=config.fault_seed,
             bridge_compute_stalls=features.bridge_compute_stalls)
@@ -411,7 +407,7 @@ class DistributedTrainer:
         # so its parameter/velocity rows are snapshotted and put back.
         dead = RowSnapshot(lambda rank: (world.param_matrix[rank],
                                          self._velocity_matrix[rank]),
-                           self._dead_ranks())
+                           self.world.membership.dead_ranks())
         self.simulator.flat_update(world.param_matrix, new, lr,
                                    velocity=self._velocity_matrix,
                                    scratch=self._step_scratch)
@@ -440,12 +436,6 @@ class DistributedTrainer:
     # ------------------------------------------------------------------ #
     # fault layer (each schedule has its own gate; both call _rejoin_rank)
     # ------------------------------------------------------------------ #
-    def _dead_ranks(self) -> np.ndarray:
-        """Ranks currently out of membership, an index array (empty for a
-        healthy world or a run without a fault layer)."""
-        injector = self.fault_injector
-        return _NO_RANKS if injector is None else injector.membership.dead_ranks()
-
     def _rejoin_rank(self, rank: int) -> float:
         """Serve one rejoining rank its catch-up; returns the simulated cost.
         The one re-sync routine: the barrier schedule's fault phase and the
@@ -456,7 +446,7 @@ class DistributedTrainer:
         dense re-sync is charged through the α–β model and the FaultReport.
         """
         injector = self.fault_injector
-        membership = injector.membership
+        membership = self.world.membership
         strategy = self.sync_strategy
         n = self.num_parameters
         row = strategy.catch_up(rank)
@@ -557,10 +547,11 @@ class DistributedTrainer:
         matrix = self.flat_world.param_matrix
         consensus = self.sync_strategy.consensus_vector()
         if consensus is None:
-            # A down rank's stale replica must not pull the consensus.
-            alive = self.fault_injector.membership.alive_ranks() \
-                if self._dead_ranks().size else ()
-            consensus = np.mean(matrix[alive] if len(alive) else matrix, axis=0)
+            # A down rank's stale replica must not pull the consensus (with
+            # every rank down, the replicas' mean stands in).
+            membership = self.world.membership
+            rows = membership.gather(matrix) if membership.num_alive else matrix
+            consensus = np.mean(rows, axis=0)
         probe = self.replicas[0]        # its parameters are views of row 0
         original = matrix[0].copy()
         matrix[0] = consensus

@@ -75,14 +75,16 @@ class WorldRows(_TrainerOwner):
 
 class ModuleBuffers(_TrainerOwner):
     """Per rank: the replica's module buffers (BatchNorm running statistics),
-    in ``named_buffers`` order.  They are no row of the flat world, so
-    without them a resumed run would evaluate on fresh statistics.  Models
-    without buffers write no keys."""
+    in ``named_buffers`` order, as of the rank's last step (the simulator's
+    schedule knows which steps an async wave took ahead of their events).
+    They are no row of the flat world, so without them a resumed run would
+    evaluate on fresh statistics.  Models without buffers write no keys."""
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
+        schedule = self.trainer.simulator.schedule
         return {f"{rank}_{index}": buffer.copy()
-                for rank, replica in enumerate(self.trainer.replicas)
-                for index, (_, buffer) in enumerate(replica.named_buffers())}
+                for rank in range(len(self.trainer.replicas))
+                for index, buffer in enumerate(schedule.buffers(rank))}
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
         for rank, replica in enumerate(self.trainer.replicas):

@@ -2,10 +2,17 @@
 
 A :class:`Membership` is a boolean alive-mask over the ``P`` ranks of a
 world.  It is the single source of truth for "who is participating right
-now": the fault injector flips ranks down/up, comm collectives subset
-their participant lists through it, and every ``SyncStrategy`` consults
-it so aggregation renormalizes over survivors instead of deadlocking on
-(or averaging in) dead ranks.
+now": every world has one (all ranks alive on a run without a fault
+layer; the fault injector's, which flips ranks down/up, on a run with
+one), comm collectives subset their participant lists through it, and
+every ``SyncStrategy`` consults it so aggregation renormalizes over
+survivors instead of deadlocking on (or averaging in) dead ranks.
+
+A healthy world is the all-alive case of this one mask, not a separate
+code path: every exchange is written once over the alive ranks, and
+:meth:`Membership.gather` / :meth:`Membership.scatter` — which hand a
+healthy world's matrix or list back unchanged — are the only place the
+all-alive case is named.
 
 The mask is deliberately dumb — no timers, no schedules.  *When* a rank
 is down is the fault model's business (:mod:`repro.faults.models`); the
@@ -15,7 +22,7 @@ one consistent view within an iteration.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -67,6 +74,45 @@ class Membership:
         if self._dead_ranks is None:
             self._dead_ranks = _read_only(np.flatnonzero(~self.alive))
         return self._dead_ranks
+
+    # ------------------------------------------------------------------ #
+    # the participants of an exchange
+    # ------------------------------------------------------------------ #
+    def gather(self, items):
+        """The surviving ranks' entries of a per-rank list or ``(P, ...)``
+        matrix, in rank order.
+
+        With every rank alive this is ``items`` itself — no index, no copy —
+        so a healthy world runs the same exchange as a degraded one without
+        paying for a subset it does not take.
+        """
+        if self.all_alive:
+            return items
+        alive = self.alive_ranks()
+        if isinstance(items, np.ndarray):
+            return items[alive]
+        return [items[rank] for rank in alive]
+
+    def scatter(self, results, base: Sequence):
+        """Inverse of :meth:`gather`: ``results`` (one per survivor, in rank
+        order) at the surviving ranks and ``base``'s entries — what a dead
+        rank keeps — at the others, as a new matrix when ``base`` is one and
+        a list otherwise.  With every rank alive this is ``results`` itself.
+        """
+        if self.all_alive:
+            return results
+        alive = self.alive_ranks()
+        if isinstance(base, np.ndarray):
+            # Every row is written once: the survivors', then the dead ranks'.
+            out = np.empty_like(base)
+            out[alive] = results
+            dead = self.dead_ranks()
+            out[dead] = base[dead]
+            return out
+        out = list(base)
+        for index, rank in enumerate(alive):
+            out[rank] = results[index]
+        return out
 
     # ------------------------------------------------------------------ #
     # transitions

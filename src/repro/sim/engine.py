@@ -278,6 +278,11 @@ class Schedule:
         self.sim = sim
         self.trainer = sim.trainer
 
+    def buffers(self, rank: int) -> List[np.ndarray]:
+        """``rank``'s module buffers as of its last step — what a checkpoint
+        holds."""
+        return [buffer for _, buffer in self.trainer.replicas[rank].named_buffers()]
+
     def begin_epoch(self) -> None:
         """Per-epoch setup, after ``on_epoch_start``."""
 
@@ -603,6 +608,14 @@ class EventSchedule(Schedule):
         self._batches[rank] = None
         self._rollback[rank] = None
         return self._losses[rank]
+
+    def buffers(self, rank: int) -> List[np.ndarray]:
+        # A pending rank's live buffers already include the step its event
+        # will take; a resumed run takes that step again, so the file holds
+        # the values from before it.
+        if self._pending[rank]:
+            return self._rollback[rank].saved[rank]
+        return self._buffers[rank]
 
     def _drop_pending(self, rank: int) -> None:
         """Forget ``rank``'s pending gradient: its buffers go back to their

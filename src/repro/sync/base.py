@@ -386,20 +386,6 @@ class SyncStrategy:
     # ------------------------------------------------------------------ #
     # fault tolerance
     # ------------------------------------------------------------------ #
-    def _active_membership(self):
-        """The world's live membership when degraded, else ``None``.
-
-        ``None`` — no mask installed, or every rank alive — keeps the
-        strategy on the exact pre-fault code path (bit-compat guarantee).
-        Strategies only ever *consult* membership; the fault injector owns
-        the transitions.
-        """
-        world = self.world
-        membership = getattr(world, "membership", None) if world is not None else None
-        if membership is None or membership.all_alive:
-            return None
-        return membership
-
     def catch_up(self, rank: int) -> Optional[np.ndarray]:
         """Dense state to serve a rejoining rank (rejoin catch-up).
 
@@ -468,41 +454,31 @@ class SyncStrategy:
                                         ) -> SyncReport:
         """Globally aggregate parameters through the delta codec.
 
-        Every rank's staged payload is its compressed delta; the payloads
-        are allgathered (compressed payloads are not elementwise-reducible,
-        so even the ``mean`` aggregator combines off-wire), the per-rank
-        estimates are rebuilt as ``ref + decompress(delta)``, combined once
-        by the aggregator (the combine is rank-invariant), and every rank's
-        row is set to the combined result.  References then advance to the
-        estimates, keeping senders and receivers in lockstep.
+        Every surviving rank's staged payload is its compressed delta; the
+        payloads are allgathered (compressed payloads are not
+        elementwise-reducible, so even the ``mean`` aggregator combines
+        off-wire), the per-rank estimates are rebuilt as
+        ``ref + decompress(delta)``, combined once by the aggregator (the
+        combine is rank-invariant), and every surviving rank's row is set to
+        the combined result.  References then advance to the estimates,
+        keeping senders and receivers in lockstep.  Dead ranks neither
+        compress nor transmit: their compressor residuals and references
+        stay frozen until their rejoin re-sync resets them
+        (``codec.resync_rank``).
         """
         codec = self.parameter_codec
-        membership = self._active_membership()
+        membership = self.world.membership
+        alive = membership.alive_ranks()
         staged = self._staged_parameter_payloads(param_rows)
-        if membership is None:
-            payloads, estimates, wire_bits = codec.encode(staged)
-            alive = None
-        else:
-            # Only survivors compress/transmit: dead ranks' compressor
-            # residuals and references stay frozen until their rejoin
-            # re-sync resets them (codec.resync_rank).
-            alive = membership.alive_ranks()
-            sub_payloads, estimates, wire_bits = codec.encode(
-                [staged[r] for r in alive], ranks=alive)
-            payloads = [None] * len(staged)
-            for i, r in enumerate(alive):
-                payloads[r] = sub_payloads[i]
-        self.world.allgather(payloads, logical_bytes=wire_bits / 8.0)
+        payloads, estimates, wire_bits = codec.encode(membership.gather(staged),
+                                                      ranks=alive)
+        self.world.allgather(membership.scatter(payloads, [None] * len(staged)),
+                             logical_bytes=wire_bits / 8.0)
         comm_time = self.world.last_comm_time
         combined = self.aggregator.combine(estimates)
-        if alive is None:
-            codec.advance(estimates)
-            for row in param_rows:
-                row[...] = combined
-        else:
-            codec.advance(estimates, ranks=alive)
-            for r in alive:
-                param_rows[r][...] = combined
+        codec.advance(estimates, ranks=alive)
+        for rank in alive:
+            param_rows[rank][...] = combined
         aggregation_time = self.aggregator.combine_time_s(
             estimates.shape[0], estimates.shape[1])
         return SyncReport(
@@ -515,17 +491,17 @@ class SyncStrategy:
 
     def _aggregate_global(self, vectors: List[np.ndarray]
                           ) -> Tuple[List[np.ndarray], SyncReport]:
-        """Dense parameter aggregation across all ranks via the aggregator.
+        """Dense parameter aggregation across the alive ranks via the aggregator.
 
         Elementwise aggregators run as a true collective (for ``mean`` this
         is bitwise the seed's dense model average); robust aggregators
-        allgather the vectors and combine them once.  Under a degraded
-        membership the collectives subset to the survivors, so the mean —
-        and a trimmed mean's ``floor(trim_ratio · P)`` — renormalize over
-        the alive count; dead ranks get their own vector back.
+        allgather the vectors and combine them once.  The collectives run
+        over the survivors, so the mean — and a trimmed mean's
+        ``floor(trim_ratio · P)`` — renormalize over the alive count; dead
+        ranks get their own vector back.
         """
-        membership = self._active_membership()
-        if membership is not None and membership.num_alive == 0:
+        membership = self.world.membership
+        if membership.num_alive == 0:
             # Permanent all-crash: the run ended with no survivors, so the
             # final consolidation has no participants — every rank keeps
             # its own parameters instead of deadlocking a collective.
@@ -538,17 +514,12 @@ class SyncStrategy:
             wire_exchange = "parameter_allreduce"
         else:
             gathered = self.world.allgather(vectors, logical_bytes=nbytes)
-            source = gathered[0] if membership is None \
-                else gathered[membership.alive_ranks()[0]]
-            stacked = np.stack(source)
+            stacked = np.stack(gathered[membership.alive_ranks()[0]])
             combined = self.aggregator.combine(stacked)
             aggregation_time = self.aggregator.combine_time_s(
                 stacked.shape[0], stacked.shape[1])
-            if membership is None:
-                results = [combined.copy() for _ in range(self.world.world_size)]
-            else:
-                results = [combined.copy() if membership.is_alive(r) else vectors[r]
-                           for r in range(self.world.world_size)]
+            results = membership.scatter(
+                [combined.copy() for _ in range(membership.num_alive)], vectors)
             wire_exchange = "parameter_allgather"
         comm_time = self.world.last_comm_time
         report = SyncReport(compression_time_s=0.0, comm_time_s=float(comm_time),

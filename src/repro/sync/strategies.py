@@ -70,12 +70,11 @@ class AllreduceStrategy(SyncStrategy):
         return self.compressors[0].wire_bits(n, world_size)
 
     # ------------------------------------------------------------------ #
-    # ``alive is None`` means "everyone".  Under a degraded membership dead
-    # ranks contribute nothing — their compressors (and error-feedback
-    # residuals) stay frozen and their gradient rows pass through untouched
-    # (the trainer never applies them) — and the wire collective runs over
-    # the alive subset, so a MEAN reduction renormalizes over the survivors
-    # automatically.
+    # Only the alive ranks take part: dead ranks' compressors (and
+    # error-feedback residuals) stay frozen and their gradient rows pass
+    # through untouched (the trainer never applies them), and the wire
+    # collective runs over the survivors, so a MEAN reduction renormalizes
+    # over them automatically.
     def exchange_batched(self, G: np.ndarray) -> Tuple[np.ndarray, SyncReport]:
         """Synchronize one iteration from the stacked ``(P, n)`` matrix.
 
@@ -85,19 +84,18 @@ class AllreduceStrategy(SyncStrategy):
         Their cost is priced, not measured: one worker's
         ``compression_time(algorithm, n)`` from
         :data:`~repro.core.cost_model.DEFAULT_COMPRESSION_MODEL` (the
-        workers compress in parallel in the modelled deployment).  A
-        healthy world hands ``G`` and the bound compressor list straight to
-        the kernels and returns ``decompress_batch``'s own output; only a
-        degraded one gathers the alive rows and scatters them back.
+        workers compress in parallel in the modelled deployment).  The
+        alive rows and compressors are taken through the membership's
+        gather/scatter pair, which hands a healthy world's ``G`` and
+        compressor list straight to the kernels and returns
+        ``decompress_batch``'s own output.
         """
         G = np.asarray(self._validated_gradient_matrix(G), dtype=np.float32)
         self._step += 1
         if self.corruption is not None:
             self.corruption.apply_rows(G)
-        membership = self._active_membership()
-        alive = None if membership is None else membership.alive_ranks()
-        compressors = self.compressors if alive is None \
-            else [self.compressors[r] for r in alive]
+        membership = self.world.membership
+        compressors = membership.gather(self.compressors)
         n = G.shape[1]
         reference = self.compressors[0]
         exchange_kind = reference.exchange
@@ -105,28 +103,12 @@ class AllreduceStrategy(SyncStrategy):
         logical_bytes = wire_bits / 8.0
         batch = type(reference)
 
-        payloads, contexts = batch.compress_batch(
-            compressors, G if alive is None else G[alive])
-        if alive is not None:
-            scattered: List[Optional[np.ndarray]] = [None] * self.world.world_size
-            for rank, payload in zip(alive, payloads):
-                scattered[rank] = payload
-            payloads = scattered
-
+        payloads, contexts = batch.compress_batch(compressors, membership.gather(G))
         exchanged, comm_time, wire_exchange, aggregation_time = self._combine(
-            payloads, exchange_kind, logical_bytes)
-
-        if alive is not None:
-            exchanged = [exchanged[r] for r in alive]
-        new_matrix = batch.decompress_batch(compressors, exchanged, contexts)
-        if alive is not None:
-            # Every row of the full-P output is written once: the survivors'
-            # reconstructions, and the dead ranks' own gradients.
-            full = np.empty_like(G)
-            full[alive] = new_matrix
-            dead = membership.dead_ranks()
-            full[dead] = G[dead]
-            new_matrix = full
+            membership.scatter(payloads, [None] * len(self.compressors)),
+            exchange_kind, logical_bytes)
+        new_matrix = batch.decompress_batch(
+            compressors, membership.gather(exchanged), contexts)
 
         report = SyncReport(
             compression_time_s=DEFAULT_COMPRESSION_MODEL.compression_time(
@@ -136,7 +118,7 @@ class AllreduceStrategy(SyncStrategy):
             exchange=wire_exchange,
             aggregation_time_s=float(aggregation_time),
         )
-        return new_matrix, report
+        return membership.scatter(new_matrix, G), report
 
     def _combine(self, payloads: List[np.ndarray], exchange_kind: ExchangeKind,
                  logical_bytes: float) -> Tuple[Sequence, float, str, float]:
@@ -236,14 +218,11 @@ class LocalSGDStrategy(AllreduceStrategy):
             return self._exchange_parameters_compressed(param_rows)
         vectors = self._staged_parameter_payloads(param_rows)
         results, report = self._aggregate_global(vectors)
-        membership = self._active_membership()
-        for rank, (row, result) in enumerate(zip(param_rows, results)):
-            # Dead ranks keep their stale parameters (their "result" is just
-            # their own — possibly corruption-poisoned — staged copy anyway);
-            # they catch up through a dense re-sync at rejoin.
-            if membership is not None and not membership.is_alive(rank):
-                continue
-            row[...] = result
+        # Dead ranks keep their stale parameters (their "result" is just
+        # their own — possibly corruption-poisoned — staged copy anyway);
+        # they catch up through a dense re-sync at rejoin.
+        for rank in self.world.membership.alive_ranks():
+            param_rows[rank][...] = results[rank]
         return report
 
 
@@ -313,10 +292,10 @@ class FedAvgStrategy(LocalSGDStrategy):
         return busiest * payload_bits / self.period
 
     def _aggregate_global(self, vectors):
-        # Degraded membership falls back to the flat survivors' collective —
-        # re-routing a two-level tree around dead edge aggregators is the
-        # fault injector's job, not the pricing model's.
-        if self.topology is None or self._active_membership() is not None:
+        # A world with a dead rank falls back to the flat survivors'
+        # collective — the tree has no rule for routing around a dead edge
+        # aggregator, so it prices whole cohorts only.
+        if self.topology is None or self.world.membership.dead_ranks().size:
             return super()._aggregate_global(vectors)
         return self._aggregate_hierarchical(vectors)
 
@@ -393,7 +372,9 @@ class GossipStrategy(SyncStrategy):
         """
         if self.topology is None:
             return 0.0
-        return self.topology.max_degree(world_size) * self._parameter_payload_bits(n)
+        every_rank = (True,) * world_size
+        return (self.topology.max_degree(world_size, every_rank)
+                * self._parameter_payload_bits(n))
 
     def exchange_batched(self, G: np.ndarray) -> Tuple[np.ndarray, SyncReport]:
         # Gradients never reach the wire under gossip; Byzantine corruption
@@ -404,13 +385,9 @@ class GossipStrategy(SyncStrategy):
 
     def post_step(self, param_rows: Sequence[np.ndarray]) -> Optional[SyncReport]:
         world, topology = self.world, self.topology
-        membership = self._active_membership()
-        if membership is None:
-            max_degree = topology.max_degree(world.world_size)
-        else:
-            # The re-routed graph's busiest survivor gates the degraded step.
-            max_degree = topology.alive_max_degree(world.world_size,
-                                                   membership.alive)
+        membership = world.membership
+        # The re-routed graph's busiest survivor gates the step.
+        max_degree = topology.max_degree(world.world_size, membership.alive)
         if self.parameter_codec is not None:
             return self._gossip_compressed(param_rows, max_degree)
         staged_rows = self._staged_parameter_payloads(param_rows)
@@ -418,12 +395,11 @@ class GossipStrategy(SyncStrategy):
         gathered = world.neighbor_exchange(staged_rows, topology)
         comm_time = world.last_comm_time
         # All neighbourhood payloads are staged read-only copies, so the
-        # in-place writes below cannot corrupt a neighbour's input.
+        # in-place writes below cannot corrupt a neighbour's input.  Dead
+        # ranks are excluded from the exchange and keep their rows.
         n = int(np.asarray(param_rows[0]).size)
-        for rank, neighborhood in enumerate(gathered):
-            if not neighborhood:  # dead rank: excluded from the exchange
-                continue
-            param_rows[rank][...] = self.aggregator.combine(np.stack(neighborhood))
+        for rank in membership.alive_ranks():
+            param_rows[rank][...] = self.aggregator.combine(np.stack(gathered[rank]))
         # Per-rank combines run in parallel in the modeled deployment; the
         # busiest rank (max closed neighbourhood) gates the step.
         aggregation_time = self.aggregator.combine_time_s(max_degree + 1, n)
@@ -436,46 +412,36 @@ class GossipStrategy(SyncStrategy):
                            max_degree: int) -> SyncReport:
         """One gossip step over compressed parameter deltas.
 
-        Each rank ships its compressed delta to its neighbours; receivers
-        rebuild the sender's estimate as ``ref + decompress(delta)`` and
-        aggregate their closed neighbourhood's *estimates* (including their
-        own — sender and receivers must agree on what rank ``p``'s
+        Each surviving rank ships its compressed delta to its neighbours;
+        receivers rebuild the sender's estimate as ``ref + decompress(delta)``
+        and aggregate their closed neighbourhood's *estimates* (including
+        their own — sender and receivers must agree on what rank ``p``'s
         parameters look like).  References advance to the estimates, so the
         next deltas stay small and the compressors' error feedback carries
-        the loss forward.
+        the loss forward.  Dead ranks do not encode: their compressor
+        residuals and references stay frozen, and their (stale) parameter
+        rows never enter a neighbourhood — the re-routed graph excludes them.
         """
         world, topology = self.world, self.topology
         codec = self.parameter_codec
-        membership = self._active_membership()
+        membership = world.membership
+        alive = membership.alive_ranks()
         staged_rows = self._staged_parameter_payloads(param_rows)
-        if membership is None:
-            alive = list(range(world.world_size))
-            payloads, estimates, wire_bits = codec.encode(staged_rows)
-        else:
-            # Only survivors encode: dead ranks' compressor residuals and
-            # references stay frozen, and their (stale) parameter rows never
-            # enter a neighbourhood — the re-routed graph excludes them.
-            alive = membership.alive_ranks()
-            sub_payloads, estimates, wire_bits = codec.encode(
-                [staged_rows[r] for r in alive], ranks=alive)
-            payloads = [None] * world.world_size
-            for i, rank in enumerate(alive):
-                payloads[rank] = sub_payloads[i]
+        payloads, estimates, wire_bits = codec.encode(membership.gather(staged_rows),
+                                                      ranks=alive)
         # The exchange moves the compressed payloads (the estimates are
         # recomputed locally by every receiver); the α–β model prices the
         # compressed payload size, not the dense vectors it stands for.
-        world.neighbor_exchange(payloads, topology, logical_bytes=wire_bits / 8.0)
+        world.neighbor_exchange(membership.scatter(payloads, [None] * world.world_size),
+                                topology, logical_bytes=wire_bits / 8.0)
         comm_time = world.last_comm_time
+        # Row i of the estimates is the i-th survivor's.
         position = {rank: i for i, rank in enumerate(alive)}
         for rank in alive:
-            if membership is None:
-                neighborhood = list(topology.closed_neighborhood(
-                    rank, world.world_size))
-            else:
-                neighborhood = [position[q] for q in topology.alive_closed_neighborhood(
-                    rank, world.world_size, membership.alive)]
+            neighborhood = [position[q] for q in topology.closed_neighborhood(
+                rank, world.world_size, membership.alive)]
             param_rows[rank][...] = self.aggregator.combine(estimates[neighborhood])
-        codec.advance(estimates, ranks=None if membership is None else alive)
+        codec.advance(estimates, ranks=alive)
         n = int(np.asarray(param_rows[0]).size)
         aggregation_time = self.aggregator.combine_time_s(max_degree + 1, n)
         return SyncReport(

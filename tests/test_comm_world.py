@@ -18,30 +18,16 @@ class TestInProcessWorld:
         np.testing.assert_allclose(results[0], np.mean(np.stack(buffers), axis=0),
                                    rtol=1e-5, atol=1e-6)
 
-    def test_allreduce_naive_backend_option(self, rng):
-        world = InProcessWorld(3, use_ring_allreduce=False)
-        buffers = [rng.standard_normal(7).astype(np.float32) for _ in range(3)]
-        results = world.allreduce(buffers)
-        np.testing.assert_allclose(results[0], np.mean(np.stack(buffers), axis=0), rtol=1e-5)
-
     def test_wrong_number_of_contributions(self, rng):
         world = InProcessWorld(4)
         with pytest.raises(ValueError):
             world.allreduce([rng.standard_normal(3)] * 3)
 
-    def test_allgather_and_broadcast(self, rng):
+    def test_allgather(self, rng):
         world = InProcessWorld(3)
         buffers = [np.full(4, float(r)) for r in range(3)]
         gathered = world.allgather(buffers)
         assert len(gathered[1]) == 3
-        broadcasted = world.broadcast(buffers, root=1)
-        np.testing.assert_array_equal(broadcasted[2], buffers[1])
-
-    def test_reduce_scatter(self, rng):
-        world = InProcessWorld(2)
-        buffers = [np.ones(6), 2 * np.ones(6)]
-        chunks = world.reduce_scatter(buffers, CollectiveOp.SUM)
-        np.testing.assert_allclose(np.concatenate(chunks), np.full(6, 3.0))
 
     def test_stats_accumulate(self, rng):
         world = InProcessWorld(4)
@@ -98,12 +84,6 @@ class TestCollectiveOpMax:
         expected = np.max(np.stack(buffers), axis=0)
         for r in range(P):
             np.testing.assert_allclose(results[r], expected, rtol=1e-6)
-
-    def test_naive_allreduce_max(self, rng):
-        world = InProcessWorld(3, use_ring_allreduce=False)
-        buffers = [rng.standard_normal(11).astype(np.float32) for _ in range(3)]
-        results = world.allreduce(buffers, CollectiveOp.MAX)
-        np.testing.assert_array_equal(results[0], np.max(np.stack(buffers), axis=0))
 
     def test_max_is_traced_and_priced_like_sum(self, rng):
         """MAX moves the same bytes as SUM — the op changes arithmetic, not

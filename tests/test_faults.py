@@ -236,46 +236,6 @@ class TestResolveFaultModel:
 
 
 # ---------------------------------------------------------------------- #
-# topology re-routing around dead ranks
-# ---------------------------------------------------------------------- #
-class TestTopologyRerouting:
-    def test_ring_walks_past_dead_ranks(self):
-        ring = get_topology("ring")
-        alive = [True, False, True, True]
-        # Rank 0's dead clockwise neighbour 1 is skipped; the ring stays
-        # closed through rank 2.
-        assert ring.alive_neighbors(0, 4, alive) == (2, 3)
-        assert ring.alive_neighbors(2, 4, alive) == (0, 3)
-        assert ring.alive_closed_neighborhood(0, 4, alive) == (0, 2, 3)
-
-    def test_ring_with_single_survivor(self):
-        ring = get_topology("ring")
-        alive = [False, False, True, False]
-        assert ring.alive_neighbors(2, 4, alive) == ()
-        assert ring.alive_closed_neighborhood(2, 4, alive) == (2,)
-
-    def test_ring_healthy_mask_matches_static_graph(self):
-        ring = get_topology("ring")
-        alive = [True] * 4
-        for rank in range(4):
-            assert ring.alive_neighbors(rank, 4, alive) \
-                == ring.neighbors(rank, 4)
-
-    def test_star_promotes_lowest_survivor_to_hub(self):
-        star = get_topology("star")
-        alive = [False, True, True, True]
-        assert star.alive_neighbors(1, 4, alive) == (2, 3)
-        assert star.alive_neighbors(2, 4, alive) == (1,)
-        assert star.alive_neighbors(3, 4, alive) == (1,)
-
-    def test_degraded_degree_accounting(self):
-        ring = get_topology("ring")
-        alive = [True, False, True, True]
-        assert ring.alive_max_degree(4, alive) == 2
-        assert ring.alive_degree(1, 4, alive) == 0  # dead ranks have none
-
-
-# ---------------------------------------------------------------------- #
 # membership-aware collectives
 # ---------------------------------------------------------------------- #
 def degraded_world(world_size: int, dead) -> InProcessWorld:
@@ -306,12 +266,6 @@ class TestMembershipCollectives:
             assert len(gathered[rank]) == 3
             np.testing.assert_array_equal(np.stack(gathered[rank])[:, 0],
                                           [0.0, 2.0, 3.0])
-
-    def test_broadcast_from_dead_root_rejected(self):
-        world = degraded_world(4, dead=[0])
-        buffers = [np.zeros(2) for _ in range(4)]
-        with pytest.raises(ValueError, match="root 0 is not alive"):
-            world.broadcast(buffers, root=0)
 
     def test_all_dead_collective_raises(self):
         world = degraded_world(2, dead=[0, 1])

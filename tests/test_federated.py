@@ -192,8 +192,8 @@ class TestHierarchicalTopology:
 
     def test_neighbors_stay_within_one_edge_group(self):
         topology = HierarchicalTopology(num_edges=2)
-        assert topology.neighbors(1, 8) == (0, 2, 3)
-        assert topology.neighbors(5, 8) == (4, 6, 7)
+        assert topology.neighbors(1, 8, (True,) * 8) == (0, 2, 3)
+        assert topology.neighbors(5, 8, (True,) * 8) == (4, 6, 7)
         assert topology.edge_of(5, 8) == 1
 
     def test_invalid_num_edges_rejected(self):

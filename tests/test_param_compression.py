@@ -84,7 +84,7 @@ class LegacyGossipReference(GossipStrategy):
         comm_time = world.simulated_comm_time - comm_before
         for rank, neighborhood in enumerate(gathered):
             param_rows[rank][...] = self.aggregator.combine(np.stack(neighborhood))
-        mean_degree = topology.mean_degree(world.world_size)
+        mean_degree = topology.mean_degree(world.world_size, world.membership.alive)
         return SyncReport(compression_time_s=0.0, comm_time_s=float(comm_time),
                           wire_bits_per_worker=mean_degree * 8.0 * nbytes,
                           exchange="neighbor_exchange")

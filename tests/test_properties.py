@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.comm import CollectiveOp, allreduce_naive, allreduce_ring, reduce_scatter
+from repro.comm import CollectiveOp, allreduce_ring
 from repro.compress import (
     A2SGDCompressor,
     GaussianKCompressor,
@@ -22,6 +22,7 @@ from repro.compress import (
 )
 from repro.compress.base import select_by_mask
 from repro.tensor import Tensor
+from tests.reference_collectives import allreduce_naive
 from tests.reference_compressors import encode
 
 
@@ -148,17 +149,6 @@ class TestCollectiveProperties:
         results, _ = allreduce_ring(buffers, CollectiveOp.SUM)
         np.testing.assert_allclose(results[0].sum(), np.stack(buffers).sum(), rtol=1e-3,
                                    atol=1e-3)
-
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=100),
-           st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_reduce_scatter_concatenation_equals_reduction(self, world_size, length, seed):
-        rng = np.random.default_rng(seed)
-        buffers = [rng.standard_normal(length).astype(np.float32) for _ in range(world_size)]
-        chunks, _ = reduce_scatter(buffers, CollectiveOp.SUM)
-        np.testing.assert_allclose(np.concatenate(chunks),
-                                   np.sum(np.stack(buffers), axis=0), rtol=1e-4, atol=1e-4)
-
 
 class TestSparsifierProperties:
     @given(gradient_arrays, st.floats(min_value=0.01, max_value=0.5))

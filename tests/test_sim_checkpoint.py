@@ -241,6 +241,29 @@ class TestResumedTrajectoriesAreBitIdentical:
         assert resumed.sim_report.epoch_time_s == uninterrupted.sim_report.epoch_time_s
         assert resumed.timeline.as_dict() == uninterrupted.timeline.as_dict()
 
+    @pytest.mark.parametrize("label", ["async_ps", "async_ps-resnet20"])
+    def test_an_async_file_written_mid_epoch_resumes_its_buffers(self, label, tmp_path):
+        """A wave computes gradients — and BatchNorm running statistics —
+        ahead of their events; a file written mid-epoch holds a pending
+        rank's buffers as they were before that step, which the resumed run
+        takes again.  (fnn3 has no buffers: the control cell.)"""
+        overrides = SETUPS[label]
+        uninterrupted = make_trainer(**overrides)
+        uninterrupted.train()
+        path = tmp_path / "ckpt.npz"
+        interrupted = DistributedTrainer(make_config(**overrides),
+                                         callbacks=[SaveAndStopAt(1, 3, path)])
+        interrupted.train()
+        resumed = make_trainer(**overrides)
+        load_checkpoint(resumed, path)
+        resumed.train()
+        assert np.array_equal(final_params(uninterrupted), final_params(resumed))
+        assert resumed.metrics.train_loss == uninterrupted.metrics.train_loss
+        for mine, theirs in zip(resumed.replicas, uninterrupted.replicas):
+            for (name, buffer), (_, expected) in zip(mine.named_buffers(),
+                                                     theirs.named_buffers()):
+                assert np.array_equal(buffer, expected), name
+
 
 class TestFormatVersion:
     """A file of another format (or of none) is refused by name: earlier
