@@ -152,6 +152,27 @@ class Compressor:
         """
         raise NotImplementedError(f"{cls.__name__} does not implement decompress_batch")
 
+    @classmethod
+    def decompress_each(cls, compressors: Sequence["Compressor"],
+                        payloads: Sequence[np.ndarray], contexts: Sequence[Dict]
+                        ) -> np.ndarray:
+        """Decode every rank's *own* payload as one float32 ``(P, n)`` matrix.
+
+        Row ``p`` is what ``payloads[p]`` alone reconstructs to: an
+        allreduce-kind payload decompressed directly, an allgather-kind one
+        as the mean of a gathered list of one.  This is the parameter-delta
+        codec's decode.  The base runs one batch of one per rank; a kernel
+        that decodes the whole matrix overrides it.
+        """
+        rows = []
+        for compressor, payload, ctx in zip(compressors, payloads, contexts):
+            if compressor.exchange is ExchangeKind.ALLREDUCE:
+                row = compressor.decompress(payload, ctx)
+            else:
+                row = compressor.decompress_gathered([payload], ctx)
+            rows.append(np.asarray(row, dtype=np.float32))
+        return np.stack(rows)
+
     @staticmethod
     def _uniform(compressors: Sequence["Compressor"], *attrs: str) -> bool:
         """Whether every rank shares the configuration ``attrs`` — the

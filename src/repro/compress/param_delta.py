@@ -54,7 +54,6 @@ import numpy as np
 from repro.compress.base import (
     COMPRESSOR_STATE_KINDS,
     Compressor,
-    ExchangeKind,
     compressor_state_arrays,
     restore_compressor_state,
 )
@@ -151,20 +150,13 @@ class ParameterDeltaCodec:
                       ranks: Sequence[int] | None = None) -> np.ndarray:
         """Reconstruct every participating rank's delta from its payload.
 
-        One payload decodes exactly one rank's delta: allreduce-kind
-        compressors decode their payload directly, allgather-kind ones go
-        through ``decompress_gathered`` with a singleton list (the mean of
-        one payload is the payload's own reconstruction).
+        One payload decodes exactly one rank's delta, and the compressor
+        family decodes every participant in one ``decompress_each`` call: an
+        allreduce-kind payload decompressed directly, an allgather-kind one
+        as the mean of a gathered list of one.
         """
         compressors = [self.compressors[r] for r in self._participants(ranks)]
-        rows: List[np.ndarray] = []
-        for compressor, payload, ctx in zip(compressors, payloads, contexts):
-            if compressor.exchange is ExchangeKind.ALLREDUCE:
-                row = compressor.decompress(payload, ctx)
-            else:
-                row = compressor.decompress_gathered([payload], ctx)
-            rows.append(np.asarray(row, dtype=np.float32))
-        return np.stack(rows)
+        return type(compressors[0]).decompress_each(compressors, payloads, contexts)
 
     def advance(self, estimates: np.ndarray,
                 ranks: Sequence[int] | None = None) -> None:

@@ -66,56 +66,92 @@ class QSGDCompressor(Compressor):
         self._residual = None
 
     # ------------------------------------------------------------------ #
-    def _bucket_bounds(self, n: int) -> np.ndarray:
-        size = self.bucket_size or n
-        return np.arange(0, n + size, size)[:max(2, int(np.ceil(n / size)) + 1)]
+    def _buckets(self, n: int) -> Tuple[int, int]:
+        """``(bucket size, bucket count)`` for an ``n``-coordinate vector; the
+        last bucket is ragged when ``n`` is not a multiple of the size."""
+        size = int(self.bucket_size or n)
+        return size, max(1, -(-n // size))
 
-    def _bucket_sizes(self, n: int) -> np.ndarray:
-        bounds = self._bucket_bounds(n)
-        return np.minimum(bounds[1:], n) - bounds[:-1]
+    def _quantize_rows(self, M: np.ndarray, rngs: Sequence[np.random.Generator]
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """Bucketed quantization of ``(P, n)`` rows as whole-matrix passes.
 
-    def _quantize_rows(self, M: np.ndarray,
-                       rngs: Sequence[np.random.Generator]) -> Tuple[np.ndarray, np.ndarray]:
-        """Bucketed quantization of ``(P, n)`` rows, vectorized over buckets.
-
-        Rows are zero-padded to whole buckets and reshaped to
-        ``(P, buckets, bucket_size)`` so the per-bucket norms and the
-        stochastic rounding are single axis operations.  The rounding draws
-        come from ``rngs[p]`` in rank order — one ``random()`` call per rank —
-        so a one-row call and a stacked call consume each rank's stream
-        identically.
+        Rows are zero-padded to whole buckets and viewed as ``(P, buckets,
+        bucket_size)`` so the per-bucket norms and the stochastic rounding
+        are single axis operations, written in place.  The rounding draws
+        come from ``rngs[p]`` in rank order — one ``random(out=...)`` call per
+        rank into its slice of one buffer — so a one-row call and a stacked
+        call consume each rank's stream identically.  Returns the float32
+        norms ``(P, buckets)`` and the signed int8 levels, still padded:
+        ``(P, buckets, bucket_size)``.
         """
         P, n = M.shape
-        size = int(self.bucket_size or n)
-        bounds = self._bucket_bounds(n)
-        num_buckets = len(bounds) - 1
+        size, num_buckets = self._buckets(n)
         padded = np.zeros((P, num_buckets * size), dtype=np.float32)
         padded[:, :n] = M
         blocks = padded.reshape(P, num_buckets, size)
 
-        norms32 = np.sqrt((blocks * blocks).sum(axis=2, dtype=np.float32))
-        safe_norms = np.where(norms32 > 0, norms32, np.float32(1.0))
-        scaled = np.abs(blocks) / safe_norms[:, :, None] * self.levels
-        lower = np.floor(scaled)
-        probability_up = scaled - lower
-        draws = np.stack([rng.random((num_buckets, size)) for rng in rngs])
-        rounded = np.clip(lower + (draws < probability_up), 0, self.levels)
-        signed = (np.sign(blocks) * rounded).astype(np.int8)
-        return norms32.astype(np.float64), signed.reshape(P, -1)[:, :n]
+        norms = np.sqrt((blocks * blocks).sum(axis=2, dtype=np.float32))
+        safe_norms = np.where(norms > 0, norms, np.float32(1.0))
+        scaled = np.abs(blocks)
+        scaled /= safe_norms[:, :, None]
+        scaled *= self.levels
+        rounded = np.floor(scaled)
+        probability_up = np.subtract(scaled, rounded, out=scaled)
+        draws = np.empty((P, num_buckets, size))
+        for rng, out in zip(rngs, draws):
+            rng.random(out=out)
+        rounded += draws < probability_up
+        # |v| / ‖v‖ can round a hair above 1, so the top level can overflow
+        # by one; nothing rounds below zero.
+        np.minimum(rounded, self.levels, out=rounded)
+        # Each level takes its coordinate's sign: ``copysign`` as one OR of
+        # the sign bit (every level's own sign bit is clear).
+        sign_bits = rounded.view(np.uint32)
+        sign_bits |= blocks.view(np.uint32) & np.uint32(0x80000000)
+        return norms, rounded.astype(np.int8)
+
+    def _bucket_scales(self, norms: np.ndarray, n: int, dtype) -> np.ndarray:
+        """Each coordinate's bucket value: ``norms`` (``(..., buckets)``)
+        expanded with one ``np.repeat`` to ``(..., n)``."""
+        size, _ = self._buckets(n)
+        return np.repeat(np.asarray(norms).astype(dtype, copy=False), size,
+                         axis=-1)[..., :n]
 
     def dequantize_bucketed(self, norms: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`_quantize_rows` (row- or matrix-shaped).
+        """Inverse of :meth:`_quantize_rows` in float64, row- or
+        matrix-shaped: ``level / levels · norm`` per coordinate."""
+        values = np.divide(levels, self.levels, dtype=np.float64)
+        values *= self._bucket_scales(norms, values.shape[-1], np.float64)
+        return values
 
-        Accepts ``(B,)``/``(n,)`` vectors or stacked ``(P, B)``/``(P, n)``
-        matrices; the per-bucket scales are expanded with one ``np.repeat``
-        instead of a Python loop over buckets.
+    def _dequantize_float32(self, norms: np.ndarray, levels: np.ndarray,
+                            mean_of_one: bool = False) -> np.ndarray:
+        """``dequantize_bucketed(norms, levels).astype(float32)`` as one
+        float32 product ``level · (norm / levels)`` where that is the same
+        value; ``mean_of_one`` adds the ``0.0`` a one-payload mean starts
+        from (``0.0 + -0.0`` is ``+0.0``) before the cast.
+
+        With ``levels`` a power of two, an integer ``level / levels`` has at
+        most ``log2(levels) + 1`` significant bits, so its float64 product
+        with a float32 norm is exact and the cast rounds it once.
+        ``norm / levels`` is exact unless it underflows, so the float32
+        ``level · (norm / levels)`` rounds that same exact value once.  An
+        underflowing bucket (checked, and impossible for a norm
+        :meth:`_quantize_rows` computes) or any other ``levels`` takes the
+        float64 product.
         """
-        norms = np.asarray(norms, dtype=np.float64)
-        levels = np.asarray(levels)
-        n = levels.shape[-1]
-        sizes = self._bucket_sizes(n)
-        scales = np.repeat(norms, sizes, axis=-1)
-        return np.asarray(levels, dtype=np.float64) / self.levels * scales
+        norms32 = np.asarray(norms, dtype=np.float32)
+        scales = norms32 / np.float32(self.levels)
+        if (self.levels & (self.levels - 1) == 0
+                and np.array_equal(scales * np.float32(self.levels), norms32)):
+            values = levels.astype(np.float32)
+            values *= self._bucket_scales(scales, values.shape[-1], np.float32)
+        else:
+            values = self.dequantize_bucketed(norms, levels)
+        if mean_of_one:
+            values += values.dtype.type(0.0)
+        return values.astype(np.float32, copy=False)
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -132,26 +168,41 @@ class QSGDCompressor(Compressor):
         else:
             corrected = G
 
-        norms, levels = reference._quantize_rows(corrected, [c.rng for c in compressors])
+        norms, padded = reference._quantize_rows(corrected, [c.rng for c in compressors])
+        # The padded levels are contiguous, so the float32 work runs on them
+        # and only its result is cut back to n coordinates.
+        padded = padded.reshape(P, -1)
+        estimate = None
         if reference.error_feedback:
             # ``corrected`` is this call's own sum: it becomes the residuals.
-            corrected -= reference.dequantize_bucketed(norms, levels).astype(np.float32)
+            estimate = reference._dequantize_float32(norms, padded)[:, :n]
+            corrected -= estimate
             for p, compressor in enumerate(compressors):
                 compressor._residual = corrected[p]
 
         # Payload layout: [#buckets, norms..., levels...] — levels are small
         # integers, so a real deployment would entropy-code them into ≈2.8
-        # bits each.
+        # bits each.  One float64 matrix holds every rank's payload row.
         num_buckets = norms.shape[1]
-        payloads = [np.concatenate([[float(num_buckets)], norms[p],
-                                    levels[p].astype(np.float64)]) for p in range(P)]
-        return payloads, [{"n": n} for _ in range(P)]
+        matrix = np.empty((P, 1 + num_buckets + n))
+        matrix[:, 0] = num_buckets
+        matrix[:, 1:1 + num_buckets] = norms
+        matrix[:, 1 + num_buckets:] = padded[:, :n]
+        payloads = list(matrix)
+        if estimate is None:
+            return payloads, [{"n": n} for _ in range(P)]
+        # The payload rows and their reconstruction ride along in every
+        # context, so decompress_each returns the reconstruction when it is
+        # handed these very rows instead of decoding them again.
+        own = (payloads, estimate)
+        return payloads, [{"n": n, "_own": own} for _ in range(P)]
 
     @classmethod
     def decompress_batch(cls, compressors: Sequence["QSGDCompressor"],
                          exchanged: Sequence, contexts: Sequence[Dict]) -> np.ndarray:
         """Every rank averages the same dequantized payloads (with rank 0's
-        levels and bucket size): one row, computed once and broadcast."""
+        levels and bucket size): one row, computed once and broadcast.  The
+        mean sums float64 terms."""
         n = int(contexts[0]["n"])
         total = np.zeros(n, dtype=np.float64)
         for payload in exchanged[0]:
@@ -162,6 +213,34 @@ class QSGDCompressor(Compressor):
             total += compressors[0].dequantize_bucketed(norms, levels)
         row = (total / len(exchanged[0])).astype(np.float32)
         return np.broadcast_to(row, (len(compressors), n))
+
+    @classmethod
+    def decompress_each(cls, compressors: Sequence["QSGDCompressor"],
+                        payloads: Sequence[np.ndarray], contexts: Sequence[Dict]
+                        ) -> np.ndarray:
+        """Every rank's own payload decoded at once: the mean of one payload
+        is ``0.0`` plus its float64 dequantization, cast to float32, which
+        :meth:`_dequantize_float32` computes for the whole matrix.
+
+        For the kernel's own payloads that is the reconstruction
+        :meth:`compress_batch` subtracted from the residuals: no coordinate
+        of it is ``-0.0`` (a level is zero, or its bucket's norm is nonzero
+        and the product does not vanish before the cast), so the ``0.0``
+        start changes nothing.
+        """
+        if not cls._uniform(compressors, "levels", "bucket_size"):
+            return super().decompress_each(compressors, payloads, contexts)
+        own = contexts[0].get("_own")
+        if own is not None and len(own[0]) == len(payloads) and all(
+                ctx.get("_own") is own and payload is row
+                for ctx, payload, row in zip(contexts, payloads, own[0])):
+            return own[1].copy()
+        payloads = [np.asarray(p, dtype=np.float64) for p in payloads]
+        num_buckets = int(payloads[0][0])
+        # Levels are small integers: the float32 gather is exact.
+        levels = np.stack([p[1 + num_buckets:] for p in payloads], dtype=np.float32)
+        norms = np.stack([p[1:1 + num_buckets] for p in payloads])
+        return compressors[0]._dequantize_float32(norms, levels, mean_of_one=True)
 
     # ------------------------------------------------------------------ #
     def contraction_problem(self) -> Optional[str]:

@@ -184,7 +184,8 @@ class DistributedTrainer:
         # Synchronization strategy (when/what ranks exchange) composed with an
         # aggregator (how payloads combine); the default SyncSpec() is the
         # paper's Algorithm 1 and reproduces the seed trainer bit for bit.
-        self.sync_strategy = self.sync_spec.build(self.world, self.compressors)
+        self.sync_strategy = self.sync_spec.build(self.world, self.compressors,
+                                                  seeds=self.seeds)
         #: Whether the bound strategy steps on the simulator's event schedule.
         self.is_async = features.is_async
 
@@ -339,9 +340,10 @@ class DistributedTrainer:
         default iid policy those shards are bit-identical to
         :func:`shard_dataset`, preserving the fedavg ≡ local_sgd
         equivalence.  Sampled-cohort mode binds the N shards to the
-        population instead and draws batches statelessly per
-        ``(client, iteration)``, so only the cohort's data is ever touched
-        and checkpoint resume needs no shuffle replay.
+        population instead: each client's batch stream jumps to the
+        iteration, so a batch is a function of ``(seed, client, iteration)``,
+        only the cohort's data is ever touched, and checkpoint resume needs
+        no shuffle replay.
         """
         config = self.config
         population = self.population
@@ -513,9 +515,10 @@ class DistributedTrainer:
     def _next_batches(self, iterators: List) -> List:
         """One slot-ordered batch list for the iteration.
 
-        Sampled-cohort mode draws the active clients' batches statelessly
-        from the population's shards; otherwise the per-rank loader streams
-        advance exactly as in the seed trainer.
+        Sampled-cohort mode gathers the active clients' batches, each a
+        function of ``(seed, client, iteration)``, from the population's
+        shards; otherwise the per-rank loader streams advance exactly as in
+        the seed trainer.
         """
         population = self.population
         if population is not None and population.shards is not None:
@@ -524,7 +527,7 @@ class DistributedTrainer:
 
     def _streams(self) -> List:
         """The per-rank batch sources: LM shards, or loaders (none when a
-        sampled cohort draws statelessly)."""
+        sampled cohort's batches are a function of the iteration)."""
         return self.lm_shards if self.spec.task == "language_model" else self.loaders
 
     def _epoch_iterators(self) -> List:

@@ -104,13 +104,37 @@ def partition_indices(targets: np.ndarray, num_clients: int,
     return [np.sort(shard).astype(np.int64) for shard in shards]
 
 
+class ClientShards:
+    """Every client's shard as a view of one client-ordered copy.
+
+    The training set is gathered once, in client order: client ``c`` owns
+    rows ``offsets[c]:offsets[c + 1]`` of :attr:`inputs` / :attr:`targets`.
+    ``shards[c]`` is that slice as an :class:`ArrayDataset` (a view, not a
+    copy), and a cohort's batches come out of the two arrays with one fancy
+    index over the rows.
+    """
+
+    def __init__(self, dataset: ArrayDataset, indices: Sequence[np.ndarray]):
+        self.sizes = np.array([len(client) for client in indices], dtype=np.int64)
+        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
+        order = np.concatenate(indices)
+        self.inputs = dataset.inputs[order]
+        self.targets = dataset.targets[order]
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, client: int) -> ArrayDataset:
+        start, stop = self.offsets[client], self.offsets[client + 1]
+        return ArrayDataset(self.inputs[start:stop], self.targets[start:stop])
+
+
 def partition_clients(dataset: ArrayDataset, num_clients: int,
                       policy: str = "iid", seed: int = 0,
-                      **kwargs: object) -> List[ArrayDataset]:
+                      **kwargs: object) -> ClientShards:
     """Materialize :func:`partition_indices` as per-client sub-datasets."""
-    shards = partition_indices(dataset.targets, num_clients, policy=policy,
-                               seed=seed, **kwargs)
-    return [dataset.subset(indices) for indices in shards]
+    return ClientShards(dataset, partition_indices(dataset.targets, num_clients,
+                                                   policy=policy, seed=seed, **kwargs))
 
 
 def _partition_iid(n: int, num_clients: int, seed: int) -> List[np.ndarray]:

@@ -296,7 +296,8 @@ class Schedule:
         """Every rank's batch stream: the batches its latest pass has yielded,
         less ``held`` (per rank, drawn but not yet consumed), and for
         loaders the generator words that pass's order was drawn from.  A
-        sampled cohort draws statelessly and writes no keys."""
+        sampled cohort's batch is a function of (seed, client, iteration),
+        so it writes no keys."""
         streams = self.trainer._streams()
         if not streams:
             return {}

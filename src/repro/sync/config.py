@@ -17,6 +17,7 @@ synchronous allreduce with mean aggregation and no corruption.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
@@ -28,6 +29,7 @@ from repro.compress.registry import COMPRESSORS
 from repro.registry import RegistryKeyError, unknown_field_problems
 from repro.sync.aggregators import AGGREGATORS
 from repro.sync.base import CORRUPTION_KINDS, SYNC_STRATEGIES, GradientCorruption, SyncStrategy
+from repro.utils.rng import SeedSequenceFactory
 
 if TYPE_CHECKING:
     from repro.core.features import RunFeatures
@@ -270,9 +272,14 @@ class SyncSpec:
     # ------------------------------------------------------------------ #
     # strategy construction
     # ------------------------------------------------------------------ #
-    def build(self, world: InProcessWorld,
-              compressors: Sequence[Compressor]) -> SyncStrategy:
-        """Instantiate and bind the described strategy to a world."""
+    def build(self, world: InProcessWorld, compressors: Sequence[Compressor],
+              seeds: Optional[SeedSequenceFactory] = None) -> SyncStrategy:
+        """Instantiate and bind the described strategy to a world.
+
+        With ``seeds`` (the run's seed tree), every parameter-codec
+        compressor that takes an ``rng`` gets its rank's own stream,
+        ``seeds.for_worker(rank, "param_codec")``.
+        """
         aggregator = AGGREGATORS.create(self.aggregator, **dict(self.aggregator_kwargs))
         strategy: SyncStrategy = SYNC_STRATEGIES.create(
             self.strategy, **dict(self.strategy_kwargs))
@@ -286,10 +293,14 @@ class SyncSpec:
         if self.compresses_parameters:
             # One instance per rank: the delta codec's error-feedback
             # residuals are per worker, exactly like the gradient phase's.
+            kwargs = dict(self.parameter_compression_kwargs)
+            keyed = seeds is not None and "rng" in inspect.signature(
+                COMPRESSORS.get(self.parameter_compression)).parameters
             parameter_compressors = [
-                COMPRESSORS.create(self.parameter_compression,
-                                   **dict(self.parameter_compression_kwargs))
-                for _ in range(world.world_size)]
+                COMPRESSORS.create(self.parameter_compression, **kwargs,
+                                   **({"rng": seeds.for_worker(rank, "param_codec")}
+                                      if keyed else {}))
+                for rank in range(world.world_size)]
             issue = parameter_compressors[0].contraction_problem()
             if issue:
                 warnings.warn(issue, RuntimeWarning, stacklevel=2)

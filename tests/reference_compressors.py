@@ -7,8 +7,10 @@ base class as a batch of one.  The functions below are the per-rank bodies
 the compressors carried before that, verbatim as free functions over a
 compressor instance (``self``), together with the helpers only they called
 (Top-K's ``select``, ``_accumulate_residual``, A2SGD's
-``two_level_means``/``encode``, QSGD's ``quantize_bucketed``), less the
-compression statistics the compressors no longer keep.
+``two_level_means``/``encode``, QSGD's ``quantize_bucketed`` with the
+bucketed quantize / dequantize its compressor carried before its
+whole-matrix kernel), less the compression statistics the compressors no
+longer keep.
 ``tests/test_compress_batched.py`` pins the kernels to them;
 ``tests/reference_trainer.py`` runs them end to end.
 """
@@ -85,10 +87,50 @@ def select(self, corrected: np.ndarray) -> np.ndarray:
     return np.argpartition(np.abs(corrected), -k)[-k:]
 
 
+def bucket_bounds(self, n: int) -> np.ndarray:
+    size = self.bucket_size or n
+    return np.arange(0, n + size, size)[:max(2, int(np.ceil(n / size)) + 1)]
+
+
+def quantize_rows(self, M: np.ndarray,
+                  rngs: Sequence[np.random.Generator]) -> Tuple[np.ndarray, np.ndarray]:
+    """QSGD's bucketed quantization of ``(P, n)`` rows as the compressor
+    carried it before its whole-matrix kernel: float64 norms, ``(P, n)``
+    signed int8 levels."""
+    P, n = M.shape
+    size = int(self.bucket_size or n)
+    bounds = bucket_bounds(self, n)
+    num_buckets = len(bounds) - 1
+    padded = np.zeros((P, num_buckets * size), dtype=np.float32)
+    padded[:, :n] = M
+    blocks = padded.reshape(P, num_buckets, size)
+
+    norms32 = np.sqrt((blocks * blocks).sum(axis=2, dtype=np.float32))
+    safe_norms = np.where(norms32 > 0, norms32, np.float32(1.0))
+    scaled = np.abs(blocks) / safe_norms[:, :, None] * self.levels
+    lower = np.floor(scaled)
+    probability_up = scaled - lower
+    draws = np.stack([rng.random((num_buckets, size)) for rng in rngs])
+    rounded = np.clip(lower + (draws < probability_up), 0, self.levels)
+    signed = (np.sign(blocks) * rounded).astype(np.int8)
+    return norms32.astype(np.float64), signed.reshape(P, -1)[:, :n]
+
+
+def dequantize_bucketed(self, norms: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`quantize_rows` in float64 (row- or matrix-shaped)."""
+    norms = np.asarray(norms, dtype=np.float64)
+    levels = np.asarray(levels)
+    n = levels.shape[-1]
+    bounds = bucket_bounds(self, n)
+    sizes = np.minimum(bounds[1:], n) - bounds[:-1]
+    scales = np.repeat(norms, sizes, axis=-1)
+    return np.asarray(levels, dtype=np.float64) / self.levels * scales
+
+
 def quantize_bucketed(self, vector: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Quantize per bucket; returns (per-bucket norms, signed levels)."""
     vector = np.asarray(vector, dtype=np.float32)
-    norms, levels = self._quantize_rows(vector[None, :], [self.rng])
+    norms, levels = quantize_rows(self, vector[None, :], [self.rng])
     return norms[0], levels[0]
 
 
@@ -203,7 +245,7 @@ def qsgd_compress(self, gradient: np.ndarray) -> Tuple[np.ndarray, Dict]:
         corrected = gradient
 
     norms, levels = quantize_bucketed(self, corrected)
-    estimate = self.dequantize_bucketed(norms, levels).astype(gradient.dtype)
+    estimate = dequantize_bucketed(self, norms, levels).astype(gradient.dtype)
     if self.error_feedback:
         self._residual = corrected - estimate
 
@@ -223,7 +265,7 @@ def qsgd_decompress_gathered(self, payloads: Sequence[np.ndarray], ctx: Dict) ->
         num_buckets = int(payload[0])
         norms = payload[1:1 + num_buckets]
         levels = payload[1 + num_buckets:]
-        total += self.dequantize_bucketed(norms, levels)
+        total += dequantize_bucketed(self, norms, levels)
     return (total / len(payloads)).astype(np.float32)
 
 

@@ -104,8 +104,8 @@ FAMILIES = {
            "fault_report_rejoins", "fault_report_resync_bytes",
            "fault_report_scalars", "fault_stall_counters"]
         + LOCKSTEP_SIM + STREAMS),
-    # N=6 clients on K=2 slots: two swapped-out clients are parked.  Their
-    # batches are drawn statelessly, so no stream is saved.
+    # N=6 clients on K=2 slots: two swapped-out clients are parked.  A
+    # batch is a function of (seed, client, iteration), so no stream is saved.
     "fedavg_sampled": (
         dict(algorithm="dense", max_iterations_per_epoch=4, num_train=256,
              sync={"strategy": "fedavg", "period": 2},

@@ -242,3 +242,90 @@ def test_custom_compressor_with_only_per_rank_compress_names_the_missing_kernel(
         PerRankOnly.compress_batch([PerRankOnly(), PerRankOnly()], G)
     with pytest.raises(NotImplementedError, match="decompress_batch"):
         PerRankOnly().decompress(np.ones(8, dtype=np.float32), {})
+
+
+# --------------------------------------------------------------------- #
+# QSGD's whole-matrix kernels, bit for bit
+# --------------------------------------------------------------------- #
+def bits(array):
+    """The array's bit patterns: ``-0.0`` and ``+0.0`` differ here."""
+    array = np.asarray(array)
+    return array.view({4: np.uint32, 8: np.uint64}[array.itemsize])
+
+
+def assert_bits_equal(want, got, what):
+    want, got = np.asarray(want), np.asarray(got)
+    assert want.dtype == got.dtype and want.shape == got.shape, what
+    np.testing.assert_array_equal(bits(want), bits(got), err_msg=what)
+
+
+#: P = 1 and 8; n = 1000 is not a multiple of the 64-coordinate bucket;
+#: levels 16 takes the float32 dequantize, levels 3 the float64 one.
+QSGD_CELLS = [dict(P=P, levels=levels, bucket_size=bucket, error_feedback=ef)
+              for P in (1, 8) for levels in (16, 3) for bucket in (64, None)
+              for ef in (True, False)]
+
+
+@pytest.mark.parametrize("cell", QSGD_CELLS, ids=lambda c: "-".join(
+    f"{k}={v}" for k, v in c.items()))
+def test_qsgd_kernels_match_the_per_rank_oracle_bit_for_bit(cell):
+    """Encode, the one-payload decode (the parameter codec's) and the
+    multi-payload mean (the gradient phase's) against the per-rank bodies,
+    over an all-zero bucket and signed zeros, with error feedback carried
+    across iterations."""
+    P, kwargs = cell["P"], {k: v for k, v in cell.items() if k != "P"}
+    expected = [get_compressor("qsgd", rng=np.random.default_rng(50 + p), **kwargs)
+                for p in range(P)]
+    bank = [get_compressor("qsgd", rng=np.random.default_rng(50 + p), **kwargs)
+            for p in range(P)]
+    rng = np.random.default_rng(8)
+    for iteration in range(3):
+        G = (rng.standard_normal((P, N)) * 0.01).astype(np.float32)
+        G[:, :64] = 0.0
+        G[:, 64:70] = -0.0
+        where = f"{cell} iter {iteration}"
+        want = [oracle.qsgd_compress(c, row.copy()) for c, row in zip(expected, G)]
+        payloads, contexts = type(bank[0]).compress_batch(bank, G.copy())
+        for p in range(P):
+            assert_bits_equal(want[p][0], payloads[p], f"{where}: payload {p}")
+            assert {k: contexts[p][k] for k in public(contexts[p])} == want[p][1]
+            if cell["error_feedback"]:
+                assert_bits_equal(expected[p]._residual, bank[p]._residual,
+                                  f"{where}: residual {p}")
+            assert expected[p].rng.bit_generator.state == bank[p].rng.bit_generator.state
+        own = np.stack([oracle.qsgd_decompress_gathered(c, [payload], ctx)
+                        for c, (payload, ctx) in zip(expected, want)])
+        assert_bits_equal(own, type(bank[0]).decompress_each(bank, payloads, contexts),
+                          f"{where}: one-payload decode")
+        # Payloads that are not the kernel's own rows decode from the wire.
+        received = [np.asarray(payload).copy() for payload in payloads]
+        assert_bits_equal(own, type(bank[0]).decompress_each(
+            bank, received, [{"n": N} for _ in range(P)]), f"{where}: wire decode")
+        mean = oracle.qsgd_decompress_gathered(expected[0], [w[0] for w in want], want[0][1])
+        gathered = [[np.asarray(p).copy() for p in payloads]] * P
+        decoded = type(bank[0]).decompress_batch(bank, gathered, contexts)
+        for p in range(P):
+            assert_bits_equal(mean, decoded[p], f"{where}: mean row {p}")
+
+
+def test_qsgd_one_payload_decode_with_an_underflowing_scale_matches_the_oracle():
+    """A bucket norm whose ``norm / levels`` underflows (no norm the kernel
+    computes is that small, but a payload can carry one) still decodes to
+    the float64 product's float32 rounding."""
+    compressor = get_compressor("qsgd", levels=16, bucket_size=64)
+    levels = np.random.default_rng(3).integers(-16, 17, 70).astype(np.float64)
+    payload = np.concatenate([[2.0], [np.float32(1.5e-37), np.float32(0.5)], levels])
+    want = oracle.qsgd_decompress_gathered(compressor, [payload], {"n": 70})
+    got = type(compressor).decompress_each([compressor], [payload], [{"n": 70}])
+    assert_bits_equal(want, got[0], "underflowing scale")
+
+
+def test_qsgd_one_payload_decode_keeps_the_sign_of_zero_of_the_mean():
+    """The mean of one payload starts from ``0.0``: a level times a zero norm
+    decodes to ``+0.0``, whatever the level's sign."""
+    compressor = get_compressor("qsgd", levels=16, bucket_size=4)
+    payload = np.array([2.0, 0.0, 0.5, -1.0, -0.0, 0.0, 2.0, -3.0, 0.0, 1.0, -2.0])
+    want = oracle.qsgd_decompress_gathered(compressor, [payload], {"n": 8})
+    got = type(compressor).decompress_each([compressor], [payload], [{"n": 8}])
+    assert_bits_equal(want, got[0], "signed zeros")
+    assert not np.signbit(got[0][:4]).any()

@@ -23,6 +23,7 @@ from repro.data.dataloader import shard_dataset
 from repro.data.partition import partition_clients, partition_indices
 from repro.data.registry import get_dataset
 from repro.federated import CLIENT_SAMPLERS, ClientSpec
+from repro.federated.population import ClientPopulation, SlotAssignment
 from repro.sync import SYNC_STRATEGIES, SyncSpec
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -279,6 +280,133 @@ class TestSampledCohorts:
         assert metrics.unique_clients_seen == [4]
 
 
+class TestRoundSwap:
+    """A round swap moves each client's slot state as row blocks: a returning
+    client gets back exactly the momentum, codec residual and codec
+    reference it left with; a first-time client gets zero momentum, no
+    residual and the global model as its reference."""
+
+    KW = dict(algorithm="dense", epochs=2, max_iterations_per_epoch=12,
+              sync={"strategy": "fedavg", "period": 2,
+                    "parameter_compression": "qsgd",
+                    "parameter_compression_kwargs": {"levels": 16, "bucket_size": 64}},
+              clients={"num_clients": 7, "sampler": "uniform", "sampler_seed": 1})
+
+    def test_returning_clients_get_their_state_back(self):
+        trainer = make_trainer(**self.KW)
+        population = trainer.population
+        codec = trainer.sync_strategy.parameter_codec
+        swap = population._swap
+        left = {}
+        checked = {"returning": 0, "fresh": 0}
+
+        def slot_state(slot):
+            residual = codec.compressors[slot]._residual
+            return (trainer._velocity_matrix[slot].copy(),
+                    None if residual is None else residual.copy(),
+                    None if codec._references is None else codec._references[slot].copy())
+
+        def checked_swap(trainer_, previous, cohort):
+            for slot, client in enumerate(previous.clients):
+                left[client] = slot_state(slot)
+            global_model = trainer.flat_world.param_matrix[0].copy()
+            swap(trainer_, previous, cohort)
+            for slot, client in enumerate(cohort):
+                np.testing.assert_array_equal(trainer.flat_world.param_matrix[slot],
+                                              global_model)
+                velocity, residual, reference = slot_state(slot)
+                if client in left:
+                    want_velocity, want_residual, want_reference = left.pop(client)
+                    checked["returning"] += 1
+                else:
+                    want_velocity, want_residual = np.zeros_like(velocity), None
+                    want_reference = None if reference is None else global_model
+                    checked["fresh"] += 1
+                np.testing.assert_array_equal(velocity, want_velocity)
+                assert (residual is None) == (want_residual is None)
+                if residual is not None:
+                    np.testing.assert_array_equal(residual, want_residual)
+                if reference is not None:
+                    np.testing.assert_array_equal(reference, want_reference)
+
+        population._swap = checked_swap
+        trainer.train()
+        assert checked["returning"] and checked["fresh"]
+        assert any(state[1] is not None for state in left.values())
+
+
+class TestBatchStream:
+    """A sampled cohort's batch is a pure function of (seed, client,
+    iteration): each client's stream jumps to the iteration, and the cohort
+    is gathered from one client-ordered copy."""
+
+    BATCH = 8
+
+    def population(self, seed=0, cohort=(0, 1, 2, 3)):
+        train, _ = get_dataset("cifar10_tiny", seed=0, num_train=256, num_test=32)
+        # Dirichlet skew at alpha 0.1 leaves some shards smaller than a batch.
+        shards = partition_clients(train, 16, policy="dirichlet", seed=5, alpha=0.1)
+        population = ClientPopulation(ClientSpec(num_clients=16, cohort_size=4,
+                                                 sampler="uniform"), world_size=4)
+        population.bind_data(shards, self.BATCH, seed=seed)
+        population.assignment = SlotAssignment(cohort)
+        return population, shards
+
+    @staticmethod
+    def by_client(population, iteration):
+        batches = population.draw_batches(iteration)
+        return {client: batch for client, batch in zip(population.assignment.clients,
+                                                      batches)}
+
+    def test_a_batch_ignores_cohort_slot_and_history(self):
+        population, _ = self.population()
+        reference = {i: self.by_client(population, i) for i in (0, 1, 5, 1000)}
+        other, _ = self.population(cohort=(2, 5, 0, 9))
+        for iteration in (1000, 5, 0, 3, 1):      # another order, other draws between
+            drawn = self.by_client(other, iteration)
+            for client in (0, 2):
+                if iteration in reference:
+                    for want, got in zip(reference[iteration][client], drawn[client]):
+                        np.testing.assert_array_equal(want, got)
+        again = self.by_client(population, 5)
+        for client in population.assignment.clients:
+            for want, got in zip(reference[5][client], again[client]):
+                np.testing.assert_array_equal(want, got)
+
+    def test_the_gather_serves_each_client_its_own_rows(self):
+        population, shards = self.population()
+        batches = population.draw_batches(7)
+        for (inputs, targets), client in zip(batches, population.assignment.clients):
+            rows = population._batch_rows(client, 7)
+            np.testing.assert_array_equal(inputs, shards[client].inputs[rows])
+            np.testing.assert_array_equal(targets, shards[client].targets[rows])
+            assert inputs.shape[0] == self.BATCH
+
+    def test_no_repeated_row_when_the_shard_holds_a_batch(self):
+        population, shards = self.population()
+        sizes = shards.sizes.tolist()
+        assert min(sizes) < self.BATCH <= max(sizes)
+        for client, size in enumerate(sizes):
+            for iteration in range(50):
+                rows = population._batch_rows(client, iteration)
+                assert len(rows) == self.BATCH
+                assert all(0 <= row < size for row in rows)
+                if size >= self.BATCH:
+                    assert len(set(rows)) == self.BATCH
+
+    def test_streams_differ_by_iteration_and_seed(self):
+        population, _ = self.population()
+        other_seed, _ = self.population(seed=1)
+        assert population._batch_rows(3, 0) != population._batch_rows(3, 1)
+        assert population._batch_rows(3, 0) != other_seed._batch_rows(3, 0)
+
+    def test_shards_are_views_of_one_client_ordered_copy(self):
+        _, shards = self.population()
+        for client in range(len(shards)):
+            assert np.shares_memory(shards[client].inputs, shards.inputs)
+        assert shards.offsets[-1] == len(shards.inputs) == 256
+
+
 # --------------------------------------------------------------------- #
 # hierarchical fedavg: cohort-priced two-level aggregation
 # --------------------------------------------------------------------- #
@@ -399,6 +527,41 @@ class TestMidRoundCheckpointResume:
                                               b["compressor"][kind])
         assert resumed.population.assignment.clients == \
             trainer.population.assignment.clients
+
+
+class TestMidRoundCheckpointResumeQSGDCodec:
+    # H=4 with 5 iterations/epoch: the epoch-1 checkpoint lands mid-round
+    # (10 % 4 == 2), after the first compressed sync (the one ending
+    # iteration 7; the first sync is the dense bootstrap), so the clients
+    # parked at the boundary of iteration 8 hold QSGD residuals, and every
+    # slot's codec rounds with its own keyed generator.
+    KW = dict(algorithm="dense", epochs=3, max_iterations_per_epoch=5,
+              sync={"strategy": "fedavg", "period": 4,
+                    "parameter_compression": "qsgd",
+                    "parameter_compression_kwargs": {"levels": 16, "bucket_size": 64}},
+              clients={"num_clients": 12, "sampler": "uniform",
+                       "sampler_seed": 3, "data_skew": "dirichlet",
+                       "data_skew_kwargs": {"alpha": 0.5}})
+
+    def test_resume_matches_uninterrupted_run(self, tmp_path):
+        uninterrupted = make_trainer(**self.KW)
+        uninterrupted.train()
+
+        path = tmp_path / "ckpt.npz"
+        first_part = make_trainer(
+            callbacks=[SaveAfterEpoch(path, epoch=1), StopAfterEpoch(2)], **self.KW)
+        first_part.train()
+
+        resumed = make_trainer(**self.KW)
+        load_checkpoint(resumed, path)
+        assert resumed._global_iteration == 10
+        store = resumed.population.store
+        assert any(store.get(client)["codec_compressor"] for client in store.clients())
+        resumed.train()
+
+        np.testing.assert_array_equal(final_params(uninterrupted), final_params(resumed))
+        assert resumed.metrics.train_loss == uninterrupted.metrics.train_loss
+        assert resumed.metrics.metric == uninterrupted.metrics.metric
 
 
 # --------------------------------------------------------------------- #

@@ -14,11 +14,14 @@ import pytest
 
 from repro.core import DistributedTrainer, TrainerConfig, load_checkpoint, save_checkpoint
 from repro.faults.models import TransientBlackoutFaultModel
+from repro.federated.population import ClientPopulation
 
 #: Attributes holding generators that are caches of a pure function of their
 #: keys, not run state: each blackout schedule is a function of
-#: (fault_seed, rank, t), regenerated on demand after a load.
-KEYED = {(TransientBlackoutFaultModel, "_schedules")}
+#: (fault_seed, rank, t), regenerated on demand after a load; each client's
+#: batch stream jumps to a position fixed by the iteration before every
+#: draw, so a batch is a function of (seed, client, iteration).
+KEYED = {(TransientBlackoutFaultModel, "_schedules"), (ClientPopulation, "_streams")}
 
 _LEAVES = (np.ndarray, str, bytes, int, float, complex, bool, type(None))
 
@@ -114,3 +117,24 @@ def test_the_audit_sees_the_run_owned_generators():
         assert expected in paths
     assert trainer.fault_injector.model._schedules
     assert not any("_schedules" in path for path in paths)
+
+
+def test_each_rank_codec_rounds_with_its_own_keyed_stream():
+    """Every rank's parameter-codec generator is keyed by the run seed and
+    the rank: the states differ across ranks, and each moves with ``seed``."""
+
+    def codec_states(seed):
+        config = TrainerConfig(**{**BASE, "seed": seed, "algorithm": "dense",
+                                  "sync": {"strategy": "local_sgd", "period": 2,
+                                           "parameter_compression": "qsgd",
+                                           "parameter_compression_kwargs":
+                                               {"levels": 16, "bucket_size": 64}}})
+        with DistributedTrainer(config) as trainer:
+            return [compressor.rng.bit_generator.state["state"]
+                    for compressor in trainer.sync_strategy.parameter_codec.compressors]
+
+    states, reseeded = codec_states(0), codec_states(7)
+    assert len(states) == BASE["world_size"]
+    assert len({repr(state) for state in states}) == len(states)
+    for state, other in zip(states, reseeded):
+        assert state != other

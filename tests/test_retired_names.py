@@ -180,6 +180,13 @@ RETIRED: Tuple[Retired, ...] = (
                        ("src/repro/comm/collectives.py", "src/repro/comm/inprocess.py",
                         "src/repro/comm/network_model.py")),
             )),
+    # One batch stream per client: a sampled cohort's batch jumps its
+    # client's generator to the iteration; no generator is built per
+    # (client, iteration).
+    Retired("a fresh generator per client per iteration",
+            "The federated control plane in batch calls", (
+                Search(r'new_rng\("client_batch".*iteration', ("src/repro/federated/",)),
+            )),
 )
 
 
