@@ -172,11 +172,9 @@ class QSGDCompressor(Compressor):
         # The padded levels are contiguous, so the float32 work runs on them
         # and only its result is cut back to n coordinates.
         padded = padded.reshape(P, -1)
-        estimate = None
         if reference.error_feedback:
             # ``corrected`` is this call's own sum: it becomes the residuals.
-            estimate = reference._dequantize_float32(norms, padded)[:, :n]
-            corrected -= estimate
+            corrected -= reference._dequantize_float32(norms, padded)[:, :n]
             for p, compressor in enumerate(compressors):
                 compressor._residual = corrected[p]
 
@@ -188,14 +186,7 @@ class QSGDCompressor(Compressor):
         matrix[:, 0] = num_buckets
         matrix[:, 1:1 + num_buckets] = norms
         matrix[:, 1 + num_buckets:] = padded[:, :n]
-        payloads = list(matrix)
-        if estimate is None:
-            return payloads, [{"n": n} for _ in range(P)]
-        # The payload rows and their reconstruction ride along in every
-        # context, so decompress_each returns the reconstruction when it is
-        # handed these very rows instead of decoding them again.
-        own = (payloads, estimate)
-        return payloads, [{"n": n, "_own": own} for _ in range(P)]
+        return list(matrix), [{"n": n} for _ in range(P)]
 
     @classmethod
     def decompress_batch(cls, compressors: Sequence["QSGDCompressor"],
@@ -220,21 +211,9 @@ class QSGDCompressor(Compressor):
                         ) -> np.ndarray:
         """Every rank's own payload decoded at once: the mean of one payload
         is ``0.0`` plus its float64 dequantization, cast to float32, which
-        :meth:`_dequantize_float32` computes for the whole matrix.
-
-        For the kernel's own payloads that is the reconstruction
-        :meth:`compress_batch` subtracted from the residuals: no coordinate
-        of it is ``-0.0`` (a level is zero, or its bucket's norm is nonzero
-        and the product does not vanish before the cast), so the ``0.0``
-        start changes nothing.
-        """
+        :meth:`_dequantize_float32` computes for the whole matrix."""
         if not cls._uniform(compressors, "levels", "bucket_size"):
             return super().decompress_each(compressors, payloads, contexts)
-        own = contexts[0].get("_own")
-        if own is not None and len(own[0]) == len(payloads) and all(
-                ctx.get("_own") is own and payload is row
-                for ctx, payload, row in zip(contexts, payloads, own[0])):
-            return own[1].copy()
         payloads = [np.asarray(p, dtype=np.float64) for p in payloads]
         num_buckets = int(payloads[0][0])
         # Levels are small integers: the float32 gather is exact.

@@ -28,11 +28,11 @@ cohort, the slot or the earlier draws — and resume saves no stream.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compress.base import Compressor
+from repro.compress.base import Compressor, restore_compressor_state
 from repro.data.partition import ClientShards
 from repro.federated.config import ClientSpec
 from repro.federated.sampler import CLIENT_SAMPLERS
@@ -51,12 +51,10 @@ _ITERATION_SHIFT = 40
 _STATE_KINDS = ("residual", "velocity")
 
 
-def _state_rows(compressors: Sequence[Compressor], attr: str
-                ) -> Optional[List[Optional[np.ndarray]]]:
-    """The slots' state vectors ``attr`` (None for a slot without one), or
-    None when no slot holds one."""
-    rows = [getattr(compressor, attr, None) for compressor in compressors]
-    return rows if any(row is not None for row in rows) else None
+def _state_vectors(compressor: Compressor) -> Dict[str, np.ndarray]:
+    """The compressor state a client takes out of its slot: its vectors."""
+    vectors = {kind: getattr(compressor, f"_{kind}", None) for kind in _STATE_KINDS}
+    return {kind: value for kind, value in vectors.items() if value is not None}
 
 
 class SlotAssignment:
@@ -80,137 +78,77 @@ class SlotAssignment:
 class ClientStateStore:
     """Lazy parking lot for swapped-out per-client slot state.
 
-    Holds, for every client that has been swapped out at least once, one
-    row per field: its momentum (``velocity``), its gradient compressor's
-    state vectors (``comp_<kind>``), and its codec reference and codec
-    compressor state (``codecref``, ``codeccomp_<kind>``).  A row is
-    assigned the first time a client is swapped in or out, and kept;
-    clients that never participated have none, so memory grows with
-    participation, never with ``N``.  A round swap moves a whole cohort's
-    momentum and codec references with one scatter and one gather each;
-    compressor state vectors are copied in row by row and lent back out as
-    views of their rows.
+    Holds one entry per client that has been swapped out at least once —
+    a velocity vector, gradient-compressor state, and codec reference /
+    codec-compressor state.  Clients that never participated have no entry,
+    so memory scales with participation, never with ``N``.
     """
 
     def __init__(self):
-        self._row_of: Dict[int, int] = {}
-        #: field -> (rows, n) matrix
-        self._fields: Dict[str, np.ndarray] = {}
-        #: field -> the parked clients holding it (every one holds velocity)
-        self._held: Dict[str, set] = {}
+        self._entries: Dict[int, Dict[str, object]] = {}
 
     def __len__(self) -> int:
-        return len(self._held.get("velocity", ()))
+        return len(self._entries)
 
     def __contains__(self, client: int) -> bool:
-        return int(client) in self._held.get("velocity", ())
+        return int(client) in self._entries
 
     def clients(self) -> List[int]:
-        """The clients parked now, ascending."""
-        return sorted(self._held.get("velocity", ()))
+        return sorted(self._entries)
 
-    def _rows(self, clients: Sequence[int]) -> np.ndarray:
-        """The clients' rows, assigning new ones (and growing every field's
-        matrix) for first-time clients."""
-        rows = [self._row_of.setdefault(client, len(self._row_of)) for client in clients]
-        needed = len(self._row_of)
-        for name, matrix in self._fields.items():
-            if matrix.shape[0] < needed:
-                grown = np.zeros((max(needed, 2 * matrix.shape[0]),) + matrix.shape[1:],
-                                 dtype=matrix.dtype)
-                grown[:matrix.shape[0]] = matrix
-                self._fields[name] = grown
-        return np.array(rows, dtype=np.intp)
+    def put(self, client: int, *, velocity: np.ndarray,
+            compressor: Dict[str, np.ndarray],
+            codec_reference: Optional[np.ndarray],
+            codec_compressor: Optional[Dict[str, np.ndarray]]) -> None:
+        self._entries[int(client)] = {
+            "velocity": velocity,
+            "compressor": compressor,
+            "codec_reference": codec_reference,
+            "codec_compressor": codec_compressor,
+        }
 
-    def park(self, clients: Sequence[int],
-             fields: Dict[str, Union[np.ndarray, Sequence[Optional[np.ndarray]]]]
-             ) -> None:
-        """Swap ``clients`` out.  ``fields[name]`` is a ``(K, n)`` block whose
-        row ``i`` is ``clients[i]``'s, scattered in one call, or one vector
-        per client — None where the client holds none."""
-        for name, values in fields.items():
-            if name not in self._fields:
-                first = next(value for value in values if value is not None)
-                self._fields[name] = np.zeros((0,) + first.shape, dtype=first.dtype)
-                self._held[name] = set()
-        rows = self._rows(clients)
-        for name, values in fields.items():
-            matrix = self._fields[name]
-            if isinstance(values, np.ndarray):
-                matrix[rows] = values
-                self._held[name].update(clients)
-                continue
-            for client, row, value in zip(clients, rows, values):
-                if value is not None:
-                    matrix[row] = value
-                    self._held[name].add(client)
-
-    def unpark(self, clients: Sequence[int]) -> Tuple[np.ndarray, Dict[str, List[bool]]]:
-        """Swap ``clients`` in: their rows, and per field which of them hold
-        it.  The values stay in place until the clients are parked again
-        (read them with :meth:`take` / :meth:`row`)."""
-        rows = self._rows(clients)
-        held = {}
-        for name, parked in self._held.items():
-            held[name] = [client in parked for client in clients]
-            parked.difference_update(clients)
-        return rows, held
-
-    def take(self, name: str, rows: np.ndarray, held: Dict[str, List[bool]],
-             out: np.ndarray, fill) -> None:
-        """Gather field ``name`` at ``rows`` into ``out`` in one call; a row
-        that does not hold the field gets ``fill``."""
-        mask = held.get(name, [False] * len(rows))
-        if any(mask):
-            np.take(self._fields[name], rows, axis=0, out=out, mode="clip")
-        missing = [i for i, h in enumerate(mask) if not h]
-        if missing:
-            out[missing] = fill
-
-    def row(self, name: str, row: int) -> np.ndarray:
-        """Field ``name``'s vector at store row ``row`` — a view, lent until
-        that row's client is parked again."""
-        return self._fields[name][row]
+    def pop(self, client: int) -> Optional[Dict[str, object]]:
+        return self._entries.pop(int(client), None)
 
     def get(self, client: int) -> Optional[Dict[str, object]]:
-        """A parked client's state: its velocity, its gradient compressor's
-        and codec compressor's ``{kind: vector}``, and its codec reference
-        (or None); None when the client is not parked."""
-        if client not in self:
-            return None
-        row = self._row_of[int(client)]
-        held = {name: self._fields[name][row] for name, parked in self._held.items()
-                if int(client) in parked}
-        return {
-            "velocity": held["velocity"],
-            "compressor": {kind: held[f"comp_{kind}"] for kind in _STATE_KINDS
-                           if f"comp_{kind}" in held},
-            "codec_reference": held.get("codecref"),
-            "codec_compressor": {kind: held[f"codeccomp_{kind}"] for kind in _STATE_KINDS
-                                 if f"codeccomp_{kind}" in held},
-        }
+        return self._entries.get(int(client))
 
     # ------------------------------------------------------------------ #
     # checkpointing
     # ------------------------------------------------------------------ #
     def state_arrays(self) -> Dict[str, np.ndarray]:
         arrays: Dict[str, np.ndarray] = {}
-        for name, parked in self._held.items():
-            for client in sorted(parked):
-                arrays[f"store_{client}_{name}"] = self._fields[name][self._row_of[client]]
+        for client, entry in self._entries.items():
+            prefix = f"store_{client}_"
+            arrays[prefix + "velocity"] = entry["velocity"]
+            for kind, value in (entry["compressor"] or {}).items():
+                arrays[prefix + f"comp_{kind}"] = value
+            if entry["codec_reference"] is not None:
+                arrays[prefix + "codecref"] = entry["codec_reference"]
+            for kind, value in (entry["codec_compressor"] or {}).items():
+                arrays[prefix + f"codeccomp_{kind}"] = value
         return arrays
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        self._row_of.clear()
-        self._fields.clear()
-        self._held.clear()
+        self._entries.clear()
         grouped: Dict[int, Dict[str, np.ndarray]] = {}
         for name, value in arrays.items():
-            if name.startswith("store_"):
-                client, _, field = name[len("store_"):].partition("_")
-                grouped.setdefault(int(client), {})[field] = np.asarray(value)
-        for client, fields in sorted(grouped.items()):
-            self.park([client], {field: value[None] for field, value in fields.items()})
+            if not name.startswith("store_"):
+                continue
+            client_str, _, field = name[len("store_"):].partition("_")
+            grouped.setdefault(int(client_str), {})[field] = np.array(value,
+                                                                      copy=True)
+        for client, fields in grouped.items():
+            self.put(
+                client,
+                velocity=fields["velocity"],
+                compressor={kind: fields[f"comp_{kind}"] for kind in _STATE_KINDS
+                            if f"comp_{kind}" in fields},
+                codec_reference=fields.get("codecref"),
+                codec_compressor={kind: fields[f"codeccomp_{kind}"]
+                                  for kind in _STATE_KINDS
+                                  if f"codeccomp_{kind}" in fields},
+            )
 
 
 class ClientPopulation:
@@ -242,9 +180,9 @@ class ClientPopulation:
         self.batch_size: Optional[int] = None
         self._data_seed = 0
         self._sizes: List[int] = []
-        #: client -> [its batch generator, the generator's base state, the
-        #: draws it has advanced past that state], made at its first draw
-        self._streams: Dict[int, list] = {}
+        #: client -> (its batch generator, the generator's base state), made
+        #: at its first draw
+        self._streams: Dict[int, Tuple[np.random.Generator, dict]] = {}
 
     @property
     def identity_assignment(self) -> bool:
@@ -293,46 +231,46 @@ class ClientPopulation:
               cohort: Tuple[int, ...]) -> None:
         """Park the previous cohort's slot state and seat the new cohort's.
 
-        Every slot restarts from the global model, and the momentum rows
-        and codec references move as one block each.  A compressor state
-        vector is parked row by row and lent back as a view of its stored
-        row (every kernel replaces its state rather than writing into it).
-        A client swapped in for the first time gets zero momentum, fresh
-        compressors and the global model as its codec reference.
+        Every slot restarts from the global model: the parameter rows, the
+        momentum rows (zero) and the codec references are reset as one block
+        each, and only a returning client's rows are then written back.  A
+        client swapped in for the first time keeps that fresh state: zero
+        momentum, reset compressors and the global model as its codec
+        reference.
         """
         params = trainer.flat_world.param_matrix
         velocity = trainer._velocity_matrix
         codec = getattr(trainer.sync_strategy, "parameter_codec", None)
         references = codec._references if codec is not None else None
-        banks = [("comp_", trainer.compressors)]
-        if codec is not None:
-            banks.append(("codeccomp_", codec.compressors))
+        banks = [trainer.compressors] + ([codec.compressors] if codec is not None else [])
 
-        parked = {"velocity": velocity}
-        if references is not None:
-            parked["codecref"] = references
-        for prefix, compressors in banks:
-            for kind in _STATE_KINDS:
-                state = _state_rows(compressors, f"_{kind}")
-                if state is not None:
-                    parked[prefix + kind] = state
-        store = self.store
-        store.park(previous.clients, parked)
+        for slot, client in enumerate(previous.clients):
+            self.store.put(
+                client,
+                velocity=velocity[slot].copy(),
+                compressor=_state_vectors(trainer.compressors[slot]),
+                codec_reference=None if references is None else references[slot].copy(),
+                codec_compressor=None if codec is None
+                else _state_vectors(codec.compressors[slot]))
+        entries = [self.store.pop(client) for client in cohort]
 
-        rows, held = store.unpark(cohort)
         global_model = params[0].copy()
         params[:] = global_model
-        store.take("velocity", rows, held, out=velocity, fill=0.0)
+        velocity[:] = 0.0
         if references is not None:
-            store.take("codecref", rows, held, out=references, fill=global_model)
-        for prefix, compressors in banks:
+            references[:] = global_model
+        for compressors in banks:
             for compressor in compressors:
                 compressor.reset_state()
-            for kind in _STATE_KINDS:
-                for slot, h in enumerate(held.get(prefix + kind, ())):
-                    if h:
-                        setattr(compressors[slot], f"_{kind}",
-                                store.row(prefix + kind, rows[slot]))
+        for slot, entry in enumerate(entries):
+            if entry is None:
+                continue
+            velocity[slot] = entry["velocity"]
+            restore_compressor_state(trainer.compressors[slot], entry["compressor"])
+            if codec is not None:
+                restore_compressor_state(codec.compressors[slot], entry["codec_compressor"])
+                if references is not None and entry["codec_reference"] is not None:
+                    references[slot] = entry["codec_reference"]
 
     # ------------------------------------------------------------------ #
     # data
@@ -357,27 +295,21 @@ class ClientPopulation:
         """The shard rows of ``client``'s batch at ``iteration``.
 
         The client's generator, keyed by ``(seed, "client_batch", client)``,
-        jumps to ``iteration << 40`` draws past its base state — forward
-        from where its last batch left it, or from the base state when the
-        iteration lies behind — and ``batch_size`` uniforms from there pick
-        the rows.  They are distinct (Floyd's sampling without replacement)
-        unless the shard has fewer than ``batch_size`` rows, which are then
-        drawn with replacement.
+        is reset to its base state and jumped ``iteration << 40`` draws
+        ahead, and ``batch_size`` uniforms from there pick the rows.  They
+        are distinct (Floyd's sampling without replacement) unless the shard
+        has fewer than ``batch_size`` rows, which are then drawn with
+        replacement.
         """
         stream = self._streams.get(client)
         if stream is None:
             rng = new_rng("client_batch", client, seed=self._data_seed)
-            stream = self._streams[client] = [rng, rng.bit_generator.state, 0]
-        rng, base, position = stream
-        bit_generator = rng.bit_generator
-        target = iteration << _ITERATION_SHIFT
-        if target < position:
-            bit_generator.state = base
-            position = 0
-        bit_generator.advance(target - position)
+            stream = self._streams[client] = (rng, rng.bit_generator.state)
+        rng, base = stream
+        rng.bit_generator.state = base
+        rng.bit_generator.advance(iteration << _ITERATION_SHIFT)
         batch_size = self.batch_size
         uniforms = rng.random(batch_size).tolist()
-        stream[2] = target + batch_size
         n = self._sizes[client]
         if n < batch_size:
             return [int(u * n) for u in uniforms]

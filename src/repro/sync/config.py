@@ -17,7 +17,6 @@ synchronous allreduce with mean aggregation and no corruption.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
@@ -273,11 +272,11 @@ class SyncSpec:
     # strategy construction
     # ------------------------------------------------------------------ #
     def build(self, world: InProcessWorld, compressors: Sequence[Compressor],
-              seeds: Optional[SeedSequenceFactory] = None) -> SyncStrategy:
+              seeds: SeedSequenceFactory) -> SyncStrategy:
         """Instantiate and bind the described strategy to a world.
 
-        With ``seeds`` (the run's seed tree), every parameter-codec
-        compressor that takes an ``rng`` gets its rank's own stream,
+        ``seeds`` is the run's seed tree: every parameter-codec compressor
+        with a generator rounds with its rank's own stream,
         ``seeds.for_worker(rank, "param_codec")``.
         """
         aggregator = AGGREGATORS.create(self.aggregator, **dict(self.aggregator_kwargs))
@@ -293,14 +292,13 @@ class SyncSpec:
         if self.compresses_parameters:
             # One instance per rank: the delta codec's error-feedback
             # residuals are per worker, exactly like the gradient phase's.
-            kwargs = dict(self.parameter_compression_kwargs)
-            keyed = seeds is not None and "rng" in inspect.signature(
-                COMPRESSORS.get(self.parameter_compression)).parameters
             parameter_compressors = [
-                COMPRESSORS.create(self.parameter_compression, **kwargs,
-                                   **({"rng": seeds.for_worker(rank, "param_codec")}
-                                      if keyed else {}))
-                for rank in range(world.world_size)]
+                COMPRESSORS.create(self.parameter_compression,
+                                   **dict(self.parameter_compression_kwargs))
+                for _ in range(world.world_size)]
+            for rank, compressor in enumerate(parameter_compressors):
+                if getattr(compressor, "rng", None) is not None:
+                    compressor.rng = seeds.for_worker(rank, "param_codec")
             issue = parameter_compressors[0].contraction_problem()
             if issue:
                 warnings.warn(issue, RuntimeWarning, stacklevel=2)

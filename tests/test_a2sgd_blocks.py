@@ -20,6 +20,7 @@ from repro.compress.base import select_by_mask
 from repro.faults.membership import Membership
 from repro.optim.sgd import STEP_BLOCK_ELEMENTS
 from repro.sync import SyncSpec
+from repro.utils.rng import SeedSequenceFactory
 from tests import reference_compressors as oracle
 from tests.reference_trainer import exchange_per_rank
 from tests.test_compress_a2sgd import ADVERSARIAL_SCALARS, persistent_state
@@ -104,7 +105,8 @@ def strategy_pair(P, alive):
     pair = []
     for _ in range(2):
         world = InProcessWorld(P)
-        strategy = SyncSpec().build(world, [A2SGDCompressor() for _ in range(P)])
+        strategy = SyncSpec().build(world, [A2SGDCompressor() for _ in range(P)],
+                                   SeedSequenceFactory(0))
         membership = Membership(P)
         for rank in set(range(P)) - set(alive):
             membership.set_alive(rank, False)

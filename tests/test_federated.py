@@ -281,10 +281,10 @@ class TestSampledCohorts:
 
 
 class TestRoundSwap:
-    """A round swap moves each client's slot state as row blocks: a returning
-    client gets back exactly the momentum, codec residual and codec
-    reference it left with; a first-time client gets zero momentum, no
-    residual and the global model as its reference."""
+    """A round swap resets every slot to fresh-client state and writes a
+    returning client's rows back: it gets exactly the momentum, codec
+    residual and codec reference it left with; a first-time client gets
+    zero momentum, no residual and the global model as its reference."""
 
     KW = dict(algorithm="dense", epochs=2, max_iterations_per_epoch=12,
               sync={"strategy": "fedavg", "period": 2,

@@ -22,6 +22,7 @@ from repro.core.timeline import SyncReport
 from repro.core.trainer import DistributedTrainer, TrainerConfig
 from repro.sync import SyncSpec, get_aggregator
 from repro.sync.strategies import AllreduceStrategy, GossipStrategy, LocalSGDStrategy
+from repro.utils.rng import SeedSequenceFactory
 
 from tests.reference_trainer import ReferenceTrainer
 
@@ -376,7 +377,7 @@ class TestParameterPhaseCorruption:
         spec = SyncSpec(**spec_kwargs)
         world = InProcessWorld(world_size)
         compressors = [get_compressor("dense") for _ in range(world_size)]
-        return spec.build(world, compressors)
+        return spec.build(world, compressors, SeedSequenceFactory(0))
 
     def test_gossip_leaves_local_gradients_clean(self):
         strategy = self.build({"strategy": "gossip", "topology": "ring",
@@ -446,7 +447,7 @@ class TestStepPhaseValidationOrdering:
         spec = SyncSpec(**spec_kwargs)
         world = InProcessWorld(world_size)
         compressors = [get_compressor("dense") for _ in range(world_size)]
-        return spec.build(world, compressors)
+        return spec.build(world, compressors, SeedSequenceFactory(0))
 
     @pytest.mark.parametrize("spec_kwargs", [
         {"strategy": "allreduce"},
@@ -691,7 +692,7 @@ class TestNonContractiveCompressionWarning:
         world = InProcessWorld(2)
         compressors = [get_compressor("dense") for _ in range(2)]
         with pytest.warns(RuntimeWarning, match="not contractive"):
-            spec.build(world, compressors)
+            spec.build(world, compressors, SeedSequenceFactory(0))
 
     def test_build_silent_for_contractive_config(self):
         import warnings as _warnings
@@ -703,4 +704,4 @@ class TestNonContractiveCompressionWarning:
         compressors = [get_compressor("dense") for _ in range(2)]
         with _warnings.catch_warnings():
             _warnings.simplefilter("error", RuntimeWarning)
-            spec.build(world, compressors)
+            spec.build(world, compressors, SeedSequenceFactory(0))

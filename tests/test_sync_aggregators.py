@@ -12,6 +12,7 @@ from repro.sync.aggregators import (
     MeanAggregator,
     TrimmedMeanAggregator,
 )
+from repro.utils.rng import SeedSequenceFactory
 
 ALL_NAMES = ["mean", "trimmed_mean", "coordinate_median", "geometric_median"]
 ROBUST_NAMES = ["trimmed_mean", "coordinate_median", "geometric_median"]
@@ -252,7 +253,8 @@ class TestCombineTimeModel:
         world = InProcessWorld(P)
         compressors = [COMPRESSORS.create("dense") for _ in range(P)]
         strategy = SyncSpec(strategy="allreduce",
-                            aggregator="trimmed_mean").build(world, compressors)
+                            aggregator="trimmed_mean").build(
+                                world, compressors, SeedSequenceFactory(0))
         n = 256
         G = np.random.default_rng(1).normal(size=(P, n)).astype(np.float32)
         _, report = strategy.exchange_batched(G)
@@ -267,7 +269,7 @@ class TestCombineTimeModel:
         P = 4
         world = InProcessWorld(P)
         compressors = [COMPRESSORS.create("dense") for _ in range(P)]
-        strategy = SyncSpec(strategy="allreduce").build(world, compressors)
+        strategy = SyncSpec(strategy="allreduce").build(world, compressors, SeedSequenceFactory(0))
         G = np.ones((P, 64), dtype=np.float32)
         _, report = strategy.exchange_batched(G)
         assert report.aggregation_time_s == 0.0

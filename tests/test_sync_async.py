@@ -22,6 +22,7 @@ from repro.sync.async_strategies import (
     ElasticAveragingStrategy,
 )
 from repro.sync.base import SYNC_STRATEGIES
+from repro.utils.rng import SeedSequenceFactory
 
 from tests.reference_trainer import ReferenceTrainer
 
@@ -49,7 +50,7 @@ def bound_strategy(world_size: int = 2, n: int = 4, **sync_fields):
     """A built-and-bound strategy plus its fake engine, via SyncSpec.build."""
     world = InProcessWorld(world_size)
     compressors = [COMPRESSORS.create("dense") for _ in range(world_size)]
-    strategy = SyncSpec(**sync_fields).build(world, compressors)
+    strategy = SyncSpec(**sync_fields).build(world, compressors, SeedSequenceFactory(0))
     engine = FakeEngine(world_size, n)
     return strategy, engine
 
@@ -148,10 +149,10 @@ class TestSpecValidation:
         dense = [COMPRESSORS.create("dense") for _ in range(2)]
         with pytest.raises(ValueError, match="use the 'mean' aggregator"):
             SyncSpec(strategy="easgd", aggregator="coordinate_median").build(
-                world, dense)
+                world, dense, SeedSequenceFactory(0))
         topk = [COMPRESSORS.create("topk", ratio=0.1) for _ in range(2)]
         with pytest.raises(ValueError, match="rank-locally"):
-            SyncSpec(strategy="async_ps").build(InProcessWorld(2), topk)
+            SyncSpec(strategy="async_ps").build(InProcessWorld(2), topk, SeedSequenceFactory(0))
 
     def test_experiment_spec_validate_reports_invalid_staleness(self):
         # The `repro validate` contract exercised by the CI smoke job.
@@ -232,7 +233,8 @@ class TestAsyncParameterServer:
     def test_non_finite_a2sgd_push_is_refused(self):
         world = InProcessWorld(2)
         strategy = SyncSpec(strategy="async_ps").build(
-            world, [COMPRESSORS.create("a2sgd") for _ in range(2)])
+            world, [COMPRESSORS.create("a2sgd") for _ in range(2)],
+            SeedSequenceFactory(0))
         engine = FakeEngine(2)
         strategy.async_setup(engine)
         engine.grad_matrix[1, :] = [0.5, -0.25, np.nan, 0.1]

@@ -21,6 +21,7 @@ from repro.sync import (
     merge_reports,
 )
 from repro.sync.strategies import AllreduceStrategy
+from repro.utils.rng import SeedSequenceFactory
 
 from tests.reference_trainer import ReferenceTrainer
 
@@ -393,7 +394,7 @@ class TestStrategyPlumbing:
             spec = SyncSpec.from_dict(round_tripped)
             assert SyncSpec.from_dict(spec.to_dict()) == spec
             compressors = [get_compressor("dense") for _ in range(4)]
-            strategy = spec.build(world, compressors)
+            strategy = spec.build(world, compressors, SeedSequenceFactory(0))
             assert strategy.aggregator is not None
 
 
