@@ -117,9 +117,12 @@ class DGCCompressor(TopKCompressor):
                 residuals[p, idx] = 0.0
                 velocities[p, idx] = 0.0
         else:
-            values = np.take_along_axis(residuals, selections, axis=1)
-            np.put_along_axis(residuals, selections, 0.0, axis=1)
-            np.put_along_axis(velocities, selections, 0.0, axis=1)
+            # Direct fancy indexing, as in Top-K's kernel: take/put_along_axis
+            # build the same index grid through Python-level helpers per call.
+            row_index = np.arange(P)[:, None]
+            values = residuals[row_index, selections]
+            residuals[row_index, selections] = 0.0
+            velocities[row_index, selections] = 0.0
         for p, compressor in enumerate(compressors):
             compressor._residual = residuals[p]
             compressor._velocity = velocities[p]

@@ -19,7 +19,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.compress.base import ExchangeKind, sparsity_k
+from repro.compress.base import ExchangeKind, sparsity_k, top_k_indices
 from repro.compress.topk import TopKCompressor
 
 
@@ -64,9 +64,7 @@ class GaussianKCompressor(TopKCompressor):
         if indices.size == 0:
             indices = np.array([int(np.argmax(np.abs(corrected)))])
         elif indices.size > 4 * k_target:
-            magnitudes = np.abs(corrected[indices])
-            keep = np.argpartition(magnitudes, -4 * k_target)[-4 * k_target:]
-            indices = indices[keep]
+            indices = indices[top_k_indices(np.abs(corrected[indices]), 4 * k_target)]
         return indices
 
     @classmethod

@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.compress.base import Compressor, ExchangeKind, sparsity_k
+from repro.compress.base import Compressor, ExchangeKind, sparsity_k, top_k_indices
 
 
 class TopKCompressor(Compressor):
@@ -87,19 +87,16 @@ class TopKCompressor(Compressor):
                      ) -> Union[np.ndarray, List[np.ndarray]]:
         """Per-rank selections over the stacked corrected matrix.
 
-        Top-K itself is one ``argpartition`` along axis 1; subclasses with
-        rank-local randomness or data-dependent thresholds (Rand-K,
-        Gaussian-K) override this with a per-rank loop and may return a ragged
-        list when selection sizes differ across ranks.
+        Top-K (and DGC) select each row with :func:`top_k_indices`;
+        subclasses with rank-local randomness or data-dependent thresholds
+        (Rand-K, Gaussian-K) override this with a per-rank loop and may return
+        a ragged list when selection sizes differ across ranks.
         """
         P, n = C.shape
         k = sparsity_k(n, compressors[0].ratio)
         if k >= n:
             return np.tile(np.arange(n), (P, 1))
-        # Row-by-row partition: numpy's axis-1 argpartition goes through the
-        # generic strided machinery and is measurably slower than P contiguous
-        # row partitions.
-        return np.stack([np.argpartition(np.abs(C[p]), -k)[-k:] for p in range(P)])
+        return np.stack([top_k_indices(np.abs(C[p]), k) for p in range(P)])
 
     @classmethod
     def compress_batch(cls, compressors: Sequence["TopKCompressor"], G: np.ndarray

@@ -11,6 +11,7 @@ import pytest
 from repro.analysis import GradientDistributionTracker, empirical_gradient_bound_holds
 from repro.analysis.convergence import track_gradient_bound_samples
 from repro.compress import get_compressor
+from repro.compress.base import sparsity_k
 from repro.core import DistributedTrainer, TrainerConfig
 from repro.core.algorithm1 import QuadraticProblem, a2sgd_quadratic_descent
 from repro.core.cost_model import CostModel
@@ -63,12 +64,19 @@ class TestFigure1GradientDistribution:
 
 
 class TestFigure2ComputationTime:
-    """§3 / Figure 2: A2SGD and Gaussian-K are far cheaper to compute than QSGD/Top-K."""
+    """§3 / Figure 2: A2SGD and Gaussian-K are far cheaper to compute than
+    QSGD.  The paper's Top-K gap is not reproduced: an exact CPU top-k from a
+    sampled floor costs about what A2SGD's pass does."""
+
+    N = 300_000
+
+    @classmethod
+    def gradient(cls):
+        return (np.random.default_rng(0).standard_normal(cls.N) * 0.01).astype(np.float32)
 
     @pytest.fixture(scope="class")
     def measured_times(self):
-        n = 300_000
-        gradient = (np.random.default_rng(0).standard_normal(n) * 0.01).astype(np.float32)
+        gradient = self.gradient()
         times = {}
         for name in ("a2sgd", "gaussiank", "topk", "qsgd"):
             compressor = get_compressor(name)
@@ -86,12 +94,27 @@ class TestFigure2ComputationTime:
         # is what the Figure 2 benchmark reproduces.
         assert measured_times["a2sgd"] < 0.8 * measured_times["qsgd"]
 
-    def test_a2sgd_cheaper_than_topk_on_cpu_kernels(self, measured_times):
-        # Figure 2's ordering, measured: with the branch-free sign select
-        # A2SGD's one O(n) pass takes ≈ 0.4× the time of Top-K's
-        # argpartition-based k-selection at this size (the GPU-cost ordering
-        # of the paper's testbed is modelled separately in CostModel).
-        assert measured_times["a2sgd"] < measured_times["topk"]
+    def test_topk_partitions_candidates_not_the_row(self, monkeypatch):
+        # Top-K's exact selection (compress/base.py::top_k_indices) partitions
+        # only the candidates above a floor sampled from the row, so its cost
+        # is a few O(n) passes, as A2SGD's is: measured topk/a2sgd reads
+        # 0.75–1.07 at this size (2-core host, one BLAS thread), against ≈ 3×
+        # with the full-row partition, and A2SGD < Top-K is no measured
+        # ordering.  What is pinned is the selection's size: O(k) entries, not
+        # the row.  The paper's GPU-cost ordering A2SGD < Top-K is priced by
+        # CostModel (tests/test_core_cost_model.py).
+        partitioned = []
+        real = np.argpartition
+
+        def spy(a, kth, *args, **kwargs):
+            partitioned.append(np.asarray(a).size)
+            return real(a, kth, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argpartition", spy)
+        compressor = get_compressor("topk")
+        compressor.compress(self.gradient())
+        k = sparsity_k(self.N, compressor.ratio)
+        assert partitioned and k <= max(partitioned) <= 20 * k
 
     def test_gaussiank_and_a2sgd_same_order_of_magnitude(self, measured_times):
         ratio = measured_times["gaussiank"] / measured_times["a2sgd"]

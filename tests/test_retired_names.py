@@ -187,6 +187,13 @@ RETIRED: Tuple[Retired, ...] = (
             "The federated control plane in batch calls", (
                 Search(r'new_rng\("client_batch".*iteration', ("src/repro/federated/",)),
             )),
+    # One top-k kernel: every sparsifier selects through
+    # compress/base.py::top_k_indices (a sampled floor, then the candidates'
+    # partition); the full-row partition stays in tests/ as the oracle.
+    Retired("full-row top-k selection",
+            "Top-K at its algorithmic cost", (
+                Search(r"argpartition\(np\.abs", ("src/repro/compress/",)),
+            )),
 )
 
 
