@@ -509,9 +509,8 @@ class BatchedLanguageModelExecutor:
                      for h, c in state]
         self.stack.begin_iteration()
         with recording(tape):
-            logits, new_state = self.model.forward_batched(token_buf, state,
-                                                           stack=self.stack)
-            loss = F.cross_entropy_batched(logits, target_buf)
+            loss, new_state = self.model.forward_batched(token_buf, state, target_buf,
+                                                         stack=self.stack)
         losses = _finish_pass(self, signature, tape, loss, token_buf, target_buf,
                               state_bufs=[(h.data, c.data) for h, c in state],
                               new_state=new_state)

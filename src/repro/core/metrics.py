@@ -11,7 +11,7 @@ import numpy as np
 from repro.data.datasets import ArrayDataset
 from repro.data.synthetic_text import LanguageModelBatcher
 from repro.nn.module import Module
-from repro.tensor import Tensor, functional as F, no_grad
+from repro.tensor import Tensor, no_grad
 
 
 def top1_accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -54,9 +54,8 @@ def evaluate_language_model(model: Module, batcher: LanguageModelBatcher,
         for i, (inputs, targets) in enumerate(batcher.batches()):
             if max_batches is not None and i >= max_batches:
                 break
-            logits, state = model(inputs, state)
+            loss, state = model(inputs, state, targets)
             state = model.detach_state(state)
-            loss = F.cross_entropy(logits, targets.reshape(-1))
             count = targets.size
             total_loss += float(loss.item()) * count
             total_tokens += count

@@ -10,8 +10,9 @@ corpus.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,33 +31,58 @@ class SyntheticTextConfig:
     seed: int = 0
 
 
-def _transition_matrix(config: SyntheticTextConfig, rng: np.random.Generator) -> np.ndarray:
-    """Sparse row-stochastic transition matrix with Zipf-weighted targets."""
+#: Uniforms drawn and converted to Python floats per chunk of the walk, so a
+#: long stream never holds one float object per token at once.
+_CHUNK = 4_096
+
+
+def _successor_lists(config: SyntheticTextConfig, rng: np.random.Generator
+                     ) -> List[Tuple[List[float], List[int]]]:
+    """Per state, its successors' cumulative probabilities and column ids.
+
+    Each state draws ``branching`` distinct Zipf-weighted successors and
+    Dirichlet(0.5) probabilities for them.  The successors are kept in column
+    order, so their running sum is exactly the row cumsum of the dense
+    ``V × V`` transition matrix at those columns (the dense row only adds
+    ``+0.0`` in between).  Two sentinels make the walk's lookup exact without
+    a branch: a leading cumulative ``0.0`` whose column is 0 (a uniform of
+    exactly ``0.0`` lands on column 0, as ``searchsorted`` on the dense row
+    does), and a trailing column ``vocab − 1`` for a uniform above the row's
+    last cumulative (a row that sums to just under 1.0).
+    """
     vocab = config.vocab_size
     ranks = np.arange(1, vocab + 1, dtype=np.float64)
     zipf_weights = 1.0 / np.power(ranks, config.zipf_exponent)
     zipf_weights /= zipf_weights.sum()
 
-    matrix = np.zeros((vocab, vocab), dtype=np.float64)
-    for token in range(vocab):
+    rows = []
+    for _ in range(vocab):
         successors = rng.choice(vocab, size=min(config.branching, vocab), replace=False,
                                 p=zipf_weights)
         probs = rng.dirichlet(np.ones(len(successors)) * 0.5)
-        matrix[token, successors] = probs
-    return matrix
+        order = np.argsort(successors)
+        rows.append(([0.0] + np.cumsum(probs[order]).tolist(),
+                     [0] + successors[order].tolist() + [vocab - 1]))
+    return rows
 
 
-def _sample_stream(matrix: np.ndarray, length: int, rng: np.random.Generator) -> np.ndarray:
-    vocab = matrix.shape[0]
+def _sample_stream(rows: List[Tuple[List[float], List[int]]], length: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Walk the chain for ``length`` tokens from a uniformly drawn start.
+
+    The next state is the first column whose dense cumulative reaches the
+    token's uniform: ``bisect_left`` over the state's successor cumulatives.
+    """
     stream = np.empty(length, dtype=np.int64)
-    current = int(rng.integers(0, vocab))
-    cumulative = matrix.cumsum(axis=1)
-    uniforms = rng.random(length)
-    for i in range(length):
-        stream[i] = current
-        current = int(np.searchsorted(cumulative[current], uniforms[i]))
-        if current >= vocab:  # numerical guard
-            current = vocab - 1
+    current = int(rng.integers(0, len(rows)))
+    for start in range(0, length, _CHUNK):
+        chunk = []
+        append = chunk.append
+        for u in rng.random(min(_CHUNK, length - start)).tolist():
+            append(current)
+            cumulative, columns = rows[current]
+            current = columns[bisect_left(cumulative, u)]
+        stream[start:start + len(chunk)] = chunk
     return stream
 
 
@@ -65,9 +91,9 @@ def make_synthetic_ptb(config: SyntheticTextConfig | None = None,
     """Build (train_tokens, test_tokens, vocab_size) token streams."""
     config = config if config is not None else SyntheticTextConfig(seed=seed)
     rng = new_rng("synthetic_ptb", config.vocab_size, config.zipf_exponent, seed=config.seed)
-    matrix = _transition_matrix(config, rng)
-    train = _sample_stream(matrix, config.train_tokens, new_rng("ptb_train", seed=config.seed))
-    test = _sample_stream(matrix, config.test_tokens, new_rng("ptb_test", seed=config.seed))
+    rows = _successor_lists(config, rng)
+    train = _sample_stream(rows, config.train_tokens, new_rng("ptb_train", seed=config.seed))
+    test = _sample_stream(rows, config.test_tokens, new_rng("ptb_test", seed=config.seed))
     return train, test, config.vocab_size
 
 

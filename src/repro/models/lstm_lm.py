@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro import nn
-from repro.tensor import Tensor
+from repro.tensor import Tensor, functional as F
 from repro.utils.rng import new_rng
 
 
@@ -47,16 +47,21 @@ class LSTMLanguageModel(nn.Module):
         self.num_layers = int(num_layers)
 
     def forward_batched(self, tokens: np.ndarray,
-                        state: Optional[List[Tuple[Tensor, Tensor]]] = None, *, stack
+                        state: Optional[List[Tuple[Tensor, Tensor]]] = None,
+                        targets: Optional[np.ndarray] = None, *, stack
                         ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
-        """Score next-token logits for all replicas at once.
+        """Score next-token logits, or the loss, for all replicas at once.
 
         ``tokens`` is the stacked per-replica batch ``(P, T, N)``; parameters
-        come from ``stack``'s ``(P, ...)`` views.  Returns logits
-        ``(P, T*N, V)`` — flattened so they feed directly into
-        :func:`repro.tensor.functional.cross_entropy_batched` — and the
-        stacked LSTM state for truncated BPTT.  The per-replica call
-        ``model(tokens, state)`` on ``(T, N)`` tokens is the ``P = 1`` case.
+        come from ``stack``'s ``(P, ...)`` views.  Without ``targets`` it
+        returns logits ``(P, T*N, V)``; with ``targets``, the next tokens
+        (``P·T·N`` of them, e.g. ``(P, T, N)``), the decoder and the mean
+        cross-entropy run as one
+        :func:`~repro.tensor.functional.lm_head` node and it returns the
+        ``(P,)`` replica losses.  Either comes with the stacked LSTM state
+        for truncated BPTT.  The per-replica call ``model(tokens, state)`` /
+        ``model(tokens, state, targets)`` on ``(T, N)`` tokens is the
+        ``P = 1`` case.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 3:
@@ -64,8 +69,11 @@ class LSTMLanguageModel(nn.Module):
         embedded = self.embedding.forward_batched(tokens, stack)    # (P, T, N, D)
         output, state = self.lstm.forward_batched(embedded, state, stack=stack)
         flat = output.reshape(output.shape[0], -1, self.hidden_size)  # (P, T*N, H)
-        logits = self.decoder.forward_batched(flat, stack)            # (P, T*N, V)
-        return logits, state
+        if targets is None:
+            return self.decoder.forward_batched(flat, stack), state   # (P, T*N, V)
+        loss = F.lm_head(flat, stack.tensor(self.decoder.weight),
+                         stack.tensor(self.decoder.bias), targets)
+        return loss, state
 
     def initial_state_batched(self, world_size: int, batch_size: int
                               ) -> List[Tuple[Tensor, Tensor]]:

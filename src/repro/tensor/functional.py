@@ -5,9 +5,9 @@ This module contains the composite operations the models need: im2col-based
 numerically stable softmax / log-softmax / cross-entropy, linear projection,
 dropout and embedding lookup.  All operations construct the autograd graph
 through the primitive ops defined on :class:`Tensor`, except convolution,
-pooling, batch normalization and the LSTM layer, which provide hand-written
-backward closures for efficiency (one big GEMM, or a few contiguous
-reductions, instead of many small ops).
+pooling, batch normalization, the LSTM layer and the language-model head,
+which provide hand-written backward closures for efficiency (one big GEMM, or
+a few contiguous reductions, instead of many small ops).
 
 Convolution, max pooling, cross-entropy and embedding each have one body, the
 ``*_batched`` op, which evaluates all ``P`` replicas of a simulated world in
@@ -15,8 +15,8 @@ one call: operands gain a leading replica axis (inputs ``(P, N, ...)``,
 parameters ``(P, *shape)`` — strided views of the world's flat buffers, see
 :mod:`repro.core.batched_replicas`).  The per-replica op is the P = 1 call,
 so every replica slice performs exactly the arithmetic of running that
-replica alone.  Batch normalization and the LSTM layer take either form
-directly.
+replica alone.  Batch normalization, the LSTM layer and the LM head take
+either form directly.
 """
 
 from __future__ import annotations
@@ -671,6 +671,110 @@ def cross_entropy_batched(logits: Tensor, targets: np.ndarray) -> Tensor:
         np.negative(loss_value, out=loss_value)
 
     return Tensor._make(loss_value, (logits,), "cross_entropy_batched", backward, replay)
+
+
+def lm_head(h: Tensor, weight: Tensor, bias: Tensor, targets: np.ndarray) -> Tensor:
+    """A language model's decoder and loss as one node, ``P`` replicas at once.
+
+    One replica: ``h`` is ``(M, H)`` hidden states, ``weight`` the ``(V, H)``
+    decoder, ``bias`` ``(V,)`` and ``targets`` ``(M,)`` token ids; the result
+    is the scalar mean cross-entropy.  Stacked: every operand gains a leading
+    replica axis ``P`` and the result is the ``(P,)`` vector of replica
+    losses.  Forward, on one ``(P, M, V)`` logits workspace::
+
+        logits = h·Wᵀ + b      s = logits − max(logits)      lse = log Σ exp(s)
+        loss = −mean(s[target] − lse)
+
+    Backward, with ``g`` the incoming loss gradient::
+
+        dl = g·(exp(s − lse) − onehot) / M
+        db = Σ dl      dh = dl·W      dW = dlᵀ·h
+
+    This is the arithmetic of ``linear`` followed by
+    :func:`cross_entropy_batched`, bit for bit: ``h·Wᵀ`` runs on the
+    transposed view, the exponentials below float32's smallest normal are
+    flushed in both passes, and ``db`` is summed before ``dl`` is flushed
+    below ``_FLUSH_FLOOR`` for the two GEMMs (the composite's add node
+    reduces before its matmul node flushes).
+
+    Every array the op writes is a workspace it owns, and the eager call and
+    the replay rule are one function, so a replay is bit-identical to the
+    recorded pass and each replica's slice is bit-identical to the ``P = 1``
+    call on that replica alone.  Replay re-reads ``targets`` in place, so a
+    caller may refill that array between replays.
+    """
+    V, H = weight.shape[-2:]
+    P = 1 if weight.ndim == 2 else weight.shape[0]
+    if h.shape[-1] != H or h.ndim != weight.ndim or bias.shape != weight.shape[:-1]:
+        raise ValueError(f"hidden {h.shape}, weight {weight.shape} and bias {bias.shape} "
+                         f"do not form one decoder")
+    M = h.shape[-2]
+    src = np.asarray(targets)
+    if src.size != P * M:
+        raise ValueError(f"targets shape {src.shape} does not match batch ({P}, {M})")
+    tiny = np.finfo(np.float32).tiny
+    h3 = h.data.reshape(P, M, H)
+    w3 = weight.data.reshape(P, V, H)
+    b3 = bias.data.reshape(P, 1, V)
+    loss = np.empty(weight.shape[:-2], dtype=np.float32)
+    loss_p = loss.reshape(P)
+    shifted = np.empty((P, M, V), dtype=np.float32)     # logits, shifted in place
+    probs = np.empty((P, M, V), dtype=np.float32)       # exp(shifted); dl in backward
+    mask = np.empty((P, M, V), dtype=bool)
+    row_max = np.empty((P, M, 1), dtype=np.float32)
+    lse = np.empty((P, M, 1), dtype=np.float32)
+    picked = np.empty((P, M), dtype=np.float32)
+    target_ids = np.empty((P, M), dtype=np.int64)
+    # Each (replica, row)'s target as one index into the flat logits.
+    row_base = np.arange(P * M, dtype=np.int64).reshape(P, M) * V
+    flat_index = np.empty((P, M), dtype=np.int64)
+    flat_shifted, flat_probs = shifted.reshape(-1), probs.reshape(-1)
+    parents = (h, weight, bias)
+    if is_grad_enabled() and any(t.requires_grad for t in parents):
+        dh = np.empty(h.shape, dtype=np.float32)
+        dw = np.empty(weight.shape, dtype=np.float32)
+        db = np.empty(bias.shape, dtype=np.float32)
+
+    def forward() -> None:
+        np.copyto(target_ids, src.reshape(P, M), casting="unsafe")
+        np.add(row_base, target_ids, out=flat_index)
+        np.matmul(h3, w3.transpose(0, 2, 1), out=shifted)
+        np.add(shifted, b3, out=shifted)
+        np.max(shifted, axis=2, keepdims=True, out=row_max)
+        np.subtract(shifted, row_max, out=shifted)
+        np.exp(shifted, out=probs)
+        np.greater_equal(probs, tiny, out=mask)
+        np.multiply(probs, mask, out=probs)
+        np.sum(probs, axis=2, keepdims=True, out=lse)
+        np.log(lse, out=lse)
+        np.take(flat_shifted, flat_index, out=picked)
+        np.subtract(picked, lse.reshape(P, M), out=picked)
+        np.mean(picked, axis=1, out=loss_p)
+        np.negative(loss_p, out=loss_p)
+
+    def backward(grad: np.ndarray) -> None:
+        np.subtract(shifted, lse, out=probs)
+        np.exp(probs, out=probs)
+        np.greater_equal(probs, tiny, out=mask)
+        np.multiply(probs, mask, out=probs)
+        np.take(flat_probs, flat_index, out=picked)
+        np.subtract(picked, 1.0, out=picked)
+        np.put(flat_probs, flat_index, picked)
+        np.multiply(probs, np.reshape(grad, (P, 1, 1)), out=probs)
+        np.divide(probs, M, out=probs)
+        if bias.requires_grad:
+            np.sum(probs, axis=1, out=db.reshape(P, V))
+            bias._accumulate(db)
+        _flush_below_floor(probs, shifted, mask)        # ``shifted`` is dead: scratch
+        if h.requires_grad:
+            np.matmul(probs, w3, out=dh.reshape(P, M, H))
+            h._accumulate(dh)
+        if weight.requires_grad:
+            np.matmul(probs.transpose(0, 2, 1), h3, out=dw.reshape(P, V, H))
+            weight._accumulate(dw)
+
+    forward()
+    return Tensor._make(loss, parents, "lm_head", backward, forward)
 
 
 def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:

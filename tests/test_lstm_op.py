@@ -449,7 +449,9 @@ def test_lstm_ptb_tape_has_one_lstm_node_and_no_cell_graph():
     cell's gate nodes (286 recorded ops, 53 replay steps and 295 backward
     nodes before the op; the counts after are pinned in the numerics
     ledger).  The only ``getitem`` views
-    are the op's outputs, and the only ``transpose`` is the decoder's."""
+    are the op's outputs, and the decoder and loss are one ``lm_head`` node:
+    no decoder ``transpose`` / ``matmul`` / bias ``add`` and no separate
+    ``cross_entropy_batched``."""
     trainer = DistributedTrainer(TrainerConfig(
         model="lstm_ptb", preset="tiny", algorithm="a2sgd", world_size=8, epochs=1,
         max_iterations_per_epoch=2, num_train=2000, num_test=100, seed=0))
@@ -463,8 +465,9 @@ def test_lstm_ptb_tape_has_one_lstm_node_and_no_cell_graph():
     for op in ("sigmoid", "tanh", "mul", "flush_subnormals", "stack", "concat"):
         assert ops[op] == 0, op
     assert all(node._parents[0].op == "lstm" for node in topo if node.op == "getitem")
-    assert all(node._parents[0].op == "leaf" for node in topo if node.op == "transpose")
-    assert ops["transpose"] == 1
+    assert ops["lm_head"] == 1
+    for op in ("transpose", "matmul", "add", "cross_entropy_batched"):
+        assert ops[op] == 0, op
     pinned = LEDGER["tape"]["lstm_taped_a2sgd"]
     assert (replayer.stats["recorded_ops"], replayer.stats["replay_steps"], len(topo)) \
         == (pinned["recorded_ops"], pinned["replay_steps"], pinned["backward_nodes"])

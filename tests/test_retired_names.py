@@ -194,6 +194,19 @@ RETIRED: Tuple[Retired, ...] = (
             "Top-K at its algorithmic cost", (
                 Search(r"argpartition\(np\.abs", ("src/repro/compress/",)),
             )),
+    # The PTB corpus walks per-state successor lists with bisect_left; the
+    # dense V x V matrix with its per-token searchsorted stays in
+    # tests/reference_synthetic_text.py as the oracle.  The language model's
+    # decoder and loss are one lm_head node, so the LM executor takes losses,
+    # not logits, from the model (the classifier executor keeps
+    # cross_entropy_batched(logits, target_buf)).
+    Retired("the per-token searchsorted walk and the LM executor's composite loss",
+            "LSTM-PTB end to end at its cost", (
+                Search(r"np\.searchsorted\(cumulative|np\.zeros\(\(vocab, vocab\)",
+                       ("src/repro/data/",)),
+                Search("logits, new_state", ("src/repro/core/batched_replicas.py",),
+                       literal=True),
+            )),
 )
 
 
